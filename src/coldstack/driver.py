@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig
+from .config import _INT_FIELDS, RunConfig
 from .optimize import (
     OptimizationResult,
     optimize_ft,
@@ -57,17 +57,13 @@ class SweepAxis:
         return cls(key.strip(), float(parts[0]), float(parts[1]), int(parts[2]), log)
 
 
-_INT_KEYS = {"rsa_n", "q_logical", "d_logical", "nisq_qubits", "stages",
-             "k_min", "k_max"}
-
-
 def _override(cfg: RunConfig, key: str, value: float) -> RunConfig:
     if not hasattr(cfg, key):
         raise ValueError(f"unknown sweep key {key!r}")
     current = getattr(cfg, key)
     if isinstance(current, (str, bool)):
         raise ValueError(f"sweep key {key!r} is not numeric")
-    if key in _INT_KEYS:
+    if key in _INT_FIELDS:
         value = int(round(value))
     return cfg.replace(**{key: value})
 

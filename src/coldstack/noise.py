@@ -12,7 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import hbar, k as k_B
+
+#: Reduced Planck (J*s) and Boltzmann (J/K) constants, exact SI values.
+HBAR = 6.62607015e-34 / (2.0 * np.pi)
+K_B = 1.380649e-23
 
 # Above this value of (hbar*omega0)/(k_B*T) the occupancy underflows to
 # well below 1e-300; returning 0 avoids overflow in expm1.
@@ -56,7 +59,7 @@ class QubitTechnology:
         Inverts ``Omega = sqrt(4*gamma/(hbar*omega0)) * sqrt(P)`` for a
         drive propagating in the control line.
         """
-        return hbar * self.omega0 * rabi_frequency**2 / (4.0 * self.gamma)
+        return HBAR * self.omega0 * rabi_frequency**2 / (4.0 * self.gamma)
 
 
 def pi_pulse_power(tech: QubitTechnology, tau: float) -> float:
@@ -67,7 +70,7 @@ def pi_pulse_power(tech: QubitTechnology, tau: float) -> float:
     """
     if tau <= 0:
         raise ValueError("pulse duration must be strictly positive")
-    return hbar * tech.omega0 * np.pi**2 / (4.0 * tech.gamma * tau**2)
+    return HBAR * tech.omega0 * np.pi**2 / (4.0 * tech.gamma * tau**2)
 
 
 def bose_einstein(temperature, omega0: float):
@@ -80,7 +83,7 @@ def bose_einstein(temperature, omega0: float):
     if np.any(t < 0):
         raise ValueError("temperature must be nonnegative")
     with np.errstate(divide="ignore", over="ignore"):
-        x = np.where(t > 0, hbar * omega0 / (k_B * np.where(t > 0, t, 1.0)), np.inf)
+        x = np.where(t > 0, HBAR * omega0 / (K_B * np.where(t > 0, t, 1.0)), np.inf)
     occ = np.where(
         x >= _EXPONENT_CLAMP, 0.0, 1.0 / np.expm1(np.minimum(x, _EXPONENT_CLAMP))
     )

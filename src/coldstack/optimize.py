@@ -22,10 +22,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.constants import hbar
 
 from . import qec
 from .noise import (
+    HBAR,
     QubitTechnology,
     bose_einstein,
     chain_occupancy,
@@ -41,7 +41,7 @@ from .thermal import (
     ElectronicsScenario,
     StageRecord,
     attenuator_heat_fractions,
-    _conduction_integral,
+    conduction_heat_per_qubit,
     demodulation_power_per_qubit,
     stage_layout,
     static_power_breakdown,
@@ -197,7 +197,7 @@ def bare_efficiency_max(tech: QubitTechnology, target: float) -> float:
     if not (0 < target < 1):
         raise ValueError("target metric must lie strictly between 0 and 1")
     return (4.0 / math.pi**2) * target * (1.0 - target) ** 2 / (
-        tech.gamma * hbar * tech.omega0)
+        tech.gamma * HBAR * tech.omega0)
 
 
 class _AttenuatorProblem:
@@ -474,14 +474,7 @@ class _FtProblem:
         stages = t_qb[None, :, None] ** (1 - frac) * t_gen[None, None, :] ** frac
         occ_stage = bose_einstein(stages, self.tech.omega0)
         mult = model.heat_multiplier(stages, tog.t_ext)
-        flat = stages.reshape(-1)
-        uniq, inverse = np.unique(flat, return_inverse=True)
-        w_uniq = np.array([_conduction_integral(cable, t) for t in uniq])
-        w_stage = w_uniq[inverse].reshape(stages.shape) / cable.length_m
-        spans = (w_stage[1:] - w_stage[:-1]) * cable.lines_per_qubit
-        net = np.zeros_like(stages)
-        net[:-1] += spans
-        net[1:] -= spans
+        net = conduction_heat_per_qubit(stages, cable)
         static = np.einsum("kij,kij->ij", mult, net)
         static = static + (1.0 + model.heat_multiplier(t_gen, tog.t_ext))[None, :] * scen.q_gen
         static = static + (1.0 + model.heat_multiplier(4.0, tog.t_ext)) * scen.q_para

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from coldstack.cli import main
-from coldstack.config import load_config
+from coldstack.config import RunConfig, load_config
 from coldstack.driver import SweepAxis, compare_rsa, run_problem, sweep
 from coldstack.results import parse_csv
 
@@ -77,6 +77,23 @@ class TestDriver:
         rows = sweep(cfg, [SweepAxis("gamma_inverse_s", 0.001, 0.1, 2, log=True)])
         assert [r["feasible"] for r in rows] == [False, True]
         assert rows[0]["power_w"] == math.inf
+
+    def test_readme_qubit_quality_sweep_completes(self):
+        # the optimum sits on the 300 K generation bound, so the chain's top
+        # stage must come out at ambient exactly
+        rows = sweep(RunConfig(),
+                     [SweepAxis.parse("gamma_inverse_s=0.003:1:15:log")])
+        assert len(rows) == 15
+        assert all(r["feasible"] for r in rows)
+        assert any(r["t_gen_k"] == 300.0 for r in rows)
+
+    def test_sweep_over_integer_optimizer_field(self):
+        rows = sweep(RunConfig(), [SweepAxis.parse("refinement_passes=0:2:3")])
+        assert [r["refinement_passes"] for r in rows] == [0, 1, 2]
+        assert all(r["feasible"] for r in rows)
+        powers = [r["power_w"] for r in rows]
+        # a refinement pass keeps the incumbent, so power never rises
+        assert powers[2] <= powers[1] <= powers[0]
 
     def test_sweep_rejects_non_numeric_keys(self):
         cfg = load_config(text=RSA_830_LIGHT)

@@ -1,10 +1,15 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.constants import hbar, k as k_B
 
+from coldstack import noise
 from coldstack import (
     QubitTechnology,
     bose_einstein,
@@ -18,6 +23,22 @@ from coldstack import (
 
 from conftest import OMEGA0
 from lindblad_oracle import worst_case_infidelity_oracle
+
+
+class TestConstants:
+    def test_exact_si_values_match_scipy(self):
+        assert noise.HBAR == hbar
+        assert noise.K_B == k_B
+
+    def test_import_leaves_scipy_unloaded(self):
+        src = str(pathlib.Path(noise.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, coldstack; print('scipy' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+            text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestQubitTechnology:

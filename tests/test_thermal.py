@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.constants import hbar
+from scipy.integrate import quad
 
 from coldstack import (
     CableModel,
@@ -23,6 +24,7 @@ from coldstack import (
 )
 from coldstack.thermal import (
     CARNOT,
+    _conduction_integral,
     conduction_heat_per_qubit,
     measurement_drive_power,
     static_power_breakdown,
@@ -57,10 +59,12 @@ class TestStageLayout:
             stage_layout(0.02, 400.0, 10.0)
 
     @given(t_qb=st.floats(1e-3, 1.0), ratio=st.floats(1.01, 1e4),
-           a=st.floats(1.0, 1e10))
+           a=st.floats(1.0, 1e10), at_ambient=st.booleans())
+    # t_qb * (300/t_qb)**1.0 rounds to 300.00000000000006 here
+    @example(t_qb=0.553, ratio=2.0, a=10.0, at_ambient=True)
     @settings(max_examples=50)
-    def test_products_and_geometry_exact(self, t_qb, ratio, a):
-        t_gen = min(t_qb * ratio, 300.0)
+    def test_products_and_geometry_exact(self, t_qb, ratio, a, at_ambient):
+        t_gen = 300.0 if at_ambient else min(t_qb * ratio, 300.0)
         if t_gen <= t_qb:
             return
         chain = stage_layout(t_qb, t_gen, a, k_stages=5)
@@ -68,6 +72,8 @@ class TestStageLayout:
         temps = np.array(chain.temperatures)
         ratios = temps[1:] / temps[:-1]
         assert np.allclose(ratios, ratios[0], rtol=1e-9)
+        assert chain.temperatures[0] == t_qb
+        assert chain.temperatures[-1] == t_gen
 
 
 class TestCableHeatFlow:
@@ -102,6 +108,45 @@ class TestCableHeatFlow:
         long_cable = CableModel(length_m=2.0)
         assert cable_heat_flow(0.0, 300.0, long_cable) == pytest.approx(
             0.5 * cable_heat_flow(0.0, 300.0, CABLE), rel=1e-12)
+
+
+def _quad_conduction_integral(cable, t):
+    """Reference: each segment of the conduction integral by adaptive
+    quadrature at a tight tolerance."""
+    c_lo, p_lo = cable.kapton_low
+    c_mid, p_mid = cable.kapton_mid
+    tight = {"epsabs": 0.0, "epsrel": 1e-13, "limit": 200}
+    out = cable.area_below_10k_m2 * quad(lambda x: c_lo * x**p_lo, 0.0,
+                                         min(t, 4.0), **tight)[0]
+    if t > 4.0:
+        out += cable.area_below_10k_m2 * quad(lambda x: c_mid * x**p_mid, 4.0,
+                                              min(t, 10.0), **tight)[0]
+    if t > 10.0:
+        out += cable.area_above_10k_m2 * quad(cable.steel_conductivity, 10.0, t,
+                                              **tight)[0]
+    return out
+
+
+LOG_GRID = np.append(np.logspace(-3, np.log10(300.0), 120)[:-1], 300.0)
+
+
+class TestConductionKernel:
+    @pytest.mark.parametrize("cable", [
+        CABLE, CableModel(length_m=2.5, area_above_10k_m2=1.1e-6)])
+    def test_matches_adaptive_quadrature(self, cable):
+        want = np.array([_quad_conduction_integral(cable, t) for t in LOG_GRID])
+        got = _conduction_integral(cable, LOG_GRID)
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-12
+        flows = np.array([cable_heat_flow(0.0, t, cable) for t in LOG_GRID])
+        assert np.max(np.abs(flows * cable.length_m / want - 1.0)) <= 1e-12
+
+    def test_array_call_equals_scalar_calls(self):
+        temps = np.append(LOG_GRID, [0.0, 4.0, 10.0, 10.5]).reshape(4, 31)
+        got = _conduction_integral(CABLE, temps)
+        assert got.shape == temps.shape
+        scalars = [_conduction_integral(CABLE, float(t)) for t in temps.ravel()]
+        assert all(type(v) is float for v in scalars)
+        assert np.array_equal(got.ravel(), scalars)
 
 
 class TestCoolingPower:
@@ -213,13 +258,23 @@ class TestPerQubitStaticPower:
 
     def test_conduction_telescopes_to_top_span_injection(self):
         chain = stage_layout(0.02, 300.0, 1e4)
-        net = conduction_heat_per_qubit(chain, CABLE)
+        net = conduction_heat_per_qubit(chain.temperatures, CABLE)
         injected = cable_heat_flow(chain.temperatures[-2], chain.temperatures[-1],
                                    CABLE) * CABLE.lines_per_qubit
         # stages below the top together extract exactly what the top span injects
         assert sum(net[:-1]) == pytest.approx(injected, rel=1e-12)
         # and the top stage is credited the same amount
         assert net[-1] == pytest.approx(-injected, rel=1e-12)
+
+    def test_conduction_of_stacked_chains_equals_each_chain(self):
+        # the optimizer's grid evaluation and the breakdown path agree
+        chains = [stage_layout(t_qb, t_gen, 1e4)
+                  for t_qb, t_gen in ((0.02, 300.0), (1e-3, 4.5), (3.9, 12.0))]
+        stacked = np.array([c.temperatures for c in chains]).T
+        net = conduction_heat_per_qubit(stacked, CABLE)
+        for i, chain in enumerate(chains):
+            assert np.array_equal(
+                net[:, i], conduction_heat_per_qubit(chain.temperatures, CABLE))
 
     def test_small_scale_adds_extra_cold_load(self):
         chain = stage_layout(0.02, 300.0, 1e4)
