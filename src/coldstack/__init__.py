@@ -16,32 +16,22 @@ from .noise import (
     worst_case_infidelity_1qb,
 )
 from .qec import (
-    AboveThresholdError,
-    CodeParameters,
     LogicalGateCounts,
     ft_metric,
-    ft_power,
     logical_error_probability,
-    physical_gate_counts_exact,
     physical_gate_counts_rectangular,
     physical_qubits,
-    required_concatenation,
 )
 from .thermal import (
     CableModel,
-    CryoChain,
     CryoEfficiencyModel,
     ElectronicsScenario,
     StageRecord,
+    attenuator_heat_fractions,
     cable_heat_flow,
-    cooling_power,
     demodulation_power_per_qubit,
-    fiber_bitrate_per_qubit,
-    gate_power_1qb,
-    gate_power_2qb,
-    measurement_power,
-    per_qubit_static_power,
-    stage_layout,
+    stage_temperatures,
+    static_power_breakdown,
     syndrome_power_per_qubit,
 )
 from .workloads import (

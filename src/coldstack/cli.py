@@ -12,8 +12,6 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
 from .config import ConfigError, RunConfig, load_config, show_config
 from .driver import (
     SweepAxis,
@@ -29,41 +27,46 @@ _EXT = {"csv": "csv", "jsonl": "jsonl"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # --config is accepted before and after the subcommand; SUPPRESS keeps
+    # a subcommand that was not given one from resetting the top-level value
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", default=argparse.SUPPRESS,
+                        help="path to a configuration file")
+    common = argparse.ArgumentParser(add_help=False, parents=[config])
+    common.add_argument("--out", help="structured result file path "
+                                      "(default: <command>.<format>)")
+    common.add_argument("--format", choices=("csv", "jsonl"), default="csv")
+    common.add_argument("--target", type=float,
+                        help="override the target metric from the config")
+
     parser = argparse.ArgumentParser(
-        prog="coldstack",
+        prog="coldstack", parents=[config],
         description="Full-stack power modeling and constrained power "
                     "minimization for cryogenic quantum computers.")
-    parser.add_argument("--config", help="path to a configuration file")
     parser.add_argument("--show-config", action="store_true",
                         help="print the resolved configuration and exit")
     sub = parser.add_subparsers(dest="command")
-
-    def common(p):
-        p.add_argument("--out", help="structured result file path "
-                                     "(default: <command>.<format>)")
-        p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-        p.add_argument("--target", type=float,
-                       help="override the target metric from the config")
-
-    common(sub.add_parser("optimize-1qb", help="minimize single-gate power"))
-    common(sub.add_parser("optimize-nisq", help="minimize circuit power"))
-    common(sub.add_parser("optimize-ft", help="minimize fault-tolerant power"))
-    p = sub.add_parser("sweep", help="optimize over a parameter grid")
-    common(p)
+    sub.add_parser("optimize-1qb", parents=[common],
+                   help="minimize single-gate power")
+    sub.add_parser("optimize-nisq", parents=[common], help="minimize circuit power")
+    sub.add_parser("optimize-ft", parents=[common],
+                   help="minimize fault-tolerant power")
+    p = sub.add_parser("sweep", parents=[common],
+                       help="optimize over a parameter grid")
     p.add_argument("--sweep", action="append", required=True, metavar="AXIS",
                    help="axis spec key=start:stop:points[:log]; repeatable")
-    p = sub.add_parser("compare-rsa", help="quantum vs classical factoring table")
-    common(p)
+    p = sub.add_parser("compare-rsa", parents=[common],
+                       help="quantum vs classical factoring table")
     p.add_argument("--n", default="512:4096:8:log", metavar="RANGE",
                    help="key sizes as start:stop:points[:log]")
-    p = sub.add_parser("breakdown", help="per-stage power decomposition "
-                                         "of the optimum")
-    common(p)
+    sub.add_parser("breakdown", parents=[common],
+                   help="per-stage power decomposition of the optimum")
     return parser
 
 
 def _load(args) -> RunConfig:
-    cfg = load_config(args.config) if args.config else RunConfig()
+    path = getattr(args, "config", None)
+    cfg = load_config(path) if path else RunConfig()
     if getattr(args, "target", None) is not None:
         cfg = cfg.replace(target_metric=args.target)
     return cfg
@@ -104,20 +107,6 @@ def _summarize(cfg: RunConfig, result) -> None:
     print(f"per-qubit power: {result.per_qubit_power_w:.4e} W")
     if result.magnification is not None:
         print(f"power magnification A*T_ext/T_qb: {result.magnification:.4e}")
-
-
-def _parse_n_range(spec: str) -> list[int]:
-    parts = spec.split(":")
-    if len(parts) not in (3, 4):
-        raise ValueError(f"bad range {spec!r}; want start:stop:points[:log]")
-    start, stop, points = float(parts[0]), float(parts[1]), int(parts[2])
-    if len(parts) == 4:
-        if parts[3] != "log":
-            raise ValueError(f"bad range {spec!r}; trailing flag must be 'log'")
-        values = np.logspace(math.log10(start), math.log10(stop), points)
-    else:
-        values = np.linspace(start, stop, points)
-    return sorted({int(round(v)) for v in values})
 
 
 def main(argv=None) -> int:
@@ -162,7 +151,8 @@ def _dispatch(args, cfg: RunConfig, out: str) -> int:
               f"results written to {out}")
         return 0 if feasible else 2
     if args.command == "compare-rsa":
-        n_values = _parse_n_range(args.n)
+        axis = SweepAxis.parse(f"rsa_n={args.n}")
+        n_values = sorted({int(round(v)) for v in axis.values()})
         rows = compare_rsa(cfg, n_values)
         emit_results(rows, out, args.format)
         adv = [r["rsa_n"] for r in rows if r["quantum_more_efficient"]]

@@ -119,7 +119,9 @@ def sweep(cfg: RunConfig, axes: list[SweepAxis]) -> list[dict]:
     """Cartesian-product evaluation over the given axes.
 
     Rows come out in C order of the axis values (last axis fastest), one
-    :func:`run_problem` per point, infeasible points included.
+    :func:`run_problem` per point, infeasible points included.  A point
+    that raises stops the sweep with an exception of the same type whose
+    message names the point.
     """
     if not axes:
         raise ValueError("sweep needs at least one axis")
@@ -129,7 +131,12 @@ def sweep(cfg: RunConfig, axes: list[SweepAxis]) -> list[dict]:
         point_cfg = cfg
         for axis, value in zip(axes, combo):
             point_cfg = _override(point_cfg, axis.key, float(value))
-        result = run_problem(point_cfg)
+        try:
+            result = run_problem(point_cfg)
+        except Exception as exc:
+            where = ", ".join(f"{axis.key}={float(value)!r}"
+                              for axis, value in zip(axes, combo))
+            raise type(exc)(f"sweep point {where}: {exc}") from exc
         row = {axis.key: value for axis, value in zip(axes, combo)}
         row.update(result_record(point_cfg, result))
         rows.append(row)

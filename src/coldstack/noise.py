@@ -48,25 +48,14 @@ class QubitTechnology:
         """Clock period: the duration of the slowest operation."""
         return max(self.tau_1qb, self.tau_2qb, self.tau_meas)
 
-    @property
-    def rabi_frequency(self) -> float:
-        """Rabi frequency of a pi-pulse of duration ``tau_1qb`` (rad/s)."""
-        return np.pi / self.tau_1qb
-
-    def drive_power_for_rabi(self, rabi_frequency: float) -> float:
-        """Average drive power that induces a given Rabi frequency.
-
-        Inverts ``Omega = sqrt(4*gamma/(hbar*omega0)) * sqrt(P)`` for a
-        drive propagating in the control line.
-        """
-        return HBAR * self.omega0 * rabi_frequency**2 / (4.0 * self.gamma)
-
 
 def pi_pulse_power(tech: QubitTechnology, tau: float) -> float:
     """Average microwave power consumed by a pi-pulse of duration ``tau``.
 
-    Equals ``hbar*omega0*pi^2 / (4*gamma*tau^2)``: faster gates and
-    better-isolated qubits (smaller gamma) need stronger drives.
+    Equals ``hbar*omega0*pi^2 / (4*gamma*tau^2)``, the power whose Rabi
+    frequency ``Omega = sqrt(4*gamma*P/(hbar*omega0))`` is ``pi/tau``:
+    faster gates and better-isolated qubits (smaller gamma) need
+    stronger drives.
     """
     if tau <= 0:
         raise ValueError("pulse duration must be strictly positive")
@@ -101,32 +90,38 @@ def single_attenuator_occupancy(attenuation, t_qubit, t_external, omega0: float)
     a = np.asarray(attenuation, dtype=float)
     if np.any(a < 1):
         raise ValueError("attenuation must be >= 1 (natural units)")
-    cold = bose_einstein(t_qubit, omega0)
-    hot = bose_einstein(t_external, omega0)
-    out = (a - 1.0) / a * cold + hot / a
+    out = _attenuated(a, bose_einstein(t_qubit, omega0),
+                      bose_einstein(t_external, omega0))
     if np.ndim(out) == 0:
         return float(out)
     return out
 
 
-def chain_occupancy(chain, omega0: float):
-    """Occupancy at the qubit behind a multi-stage attenuation chain.
+def _attenuated(a, n_cold, n_hot):
+    """:func:`single_attenuator_occupancy` from the two occupancies, without
+    the input check, for the optimizer's boundary solve."""
+    return (a - 1.0) / a * n_cold + n_hot / a
 
-    ``chain`` provides stage temperatures T_1..T_K (cold to hot) and the
-    cumulative attenuations below each inter-stage attenuator.  The
-    occupancy is the cold-stage thermal population plus the photons from
-    each hotter stage that leak through the attenuators in between.
+
+def chain_occupancy(n_cold, n_rise, transmission):
+    """Occupancy at the qubit behind K-1 equal attenuators.
+
+    ``n_cold`` is the thermal occupancy of the qubit stage, and
+    ``n_rise`` holds, cold to hot along axis 0, the rise ``n_{i+1} -
+    n_i`` of the occupancy from each stage to the next.
+    ``transmission`` is the power transmission of one attenuator,
+    ``A_total^(-1/(K-1))``.  Each attenuator re-emits at its own stage's
+    temperature, so the rise into stage i+1 reaches the qubit through i
+    attenuators: ``n_cold + sum_i n_rise_i * transmission^i`` for
+    i = 1..K-1.  Elementwise over any grid and evaluated by Horner's
+    rule, one add and one multiply per attenuator, because the
+    optimizer's boundary solve calls it at every step; it checks no
+    input.
     """
-    temps = np.asarray(chain.temperatures, dtype=float)
-    if np.any(np.diff(temps) < 0):
-        raise ValueError("stage temperatures must be nondecreasing, cold to hot")
-    occ = bose_einstein(temps, omega0)
-    cum = np.asarray(chain.cumulative_attenuations, dtype=float)
-    leaked = np.sum((occ[1:] - occ[:-1]) / cum, axis=0)
-    out = occ[0] + leaked
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
+    leak = 0.0
+    for rise in n_rise[::-1]:
+        leak = (leak + rise) * transmission
+    return n_cold + leak
 
 
 def worst_case_infidelity_1qb(tech: QubitTechnology, n_noise):
@@ -149,17 +144,21 @@ def pauli_error_probability(tech: QubitTechnology, n_noise, with_flag: bool = Fa
     """Worst-case Pauli error probability per qubit per clock step.
 
     ``(gamma*tau_step/2) * (1/2 + n_noise)``, clamped to [0, 1].  With
-    ``with_flag=True`` also returns whether clamping occurred (the
-    linearized formula can exceed 1 for absurd inputs).
+    ``with_flag=True`` also returns whether the clamp at 1 was reached
+    (the linearized formula can exceed 1 for absurd inputs).
     """
     n = np.asarray(n_noise, dtype=float)
     if np.any(n < 0):
         raise ValueError("occupancy must be nonnegative")
-    raw = 0.5 * tech.gamma * tech.tau_step * (0.5 + n)
-    clamped = np.clip(raw, 0.0, 1.0)
-    was_clamped = bool(np.any(raw > 1.0))
-    if np.ndim(clamped) == 0:
-        clamped = float(clamped)
+    p = _pauli_error(tech, n)
+    out = float(p) if p.ndim == 0 else p
     if with_flag:
-        return clamped, was_clamped
-    return clamped
+        return out, bool(np.any(p == 1.0))
+    return out
+
+
+def _pauli_error(tech: QubitTechnology, n_noise):
+    """:func:`pauli_error_probability` without the input check, for the
+    optimizer's boundary solve, which calls it at every step on
+    occupancies of a validated chain."""
+    return np.clip(0.5 * tech.gamma * tech.tau_step * (0.5 + n_noise), 0.0, 1.0)

@@ -1,25 +1,36 @@
 """Constrained power-minimization engines.
 
-Three problem classes share the same recipe.  Power rises monotonically
-with the total attenuation while the metric improves with it, so for
-any fixed temperatures the conditional optimum sits exactly on the
-constraint boundary (or at the attenuation lower bound when the
-constraint is already slack there).  The engines therefore grid only
-the temperature controls logarithmically, solve the boundary
-attenuation by bisection at every grid point, take the argmin, and run
-local grid refinements around the incumbent.  The equality constraint
-is thereby met to solver precision rather than grid precision.
+Three problem classes share one search, :func:`_grid_refine`.  Power
+rises monotonically with the total attenuation while the metric
+improves with it, so for any fixed temperatures the conditional optimum
+sits exactly on the constraint boundary (or at the attenuation lower
+bound when the constraint is already slack there).  Each problem class
+therefore supplies a ``solve`` that takes one log-spaced axis per
+temperature control (the qubit stage, and for the fault-tolerant
+problem also the generation stage), finds the boundary attenuation at
+every point of the grid the axes span by bisection, and returns the
+power there.  The search takes the argmin and refines: each pass
+re-grids every axis one old step either side of the incumbent at a
+finer spacing.  The equality constraint is thereby met to solver
+precision rather than grid precision.
 
 Every evaluation is a pure function of its inputs and the reduction is
 an ordered argmin with a fixed tie-break (smaller concatenation level,
 then smaller attenuation, then warmer qubits, then cooler generation
 stage), so results are deterministic regardless of evaluation order.
+
+The fault-tolerant model has one implementation, :class:`_FtProblem`.
+On any temperature grid it gives the power of the whole machine as
+per-stage, per-source terms; the search sums them, and
+:func:`evaluate_ft_point` is the same kernel on a one-point grid that
+reports them as the breakdown.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -27,11 +38,11 @@ from . import qec
 from .noise import (
     HBAR,
     QubitTechnology,
+    _attenuated,
+    _pauli_error,
     bose_einstein,
     chain_occupancy,
-    pauli_error_probability,
     pi_pulse_power,
-    single_attenuator_occupancy,
 )
 from .thermal import (
     AMBIENT_K,
@@ -41,13 +52,12 @@ from .thermal import (
     ElectronicsScenario,
     StageRecord,
     attenuator_heat_fractions,
-    conduction_heat_per_qubit,
     demodulation_power_per_qubit,
-    stage_layout,
+    stage_temperatures,
     static_power_breakdown,
     syndrome_power_per_qubit,
 )
-from .workloads import Workload, nisq_circuit
+from .workloads import Workload, nisq_circuit, nisq_metric, nisq_power
 
 #: Powers within this relative band count as ties for the tie-break.
 RELATIVE_TIE = 1e-9
@@ -92,6 +102,8 @@ class FtToggles:
     t_ext: float = AMBIENT_K
 
     def __post_init__(self) -> None:
+        if self.k_stages < 2:
+            raise ValueError("need at least 2 stages")
         if self.two_qubit_drive_duration not in ("tau_1qb", "tau_2qb"):
             raise ValueError("drive duration must be 'tau_1qb' or 'tau_2qb'")
         if self.metric_form not in ("linear", "exact"):
@@ -183,6 +195,49 @@ def _boundary_attenuation(metric_of_log_a, lo: float, hi: float):
     return a
 
 
+#: Tie-break direction per temperature axis: warmer qubits, then a
+#: cooler generation stage.
+_TIE_SIGNS = (-1.0, 1.0)
+
+
+def _grid_refine(solve, axes, options: GridOptions):
+    """Grid search with local refinement over log-spaced temperature axes.
+
+    ``axes`` lists ``(name, (low, high))`` per temperature control, the
+    qubit stage first.  ``solve(*grids)`` returns the power and the
+    boundary attenuation on the grid the axis values span, with NaN
+    attenuation (and infinite power) where the target is out of reach.
+    Powers within ``RELATIVE_TIE`` of the minimum tie; ties go to the
+    smaller attenuation, then by ``_TIE_SIGNS``.  Each of the
+    ``options.refinement_passes`` passes re-grids every axis one old
+    step either side of the incumbent at ``options.refinement_factor``
+    times finer spacing.  Returns (power, point, attenuation, spacing in
+    decades by axis name), or None when no grid point is feasible.
+    """
+    grids, spacing = [], []
+    for _, (lo, hi) in axes:
+        grid, step = _log_axis(lo, hi, options.temperature_points_per_decade)
+        grids.append(grid)
+        spacing.append(step)
+    best = None  # (power, point, attenuation)
+    for pass_index in range(options.refinement_passes + 1):
+        power, a_star = solve(*grids)
+        if np.isfinite(a_star).any():
+            tied = np.argwhere(power <= power.min() * (1 + RELATIVE_TIE))
+            i = min(map(tuple, tied), key=lambda i: (a_star[i], *(
+                sign * grid[j] for sign, grid, j in zip(_TIE_SIGNS, grids, i))))
+            if best is None or power[i] < best[0]:
+                best = (float(power[i]), tuple(float(g[j]) for g, j in zip(grids, i)),
+                        float(a_star[i]))
+        if best is None:
+            return None
+        if pass_index < options.refinement_passes:
+            for d, (_, (lo, hi)) in enumerate(axes):
+                grids[d], spacing[d] = _refined_axis(
+                    best[1][d], spacing[d], options.refinement_factor, lo, hi)
+    return (*best, {name: step for (name, _), step in zip(axes, spacing)})
+
+
 # ---------------------------------------------------------------------------
 # Single-qubit gate and NISQ circuit (one attenuator at the qubit stage)
 # ---------------------------------------------------------------------------
@@ -201,7 +256,7 @@ def bare_efficiency_max(tech: QubitTechnology, target: float) -> float:
 
 
 class _AttenuatorProblem:
-    """Shared inner machinery for the one-attenuator topologies.
+    """One attenuator at the qubit stage: single gates and circuits.
 
     ``metric_fn(infidelity)`` maps the per-gate worst-case infidelity to
     the problem metric; ``power_scale`` multiplies the per-gate cryo
@@ -215,59 +270,34 @@ class _AttenuatorProblem:
         self.power_scale = power_scale
         self.t_ext = t_ext
         self.p_pi = pi_pulse_power(tech, tech.tau_1qb)
-
-    def infidelity(self, t_qb, a):
-        occ = single_attenuator_occupancy(a, t_qb, self.t_ext, self.tech.omega0)
-        return self.tech.gamma * self.tech.tau_1qb * (1.0 + occ)
+        self.n_hot = bose_einstein(t_ext, tech.omega0)
 
     def metric(self, t_qb, a):
-        return self.metric_fn(self.infidelity(t_qb, a))
+        return self._metric(a, bose_einstein(t_qb, self.tech.omega0))
+
+    def _metric(self, a, n_cold):
+        """Metric at attenuations ``a`` and qubit-stage occupancies
+        ``n_cold``."""
+        occ = _attenuated(a, n_cold, self.n_hot)
+        return self.metric_fn(self.tech.gamma * self.tech.tau_1qb * (1.0 + occ))
 
     def power(self, t_qb, a):
         return (self.t_ext - t_qb) / t_qb * a * self.p_pi * self.power_scale
 
-    def minimize(self, target: float, options: GridOptions):
-        """Temperature grid with exact boundary attenuation, plus local
-        refinements; returns (t, a, power, spacing) or None."""
-        t_axis, t_sp = _log_axis(*options.t_qb_bounds,
-                                 options.temperature_points_per_decade)
-        spacing = {"t_qb": t_sp}
-        best = None
-        for pass_index in range(options.refinement_passes + 1):
-            cand = self._boundary_argmin(t_axis, target, options)
-            if cand is not None and (best is None or cand[0] < best[0]):
-                best = cand
-            if best is None:
-                return None
-            if pass_index < options.refinement_passes:
-                t_axis, spacing["t_qb"] = _refined_axis(
-                    best[1], spacing["t_qb"], options.refinement_factor,
-                    *options.t_qb_bounds)
-        power, t_star, a_star = best
-        return t_star, a_star, power, spacing
-
-    def _boundary_argmin(self, t_axis: np.ndarray, target: float,
-                         options: GridOptions):
+    def solve(self, target: float, options: GridOptions, t_axis: np.ndarray):
+        """Power and boundary attenuation on the qubit-temperature grid."""
         a_lo, a_hi = options.attenuation_bounds
-        t_col = t_axis[:, None]
+        # the occupancies do not depend on the attenuation: once per grid
+        n_cold = bose_einstein(t_axis[:, None], self.tech.omega0)
 
         def gap(log_a):
-            return self.metric(t_col, 10.0 ** np.asarray(log_a)) - target
+            return self._metric(10.0 ** np.asarray(log_a), n_cold) - target
 
         a_star = _boundary_attenuation(gap, a_lo, a_hi).reshape(-1)
         finite = np.isfinite(a_star)
-        if not finite.any():
-            return None
         power = np.where(finite, self.power(t_axis, np.where(finite, a_star, a_hi)),
                          np.inf)
-        # accept ties within the relative band, preferring low attenuation
-        # then high temperature
-        pmin = power.min()
-        tied = power <= pmin * (1 + RELATIVE_TIE)
-        candidates = [(a_star[i], -t_axis[i], i) for i in np.nonzero(tied)[0]]
-        candidates.sort()
-        i = candidates[0][2]
-        return float(power[i]), float(t_axis[i]), float(a_star[i])
+        return power, a_star
 
 
 def optimize_single_qubit(tech: QubitTechnology, target: float,
@@ -287,10 +317,11 @@ def optimize_single_qubit(tech: QubitTechnology, target: float,
             f"target metric {target} exceeds the zero-noise bound "
             f"{1.0 - floor:.9g} (infidelity floor gamma*tau_1qb = {floor:.3g})")
     problem = _AttenuatorProblem(tech, lambda infid: 1.0 - infid, 1.0, t_ext)
-    found = problem.minimize(target, options)
+    found = _grid_refine(partial(problem.solve, target, options),
+                         [("t_qb", options.t_qb_bounds)], options)
     if found is None:
         return _infeasible("no grid point satisfies the metric target")
-    t_star, a_star, power, spacing = found
+    power, (t_star,), a_star, spacing = found
     heat = a_star * problem.p_pi
     record = StageRecord(t_star, heat, power, "attenuator")
     return OptimizationResult(
@@ -347,15 +378,13 @@ def optimize_nisq(q: int, target: float, tech: QubitTechnology,
     best = None  # (power, m, t, a, spacing, problem, circuit)
     for m in m_values:
         circ = nisq_circuit(q, m)
-        problem = _AttenuatorProblem(
-            tech,
-            lambda infid, _c=circ: np.maximum(0.0, 1.0 - _c.n_gates_weighted * infid),
-            circ.n_1qb_avg + 0.25 * circ.n_2qb_avg,
-            t_ext)
-        found = problem.minimize(target, options)
+        problem = _AttenuatorProblem(tech, partial(nisq_metric, circ),
+                                     nisq_power(circ, 1.0), t_ext)
+        found = _grid_refine(partial(problem.solve, target, options),
+                             [("t_qb", options.t_qb_bounds)], options)
         if found is None:
             continue
-        t_star, a_star, p_star, spacing = found
+        p_star, (t_star,), a_star, spacing = found
         if (best is None or p_star < best[0] * (1 - RELATIVE_TIE)
                 or (p_star <= best[0] * (1 + RELATIVE_TIE) and m < best[1])):
             best = (p_star, m, t_star, a_star, spacing, problem, circ)
@@ -393,15 +422,6 @@ class FtPointEvaluation:
     p_err: float
 
 
-def _metric_from_p(p_err, k: int, n_locations: float, form: str):
-    p_l = qec.logical_error_probability(p_err, k)
-    if form == "linear":
-        return np.maximum(0.0, 1.0 - n_locations * p_l)
-    survivable = p_l < 1.0
-    log_term = np.log1p(-np.where(survivable, p_l, 0.0))
-    return np.where(survivable, np.exp(n_locations * log_term), 0.0)
-
-
 def _dynamic_weight(tech: QubitTechnology, k: int, toggles: FtToggles) -> float:
     """Parallel 2qb-equivalents per logical qubit: N_2qb + r*N_1qb, with
     the 1qb gates active a fraction r of each step."""
@@ -415,44 +435,9 @@ def _drive_power(tech: QubitTechnology, toggles: FtToggles) -> float:
     return pi_pulse_power(tech, tau)
 
 
-def evaluate_ft_point(workload: Workload, tech: QubitTechnology,
-                      scenario: ElectronicsScenario, cable: CableModel,
-                      model: CryoEfficiencyModel, t_qb: float, t_gen: float,
-                      a_total: float, k: int,
-                      toggles: FtToggles = FtToggles()) -> FtPointEvaluation:
-    """Evaluate power, metric, and the per-stage breakdown at one point.
-
-    The reported power is exactly the sum of the per-stage electrical
-    powers, so breakdowns reconstruct the total without residue.
-    """
-    chain = stage_layout(t_qb, t_gen, a_total, toggles.k_stages, toggles.t_ext)
-    occ = chain_occupancy(chain, tech.omega0)
-    p_err = pauli_error_probability(tech, occ)
-    metric = float(_metric_from_p(p_err, k, workload.n_locations, toggles.metric_form))
-    qubits = qec.physical_qubits(workload.q_logical, k)
-    p_pi = _drive_power(tech, toggles)
-    weight = _dynamic_weight(tech, k, toggles) * workload.q_logical
-    fractions = attenuator_heat_fractions(chain)
-    mult = model.heat_multiplier(np.asarray(chain.temperatures), chain.t_ext)
-    records = []
-    for t, frac, mu in zip(chain.temperatures, fractions, mult):
-        heat = frac * p_pi * weight
-        records.append(StageRecord(float(t), float(heat), float(mu * heat),
-                                   "attenuator"))
-    for rec in static_power_breakdown(chain, scenario, cable, model):
-        records.append(StageRecord(rec.stage_temperature_k,
-                                   rec.heat_extracted_w * qubits,
-                                   rec.electrical_power_w * qubits, rec.source))
-    if toggles.include_demod_syndrome:
-        q_cl = (demodulation_power_per_qubit(k, tech)
-                + syndrome_power_per_qubit(tech)) * qubits
-        records.append(StageRecord(toggles.t_ext, q_cl, q_cl, "electronics"))
-    power = float(sum(r.electrical_power_w for r in records))
-    return FtPointEvaluation(power, metric, tuple(records), qubits, float(p_err))
-
-
 class _FtProblem:
-    """Vectorized fault-tolerant objective over (T_qb, T_gen, A) grids."""
+    """The fault-tolerant model: metric and per-source power of the whole
+    machine over grids of (T_qb, T_gen), and the boundary solve on them."""
 
     def __init__(self, workload, tech, scenario, cable, model, toggles):
         self.workload = workload
@@ -462,118 +447,116 @@ class _FtProblem:
         self.model = model
         self.toggles = toggles
         self.p_pi = _drive_power(tech, toggles)
-        self.exponents = (np.arange(1, toggles.k_stages)
-                          / (toggles.k_stages - 1))
 
     def stage_fields(self, t_qb: np.ndarray, t_gen: np.ndarray):
-        """Stage temperatures, occupancies, heat multipliers, and static
-        per-qubit power on the (t_qb, t_gen) grid."""
-        tog, model, cable, scen = (self.toggles, self.model, self.cable,
-                                   self.scenario)
-        frac = (np.arange(tog.k_stages) / (tog.k_stages - 1))[:, None, None]
-        stages = t_qb[None, :, None] ** (1 - frac) * t_gen[None, None, :] ** frac
-        occ_stage = bose_einstein(stages, self.tech.omega0)
-        mult = model.heat_multiplier(stages, tog.t_ext)
-        net = conduction_heat_per_qubit(stages, cable)
-        static = np.einsum("kij,kij->ij", mult, net)
-        static = static + (1.0 + model.heat_multiplier(t_gen, tog.t_ext))[None, :] * scen.q_gen
-        static = static + (1.0 + model.heat_multiplier(4.0, tog.t_ext)) * scen.q_para
-        hemt = np.where(t_gen > 70.0,
-                        (1.0 + model.heat_multiplier(70.0, tog.t_ext)) * scen.q_hemt,
-                        0.0)
-        static = static + hemt[None, :]
-        if model.kind == "small_scale":
-            static = static + (model.heat_multiplier(t_qb, tog.t_ext)
-                               * model.extra_qubit_heat_w)[:, None]
-        return stages, occ_stage, mult, static
+        """Stage temperatures (the K stages along axis 0) and the
+        per-qubit always-on StageRecords on the grid of qubit
+        temperatures ``t_qb`` (axis 0) and generation temperatures
+        ``t_gen`` (axis 1)."""
+        tog = self.toggles
+        stages = stage_temperatures(t_qb[:, None], t_gen[None, :], tog.k_stages)
+        return stages, static_power_breakdown(stages, self.scenario, self.cable,
+                                              self.model, tog.t_ext)
 
-    def p_err(self, occ):
-        return np.clip(0.5 * self.tech.gamma * self.tech.tau_step * (0.5 + occ),
-                       0.0, 1.0)
-
-    def power(self, mult, static, cum, k: int):
-        """Total power from per-stage multipliers, static per-qubit power,
-        and cumulative attenuations shaped (K-1, ...)."""
-        deltas = np.concatenate([cum[:1], np.diff(cum, axis=0)], axis=0)
-        gate_sum = np.sum(mult[:-1] * deltas, axis=0)
-        weight = _dynamic_weight(self.tech, k, self.toggles)
-        extra = 0.0
-        if self.toggles.include_demod_syndrome:
-            extra = (demodulation_power_per_qubit(k, self.tech)
-                     + syndrome_power_per_qubit(self.tech))
-        return self.workload.q_logical * (
-            weight * self.p_pi * gate_sum
-            + qec.QUBIT_GROWTH**k * (static + extra))
-
-    def metric(self, occ, k: int):
-        return _metric_from_p(self.p_err(occ), k, self.workload.n_locations,
-                              self.toggles.metric_form)
-
-    # -- search ------------------------------------------------------------
-
-    def best_for_k(self, k: int, target: float, options: GridOptions):
-        """Temperature-pair grid with exact boundary attenuation, plus
-        local refinements, for one concatenation level."""
-        t_axis, t_sp = _log_axis(*options.t_qb_bounds,
-                                 options.temperature_points_per_decade)
-        g_axis, g_sp = _log_axis(*options.t_gen_bounds,
-                                 options.temperature_points_per_decade)
-        spacing = {"t_qb": t_sp, "t_gen": g_sp}
-        best = None
-        for pass_index in range(options.refinement_passes + 1):
-            cand = self._boundary_argmin(t_axis, g_axis, k, target, options)
-            if cand is not None and (best is None or cand[0] < best[0]):
-                best = cand
-            if best is None:
-                return None
-            if pass_index < options.refinement_passes:
-                t_axis, spacing["t_qb"] = _refined_axis(
-                    best[1], spacing["t_qb"], options.refinement_factor,
-                    *options.t_qb_bounds)
-                g_axis, spacing["t_gen"] = _refined_axis(
-                    best[2], spacing["t_gen"], options.refinement_factor,
-                    *options.t_gen_bounds)
-        power, t_qb, t_gen, a_star = best
-        return t_qb, t_gen, a_star, power, spacing
-
-    def _boundary_argmin(self, t_axis, g_axis, k, target, options):
-        """Cheapest feasible (T_qb, T_gen) pair with the attenuation
-        solved on the constraint boundary; None when nothing qualifies.
-        A collapsed chain (qubit stage as warm as the generation stage)
-        has no valid layout and is excluded."""
-        stages, occ_stage, mult, static = self.stage_fields(t_axis, g_axis)
-        valid = t_axis[:, None] < g_axis[None, :]
-        diffs = occ_stage[1:] - occ_stage[:-1]
+    def error_probability(self, stages: np.ndarray):
+        """Pauli error probability on the chains ``stages`` as a function
+        of the log10 total attenuation (a scalar or a grid)."""
+        occ = bose_einstein(stages, self.tech.omega0)
+        n_cold, n_rise = occ[0].copy(), occ[1:] - occ[:-1]
         inv_span = 1.0 / (self.toggles.k_stages - 1)
 
-        def gap(log_a):
-            # leak terms sum_i diff_i * A^(-i/(K-1)), evaluated by Horner
-            # on b = A^(-1/(K-1)) to keep one exponential per call
-            b = 10.0 ** (-np.broadcast_to(np.asarray(log_a, float),
-                                          valid.shape) * inv_span)
-            leak = np.zeros_like(b)
-            for d in diffs[::-1]:
-                leak = (leak + d) * b
-            occ = occ_stage[0] + leak
-            return np.where(valid, self.metric(occ, k) - target, -np.inf)
+        def p_err(log_a):
+            transmission = 10.0 ** (-np.broadcast_to(np.asarray(log_a, float),
+                                                     n_cold.shape) * inv_span)
+            return _pauli_error(self.tech, chain_occupancy(n_cold, n_rise, transmission))
 
-        a_lo, a_hi = options.attenuation_bounds
-        a_star = _boundary_attenuation(gap, a_lo, a_hi)
+        return p_err
+
+    def metric(self, p_err, k: int):
+        return qec.ft_metric(p_err, k, self.workload.q_logical,
+                             self.workload.d_logical,
+                             linear=self.toggles.metric_form == "linear")
+
+    def terms(self, stages: np.ndarray, static: list, a_total, k: int):
+        """Heat and electrical power of the whole machine by stage and
+        source at total attenuations ``a_total`` on the chains
+        ``stages``, as StageRecords whose electrical powers sum to the
+        total.  A generator, so that summing over a large grid holds one
+        term at a time."""
+        tog = self.toggles
+        weight = _dynamic_weight(self.tech, k, tog) * self.workload.q_logical
+        fractions = attenuator_heat_fractions(a_total, tog.k_stages)
+        mult = self.model.heat_multiplier(stages, tog.t_ext)
+        for t, frac, mu in zip(stages, fractions, mult):
+            heat = frac * self.p_pi * weight
+            yield StageRecord(t, heat, mu * heat, "attenuator")
+        qubits = qec.physical_qubits(self.workload.q_logical, k)
+        for rec in static:
+            yield StageRecord(rec.stage_temperature_k, rec.heat_extracted_w * qubits,
+                              rec.electrical_power_w * qubits, rec.source)
+        if tog.include_demod_syndrome:
+            q_cl = (demodulation_power_per_qubit(k, self.tech)
+                    + syndrome_power_per_qubit(self.tech)) * qubits
+            yield StageRecord(tog.t_ext, q_cl, q_cl, "electronics")
+
+    def boundary(self, stages: np.ndarray, valid: np.ndarray, k: int, target: float,
+                 options: GridOptions) -> np.ndarray:
+        """Smallest total attenuation that meets the target on each chain;
+        NaN where even the upper bound fails or ``valid`` is False.  The
+        occupancy fields live only for the solve."""
+        p_err = self.error_probability(stages)
+
+        def gap(log_a):
+            return np.where(valid, self.metric(p_err(log_a), k) - target, -np.inf)
+
+        return _boundary_attenuation(gap, *options.attenuation_bounds)
+
+    def solve(self, k: int, target: float, options: GridOptions,
+              t_qb: np.ndarray, t_gen: np.ndarray):
+        """Power and boundary attenuation on the (T_qb, T_gen) grid.  A
+        collapsed chain (qubit stage as warm as the generation stage) has
+        no valid layout and is excluded."""
+        stages, static = self.stage_fields(t_qb, t_gen)
+        a_star = self.boundary(stages, t_qb[:, None] < t_gen[None, :], k, target,
+                               options)
         finite = np.isfinite(a_star)
-        if not finite.any():
-            return None
-        a_safe = np.where(finite, a_star, a_hi)
-        cum = a_safe[None, :, :] ** self.exponents[:, None, None]
-        power = np.where(finite, self.power(mult, static, cum, k), np.inf)
-        pmin = power.min()
-        tied = np.argwhere(power <= pmin * (1 + RELATIVE_TIE))
-        candidates = [
-            (a_star[i, j], -t_axis[i], g_axis[j], (i, j)) for i, j in tied
-        ]
-        candidates.sort()
-        _, _, _, (i, j) = candidates[0]
-        return (float(power[i, j]), float(t_axis[i]), float(g_axis[j]),
-                float(a_star[i, j]))
+        a_safe = np.where(finite, a_star, options.attenuation_bounds[1])
+        power = sum(rec.electrical_power_w
+                    for rec in self.terms(stages, static, a_safe, k))
+        return np.where(finite, power, np.inf), a_star
+
+
+def evaluate_ft_point(workload: Workload, tech: QubitTechnology,
+                      scenario: ElectronicsScenario, cable: CableModel,
+                      model: CryoEfficiencyModel, t_qb: float, t_gen: float,
+                      a_total: float, k: int,
+                      toggles: FtToggles = FtToggles()) -> FtPointEvaluation:
+    """Evaluate power, metric, and the per-stage breakdown at one point.
+
+    This is the optimizer's kernel on a one-point grid, so the power is
+    the one the search compared.  It is exactly the sum of the per-stage
+    electrical powers, so breakdowns reconstruct the total without
+    residue.
+    """
+    if not (0 < t_qb < t_gen <= toggles.t_ext):
+        raise ValueError("need 0 < t_qb < t_gen <= t_ext")
+    if a_total < 1:
+        raise ValueError("total attenuation must be >= 1")
+    problem = _FtProblem(workload, tech, scenario, cable, model, toggles)
+    stages, static = problem.stage_fields(np.array([t_qb], float),
+                                          np.array([t_gen], float))
+    p_err = problem.error_probability(stages)(np.log10(a_total))
+    records = tuple(
+        StageRecord(np.asarray(rec.stage_temperature_k).item(),
+                    np.asarray(rec.heat_extracted_w).item(),
+                    np.asarray(rec.electrical_power_w).item(), rec.source)
+        for rec in problem.terms(stages, static, np.array([[a_total]], float), k))
+    return FtPointEvaluation(
+        power_w=sum(rec.electrical_power_w for rec in records),
+        metric=problem.metric(p_err, k).item(),
+        per_stage=records,
+        physical_qubits=qec.physical_qubits(workload.q_logical, k),
+        p_err=p_err.item())
 
 
 def optimize_ft(workload: Workload, tech: QubitTechnology,
@@ -599,16 +582,15 @@ def optimize_ft(workload: Workload, tech: QubitTechnology,
         workload, tech, scenario, cable, model, options.t_qb_bounds[0],
         options.t_gen_bounds[0], options.attenuation_bounds[1],
         max(options.k_min, 1), toggles)
+    axes = [("t_qb", options.t_qb_bounds), ("t_gen", options.t_gen_bounds)]
     best = None  # (power, k, a, -t_qb, t_gen, spacing)
     for k in range(options.k_min, options.k_max + 1):
-        sup = _metric_from_p(probe.p_err, k, workload.n_locations,
-                             toggles.metric_form)
-        if sup < target:
+        if problem.metric(probe.p_err, k) < target:
             continue
-        found = problem.best_for_k(k, target, options)
+        found = _grid_refine(partial(problem.solve, k, target, options), axes, options)
         if found is None:
             continue
-        t_qb, t_gen, a_star, power, spacing = found
+        power, (t_qb, t_gen), a_star, spacing = found
         cand = (power, k, a_star, -t_qb, t_gen, spacing)
         if best is None:
             best = cand

@@ -9,7 +9,6 @@ grow with its dominant eigenvalue (64) while qubit counts grow as 91^k.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,14 +38,6 @@ RECTANGULAR_MIX = (
 )
 
 
-class AboveThresholdError(ValueError):
-    """Raised when no concatenation level can reach the target metric.
-
-    The logical error per qubit shrinks with k only when the physical
-    error probability is below threshold.
-    """
-
-
 @dataclass(frozen=True)
 class LogicalGateCounts:
     """Logical gates in parallel at one time-step: (2qb, 1qb, id, meas)."""
@@ -62,24 +53,6 @@ class LogicalGateCounts:
 
     def as_tuple(self) -> tuple:
         return (self.n_2qb, self.n_1qb, self.n_id, self.n_meas)
-
-
-@dataclass(frozen=True)
-class CodeParameters:
-    """Tunable knobs of the code model.
-
-    ``t_gate_multiplier`` scales the dynamic (gate) power to bound the
-    extra cost of non-Clifford gates; it stays within [1, 10].
-    """
-
-    p_thr: float = P_THRESHOLD
-    t_gate_multiplier: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (0 < self.p_thr < 1):
-            raise ValueError("threshold must be in (0, 1)")
-        if not (1.0 <= self.t_gate_multiplier <= 10.0):
-            raise ValueError("t_gate_multiplier must lie in [1, 10]")
 
 
 def logical_error_probability(p_err, k: int, p_thr: float = P_THRESHOLD):
@@ -122,12 +95,6 @@ def physical_gate_counts_fractions(logical: LogicalGateCounts, k: int) -> tuple:
     return _matrix_power_apply(vec, k)
 
 
-def physical_gate_counts_exact(logical: LogicalGateCounts, k: int) -> tuple:
-    """Exact physical counts rounded to integers (half-to-even)."""
-    fracs = physical_gate_counts_fractions(logical, k)
-    return tuple(round(f) for f in fracs)
-
-
 def physical_gate_counts_rectangular(q_logical: float, k: int) -> tuple:
     """Approximate physical counts for a rectangular circuit.
 
@@ -145,9 +112,10 @@ def measurement_fraction(k: int) -> float:
     return float(RECTANGULAR_MIX[3]) * (GATE_GROWTH / QUBIT_GROWTH) ** k
 
 
-def ft_metric(p_err: float, k: int, q_logical: float, d_logical: float,
-              linear: bool = True, p_thr: float = P_THRESHOLD) -> float:
-    """Success probability of a rectangular logical circuit.
+def ft_metric(p_err, k: int, q_logical: float, d_logical: float,
+              linear: bool = True, p_thr: float = P_THRESHOLD):
+    """Success probability of a rectangular logical circuit, elementwise
+    over ``p_err``.
 
     The exact form is ``(1 - p_L)^(Q_L*D_L)``; the linear form
     ``1 - Q_L*D_L*p_L`` (clamped at 0) slightly overestimates the effect
@@ -158,45 +126,15 @@ def ft_metric(p_err: float, k: int, q_logical: float, d_logical: float,
         raise ValueError("circuit size must be nonnegative")
     p_l = logical_error_probability(p_err, k, p_thr)
     if linear:
-        return max(0.0, 1.0 - n_locations * p_l)
-    if p_l >= 1.0:
-        return 0.0
-    # log1p avoids the cancellation in (1 - p_l) for tiny p_l
-    return math.exp(n_locations * math.log1p(-p_l))
-
-
-def ft_power(q_logical: float, k: int, p_2qb: float, p_1qb: float,
-             p_meas: float, p_qubit: float, t_gate_multiplier: float = 1.0) -> float:
-    """Full-stack power of a rectangular computation at level k (W).
-
-    Dynamic gate/measurement power follows the rectangular gate mix
-    (``4*64^k/185 * [16 P_2qb + 7 P_1qb + 7 P_meas]`` per logical
-    qubit); static power scales with the 91^k physical qubit count.
-    The optional multiplier bounds non-Clifford-gate overhead and
-    applies to the dynamic bracket only.
-    """
-    dyn = (4.0 * GATE_GROWTH**k / 185.0) * (16.0 * p_2qb + 7.0 * p_1qb + 7.0 * p_meas)
-    return q_logical * (t_gate_multiplier * dyn + QUBIT_GROWTH**k * p_qubit)
-
-
-def required_concatenation(p_err: float, q_logical: float, d_logical: float,
-                           target: float, k_max: int = 20,
-                           p_thr: float = P_THRESHOLD) -> int:
-    """Smallest level k whose metric reaches ``target``.
-
-    Raises :class:`AboveThresholdError` when the physical error rate is
-    at or above threshold and the uncorrected circuit already misses the
-    target, since concatenating then only makes things worse.
-    """
-    for k in range(k_max + 1):
-        if ft_metric(p_err, k, q_logical, d_logical, p_thr=p_thr) >= target:
-            return k
-        if p_err >= p_thr and k == 0:
-            raise AboveThresholdError(
-                "physical error probability is not below threshold; "
-                "no concatenation level reaches the target metric")
-    raise AboveThresholdError(
-        f"target metric not reachable within k <= {k_max}")
+        out = np.maximum(0.0, 1.0 - n_locations * p_l)
+    else:
+        # log1p avoids the cancellation in (1 - p_l) for tiny p_l
+        survivable = p_l < 1.0
+        log_term = np.log1p(-np.where(survivable, p_l, 0.0))
+        out = np.where(survivable, np.exp(n_locations * log_term), 0.0)
+    if np.ndim(out) == 0:
+        return float(out)
+    return out
 
 
 def transfer_matrix_floats() -> np.ndarray:

@@ -2,13 +2,17 @@
 
 Covers the stage layout of the attenuation chain, heat conducted by the
 control/readout cables, the electrical cost of extracting heat at each
-stage, and the resulting per-gate and per-qubit power formulas.  Cable
-conduction is one array kernel, with no adaptive quadrature and no cache.
+stage, and the heat the drive lines and the always-on hardware leave at
+each stage.  The layout, conduction and per-stage power functions are
+elementwise over a grid of chains, so the optimizer's search and the
+per-point breakdown call the same code.  Cable conduction has no
+adaptive quadrature and no cache.
 
 Conventions used throughout:
 
 * Stage 1 is the qubit stage (coldest), stage K the signal-generation
-  stage at ``t_gen``.  Attenuators sit on stages 1..K-1.
+  stage at ``t_gen``.  Attenuators sit on stages 1..K-1.  Arrays hold
+  the stages along axis 0; further axes are independent chains.
 * ``heat_multiplier(T)`` is the electrical power needed to extract one
   watt of heat at temperature T.  Electronics and amplifiers cost their
   supply power *plus* the extraction of the heat they dissipate, hence
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import HBAR, QubitTechnology
+from .noise import QubitTechnology
 from . import qec
 
 AMBIENT_K = 300.0
@@ -34,11 +38,14 @@ AMBIENT_K = 300.0
 #: valid above 10 K.
 STEEL_FIT = (-1.4087, 1.3982, 0.2543, -0.6260, 0.2334, 0.4256, -0.4658, 0.1650, -0.0199)
 
+#: Temperatures of the stages that host the parametric and the HEMT
+#: readout amplifiers.
+PARAMP_K = 4.0
+HEMT_K = 70.0
+
 # Demodulation / syndrome-decoding side-calculation constants.
 DEMOD_SAMPLES = 100          # digitized points per readout
 FLOAT_OP_ENERGY_J = 0.85e-12  # energy per floating-point operation
-READOUT_BITS = 14             # bits per digitized sample
-FIBER_BITRATE = 400e9         # bit/s per optical fiber
 
 
 @dataclass(frozen=True)
@@ -145,88 +152,20 @@ class CryoEfficiencyModel:
 CARNOT = CryoEfficiencyModel("carnot")
 
 
-def cooling_power(heat: float, t_stage: float, model: CryoEfficiencyModel,
-                  t_ext: float = AMBIENT_K) -> float:
-    """Electrical power to extract ``heat`` watts at ``t_stage`` kelvin."""
-    if heat < 0:
-        raise ValueError("heat must be nonnegative")
-    if t_stage <= 0:
-        raise ValueError("stage temperature must be positive (cost diverges at 0)")
-    return heat * model.heat_multiplier(t_stage, t_ext)
+def stage_temperatures(t_qb, t_gen, k_stages: int = 5) -> np.ndarray:
+    """Standard chain layout: K stage temperatures, cold to hot along a
+    new axis 0, geometrically spaced from ``t_qb`` to ``t_gen``.
 
-
-@dataclass(frozen=True)
-class CryoChain:
-    """Temperatures and attenuations of the K-stage cooling chain.
-
-    ``temperatures`` runs cold to hot (stage 1 = qubits, stage K =
-    signal generation); ``attenuations`` are the K-1 per-stage
-    attenuation factors in natural units.
+    Elementwise over the broadcast shape of ``t_qb`` and ``t_gen``; the
+    ends are exactly ``t_qb`` and ``t_gen``.  Checking that the stages
+    rise and stay below ambient is left to the callers, because the
+    optimizer's grid also spans collapsed chains that it masks out.
     """
-
-    temperatures: tuple
-    attenuations: tuple
-    t_ext: float = AMBIENT_K
-    t_para: float = 4.0
-    t_hemt: float = 70.0
-
-    def __post_init__(self) -> None:
-        temps = self.temperatures
-        if len(temps) < 2:
-            raise ValueError("a chain needs at least 2 stages")
-        if len(self.attenuations) != len(temps) - 1:
-            raise ValueError("need exactly K-1 attenuators for K stages")
-        if any(b <= a for a, b in zip(temps, temps[1:])):
-            raise ValueError("stage temperatures must increase strictly, cold to hot")
-        if temps[0] <= 0:
-            raise ValueError("qubit stage temperature must be positive")
-        if temps[-1] > self.t_ext:
-            raise ValueError("top stage cannot be hotter than ambient")
-        if any(a < 1 for a in self.attenuations):
-            raise ValueError("attenuations must be >= 1 in natural units")
-
-    @property
-    def k_stages(self) -> int:
-        return len(self.temperatures)
-
-    @property
-    def t_qubit(self) -> float:
-        return self.temperatures[0]
-
-    @property
-    def t_top(self) -> float:
-        return self.temperatures[-1]
-
-    @property
-    def total_attenuation(self) -> float:
-        return float(np.prod(self.attenuations))
-
-    @property
-    def cumulative_attenuations(self) -> tuple:
-        """Total attenuation between stage i and the qubit, i = 1..K-1."""
-        return tuple(np.cumprod(self.attenuations))
-
-
-def stage_layout(t_qb: float, t_gen: float, a_total: float, k_stages: int = 5,
-                 t_ext: float = AMBIENT_K) -> CryoChain:
-    """Standard chain layout: equal attenuation per stage, temperatures
-    geometrically spaced between ``t_qb`` and ``t_gen``.
-    """
-    if not (0 < t_qb < t_gen <= t_ext):
-        raise ValueError("need 0 < t_qb < t_gen <= t_ext")
-    if a_total < 1:
-        raise ValueError("total attenuation must be >= 1")
-    if k_stages < 2:
-        raise ValueError("need at least 2 stages")
-    frac = np.arange(k_stages) / (k_stages - 1)
-    # exactly t_qb and t_gen at the ends, and bit for bit the optimizer's grid
-    temps = t_qb ** (1 - frac) * t_gen**frac
-    per_stage = a_total ** (1.0 / (k_stages - 1))
-    return CryoChain(
-        temperatures=tuple(float(t) for t in temps),
-        attenuations=(per_stage,) * (k_stages - 1),
-        t_ext=t_ext,
-    )
+    t_qb = np.asarray(t_qb, dtype=float)
+    t_gen = np.asarray(t_gen, dtype=float)
+    ndim = np.broadcast(t_qb, t_gen).ndim
+    frac = (np.arange(k_stages) / (k_stages - 1)).reshape((-1,) + (1,) * ndim)
+    return t_qb ** (1 - frac) * t_gen**frac
 
 
 # ---------------------------------------------------------------------------
@@ -275,47 +214,33 @@ def cable_heat_flow(t_low: float, t_high: float, cable: CableModel) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Gate and per-qubit power
+# Per-stage heat and power
 # ---------------------------------------------------------------------------
 
-def attenuator_heat_fractions(chain: CryoChain) -> np.ndarray:
-    """Fraction of the injected drive power dissipated at each stage.
+def attenuator_heat_fractions(a_total, k_stages: int = 5) -> np.ndarray:
+    """Fraction of the drive power arriving at the qubit that each stage
+    dissipates, stages along a new axis 0, elementwise over ``a_total``.
 
-    Stage i (i = 1..K-1) dissipates ``cum_i - cum_{i-1}`` times the
-    power arriving at the qubit; the final signal itself is absorbed at
-    stage 1 (the i=0 cumulative attenuation counts as 0).  The top stage
-    hosts no attenuator.
+    The K-1 attenuators are equal, so the cumulative attenuation between
+    stage i and the qubit is ``cum_i = a_total^(i/(K-1))``.  Stage i
+    (i = 1..K-1) dissipates ``cum_i - cum_{i-1}`` times the power
+    arriving at the qubit; the final signal itself is absorbed at stage 1
+    (the i=0 cumulative attenuation counts as 0).  The top stage hosts
+    no attenuator.  The fractions sum to ``a_total``.
     """
-    cum = np.concatenate([[0.0], np.cumprod(chain.attenuations)])
-    deltas = np.diff(cum)
-    return np.concatenate([deltas, [0.0]])
-
-
-def gate_power_2qb(chain: CryoChain, p_pi: float, model: CryoEfficiencyModel = CARNOT) -> float:
-    """Full-stack electrical power of one sustained two-qubit drive.
-
-    The drive is injected at the top of the chain with power
-    ``A_total * p_pi`` and attenuated down to ``p_pi`` at the qubit; the
-    heat deposited at each stage is extracted at that stage's cost.
-    """
-    fractions = attenuator_heat_fractions(chain)
-    mult = model.heat_multiplier(np.asarray(chain.temperatures), chain.t_ext)
-    return float(p_pi * np.sum(mult * fractions))
-
-
-def gate_power_1qb(chain: CryoChain, p_pi: float, tech: QubitTechnology,
-                   model: CryoEfficiencyModel = CARNOT) -> float:
-    """Per-step average power of a one-qubit gate.
-
-    Same drive power as the two-qubit gate but active only for
-    ``tau_1qb`` out of each clock step.
-    """
-    return (tech.tau_1qb / tech.tau_step) * gate_power_2qb(chain, p_pi, model)
+    a = np.asarray(a_total, dtype=float)
+    exponents = (np.arange(1, k_stages) / (k_stages - 1)).reshape((-1,) + (1,) * a.ndim)
+    cum = a**exponents
+    return np.concatenate([cum[:1], np.diff(cum, axis=0), np.zeros((1,) + a.shape)])
 
 
 @dataclass(frozen=True)
 class StageRecord:
-    """One row of the per-stage power breakdown."""
+    """One row of the per-stage power breakdown.
+
+    On a grid of chains each field holds the row's values over the grid;
+    fields that do not vary stay scalars.
+    """
 
     stage_temperature_k: float
     heat_extracted_w: float
@@ -342,62 +267,41 @@ def conduction_heat_per_qubit(temperatures, cable: CableModel) -> np.ndarray:
     return net
 
 
-def static_power_breakdown(chain: CryoChain, scenario: ElectronicsScenario,
-                           cable: CableModel, model: CryoEfficiencyModel = CARNOT
-                           ) -> list[StageRecord]:
-    """Per-stage breakdown of the always-on power per physical qubit.
+def static_power_breakdown(temperatures, scenario: ElectronicsScenario,
+                           cable: CableModel, model: CryoEfficiencyModel = CARNOT,
+                           t_ext: float = AMBIENT_K) -> list[StageRecord]:
+    """Per-stage, per-source breakdown of the always-on power per
+    physical qubit.
 
-    Electronics and amplifier rows include their supply power; the
-    conduction rows cost only the heat extraction.  The HEMT amplifiers
-    are pointless (and dropped) when the generation stage sits at or
-    below 70 K.  The small-scale efficiency model adds its parasitic
-    per-qubit heat load at the qubit stage.
+    ``temperatures`` holds the stage temperatures cold to hot along axis
+    0; any further axes are independent chains, over which each record's
+    fields vary.  Electronics and amplifier rows include their supply
+    power; the conduction rows cost only the heat extraction.  The HEMT
+    amplifiers are pointless (and dropped) when the generation stage
+    sits at or below 70 K.  The small-scale efficiency model adds its
+    parasitic per-qubit heat load at the qubit stage.
     """
-    temps = np.asarray(chain.temperatures)
-    mult = model.heat_multiplier(temps, chain.t_ext)
-    records: list[StageRecord] = []
+    temps = np.asarray(temperatures, dtype=float)
+    mult = model.heat_multiplier(temps, t_ext)
     net = conduction_heat_per_qubit(temps, cable)
-    for t, q, m in zip(temps, net, mult):
-        records.append(StageRecord(float(t), float(q), float(m * q + 0.0),
-                                   "conduction"))
-    t_gen = chain.t_top
-    gen_mult = model.heat_multiplier(t_gen, chain.t_ext)
+    records = [StageRecord(t, q, m * q + 0.0, "conduction")
+               for t, q, m in zip(temps, net, mult)]
+    t_gen = temps[-1]
+    gen_mult = model.heat_multiplier(t_gen, t_ext)
     records.append(StageRecord(t_gen, scenario.q_gen,
                                (1.0 + gen_mult) * scenario.q_gen, "electronics"))
-    para_mult = model.heat_multiplier(chain.t_para, chain.t_ext)
-    records.append(StageRecord(chain.t_para, scenario.q_para,
+    para_mult = model.heat_multiplier(PARAMP_K, t_ext)
+    records.append(StageRecord(PARAMP_K, scenario.q_para,
                                (1.0 + para_mult) * scenario.q_para, "amplifier"))
-    q_hemt = scenario.q_hemt if t_gen > chain.t_hemt else 0.0
-    hemt_mult = model.heat_multiplier(chain.t_hemt, chain.t_ext)
-    records.append(StageRecord(chain.t_hemt, q_hemt,
-                               (1.0 + hemt_mult) * q_hemt, "amplifier"))
+    q_hemt = np.where(t_gen > HEMT_K, scenario.q_hemt, 0.0)
+    hemt_mult = model.heat_multiplier(HEMT_K, t_ext)
+    records.append(StageRecord(HEMT_K, q_hemt, (1.0 + hemt_mult) * q_hemt, "amplifier"))
     if model.kind == "small_scale":
         q_extra = model.extra_qubit_heat_w
-        records.append(StageRecord(chain.t_qubit, q_extra,
-                                   model.heat_multiplier(chain.t_qubit, chain.t_ext) * q_extra,
+        records.append(StageRecord(temps[0], q_extra,
+                                   model.heat_multiplier(temps[0], t_ext) * q_extra,
                                    "extra"))
     return records
-
-
-def per_qubit_static_power(chain: CryoChain, scenario: ElectronicsScenario,
-                           cable: CableModel, model: CryoEfficiencyModel = CARNOT) -> float:
-    """Always-on electrical power per physical qubit (W)."""
-    return float(sum(r.electrical_power_w
-                     for r in static_power_breakdown(chain, scenario, cable, model)))
-
-
-def measurement_power() -> float:
-    """Per-step measurement drive power; negligible, so dropped (0 W)."""
-    return 0.0
-
-
-def measurement_drive_power(tech: QubitTechnology) -> float:
-    """Diagnostic estimate of the parametric-amplifier pump per measurement.
-
-    The pump must exceed the amplified one-photon readout signal by about
-    a factor 100 on top of ~100x amplification: ``1e4 * hbar*omega0/tau_meas``.
-    """
-    return 1e4 * HBAR * tech.omega0 / tech.tau_meas
 
 
 def demodulation_power_per_qubit(k: int, tech: QubitTechnology) -> float:
@@ -414,9 +318,3 @@ def demodulation_power_per_qubit(k: int, tech: QubitTechnology) -> float:
 def syndrome_power_per_qubit(tech: QubitTechnology) -> float:
     """Pessimistic syndrome-decoding cost: one float op per qubit per step."""
     return FLOAT_OP_ENERGY_J / tech.tau_step
-
-
-def fiber_bitrate_per_qubit(k: int, tech: QubitTechnology) -> tuple[float, int]:
-    """Readout data rate per physical qubit and qubits per 400 Gb/s fiber."""
-    rate = READOUT_BITS * DEMOD_SAMPLES / tech.tau_step * qec.measurement_fraction(k)
-    return float(rate), int(FIBER_BITRATE // rate)

@@ -7,6 +7,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 #: Classical baseline anchors: energy and wall time of the record
 #: 830-bit factorization, extrapolated by operation count.
 GNFS_ANCHOR_BITS = 830
@@ -30,11 +32,6 @@ class Workload:
     def n_locations(self) -> int:
         """Number of logical error locations, Q_L * D_L."""
         return self.q_logical * self.d_logical
-
-    def as_record(self) -> dict:
-        """Emission-ready row for workload tables."""
-        return {"label": self.label, "q_logical": self.q_logical,
-                "d_logical": self.d_logical}
 
 
 def rsa_workload(n: int, variant: str = "gidney", log_base: float = 2.0) -> Workload:
@@ -121,15 +118,15 @@ def nisq_circuit(q: int, m: int) -> NisqCircuit:
     return NisqCircuit(q, m)
 
 
-def nisq_metric(circuit: NisqCircuit, if_1qb: float) -> float:
+def nisq_metric(circuit: NisqCircuit, if_1qb):
     """Circuit fidelity metric: 1 minus the summed gate infidelities.
 
     Two-qubit gates count twice (noise acts on both qubits); clamped at
-    zero once the budget is exhausted.
+    zero once the budget is exhausted.  Elementwise over ``if_1qb``; it
+    checks no input, because the optimizer's boundary solve calls it at
+    every step on infidelities that are nonnegative by construction.
     """
-    if if_1qb < 0:
-        raise ValueError("infidelity must be nonnegative")
-    return max(0.0, 1.0 - circuit.n_gates_weighted * if_1qb)
+    return np.maximum(0.0, 1.0 - circuit.n_gates_weighted * if_1qb)
 
 
 def nisq_power(circuit: NisqCircuit, p_1qb: float) -> float:

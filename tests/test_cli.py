@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from coldstack import driver
 from coldstack.cli import main
 from coldstack.config import RunConfig, load_config
 from coldstack.driver import SweepAxis, compare_rsa, run_problem, sweep
@@ -95,6 +96,25 @@ class TestDriver:
         # a refinement pass keeps the incumbent, so power never rises
         assert powers[2] <= powers[1] <= powers[0]
 
+    def test_sweep_failure_names_its_point(self, tmp_path, monkeypatch, capsys):
+        real = driver.run_problem
+
+        def flaky(cfg):
+            if cfg.gamma_inverse_s > 0.1:
+                raise ValueError("boom")
+            return real(cfg)
+
+        monkeypatch.setattr(driver, "run_problem", flaky)
+        cfg = load_config(text=RSA_830_LIGHT)
+        axes = [SweepAxis("gamma_inverse_s", 0.05, 0.5, 2, log=True)]
+        with pytest.raises(ValueError, match=r"gamma_inverse_s=0\.5: boom") as info:
+            sweep(cfg, axes)
+        assert str(info.value.__cause__) == "boom"
+        path = _write(tmp_path, RSA_830_LIGHT)
+        assert main(["--config", path, "sweep", "--out", str(tmp_path / "s.csv"),
+                     "--sweep", "gamma_inverse_s=0.05:0.5:2:log"]) == 1
+        assert "gamma_inverse_s=0.5: boom" in capsys.readouterr().err
+
     def test_sweep_rejects_non_numeric_keys(self):
         cfg = load_config(text=RSA_830_LIGHT)
         with pytest.raises(ValueError):
@@ -175,6 +195,22 @@ class TestCliContract:
         assert main(["--config", cfg, "optimize-ft", "--out", str(a)]) == 0
         assert main(["--config", cfg, "optimize-ft", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("before", [True, False])
+    def test_config_before_or_after_subcommand(self, tmp_path, before):
+        cfg = _write(tmp_path, RSA_830_LIGHT)
+        out = tmp_path / "res.csv"
+        args = ["optimize-ft", "--out", str(out)]
+        argv = ["--config", cfg] + args if before else args + ["--config", cfg]
+        assert main(argv) == 0
+        # the light config's 830-bit key, not the default 2048-bit one
+        assert parse_csv(str(out))[0]["q_logical"] == 2507
+
+    def test_compare_rsa_rejects_empty_range(self, tmp_path, capsys):
+        out = tmp_path / "rsa.csv"
+        assert main(["compare-rsa", "--n", "512:4096:0", "--out", str(out)]) == 1
+        assert "need at least one point" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_show_config_prints_defaults(self, capsys):
         assert main(["--show-config"]) == 0

@@ -1,0 +1,107 @@
+"""The README's command-line examples, run as written, and reference optima,
+both checked against the committed outputs in ``tests/golden``.
+
+The commands are read from the README's "Command line" block, so the
+documentation and this test cannot drift apart.  Numeric fields must
+agree with the golden values within ``RTOL`` relative; every other field
+must be equal.
+"""
+
+import csv
+import dataclasses
+import json
+import math
+import pathlib
+import shlex
+
+import pytest
+
+from coldstack import (
+    CryoEfficiencyModel,
+    ElectronicsScenario,
+    QubitTechnology,
+    Workload,
+    optimize_ft,
+)
+from coldstack.cli import main
+
+from conftest import OMEGA0
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+RTOL = 1e-9
+
+
+def readme_commands() -> list[list[str]]:
+    """Argument lists of the ``coldstack`` lines in the README's
+    "Command line" block, without the program name."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.splitlines():
+        words = shlex.split(line, comments=True)
+        if words:
+            assert words[0] == "coldstack", line
+            commands.append(words[1:])
+    return commands
+
+
+def reference_optima() -> dict:
+    """Operating point and power of the criterion-3 star point and the six
+    criterion-9 small-scale runs."""
+    def entry(result):
+        return {**dataclasses.asdict(result.control), "power_w": result.power_w}
+
+    wl = Workload(6175, 2_100_000_000)
+    out = {"star": entry(optimize_ft(wl, QubitTechnology(omega0=OMEGA0, gamma=20.0),
+                                     ElectronicsScenario.preset("A")))}
+    small_scale = CryoEfficiencyModel("small_scale")
+    for gamma_inv in (0.3, 0.5, 1.0):
+        tech = QubitTechnology(omega0=OMEGA0, gamma=1.0 / gamma_inv)
+        for scenario in ("A", "C"):
+            res = optimize_ft(wl, tech, ElectronicsScenario.preset(scenario),
+                              model=small_scale)
+            out[f"small_scale/{scenario}/gamma_inverse_s={gamma_inv}"] = entry(res)
+    return out
+
+
+def _same(got, want) -> bool:
+    if isinstance(got, str):
+        try:
+            got, want = float(got), float(want)
+        except ValueError:
+            return got == want
+    if got is None or want is None or isinstance(got, bool):
+        return got == want
+    return got == want or math.isclose(got, want, rel_tol=RTOL, abs_tol=0.0)
+
+
+def _read(path: pathlib.Path) -> list[list[str]]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_command_matches_golden(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("")
+    assert main(argv) == 0
+    if "--out" not in argv:
+        return
+    name = argv[argv.index("--out") + 1]
+    got, want = _read(tmp_path / name), _read(GOLDEN / name)
+    assert got[0] == want[0]
+    assert len(got) == len(want)
+    for row, (g, w) in enumerate(zip(got[1:], want[1:]), start=1):
+        bad = [(col, a, b) for col, a, b in zip(want[0], g, w) if not _same(a, b)]
+        assert not bad, f"{name} row {row}: {bad}"
+
+
+def test_reference_optima_match_golden():
+    want = json.loads((GOLDEN / "optima.json").read_text(encoding="utf-8"))
+    got = reference_optima()
+    assert got.keys() == want.keys()
+    for key in want:
+        bad = {f: (got[key][f], want[key][f]) for f in want[key]
+               if not _same(got[key][f], want[key][f])}
+        assert not bad, f"{key}: {bad}"

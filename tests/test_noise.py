@@ -4,6 +4,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,13 +12,18 @@ from scipy.constants import hbar, k as k_B
 
 from coldstack import noise
 from coldstack import (
+    CableModel,
+    CryoEfficiencyModel,
+    ElectronicsScenario,
     QubitTechnology,
+    Workload,
     bose_einstein,
     chain_occupancy,
+    evaluate_ft_point,
     pauli_error_probability,
     pi_pulse_power,
     single_attenuator_occupancy,
-    stage_layout,
+    stage_temperatures,
     worst_case_infidelity_1qb,
 )
 
@@ -53,11 +59,12 @@ class TestQubitTechnology:
             QubitTechnology(omega0=OMEGA0, gamma=1.0, tau_1qb=0.0)
 
     def test_drive_relation_consistent_with_pi_pulse(self, tech_1ms):
-        # A pi pulse of duration tau has Rabi frequency pi/tau; feeding
-        # that back through the drive relation must give the same power.
-        power = tech_1ms.drive_power_for_rabi(tech_1ms.rabi_frequency)
-        assert power == pytest.approx(pi_pulse_power(tech_1ms, tech_1ms.tau_1qb),
-                                      rel=1e-12)
+        # A pi pulse of duration tau has Rabi frequency pi/tau; the drive
+        # relation Omega^2 = 4*gamma*P/(hbar*omega0) must give it back.
+        tau = tech_1ms.tau_1qb
+        power = pi_pulse_power(tech_1ms, tau)
+        rabi_squared = 4.0 * tech_1ms.gamma * power / (hbar * tech_1ms.omega0)
+        assert rabi_squared == pytest.approx((math.pi / tau) ** 2, rel=1e-12)
 
 
 class TestPiPulsePower:
@@ -126,53 +133,51 @@ class TestSingleAttenuator:
             single_attenuator_occupancy(0.5, 0.02, 300.0, OMEGA0)
 
 
-class _BareChain:
-    """Minimal chain stand-in for occupancy tests."""
-
-    def __init__(self, temperatures, cumulative):
-        self.temperatures = temperatures
-        self.cumulative_attenuations = cumulative
+def _occupancy(temperatures, attenuation):
+    """Qubit occupancy by the kernel, behind equal attenuators of
+    ``attenuation`` each between the given stages."""
+    occ = bose_einstein(np.asarray(temperatures), OMEGA0)
+    return chain_occupancy(occ[0], occ[1:] - occ[:-1], 1.0 / attenuation)
 
 
 class TestChainOccupancy:
     def test_all_cold_stages_give_zero(self):
-        chain = _BareChain((1e-6, 1e-6, 1e-6), (10.0, 100.0))
-        assert chain_occupancy(chain, OMEGA0) == 0.0
+        assert _occupancy((1e-6, 1e-6, 1e-6), 10.0) == 0.0
 
     def test_two_stage_chain_matches_single_attenuator(self):
-        chain = _BareChain((0.02, 300.0), (1e3,))
-        assert chain_occupancy(chain, OMEGA0) == pytest.approx(
+        assert _occupancy((0.02, 300.0), 1e3) == pytest.approx(
             single_attenuator_occupancy(1e3, 0.02, 300.0, OMEGA0), rel=1e-12)
 
     def test_five_stage_layout_against_term_by_term_sum(self):
-        chain = stage_layout(0.02, 300.0, 1e4)
+        temps = stage_temperatures(0.02, 300.0)
+        cum = [1e4 ** (i / 4) for i in range(1, 5)]
         # independent literal summation of the leak-through series
-        temps = chain.temperatures
-        cum = chain.cumulative_attenuations
         expected = bose_einstein(temps[0], OMEGA0)
         for i in range(len(temps) - 1):
             expected += (bose_einstein(temps[i + 1], OMEGA0)
                          - bose_einstein(temps[i], OMEGA0)) / cum[i]
-        assert chain_occupancy(chain, OMEGA0) == pytest.approx(expected, rel=1e-12)
+        assert _occupancy(temps, cum[0]) == pytest.approx(expected, rel=1e-12)
 
-    def test_rejects_nonmonotone_temperatures(self):
-        chain = _BareChain((0.3, 0.1, 4.0), (10.0, 100.0))
+    def test_rejects_nonmonotone_temperatures(self, tech_50ms):
+        # the kernel checks nothing; the public entry point refuses a
+        # chain whose stages do not rise
         with pytest.raises(ValueError):
-            chain_occupancy(chain, OMEGA0)
+            evaluate_ft_point(Workload(1, 1), tech_50ms, ElectronicsScenario.preset("A"),
+                              CableModel(), CryoEfficiencyModel(), 0.3, 0.1, 10.0, 1)
 
     @given(scale=st.floats(1.0, 100.0))
     @settings(max_examples=25)
     def test_nonincreasing_in_attenuation(self, scale):
-        base = _BareChain((0.02, 1.0, 300.0), (10.0, 100.0))
-        more = _BareChain((0.02, 1.0, 300.0), (10.0 * scale, 100.0 * scale))
-        assert chain_occupancy(more, OMEGA0) <= chain_occupancy(base, OMEGA0) + 1e-15
+        base = _occupancy((0.02, 1.0, 300.0), 10.0)
+        more = _occupancy((0.02, 1.0, 300.0), 10.0 * scale)
+        assert more <= base + 1e-15
 
     @given(bump=st.floats(0.0, 10.0))
     @settings(max_examples=25)
     def test_nondecreasing_in_temperature(self, bump):
-        base = _BareChain((0.02, 1.0, 300.0), (10.0, 100.0))
-        hotter = _BareChain((0.02, 1.0 + bump, 300.0 + bump), (10.0, 100.0))
-        assert chain_occupancy(hotter, OMEGA0) >= chain_occupancy(base, OMEGA0) - 1e-15
+        base = _occupancy((0.02, 1.0, 300.0), 10.0)
+        hotter = _occupancy((0.02, 1.0 + bump, 300.0 + bump), 10.0)
+        assert hotter >= base - 1e-15
 
 
 class TestInfidelityAndPauliError:

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from coldstack import (
     single_attenuator_occupancy,
     transition_size_estimate,
 )
-from coldstack.optimize import FtToggles, _AttenuatorProblem
+from coldstack.optimize import FtToggles, _AttenuatorProblem, _FtProblem, _grid_refine
 from coldstack.workloads import nisq_circuit
 
 from conftest import OMEGA0
@@ -142,7 +143,10 @@ class TestOptimizeNisq:
             tech_1ms,
             lambda infid: np.maximum(0.0, 1.0 - circ.n_gates_weighted * infid),
             circ.n_1qb_avg + 0.25 * circ.n_2qb_avg, 300.0)
-        t_star, a_star, power, _ = problem.minimize(target, GridOptions())
+        options = GridOptions()
+        power, (t_star,), a_star, _ = _grid_refine(
+            partial(problem.solve, target, options), [("t_qb", options.t_qb_bounds)],
+            options)
         assert res.control.t_qb == pytest.approx(t_star, rel=1e-12)
         assert res.control.a_total == pytest.approx(a_star, rel=1e-12)
         assert res.power_w == pytest.approx(power, rel=1e-12)
@@ -236,6 +240,26 @@ class TestOptimizeFt:
                                        point["a_total"], res.control.k)
                 if ev.metric >= 2.0 / 3.0:
                     assert ev.power_w >= res.power_w * (1 - 1e-12)
+
+    @pytest.mark.parametrize("model", ["carnot", "small_scale"])
+    @pytest.mark.parametrize("demod", [False, True])
+    def test_point_evaluation_is_the_grid_kernel(self, tech50, model, demod):
+        # the breakdown at the optimum reports the power the search compared
+        wl = Workload(6175, 2_100_000_000)
+        cryo = CryoEfficiencyModel(model)
+        toggles = FtToggles(include_demod_syndrome=demod)
+        res = optimize_ft(wl, tech50, SCEN_A, model=cryo, options=LIGHT, toggles=toggles)
+        c = res.control
+        problem = _FtProblem(wl, tech50, SCEN_A, CABLE, cryo, toggles)
+        axes = [("t_qb", LIGHT.t_qb_bounds), ("t_gen", LIGHT.t_gen_bounds)]
+        power, point, a_star, _ = _grid_refine(
+            partial(problem.solve, c.k, 2.0 / 3.0, LIGHT), axes, LIGHT)
+        assert point == (c.t_qb, c.t_gen) and a_star == c.a_total
+        ev = evaluate_ft_point(wl, tech50, SCEN_A, CABLE, cryo, c.t_qb, c.t_gen,
+                               c.a_total, c.k, toggles)
+        assert abs(ev.power_w - power) <= 1e-15 * power
+        assert ev.power_w == sum(r.electrical_power_w for r in ev.per_stage)
+        assert ev.power_w == res.power_w
 
     def test_better_qubits_never_cost_more(self):
         wl = Workload(6175, 2_100_000_000)

@@ -6,17 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coldstack import (
-    AboveThresholdError,
-    CodeParameters,
+    CableModel,
+    ElectronicsScenario,
     LogicalGateCounts,
+    QubitTechnology,
+    Workload,
+    attenuator_heat_fractions,
+    evaluate_ft_point,
     ft_metric,
-    ft_power,
     logical_error_probability,
-    physical_gate_counts_exact,
     physical_gate_counts_rectangular,
     physical_qubits,
-    required_concatenation,
+    pi_pulse_power,
+    stage_temperatures,
+    static_power_breakdown,
 )
+from coldstack.config import ConfigError, load_config
+from coldstack.optimize import FtToggles
 from coldstack.qec import (
     P_THRESHOLD,
     QUBIT_GROWTH,
@@ -25,6 +31,29 @@ from coldstack.qec import (
     physical_gate_counts_fractions,
     transfer_matrix_floats,
 )
+from coldstack.thermal import CARNOT
+
+from conftest import OMEGA0
+
+TECH = QubitTechnology(omega0=OMEGA0, gamma=20.0)
+SCEN_A = ElectronicsScenario.preset("A")
+CHAIN = (0.05, 150.0, 1e4)  # T_qb, T_gen, total attenuation
+
+
+def _ft_power(k, q_logical=10, toggles=FtToggles()):
+    """Dynamic (attenuator) and static parts of the fault-tolerant power
+    kernel at one operating point."""
+    ev = evaluate_ft_point(Workload(q_logical, 1), TECH, SCEN_A, CableModel(), CARNOT,
+                           *CHAIN, k, toggles)
+    dynamic = sum(r.electrical_power_w for r in ev.per_stage if r.source == "attenuator")
+    static = sum(r.electrical_power_w for r in ev.per_stage if r.source != "attenuator")
+    return dynamic, static, ev.power_w
+
+
+def _required_level(p_err, q_logical, d_logical, target, k_max=6):
+    """Smallest concatenation level whose metric reaches ``target``."""
+    return next((k for k in range(k_max + 1)
+                 if ft_metric(p_err, k, q_logical, d_logical) >= target), None)
 
 
 class TestCodeIdentities:
@@ -87,7 +116,7 @@ class TestPhysicalCounts:
 
     def test_level_zero_identity(self):
         logical = LogicalGateCounts(3, 5, 7, 2)
-        assert physical_gate_counts_exact(logical, 0) == (3, 5, 7, 2)
+        assert physical_gate_counts_fractions(logical, 0) == (3, 5, 7, 2)
 
     def test_single_two_qubit_gate_first_level(self):
         fracs = physical_gate_counts_fractions(LogicalGateCounts(1, 0, 0, 0), 1)
@@ -171,48 +200,52 @@ class TestFtMetric:
 
 class TestFtPower:
     def test_static_only(self):
-        assert ft_power(10, 2, 0.0, 0.0, 0.0, 1e-3) == pytest.approx(
-            10 * 91**2 * 1e-3, rel=1e-12)
+        temps = stage_temperatures(*CHAIN[:2])
+        per_qubit = sum(r.electrical_power_w
+                        for r in static_power_breakdown(temps, SCEN_A, CableModel()))
+        _, static, _ = _ft_power(2)
+        assert static == pytest.approx(10 * 91**2 * per_qubit, rel=1e-12)
 
     def test_coefficient_identity_against_mix(self):
-        # the 16/7/7 bracket times 4/185 reproduces the rectangular mix
+        # the 16/7 bracket times 4*64^k/185 reproduces the rectangular mix:
+        # a one-qubit gate drives for a quarter of the step
         q_logical, k = 11, 3
-        p2, p1, pm = 3.7e-4, 9e-5, 1e-5
-        n2, n1, _, nm = physical_gate_counts_rectangular(q_logical, k)
-        expected = n2 * p2 + n1 * p1 + nm * pm
-        assert ft_power(q_logical, k, p2, p1, pm, 0.0) == pytest.approx(
-            expected, rel=1e-12)
+        n2, n1, _, _ = physical_gate_counts_rectangular(q_logical, k)
+        temps = stage_temperatures(*CHAIN[:2])
+        drive = pi_pulse_power(TECH, TECH.tau_1qb) * float(np.sum(
+            CARNOT.heat_multiplier(temps) * attenuator_heat_fractions(CHAIN[2])))
+        dynamic, _, _ = _ft_power(k, q_logical)
+        assert dynamic == pytest.approx((n2 + n1 / 4.0) * drive, rel=1e-12)
+        assert dynamic == pytest.approx(
+            q_logical * 4.0 * 64**k / 185.0 * (16.0 + 7.0 / 4.0) * drive, rel=1e-12)
 
     def test_strictly_increasing_in_level_with_static_load(self):
-        values = [ft_power(5, k, 1e-6, 1e-6, 0.0, 1e-3) for k in range(5)]
+        values = [_ft_power(k)[2] for k in range(5)]
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_t_gate_multiplier_scales_dynamic_bracket_only(self):
-        base = ft_power(5, 2, 1e-6, 2e-7, 0.0, 0.0)
-        assert ft_power(5, 2, 1e-6, 2e-7, 0.0, 0.0, t_gate_multiplier=10.0) == (
-            pytest.approx(10.0 * base, rel=1e-12))
-        static = ft_power(5, 2, 0.0, 0.0, 0.0, 1e-3)
-        assert ft_power(5, 2, 0.0, 0.0, 0.0, 1e-3, t_gate_multiplier=10.0) == (
-            pytest.approx(static, rel=1e-12))
+        dynamic, static, _ = _ft_power(2)
+        bumped, bumped_static, _ = _ft_power(2, toggles=FtToggles(t_gate_multiplier=10.0))
+        assert bumped == pytest.approx(10.0 * dynamic, rel=1e-12)
+        assert bumped_static == static
 
     def test_code_parameters_validate_multiplier(self):
-        with pytest.raises(ValueError):
-            CodeParameters(t_gate_multiplier=11.0)
-        with pytest.raises(ValueError):
-            CodeParameters(t_gate_multiplier=0.5)
+        for value in ("11.0", "0.5"):
+            with pytest.raises(ConfigError):
+                load_config(text=f"[toggles]\nt_gate_multiplier = {value}\n")
 
 
 class TestRequiredConcatenation:
     def test_rsa_2048_at_forty_below_threshold(self):
-        assert required_concatenation(P_THRESHOLD / 40.0, 6175, 2_100_000_000,
-                                      2.0 / 3.0) == 3
+        assert _required_level(P_THRESHOLD / 40.0, 6175, 2_100_000_000,
+                               2.0 / 3.0) == 3
 
     def test_single_location(self):
-        assert required_concatenation(P_THRESHOLD / 40.0, 1, 1, 2.0 / 3.0) == 0
+        assert _required_level(P_THRESHOLD / 40.0, 1, 1, 2.0 / 3.0) == 0
 
     def test_above_threshold_raises(self):
-        with pytest.raises(AboveThresholdError):
-            required_concatenation(2.0 * P_THRESHOLD, 10**4, 10**9, 2.0 / 3.0)
+        # above threshold concatenation only adds errors: no level helps
+        assert _required_level(2.0 * P_THRESHOLD, 10**4, 10**9, 2.0 / 3.0) is None
 
     def test_measurement_fraction_decays_geometrically(self):
         assert measurement_fraction(0) == pytest.approx(28.0 / 185.0, rel=1e-12)

@@ -48,12 +48,6 @@ class TestRsaWorkload:
         wl = Workload(7, 11)
         assert wl.n_locations == 77
 
-    def test_record_serialization(self):
-        wl = rsa_workload(830)
-        assert wl.as_record() == {"label": "rsa-830-gidney",
-                                  "q_logical": 2507,
-                                  "d_logical": wl.d_logical}
-
 
 class TestNisqCircuit:
     def test_uncompressed_25_qubits(self):
