@@ -262,6 +262,8 @@ def _validate(cfg: RunConfig, problems: list[str]) -> None:
         problems.append("chain.t_gen_min_k must exceed chain.t_qb_min_k")
     if cfg.t_gen_max_k > cfg.t_ext_k:
         problems.append("chain.t_gen_max_k exceeds the ambient t_ext_k")
+    if cfg.t_qb_max_k >= cfg.t_ext_k:
+        problems.append("chain.t_qb_max_k must lie below the ambient t_ext_k")
     if cfg.attenuation_min_db < 0 or cfg.attenuation_max_db < cfg.attenuation_min_db:
         problems.append("chain: attenuation bounds must satisfy 0 <= min <= max")
     name = cfg.scenario.lower()

@@ -9,6 +9,7 @@ of its inputs, so concurrent use is safe.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,22 +86,17 @@ def single_attenuator_occupancy(attenuation, t_qubit, t_external, omega0: float)
     """Occupancy seen by the qubit behind one attenuator at the cold stage.
 
     A fraction ``1/A`` of the external thermal noise leaks through; the
-    rest is re-emitted at the attenuator (qubit-stage) temperature.
+    rest is re-emitted at the attenuator (qubit-stage) temperature: the
+    one-attenuator case of :func:`chain_occupancy`.
     """
     a = np.asarray(attenuation, dtype=float)
     if np.any(a < 1):
         raise ValueError("attenuation must be >= 1 (natural units)")
-    out = _attenuated(a, bose_einstein(t_qubit, omega0),
-                      bose_einstein(t_external, omega0))
+    n_cold = bose_einstein(t_qubit, omega0)
+    out = chain_occupancy(n_cold, (bose_einstein(t_external, omega0) - n_cold,), 1.0 / a)
     if np.ndim(out) == 0:
         return float(out)
     return out
-
-
-def _attenuated(a, n_cold, n_hot):
-    """:func:`single_attenuator_occupancy` from the two occupancies, without
-    the input check, for the optimizer's boundary solve."""
-    return (a - 1.0) / a * n_cold + n_hot / a
 
 
 def chain_occupancy(n_cold, n_rise, transmission):
@@ -114,14 +110,56 @@ def chain_occupancy(n_cold, n_rise, transmission):
     temperature, so the rise into stage i+1 reaches the qubit through i
     attenuators: ``n_cold + sum_i n_rise_i * transmission^i`` for
     i = 1..K-1.  Elementwise over any grid and evaluated by Horner's
-    rule, one add and one multiply per attenuator, because the
-    optimizer's boundary solve calls it at every step; it checks no
-    input.
+    rule, one add and one multiply per attenuator; it checks no input,
+    because the optimizer calls it on whole grids of validated chains.
+    :func:`chain_transmission` is its inverse in the transmission.
     """
     leak = 0.0
     for rise in n_rise[::-1]:
         leak = (leak + rise) * transmission
     return n_cold + leak
+
+
+#: Newton steps of :func:`chain_transmission` at the most, and the
+#: relative step, a few ulps, below which it stops.
+_NEWTON_STEPS = 64
+_NEWTON_RTOL = 4.0 * sys.float_info.epsilon
+
+
+def chain_transmission(n_rise, excess, t_min: float, t_max: float):
+    """Transmission per attenuator at which the chain's thermal leak
+    ``sum_i n_rise_i * t^i`` (i = 1..K-1, as in :func:`chain_occupancy`)
+    equals ``excess``, clipped to [t_min, t_max].
+
+    Elementwise over the chains along the further axes of ``n_rise``.
+    The rises are nonnegative, so the leak is increasing and convex in
+    t, and Newton's method started above the root falls monotonically
+    onto it.  The start is the least of ``t_max`` and the bounds
+    ``(excess / n_rise_i)^(1/i)`` that each term alone sets; a rise of
+    exactly 0 (stages cold enough for the occupancy to vanish) sets
+    none.  With one attenuator that bound is the root itself, so the
+    first step confirms it; longer chains take a few steps more.  The
+    iteration stops once no step exceeds a few ulps, and after
+    ``_NEWTON_STEPS`` at the most.
+    """
+    n_rise = np.asarray(n_rise, dtype=float)
+    excess = np.asarray(excess, dtype=float)
+    t = np.full(excess.shape, float(t_max))
+    for i, rise in enumerate(n_rise, start=1):
+        bound = np.divide(excess, rise, out=np.full(excess.shape, np.inf), where=rise > 0)
+        t = np.minimum(t, bound ** (1.0 / i))
+    for _ in range(_NEWTON_STEPS):
+        # leak = t*h(t) and its slope h + t*h', by Horner's rule on h
+        h, dh = 0.0, 0.0
+        for rise in n_rise[::-1]:
+            dh = dh * t + h
+            h = h * t + rise
+        slope = h + t * dh
+        step = np.divide(t * h - excess, slope, out=np.zeros_like(t), where=slope > 0)
+        t = t - step
+        if np.all(np.abs(step) <= _NEWTON_RTOL * t):
+            break
+    return np.clip(t, t_min, t_max)
 
 
 def worst_case_infidelity_1qb(tech: QubitTechnology, n_noise):
@@ -134,10 +172,22 @@ def worst_case_infidelity_1qb(tech: QubitTechnology, n_noise):
     n = np.asarray(n_noise, dtype=float)
     if np.any(n < 0):
         raise ValueError("occupancy must be nonnegative")
-    out = tech.gamma * tech.tau_1qb * (1.0 + n)
+    out = _infidelity(tech, n)
     if np.ndim(out) == 0:
         return float(out)
     return out
+
+
+def _infidelity(tech: QubitTechnology, n_noise):
+    """:func:`worst_case_infidelity_1qb` without the input check, for the
+    optimizer's boundary solve."""
+    return tech.gamma * tech.tau_1qb * (1.0 + n_noise)
+
+
+def _infidelity_occupancy(tech: QubitTechnology, infidelity: float) -> float:
+    """Occupancy at which the worst-case infidelity equals ``infidelity``:
+    the inverse of :func:`worst_case_infidelity_1qb`."""
+    return infidelity / (tech.gamma * tech.tau_1qb) - 1.0
 
 
 def pauli_error_probability(tech: QubitTechnology, n_noise, with_flag: bool = False):
@@ -159,6 +209,13 @@ def pauli_error_probability(tech: QubitTechnology, n_noise, with_flag: bool = Fa
 
 def _pauli_error(tech: QubitTechnology, n_noise):
     """:func:`pauli_error_probability` without the input check, for the
-    optimizer's boundary solve, which calls it at every step on
-    occupancies of a validated chain."""
+    optimizer's boundary solve, which calls it on whole grids of
+    occupancies of validated chains."""
     return np.clip(0.5 * tech.gamma * tech.tau_step * (0.5 + n_noise), 0.0, 1.0)
+
+
+def _pauli_error_occupancy(tech: QubitTechnology, p_err: float) -> float:
+    """Occupancy at which the Pauli error probability equals ``p_err`` in
+    (0, 1): the inverse of :func:`pauli_error_probability` below its
+    clamp."""
+    return 2.0 * p_err / (tech.gamma * tech.tau_step) - 0.5

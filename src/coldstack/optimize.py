@@ -8,11 +8,16 @@ bound when the constraint is already slack there).  Each problem class
 therefore supplies a ``solve`` that takes one log-spaced axis per
 temperature control (the qubit stage, and for the fault-tolerant
 problem also the generation stage), finds the boundary attenuation at
-every point of the grid the axes span by bisection, and returns the
-power there.  The search takes the argmin and refines: each pass
-re-grids every axis one old step either side of the incumbent at a
-finer spacing.  The equality constraint is thereby met to solver
-precision rather than grid precision.
+every point of the grid the axes span, and returns the power there.
+The metric falls monotonically with the qubit-line occupancy, so the
+boundary is solved, not searched: the target is inverted once per
+problem (and concatenation level) to the occupancy it allows, and the
+attenuation that brings the chain's thermal leak down to it is the
+root of a polynomial with nonnegative coefficients, in closed form for
+one attenuator and a few Newton steps for a chain.  The search takes
+the argmin and refines: each pass re-grids every axis one old step
+either side of the incumbent at a finer spacing.  The equality
+constraint is thereby met to round-off rather than grid precision.
 
 Every evaluation is a pure function of its inputs and the reduction is
 an ordered argmin with a fixed tie-break (smaller concatenation level,
@@ -23,7 +28,9 @@ The fault-tolerant model has one implementation, :class:`_FtProblem`.
 On any temperature grid it gives the power of the whole machine as
 per-stage, per-source terms; the search sums them, and
 :func:`evaluate_ft_point` is the same kernel on a one-point grid that
-reports them as the breakdown.
+reports them as the breakdown.  The stage fields of the coarse grid,
+which every concatenation level's search starts from, are computed
+once per :func:`optimize_ft` call.
 """
 
 from __future__ import annotations
@@ -38,10 +45,13 @@ from . import qec
 from .noise import (
     HBAR,
     QubitTechnology,
-    _attenuated,
+    _infidelity,
+    _infidelity_occupancy,
     _pauli_error,
+    _pauli_error_occupancy,
     bose_einstein,
     chain_occupancy,
+    chain_transmission,
     pi_pulse_power,
 )
 from .thermal import (
@@ -57,12 +67,10 @@ from .thermal import (
     static_power_breakdown,
     syndrome_power_per_qubit,
 )
-from .workloads import Workload, nisq_circuit, nisq_metric, nisq_power
+from .workloads import Workload, nisq_circuit, nisq_power
 
 #: Powers within this relative band count as ties for the tie-break.
 RELATIVE_TIE = 1e-9
-
-_BISECTION_STEPS = 80
 
 
 @dataclass(frozen=True)
@@ -168,15 +176,20 @@ def _refined_axis(center: float, spacing: float, factor: int,
     return np.unique(vals), fine
 
 
-def _boundary_attenuation(metric_of_log_a, lo: float, hi: float):
-    """Vectorized bisection for the smallest attenuation meeting the
-    target, given ``metric_of_log_a`` returning (metric - target) on an
-    array of log10 attenuations.  Entries read NaN where even the upper
-    bound fails."""
-    log_lo = math.log10(lo)
-    log_hi = math.log10(hi)
-    top = metric_of_log_a(log_hi)
-    bottom = metric_of_log_a(log_lo)
+def _boundary_attenuation(metric_of_log_a, lo: float, hi: float, invert):
+    """Smallest attenuation in [lo, hi] meeting the target, elementwise
+    over a grid.
+
+    ``metric_of_log_a`` returns (metric - target) on the grid at a
+    log10 attenuation; it is called once at each bound, which sorts the
+    points: slack ones (the target met at ``lo``) get ``lo``,
+    unreachable ones (missed even at ``hi``) NaN.  On the active rest,
+    given as a boolean mask, ``invert(active)`` returns the attenuation
+    at which the metric equals the target, solved directly; it is
+    clipped to the bounds against round-off.
+    """
+    top = metric_of_log_a(math.log10(hi))
+    bottom = metric_of_log_a(math.log10(lo))
     shape = np.broadcast(top, bottom).shape
     a = np.full(shape, np.nan)
     reachable = top >= 0.0
@@ -184,14 +197,7 @@ def _boundary_attenuation(metric_of_log_a, lo: float, hi: float):
     a[slack] = lo
     active = reachable & ~slack
     if np.any(active):
-        lo_arr = np.full(shape, log_lo)
-        hi_arr = np.full(shape, log_hi)
-        for _ in range(_BISECTION_STEPS):
-            mid = 0.5 * (lo_arr + hi_arr)
-            ok = metric_of_log_a(mid) >= 0.0
-            hi_arr = np.where(ok, mid, hi_arr)
-            lo_arr = np.where(ok, lo_arr, mid)
-        a[active] = 10.0 ** hi_arr[active]
+        a[active] = np.clip(invert(active), lo, hi)
     return a
 
 
@@ -258,42 +264,57 @@ def bare_efficiency_max(tech: QubitTechnology, target: float) -> float:
 class _AttenuatorProblem:
     """One attenuator at the qubit stage: single gates and circuits.
 
-    ``metric_fn(infidelity)`` maps the per-gate worst-case infidelity to
-    the problem metric; ``power_scale`` multiplies the per-gate cryo
-    power (parallel-gate weighting).
+    The metric is ``1 - weight * infidelity``, clamped at 0, with the
+    per-gate worst-case infidelity and ``weight`` error-weighted gates:
+    1 for one gate, ``n_gates_weighted`` for a circuit (the form of
+    :func:`~coldstack.workloads.nisq_metric`).  ``power_scale``
+    multiplies the per-gate cryo power (parallel-gate weighting).
     """
 
-    def __init__(self, tech: QubitTechnology, metric_fn, power_scale: float,
+    def __init__(self, tech: QubitTechnology, weight: float, power_scale: float,
                  t_ext: float):
         self.tech = tech
-        self.metric_fn = metric_fn
+        self.weight = weight
         self.power_scale = power_scale
         self.t_ext = t_ext
         self.p_pi = pi_pulse_power(tech, tech.tau_1qb)
         self.n_hot = bose_einstein(t_ext, tech.omega0)
 
     def metric(self, t_qb, a):
-        return self._metric(a, bose_einstein(t_qb, self.tech.omega0))
+        n_cold = bose_einstein(t_qb, self.tech.omega0)
+        return self._metric(n_cold, self.n_hot - n_cold, 1.0 / a)
 
-    def _metric(self, a, n_cold):
-        """Metric at attenuations ``a`` and qubit-stage occupancies
-        ``n_cold``."""
-        occ = _attenuated(a, n_cold, self.n_hot)
-        return self.metric_fn(self.tech.gamma * self.tech.tau_1qb * (1.0 + occ))
+    def _metric(self, n_cold, n_rise, transmission):
+        """Metric behind one attenuator of power ``transmission``, on
+        qubit-stage occupancies ``n_cold`` and rises ``n_rise`` to the
+        ambient one."""
+        occ = chain_occupancy(n_cold, (n_rise,), transmission)
+        return np.maximum(0.0, 1.0 - self.weight * _infidelity(self.tech, occ))
 
     def power(self, t_qb, a):
         return (self.t_ext - t_qb) / t_qb * a * self.p_pi * self.power_scale
 
     def solve(self, target: float, options: GridOptions, t_axis: np.ndarray):
-        """Power and boundary attenuation on the qubit-temperature grid."""
+        """Power and boundary attenuation on the qubit-temperature grid.
+
+        On the boundary the occupancy is ``n* = (1-M)/(weight*gamma*tau)
+        - 1``, so ``A* = (n_hot - n_c)/(n* - n_c)``.
+        """
         a_lo, a_hi = options.attenuation_bounds
         # the occupancies do not depend on the attenuation: once per grid
-        n_cold = bose_einstein(t_axis[:, None], self.tech.omega0)
+        n_cold = bose_einstein(t_axis, self.tech.omega0)
+        n_rise = self.n_hot - n_cold
 
         def gap(log_a):
-            return self._metric(10.0 ** np.asarray(log_a), n_cold) - target
+            return self._metric(n_cold, n_rise, 10.0 ** -log_a) - target
 
-        a_star = _boundary_attenuation(gap, a_lo, a_hi).reshape(-1)
+        def invert(active):
+            excess = (_infidelity_occupancy(self.tech, (1.0 - target) / self.weight)
+                      - n_cold[active])
+            return 1.0 / chain_transmission(n_rise[None, active], excess,
+                                            1.0 / a_hi, 1.0 / a_lo)
+
+        a_star = _boundary_attenuation(gap, a_lo, a_hi, invert)
         finite = np.isfinite(a_star)
         power = np.where(finite, self.power(t_axis, np.where(finite, a_star, a_hi)),
                          np.inf)
@@ -311,12 +332,14 @@ def optimize_single_qubit(tech: QubitTechnology, target: float,
         raise ValueError("only the single_attenuator topology is modeled")
     if not (0 <= target < 1):
         raise ValueError("target metric must lie in [0, 1)")
+    if options.t_qb_bounds[1] >= t_ext:
+        raise ValueError("the qubit stage must stay colder than t_ext")
     floor = tech.gamma * tech.tau_1qb
     if target > 1.0 - floor:
         return _infeasible(
             f"target metric {target} exceeds the zero-noise bound "
             f"{1.0 - floor:.9g} (infidelity floor gamma*tau_1qb = {floor:.3g})")
-    problem = _AttenuatorProblem(tech, lambda infid: 1.0 - infid, 1.0, t_ext)
+    problem = _AttenuatorProblem(tech, 1.0, 1.0, t_ext)
     found = _grid_refine(partial(problem.solve, target, options),
                          [("t_qb", options.t_qb_bounds)], options)
     if found is None:
@@ -327,7 +350,7 @@ def optimize_single_qubit(tech: QubitTechnology, target: float,
     return OptimizationResult(
         control=ControlPoint(t_qb=t_star, a_total=a_star),
         power_w=power,
-        metric_achieved=problem.metric(t_star, a_star),
+        metric_achieved=float(problem.metric(t_star, a_star)),
         per_stage=(record,),
         per_qubit_power_w=power,
         physical_qubits=1,
@@ -374,11 +397,13 @@ def optimize_nisq(q: int, target: float, tech: QubitTechnology,
     """
     if not (0 <= target < 1):
         raise ValueError("target metric must lie in [0, 1)")
+    if options.t_qb_bounds[1] >= t_ext:
+        raise ValueError("the qubit stage must stay colder than t_ext")
     m_values = range(q - 2) if fixed_m is None else [fixed_m]
     best = None  # (power, m, t, a, spacing, problem, circuit)
     for m in m_values:
         circ = nisq_circuit(q, m)
-        problem = _AttenuatorProblem(tech, partial(nisq_metric, circ),
+        problem = _AttenuatorProblem(tech, circ.n_gates_weighted,
                                      nisq_power(circ, 1.0), t_ext)
         found = _grid_refine(partial(problem.solve, target, options),
                              [("t_qb", options.t_qb_bounds)], options)
@@ -398,7 +423,7 @@ def optimize_nisq(q: int, target: float, tech: QubitTechnology,
     return OptimizationResult(
         control=ControlPoint(t_qb=t_star, a_total=a_star, m=m),
         power_w=power,
-        metric_achieved=problem.metric(t_star, a_star),
+        metric_achieved=float(problem.metric(t_star, a_star)),
         per_stage=(record,),
         per_qubit_power_w=power / q,
         physical_qubits=q,
@@ -447,6 +472,7 @@ class _FtProblem:
         self.model = model
         self.toggles = toggles
         self.p_pi = _drive_power(tech, toggles)
+        self._coarse = {}  # at most one entry: the coarse grid's fields
 
     def stage_fields(self, t_qb: np.ndarray, t_gen: np.ndarray):
         """Stage temperatures (the K stages along axis 0) and the
@@ -458,11 +484,39 @@ class _FtProblem:
         return stages, static_power_breakdown(stages, self.scenario, self.cable,
                                               self.model, tog.t_ext)
 
-    def error_probability(self, stages: np.ndarray):
-        """Pauli error probability on the chains ``stages`` as a function
-        of the log10 total attenuation (a scalar or a grid)."""
+    def occupancies(self, stages: np.ndarray):
+        """Occupancy of the qubit stage and its rise into each next stage
+        (along axis 0), on the chains ``stages``."""
         occ = bose_einstein(stages, self.tech.omega0)
-        n_cold, n_rise = occ[0].copy(), occ[1:] - occ[:-1]
+        return occ[0].copy(), occ[1:] - occ[:-1]
+
+    def grid_fields(self, t_qb: np.ndarray, t_gen: np.ndarray):
+        """What the search needs on the (T_qb, T_gen) grid that depends
+        on neither the level nor the attenuation: the stage temperatures,
+        the per-qubit static rows (without their heat, as the search sums
+        electrical powers only), the occupancies, and the mask of valid
+        chains (qubit stage colder than the generation stage).
+
+        The first grid a problem is asked for is the coarse grid that
+        every level's search starts from; its fields are kept in a
+        one-entry table, so each later level reuses them.
+        """
+        key = (t_qb.tobytes(), t_gen.tobytes())
+        fields = self._coarse.get(key)
+        if fields is None:
+            stages, static = self.stage_fields(t_qb, t_gen)
+            static = [StageRecord(rec.stage_temperature_k, 0.0, rec.electrical_power_w,
+                                  rec.source) for rec in static]
+            fields = (stages, static, *self.occupancies(stages),
+                      t_qb[:, None] < t_gen[None, :])
+            if not self._coarse:
+                self._coarse[key] = fields
+        return fields
+
+    def error_probability(self, n_cold: np.ndarray, n_rise: np.ndarray):
+        """Pauli error probability on chains of occupancies ``n_cold`` and
+        rises ``n_rise`` as a function of the log10 total attenuation (a
+        scalar or a grid)."""
         inv_span = 1.0 / (self.toggles.k_stages - 1)
 
         def p_err(log_a):
@@ -476,6 +530,14 @@ class _FtProblem:
         return qec.ft_metric(p_err, k, self.workload.q_logical,
                              self.workload.d_logical,
                              linear=self.toggles.metric_form == "linear")
+
+    def occupancy_budget(self, target: float, k: int) -> float:
+        """Qubit-line occupancy at which the metric at level ``k`` equals
+        ``target`` in (0, 1): target -> p_L -> p_err -> occupancy."""
+        p_err = qec.ft_error_budget(target, k, self.workload.q_logical,
+                                    self.workload.d_logical,
+                                    linear=self.toggles.metric_form == "linear")
+        return _pauli_error_occupancy(self.tech, p_err)
 
     def terms(self, stages: np.ndarray, static: list, a_total, k: int):
         """Heat and electrical power of the whole machine by stage and
@@ -499,26 +561,39 @@ class _FtProblem:
                     + syndrome_power_per_qubit(self.tech)) * qubits
             yield StageRecord(tog.t_ext, q_cl, q_cl, "electronics")
 
-    def boundary(self, stages: np.ndarray, valid: np.ndarray, k: int, target: float,
-                 options: GridOptions) -> np.ndarray:
-        """Smallest total attenuation that meets the target on each chain;
-        NaN where even the upper bound fails or ``valid`` is False.  The
-        occupancy fields live only for the solve."""
-        p_err = self.error_probability(stages)
+    def boundary(self, n_cold: np.ndarray, n_rise: np.ndarray, valid: np.ndarray,
+                 k: int, target: float, options: GridOptions) -> np.ndarray:
+        """Smallest total attenuation that meets the target on each chain
+        of occupancies ``n_cold`` and rises ``n_rise``; NaN where even
+        the upper bound fails or ``valid`` is False.
+
+        On the boundary the qubit sees the occupancy budget ``n*`` of the
+        level, so the leak ``sum_i d_i b^i`` of the rises ``d_i`` through
+        i attenuators of transmission ``b = A^(-1/(K-1))`` equals
+        ``n* - n_cold``; Newton's method solves it for ``b``.
+        """
+        lo, hi = options.attenuation_bounds
+        span = self.toggles.k_stages - 1
+        p_err = self.error_probability(n_cold, n_rise)
 
         def gap(log_a):
             return np.where(valid, self.metric(p_err(log_a), k) - target, -np.inf)
 
-        return _boundary_attenuation(gap, *options.attenuation_bounds)
+        def invert(active):
+            excess = self.occupancy_budget(target, k) - n_cold[active]
+            b = chain_transmission(n_rise[:, active], excess,
+                                   hi ** (-1.0 / span), lo ** (-1.0 / span))
+            return b ** -span
+
+        return _boundary_attenuation(gap, lo, hi, invert)
 
     def solve(self, k: int, target: float, options: GridOptions,
               t_qb: np.ndarray, t_gen: np.ndarray):
         """Power and boundary attenuation on the (T_qb, T_gen) grid.  A
         collapsed chain (qubit stage as warm as the generation stage) has
         no valid layout and is excluded."""
-        stages, static = self.stage_fields(t_qb, t_gen)
-        a_star = self.boundary(stages, t_qb[:, None] < t_gen[None, :], k, target,
-                               options)
+        stages, static, n_cold, n_rise, valid = self.grid_fields(t_qb, t_gen)
+        a_star = self.boundary(n_cold, n_rise, valid, k, target, options)
         finite = np.isfinite(a_star)
         a_safe = np.where(finite, a_star, options.attenuation_bounds[1])
         power = sum(rec.electrical_power_w
@@ -545,7 +620,7 @@ def evaluate_ft_point(workload: Workload, tech: QubitTechnology,
     problem = _FtProblem(workload, tech, scenario, cable, model, toggles)
     stages, static = problem.stage_fields(np.array([t_qb], float),
                                           np.array([t_gen], float))
-    p_err = problem.error_probability(stages)(np.log10(a_total))
+    p_err = problem.error_probability(*problem.occupancies(stages))(np.log10(a_total))
     records = tuple(
         StageRecord(np.asarray(rec.stage_temperature_k).item(),
                     np.asarray(rec.heat_extracted_w).item(),

@@ -9,6 +9,7 @@ grow with its dominant eigenvalue (64) while qubit counts grow as 91^k.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -66,7 +67,10 @@ def logical_error_probability(p_err, k: int, p_thr: float = P_THRESHOLD):
         raise ValueError("error probability must be nonnegative")
     if k < 0:
         raise ValueError("concatenation level must be a nonnegative integer")
-    out = p_thr * (p / p_thr) ** (2**k)
+    # far from the threshold the power leaves the float range, and 0
+    # and inf are its values there
+    with np.errstate(over="ignore", under="ignore"):
+        out = p_thr * (p / p_thr) ** (2**k)
     if np.ndim(out) == 0:
         return float(out)
     return out
@@ -125,16 +129,36 @@ def ft_metric(p_err, k: int, q_logical: float, d_logical: float,
     if n_locations < 0:
         raise ValueError("circuit size must be nonnegative")
     p_l = logical_error_probability(p_err, k, p_thr)
-    if linear:
-        out = np.maximum(0.0, 1.0 - n_locations * p_l)
-    else:
-        # log1p avoids the cancellation in (1 - p_l) for tiny p_l
-        survivable = p_l < 1.0
-        log_term = np.log1p(-np.where(survivable, p_l, 0.0))
-        out = np.where(survivable, np.exp(n_locations * log_term), 0.0)
+    # far above the threshold the expected error count overflows and the
+    # metric is 0; far below, a vanishing success probability rounds to 0
+    with np.errstate(over="ignore", under="ignore"):
+        if linear:
+            out = np.maximum(0.0, 1.0 - n_locations * p_l)
+        else:
+            # log1p avoids the cancellation in (1 - p_l) for tiny p_l
+            survivable = p_l < 1.0
+            log_term = np.log1p(-np.where(survivable, p_l, 0.0))
+            out = np.where(survivable, np.exp(n_locations * log_term), 0.0)
     if np.ndim(out) == 0:
         return float(out)
     return out
+
+
+def ft_error_budget(target: float, k: int, q_logical: float, d_logical: float,
+                    linear: bool = True, p_thr: float = P_THRESHOLD) -> float:
+    """Physical error probability at which :func:`ft_metric` equals
+    ``target`` in (0, 1): its inverse, in closed form.
+
+    The logical budget is ``(1 - M)/(Q_L*D_L)`` for the linear form and
+    ``-expm1(ln M / (Q_L*D_L))`` for the exact one; undoing the
+    concatenation gives ``p_thr * (p_L/p_thr)^(2^-k)``.
+    """
+    n_locations = q_logical * d_logical
+    if linear:
+        p_l = (1.0 - target) / n_locations
+    else:
+        p_l = -math.expm1(math.log(target) / n_locations)
+    return p_thr * (p_l / p_thr) ** (2.0**-k)
 
 
 def transfer_matrix_floats() -> np.ndarray:

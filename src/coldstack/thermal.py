@@ -80,8 +80,8 @@ class CableModel:
         """Stainless-steel thermal conductivity (W/m/K), T > 10 K fit."""
         lt = np.log10(temperature)
         z = 0.0
-        for i, a in enumerate(self.steel_fit):
-            z += a * lt**i
+        for a in reversed(self.steel_fit):  # Horner's rule
+            z = z * lt + a
         return 10.0**z
 
 

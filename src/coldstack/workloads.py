@@ -123,8 +123,9 @@ def nisq_metric(circuit: NisqCircuit, if_1qb):
 
     Two-qubit gates count twice (noise acts on both qubits); clamped at
     zero once the budget is exhausted.  Elementwise over ``if_1qb``; it
-    checks no input, because the optimizer's boundary solve calls it at
-    every step on infidelities that are nonnegative by construction.
+    checks no input.  :func:`~coldstack.optimize.optimize_nisq`
+    constrains this metric, with ``n_gates_weighted`` as the weight of
+    its one-attenuator problem.
     """
     return np.maximum(0.0, 1.0 - circuit.n_gates_weighted * if_1qb)
 

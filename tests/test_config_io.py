@@ -53,6 +53,13 @@ class TestLoadConfig:
         assert "workload.kind" in message
         assert len(err.value.problems) == 3
 
+    @pytest.mark.parametrize("t_qb_max", ["300", "400"])
+    def test_qubit_stage_at_or_above_ambient_rejected(self, t_qb_max):
+        # one-attenuator problems would count a qubit stage at ambient as
+        # free to cool, and one above it as a power source
+        with pytest.raises(ConfigError, match="t_qb_max_k"):
+            load_config(text=f"[chain]\nt_qb_max_k = {t_qb_max}\n")
+
     def test_unknown_key_and_section_rejected(self):
         with pytest.raises(ConfigError) as err:
             load_config(text="[technology]\nfrequency_ghz = 6\n[junk]\nx = 1\n")

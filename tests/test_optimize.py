@@ -134,14 +134,13 @@ class TestOptimizeSingleQubit:
 
 class TestOptimizeNisq:
     def test_fixed_compression_matches_inner_solver(self, tech_1ms):
-        # the shared inner solver, handed the circuit objective directly,
-        # reproduces the per-compression optimization
+        # the shared inner solver, handed the circuit's gate weight and
+        # power scale directly, reproduces the per-compression optimization
         target, m = 0.9, 18
         res = optimize_nisq(25, target, tech_1ms, fixed_m=m)
         circ = nisq_circuit(25, m)
         problem = _AttenuatorProblem(
-            tech_1ms,
-            lambda infid: np.maximum(0.0, 1.0 - circ.n_gates_weighted * infid),
+            tech_1ms, circ.n_gates_weighted,
             circ.n_1qb_avg + 0.25 * circ.n_2qb_avg, 300.0)
         options = GridOptions()
         power, (t_star,), a_star, _ = _grid_refine(
@@ -174,8 +173,7 @@ class TestOptimizeNisq:
         res = optimize_nisq(25, target, tech_1ms)
         circ = nisq_circuit(25, res.control.m)
         problem = _AttenuatorProblem(
-            tech_1ms,
-            lambda infid: np.maximum(0.0, 1.0 - circ.n_gates_weighted * infid),
+            tech_1ms, circ.n_gates_weighted,
             circ.n_1qb_avg + 0.25 * circ.n_2qb_avg, 300.0)
         step = res.grid_step_log10["t_qb"]
         for axis, bounds in (("t_qb", (1e-3, 4.0)), ("a_total", (1.0, 1e12))):
@@ -191,6 +189,110 @@ class TestOptimizeNisq:
                     continue
                 if problem.metric(t_qb, a) >= target:
                     assert problem.power(t_qb, a) >= res.power_w * (1 - 1e-12)
+
+
+def _bisect_attenuation(gap, lo, hi, shape):
+    """Reference boundary solve, written out: per point, the smallest
+    attenuation with gap >= 0 by bisection in log10 A."""
+    log_lo = np.full(shape, math.log10(lo))
+    log_hi = np.full(shape, math.log10(hi))
+    for _ in range(200):
+        mid = 0.5 * (log_lo + log_hi)
+        ok = gap(mid) >= 0.0
+        log_hi = np.where(ok, mid, log_hi)
+        log_lo = np.where(ok, log_lo, mid)
+    return 10.0**log_hi
+
+
+def _check_boundary(a_star, gap, metric_at, target, lo, hi):
+    """``a_star`` is ``lo`` where the target holds there, NaN where it
+    fails even at ``hi`` (``gap`` reads -inf on invalid chains), and
+    elsewhere the bisection's attenuation to 1e-12 relative, or meets
+    the target to 1e-12 where the metric is that flat in A.  Returns the
+    masks (slack, unreachable, active)."""
+    shape = a_star.shape
+    slack = gap(np.full(shape, math.log10(lo))) >= 0.0
+    reachable = gap(np.full(shape, math.log10(hi))) >= 0.0
+    assert np.array_equal(np.isnan(a_star), ~reachable)
+    assert np.all(a_star[slack] == lo)
+    active = reachable & ~slack
+    ref = _bisect_attenuation(gap, lo, hi, shape)
+    a = np.where(active, a_star, lo)
+    close = np.abs(a - ref) <= 1e-12 * ref
+    flat = ((np.abs(metric_at(a) - target) <= 1e-12)
+            & (np.abs(metric_at(a) - metric_at(ref)) <= 1e-12))
+    assert np.all((close | flat)[active])
+    return slack, ~reachable, active
+
+
+class TestBoundarySolve:
+    """The direct boundary solve against bisection, run with every
+    floating-point warning raised as an error."""
+
+    @pytest.mark.parametrize("weight", ["gate", "circuit"])
+    def test_single_attenuator_closed_form(self, weight):
+        if weight == "gate":
+            tech, w = QubitTechnology(omega0=OMEGA0, gamma=1e3), 1.0
+        else:
+            # a circuit target of about 1/2, where the metric is steep in A
+            w = nisq_circuit(12, 4).n_gates_weighted
+            tech = QubitTechnology(omega0=OMEGA0, gamma=0.5 / (11.0 * w * 25e-9))
+        # occupancy budget 10: slack at cold qubits behind A = 200,
+        # unreachable at 4 K, where the qubit stage alone holds 13.4
+        target = 1.0 - 11.0 * w * tech.gamma * tech.tau_1qb
+        problem = _AttenuatorProblem(tech, w, 0.3, 300.0)
+        lo, hi = 200.0, 1e9
+        t_axis = np.geomspace(1e-3, 4.0, 40)
+        with np.errstate(all="raise"):
+            _, a_star = problem.solve(target, GridOptions(attenuation_bounds=(lo, hi)),
+                                      t_axis)
+
+        def metric_at(a):
+            return problem.metric(t_axis, a)
+
+        slack, unreachable, active = _check_boundary(
+            a_star, lambda log_a: metric_at(10.0**log_a) - target, metric_at,
+            target, lo, hi)
+        assert slack.any() and unreachable.any() and active.any()
+
+    @pytest.mark.parametrize("k_stages", [2, 5])
+    @pytest.mark.parametrize("form", ["linear", "exact"])
+    @pytest.mark.parametrize("k", [0, 6])
+    @pytest.mark.parametrize("frequency_hz", [6e9, 2e11])
+    def test_chain_newton(self, k_stages, form, k, frequency_hz):
+        tech = QubitTechnology(omega0=2.0 * math.pi * frequency_hz, gamma=20.0)
+        wl = Workload(1, 30_000) if k == 0 else Workload(6175, 2_100_000_000)
+        target = 2.0 / 3.0
+        problem = _FtProblem(wl, tech, SCEN_A, CABLE, CryoEfficiencyModel(),
+                             FtToggles(k_stages=k_stages, metric_form=form))
+        if frequency_hz == 6e9:
+            lo, hi = 10.0, 1e6
+            t_qb, t_gen = np.geomspace(1e-3, 10.0, 15), np.array([0.5, 4.0, 40.0, 300.0])
+        else:
+            # the two coldest stages of the 5-stage chains at the coldest
+            # qubits hold no photon at all: the first rise is exactly 0
+            lo, hi = 1.0, 1e12
+            t_qb, t_gen = np.geomspace(1e-4, 4.0, 15), np.array([0.5, 10.0, 300.0])
+        _, _, n_cold, n_rise, valid = problem.grid_fields(t_qb, t_gen)
+        with np.errstate(all="raise"):
+            a_star = problem.boundary(n_cold, n_rise, valid, k, target,
+                                      GridOptions(attenuation_bounds=(lo, hi)))
+        p_err = problem.error_probability(n_cold, n_rise)
+
+        def metric_at(a):
+            return problem.metric(p_err(np.log10(a)), k)
+
+        def gap(log_a):
+            return np.where(valid, problem.metric(p_err(log_a), k) - target, -np.inf)
+
+        slack, unreachable, active = _check_boundary(a_star, gap, metric_at, target,
+                                                     lo, hi)
+        assert active.any() and slack.any()
+        assert (unreachable & ~valid).any()
+        if frequency_hz == 6e9:
+            assert (unreachable & valid).any()
+        elif k_stages == 5:
+            assert (active & (n_rise[0] == 0.0)).any()
 
 
 class TestOptimizeFt:
