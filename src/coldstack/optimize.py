@@ -28,9 +28,16 @@ The fault-tolerant model has one implementation, :class:`_FtProblem`.
 On any temperature grid it gives the power of the whole machine as
 per-stage, per-source terms; the search sums them, and
 :func:`evaluate_ft_point` is the same kernel on a one-point grid that
-reports them as the breakdown.  The stage fields of the coarse grid,
-which every concatenation level's search starts from, are computed
-once per :func:`optimize_ft` call.
+reports them as the breakdown.  :func:`optimize_ft` searches the
+concatenation levels in ascending order and skips a level whose power
+floor, a closed-form lower bound on its power anywhere in the box,
+lies above the best power found so far; such a level could not have
+won, so the result is the same as without the skip.  The stage fields
+of the coarse grid, which every level's search starts from, are kept in
+a one-entry table shared by every problem on the same grid, stage
+count, cable and qubit frequency, so a run of searches that share
+these, such as the levels of one search or the points of a sweep, computes
+them once per process.
 """
 
 from __future__ import annotations
@@ -57,11 +64,13 @@ from .noise import (
 from .thermal import (
     AMBIENT_K,
     CARNOT,
+    PARAMP_K,
     CableModel,
     CryoEfficiencyModel,
     ElectronicsScenario,
     StageRecord,
     attenuator_heat_fractions,
+    conduction_heat_per_qubit,
     demodulation_power_per_qubit,
     stage_temperatures,
     static_power_breakdown,
@@ -460,6 +469,19 @@ def _drive_power(tech: QubitTechnology, toggles: FtToggles) -> float:
     return pi_pulse_power(tech, tau)
 
 
+#: The coarse-grid fields that depend on no electronics scenario,
+#: efficiency model or t_ext, keyed on all they do depend on; one entry
+#: at the most, the last coarse grid searched.
+_COARSE_FIELDS = {}
+
+
+def _electrical_rows(static: list) -> list:
+    """The static rows without their heat, as the search sums electrical
+    powers only."""
+    return [StageRecord(rec.stage_temperature_k, 0.0, rec.electrical_power_w, rec.source)
+            for rec in static]
+
+
 class _FtProblem:
     """The fault-tolerant model: metric and per-source power of the whole
     machine over grids of (T_qb, T_gen), and the boundary solve on them."""
@@ -472,17 +494,20 @@ class _FtProblem:
         self.model = model
         self.toggles = toggles
         self.p_pi = _drive_power(tech, toggles)
-        self._coarse = {}  # at most one entry: the coarse grid's fields
+        self._coarse = None  # (axes key, grid fields) of the coarse grid
+
+    def chains(self, t_qb: np.ndarray, t_gen: np.ndarray) -> np.ndarray:
+        """Stage temperatures (the K stages along axis 0) on the grid of
+        qubit temperatures ``t_qb`` (axis 0) and generation temperatures
+        ``t_gen`` (axis 1)."""
+        return stage_temperatures(t_qb[:, None], t_gen[None, :], self.toggles.k_stages)
 
     def stage_fields(self, t_qb: np.ndarray, t_gen: np.ndarray):
-        """Stage temperatures (the K stages along axis 0) and the
-        per-qubit always-on StageRecords on the grid of qubit
-        temperatures ``t_qb`` (axis 0) and generation temperatures
-        ``t_gen`` (axis 1)."""
-        tog = self.toggles
-        stages = stage_temperatures(t_qb[:, None], t_gen[None, :], tog.k_stages)
+        """Stage temperatures and the per-qubit always-on StageRecords on
+        the grid of ``t_qb`` by ``t_gen``."""
+        stages = self.chains(t_qb, t_gen)
         return stages, static_power_breakdown(stages, self.scenario, self.cable,
-                                              self.model, tog.t_ext)
+                                              self.model, self.toggles.t_ext)
 
     def occupancies(self, stages: np.ndarray):
         """Occupancy of the qubit stage and its rise into each next stage
@@ -493,24 +518,49 @@ class _FtProblem:
     def grid_fields(self, t_qb: np.ndarray, t_gen: np.ndarray):
         """What the search needs on the (T_qb, T_gen) grid that depends
         on neither the level nor the attenuation: the stage temperatures,
-        the per-qubit static rows (without their heat, as the search sums
-        electrical powers only), the occupancies, and the mask of valid
-        chains (qubit stage colder than the generation stage).
+        the per-qubit static rows (without their heat), the occupancies,
+        and the mask of valid chains (qubit stage colder than the
+        generation stage).
 
         The first grid a problem is asked for is the coarse grid that
-        every level's search starts from; its fields are kept in a
-        one-entry table, so each later level reuses them.
+        every level's search starts from.  Its fields come from the
+        shared table (:meth:`coarse_fields`), with the static rows built
+        on its conduction once per problem, and each later level reuses
+        them.
         """
         key = (t_qb.tobytes(), t_gen.tobytes())
-        fields = self._coarse.get(key)
+        if self._coarse is None:
+            stages, net, n_cold, n_rise, valid = self.coarse_fields(t_qb, t_gen)
+            static = static_power_breakdown(stages, self.scenario, self.cable, self.model,
+                                            self.toggles.t_ext, net)
+            self._coarse = key, (stages, _electrical_rows(static), n_cold, n_rise, valid)
+        if key == self._coarse[0]:
+            return self._coarse[1]
+        stages, static = self.stage_fields(t_qb, t_gen)
+        return (stages, _electrical_rows(static), *self.occupancies(stages),
+                t_qb[:, None] < t_gen[None, :])
+
+    def coarse_fields(self, t_qb: np.ndarray, t_gen: np.ndarray):
+        """The stage temperatures, the per-qubit net cable conduction,
+        the occupancies and the valid mask on the grid of ``t_qb`` by
+        ``t_gen``, as read-only arrays from the shared one-entry table.
+
+        They depend only on the two axes, the stage count, the cable and
+        the qubit frequency, which make the key; a new key drops the old
+        entry before its fields are computed, so one grid's fields are
+        held at a time.
+        """
+        key = (t_qb.tobytes(), t_gen.tobytes(), self.toggles.k_stages, self.cable,
+               self.tech.omega0)
+        fields = _COARSE_FIELDS.get(key)
         if fields is None:
-            stages, static = self.stage_fields(t_qb, t_gen)
-            static = [StageRecord(rec.stage_temperature_k, 0.0, rec.electrical_power_w,
-                                  rec.source) for rec in static]
-            fields = (stages, static, *self.occupancies(stages),
-                      t_qb[:, None] < t_gen[None, :])
-            if not self._coarse:
-                self._coarse[key] = fields
+            _COARSE_FIELDS.clear()
+            stages = self.chains(t_qb, t_gen)
+            fields = (stages, conduction_heat_per_qubit(stages, self.cable),
+                      *self.occupancies(stages), t_qb[:, None] < t_gen[None, :])
+            for array in fields:
+                array.flags.writeable = False
+            _COARSE_FIELDS[key] = fields
         return fields
 
     def error_probability(self, n_cold: np.ndarray, n_rise: np.ndarray):
@@ -600,6 +650,42 @@ class _FtProblem:
                     for rec in self.terms(stages, static, a_safe, k))
         return np.where(finite, power, np.inf), a_star
 
+    def power_floor(self, k: int, options: GridOptions) -> float:
+        """A lower bound on the power at level ``k`` anywhere in the box
+        of ``options``, or -inf where its premises do not hold.
+
+        The heat multiplier mu falls with the temperature up to t_ext in
+        both efficiency models, and every stage of a valid chain sits at
+        or below t_gen <= t_gen_hi <= t_ext, the qubit stage also below
+        t_top = min(t_qb_hi, t_gen_hi).  Per physical qubit, then, the
+        electronics row costs at least ``(1 + mu(t_gen_hi)) q_gen``, the
+        small-scale parasitic row at least ``mu(t_top) q_extra``, and the
+        parametric-amplifier, demodulation and syndrome rows are fixed.
+        The qubit-stage attenuator dissipates ``A^(1/(K-1)) >= 1`` times
+        the drive power, which costs at least ``W_k P_pi mu(t_top)``.
+        The rest is nonnegative: the HEMT and the other attenuator rows
+        (A >= 1), and the conduction rows, which sum to
+        ``sum_i span_i (mu_i - mu_{i+1})`` with spans and differences of
+        mu both >= 0 (nonnegative line counts and conductivities).
+        """
+        tog, cable = self.toggles, self.cable
+        t_gen_hi = options.t_gen_bounds[1]
+        t_top = min(options.t_qb_bounds[1], t_gen_hi)
+        weight = _dynamic_weight(self.tech, k, tog) * self.workload.q_logical
+        q_extra = self.model.extra_qubit_heat_w if self.model.kind == "small_scale" else 0.0
+        if (t_gen_hi > tog.t_ext or options.attenuation_bounds[0] < 1.0
+                or min(weight, q_extra, cable.lines_per_qubit, cable.kapton_low[0],
+                       cable.kapton_mid[0]) < 0.0):
+            return -math.inf
+        mu = partial(self.model.heat_multiplier, t_ext=tog.t_ext)
+        per_qubit = ((1.0 + mu(t_gen_hi)) * self.scenario.q_gen
+                     + (1.0 + mu(PARAMP_K)) * self.scenario.q_para + mu(t_top) * q_extra)
+        if tog.include_demod_syndrome:
+            per_qubit += (demodulation_power_per_qubit(k, self.tech)
+                          + syndrome_power_per_qubit(self.tech))
+        return (qec.physical_qubits(self.workload.q_logical, k) * per_qubit
+                + weight * self.p_pi * mu(t_top))
+
 
 def evaluate_ft_point(workload: Workload, tech: QubitTechnology,
                       scenario: ElectronicsScenario, cable: CableModel,
@@ -647,20 +733,28 @@ def optimize_ft(workload: Workload, tech: QubitTechnology,
     equal power prefer less hardware: smaller k, then smaller
     attenuation, then warmer qubits.  Infeasibility is returned as a
     result (not raised) so parameter sweeps always complete.
+
+    Levels run in ascending k, and a later level replaces the incumbent
+    only below ``(1 - RELATIVE_TIE)`` times its power; so a level whose
+    :meth:`_FtProblem.power_floor` exceeds ``(1 + RELATIVE_TIE)`` times
+    the incumbent's power cannot win, and is not searched.
     """
     if not (0 <= target < 1):
         raise ValueError("target metric must lie in [0, 1)")
     problem = _FtProblem(workload, tech, scenario, cable, model, toggles)
     # Lowest reachable error probability inside the box: coldest corner,
     # maximal attenuation, coldest generation stage.
-    probe = evaluate_ft_point(
-        workload, tech, scenario, cable, model, options.t_qb_bounds[0],
-        options.t_gen_bounds[0], options.attenuation_bounds[1],
-        max(options.k_min, 1), toggles)
+    corner = problem.chains(np.array([options.t_qb_bounds[0]], float),
+                            np.array([options.t_gen_bounds[0]], float))
+    p_err_min = problem.error_probability(*problem.occupancies(corner))(
+        np.log10(options.attenuation_bounds[1])).item()
     axes = [("t_qb", options.t_qb_bounds), ("t_gen", options.t_gen_bounds)]
     best = None  # (power, k, a, -t_qb, t_gen, spacing)
     for k in range(options.k_min, options.k_max + 1):
-        if problem.metric(probe.p_err, k) < target:
+        if problem.metric(p_err_min, k) < target:
+            continue
+        if best is not None and (problem.power_floor(k, options)
+                                 > best[0] * (1 + RELATIVE_TIE)):
             continue
         found = _grid_refine(partial(problem.solve, k, target, options), axes, options)
         if found is None:
@@ -674,8 +768,8 @@ def optimize_ft(workload: Workload, tech: QubitTechnology,
         elif cand[0] <= best[0] * (1 + RELATIVE_TIE) and cand[1:5] < best[1:5]:
             best = cand
     if best is None:
-        if probe.p_err >= qec.P_THRESHOLD:
-            diag = (f"physical error floor {probe.p_err:.3g} is not below the "
+        if p_err_min >= qec.P_THRESHOLD:
+            diag = (f"physical error floor {p_err_min:.3g} is not below the "
                     f"threshold {qec.P_THRESHOLD:.3g}; no concatenation level helps")
         else:
             diag = (f"target metric {target} unreachable for k in "

@@ -269,7 +269,7 @@ def conduction_heat_per_qubit(temperatures, cable: CableModel) -> np.ndarray:
 
 def static_power_breakdown(temperatures, scenario: ElectronicsScenario,
                            cable: CableModel, model: CryoEfficiencyModel = CARNOT,
-                           t_ext: float = AMBIENT_K) -> list[StageRecord]:
+                           t_ext: float = AMBIENT_K, net=None) -> list[StageRecord]:
     """Per-stage, per-source breakdown of the always-on power per
     physical qubit.
 
@@ -279,11 +279,14 @@ def static_power_breakdown(temperatures, scenario: ElectronicsScenario,
     power; the conduction rows cost only the heat extraction.  The HEMT
     amplifiers are pointless (and dropped) when the generation stage
     sits at or below 70 K.  The small-scale efficiency model adds its
-    parasitic per-qubit heat load at the qubit stage.
+    parasitic per-qubit heat load at the qubit stage.  ``net``, when
+    given, is :func:`conduction_heat_per_qubit` of ``temperatures`` and
+    ``cable``, computed before.
     """
     temps = np.asarray(temperatures, dtype=float)
     mult = model.heat_multiplier(temps, t_ext)
-    net = conduction_heat_per_qubit(temps, cable)
+    if net is None:
+        net = conduction_heat_per_qubit(temps, cable)
     records = [StageRecord(t, q, m * q + 0.0, "conduction")
                for t, q, m in zip(temps, net, mult)]
     t_gen = temps[-1]

@@ -2,13 +2,14 @@ import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from coldstack import driver
 from coldstack.cli import main
 from coldstack.config import RunConfig, load_config
 from coldstack.driver import SweepAxis, compare_rsa, run_problem, sweep
 from coldstack.results import parse_csv
+
+from conftest import valid_config_texts
 
 LIGHT_OPTIMIZER = """
 [optimizer]
@@ -165,67 +166,8 @@ class TestDriver:
         assert flags["A"] == flags["C"]
 
 
-def _edge_biased(lo, hi, log=True):
-    """Floats in [lo, hi], drawn at either bound as often as inside."""
-    if log:
-        inner = st.floats(math.log10(lo), math.log10(hi)).map(
-            lambda x: min(hi, max(lo, 10.0**x)))
-    else:
-        inner = st.floats(lo, hi)
-    return st.one_of(st.just(lo), st.just(hi), inner)
-
-
-@st.composite
-def _valid_config_texts(draw):
-    """Configuration files that pass validation, weighted toward the box
-    bounds: t_gen_max = t_ext, equal bounds, the ends of the attenuation
-    and k ranges, and two stages."""
-    t_ext = draw(st.sampled_from([300.0, 290.0, 77.0, 4.5]))
-    t_gen_max = draw(st.one_of(st.just(t_ext), _edge_biased(min(4.0, t_ext), t_ext)))
-    t_gen_min = draw(st.one_of(st.just(t_gen_max),
-                               _edge_biased(min(1.0, t_gen_max), t_gen_max)))
-    t_qb_min = draw(_edge_biased(1e-4, 0.999 * t_gen_min))
-    t_qb_max = draw(st.one_of(st.just(t_qb_min),
-                              _edge_biased(t_qb_min, t_ext * (1 - 1e-12))))
-    att_min = draw(st.one_of(st.just(0.0), st.floats(0.0, 120.0)))
-    att_max = draw(st.one_of(st.just(att_min), st.just(120.0), st.floats(att_min, 150.0)))
-    k_min = draw(st.integers(0, 6))
-    k_max = draw(st.one_of(st.just(k_min), st.just(6), st.integers(k_min, 8)))
-    sections = {
-        "technology": {"frequency_hz": draw(_edge_biased(1e9, 2e11)),
-                       "gamma_inverse_s": draw(_edge_biased(1e-4, 10.0)),
-                       "tau_1qb_s": draw(_edge_biased(1e-9, 1e-6)),
-                       "tau_meas_s": draw(_edge_biased(1e-8, 1e-5))},
-        "chain": {"stages": draw(st.one_of(st.just(2), st.integers(2, 8))),
-                  "t_ext_k": t_ext, "t_qb_min_k": t_qb_min, "t_qb_max_k": t_qb_max,
-                  "t_gen_min_k": t_gen_min, "t_gen_max_k": t_gen_max,
-                  "attenuation_min_db": att_min, "attenuation_max_db": att_max},
-        "scenario": {"name": draw(st.sampled_from("ABC"))},
-        "efficiency": {"model": draw(st.sampled_from(["carnot", "small_scale"]))},
-        "workload": {"kind": draw(st.sampled_from(["rsa", "rectangular", "nisq", "gate"])),
-                     "rsa_n": draw(st.integers(16, 4096)),
-                     "rsa_variant": draw(st.sampled_from(["gidney", "haner"])),
-                     "q_logical": draw(st.integers(1, 10**4)),
-                     "d_logical": draw(st.integers(1, 10**12)),
-                     "nisq_qubits": draw(st.integers(3, 16))},
-        "target": {"metric": draw(st.one_of(st.just(0.0), st.just(2.0 / 3.0),
-                                            st.floats(0.0, 1.0, exclude_max=True)))},
-        "optimizer": {"temperature_points_per_decade": draw(st.integers(1, 8)),
-                      "refinement_passes": draw(st.integers(0, 2)),
-                      "k_min": k_min, "k_max": k_max},
-        "toggles": {"include_demod_syndrome": draw(st.booleans()),
-                    "t_gate_multiplier": draw(_edge_biased(1.0, 10.0, log=False)),
-                    "two_qubit_drive_duration": draw(st.sampled_from(["tau_1qb",
-                                                                      "tau_2qb"])),
-                    "ft_metric_form": draw(st.sampled_from(["linear", "exact"]))},
-    }
-    return "".join(f"[{name}]\n" + "".join(
-        f"{key} = {value!r}\n" if isinstance(value, float) else f"{key} = {value}\n"
-        for key, value in fields.items()) for name, fields in sections.items())
-
-
 class TestNeverRaises:
-    @given(text=_valid_config_texts())
+    @given(text=valid_config_texts())
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_every_valid_config_gives_a_result(self, text):

@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 from coldstack import (
     CableModel,
     CryoEfficiencyModel,
@@ -22,10 +24,13 @@ from coldstack import (
     single_attenuator_occupancy,
     transition_size_estimate,
 )
+from coldstack import optimize
+from coldstack.config import load_config
+from coldstack.driver import run_problem
 from coldstack.optimize import FtToggles, _AttenuatorProblem, _FtProblem, _grid_refine
 from coldstack.workloads import nisq_circuit
 
-from conftest import OMEGA0
+from conftest import OMEGA0, valid_config_texts
 
 CABLE = CableModel()
 SCEN_A = ElectronicsScenario.preset("A")
@@ -427,6 +432,149 @@ class TestOptimizeFt:
         assert pinned.control.t_gen == 4.0
         ratio = pinned.power_w / star_result.power_w
         assert 40 < ratio < 90
+
+
+def _floor_violations(cfg) -> list:
+    """(k, floor, power) for each level whose searched power lies below
+    its power floor; every level of the range is searched."""
+    options = cfg.grid_options()
+    problem = _FtProblem(cfg.workload(), cfg.technology(), cfg.electronics(),
+                         cfg.cable(), cfg.efficiency(), cfg.ft_toggles())
+    axes = [("t_qb", options.t_qb_bounds), ("t_gen", options.t_gen_bounds)]
+    violations = []
+    for k in range(options.k_min, options.k_max + 1):
+        floor = problem.power_floor(k, options)
+        assert floor > -math.inf  # a validated config meets the premises
+        found = _grid_refine(partial(problem.solve, k, cfg.target_metric, options),
+                             axes, options)
+        # the search sums the rows in another order than the floor
+        if found is not None and not floor <= found[0] * (1 + 1e-12):
+            violations.append((k, floor, found[0]))
+    return violations
+
+
+def _count_level_searches(monkeypatch) -> list:
+    """Patches the grid search to count the levels optimize_ft searches."""
+    calls = []
+
+    def counting(solve, axes, options):
+        calls.append(solve)
+        return _grid_refine(solve, axes, options)
+
+    monkeypatch.setattr(optimize, "_grid_refine", counting)
+    return calls
+
+
+class TestPowerFloor:
+    @given(text=valid_config_texts(kinds=("rsa", "rectangular")))
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_floor_is_below_the_searched_power_at_every_level(self, text):
+        assert _floor_violations(load_config(text=text)) == []
+
+    def test_floor_catches_an_electronics_row_without_its_supply(self, monkeypatch):
+        # the row as if it cost only the extraction of its heat: the
+        # floor, which counts the supply, must then lie above the power
+        breakdown = optimize.static_power_breakdown
+
+        def without_supply(*args, **kwargs):
+            return [replace(rec, electrical_power_w=rec.electrical_power_w
+                            - rec.heat_extracted_w) if rec.source == "electronics" else rec
+                    for rec in breakdown(*args, **kwargs)]
+
+        cfg = load_config(text="[optimizer]\ntemperature_points_per_decade = 12\n")
+        assert _floor_violations(cfg) == []
+        monkeypatch.setattr(optimize, "static_power_breakdown", without_supply)
+        assert _floor_violations(cfg)
+
+    @pytest.mark.parametrize("premise", [
+        "t_gen_max above t_ext", "attenuation below 1", "negative line count",
+        "negative parasitic heat"])
+    def test_no_floor_where_a_premise_fails(self, tech50, premise):
+        # validation rejects these configs, but direct calls can pass them
+        wl, cable, model = Workload(6175, 2_100_000_000), CABLE, CryoEfficiencyModel()
+        options = LIGHT
+        assert _FtProblem(wl, tech50, SCEN_A, cable, model, FtToggles()).power_floor(
+            3, options) > 0
+        if premise == "t_gen_max above t_ext":
+            options = replace(LIGHT, t_gen_bounds=(4.0, 400.0))
+        elif premise == "attenuation below 1":
+            options = replace(LIGHT, attenuation_bounds=(0.5, 1e12))
+        elif premise == "negative line count":
+            cable = CableModel(control_lines_per_qubit=-0.5)
+        else:
+            model = CryoEfficiencyModel("small_scale", extra_qubit_heat_w=-1e-8)
+        problem = _FtProblem(wl, tech50, SCEN_A, cable, model, FtToggles())
+        assert problem.power_floor(3, options) == -math.inf
+
+    @pytest.mark.parametrize("scenario", ["A", "B", "C"])
+    @pytest.mark.parametrize("model", ["carnot", "small_scale"])
+    @pytest.mark.parametrize("demod", [False, True])
+    def test_pruning_leaves_the_result_unchanged(self, tech50, scenario, model, demod,
+                                                 monkeypatch):
+        args = (rsa_workload(2048), tech50, ElectronicsScenario.preset(scenario), CABLE,
+                CryoEfficiencyModel(model))
+        toggles = FtToggles(include_demod_syndrome=demod)
+        calls = _count_level_searches(monkeypatch)
+        pruned = optimize_ft(*args, options=LIGHT, toggles=toggles)
+        searched = len(calls)
+        monkeypatch.setattr(_FtProblem, "power_floor", lambda self, k, options: -math.inf)
+        full = optimize_ft(*args, options=LIGHT, toggles=toggles)
+        assert searched < len(calls) - searched
+        assert repr(pruned) == repr(full)
+
+    def test_default_rsa_2048_searches_fewer_levels(self, monkeypatch):
+        cfg = load_config(text="")
+        calls = _count_level_searches(monkeypatch)
+        pruned = run_problem(cfg)
+        searched = len(calls)
+        monkeypatch.setattr(_FtProblem, "power_floor", lambda self, k, options: -math.inf)
+        full = run_problem(cfg)
+        assert repr(pruned) == repr(full)
+        assert searched < len(calls) - searched
+
+
+class TestCoarseTable:
+    """The coarse-grid fields shared across fault-tolerant problems."""
+
+    @staticmethod
+    def _optimize(change: str):
+        args = dict(workload=rsa_workload(2048),
+                    tech=QubitTechnology(omega0=OMEGA0, gamma=20.0),
+                    scenario=SCEN_A, cable=CABLE, options=LIGHT)
+        if change == "cable Y":
+            args["cable"] = CableModel(length_m=0.5, control_lines_per_qubit=0.1)
+        elif change == "scenario C":
+            args["scenario"] = ElectronicsScenario.preset("C")
+        elif change == "8 GHz":
+            args["tech"] = QubitTechnology(omega0=2.0 * math.pi * 8e9, gamma=20.0)
+        elif change == "3 stages":
+            args["toggles"] = FtToggles(k_stages=3)
+        return optimize_ft(**args)
+
+    SEQUENCE = ("cable X", "cable Y", "scenario C", "8 GHz", "3 stages", "cable X")
+
+    def test_interleaved_runs_match_runs_alone(self):
+        alone = {}
+        for change in self.SEQUENCE:
+            optimize._COARSE_FIELDS.clear()
+            alone[change] = repr(self._optimize(change))
+        optimize._COARSE_FIELDS.clear()
+        for change in self.SEQUENCE:
+            assert repr(self._optimize(change)) == alone[change], change
+            assert len(optimize._COARSE_FIELDS) == 1
+            (fields,) = optimize._COARSE_FIELDS.values()
+            for array in fields:
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array.flat[0] = 0
+
+    def test_problems_on_one_cable_share_the_entry(self):
+        self._optimize("cable X")
+        (before,) = optimize._COARSE_FIELDS.values()
+        self._optimize("scenario C")
+        (after,) = optimize._COARSE_FIELDS.values()
+        assert after is before
 
 
 class TestTransitionEstimate:
