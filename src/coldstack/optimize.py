@@ -1,14 +1,16 @@
 """Constrained power-minimization engines.
 
-Three problem classes share one search, :func:`_grid_refine`.  Power
-rises monotonically with the total attenuation while the metric
-improves with it, so for any fixed temperatures the conditional optimum
-sits exactly on the constraint boundary (or at the attenuation lower
-bound when the constraint is already slack there).  Each problem class
+Three problem classes share one search, :func:`_grid_refine`, batched
+over independent problems: all compressions of a NISQ circuit in one
+call, a gate or a fault-tolerant level as a batch of one.  Power rises
+monotonically with the total attenuation while the metric improves
+with it, so for any fixed temperatures the conditional optimum sits
+exactly on the constraint boundary (or at the attenuation lower bound
+when the constraint is already slack there).  Each problem class
 therefore supplies a ``solve`` that takes one log-spaced axis per
-temperature control (the qubit stage, and for the fault-tolerant
-problem also the generation stage), finds the boundary attenuation at
-every point of the grid the axes span, and returns the power there.
+temperature control and problem (the qubit stage, and for the
+fault-tolerant problem also the generation stage), finds the boundary
+attenuation on the grids they span, and returns the power there.
 The metric falls monotonically with the qubit-line occupancy, so the
 boundary is solved, not searched: the target is inverted once per
 problem (and concatenation level) to the occupancy it allows, and the
@@ -32,11 +34,11 @@ reports them as the breakdown.  :func:`optimize_ft` searches the
 concatenation levels in ascending order and skips a level whose power
 floor, a closed-form lower bound on its power anywhere in the box,
 lies above the best power found so far; such a level could not have
-won, so the result is the same as without the skip.  The stage fields
-of the coarse grid, which every level's search starts from, are kept in
-a one-entry table shared by every problem on the same grid, stage
-count, cable and qubit frequency, so a run of searches that share
-these, such as the levels of one search or the points of a sweep, computes
+won, so the result is the same as without the skip.  The coarse grid's
+stage fields, where every level's search starts, sit in a one-entry
+table shared by all problems on the same grid, stage count, cable
+material and qubit frequency, so a run of searches that share these,
+such as the levels of one search or the points of a sweep, computes
 them once per process.
 """
 
@@ -71,12 +73,13 @@ from .thermal import (
     StageRecord,
     attenuator_heat_fractions,
     conduction_heat_per_qubit,
+    conduction_rises,
     demodulation_power_per_qubit,
     stage_temperatures,
     static_power_breakdown,
     syndrome_power_per_qubit,
 )
-from .workloads import Workload, nisq_circuit, nisq_power
+from .workloads import Workload, nisq_circuit, nisq_metric, nisq_power
 
 #: Powers within this relative band count as ties for the tie-break.
 RELATIVE_TIE = 1e-9
@@ -175,14 +178,14 @@ def _log_axis(lo: float, hi: float, per_decade: int) -> tuple[np.ndarray, float]
     return vals, decades / (n - 1)
 
 
-def _refined_axis(center: float, spacing: float, factor: int,
+def _refined_axis(centers: np.ndarray, spacing: float, factor: int,
                   lo: float, hi: float) -> tuple[np.ndarray, float]:
-    """Axis spanning one old step around ``center`` at ``factor``-times
-    finer spacing, clipped to the bounds."""
+    """Rows spanning one old step around each of ``centers`` at
+    ``factor``-times finer spacing, clipped to the bounds.  Clipped
+    values repeat, so the rows keep one length; a repeat ties exactly."""
     fine = spacing / factor
     offsets = np.arange(-factor, factor + 1) * fine
-    vals = np.clip(center * 10.0**offsets, lo, hi)
-    return np.unique(vals), fine
+    return np.clip(centers[:, None] * 10.0**offsets, lo, hi), fine
 
 
 def _boundary_attenuation(metric_of_log_a, lo: float, hi: float, invert):
@@ -215,42 +218,58 @@ def _boundary_attenuation(metric_of_log_a, lo: float, hi: float, invert):
 _TIE_SIGNS = (-1.0, 1.0)
 
 
-def _grid_refine(solve, axes, options: GridOptions):
-    """Grid search with local refinement over log-spaced temperature axes.
+def _grid_refine(solve, axes, options: GridOptions, batch: int = 1):
+    """Grid search with local refinement over log-spaced temperature
+    axes, for ``batch`` independent problems at once.
 
     ``axes`` lists ``(name, (low, high))`` per temperature control, the
-    qubit stage first.  ``solve(*grids)`` returns the power and the
-    boundary attenuation on the grid the axis values span, with NaN
-    attenuation (and infinite power) where the target is out of reach.
-    Powers within ``RELATIVE_TIE`` of the minimum tie; ties go to the
-    smaller attenuation, then by ``_TIE_SIGNS``.  Each of the
+    qubit stage first.  ``solve(*grids)`` takes one (batch, n) array per
+    axis, row b for problem b, and returns the power and the boundary
+    attenuation, of shape (batch, n_1, n_2, ...), on the grids the rows
+    span, with NaN attenuation (and infinite power) where the target is
+    out of reach.  Per problem, powers within ``RELATIVE_TIE`` of its
+    minimum tie; ties go to the smaller attenuation, then by
+    ``_TIE_SIGNS``, then to the first point.  Each of the
     ``options.refinement_passes`` passes re-grids every axis one old
-    step either side of the incumbent at ``options.refinement_factor``
-    times finer spacing.  Returns (power, point, attenuation, spacing in
-    decades by axis name), or None when no grid point is feasible.
+    step either side of each incumbent at ``options.refinement_factor``
+    times finer spacing.  Returns per problem (power, point,
+    attenuation), or None if its first grid has no feasible point, and
+    the spacing in decades by axis name.
     """
     grids, spacing = [], []
     for _, (lo, hi) in axes:
         grid, step = _log_axis(lo, hi, options.temperature_points_per_decade)
-        grids.append(grid)
+        grids.append(np.tile(grid, (batch, 1)))
         spacing.append(step)
-    best = None  # (power, point, attenuation)
+    inner = tuple(range(1, len(axes) + 1))
+    best_power, best_a = np.full(batch, np.inf), np.full(batch, np.nan)
+    # a problem without a feasible point refines, unused, around the lower corner
+    best_point = np.tile([lo for _, (lo, _) in axes], (batch, 1))
     for pass_index in range(options.refinement_passes + 1):
         power, a_star = solve(*grids)
-        if np.isfinite(a_star).any():
-            tied = np.argwhere(power <= power.min() * (1 + RELATIVE_TIE))
-            i = min(map(tuple, tied), key=lambda i: (a_star[i], *(
-                sign * grid[j] for sign, grid, j in zip(_TIE_SIGNS, grids, i))))
-            if best is None or power[i] < best[0]:
-                best = (float(power[i]), tuple(float(g[j]) for g, j in zip(grids, i)),
-                        float(a_star[i]))
-        if best is None:
-            return None
+        if pass_index == 0:
+            alive = np.isfinite(a_star).any(axis=inner)
+            if not alive.any():
+                break
+        low = power.min(axis=inner, keepdims=True) * (1 + RELATIVE_TIE)
+        # the tied points of the live problems as (problem, grid indices), in C order
+        tied = np.nonzero(power <= np.where(alive.reshape(low.shape), low, -np.inf))
+        keys = [sign * g[tied[0], i] for sign, g, i in zip(_TIE_SIGNS, grids, tied[1:])]
+        order = np.lexsort((np.arange(tied[0].size), *keys[::-1], a_star[tied], tied[0]))
+        rows = tied[0][order]
+        first = order[np.concatenate(([True], rows[1:] != rows[:-1]))]  # one per problem
+        pick = tuple(i[first] for i in tied)
+        # the picks that improve on their problem's incumbent
+        b, *at = pick = tuple(i[power[pick] < best_power[pick[0]]] for i in pick)
+        best_power[b], best_a[b] = power[pick], a_star[pick]
+        best_point[b] = np.stack([g[b, i] for g, i in zip(grids, at)], axis=1)
         if pass_index < options.refinement_passes:
             for d, (_, (lo, hi)) in enumerate(axes):
                 grids[d], spacing[d] = _refined_axis(
-                    best[1][d], spacing[d], options.refinement_factor, lo, hi)
-    return (*best, {name: step for (name, _), step in zip(axes, spacing)})
+                    best_point[:, d], spacing[d], options.refinement_factor, lo, hi)
+    found = [(float(p), tuple(map(float, x)), float(a)) if ok else None
+             for ok, p, x, a in zip(alive, best_power, best_point, best_a)]
+    return found, {name: step for (name, _), step in zip(axes, spacing)}
 
 
 # ---------------------------------------------------------------------------
@@ -271,20 +290,19 @@ def bare_efficiency_max(tech: QubitTechnology, target: float) -> float:
 
 
 class _AttenuatorProblem:
-    """One attenuator at the qubit stage: single gates and circuits.
+    """One attenuator at the qubit stage, for a batch of single gates or
+    circuits along axis 0 of every grid.
 
-    The metric is ``1 - weight * infidelity``, clamped at 0, with the
-    per-gate worst-case infidelity and ``weight`` error-weighted gates:
-    1 for one gate, ``n_gates_weighted`` for a circuit (the form of
-    :func:`~coldstack.workloads.nisq_metric`).  ``power_scale``
-    multiplies the per-gate cryo power (parallel-gate weighting).
+    Problem b constrains :func:`~coldstack.workloads.nisq_metric` of the
+    per-gate worst-case infidelity and ``weight[b]`` error-weighted
+    gates: 1 for one gate, ``n_gates_weighted`` for a circuit.
+    ``power_scale[b]`` multiplies its per-gate cryo power.
     """
 
-    def __init__(self, tech: QubitTechnology, weight: float, power_scale: float,
-                 t_ext: float):
+    def __init__(self, tech: QubitTechnology, weight, power_scale, t_ext: float):
         self.tech = tech
-        self.weight = weight
-        self.power_scale = power_scale
+        self.weight = np.reshape(weight, (-1, 1))  # columns against the grids
+        self.power_scale = np.reshape(power_scale, (-1, 1))
         self.t_ext = t_ext
         self.p_pi = pi_pulse_power(tech, tech.tau_1qb)
         self.n_hot = bose_einstein(t_ext, tech.omega0)
@@ -298,13 +316,13 @@ class _AttenuatorProblem:
         qubit-stage occupancies ``n_cold`` and rises ``n_rise`` to the
         ambient one."""
         occ = chain_occupancy(n_cold, (n_rise,), transmission)
-        return np.maximum(0.0, 1.0 - self.weight * _infidelity(self.tech, occ))
+        return nisq_metric(self.weight, _infidelity(self.tech, occ))
 
     def power(self, t_qb, a):
         return (self.t_ext - t_qb) / t_qb * a * self.p_pi * self.power_scale
 
     def solve(self, target: float, options: GridOptions, t_axis: np.ndarray):
-        """Power and boundary attenuation on the qubit-temperature grid.
+        """Power and boundary attenuation on the qubit-temperature rows ``t_axis``.
 
         On the boundary the occupancy is ``n* = (1-M)/(weight*gamma*tau)
         - 1``, so ``A* = (n_hot - n_c)/(n* - n_c)``.
@@ -319,7 +337,7 @@ class _AttenuatorProblem:
 
         def invert(active):
             excess = (_infidelity_occupancy(self.tech, (1.0 - target) / self.weight)
-                      - n_cold[active])
+                      - n_cold)[active]
             return 1.0 / chain_transmission(n_rise[None, active], excess,
                                             1.0 / a_hi, 1.0 / a_lo)
 
@@ -349,17 +367,17 @@ def optimize_single_qubit(tech: QubitTechnology, target: float,
             f"target metric {target} exceeds the zero-noise bound "
             f"{1.0 - floor:.9g} (infidelity floor gamma*tau_1qb = {floor:.3g})")
     problem = _AttenuatorProblem(tech, 1.0, 1.0, t_ext)
-    found = _grid_refine(partial(problem.solve, target, options),
-                         [("t_qb", options.t_qb_bounds)], options)
+    (found,), spacing = _grid_refine(partial(problem.solve, target, options),
+                                     [("t_qb", options.t_qb_bounds)], options)
     if found is None:
         return _infeasible("no grid point satisfies the metric target")
-    power, (t_star,), a_star, spacing = found
+    power, (t_star,), a_star = found
     heat = a_star * problem.p_pi
     record = StageRecord(t_star, heat, power, "attenuator")
     return OptimizationResult(
         control=ControlPoint(t_qb=t_star, a_total=a_star),
         power_w=power,
-        metric_achieved=float(problem.metric(t_star, a_star)),
+        metric_achieved=problem.metric(t_star, a_star).item(),
         per_stage=(record,),
         per_qubit_power_w=power,
         physical_qubits=1,
@@ -375,11 +393,12 @@ def optimize_nisq(q: int, target: float, tech: QubitTechnology,
                   fixed_m: int | None = None) -> OptimizationResult:
     """Minimize the average cryo-power of the compressible circuit on
     ``q`` qubits over (temperature, attenuation, compression), subject
-    to a circuit-fidelity target.
-
-    ``target`` is the metric floor; a run-success probability target of
-    2/3 maps to ``target = 2/3``.  ``fixed_m`` restricts the search to
-    one compression (used for cross-checks against the inner solver).
+    to a circuit-fidelity target.  One batched search solves every
+    compression; in ascending ``m``, a later one wins only below
+    ``(1 - RELATIVE_TIE)`` times the best.  ``target`` is the metric
+    floor; a run-success probability target of 2/3 maps to ``target =
+    2/3``.  ``fixed_m`` restricts the search to one compression (used
+    for cross-checks against the inner solver).
 
     Where the optimum lies in the compression ``m``.  Id gates fill
     every idle slot, so the circuit at any compression carries
@@ -409,30 +428,26 @@ def optimize_nisq(q: int, target: float, tech: QubitTechnology,
     if options.t_qb_bounds[1] >= t_ext:
         raise ValueError("the qubit stage must stay colder than t_ext")
     m_values = range(q - 2) if fixed_m is None else [fixed_m]
-    best = None  # (power, m, t, a, spacing, problem, circuit)
-    for m in m_values:
-        circ = nisq_circuit(q, m)
-        problem = _AttenuatorProblem(tech, circ.n_gates_weighted,
-                                     nisq_power(circ, 1.0), t_ext)
-        found = _grid_refine(partial(problem.solve, target, options),
-                             [("t_qb", options.t_qb_bounds)], options)
-        if found is None:
-            continue
-        p_star, (t_star,), a_star, spacing = found
-        if (best is None or p_star < best[0] * (1 - RELATIVE_TIE)
-                or (p_star <= best[0] * (1 + RELATIVE_TIE) and m < best[1])):
-            best = (p_star, m, t_star, a_star, spacing, problem, circ)
+    circuits = [nisq_circuit(q, m) for m in m_values]
+    weights, scales = zip(*((c.n_gates_weighted, nisq_power(c, 1.0)) for c in circuits))
+    problem = _AttenuatorProblem(tech, weights, scales, t_ext)
+    found, spacing = _grid_refine(partial(problem.solve, target, options),
+                                  [("t_qb", options.t_qb_bounds)], options, len(circuits))
+    best = None  # index of the best compression so far
+    for row, cand in enumerate(found):
+        if cand and (best is None or cand[0] < found[best][0] * (1 - RELATIVE_TIE)):
+            best = row
     if best is None:
         return _infeasible(
             f"metric target {target} unreachable for any compression of the "
             f"{q}-qubit circuit (zero-noise floor too high)")
-    power, m, t_star, a_star, spacing, problem, circ = best
-    heat = a_star * problem.p_pi * problem.power_scale
+    power, (t_star,), a_star = found[best]
+    heat = a_star * problem.p_pi * scales[best]
     record = StageRecord(t_star, heat, power, "attenuator")
     return OptimizationResult(
-        control=ControlPoint(t_qb=t_star, a_total=a_star, m=m),
+        control=ControlPoint(t_qb=t_star, a_total=a_star, m=circuits[best].m),
         power_w=power,
-        metric_achieved=float(problem.metric(t_star, a_star)),
+        metric_achieved=problem.metric(t_star, a_star)[best].item(),
         per_stage=(record,),
         per_qubit_power_w=power / q,
         physical_qubits=q,
@@ -503,11 +518,12 @@ class _FtProblem:
         return stage_temperatures(t_qb[:, None], t_gen[None, :], self.toggles.k_stages)
 
     def stage_fields(self, t_qb: np.ndarray, t_gen: np.ndarray):
-        """Stage temperatures and the per-qubit always-on StageRecords on
-        the grid of ``t_qb`` by ``t_gen``."""
+        """Stage temperatures, their heat multipliers and the per-qubit
+        always-on StageRecords on the grid of ``t_qb`` by ``t_gen``."""
         stages = self.chains(t_qb, t_gen)
-        return stages, static_power_breakdown(stages, self.scenario, self.cable,
-                                              self.model, self.toggles.t_ext)
+        return (stages, self.model.heat_multiplier(stages, self.toggles.t_ext),
+                static_power_breakdown(stages, self.scenario, self.cable, self.model,
+                                       self.toggles.t_ext))
 
     def occupancies(self, stages: np.ndarray):
         """Occupancy of the qubit stage and its rise into each next stage
@@ -518,45 +534,49 @@ class _FtProblem:
     def grid_fields(self, t_qb: np.ndarray, t_gen: np.ndarray):
         """What the search needs on the (T_qb, T_gen) grid that depends
         on neither the level nor the attenuation: the stage temperatures,
-        the per-qubit static rows (without their heat), the occupancies,
-        and the mask of valid chains (qubit stage colder than the
-        generation stage).
+        their heat multipliers, the per-qubit static rows (without their
+        heat), the occupancies, and the mask of valid chains (qubit stage
+        colder than the generation stage).
 
         The first grid a problem is asked for is the coarse grid that
         every level's search starts from.  Its fields come from the
-        shared table (:meth:`coarse_fields`), with the static rows built
-        on its conduction once per problem, and each later level reuses
-        them.
+        shared table (:meth:`coarse_fields`), with the heat multipliers
+        and the static rows built on its conduction once per problem, and
+        each later level reuses them.
         """
         key = (t_qb.tobytes(), t_gen.tobytes())
         if self._coarse is None:
-            stages, net, n_cold, n_rise, valid = self.coarse_fields(t_qb, t_gen)
+            stages, rises, n_cold, n_rise, valid = self.coarse_fields(t_qb, t_gen)
+            net = conduction_heat_per_qubit(stages, self.cable, rises)
+            t_ext = self.toggles.t_ext
             static = static_power_breakdown(stages, self.scenario, self.cable, self.model,
-                                            self.toggles.t_ext, net)
-            self._coarse = key, (stages, _electrical_rows(static), n_cold, n_rise, valid)
+                                            t_ext, net)
+            self._coarse = key, (stages, self.model.heat_multiplier(stages, t_ext),
+                                 _electrical_rows(static), n_cold, n_rise, valid)
         if key == self._coarse[0]:
             return self._coarse[1]
-        stages, static = self.stage_fields(t_qb, t_gen)
-        return (stages, _electrical_rows(static), *self.occupancies(stages),
+        stages, mult, static = self.stage_fields(t_qb, t_gen)
+        return (stages, mult, _electrical_rows(static), *self.occupancies(stages),
                 t_qb[:, None] < t_gen[None, :])
 
     def coarse_fields(self, t_qb: np.ndarray, t_gen: np.ndarray):
-        """The stage temperatures, the per-qubit net cable conduction,
-        the occupancies and the valid mask on the grid of ``t_qb`` by
+        """The stage temperatures, the rises of the cable's conduction
+        integral across the spans (:func:`conduction_rises`), the
+        occupancies and the valid mask on the grid of ``t_qb`` by
         ``t_gen``, as read-only arrays from the shared one-entry table.
 
-        They depend only on the two axes, the stage count, the cable and
-        the qubit frequency, which make the key; a new key drops the old
-        entry before its fields are computed, so one grid's fields are
-        held at a time.
+        They depend only on the two axes, the stage count, the cable's
+        material (not its length or line counts) and the qubit frequency,
+        which make the key; a new key drops the old entry before its
+        fields are computed, so one grid's fields are held at a time.
         """
-        key = (t_qb.tobytes(), t_gen.tobytes(), self.toggles.k_stages, self.cable,
-               self.tech.omega0)
+        key = (t_qb.tobytes(), t_gen.tobytes(), self.toggles.k_stages,
+               self.cable.material, self.tech.omega0)
         fields = _COARSE_FIELDS.get(key)
         if fields is None:
             _COARSE_FIELDS.clear()
             stages = self.chains(t_qb, t_gen)
-            fields = (stages, conduction_heat_per_qubit(stages, self.cable),
+            fields = (stages, conduction_rises(stages, self.cable),
                       *self.occupancies(stages), t_qb[:, None] < t_gen[None, :])
             for array in fields:
                 array.flags.writeable = False
@@ -589,16 +609,15 @@ class _FtProblem:
                                     linear=self.toggles.metric_form == "linear")
         return _pauli_error_occupancy(self.tech, p_err)
 
-    def terms(self, stages: np.ndarray, static: list, a_total, k: int):
+    def terms(self, stages: np.ndarray, mult, static: list, a_total, k: int):
         """Heat and electrical power of the whole machine by stage and
         source at total attenuations ``a_total`` on the chains
-        ``stages``, as StageRecords whose electrical powers sum to the
-        total.  A generator, so that summing over a large grid holds one
-        term at a time."""
+        ``stages`` of heat multipliers ``mult``, as StageRecords whose
+        electrical powers sum to the total.  A generator, so that summing
+        over a large grid holds one term at a time."""
         tog = self.toggles
         weight = _dynamic_weight(self.tech, k, tog) * self.workload.q_logical
         fractions = attenuator_heat_fractions(a_total, tog.k_stages)
-        mult = self.model.heat_multiplier(stages, tog.t_ext)
         for t, frac, mu in zip(stages, fractions, mult):
             heat = frac * self.p_pi * weight
             yield StageRecord(t, heat, mu * heat, "attenuator")
@@ -639,16 +658,19 @@ class _FtProblem:
 
     def solve(self, k: int, target: float, options: GridOptions,
               t_qb: np.ndarray, t_gen: np.ndarray):
-        """Power and boundary attenuation on the (T_qb, T_gen) grid.  A
+        """Power and boundary attenuation on the (T_qb, T_gen) grid, as a
+        batch of one for :func:`_grid_refine`: the axes come as rows of
+        shape (1, n) and the results have shape (1, n_qb, n_gen).  A
         collapsed chain (qubit stage as warm as the generation stage) has
         no valid layout and is excluded."""
-        stages, static, n_cold, n_rise, valid = self.grid_fields(t_qb, t_gen)
+        (t_qb,), (t_gen,) = t_qb, t_gen
+        stages, mult, static, n_cold, n_rise, valid = self.grid_fields(t_qb, t_gen)
         a_star = self.boundary(n_cold, n_rise, valid, k, target, options)
         finite = np.isfinite(a_star)
         a_safe = np.where(finite, a_star, options.attenuation_bounds[1])
         power = sum(rec.electrical_power_w
-                    for rec in self.terms(stages, static, a_safe, k))
-        return np.where(finite, power, np.inf), a_star
+                    for rec in self.terms(stages, mult, static, a_safe, k))
+        return np.where(finite, power, np.inf)[None], a_star[None]
 
     def power_floor(self, k: int, options: GridOptions) -> float:
         """A lower bound on the power at level ``k`` anywhere in the box
@@ -704,14 +726,14 @@ def evaluate_ft_point(workload: Workload, tech: QubitTechnology,
     if a_total < 1:
         raise ValueError("total attenuation must be >= 1")
     problem = _FtProblem(workload, tech, scenario, cable, model, toggles)
-    stages, static = problem.stage_fields(np.array([t_qb], float),
-                                          np.array([t_gen], float))
+    stages, mult, static = problem.stage_fields(np.array([t_qb], float),
+                                                np.array([t_gen], float))
     p_err = problem.error_probability(*problem.occupancies(stages))(np.log10(a_total))
     records = tuple(
         StageRecord(np.asarray(rec.stage_temperature_k).item(),
                     np.asarray(rec.heat_extracted_w).item(),
                     np.asarray(rec.electrical_power_w).item(), rec.source)
-        for rec in problem.terms(stages, static, np.array([[a_total]], float), k))
+        for rec in problem.terms(stages, mult, static, np.array([[a_total]], float), k))
     return FtPointEvaluation(
         power_w=sum(rec.electrical_power_w for rec in records),
         metric=problem.metric(p_err, k).item(),
@@ -756,10 +778,11 @@ def optimize_ft(workload: Workload, tech: QubitTechnology,
         if best is not None and (problem.power_floor(k, options)
                                  > best[0] * (1 + RELATIVE_TIE)):
             continue
-        found = _grid_refine(partial(problem.solve, k, target, options), axes, options)
+        (found,), spacing = _grid_refine(partial(problem.solve, k, target, options),
+                                         axes, options)
         if found is None:
             continue
-        power, (t_qb, t_gen), a_star, spacing = found
+        power, (t_qb, t_gen), a_star = found
         cand = (power, k, a_star, -t_qb, t_gen, spacing)
         if best is None:
             best = cand

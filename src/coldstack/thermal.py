@@ -76,6 +76,12 @@ class CableModel:
     def lines_per_qubit(self) -> float:
         return self.control_lines_per_qubit + self.readout_lines_per_qubit
 
+    @property
+    def material(self) -> tuple:
+        """The fields the conduction integral reads (not length or lines)."""
+        return (self.area_above_10k_m2, self.area_below_10k_m2, self.steel_fit,
+                self.kapton_low, self.kapton_mid)
+
     def steel_conductivity(self, temperature: float) -> float:
         """Stainless-steel thermal conductivity (W/m/K), T > 10 K fit."""
         lt = np.log10(temperature)
@@ -248,7 +254,15 @@ class StageRecord:
     source: str  # attenuator | conduction | amplifier | electronics | extra
 
 
-def conduction_heat_per_qubit(temperatures, cable: CableModel) -> np.ndarray:
+def conduction_rises(temperatures, cable: CableModel) -> np.ndarray:
+    """Rise of the conduction integral across each span between the
+    stages along axis 0 of ``temperatures``; it reads ``cable.material``."""
+    w = _conduction_integral(cable, temperatures)
+    return w[1:] - w[:-1]
+
+
+def conduction_heat_per_qubit(temperatures, cable: CableModel,
+                              rises=None) -> np.ndarray:
     """Net cable heat deposited at each stage, per physical qubit (W).
 
     ``temperatures`` holds the stage temperatures cold to hot along axis
@@ -257,11 +271,13 @@ def conduction_heat_per_qubit(temperatures, cable: CableModel) -> np.ndarray:
     span below.  Nothing is conducted in above the top stage (optical
     fibers are neglected) or away below the qubit stage, so the entries
     telescope: stages 1..K-1 together extract exactly the heat injected
-    from the top span.
+    from the top span.  ``rises``, when given, is
+    :func:`conduction_rises` of ``temperatures``, computed before.
     """
-    w = _conduction_integral(cable, temperatures)
-    spans = (w[1:] - w[:-1]) / cable.length_m * cable.lines_per_qubit
-    net = np.zeros_like(w)
+    if rises is None:
+        rises = conduction_rises(temperatures, cable)
+    spans = rises / cable.length_m * cable.lines_per_qubit
+    net = np.zeros((len(spans) + 1,) + spans.shape[1:])
     net[:-1] += spans
     net[1:] -= spans
     return net

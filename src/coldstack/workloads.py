@@ -118,16 +118,17 @@ def nisq_circuit(q: int, m: int) -> NisqCircuit:
     return NisqCircuit(q, m)
 
 
-def nisq_metric(circuit: NisqCircuit, if_1qb):
+def nisq_metric(weight, if_1qb):
     """Circuit fidelity metric: 1 minus the summed gate infidelities.
 
-    Two-qubit gates count twice (noise acts on both qubits); clamped at
-    zero once the budget is exhausted.  Elementwise over ``if_1qb``; it
-    checks no input.  :func:`~coldstack.optimize.optimize_nisq`
-    constrains this metric, with ``n_gates_weighted`` as the weight of
-    its one-attenuator problem.
+    ``weight`` is the circuit's error-weighted gate count,
+    ``NisqCircuit.n_gates_weighted``, in which two-qubit gates count
+    twice (noise acts on both qubits); clamped at zero once the budget is
+    exhausted.  Elementwise over ``weight`` (a scalar or one entry per
+    compression) and ``if_1qb``; it checks no input.
+    :func:`~coldstack.optimize.optimize_nisq` constrains this metric.
     """
-    return np.maximum(0.0, 1.0 - circuit.n_gates_weighted * if_1qb)
+    return np.maximum(0.0, 1.0 - weight * if_1qb)
 
 
 def nisq_power(circuit: NisqCircuit, p_1qb: float) -> float:

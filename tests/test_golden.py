@@ -19,9 +19,12 @@ import pytest
 from coldstack import (
     CryoEfficiencyModel,
     ElectronicsScenario,
+    GridOptions,
     QubitTechnology,
     Workload,
     optimize_ft,
+    optimize_nisq,
+    optimize_single_qubit,
 )
 from coldstack.cli import main
 
@@ -46,9 +49,36 @@ def readme_commands() -> list[list[str]]:
     return commands
 
 
+#: NISQ circuits (qubits, target, lifetime 1/gamma in s, grid options)
+#: at the search's edges: compressions out of reach beside reachable
+#: ones, an interior compression with the qubits at their upper bound,
+#: target 0, three qubits, equal qubit-temperature bounds, the
+#: attenuation at its lower bound, and no compression reachable.
+NISQ_CASES = {
+    "q=25/gamma_inverse_s=0.001/target=0.9": (25, 0.9, 1e-3, GridOptions()),
+    "q=25/gamma_inverse_s=0.05/target=0.1": (25, 0.1, 0.05, GridOptions()),
+    "q=25/gamma_inverse_s=0.001/target=0": (25, 0.0, 1e-3, GridOptions()),
+    "q=3/gamma_inverse_s=0.001/target=0.99": (3, 0.99, 1e-3, GridOptions()),
+    "q=12/gamma_inverse_s=0.003/t_qb=0.05/target=2/3": (
+        12, 2.0 / 3.0, 3e-3, GridOptions(t_qb_bounds=(0.05, 0.05))),
+    "q=8/gamma_inverse_s=0.01/attenuation_min=100/target=0.9": (
+        8, 0.9, 0.01, GridOptions(attenuation_bounds=(100.0, 1e12))),
+    "q=25/gamma_inverse_s=0.001/target=0.99": (25, 0.99, 1e-3, GridOptions()),
+}
+
+#: Single gates (target, lifetime 1/gamma in s, grid options): the README
+#: example, target 0, and equal qubit-temperature bounds.
+GATE_CASES = {
+    "gamma_inverse_s=0.001/target=0.99965": (0.99965, 1e-3, GridOptions()),
+    "gamma_inverse_s=0.05/target=0": (0.0, 0.05, GridOptions()),
+    "gamma_inverse_s=0.001/t_qb=0.02/target=0.999": (
+        0.999, 1e-3, GridOptions(t_qb_bounds=(0.02, 0.02))),
+}
+
+
 def reference_optima() -> dict:
-    """Operating point and power of the criterion-3 star point and the six
-    criterion-9 small-scale runs."""
+    """Operating point and power of the criterion-3 star point, the six
+    criterion-9 small-scale runs, and the NISQ and gate cases above."""
     def entry(result):
         return {**dataclasses.asdict(result.control), "power_w": result.power_w}
 
@@ -62,6 +92,12 @@ def reference_optima() -> dict:
             res = optimize_ft(wl, tech, ElectronicsScenario.preset(scenario),
                               model=small_scale)
             out[f"small_scale/{scenario}/gamma_inverse_s={gamma_inv}"] = entry(res)
+    for name, (q, target, lifetime, options) in NISQ_CASES.items():
+        tech = QubitTechnology(omega0=OMEGA0, gamma=1.0 / lifetime)
+        out[f"nisq/{name}"] = entry(optimize_nisq(q, target, tech, options))
+    for name, (target, lifetime, options) in GATE_CASES.items():
+        tech = QubitTechnology(omega0=OMEGA0, gamma=1.0 / lifetime)
+        out[f"gate/{name}"] = entry(optimize_single_qubit(tech, target, options=options))
     return out
 
 

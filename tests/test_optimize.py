@@ -5,6 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from coldstack import (
     CableModel,
     CryoEfficiencyModel,
@@ -27,10 +28,16 @@ from coldstack import (
 from coldstack import optimize
 from coldstack.config import load_config
 from coldstack.driver import run_problem
-from coldstack.optimize import FtToggles, _AttenuatorProblem, _FtProblem, _grid_refine
+from coldstack.optimize import (
+    RELATIVE_TIE,
+    FtToggles,
+    _AttenuatorProblem,
+    _FtProblem,
+    _grid_refine,
+)
 from coldstack.workloads import nisq_circuit
 
-from conftest import OMEGA0, valid_config_texts
+from conftest import OMEGA0, edge_biased, valid_config_texts
 
 CABLE = CableModel()
 SCEN_A = ElectronicsScenario.preset("A")
@@ -137,20 +144,87 @@ class TestOptimizeSingleQubit:
         assert abs(fine.power_w - coarse.power_w) / coarse.power_w < 0.01
 
 
+@st.composite
+def nisq_searches(draw):
+    """(q, target, technology, grid options) of NISQ searches, in equal
+    shares: target 0; any target; a target between the zero-noise bounds
+    of compressions j-1 and j, which the compressions below j cannot
+    reach; and a lax target on long-lived qubits, where the optimum can
+    be an interior compression with the attenuation at its lower bound.
+    The draws favour three qubits, equal qubit-temperature bounds, the
+    optimum at their upper bound, and a raised attenuation floor."""
+    mode = draw(st.sampled_from(["zero", "any", "between", "interior"]))
+    if mode == "interior":
+        q, lifetime = draw(st.integers(5, 24)), draw(st.floats(0.02, 0.1))
+    else:
+        q = draw(st.one_of(st.just(3), st.integers(4, 24), st.integers(4, 24)))
+        lifetime = draw(edge_biased(1e-4, 0.1))
+    tech = QubitTechnology(omega0=OMEGA0, gamma=1.0 / lifetime)
+    if mode == "zero":
+        target = 0.0
+    elif mode == "interior":
+        target = draw(st.floats(0.05, 0.5))
+    else:
+        target = draw(st.floats(0.0, 0.999))
+    if mode == "between" and q > 3:
+        j = draw(st.integers(1, q - 3))
+        lo, hi = (1.0 - nisq_circuit(q, m).n_gates_weighted * tech.gamma * tech.tau_1qb
+                  for m in (j - 1, j))
+        target = max(0.0, lo + draw(st.floats(0.0, 1.0)) * (hi - lo))
+    # the qubit stage's lower bound stays below the generation stage's, 4 K,
+    # and for targets near a zero-noise bound, cold enough to reach them
+    t_lo = draw(edge_biased(1e-3, 0.05 if mode == "between" else 3.0))
+    t_hi = 4.0 if mode == "interior" else draw(
+        st.one_of(st.just(t_lo), st.just(4.0), st.floats(t_lo, 4.0)))
+    a_lo = 1.0 if mode == "interior" else draw(st.one_of(st.just(1.0),
+                                                          edge_biased(1.0, 1e4)))
+    options = GridOptions(
+        temperature_points_per_decade=draw(st.integers(1, 20)),
+        refinement_passes=draw(st.integers(0, 2)), t_qb_bounds=(t_lo, t_hi),
+        attenuation_bounds=(a_lo, 1e12))
+    return q, target, tech, options
+
+
 class TestOptimizeNisq:
+    @given(search=nisq_searches())
+    @settings(max_examples=100, deadline=None)
+    def test_batch_matches_compressions_solved_alone(self, search):
+        # the ascending-m reduction of the one-compression searches
+        q, target, tech, options = search
+        best = None
+        for m in range(q - 2):
+            res = optimize_nisq(q, target, tech, options, fixed_m=m)
+            if best is None or res.power_w < best.power_w * (1 - RELATIVE_TIE):
+                best = res
+        assert repr(optimize_nisq(q, target, tech, options)) == repr(best)
+
+    @pytest.mark.parametrize("target", [0.0, 0.9, 0.99])
+    def test_one_search_for_every_compression(self, tech_1ms, target, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _grid_refine(*args)
+
+        monkeypatch.setattr(optimize, "_grid_refine", counting)
+        optimize_nisq(25, target, tech_1ms)
+        assert len(calls) == 1
+
     def test_fixed_compression_matches_inner_solver(self, tech_1ms):
-        # the shared inner solver, handed the circuit's gate weight and
-        # power scale directly, reproduces the per-compression optimization
+        # the shared inner solver, handed every compression's gate weight
+        # and power scale directly as one batch, reproduces the
+        # per-compression optimization in the row of that compression
         target, m = 0.9, 18
         res = optimize_nisq(25, target, tech_1ms, fixed_m=m)
-        circ = nisq_circuit(25, m)
+        circuits = [nisq_circuit(25, j) for j in range(23)]
         problem = _AttenuatorProblem(
-            tech_1ms, circ.n_gates_weighted,
-            circ.n_1qb_avg + 0.25 * circ.n_2qb_avg, 300.0)
+            tech_1ms, [circ.n_gates_weighted for circ in circuits],
+            [circ.n_1qb_avg + 0.25 * circ.n_2qb_avg for circ in circuits], 300.0)
         options = GridOptions()
-        power, (t_star,), a_star, _ = _grid_refine(
+        found, _ = _grid_refine(
             partial(problem.solve, target, options), [("t_qb", options.t_qb_bounds)],
-            options)
+            options, len(circuits))
+        power, (t_star,), a_star = found[m]
         assert res.control.t_qb == pytest.approx(t_star, rel=1e-12)
         assert res.control.a_total == pytest.approx(a_star, rel=1e-12)
         assert res.power_w == pytest.approx(power, rel=1e-12)
@@ -177,9 +251,10 @@ class TestOptimizeNisq:
         target = 0.9
         res = optimize_nisq(25, target, tech_1ms)
         circ = nisq_circuit(25, res.control.m)
+        # a batch of one: the winning compression alone
         problem = _AttenuatorProblem(
-            tech_1ms, circ.n_gates_weighted,
-            circ.n_1qb_avg + 0.25 * circ.n_2qb_avg, 300.0)
+            tech_1ms, [circ.n_gates_weighted],
+            [circ.n_1qb_avg + 0.25 * circ.n_2qb_avg], 300.0)
         step = res.grid_step_log10["t_qb"]
         for axis, bounds in (("t_qb", (1e-3, 4.0)), ("a_total", (1.0, 1e12))):
             for sign in (+1, -1):
@@ -192,8 +267,8 @@ class TestOptimizeNisq:
                 value = t_qb if axis == "t_qb" else a
                 if not (lo <= value <= hi):
                     continue
-                if problem.metric(t_qb, a) >= target:
-                    assert problem.power(t_qb, a) >= res.power_w * (1 - 1e-12)
+                if problem.metric(t_qb, a).item() >= target:
+                    assert problem.power(t_qb, a).item() >= res.power_w * (1 - 1e-12)
 
 
 def _bisect_attenuation(gap, lo, hi, shape):
@@ -247,7 +322,7 @@ class TestBoundarySolve:
         target = 1.0 - 11.0 * w * tech.gamma * tech.tau_1qb
         problem = _AttenuatorProblem(tech, w, 0.3, 300.0)
         lo, hi = 200.0, 1e9
-        t_axis = np.geomspace(1e-3, 4.0, 40)
+        t_axis = np.geomspace(1e-3, 4.0, 40)[None]  # a batch of one problem
         with np.errstate(all="raise"):
             _, a_star = problem.solve(target, GridOptions(attenuation_bounds=(lo, hi)),
                                       t_axis)
@@ -278,7 +353,7 @@ class TestBoundarySolve:
             # qubits hold no photon at all: the first rise is exactly 0
             lo, hi = 1.0, 1e12
             t_qb, t_gen = np.geomspace(1e-4, 4.0, 15), np.array([0.5, 10.0, 300.0])
-        _, _, n_cold, n_rise, valid = problem.grid_fields(t_qb, t_gen)
+        _, _, _, n_cold, n_rise, valid = problem.grid_fields(t_qb, t_gen)
         with np.errstate(all="raise"):
             a_star = problem.boundary(n_cold, n_rise, valid, k, target,
                                       GridOptions(attenuation_bounds=(lo, hi)))
@@ -359,8 +434,9 @@ class TestOptimizeFt:
         c = res.control
         problem = _FtProblem(wl, tech50, SCEN_A, CABLE, cryo, toggles)
         axes = [("t_qb", LIGHT.t_qb_bounds), ("t_gen", LIGHT.t_gen_bounds)]
-        power, point, a_star, _ = _grid_refine(
-            partial(problem.solve, c.k, 2.0 / 3.0, LIGHT), axes, LIGHT)
+        (found,), _ = _grid_refine(partial(problem.solve, c.k, 2.0 / 3.0, LIGHT), axes,
+                                   LIGHT)
+        power, point, a_star = found
         assert point == (c.t_qb, c.t_gen) and a_star == c.a_total
         ev = evaluate_ft_point(wl, tech50, SCEN_A, CABLE, cryo, c.t_qb, c.t_gen,
                                c.a_total, c.k, toggles)
@@ -445,8 +521,8 @@ def _floor_violations(cfg) -> list:
     for k in range(options.k_min, options.k_max + 1):
         floor = problem.power_floor(k, options)
         assert floor > -math.inf  # a validated config meets the premises
-        found = _grid_refine(partial(problem.solve, k, cfg.target_metric, options),
-                             axes, options)
+        (found,), _ = _grid_refine(partial(problem.solve, k, cfg.target_metric, options),
+                                   axes, options)
         # the search sums the rows in another order than the floor
         if found is not None and not floor <= found[0] * (1 + 1e-12):
             violations.append((k, floor, found[0]))
@@ -544,6 +620,8 @@ class TestCoarseTable:
                     scenario=SCEN_A, cable=CABLE, options=LIGHT)
         if change == "cable Y":
             args["cable"] = CableModel(length_m=0.5, control_lines_per_qubit=0.1)
+        elif change == "cable Z":
+            args["cable"] = CableModel(area_above_10k_m2=3e-7)
         elif change == "scenario C":
             args["scenario"] = ElectronicsScenario.preset("C")
         elif change == "8 GHz":
@@ -568,6 +646,30 @@ class TestCoarseTable:
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
                     array.flat[0] = 0
+
+    def _second_after_first(self, first: str, second: str) -> tuple:
+        """Whether the run ``second`` reuses the entry the run ``first``
+        left, and whether its result then equals its result alone."""
+        optimize._COARSE_FIELDS.clear()
+        alone = repr(self._optimize(second))
+        optimize._COARSE_FIELDS.clear()
+        self._optimize(first)
+        (before,) = optimize._COARSE_FIELDS.values()
+        got = repr(self._optimize(second))
+        (after,) = optimize._COARSE_FIELDS.values()
+        return after is before, got == alone
+
+    def test_cables_of_one_material_share_the_entry(self):
+        # X and Y differ in length and line counts only
+        assert self._second_after_first("cable X", "cable Y") == (True, True)
+
+    def test_cable_of_another_area_misses_the_entry(self):
+        assert self._second_after_first("cable X", "cable Z") == (False, True)
+
+    def test_key_without_the_areas_is_caught(self, monkeypatch):
+        monkeypatch.setattr(CableModel, "material", property(
+            lambda cable: (cable.steel_fit, cable.kapton_low, cable.kapton_mid)))
+        assert self._second_after_first("cable X", "cable Z") == (True, False)
 
     def test_problems_on_one_cable_share_the_entry(self):
         self._optimize("cable X")

@@ -93,24 +93,26 @@ class TestNisqCircuit:
 
 class TestNisqMetricAndPower:
     def test_perfect_gates(self):
-        assert nisq_metric(nisq_circuit(25, 0), 0.0) == 1.0
+        assert nisq_metric(nisq_circuit(25, 0).n_gates_weighted, 0.0) == 1.0
 
     def test_hand_value_uncompressed(self):
-        metric = nisq_metric(nisq_circuit(25, 0), 1e-5)
+        metric = nisq_metric(nisq_circuit(25, 0).n_gates_weighted, 1e-5)
         assert metric == pytest.approx(1.0 - 7500e-5, rel=1e-12)
         assert metric == pytest.approx(0.925, rel=1e-12)
 
     def test_metric_clamps_at_zero(self):
-        assert nisq_metric(nisq_circuit(25, 0), 1.0) == 0.0
+        assert nisq_metric(nisq_circuit(25, 0).n_gates_weighted, 1.0) == 0.0
 
     def test_metric_nondecreasing_in_compression(self):
-        values = [nisq_metric(nisq_circuit(25, m), 1e-5) for m in range(23)]
+        values = [nisq_metric(nisq_circuit(25, m).n_gates_weighted, 1e-5)
+                  for m in range(23)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_metric_slope_is_weighted_gate_count(self):
         circ = nisq_circuit(25, 7)
         eps = 1e-7
-        slope = (nisq_metric(circ, 0.0) - nisq_metric(circ, eps)) / eps
+        w = circ.n_gates_weighted
+        slope = (nisq_metric(w, 0.0) - nisq_metric(w, eps)) / eps
         assert slope == pytest.approx(circ.n_gates_weighted, rel=1e-9)
 
     def test_power_uncompressed_single_parallel_gate(self):
