@@ -21,10 +21,13 @@ the argmin and refines: each pass re-grids every axis one old step
 either side of the incumbent at a finer spacing.  The equality
 constraint is thereby met to round-off rather than grid precision.
 
-Every evaluation is a pure function of its inputs and the reduction is
-an ordered argmin with a fixed tie-break (smaller concatenation level,
-then smaller attenuation, then warmer qubits, then cooler generation
-stage), so results are deterministic regardless of evaluation order.
+The reduction is an ordered argmin with a fixed tie-break (smaller
+concatenation level, then smaller attenuation, then warmer qubits, then
+cooler generation stage), and the same grid gives the same bits, so
+results are deterministic.  A solve is not elementwise: its Newton
+iteration (:func:`~coldstack.noise.chain_transmission`) stops once the
+whole grid has converged, so a chain's attenuation can differ, within
+``_NEWTON_RTOL``, between the grids it is solved in.
 
 The fault-tolerant model has one implementation, :class:`_FtProblem`.
 On any temperature grid it gives the power of the whole machine as
@@ -53,6 +56,7 @@ import numpy as np
 from . import qec
 from .noise import (
     HBAR,
+    K_B,
     QubitTechnology,
     _infidelity,
     _infidelity_occupancy,
@@ -521,9 +525,10 @@ class _FtProblem:
         """Stage temperatures, their heat multipliers and the per-qubit
         always-on StageRecords on the grid of ``t_qb`` by ``t_gen``."""
         stages = self.chains(t_qb, t_gen)
-        return (stages, self.model.heat_multiplier(stages, self.toggles.t_ext),
-                static_power_breakdown(stages, self.scenario, self.cable, self.model,
-                                       self.toggles.t_ext))
+        mult = self.model.heat_multiplier(stages, self.toggles.t_ext)
+        return stages, mult, static_power_breakdown(stages, self.scenario, self.cable,
+                                                    self.model, self.toggles.t_ext,
+                                                    mult=mult)
 
     def occupancies(self, stages: np.ndarray):
         """Occupancy of the qubit stage and its rise into each next stage
@@ -548,11 +553,11 @@ class _FtProblem:
         if self._coarse is None:
             stages, rises, n_cold, n_rise, valid = self.coarse_fields(t_qb, t_gen)
             net = conduction_heat_per_qubit(stages, self.cable, rises)
-            t_ext = self.toggles.t_ext
+            mult = self.model.heat_multiplier(stages, self.toggles.t_ext)
             static = static_power_breakdown(stages, self.scenario, self.cable, self.model,
-                                            t_ext, net)
-            self._coarse = key, (stages, self.model.heat_multiplier(stages, t_ext),
-                                 _electrical_rows(static), n_cold, n_rise, valid)
+                                            self.toggles.t_ext, net, mult)
+            self._coarse = key, (stages, mult, _electrical_rows(static), n_cold, n_rise,
+                                 valid)
         if key == self._coarse[0]:
             return self._coarse[1]
         stages, mult, static = self.stage_fields(t_qb, t_gen)
@@ -586,12 +591,12 @@ class _FtProblem:
     def error_probability(self, n_cold: np.ndarray, n_rise: np.ndarray):
         """Pauli error probability on chains of occupancies ``n_cold`` and
         rises ``n_rise`` as a function of the log10 total attenuation (a
-        scalar or a grid)."""
+        scalar or a grid).  A scalar's transmission is raised once, on a
+        shape-(1,) array, which rounds as each element of a grid does."""
         inv_span = 1.0 / (self.toggles.k_stages - 1)
 
         def p_err(log_a):
-            transmission = 10.0 ** (-np.broadcast_to(np.asarray(log_a, float),
-                                                     n_cold.shape) * inv_span)
+            transmission = 10.0 ** (-np.atleast_1d(np.asarray(log_a, float)) * inv_span)
             return _pauli_error(self.tech, chain_occupancy(n_cold, n_rise, transmission))
 
         return p_err
@@ -672,16 +677,23 @@ class _FtProblem:
                     for rec in self.terms(stages, mult, static, a_safe, k))
         return np.where(finite, power, np.inf)[None], a_star[None]
 
-    def power_floor(self, k: int, options: GridOptions) -> float:
+    def power_floor(self, k: int, target: float, options: GridOptions) -> float:
         """A lower bound on the power at level ``k`` anywhere in the box
-        of ``options``, or -inf where its premises do not hold.
+        of ``options`` where the metric meets ``target``, or -inf where
+        its premises do not hold.
 
         The heat multiplier mu falls with the temperature up to t_ext in
         both efficiency models, and every stage of a valid chain sits at
         or below t_gen <= t_gen_hi <= t_ext, the qubit stage also below
-        t_top = min(t_qb_hi, t_gen_hi).  Per physical qubit, then, the
-        electronics row costs at least ``(1 + mu(t_gen_hi)) q_gen``, the
-        small-scale parasitic row at least ``mu(t_top) q_extra``, and the
+        t_top = min(t_qb_hi, t_gen_hi).  Where the target exceeds 0, a
+        point that meets it leaves the qubit at most the level's budget
+        ``n* = occupancy_budget(target, k)``: its stage's occupancy plus a
+        leak >= 0.  The occupancy rises with the temperature, so the qubit
+        stage sits at or below ``T* = hbar omega0 / (k_B log1p(1/n*))``,
+        and t_top is capped at T* (at target 0 every point meets it; with
+        n* <= 0 none does).  Per physical qubit, then, the electronics row
+        costs at least ``(1 + mu(t_gen_hi)) q_gen``, the small-scale
+        parasitic row at least ``mu(t_top) q_extra``, and the
         parametric-amplifier, demodulation and syndrome rows are fixed.
         The qubit-stage attenuator dissipates ``A^(1/(K-1)) >= 1`` times
         the drive power, which costs at least ``W_k P_pi mu(t_top)``.
@@ -699,6 +711,9 @@ class _FtProblem:
                 or min(weight, q_extra, cable.lines_per_qubit, cable.kapton_low[0],
                        cable.kapton_mid[0]) < 0.0):
             return -math.inf
+        n_star = self.occupancy_budget(target, k) if target > 0 else 0.0
+        if n_star > 0:
+            t_top = min(t_top, HBAR * self.tech.omega0 / (K_B * math.log1p(1.0 / n_star)))
         mu = partial(self.model.heat_multiplier, t_ext=tog.t_ext)
         per_qubit = ((1.0 + mu(t_gen_hi)) * self.scenario.q_gen
                      + (1.0 + mu(PARAMP_K)) * self.scenario.q_para + mu(t_top) * q_extra)
@@ -757,9 +772,11 @@ def optimize_ft(workload: Workload, tech: QubitTechnology,
     result (not raised) so parameter sweeps always complete.
 
     Levels run in ascending k, and a later level replaces the incumbent
-    only below ``(1 - RELATIVE_TIE)`` times its power; so a level whose
-    :meth:`_FtProblem.power_floor` exceeds ``(1 + RELATIVE_TIE)`` times
-    the incumbent's power cannot win, and is not searched.
+    only below ``(1 - RELATIVE_TIE)`` times its power, which gives a tie
+    to the smaller k; within a level :func:`_grid_refine` breaks ties.
+    So a level whose :meth:`_FtProblem.power_floor` exceeds ``(1 +
+    RELATIVE_TIE)`` times the incumbent's power cannot win, and is not
+    searched.
     """
     if not (0 <= target < 1):
         raise ValueError("target metric must lie in [0, 1)")
@@ -771,11 +788,11 @@ def optimize_ft(workload: Workload, tech: QubitTechnology,
     p_err_min = problem.error_probability(*problem.occupancies(corner))(
         np.log10(options.attenuation_bounds[1])).item()
     axes = [("t_qb", options.t_qb_bounds), ("t_gen", options.t_gen_bounds)]
-    best = None  # (power, k, a, -t_qb, t_gen, spacing)
+    best = None  # (power, k, a, t_qb, t_gen, spacing)
     for k in range(options.k_min, options.k_max + 1):
         if problem.metric(p_err_min, k) < target:
             continue
-        if best is not None and (problem.power_floor(k, options)
+        if best is not None and (problem.power_floor(k, target, options)
                                  > best[0] * (1 + RELATIVE_TIE)):
             continue
         (found,), spacing = _grid_refine(partial(problem.solve, k, target, options),
@@ -783,13 +800,8 @@ def optimize_ft(workload: Workload, tech: QubitTechnology,
         if found is None:
             continue
         power, (t_qb, t_gen), a_star = found
-        cand = (power, k, a_star, -t_qb, t_gen, spacing)
-        if best is None:
-            best = cand
-        elif cand[0] < best[0] * (1 - RELATIVE_TIE):
-            best = cand
-        elif cand[0] <= best[0] * (1 + RELATIVE_TIE) and cand[1:5] < best[1:5]:
-            best = cand
+        if best is None or power < best[0] * (1 - RELATIVE_TIE):
+            best = (power, k, a_star, t_qb, t_gen, spacing)
     if best is None:
         if p_err_min >= qec.P_THRESHOLD:
             diag = (f"physical error floor {p_err_min:.3g} is not below the "
@@ -798,11 +810,11 @@ def optimize_ft(workload: Workload, tech: QubitTechnology,
             diag = (f"target metric {target} unreachable for k in "
                     f"[{options.k_min}, {options.k_max}]")
         return _infeasible(diag)
-    power, k, a_star, neg_t_qb, t_gen, spacing = best
+    power, k, a_star, t_qb, t_gen, spacing = best
     ev = evaluate_ft_point(workload, tech, scenario, cable, model,
-                           -neg_t_qb, t_gen, a_star, k, toggles)
+                           t_qb, t_gen, a_star, k, toggles)
     return OptimizationResult(
-        control=ControlPoint(t_qb=-neg_t_qb, t_gen=t_gen, a_total=a_star, k=k),
+        control=ControlPoint(t_qb=t_qb, t_gen=t_gen, a_total=a_star, k=k),
         power_w=ev.power_w,
         metric_achieved=ev.metric,
         per_stage=ev.per_stage,

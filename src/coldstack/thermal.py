@@ -26,6 +26,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -178,9 +179,11 @@ def stage_temperatures(t_qb, t_gen, k_stages: int = 5) -> np.ndarray:
 # Cable heat conduction
 # ---------------------------------------------------------------------------
 
-#: Gauss-Legendre nodes of the steel part of the conduction integral.
+#: Gauss-Legendre nodes of the steel part of the conduction integral, as columns.
 _STEEL_NODES = 16
-_STEEL_X, _STEEL_W = np.polynomial.legendre.leggauss(_STEEL_NODES)
+_STEEL_X, _STEEL_W = (v[:, None] for v in np.polynomial.legendre.leggauss(_STEEL_NODES))
+#: Hot temperatures per pass of the steel rule: its temporaries stay small.
+_HOT_BLOCK = 2048
 
 
 def _conduction_integral(cable: CableModel, temperature):
@@ -191,23 +194,26 @@ def _conduction_integral(cable: CableModel, temperature):
     integrate in closed form.  The steel segment above 10 K is a fixed
     Gauss-Legendre rule in u = log10 T on [1, log10 T], where the
     integrand ``lambda(10^u) * 10^u * ln 10`` is smooth; it matches
-    adaptive quadrature to about 3e-14 relative.  Differences of this
-    cumulative integral make interval additivity exact.
+    adaptive quadrature to about 3e-14 relative.  Each array pass takes all
+    nodes of up to ``_HOT_BLOCK`` temperatures, summed in node order.
+    Differences of this cumulative integral make interval additivity exact.
     """
-    # shape (1,) for a scalar, so it takes the same arithmetic as an array
-    t = np.atleast_1d(np.asarray(temperature, dtype=float))
+    # shape (1,) for a scalar, so it takes the same arithmetic as an array,
+    # and C order, so that every array below is too and reshapes to a view
+    t = np.ascontiguousarray(temperature, dtype=float)
     c_lo, p_lo = cable.kapton_low
     c_mid, p_mid = cable.kapton_mid
     out = cable.area_below_10k_m2 * c_lo * np.clip(t, 0.0, 4.0) ** (p_lo + 1) / (p_lo + 1)
     out = out + cable.area_below_10k_m2 * c_mid * (
         np.clip(t, 4.0, 10.0) ** (p_mid + 1) - 4.0 ** (p_mid + 1)) / (p_mid + 1)
-    hot = t > 10.0
-    half = 0.5 * (np.log10(t[hot]) - 1.0)
-    steel = 0.0
-    for x, w in zip(_STEEL_X, _STEEL_W):
-        t_node = 10.0 ** (1.0 + half * (x + 1.0))
-        steel = steel + w * cable.steel_conductivity(t_node) * t_node
-    out[hot] += cable.area_above_10k_m2 * np.log(10.0) * half * steel
+    flat, t = out.reshape(-1), t.reshape(-1)
+    hot = np.flatnonzero(t > 10.0)
+    for start in range(0, hot.size, _HOT_BLOCK):
+        at = hot[start:start + _HOT_BLOCK]
+        half = 0.5 * (np.log10(t[at]) - 1.0)
+        t_node = 10.0 ** (1.0 + half * (_STEEL_X + 1.0))
+        steel = reduce(np.add, _STEEL_W * cable.steel_conductivity(t_node) * t_node)
+        flat[at] += cable.area_above_10k_m2 * np.log(10.0) * half * steel
     return float(out[0]) if np.ndim(temperature) == 0 else out
 
 
@@ -285,7 +291,8 @@ def conduction_heat_per_qubit(temperatures, cable: CableModel,
 
 def static_power_breakdown(temperatures, scenario: ElectronicsScenario,
                            cable: CableModel, model: CryoEfficiencyModel = CARNOT,
-                           t_ext: float = AMBIENT_K, net=None) -> list[StageRecord]:
+                           t_ext: float = AMBIENT_K, net=None,
+                           mult=None) -> list[StageRecord]:
     """Per-stage, per-source breakdown of the always-on power per
     physical qubit.
 
@@ -295,20 +302,23 @@ def static_power_breakdown(temperatures, scenario: ElectronicsScenario,
     power; the conduction rows cost only the heat extraction.  The HEMT
     amplifiers are pointless (and dropped) when the generation stage
     sits at or below 70 K.  The small-scale efficiency model adds its
-    parasitic per-qubit heat load at the qubit stage.  ``net``, when
-    given, is :func:`conduction_heat_per_qubit` of ``temperatures`` and
-    ``cable``, computed before.
+    parasitic per-qubit heat load at the qubit stage.  ``net`` and
+    ``mult``, when given, are :func:`conduction_heat_per_qubit` of
+    ``temperatures`` and ``cable`` and ``model.heat_multiplier`` of
+    ``temperatures``, computed before.
     """
     temps = np.asarray(temperatures, dtype=float)
-    mult = model.heat_multiplier(temps, t_ext)
+    if mult is None:
+        mult = model.heat_multiplier(temps, t_ext)
     if net is None:
         net = conduction_heat_per_qubit(temps, cable)
     records = [StageRecord(t, q, m * q + 0.0, "conduction")
                for t, q, m in zip(temps, net, mult)]
+    # a single chain's rows hold Python floats, as the scalar multiplier gives
+    mult = mult if temps.ndim > 1 else [float(m) for m in mult]
     t_gen = temps[-1]
-    gen_mult = model.heat_multiplier(t_gen, t_ext)
     records.append(StageRecord(t_gen, scenario.q_gen,
-                               (1.0 + gen_mult) * scenario.q_gen, "electronics"))
+                               (1.0 + mult[-1]) * scenario.q_gen, "electronics"))
     para_mult = model.heat_multiplier(PARAMP_K, t_ext)
     records.append(StageRecord(PARAMP_K, scenario.q_para,
                                (1.0 + para_mult) * scenario.q_para, "amplifier"))
@@ -317,9 +327,7 @@ def static_power_breakdown(temperatures, scenario: ElectronicsScenario,
     records.append(StageRecord(HEMT_K, q_hemt, (1.0 + hemt_mult) * q_hemt, "amplifier"))
     if model.kind == "small_scale":
         q_extra = model.extra_qubit_heat_w
-        records.append(StageRecord(temps[0], q_extra,
-                                   model.heat_multiplier(temps[0], t_ext) * q_extra,
-                                   "extra"))
+        records.append(StageRecord(temps[0], q_extra, mult[0] * q_extra, "extra"))
     return records
 
 

@@ -4,7 +4,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from coldstack import (
     CableModel,
@@ -27,7 +27,8 @@ from coldstack import (
 )
 from coldstack import optimize
 from coldstack.config import load_config
-from coldstack.driver import run_problem
+from coldstack.driver import SweepAxis, run_problem, sweep
+from coldstack.noise import _NEWTON_RTOL, _pauli_error, chain_occupancy, chain_transmission
 from coldstack.optimize import (
     RELATIVE_TIE,
     FtToggles,
@@ -374,6 +375,42 @@ class TestBoundarySolve:
         elif k_stages == 5:
             assert (active & (n_rise[0] == 0.0)).any()
 
+    @staticmethod
+    def _coarse_problem(tech):
+        """The default RSA-2048 problem and its fields on the default coarse grid."""
+        problem = _FtProblem(rsa_workload(2048), tech, SCEN_A, CABLE, CryoEfficiencyModel(),
+                             FtToggles())
+        options = GridOptions()
+        (t_qb, _), (t_gen, _) = (optimize._log_axis(lo, hi, 40)
+                                 for lo, hi in (options.t_qb_bounds, options.t_gen_bounds))
+        return problem, problem.grid_fields(t_qb, t_gen)
+
+    def test_bound_transmission_rounds_as_on_the_grid(self, tech50):
+        # p_err at a scalar log10 attenuation raises 10 once, on a
+        # shape-(1,) array: bit for bit the grid broadcast of the scalar
+        problem, (_, _, _, n_cold, n_rise, _) = self._coarse_problem(tech50)
+        assert n_cold.size > 10_000
+        p_err = problem.error_probability(n_cold, n_rise)
+        for log_a in (0.0, 12.0, -1.4314978958337399,
+                      *np.random.default_rng(5).uniform(0.0, 12.0, 8)):
+            grid = 10.0 ** (-np.broadcast_to(log_a, n_cold.shape) * 0.25)
+            want = _pauli_error(tech50, chain_occupancy(n_cold, n_rise, grid))
+            assert np.array_equal(p_err(log_a), want), log_a
+
+    def test_chain_solved_alone_agrees_with_its_batch(self, tech50):
+        # Newton stops once its whole batch has converged, so a chain solved
+        # alone may stop a step earlier; only the same grid gives the same bits
+        problem, (_, _, _, n_cold, n_rise, valid) = self._coarse_problem(tech50)
+        excess = problem.occupancy_budget(2.0 / 3.0, 3) - n_cold
+        active = valid & (excess > 0.0)
+        rises, excess = n_rise[:, active], excess[active]
+        batch = chain_transmission(rises, excess, 1e-3, 1.0)
+        assert batch.size > 5_000
+        assert np.array_equal(chain_transmission(rises, excess, 1e-3, 1.0), batch)
+        for i in range(0, batch.size, 23):
+            (alone,) = chain_transmission(rises[:, i:i + 1], excess[i:i + 1], 1e-3, 1.0)
+            assert abs(alone - batch[i]) <= _NEWTON_RTOL * batch[i], i
+
 
 class TestOptimizeFt:
     def test_star_point_level_and_size(self, star_result):
@@ -510,23 +547,30 @@ class TestOptimizeFt:
         assert 40 < ratio < 90
 
 
-def _floor_violations(cfg) -> list:
-    """(k, floor, power) for each level whose searched power lies below
-    its power floor; every level of the range is searched."""
+def _floors_and_powers(cfg) -> list:
+    """(k, floor, searched power) for each level of the range that has a
+    feasible point; every such level is searched."""
     options = cfg.grid_options()
     problem = _FtProblem(cfg.workload(), cfg.technology(), cfg.electronics(),
                          cfg.cable(), cfg.efficiency(), cfg.ft_toggles())
     axes = [("t_qb", options.t_qb_bounds), ("t_gen", options.t_gen_bounds)]
-    violations = []
+    levels = []
     for k in range(options.k_min, options.k_max + 1):
-        floor = problem.power_floor(k, options)
+        floor = problem.power_floor(k, cfg.target_metric, options)
         assert floor > -math.inf  # a validated config meets the premises
         (found,), _ = _grid_refine(partial(problem.solve, k, cfg.target_metric, options),
                                    axes, options)
-        # the search sums the rows in another order than the floor
-        if found is not None and not floor <= found[0] * (1 + 1e-12):
-            violations.append((k, floor, found[0]))
-    return violations
+        if found is not None:
+            levels.append((k, floor, found[0]))
+    return levels
+
+
+def _floor_violations(cfg) -> list:
+    """(k, floor, power) for each level whose searched power lies below
+    its power floor."""
+    # the search sums the rows in another order than the floor
+    return [(k, floor, power) for k, floor, power in _floors_and_powers(cfg)
+            if not floor <= power * (1 + 1e-12)]
 
 
 def _count_level_searches(monkeypatch) -> list:
@@ -542,7 +586,11 @@ def _count_level_searches(monkeypatch) -> list:
 
 
 class TestPowerFloor:
+    # the strategy draws target 0 and the exact metric form; the example
+    # has both, where the metric has no occupancy budget to cap at
     @given(text=valid_config_texts(kinds=("rsa", "rectangular")))
+    @example(text="[target]\nmetric = 0.0\n[toggles]\nft_metric_form = exact\n"
+                  "[optimizer]\ntemperature_points_per_decade = 4\n")
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_floor_is_below_the_searched_power_at_every_level(self, text):
@@ -563,6 +611,21 @@ class TestPowerFloor:
         monkeypatch.setattr(optimize, "static_power_breakdown", without_supply)
         assert _floor_violations(cfg)
 
+    def test_cap_is_tight_where_the_qubit_stage_rows_dominate(self):
+        # no electronics and almost no cable: the parasitic qubit-stage row
+        # dominates, and the search warms the qubits up to the cap, so a
+        # floor without the cap (about 1 % of the power at k = 3) or with a
+        # cap at T*/2 (above the power) fails
+        cfg = load_config(text=(
+            "[scenario]\nname = custom\nq_gen_w = 0.0\nq_para_w = 0.0\nq_hemt_w = 0.0\n"
+            "[cable]\ncontrol_lines_per_qubit = 0.001\nreadout_lines_per_qubit = 0.001\n"
+            "[efficiency]\nmodel = small_scale\nextra_qubit_heat_w = 1e-6\n"
+            "[optimizer]\ntemperature_points_per_decade = 10\n"))
+        levels = _floors_and_powers(cfg)
+        assert [k for k, _, _ in levels] == [3, 4, 5, 6]
+        for k, floor, power in levels:
+            assert 0.75 * power <= floor <= power * (1 + 1e-12), k
+
     @pytest.mark.parametrize("premise", [
         "t_gen_max above t_ext", "attenuation below 1", "negative line count",
         "negative parasitic heat"])
@@ -571,7 +634,7 @@ class TestPowerFloor:
         wl, cable, model = Workload(6175, 2_100_000_000), CABLE, CryoEfficiencyModel()
         options = LIGHT
         assert _FtProblem(wl, tech50, SCEN_A, cable, model, FtToggles()).power_floor(
-            3, options) > 0
+            3, 2.0 / 3.0, options) > 0
         if premise == "t_gen_max above t_ext":
             options = replace(LIGHT, t_gen_bounds=(4.0, 400.0))
         elif premise == "attenuation below 1":
@@ -581,7 +644,7 @@ class TestPowerFloor:
         else:
             model = CryoEfficiencyModel("small_scale", extra_qubit_heat_w=-1e-8)
         problem = _FtProblem(wl, tech50, SCEN_A, cable, model, FtToggles())
-        assert problem.power_floor(3, options) == -math.inf
+        assert problem.power_floor(3, 2.0 / 3.0, options) == -math.inf
 
     @pytest.mark.parametrize("scenario", ["A", "B", "C"])
     @pytest.mark.parametrize("model", ["carnot", "small_scale"])
@@ -594,7 +657,8 @@ class TestPowerFloor:
         calls = _count_level_searches(monkeypatch)
         pruned = optimize_ft(*args, options=LIGHT, toggles=toggles)
         searched = len(calls)
-        monkeypatch.setattr(_FtProblem, "power_floor", lambda self, k, options: -math.inf)
+        monkeypatch.setattr(_FtProblem, "power_floor",
+                            lambda self, k, target, options: -math.inf)
         full = optimize_ft(*args, options=LIGHT, toggles=toggles)
         assert searched < len(calls) - searched
         assert repr(pruned) == repr(full)
@@ -604,10 +668,33 @@ class TestPowerFloor:
         calls = _count_level_searches(monkeypatch)
         pruned = run_problem(cfg)
         searched = len(calls)
-        monkeypatch.setattr(_FtProblem, "power_floor", lambda self, k, options: -math.inf)
+        monkeypatch.setattr(_FtProblem, "power_floor",
+                            lambda self, k, target, options: -math.inf)
         full = run_problem(cfg)
         assert repr(pruned) == repr(full)
         assert searched < len(calls) - searched
+
+    def test_occupancy_cap_prunes_more_of_the_readme_sweep(self, monkeypatch):
+        # the README sweep on the two hardware sets of the qubit-quality
+        # benchmark; the floor at target 0 is the floor without the cap
+        # (scenario A under Carnot already searches one level per point)
+        axes = [SweepAxis.parse("gamma_inverse_s=0.003:1:15:log")]
+        floor = _FtProblem.power_floor
+        searched = {}
+        for cap in (True, False):
+            if not cap:
+                monkeypatch.setattr(_FtProblem, "power_floor",
+                                    lambda self, k, target, options:
+                                    floor(self, k, 0.0, options))
+            for scenario, model in (("A", "carnot"), ("C", "small_scale")):
+                cfg = load_config(text="").replace(scenario=scenario, efficiency_model=model)
+                calls = _count_level_searches(monkeypatch)
+                rows = repr(sweep(cfg, axes))
+                searched[cap, scenario] = len(calls), rows
+        assert searched[True, "A"] == searched[False, "A"]
+        capped, uncapped = searched[True, "C"], searched[False, "C"]
+        assert capped[1] == uncapped[1]
+        assert capped[0] < uncapped[0]
 
 
 class TestCoarseTable:

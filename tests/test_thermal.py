@@ -21,6 +21,7 @@ from coldstack import (
     static_power_breakdown,
     syndrome_power_per_qubit,
 )
+from coldstack import thermal
 from coldstack.optimize import FtToggles
 from coldstack.thermal import CARNOT, _conduction_integral, conduction_heat_per_qubit
 
@@ -144,6 +145,25 @@ def _quad_conduction_integral(cable, t):
 LOG_GRID = np.append(np.logspace(-3, np.log10(300.0), 120)[:-1], 300.0)
 
 
+def _per_node_conduction_integral(cable, temperature):
+    """The conduction integral with one array pass per Gauss node, the
+    kernel's arithmetic before its nodes were stacked."""
+    t = np.atleast_1d(np.asarray(temperature, dtype=float))
+    c_lo, p_lo = cable.kapton_low
+    c_mid, p_mid = cable.kapton_mid
+    out = cable.area_below_10k_m2 * c_lo * np.clip(t, 0.0, 4.0) ** (p_lo + 1) / (p_lo + 1)
+    out = out + cable.area_below_10k_m2 * c_mid * (
+        np.clip(t, 4.0, 10.0) ** (p_mid + 1) - 4.0 ** (p_mid + 1)) / (p_mid + 1)
+    hot = t > 10.0
+    half = 0.5 * (np.log10(t[hot]) - 1.0)
+    steel = 0.0
+    for x, w in zip(*np.polynomial.legendre.leggauss(16)):
+        t_node = 10.0 ** (1.0 + half * (x + 1.0))
+        steel = steel + w * cable.steel_conductivity(t_node) * t_node
+    out[hot] += cable.area_above_10k_m2 * np.log(10.0) * half * steel
+    return out
+
+
 class TestConductionKernel:
     @pytest.mark.parametrize("cable", [
         CABLE, CableModel(length_m=2.5, area_above_10k_m2=1.1e-6)])
@@ -161,6 +181,24 @@ class TestConductionKernel:
         scalars = [_conduction_integral(CABLE, float(t)) for t in temps.ravel()]
         assert all(type(v) is float for v in scalars)
         assert np.array_equal(got.ravel(), scalars)
+
+    @pytest.mark.parametrize("cable", [
+        CABLE, CableModel(area_above_10k_m2=1.1e-6, steel_fit=(-1.4, 1.4, 0.25))])
+    def test_stacked_nodes_match_a_pass_per_node(self, cable, monkeypatch):
+        # the stage temperatures of the default coarse grid, 146 x 77 chains
+        stages = stage_temperatures(np.geomspace(1e-3, 4.0, 146)[:, None],
+                                    np.geomspace(4.0, 300.0, 77)[None, :])
+        n_hot = int(np.count_nonzero(stages > 10.0))
+        assert n_hot > 3 * thermal._HOT_BLOCK
+        want = _per_node_conduction_integral(cable, stages)
+        calls = []
+        steel = CableModel.steel_conductivity
+        monkeypatch.setattr(CableModel, "steel_conductivity",
+                            lambda self, t: calls.append(t.shape) or steel(self, t))
+        assert np.array_equal(_conduction_integral(cable, stages), want)
+        assert len(calls) == -(-n_hot // thermal._HOT_BLOCK)  # one per block
+        # a transposed (Fortran-ordered) grid gives the same values
+        assert np.array_equal(_conduction_integral(cable, stages.T), want.T)
 
 
 class TestCoolingPower:
@@ -281,6 +319,29 @@ class TestPerQubitStaticPower:
         for i, pair in enumerate(pairs):
             assert np.array_equal(
                 net[:, i], conduction_heat_per_qubit(stage_temperatures(*pair), CABLE))
+
+    @pytest.mark.parametrize("model", [CARNOT, SMALL_SCALE])
+    def test_grid_with_given_multipliers_equals_each_chain(self, model):
+        # the optimizer passes the grid's heat multipliers in; a chain alone
+        # computes its own, and its electronics and parasitic rows hold
+        # Python floats, as the scalar multiplier gives
+        pairs = ((0.02, 300.0), (1e-3, 4.5), (3.9, 120.0))
+        t_qb, t_gen = np.array(pairs).T
+        temps = stage_temperatures(t_qb, t_gen)
+        grid = static_power_breakdown(temps, SCEN_A, CABLE, model,
+                                      mult=model.heat_multiplier(temps))
+        for i, pair in enumerate(pairs):
+            alone = static_power_breakdown(stage_temperatures(*pair), SCEN_A, CABLE, model)
+            assert [r.source for r in alone] == [r.source for r in grid]
+            for got, want in zip(grid, alone):
+                assert np.broadcast_to(got.electrical_power_w, t_qb.shape)[i] == \
+                    want.electrical_power_w
+            (gen,) = [r.electrical_power_w for r in alone if r.source == "electronics"]
+            assert type(gen) is float
+            assert gen == (1.0 + model.heat_multiplier(pair[1])) * SCEN_A.q_gen
+            for extra in [r.electrical_power_w for r in alone if r.source == "extra"]:
+                assert type(extra) is float
+                assert extra == model.heat_multiplier(pair[0]) * model.extra_qubit_heat_w
 
     def test_small_scale_adds_extra_cold_load(self):
         temps = stage_temperatures(0.02, 300.0)
