@@ -23,8 +23,6 @@ from .driver import (
 )
 from .results import emit_results
 
-_EXT = {"csv": "csv", "jsonl": "jsonl"}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     # --config is accepted before and after the subcommand; SUPPRESS keeps
@@ -77,7 +75,8 @@ def _kind_for(command: str, cfg: RunConfig) -> RunConfig:
         return cfg.replace(workload_kind="gate")
     if command == "optimize-nisq":
         return cfg.replace(workload_kind="nisq")
-    if command == "optimize-ft" and cfg.workload_kind not in ("rsa", "rectangular"):
+    if (command in ("optimize-ft", "breakdown")
+            and cfg.workload_kind not in ("rsa", "rectangular")):
         return cfg.replace(workload_kind="rsa")
     return cfg
 
@@ -123,12 +122,9 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_help()
         return 1
-    out = args.out or f"{args.command}.{_EXT[args.format]}"
+    out = args.out or f"{args.command}.{args.format}"
     try:
-        return _dispatch(args, cfg, out)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _dispatch(args, _kind_for(args.command, cfg), out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -136,7 +132,6 @@ def main(argv=None) -> int:
 
 def _dispatch(args, cfg: RunConfig, out: str) -> int:
     if args.command in ("optimize-1qb", "optimize-nisq", "optimize-ft"):
-        cfg = _kind_for(args.command, cfg)
         result = run_problem(cfg)
         _summarize(cfg, result)
         emit_results([result_record(cfg, result)], out, args.format)
@@ -155,20 +150,26 @@ def _dispatch(args, cfg: RunConfig, out: str) -> int:
         n_values = sorted({int(round(v)) for v in axis.values()})
         rows = compare_rsa(cfg, n_values)
         emit_results(rows, out, args.format)
-        adv = [r["rsa_n"] for r in rows if r["quantum_more_efficient"]]
-        if adv:
-            print(f"quantum energy advantage from n = {min(adv)} within the "
-                  f"scanned range")
-        else:
-            print("no quantum energy advantage in the scanned range")
+        for flag, found, missing in (
+                ("quantum_more_efficient", "quantum energy advantage",
+                 "no quantum energy advantage"),
+                ("quantum_faster", "quantum faster", "quantum not faster")):
+            hits = [r["rsa_n"] for r in rows if r[flag]]
+            print(f"{found} from n = {min(hits)} within the scanned range" if hits
+                  else f"{missing} in the scanned range")
         print(f"results written to {out}")
         return 0 if any(r["feasible"] for r in rows) else 2
     if args.command == "breakdown":
-        if cfg.workload_kind not in ("rsa", "rectangular"):
-            cfg = cfg.replace(workload_kind="rsa")
         result = run_problem(cfg)
         _summarize(cfg, result)
-        rows = breakdown_records(cfg, result)
+        rows = breakdown_records(result)
+        if rows:
+            print(f"{'T [K]':>10}  {'heat [W]':>12}  {'electric [W]':>12}  source")
+        for row in sorted(rows, key=lambda r: (-r["stage_temperature_k"],
+                                               r["source"])):
+            print(f"{row['stage_temperature_k']:>10.3g}  "
+                  f"{row['heat_extracted_w']:>12.3e}  "
+                  f"{row['electrical_power_w']:>12.3e}  {row['source']}")
         emit_results(rows, out, args.format)
         print(f"breakdown written to {out}")
         return 0 if result.feasible else 2

@@ -137,7 +137,6 @@ class RunConfig:
             two_qubit_drive_duration=self.two_qubit_drive_duration,
             include_demod_syndrome=self.include_demod_syndrome,
             metric_form=self.ft_metric_form,
-            steps_per_logical_level=self.steps_per_logical_level,
             k_stages=self.stages,
             t_ext=self.t_ext_k,
         )
@@ -208,19 +207,17 @@ _SCHEMA = {
     },
 }
 
-_INT_FIELDS = {"stages", "rsa_n", "q_logical", "d_logical", "nisq_qubits",
-               "temperature_points_per_decade", "refinement_passes", "k_min",
-               "k_max"}
-_BOOL_FIELDS = {"include_demod_syndrome"}
-_STR_FIELDS = {"scenario", "rsa_variant", "workload_kind", "efficiency_model",
-               "two_qubit_drive_duration", "rsa_log_base", "ft_metric_form"}
+#: RunConfig field -> its annotation as written: "int", "bool", "str",
+#: "float" or "float | None".
+FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 
 
 def _coerce(field_name: str, raw: str, problems: list[str]):
     raw = raw.strip()
-    if field_name in _STR_FIELDS:
+    kind = FIELD_TYPES[field_name]
+    if kind == "str":
         return raw
-    if field_name in _BOOL_FIELDS:
+    if kind == "bool":
         if raw.lower() in ("true", "yes", "on", "1"):
             return True
         if raw.lower() in ("false", "no", "off", "0"):
@@ -232,7 +229,7 @@ def _coerce(field_name: str, raw: str, problems: list[str]):
     except ValueError:
         problems.append(f"{field_name}: expected a number, got {raw!r}")
         return None
-    if field_name in _INT_FIELDS:
+    if kind == "int":
         if value != int(value):
             problems.append(f"{field_name}: expected an integer, got {raw!r}")
             return None

@@ -6,11 +6,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .config import _INT_FIELDS, RunConfig
+from .config import FIELD_TYPES, RunConfig
 from .optimize import (
     OptimizationResult,
     optimize_ft,
@@ -58,12 +58,12 @@ class SweepAxis:
 
 
 def _override(cfg: RunConfig, key: str, value: float) -> RunConfig:
-    if not hasattr(cfg, key):
+    kind = FIELD_TYPES.get(key)
+    if kind is None:
         raise ValueError(f"unknown sweep key {key!r}")
-    current = getattr(cfg, key)
-    if isinstance(current, (str, bool)):
+    if kind in ("str", "bool"):
         raise ValueError(f"sweep key {key!r} is not numeric")
-    if key in _INT_FIELDS:
+    if kind == "int":
         value = int(round(value))
     return cfg.replace(**{key: value})
 
@@ -178,14 +178,6 @@ def compare_rsa(cfg: RunConfig, n_values: list[int]) -> list[dict]:
     return rows
 
 
-def breakdown_records(cfg: RunConfig, result: OptimizationResult) -> list[dict]:
+def breakdown_records(result: OptimizationResult) -> list[dict]:
     """Per-(stage, source) rows of the optimum's power decomposition."""
-    rows = []
-    for rec in result.per_stage:
-        rows.append({
-            "stage_temperature_k": rec.stage_temperature_k,
-            "heat_extracted_w": rec.heat_extracted_w,
-            "electrical_power_w": rec.electrical_power_w,
-            "source": rec.source,
-        })
-    return rows
+    return [asdict(rec) for rec in result.per_stage]

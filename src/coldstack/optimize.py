@@ -121,7 +121,6 @@ class FtToggles:
     two_qubit_drive_duration: str = "tau_1qb"  # rating duration of the sustained drive
     include_demod_syndrome: bool = False
     metric_form: str = "linear"  # 'linear' or 'exact'
-    steps_per_logical_level: float = 3.0
     k_stages: int = 5
     t_ext: float = AMBIENT_K
 
@@ -323,7 +322,7 @@ class _AttenuatorProblem:
         return nisq_metric(self.weight, _infidelity(self.tech, occ))
 
     def power(self, t_qb, a):
-        return (self.t_ext - t_qb) / t_qb * a * self.p_pi * self.power_scale
+        return CARNOT.heat_multiplier(t_qb, self.t_ext) * a * self.p_pi * self.power_scale
 
     def solve(self, target: float, options: GridOptions, t_axis: np.ndarray):
         """Power and boundary attenuation on the qubit-temperature rows ``t_axis``.
@@ -715,13 +714,14 @@ class _FtProblem:
         if n_star > 0:
             t_top = min(t_top, HBAR * self.tech.omega0 / (K_B * math.log1p(1.0 / n_star)))
         mu = partial(self.model.heat_multiplier, t_ext=tog.t_ext)
+        mu_top = mu(t_top)
         per_qubit = ((1.0 + mu(t_gen_hi)) * self.scenario.q_gen
-                     + (1.0 + mu(PARAMP_K)) * self.scenario.q_para + mu(t_top) * q_extra)
+                     + (1.0 + mu(PARAMP_K)) * self.scenario.q_para + mu_top * q_extra)
         if tog.include_demod_syndrome:
             per_qubit += (demodulation_power_per_qubit(k, self.tech)
                           + syndrome_power_per_qubit(self.tech))
         return (qec.physical_qubits(self.workload.q_logical, k) * per_qubit
-                + weight * self.p_pi * mu(t_top))
+                + weight * self.p_pi * mu_top)
 
 
 def evaluate_ft_point(workload: Workload, tech: QubitTechnology,

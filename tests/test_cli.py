@@ -1,15 +1,17 @@
+import argparse
 import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 
 from coldstack import driver
-from coldstack.cli import main
+from coldstack.cli import _build_parser, main
 from coldstack.config import RunConfig, load_config
 from coldstack.driver import SweepAxis, compare_rsa, run_problem, sweep
 from coldstack.results import parse_csv
 
 from conftest import valid_config_texts
+from test_golden import readme_commands
 
 LIGHT_OPTIMIZER = """
 [optimizer]
@@ -120,8 +122,10 @@ class TestDriver:
 
     def test_sweep_rejects_non_numeric_keys(self):
         cfg = load_config(text=RSA_830_LIGHT)
-        with pytest.raises(ValueError):
-            sweep(cfg, [SweepAxis("scenario", 0.0, 1.0, 2)])
+        # a string field, a boolean field, and a method of the config
+        for key in ("scenario", "include_demod_syndrome", "technology"):
+            with pytest.raises(ValueError):
+                sweep(cfg, [SweepAxis(key, 0.0, 1.0, 2)])
 
     def test_level_transitions_monotone_along_depth_sweep(self):
         cfg = load_config(text=LIGHT_OPTIMIZER).replace(
@@ -278,6 +282,44 @@ class TestCliContract:
         rows = parse_csv(str(out))
         assert [r["rsa_n"] for r in rows] == [830, 2048]
         assert "quantum energy advantage" in capsys.readouterr().out
+
+    def test_compare_rsa_prints_both_crossovers(self, tmp_path, capsys):
+        # scenario C: the energy advantage sets in at a smaller key than the
+        # speed advantage
+        cfg = _write(tmp_path, "[scenario]\nname = C\n")
+        assert main(["--config", cfg, "compare-rsa", "--n", "512:4096:10:log",
+                     "--out", str(tmp_path / "rsa.csv")]) == 0
+        out = capsys.readouterr().out
+        assert "quantum energy advantage from n = 512 within the scanned range" in out
+        assert "quantum faster from n = 645 within the scanned range" in out
+
+    def test_compare_rsa_reports_no_advantage_in_range(self, tmp_path, capsys):
+        assert main(["compare-rsa", "--n", "512:560:2",
+                     "--out", str(tmp_path / "rsa.csv")]) == 0
+        out = capsys.readouterr().out
+        assert "no quantum energy advantage in the scanned range" in out
+        assert "quantum not faster in the scanned range" in out
+
+    def test_breakdown_prints_rows_hot_to_cold(self, tmp_path, capsys):
+        cfg = _write(tmp_path, RSA_830_LIGHT)
+        out = tmp_path / "stages.csv"
+        assert main(["--config", cfg, "breakdown", "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = next(i for i, line in enumerate(lines)
+                      if line.split()[:2] == ["T", "[K]"])
+        table = [line.split() for line in lines[header + 1:-1]]  # last names the file
+        rows = parse_csv(str(out))
+        assert len(table) == len(rows)
+        temperatures = [float(words[0]) for words in table]
+        assert temperatures == sorted(temperatures, reverse=True)
+        assert sorted(words[-1] for words in table) == sorted(r["source"] for r in rows)
+
+    def test_every_subcommand_is_in_the_readme(self):
+        parser = _build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        documented = {word for argv in readme_commands() for word in argv}
+        assert set(sub.choices) <= documented
 
     def test_jsonl_format(self, tmp_path):
         cfg = _write(tmp_path, RSA_830_LIGHT)

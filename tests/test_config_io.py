@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from coldstack.config import ConfigError, RunConfig, load_config, show_config
+from coldstack.config import FIELD_TYPES, ConfigError, RunConfig, load_config, show_config
 from coldstack.results import emit_results, parse_csv
 
 
@@ -94,6 +94,22 @@ class TestLoadConfig:
         cfg = load_config(text="[toggles]\nrsa_log_base = e\n"
                                "[workload]\nkind = rsa\nrsa_n = 2048\n")
         assert cfg.workload().q_logical == 6176
+
+    def test_values_coerced_by_field_annotation(self):
+        # the loader reads the annotations as written, so a new kind of
+        # annotation must not fall through to the float branch unnoticed
+        assert set(FIELD_TYPES.values()) == {"int", "bool", "str", "float",
+                                             "float | None"}
+        cfg = load_config(text="[chain]\nstages = 4.0\n[toggles]\n"
+                               "include_demod_syndrome = yes\nrsa_log_base = e\n")
+        assert cfg.stages == 4 and isinstance(cfg.stages, int)
+        assert cfg.include_demod_syndrome is True and cfg.rsa_log_base == "e"
+        with pytest.raises(ConfigError) as err:
+            load_config(text="[chain]\nstages = 4.5\n[toggles]\n"
+                             "include_demod_syndrome = maybe\n")
+        assert err.value.problems == [
+            "stages: expected an integer, got '4.5'",
+            "include_demod_syndrome: expected a boolean, got 'maybe'"]
 
 
 class TestShowConfig:
