@@ -43,6 +43,21 @@ table shared by all problems on the same grid, stage count, cable
 material and qubit frequency, so a run of searches that share these,
 such as the levels of one search or the points of a sweep, computes
 them once per process.
+
+Within a level, the coarse pass is pruned by branch and bound
+(:meth:`_FtProblem.candidates`).  Each coarse point has a closed-form
+lower bound on its power that needs no boundary solve
+(:meth:`_FtProblem.coarse_floor`): the static rows exactly, and the
+drive priced with the least attenuation the occupancy budget allows.
+An exact solve of every ``_UPPER_STRIDE``-th node of each axis gives
+an upper bound U on the grid's least power.  Only the points whose
+bound is at most ``U (1 + RELATIVE_TIE)`` are solved; a point above it
+cannot enter the tie band of the least power, so the coarse pick is
+the pick of the full grid.  Its bits need not be: the kept points are
+a smaller Newton batch than the full grid.  The refine passes solve
+their grids in full, so this reaches the result only where a level's
+answer lies on a coarse node, which the refinement did not improve on;
+there the level is searched again with every coarse point kept.
 """
 
 from __future__ import annotations
@@ -75,10 +90,11 @@ from .thermal import (
     CryoEfficiencyModel,
     ElectronicsScenario,
     StageRecord,
+    _fixed_multiplier,
     attenuator_heat_fractions,
     conduction_heat_per_qubit,
-    conduction_rises,
     demodulation_power_per_qubit,
+    grid_conduction_rises,
     stage_temperatures,
     static_power_breakdown,
     syndrome_power_per_qubit,
@@ -492,12 +508,34 @@ def _drive_power(tech: QubitTechnology, toggles: FtToggles) -> float:
 #: at the most, the last coarse grid searched.
 _COARSE_FIELDS = {}
 
+#: The exact solve that bounds the least power on the coarse grid from
+#: above takes every ``_UPPER_STRIDE``-th node of each axis, and the last.
+_UPPER_STRIDE = 6
+
 
 def _electrical_rows(static: list) -> list:
     """The static rows without their heat, as the search sums electrical
     powers only."""
     return [StageRecord(rec.stage_temperature_k, 0.0, rec.electrical_power_w, rec.source)
             for rec in static]
+
+
+def _at(fields: tuple, index: tuple) -> tuple:
+    """The grid fields of :meth:`_FtProblem.grid_fields` at the points
+    ``index`` of the grid's two axes, which are the last axes of every
+    array; scalars stay as they are."""
+    def take(x):
+        return x[(Ellipsis, *index)] if np.ndim(x) else x
+
+    stages, mult, static, n_cold, n_rise, valid = fields
+    rows = [StageRecord(take(rec.stage_temperature_k), rec.heat_extracted_w,
+                        take(rec.electrical_power_w), rec.source) for rec in static]
+    return take(stages), take(mult), rows, take(n_cold), take(n_rise), take(valid)
+
+
+def _strided(n: int) -> np.ndarray:
+    """Every ``_UPPER_STRIDE``-th of ``n`` axis nodes, and the last."""
+    return np.append(np.arange(0, n - 1, _UPPER_STRIDE), n - 1)
 
 
 class _FtProblem:
@@ -512,7 +550,8 @@ class _FtProblem:
         self.model = model
         self.toggles = toggles
         self.p_pi = _drive_power(tech, toggles)
-        self._coarse = None  # (axes key, grid fields) of the coarse grid
+        # the coarse grid's axes, its fields, and the static power per qubit on it
+        self._coarse = None
 
     def chains(self, t_qb: np.ndarray, t_gen: np.ndarray) -> np.ndarray:
         """Stage temperatures (the K stages along axis 0) on the grid of
@@ -548,24 +587,29 @@ class _FtProblem:
         and the static rows built on its conduction once per problem, and
         each later level reuses them.
         """
-        key = (t_qb.tobytes(), t_gen.tobytes())
         if self._coarse is None:
             stages, rises, n_cold, n_rise, valid = self.coarse_fields(t_qb, t_gen)
             net = conduction_heat_per_qubit(stages, self.cable, rises)
             mult = self.model.heat_multiplier(stages, self.toggles.t_ext)
-            static = static_power_breakdown(stages, self.scenario, self.cable, self.model,
-                                            self.toggles.t_ext, net, mult)
-            self._coarse = key, (stages, mult, _electrical_rows(static), n_cold, n_rise,
-                                 valid)
-        if key == self._coarse[0]:
-            return self._coarse[1]
+            static = _electrical_rows(static_power_breakdown(
+                stages, self.scenario, self.cable, self.model, self.toggles.t_ext, net, mult))
+            self._coarse = ((t_qb.copy(), t_gen.copy()),
+                            (stages, mult, static, n_cold, n_rise, valid),
+                            sum(rec.electrical_power_w for rec in static))
+        (qb_axis, gen_axis), fields, _ = self._coarse
+        if t_qb.tobytes() == qb_axis.tobytes() and t_gen.tobytes() == gen_axis.tobytes():
+            return fields
         stages, mult, static = self.stage_fields(t_qb, t_gen)
         return (stages, mult, _electrical_rows(static), *self.occupancies(stages),
                 t_qb[:, None] < t_gen[None, :])
 
+    def on_coarse_node(self, t_qb: float, t_gen: float) -> bool:
+        """Whether the point (``t_qb``, ``t_gen``) is a node of the coarse grid."""
+        return all(np.any(axis == t) for axis, t in zip(self._coarse[0], (t_qb, t_gen)))
+
     def coarse_fields(self, t_qb: np.ndarray, t_gen: np.ndarray):
         """The stage temperatures, the rises of the cable's conduction
-        integral across the spans (:func:`conduction_rises`), the
+        integral across the spans (:func:`grid_conduction_rises`), the
         occupancies and the valid mask on the grid of ``t_qb`` by
         ``t_gen``, as read-only arrays from the shared one-entry table.
 
@@ -580,7 +624,7 @@ class _FtProblem:
         if fields is None:
             _COARSE_FIELDS.clear()
             stages = self.chains(t_qb, t_gen)
-            fields = (stages, conduction_rises(stages, self.cable),
+            fields = (stages, grid_conduction_rises(t_qb, t_gen, stages, self.cable),
                       *self.occupancies(stages), t_qb[:, None] < t_gen[None, :])
             for array in fields:
                 array.flags.writeable = False
@@ -661,20 +705,109 @@ class _FtProblem:
         return _boundary_attenuation(gap, lo, hi, invert)
 
     def solve(self, k: int, target: float, options: GridOptions,
-              t_qb: np.ndarray, t_gen: np.ndarray):
+              t_qb: np.ndarray, t_gen: np.ndarray, prune: bool = True):
         """Power and boundary attenuation on the (T_qb, T_gen) grid, as a
         batch of one for :func:`_grid_refine`: the axes come as rows of
         shape (1, n) and the results have shape (1, n_qb, n_gen).  A
         collapsed chain (qubit stage as warm as the generation stage) has
-        no valid layout and is excluded."""
+        no valid layout and is excluded.
+
+        On the coarse grid, unless ``prune`` is False, only the points
+        that can still be the grid's pick are solved (:meth:`candidates`);
+        the others get infinite power and NaN attenuation.
+        """
         (t_qb,), (t_gen,) = t_qb, t_gen
-        stages, mult, static, n_cold, n_rise, valid = self.grid_fields(t_qb, t_gen)
+        fields = self.grid_fields(t_qb, t_gen)
+        if prune and fields is self._coarse[1]:
+            keep = self.candidates(k, target, options)
+            power, a_star = np.full(keep.shape, np.inf), np.full(keep.shape, np.nan)
+            at = np.nonzero(keep)
+            power[at], a_star[at] = self.solve_fields(k, target, options, _at(fields, at))
+        else:
+            power, a_star = self.solve_fields(k, target, options, fields)
+        return power[None], a_star[None]
+
+    def solve_fields(self, k: int, target: float, options: GridOptions, fields: tuple):
+        """Power and boundary attenuation at the points of ``fields``
+        (:meth:`grid_fields`, or a selection of them by :func:`_at`), with
+        infinite power where the target is out of reach."""
+        stages, mult, static, n_cold, n_rise, valid = fields
         a_star = self.boundary(n_cold, n_rise, valid, k, target, options)
         finite = np.isfinite(a_star)
         a_safe = np.where(finite, a_star, options.attenuation_bounds[1])
         power = sum(rec.electrical_power_w
                     for rec in self.terms(stages, mult, static, a_safe, k))
-        return np.where(finite, power, np.inf)[None], a_star[None]
+        return np.where(finite, power, np.inf), a_star
+
+    def candidates(self, k: int, target: float, options: GridOptions) -> np.ndarray:
+        """Mask of the coarse-grid points that can be in the tie band of
+        the grid's least power at level ``k``, by branch and bound.
+
+        The least power is at most U, the least power of the exactly
+        solved sub-grid of every ``_UPPER_STRIDE``-th node of each axis
+        (and the last).  A point whose :meth:`coarse_floor` exceeds
+        ``U (1 + RELATIVE_TIE)``, with a margin of 1e-12 for the floor's
+        round-off, lies above the band, and so does an infeasible one.
+        """
+        floor = self.coarse_floor(k, target, options)
+        n_qb, n_gen = floor.shape
+        sub = (_strided(n_qb)[:, None], _strided(n_gen)[None, :])
+        power, _ = self.solve_fields(k, target, options, _at(self._coarse[1], sub))
+        return (floor < np.inf) & (floor * (1 - 1e-12) <= power.min() * (1 + RELATIVE_TIE))
+
+    def coarse_floor(self, k: int, target: float, options: GridOptions) -> np.ndarray:
+        """A lower bound on the power at level ``k`` at each point of the
+        coarse grid where the metric meets ``target``: inf where no point
+        does, and -inf where :meth:`power_floor`'s premises fail.
+
+        The static rows cost their sum per qubit times the qubit count,
+        as on the grid.  The K-1 attenuator fractions (stages 1..K-1) are
+        >= 0 and sum to the total attenuation A, the first is
+        ``A^(1/(K-1)) >= 1``, and mu falls along a valid chain, so the
+        drive costs at least ``W_k P_pi (f_1 mu_1 + (A - f_1) mu_{K-1})``
+        with ``f_1 = A^(1/(K-1))``, which rises with A.  On the boundary
+        the leak's top term ``n_rise_{K-1} / A`` is at most the excess
+        ``n* - n_cold`` of the level's occupancy budget over the qubit
+        stage's occupancy, so ``A >= n_rise_{K-1} / (n* - n_cold)``; a
+        chain whose qubit stage alone exceeds the budget misses the
+        target.  The budget is taken 1e-9 relative high against the
+        round-off of its inversion.
+        """
+        stages, mult, static, n_cold, n_rise, valid = self._coarse[1]
+        if not self._floor_premises(k, options):
+            return np.full(n_cold.shape, -np.inf)
+        tog = self.toggles
+        a_low = options.attenuation_bounds[0]
+        reachable = valid
+        if target > 0:
+            n_star = self.occupancy_budget(target, k)
+            excess = n_star + 1e-9 * abs(n_star) - n_cold
+            reachable = valid & (excess >= 0.0)
+            a_low = np.maximum(a_low, np.divide(n_rise[-1], excess, out=np.zeros_like(excess),
+                                                where=excess > 0.0))
+        per_qubit = self._coarse[2]
+        if tog.include_demod_syndrome:
+            per_qubit = per_qubit + (demodulation_power_per_qubit(k, self.tech)
+                                     + syndrome_power_per_qubit(self.tech))
+        weight = _dynamic_weight(self.tech, k, tog) * self.workload.q_logical
+        mu_first, mu_last = mult[0], mult[-2]
+        drive = a_low ** (1.0 / (tog.k_stages - 1)) * (mu_first - mu_last) + a_low * mu_last
+        floor = qec.physical_qubits(self.workload.q_logical, k) * per_qubit + (
+            weight * self.p_pi * drive)
+        return np.where(reachable, floor, np.inf)
+
+    def _floor_premises(self, k: int, options: GridOptions) -> bool:
+        """Whether the premises of the power floors hold: the generation
+        stage no warmer than t_ext, an attenuation of at least 1, and
+        nonnegative weights, parasitic heat, line counts and
+        conductivities."""
+        cable = self.cable
+        weight = _dynamic_weight(self.tech, k, self.toggles) * self.workload.q_logical
+        q_extra = self.model.extra_qubit_heat_w if self.model.kind == "small_scale" else 0.0
+        return (options.t_gen_bounds[1] <= self.toggles.t_ext
+                and options.attenuation_bounds[0] >= 1.0
+                and min(weight, q_extra, cable.lines_per_qubit, cable.kapton_low[0],
+                        cable.kapton_mid[0]) >= 0.0)
 
     def power_floor(self, k: int, target: float, options: GridOptions) -> float:
         """A lower bound on the power at level ``k`` anywhere in the box
@@ -701,22 +834,20 @@ class _FtProblem:
         ``sum_i span_i (mu_i - mu_{i+1})`` with spans and differences of
         mu both >= 0 (nonnegative line counts and conductivities).
         """
-        tog, cable = self.toggles, self.cable
+        if not self._floor_premises(k, options):
+            return -math.inf
+        tog, model = self.toggles, self.model
         t_gen_hi = options.t_gen_bounds[1]
         t_top = min(options.t_qb_bounds[1], t_gen_hi)
         weight = _dynamic_weight(self.tech, k, tog) * self.workload.q_logical
-        q_extra = self.model.extra_qubit_heat_w if self.model.kind == "small_scale" else 0.0
-        if (t_gen_hi > tog.t_ext or options.attenuation_bounds[0] < 1.0
-                or min(weight, q_extra, cable.lines_per_qubit, cable.kapton_low[0],
-                       cable.kapton_mid[0]) < 0.0):
-            return -math.inf
+        q_extra = model.extra_qubit_heat_w if model.kind == "small_scale" else 0.0
         n_star = self.occupancy_budget(target, k) if target > 0 else 0.0
         if n_star > 0:
             t_top = min(t_top, HBAR * self.tech.omega0 / (K_B * math.log1p(1.0 / n_star)))
-        mu = partial(self.model.heat_multiplier, t_ext=tog.t_ext)
-        mu_top = mu(t_top)
-        per_qubit = ((1.0 + mu(t_gen_hi)) * self.scenario.q_gen
-                     + (1.0 + mu(PARAMP_K)) * self.scenario.q_para + mu_top * q_extra)
+        mu_top = model.heat_multiplier(t_top, tog.t_ext)
+        per_qubit = ((1.0 + _fixed_multiplier(model, t_gen_hi, tog.t_ext)) * self.scenario.q_gen
+                     + (1.0 + _fixed_multiplier(model, PARAMP_K, tog.t_ext))
+                     * self.scenario.q_para + mu_top * q_extra)
         if tog.include_demod_syndrome:
             per_qubit += (demodulation_power_per_qubit(k, self.tech)
                           + syndrome_power_per_qubit(self.tech))
@@ -776,7 +907,9 @@ def optimize_ft(workload: Workload, tech: QubitTechnology,
     to the smaller k; within a level :func:`_grid_refine` breaks ties.
     So a level whose :meth:`_FtProblem.power_floor` exceeds ``(1 +
     RELATIVE_TIE)`` times the incumbent's power cannot win, and is not
-    searched.
+    searched.  A level whose answer lies on a node of the coarse grid,
+    whose pruned solve may differ from the full one in the last bits, is
+    searched again with every coarse point kept.
     """
     if not (0 <= target < 1):
         raise ValueError("target metric must lie in [0, 1)")
@@ -795,10 +928,12 @@ def optimize_ft(workload: Workload, tech: QubitTechnology,
         if best is not None and (problem.power_floor(k, target, options)
                                  > best[0] * (1 + RELATIVE_TIE)):
             continue
-        (found,), spacing = _grid_refine(partial(problem.solve, k, target, options),
-                                         axes, options)
+        solve = partial(problem.solve, k, target, options)
+        (found,), spacing = _grid_refine(solve, axes, options)
         if found is None:
             continue
+        if problem.on_coarse_node(*found[1]):
+            (found,), spacing = _grid_refine(partial(solve, prune=False), axes, options)
         power, (t_qb, t_gen), a_star = found
         if best is None or power < best[0] * (1 - RELATIVE_TIE):
             best = (power, k, a_star, t_qb, t_gen, spacing)

@@ -26,7 +26,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -267,6 +267,19 @@ def conduction_rises(temperatures, cable: CableModel) -> np.ndarray:
     return w[1:] - w[:-1]
 
 
+def grid_conduction_rises(t_qb, t_gen, stages, cable: CableModel) -> np.ndarray:
+    """:func:`conduction_rises` of the chains ``stages`` that
+    :func:`stage_temperatures` lays out on the grid of the axes ``t_qb``
+    (axis 0) by ``t_gen`` (axis 1).  Their end stages are the axes
+    themselves, so the integral there is taken once per axis node, not
+    once per grid point; the rises are the same to the bit."""
+    w = np.empty(stages.shape)
+    w[0] = _conduction_integral(cable, t_qb)[:, None]
+    w[-1] = _conduction_integral(cable, t_gen)
+    w[1:-1] = _conduction_integral(cable, stages[1:-1])
+    return w[1:] - w[:-1]
+
+
 def conduction_heat_per_qubit(temperatures, cable: CableModel,
                               rises=None) -> np.ndarray:
     """Net cable heat deposited at each stage, per physical qubit (W).
@@ -287,6 +300,15 @@ def conduction_heat_per_qubit(temperatures, cable: CableModel,
     net[:-1] += spans
     net[1:] -= spans
     return net
+
+
+@lru_cache(maxsize=16)
+def _fixed_multiplier(model: CryoEfficiencyModel, t_stage: float,
+                      t_ext: float = AMBIENT_K) -> float:
+    """``model.heat_multiplier(t_stage, t_ext)`` at a temperature fixed by
+    the configuration, such as an amplifier stage's, computed once per
+    process rather than on every grid."""
+    return model.heat_multiplier(t_stage, t_ext)
 
 
 def static_power_breakdown(temperatures, scenario: ElectronicsScenario,
@@ -319,11 +341,11 @@ def static_power_breakdown(temperatures, scenario: ElectronicsScenario,
     t_gen = temps[-1]
     records.append(StageRecord(t_gen, scenario.q_gen,
                                (1.0 + mult[-1]) * scenario.q_gen, "electronics"))
-    para_mult = model.heat_multiplier(PARAMP_K, t_ext)
+    para_mult = _fixed_multiplier(model, PARAMP_K, t_ext)
     records.append(StageRecord(PARAMP_K, scenario.q_para,
                                (1.0 + para_mult) * scenario.q_para, "amplifier"))
     q_hemt = np.where(t_gen > HEMT_K, scenario.q_hemt, 0.0)
-    hemt_mult = model.heat_multiplier(HEMT_K, t_ext)
+    hemt_mult = _fixed_multiplier(model, HEMT_K, t_ext)
     records.append(StageRecord(HEMT_K, q_hemt, (1.0 + hemt_mult) * q_hemt, "amplifier"))
     if model.kind == "small_scale":
         q_extra = model.extra_qubit_heat_w

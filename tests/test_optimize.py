@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from dataclasses import replace
 from functools import partial
 
@@ -25,7 +29,7 @@ from coldstack import (
     single_attenuator_occupancy,
     transition_size_estimate,
 )
-from coldstack import optimize
+from coldstack import optimize, thermal
 from coldstack.config import load_config
 from coldstack.driver import SweepAxis, run_problem, sweep
 from coldstack.noise import _NEWTON_RTOL, _pauli_error, chain_occupancy, chain_transmission
@@ -645,6 +649,11 @@ class TestPowerFloor:
             model = CryoEfficiencyModel("small_scale", extra_qubit_heat_w=-1e-8)
         problem = _FtProblem(wl, tech50, SCEN_A, cable, model, FtToggles())
         assert problem.power_floor(3, 2.0 / 3.0, options) == -math.inf
+        # nor a coarse floor: every coarse point is solved
+        problem.grid_fields(*(optimize._log_axis(lo, hi, 20)[0]
+                              for lo, hi in (options.t_qb_bounds, options.t_gen_bounds)))
+        assert (problem.coarse_floor(3, 2.0 / 3.0, options) == -np.inf).all()
+        assert problem.candidates(3, 2.0 / 3.0, options).all()
 
     @pytest.mark.parametrize("scenario", ["A", "B", "C"])
     @pytest.mark.parametrize("model", ["carnot", "small_scale"])
@@ -695,6 +704,149 @@ class TestPowerFloor:
         capped, uncapped = searched[True, "C"], searched[False, "C"]
         assert capped[1] == uncapped[1]
         assert capped[0] < uncapped[0]
+
+    def test_fixed_multipliers_are_computed_once(self, monkeypatch):
+        # the qubit-quality sweep on its two hardware sets: each floor takes
+        # mu at its capped qubit-stage temperature, and mu at t_gen_hi,
+        # PARAMP_K and HEMT_K is computed once per efficiency model
+        thermal._fixed_multiplier.cache_clear()
+        scalar, floors = [], []
+        heat_multiplier, floor = CryoEfficiencyModel.heat_multiplier, _FtProblem.power_floor
+
+        def counting(self, t_stage, t_ext=thermal.AMBIENT_K):
+            if np.ndim(t_stage) == 0:
+                scalar.append(t_stage)
+            return heat_multiplier(self, t_stage, t_ext)
+
+        def counting_floor(self, *args):
+            floors.append(args)
+            return floor(self, *args)
+
+        monkeypatch.setattr(CryoEfficiencyModel, "heat_multiplier", counting)
+        monkeypatch.setattr(_FtProblem, "power_floor", counting_floor)
+        axes = [SweepAxis.parse("gamma_inverse_s=0.003:1:15:log")]
+        for scenario, model in (("A", "carnot"), ("C", "small_scale")):
+            sweep(load_config(text="").replace(scenario=scenario, efficiency_model=model),
+                  axes)
+        assert len(floors) > 30
+        assert len(scalar) == len(floors) + 2 * 3
+
+
+#: The config whose level answer lies on a coarse node: Carnot, scenario
+#: A, a 3 ms qubit lifetime.
+ON_A_COARSE_NODE = "[technology]\ngamma_inverse_s = 0.003\n"
+
+
+def _searched(cfg, keep_all: bool = False) -> tuple:
+    """``run_problem(cfg)``, pruned or with every coarse point kept, and the
+    number of levels searched again with every coarse point kept."""
+    with pytest.MonkeyPatch.context() as mp:
+        if keep_all:
+            floor = _FtProblem.coarse_floor
+            mp.setattr(_FtProblem, "coarse_floor",
+                       lambda self, *args: np.full_like(floor(self, *args), -np.inf))
+        calls = _count_level_searches(mp)
+        result = run_problem(cfg)
+    return result, sum(call.keywords.get("prune") is False for call in calls)
+
+
+def _coarse_floor_violations(cfg) -> list:
+    """(k, point) for each level and coarse point whose fully solved power
+    lies below the point's coarse floor."""
+    options = cfg.grid_options()
+    problem = _FtProblem(cfg.workload(), cfg.technology(), cfg.electronics(),
+                         cfg.cable(), cfg.efficiency(), cfg.ft_toggles())
+    t_qb, t_gen = (optimize._log_axis(lo, hi, options.temperature_points_per_decade)[0]
+                   for lo, hi in (options.t_qb_bounds, options.t_gen_bounds))
+    violations = []
+    for k in range(options.k_min, options.k_max + 1):
+        (power,), _ = problem.solve(k, cfg.target_metric, options, t_qb[None], t_gen[None],
+                                    prune=False)
+        floor = problem.coarse_floor(k, cfg.target_metric, options)
+        assert (floor > -np.inf).all()  # a validated config meets the premises
+        # the floor sums the rows in another order than the search
+        violations += [(k, point) for point in zip(*np.nonzero(
+            ~(floor <= power * (1 + 1e-12))))]
+    return violations
+
+
+class TestCoarsePruning:
+    """Branch and bound on the coarse grid of each level's search."""
+
+    @given(text=valid_config_texts(kinds=("rsa", "rectangular")))
+    @example(text=ON_A_COARSE_NODE)
+    @example(text="")
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_pruned_search_equals_the_search_of_every_point(self, text):
+        cfg = load_config(text=text)
+        pruned, again = _searched(cfg)
+        full, _ = _searched(cfg, keep_all=True)
+        assert repr(pruned) == repr(full)
+        if text == ON_A_COARSE_NODE:
+            assert again == 1
+
+    @given(text=valid_config_texts(kinds=("rsa", "rectangular")))
+    @example(text="[optimizer]\ntemperature_points_per_decade = 12\n")
+    @example(text="[efficiency]\nmodel = small_scale\n[toggles]\n"
+                  "include_demod_syndrome = true\n[optimizer]\n"
+                  "temperature_points_per_decade = 12\n")
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_floor_is_below_the_solved_power_at_every_point(self, text):
+        assert _coarse_floor_violations(load_config(text=text)) == []
+
+    def test_floor_is_tight_where_the_drive_dominates(self):
+        # three stages on a one-point grid, 20 mK and 300 K, no electronics
+        # and almost no cable: the drive is nearly all the power and the
+        # leak's top term most of the leak; priced at the top stage's mu,
+        # 0 at t_ext, the floor would lie 8 % below the power at k = 3
+        cfg = load_config(text=(
+            "[chain]\nstages = 3\nt_qb_min_k = 0.02\nt_qb_max_k = 0.02\n"
+            "t_gen_min_k = 300.0\n"
+            "[scenario]\nname = custom\nq_gen_w = 0.0\nq_para_w = 0.0\nq_hemt_w = 0.0\n"
+            "[cable]\ncontrol_lines_per_qubit = 0.001\nreadout_lines_per_qubit = 0.001\n"))
+        options = cfg.grid_options()
+        problem = _FtProblem(cfg.workload(), cfg.technology(), cfg.electronics(),
+                             cfg.cable(), cfg.efficiency(), cfg.ft_toggles())
+        ratios = {}
+        for k in range(3, 7):
+            (power,), _ = problem.solve(k, cfg.target_metric, options, np.array([[0.02]]),
+                                        np.array([[300.0]]), prune=False)
+            ratios[k] = (problem.coarse_floor(k, cfg.target_metric, options) / power).item()
+        assert all(0.95 <= ratio <= 1.0 for ratio in ratios.values()), ratios
+
+    def test_default_rsa_2048_solves_a_few_coarse_points(self, monkeypatch):
+        candidates, kept = _FtProblem.candidates, []
+
+        def recording(self, *args):
+            keep = candidates(self, *args)
+            kept.append((keep.size, int(keep.sum())))
+            return keep
+
+        monkeypatch.setattr(_FtProblem, "candidates", recording)
+        run_problem(load_config(text=""))
+        ((size, count),) = kept
+        assert size == 146 * 77
+        assert 0 < count < size / 10
+
+    def test_first_searches_import_nothing(self):
+        # numpy helpers such as np.unique import modules on their first call,
+        # which every fresh process then pays in its first result
+        src = str(pathlib.Path(optimize.__file__).parents[1])
+        code = ("import sys, coldstack\n"
+                "before = set(sys.modules)\n"
+                "from coldstack import (ElectronicsScenario, QubitTechnology, optimize_ft,\n"
+                "                       optimize_nisq, rsa_workload)\n"
+                f"tech = QubitTechnology(omega0={OMEGA0!r}, gamma=20.0)\n"
+                "optimize_ft(rsa_workload(2048), tech, ElectronicsScenario.preset('A'))\n"
+                "optimize_nisq(25, 2.0 / 3.0, tech)\n"
+                "print(sorted(set(sys.modules) - before))\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestCoarseTable:

@@ -21,9 +21,15 @@ from coldstack import (
     static_power_breakdown,
     syndrome_power_per_qubit,
 )
-from coldstack import thermal
+from coldstack import optimize, thermal
 from coldstack.optimize import FtToggles
-from coldstack.thermal import CARNOT, _conduction_integral, conduction_heat_per_qubit
+from coldstack.thermal import (
+    CARNOT,
+    _conduction_integral,
+    conduction_heat_per_qubit,
+    conduction_rises,
+    grid_conduction_rises,
+)
 
 from conftest import OMEGA0
 
@@ -199,6 +205,24 @@ class TestConductionKernel:
         assert len(calls) == -(-n_hot // thermal._HOT_BLOCK)  # one per block
         # a transposed (Fortran-ordered) grid gives the same values
         assert np.array_equal(_conduction_integral(cable, stages.T), want.T)
+
+    @pytest.mark.parametrize("k_stages", [2, 5, 8])
+    @pytest.mark.parametrize("bounds", [((1e-3, 4.0), (4.0, 300.0)),
+                                        ((0.5, 0.5), (20.0, 20.0))])
+    def test_rises_from_the_axes_equal_the_grid_rises(self, bounds, k_stages):
+        # the default coarse grid, and one whose bounds are equal; the end
+        # stages are the axes themselves, in the coarse table too
+        t_qb, t_gen = (optimize._log_axis(lo, hi, 40)[0] for lo, hi in bounds)
+        stages = stage_temperatures(t_qb[:, None], t_gen[None, :], k_stages)
+        want = conduction_rises(stages, CABLE)
+        assert np.array_equal(grid_conduction_rises(t_qb, t_gen, stages, CABLE), want)
+        optimize._COARSE_FIELDS.clear()
+        problem = optimize._FtProblem(Workload(6175, 2_100_000_000),
+                                      QubitTechnology(omega0=OMEGA0, gamma=20.0), SCEN_A,
+                                      CABLE, CARNOT, FtToggles(k_stages=k_stages))
+        table_stages, rises, *_ = problem.coarse_fields(t_qb, t_gen)
+        assert np.array_equal(table_stages, stages)
+        assert np.array_equal(rises, want)
 
 
 class TestCoolingPower:
