@@ -33,7 +33,10 @@ The fault-tolerant model has one implementation, :class:`_FtProblem`.
 On any temperature grid it gives the power of the whole machine as
 per-stage, per-source terms; the search sums them, and
 :func:`evaluate_ft_point` is the same kernel on a one-point grid that
-reports them as the breakdown.  :func:`optimize_ft` searches the
+reports them as the breakdown.  A solve prices the heat multipliers
+and the always-on rows (:func:`~coldstack.thermal.static_power_breakdown`)
+at the points it solves and nowhere else; both are elementwise, so a
+point costs the same bits in any grid.  :func:`optimize_ft` searches the
 concatenation levels in ascending order and skips a level whose power
 floor, a closed-form lower bound on its power anywhere in the box,
 lies above the best power found so far; such a level could not have
@@ -42,22 +45,32 @@ stage fields, where every level's search starts, sit in a one-entry
 table shared by all problems on the same grid, stage count, cable
 material and qubit frequency, so a run of searches that share these,
 such as the levels of one search or the points of a sweep, computes
-them once per process.
+them once per process.  The heat multipliers mu of its stages that
+the coarse floor below needs, and its conduction sum G, also depend on
+the efficiency model and t_ext; they sit in a second table of
+``_COARSE_MULT_ENTRIES`` entries, so that a run alternating two
+efficiency models computes them once per model.
 
 Within a level, the coarse pass is pruned by branch and bound
 (:meth:`_FtProblem.candidates`).  Each coarse point has a closed-form
 lower bound on its power that needs no boundary solve
-(:meth:`_FtProblem.coarse_floor`): the static rows exactly, and the
-drive priced with the least attenuation the occupancy budget allows.
-An exact solve of every ``_UPPER_STRIDE``-th node of each axis gives
-an upper bound U on the grid's least power.  Only the points whose
-bound is at most ``U (1 + RELATIVE_TIE)`` are solved; a point above it
-cannot enter the tie band of the least power, so the coarse pick is
-the pick of the full grid.  Its bits need not be: the kept points are
-a smaller Newton batch than the full grid.  The refine passes solve
-their grids in full, so this reaches the result only where a level's
-answer lies on a coarse node, which the refinement did not improve on;
-there the level is searched again with every coarse point kept.
+(:meth:`_FtProblem.coarse_floor`): the static rows, and the drive
+priced with the least attenuation the occupancy budget allows.  The
+static rows' sum is exact, in closed form: the conduction rows
+telescope, ``sum_i mu_i net_i = (l/L) G`` with ``G = sum_j r_j (mu_j -
+mu_{j+1})`` over the rises r_j of the conduction integral across the
+spans, the lines per qubit l and the cable length L, and the other
+rows each depend on one axis.  An exact solve of every
+``_UPPER_STRIDE``-th node of each axis gives an upper bound U on the
+grid's least power.  Only the points whose bound is at most ``U (1 +
+RELATIVE_TIE)`` are solved; a point above it cannot enter the tie band
+of the least power, so the coarse pick is the pick of the full grid.
+Its bits need not be: the kept points are a smaller Newton batch than
+the full grid.  The refine passes solve their grids in full, so this
+reaches the result only where a level's answer lies on a coarse node,
+which the refinement did not improve on; there the level's coarse grid
+is solved again with every point kept, and each refine grid that is
+the same as before is taken from the first search.
 """
 
 from __future__ import annotations
@@ -85,6 +98,7 @@ from .noise import (
 from .thermal import (
     AMBIENT_K,
     CARNOT,
+    HEMT_K,
     PARAMP_K,
     CableModel,
     CryoEfficiencyModel,
@@ -93,6 +107,7 @@ from .thermal import (
     _fixed_multiplier,
     attenuator_heat_fractions,
     conduction_heat_per_qubit,
+    conduction_rises,
     demodulation_power_per_qubit,
     grid_conduction_rises,
     stage_temperatures,
@@ -119,6 +134,11 @@ class GridOptions:
     attenuation_bounds: tuple = (1.0, 1e12)
 
     def __post_init__(self) -> None:
+        if self.temperature_points_per_decade < 1 or self.refinement_factor < 1:
+            raise ValueError("need at least 1 temperature point per decade "
+                             "and a refinement factor of at least 1")
+        if self.refinement_passes < 0:
+            raise ValueError("need refinement_passes >= 0")
         if self.k_min < 0 or self.k_max < self.k_min:
             raise ValueError("need 0 <= k_min <= k_max")
         for lo, hi in (self.t_qb_bounds, self.t_gen_bounds, self.attenuation_bounds):
@@ -508,6 +528,13 @@ def _drive_power(tech: QubitTechnology, toggles: FtToggles) -> float:
 #: at the most, the last coarse grid searched.
 _COARSE_FIELDS = {}
 
+#: What the coarse floor needs of the coarse grid's heat multipliers,
+#: and its conduction sum G (:meth:`_FtProblem.coarse_multipliers`),
+#: keyed as ``_COARSE_FIELDS`` and on the efficiency model and t_ext; at
+#: most this many entries, the ones used last.
+_COARSE_MULT_ENTRIES = 2
+_COARSE_MULT = {}
+
 #: The exact solve that bounds the least power on the coarse grid from
 #: above takes every ``_UPPER_STRIDE``-th node of each axis, and the last.
 _UPPER_STRIDE = 6
@@ -523,14 +550,8 @@ def _electrical_rows(static: list) -> list:
 def _at(fields: tuple, index: tuple) -> tuple:
     """The grid fields of :meth:`_FtProblem.grid_fields` at the points
     ``index`` of the grid's two axes, which are the last axes of every
-    array; scalars stay as they are."""
-    def take(x):
-        return x[(Ellipsis, *index)] if np.ndim(x) else x
-
-    stages, mult, static, n_cold, n_rise, valid = fields
-    rows = [StageRecord(take(rec.stage_temperature_k), rec.heat_extracted_w,
-                        take(rec.electrical_power_w), rec.source) for rec in static]
-    return take(stages), take(mult), rows, take(n_cold), take(n_rise), take(valid)
+    array."""
+    return tuple(x[(Ellipsis, *index)] for x in fields)
 
 
 def _strided(n: int) -> np.ndarray:
@@ -550,7 +571,9 @@ class _FtProblem:
         self.model = model
         self.toggles = toggles
         self.p_pi = _drive_power(tech, toggles)
-        # the coarse grid's axes, its fields, and the static power per qubit on it
+        # the coarse grid's axes, its fields, and what its floor needs on it
+        # (mu of the qubit stage and of the stage below the top, and the
+        # static power per qubit)
         self._coarse = None
 
     def chains(self, t_qb: np.ndarray, t_gen: np.ndarray) -> np.ndarray:
@@ -559,14 +582,14 @@ class _FtProblem:
         ``t_gen`` (axis 1)."""
         return stage_temperatures(t_qb[:, None], t_gen[None, :], self.toggles.k_stages)
 
-    def stage_fields(self, t_qb: np.ndarray, t_gen: np.ndarray):
-        """Stage temperatures, their heat multipliers and the per-qubit
-        always-on StageRecords on the grid of ``t_qb`` by ``t_gen``."""
-        stages = self.chains(t_qb, t_gen)
+    def stage_fields(self, stages: np.ndarray, rises: np.ndarray):
+        """The heat multipliers of the chains ``stages`` and the per-qubit
+        always-on StageRecords on them, given the rises ``rises`` of the
+        cable's conduction integral across their spans."""
         mult = self.model.heat_multiplier(stages, self.toggles.t_ext)
-        return stages, mult, static_power_breakdown(stages, self.scenario, self.cable,
-                                                    self.model, self.toggles.t_ext,
-                                                    mult=mult)
+        net = conduction_heat_per_qubit(stages, self.cable, rises)
+        return mult, static_power_breakdown(stages, self.scenario, self.cable, self.model,
+                                            self.toggles.t_ext, net, mult)
 
     def occupancies(self, stages: np.ndarray):
         """Occupancy of the qubit stage and its rise into each next stage
@@ -576,31 +599,29 @@ class _FtProblem:
 
     def grid_fields(self, t_qb: np.ndarray, t_gen: np.ndarray):
         """What the search needs on the (T_qb, T_gen) grid that depends
-        on neither the level nor the attenuation: the stage temperatures,
-        their heat multipliers, the per-qubit static rows (without their
-        heat), the occupancies, and the mask of valid chains (qubit stage
-        colder than the generation stage).
+        on neither the level nor the attenuation nor the hardware's
+        costs: the stage temperatures, the rises of the cable's
+        conduction integral across the spans, the occupancies, and the
+        mask of valid chains (qubit stage colder than the generation
+        stage).
 
         The first grid a problem is asked for is the coarse grid that
-        every level's search starts from.  Its fields come from the
-        shared table (:meth:`coarse_fields`), with the heat multipliers
-        and the static rows built on its conduction once per problem, and
-        each later level reuses them.
+        every level's search starts from.  Its fields are those of the
+        shared table (:meth:`coarse_fields`), and what its floor needs,
+        from the table of :meth:`coarse_multipliers` and
+        :meth:`coarse_static_power`, is kept once per problem; each later
+        level reuses them.
         """
         if self._coarse is None:
-            stages, rises, n_cold, n_rise, valid = self.coarse_fields(t_qb, t_gen)
-            net = conduction_heat_per_qubit(stages, self.cable, rises)
-            mult = self.model.heat_multiplier(stages, self.toggles.t_ext)
-            static = _electrical_rows(static_power_breakdown(
-                stages, self.scenario, self.cable, self.model, self.toggles.t_ext, net, mult))
-            self._coarse = ((t_qb.copy(), t_gen.copy()),
-                            (stages, mult, static, n_cold, n_rise, valid),
-                            sum(rec.electrical_power_w for rec in static))
+            multipliers = self.coarse_multipliers(t_qb, t_gen)
+            mu_qb, _, mu_below_top, _ = multipliers
+            self._coarse = ((t_qb.copy(), t_gen.copy()), self.coarse_fields(t_qb, t_gen),
+                            (mu_qb, mu_below_top, self.coarse_static_power(t_gen, multipliers)))
         (qb_axis, gen_axis), fields, _ = self._coarse
         if t_qb.tobytes() == qb_axis.tobytes() and t_gen.tobytes() == gen_axis.tobytes():
             return fields
-        stages, mult, static = self.stage_fields(t_qb, t_gen)
-        return (stages, mult, _electrical_rows(static), *self.occupancies(stages),
+        stages = self.chains(t_qb, t_gen)
+        return (stages, conduction_rises(stages, self.cable), *self.occupancies(stages),
                 t_qb[:, None] < t_gen[None, :])
 
     def on_coarse_node(self, t_qb: float, t_gen: float) -> bool:
@@ -618,8 +639,7 @@ class _FtProblem:
         which make the key; a new key drops the old entry before its
         fields are computed, so one grid's fields are held at a time.
         """
-        key = (t_qb.tobytes(), t_gen.tobytes(), self.toggles.k_stages,
-               self.cable.material, self.tech.omega0)
+        key = self._coarse_key(t_qb, t_gen)
         fields = _COARSE_FIELDS.get(key)
         if fields is None:
             _COARSE_FIELDS.clear()
@@ -630,6 +650,62 @@ class _FtProblem:
                 array.flags.writeable = False
             _COARSE_FIELDS[key] = fields
         return fields
+
+    def _coarse_key(self, t_qb: np.ndarray, t_gen: np.ndarray) -> tuple:
+        """The key of :meth:`coarse_fields` on the axes ``t_qb`` and ``t_gen``."""
+        return (t_qb.tobytes(), t_gen.tobytes(), self.toggles.k_stages,
+                self.cable.material, self.tech.omega0)
+
+    def coarse_multipliers(self, t_qb: np.ndarray, t_gen: np.ndarray):
+        """What the coarse floor needs of the heat multipliers mu of the
+        stages of :meth:`coarse_fields`: mu of the qubit stage (a column
+        over t_qb), of the generation stage (a row over t_gen) and of the
+        stage below it, and the conduction sum ``G = sum_j r_j (mu_j -
+        mu_{j+1})`` over the rises r_j; as read-only arrays from the
+        shared table of ``_COARSE_MULT_ENTRIES`` entries.
+
+        They add the efficiency model and t_ext to the key of
+        :meth:`coarse_fields`.  A miss drops the entry used least recently
+        once the table is full.  With nonnegative conductivities every
+        term of G is >= 0, along a chain of either direction, as the
+        integral rises and mu falls with the temperature.
+        """
+        key = (*self._coarse_key(t_qb, t_gen), self.model, self.toggles.t_ext)
+        entry = _COARSE_MULT.pop(key, None)
+        if entry is None:
+            if len(_COARSE_MULT) >= _COARSE_MULT_ENTRIES:
+                del _COARSE_MULT[next(iter(_COARSE_MULT))]
+            stages, rises, *_ = self.coarse_fields(t_qb, t_gen)
+            mult = self.model.heat_multiplier(stages, self.toggles.t_ext)
+            # the end stages are the axes themselves
+            entry = (mult[0, :, :1].copy(), mult[-1, :1].copy(), mult[-2].copy(),
+                     (rises * (mult[:-1] - mult[1:])).sum(axis=0))
+            for array in entry:
+                array.flags.writeable = False
+        _COARSE_MULT[key] = entry  # now the one used last
+        return entry
+
+    def coarse_static_power(self, t_gen: np.ndarray, multipliers: tuple) -> np.ndarray:
+        """The always-on power per physical qubit on the coarse grid of
+        generation temperatures ``t_gen``, from its ``multipliers``
+        (:meth:`coarse_multipliers`): the sum of the rows of
+        :func:`~coldstack.thermal.static_power_breakdown`, in closed form.
+
+        The conduction rows telescope to ``(l/L) G``.  The electronics
+        and HEMT rows depend on t_gen only, the parasitic row of the
+        small-scale model on t_qb only, and the parametric-amplifier row
+        on neither.
+        """
+        cable, scenario, model, t_ext = self.cable, self.scenario, self.model, self.toggles.t_ext
+        mu_qb, mu_gen, _, conduction = multipliers
+        hemt = np.where(t_gen > HEMT_K, (1.0 + _fixed_multiplier(model, HEMT_K, t_ext))
+                        * scenario.q_hemt, 0.0)
+        per_gen = ((1.0 + mu_gen) * scenario.q_gen + hemt
+                   + (1.0 + _fixed_multiplier(model, PARAMP_K, t_ext)) * scenario.q_para)
+        static = cable.lines_per_qubit / cable.length_m * conduction + per_gen
+        if model.kind == "small_scale":
+            static += mu_qb * model.extra_qubit_heat_w
+        return static
 
     def error_probability(self, n_cold: np.ndarray, n_rise: np.ndarray):
         """Pauli error probability on chains of occupancies ``n_cold`` and
@@ -705,7 +781,8 @@ class _FtProblem:
         return _boundary_attenuation(gap, lo, hi, invert)
 
     def solve(self, k: int, target: float, options: GridOptions,
-              t_qb: np.ndarray, t_gen: np.ndarray, prune: bool = True):
+              t_qb: np.ndarray, t_gen: np.ndarray, prune: bool = True,
+              memo: dict | None = None):
         """Power and boundary attenuation on the (T_qb, T_gen) grid, as a
         batch of one for :func:`_grid_refine`: the axes come as rows of
         shape (1, n) and the results have shape (1, n_qb, n_gen).  A
@@ -714,11 +791,21 @@ class _FtProblem:
 
         On the coarse grid, unless ``prune`` is False, only the points
         that can still be the grid's pick are solved (:meth:`candidates`);
-        the others get infinite power and NaN attenuation.
+        the others get infinite power and NaN attenuation.  Any other
+        grid is solved in full, or taken from ``memo``, a dict of the
+        grids solved before at this level and target, if it holds it.
         """
         (t_qb,), (t_gen,) = t_qb, t_gen
+        key = (t_qb.tobytes(), t_gen.tobytes())
+        if memo is not None and key in memo:
+            power, a_star = memo[key]
+            return power[None], a_star[None]
         fields = self.grid_fields(t_qb, t_gen)
-        if prune and fields is self._coarse[1]:
+        if fields is not self._coarse[1]:
+            power, a_star = self.solve_fields(k, target, options, fields)
+            if memo is not None:
+                memo[key] = power, a_star
+        elif prune:
             keep = self.candidates(k, target, options)
             power, a_star = np.full(keep.shape, np.inf), np.full(keep.shape, np.nan)
             at = np.nonzero(keep)
@@ -730,8 +817,12 @@ class _FtProblem:
     def solve_fields(self, k: int, target: float, options: GridOptions, fields: tuple):
         """Power and boundary attenuation at the points of ``fields``
         (:meth:`grid_fields`, or a selection of them by :func:`_at`), with
-        infinite power where the target is out of reach."""
-        stages, mult, static, n_cold, n_rise, valid = fields
+        infinite power where the target is out of reach.  The heat
+        multipliers and the static rows are priced at these points only."""
+        stages, rises, n_cold, n_rise, valid = fields
+        # the rows outlive the boundary solve's temporaries: allocated first
+        mult, static = self.stage_fields(stages, rises)
+        static = _electrical_rows(static)
         a_star = self.boundary(n_cold, n_rise, valid, k, target, options)
         finite = np.isfinite(a_star)
         a_safe = np.where(finite, a_star, options.attenuation_bounds[1])
@@ -760,12 +851,13 @@ class _FtProblem:
         coarse grid where the metric meets ``target``: inf where no point
         does, and -inf where :meth:`power_floor`'s premises fail.
 
-        The static rows cost their sum per qubit times the qubit count,
-        as on the grid.  The K-1 attenuator fractions (stages 1..K-1) are
-        >= 0 and sum to the total attenuation A, the first is
-        ``A^(1/(K-1)) >= 1``, and mu falls along a valid chain, so the
-        drive costs at least ``W_k P_pi (f_1 mu_1 + (A - f_1) mu_{K-1})``
-        with ``f_1 = A^(1/(K-1))``, which rises with A.  On the boundary
+        The static rows cost their sum per qubit
+        (:meth:`coarse_static_power`) times the qubit count.  The K-1
+        attenuator fractions (stages 1..K-1) are >= 0 and sum to the
+        total attenuation A, the first is ``A^(1/(K-1)) >= 1``, and mu
+        falls along a valid chain, so the drive costs at least
+        ``W_k P_pi (f_1 mu_1 + (A - f_1) mu_{K-1})`` with
+        ``f_1 = A^(1/(K-1))``, which rises with A.  On the boundary
         the leak's top term ``n_rise_{K-1} / A`` is at most the excess
         ``n* - n_cold`` of the level's occupancy budget over the qubit
         stage's occupancy, so ``A >= n_rise_{K-1} / (n* - n_cold)``; a
@@ -773,7 +865,7 @@ class _FtProblem:
         target.  The budget is taken 1e-9 relative high against the
         round-off of its inversion.
         """
-        stages, mult, static, n_cold, n_rise, valid = self._coarse[1]
+        _, _, n_cold, n_rise, valid = self._coarse[1]
         if not self._floor_premises(k, options):
             return np.full(n_cold.shape, -np.inf)
         tog = self.toggles
@@ -785,12 +877,11 @@ class _FtProblem:
             reachable = valid & (excess >= 0.0)
             a_low = np.maximum(a_low, np.divide(n_rise[-1], excess, out=np.zeros_like(excess),
                                                 where=excess > 0.0))
-        per_qubit = self._coarse[2]
+        mu_first, mu_last, per_qubit = self._coarse[2]
         if tog.include_demod_syndrome:
             per_qubit = per_qubit + (demodulation_power_per_qubit(k, self.tech)
                                      + syndrome_power_per_qubit(self.tech))
         weight = _dynamic_weight(self.tech, k, tog) * self.workload.q_logical
-        mu_first, mu_last = mult[0], mult[-2]
         drive = a_low ** (1.0 / (tog.k_stages - 1)) * (mu_first - mu_last) + a_low * mu_last
         floor = qec.physical_qubits(self.workload.q_logical, k) * per_qubit + (
             weight * self.p_pi * drive)
@@ -872,8 +963,8 @@ def evaluate_ft_point(workload: Workload, tech: QubitTechnology,
     if a_total < 1:
         raise ValueError("total attenuation must be >= 1")
     problem = _FtProblem(workload, tech, scenario, cable, model, toggles)
-    stages, mult, static = problem.stage_fields(np.array([t_qb], float),
-                                                np.array([t_gen], float))
+    stages = problem.chains(np.array([t_qb], float), np.array([t_gen], float))
+    mult, static = problem.stage_fields(stages, conduction_rises(stages, cable))
     p_err = problem.error_probability(*problem.occupancies(stages))(np.log10(a_total))
     records = tuple(
         StageRecord(np.asarray(rec.stage_temperature_k).item(),
@@ -909,7 +1000,8 @@ def optimize_ft(workload: Workload, tech: QubitTechnology,
     RELATIVE_TIE)`` times the incumbent's power cannot win, and is not
     searched.  A level whose answer lies on a node of the coarse grid,
     whose pruned solve may differ from the full one in the last bits, is
-    searched again with every coarse point kept.
+    searched again with every coarse point kept; the refine grids it
+    solved before are not solved again.
     """
     if not (0 <= target < 1):
         raise ValueError("target metric must lie in [0, 1)")
@@ -928,7 +1020,7 @@ def optimize_ft(workload: Workload, tech: QubitTechnology,
         if best is not None and (problem.power_floor(k, target, options)
                                  > best[0] * (1 + RELATIVE_TIE)):
             continue
-        solve = partial(problem.solve, k, target, options)
+        solve = partial(problem.solve, k, target, options, memo={})
         (found,), spacing = _grid_refine(solve, axes, options)
         if found is None:
             continue

@@ -35,10 +35,13 @@ def edge_biased(lo, hi, log=True):
 
 
 @st.composite
-def valid_config_texts(draw, kinds=("rsa", "rectangular", "nisq", "gate")):
+def valid_config_texts(draw, kinds=("rsa", "rectangular", "nisq", "gate"),
+                       per_decade=st.integers(1, 8)):
     """Configuration files that pass validation, of the workload ``kinds``,
     weighted toward the box bounds: t_gen_max = t_ext, equal bounds, the
-    ends of the attenuation and k ranges, two stages, and zero heat loads."""
+    ends of the attenuation and k ranges, two stages, and zero heat loads.
+    ``per_decade`` draws the temperature points per decade; the few of
+    the default keep the grids small."""
     t_ext = draw(st.sampled_from([300.0, 290.0, 77.0, 4.5]))
     t_gen_max = draw(st.one_of(st.just(t_ext), edge_biased(min(4.0, t_ext), t_ext)))
     t_gen_min = draw(st.one_of(st.just(t_gen_max),
@@ -79,7 +82,7 @@ def valid_config_texts(draw, kinds=("rsa", "rectangular", "nisq", "gate")):
                      "nisq_qubits": draw(st.integers(3, 16))},
         "target": {"metric": draw(st.one_of(st.just(0.0), st.just(2.0 / 3.0),
                                             st.floats(0.0, 1.0, exclude_max=True)))},
-        "optimizer": {"temperature_points_per_decade": draw(st.integers(1, 8)),
+        "optimizer": {"temperature_points_per_decade": draw(per_decade),
                       "refinement_passes": draw(st.integers(0, 2)),
                       "k_min": k_min, "k_max": k_max},
         "toggles": {"include_demod_syndrome": draw(st.booleans()),

@@ -1,3 +1,4 @@
+import collections
 import math
 import os
 import pathlib
@@ -64,6 +65,22 @@ def star_result(tech50):
 def gate_opt():
     tech = QubitTechnology(omega0=OMEGA0, gamma=1000.0)
     return tech, optimize_single_qubit(tech, 0.99965)
+
+
+class TestGridOptions:
+    @pytest.mark.parametrize("field, value", [("temperature_points_per_decade", 0),
+                                              ("refinement_factor", 0),
+                                              ("refinement_passes", -1)])
+    def test_rejects_a_schedule_the_search_cannot_run(self, field, value):
+        with pytest.raises(ValueError):
+            GridOptions(**{field: value})
+
+    @pytest.mark.parametrize("passes", [0, 1])
+    def test_runs_the_sparsest_schedule(self, tech_50ms, passes):
+        options = GridOptions(temperature_points_per_decade=1, refinement_factor=1,
+                              refinement_passes=passes)
+        assert optimize_single_qubit(tech_50ms, 0.99, options=options).feasible
+        assert optimize_ft(rsa_workload(2048), tech_50ms, SCEN_A, options=options).feasible
 
 
 class TestBareEfficiency:
@@ -358,7 +375,7 @@ class TestBoundarySolve:
             # qubits hold no photon at all: the first rise is exactly 0
             lo, hi = 1.0, 1e12
             t_qb, t_gen = np.geomspace(1e-4, 4.0, 15), np.array([0.5, 10.0, 300.0])
-        _, _, _, n_cold, n_rise, valid = problem.grid_fields(t_qb, t_gen)
+        *_, n_cold, n_rise, valid = problem.grid_fields(t_qb, t_gen)
         with np.errstate(all="raise"):
             a_star = problem.boundary(n_cold, n_rise, valid, k, target,
                                       GridOptions(attenuation_bounds=(lo, hi)))
@@ -392,7 +409,7 @@ class TestBoundarySolve:
     def test_bound_transmission_rounds_as_on_the_grid(self, tech50):
         # p_err at a scalar log10 attenuation raises 10 once, on a
         # shape-(1,) array: bit for bit the grid broadcast of the scalar
-        problem, (_, _, _, n_cold, n_rise, _) = self._coarse_problem(tech50)
+        problem, (*_, n_cold, n_rise, _) = self._coarse_problem(tech50)
         assert n_cold.size > 10_000
         p_err = problem.error_probability(n_cold, n_rise)
         for log_a in (0.0, 12.0, -1.4314978958337399,
@@ -404,7 +421,7 @@ class TestBoundarySolve:
     def test_chain_solved_alone_agrees_with_its_batch(self, tech50):
         # Newton stops once its whole batch has converged, so a chain solved
         # alone may stop a step earlier; only the same grid gives the same bits
-        problem, (_, _, _, n_cold, n_rise, valid) = self._coarse_problem(tech50)
+        problem, (*_, n_cold, n_rise, valid) = self._coarse_problem(tech50)
         excess = problem.occupancy_budget(2.0 / 3.0, 3) - n_cold
         active = valid & (excess > 0.0)
         rises, excess = n_rise[:, active], excess[active]
@@ -553,7 +570,9 @@ class TestOptimizeFt:
 
 def _floors_and_powers(cfg) -> list:
     """(k, floor, searched power) for each level of the range that has a
-    feasible point; every such level is searched."""
+    feasible point; every such level is searched, with every coarse point
+    kept, so that the search sums the rows everywhere and the coarse
+    floor plays no part."""
     options = cfg.grid_options()
     problem = _FtProblem(cfg.workload(), cfg.technology(), cfg.electronics(),
                          cfg.cable(), cfg.efficiency(), cfg.ft_toggles())
@@ -562,8 +581,8 @@ def _floors_and_powers(cfg) -> list:
     for k in range(options.k_min, options.k_max + 1):
         floor = problem.power_floor(k, cfg.target_metric, options)
         assert floor > -math.inf  # a validated config meets the premises
-        (found,), _ = _grid_refine(partial(problem.solve, k, cfg.target_metric, options),
-                                   axes, options)
+        (found,), _ = _grid_refine(partial(problem.solve, k, cfg.target_metric, options,
+                                           prune=False), axes, options)
         if found is not None:
             levels.append((k, floor, found[0]))
     return levels
@@ -612,8 +631,10 @@ class TestPowerFloor:
 
         cfg = load_config(text="[optimizer]\ntemperature_points_per_decade = 12\n")
         assert _floor_violations(cfg) == []
+        assert _coarse_floor_violations(cfg) == []
         monkeypatch.setattr(optimize, "static_power_breakdown", without_supply)
         assert _floor_violations(cfg)
+        assert _coarse_floor_violations(cfg)
 
     def test_cap_is_tight_where_the_qubit_stage_rows_dominate(self):
         # no electronics and almost no cable: the parasitic qubit-stage row
@@ -706,16 +727,22 @@ class TestPowerFloor:
         assert capped[0] < uncapped[0]
 
     def test_fixed_multipliers_are_computed_once(self, monkeypatch):
-        # the qubit-quality sweep on its two hardware sets: each floor takes
-        # mu at its capped qubit-stage temperature, and mu at t_gen_hi,
-        # PARAMP_K and HEMT_K is computed once per efficiency model
+        # the qubit-quality sweep on its two hardware sets, and the first
+        # point once more: each floor takes mu at its capped qubit-stage
+        # temperature, and mu at t_gen_hi, PARAMP_K and HEMT_K, and on the
+        # stages of the coarse grid, is computed once per efficiency model;
+        # a search that solves every coarse point prices them all again
         thermal._fixed_multiplier.cache_clear()
-        scalar, floors = [], []
+        optimize._COARSE_MULT.clear()
+        scalar, floors, coarse = [], [], collections.Counter()
+        searches = _count_level_searches(monkeypatch)
         heat_multiplier, floor = CryoEfficiencyModel.heat_multiplier, _FtProblem.power_floor
 
         def counting(self, t_stage, t_ext=thermal.AMBIENT_K):
             if np.ndim(t_stage) == 0:
                 scalar.append(t_stage)
+            elif np.shape(t_stage) == (5, 146, 77):
+                coarse[self.kind] += 1
             return heat_multiplier(self, t_stage, t_ext)
 
         def counting_floor(self, *args):
@@ -725,11 +752,17 @@ class TestPowerFloor:
         monkeypatch.setattr(CryoEfficiencyModel, "heat_multiplier", counting)
         monkeypatch.setattr(_FtProblem, "power_floor", counting_floor)
         axes = [SweepAxis.parse("gamma_inverse_s=0.003:1:15:log")]
-        for scenario, model in (("A", "carnot"), ("C", "small_scale")):
-            sweep(load_config(text="").replace(scenario=scenario, efficiency_model=model),
-                  axes)
+        cfgs = [load_config(text="").replace(scenario=scenario, efficiency_model=model)
+                for scenario, model in (("A", "carnot"), ("C", "small_scale"))]
+        for cfg in cfgs:
+            sweep(cfg, axes)
+        run_problem(cfgs[0])
         assert len(floors) > 30
         assert len(scalar) == len(floors) + 2 * 3
+        again = collections.Counter(search.func.__self__.model.kind for search in searches
+                                    if search.keywords.get("prune") is False)
+        assert again["carnot"] > 0
+        assert coarse == {kind: 1 + again[kind] for kind in ("carnot", "small_scale")}
 
 
 #: The config whose level answer lies on a coarse node: Carnot, scenario
@@ -770,6 +803,18 @@ def _coarse_floor_violations(cfg) -> list:
     return violations
 
 
+DENSE_CONFIG_TEXTS = valid_config_texts(kinds=("rsa", "rectangular"),
+                                        per_decade=st.sampled_from([20, 40]))
+
+
+def _on_the_default_box(text: str) -> str:
+    """The configuration ``text`` on the default temperature box and t_ext,
+    which the strategy's bias toward the bounds rarely draws."""
+    box = ("t_ext_k", "t_qb_min_k", "t_qb_max_k", "t_gen_min_k", "t_gen_max_k")
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if line.split(" = ")[0] not in box)
+
+
 class TestCoarsePruning:
     """Branch and bound on the coarse grid of each level's search."""
 
@@ -795,6 +840,67 @@ class TestCoarsePruning:
               suppress_health_check=[HealthCheck.too_slow])
     def test_floor_is_below_the_solved_power_at_every_point(self, text):
         assert _coarse_floor_violations(load_config(text=text)) == []
+
+    @given(text=st.one_of(DENSE_CONFIG_TEXTS, DENSE_CONFIG_TEXTS.map(_on_the_default_box)))
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_pruning_properties_hold_on_dense_grids(self, text):
+        # both properties above at the density of the default grid, where
+        # the pruning drops most of the points, half of them on its box
+        cfg = load_config(text=text)
+        pruned, _ = _searched(cfg)
+        full, _ = _searched(cfg, keep_all=True)
+        assert repr(pruned) == repr(full)
+        assert _coarse_floor_violations(cfg) == []
+
+    @pytest.mark.parametrize("scenario", ["A", "B", "C"])
+    @pytest.mark.parametrize("model", ["carnot", "small_scale"])
+    def test_static_floor_is_the_sum_of_the_rows(self, scenario, model):
+        # the closed form, conduction rows telescoped, against the rows of
+        # static_power_breakdown at every point of the default coarse grid,
+        # on a cable whose length is not 1 m
+        cfg = load_config(text="[cable]\nlength_m = 2.5\n").replace(
+            scenario=scenario, efficiency_model=model)
+        problem = _FtProblem(cfg.workload(), cfg.technology(), cfg.electronics(),
+                             cfg.cable(), cfg.efficiency(), cfg.ft_toggles())
+        options = cfg.grid_options()
+        t_qb, t_gen = (optimize._log_axis(lo, hi, 40)[0]
+                       for lo, hi in (options.t_qb_bounds, options.t_gen_bounds))
+        stages, *_ = problem.grid_fields(t_qb, t_gen)
+        rows = sum(rec.electrical_power_w for rec in thermal.static_power_breakdown(
+            stages, cfg.electronics(), cfg.cable(), cfg.efficiency(), cfg.t_ext_k))
+        static = problem.coarse_static_power(t_gen, problem.coarse_multipliers(t_qb, t_gen))
+        assert static.shape == rows.shape == (146, 77)
+        np.testing.assert_allclose(static, rows, rtol=1e-12, atol=0.0)
+
+    def test_no_rows_are_priced_on_the_coarse_grid(self, monkeypatch):
+        # the coarse floor sums the rows in closed form; the solves price
+        # them at the points they solve: sub-grid, kept points, refine grids
+        shapes, breakdown = [], optimize.static_power_breakdown
+
+        def recording(temperatures, *args):
+            shapes.append(np.shape(temperatures))
+            return breakdown(temperatures, *args)
+
+        monkeypatch.setattr(optimize, "static_power_breakdown", recording)
+        run_problem(load_config(text=""))
+        assert (5, 9, 9) in shapes and (5, 26, 14) in shapes
+        assert (5, 146, 77) not in shapes
+
+    def test_search_again_solves_no_refine_grid_twice(self, monkeypatch):
+        # the level on a coarse node solves its coarse grid again, in full,
+        # and takes its refine grids from the first search
+        grids, grid_fields = collections.Counter(), _FtProblem.grid_fields
+
+        def recording(self, t_qb, t_gen):
+            grids[t_qb.size, t_gen.size, t_qb.tobytes(), t_gen.tobytes()] += 1
+            return grid_fields(self, t_qb, t_gen)
+
+        monkeypatch.setattr(_FtProblem, "grid_fields", recording)
+        _, again = _searched(load_config(text=ON_A_COARSE_NODE))
+        assert again == 1
+        counts = sorted((n_qb, n_gen, count) for (n_qb, n_gen, *_), count in grids.items())
+        assert counts == [(9, 9, 1), (9, 9, 1), (146, 77, 2)]
 
     def test_floor_is_tight_where_the_drive_dominates(self):
         # three stages on a one-point grid, 20 mK and 300 K, no electronics
@@ -880,8 +986,9 @@ class TestCoarseTable:
         for change in self.SEQUENCE:
             assert repr(self._optimize(change)) == alone[change], change
             assert len(optimize._COARSE_FIELDS) == 1
+            assert 1 <= len(optimize._COARSE_MULT) <= optimize._COARSE_MULT_ENTRIES
             (fields,) = optimize._COARSE_FIELDS.values()
-            for array in fields:
+            for array in (*fields, *(a for e in optimize._COARSE_MULT.values() for a in e)):
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
                     array.flat[0] = 0
