@@ -230,14 +230,22 @@ def _coerce(field_name: str, raw: str, problems: list[str]):
         problems.append(f"{field_name}: expected a number, got {raw!r}")
         return None
     if kind == "int":
-        if value != int(value):
+        if not value.is_integer():  # False for nan and inf too
             problems.append(f"{field_name}: expected an integer, got {raw!r}")
             return None
         return int(value)
     return value
 
 
-def _validate(cfg: RunConfig, problems: list[str]) -> None:
+def validate(cfg: RunConfig, problems: list[str] | None = None) -> RunConfig:
+    """``cfg`` if it passes every check of :func:`load_config`, or raises
+    :class:`ConfigError` listing the earlier ``problems`` and each violation."""
+    problems = list(problems or [])
+    sections = {f: s for s, keys in _SCHEMA.items() for f in keys.values()}
+    for name in FIELD_TYPES:
+        value = getattr(cfg, name)
+        if isinstance(value, float) and not math.isfinite(value):
+            problems.append(f"{sections.get(name, '?')}.{name}: must be a finite number")
     positive = [
         "frequency_hz", "gamma_inverse_s", "tau_1qb_s", "tau_2qb_s",
         "tau_meas_s", "t_ext_k", "t_qb_min_k", "t_qb_max_k", "t_gen_min_k",
@@ -245,7 +253,6 @@ def _validate(cfg: RunConfig, problems: list[str]) -> None:
         "nisq_qubits", "temperature_points_per_decade",
         "steps_per_logical_level",
     ]
-    sections = {f: s for s, keys in _SCHEMA.items() for f in keys.values()}
     for name in positive:
         if getattr(cfg, name) <= 0:
             problems.append(f"{sections.get(name, '?')}.{name}: must be > 0")
@@ -297,6 +304,14 @@ def _validate(cfg: RunConfig, problems: list[str]) -> None:
         problems.append("toggles.rsa_log_base: must be 2 or e")
     if cfg.ft_metric_form not in ("linear", "exact"):
         problems.append("toggles.ft_metric_form: must be linear or exact")
+    if not problems and cfg.workload_kind in ("rsa", "rectangular"):
+        try:
+            cfg.workload()
+        except ValueError as exc:
+            problems.append(f"workload: {exc}")
+    if problems:
+        raise ConfigError(problems)
+    return cfg
 
 
 def load_config(path: str | None = None, text: str | None = None) -> RunConfig:
@@ -333,11 +348,7 @@ def load_config(path: str | None = None, text: str | None = None) -> RunConfig:
                 coerced = _coerce(field_name, raw, problems)
             if coerced is not None:
                 values[field_name] = coerced
-    cfg = RunConfig(**values)
-    _validate(cfg, problems)
-    if problems:
-        raise ConfigError(problems)
-    return cfg
+    return validate(RunConfig(**values), problems)
 
 
 def _db_from_natural(key: str, raw: str, problems: list[str]):

@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .config import FIELD_TYPES, RunConfig
+from .config import FIELD_TYPES, ConfigError, RunConfig, validate
 from .optimize import (
     OptimizationResult,
     optimize_ft,
@@ -63,7 +63,7 @@ def _override(cfg: RunConfig, key: str, value: float) -> RunConfig:
         raise ValueError(f"unknown sweep key {key!r}")
     if kind in ("str", "bool"):
         raise ValueError(f"sweep key {key!r} is not numeric")
-    if kind == "int":
+    if kind == "int" and math.isfinite(value):
         value = int(round(value))
     return cfg.replace(**{key: value})
 
@@ -119,9 +119,10 @@ def sweep(cfg: RunConfig, axes: list[SweepAxis]) -> list[dict]:
     """Cartesian-product evaluation over the given axes.
 
     Rows come out in C order of the axis values (last axis fastest), one
-    :func:`run_problem` per point, infeasible points included.  A point
-    that raises stops the sweep with an exception of the same type whose
-    message names the point.
+    :func:`run_problem` per point, infeasible points included.  Each point
+    is checked first, as :func:`~coldstack.config.load_config` checks a
+    file.  A point that fails the check or raises stops the sweep with an
+    exception of the same type whose message names the point.
     """
     if not axes:
         raise ValueError("sweep needs at least one axis")
@@ -131,11 +132,12 @@ def sweep(cfg: RunConfig, axes: list[SweepAxis]) -> list[dict]:
         point_cfg = cfg
         for axis, value in zip(axes, combo):
             point_cfg = _override(point_cfg, axis.key, float(value))
+        where = ", ".join(f"{axis.key}={float(value)!r}" for axis, value in zip(axes, combo))
         try:
-            result = run_problem(point_cfg)
+            result = run_problem(validate(point_cfg))
+        except ConfigError as exc:
+            raise ConfigError([f"sweep point {where}: {p}" for p in exc.problems]) from exc
         except Exception as exc:
-            where = ", ".join(f"{axis.key}={float(value)!r}"
-                              for axis, value in zip(axes, combo))
             raise type(exc)(f"sweep point {where}: {exc}") from exc
         row = {axis.key: value for axis, value in zip(axes, combo)}
         row.update(result_record(point_cfg, result))

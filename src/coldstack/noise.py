@@ -138,9 +138,10 @@ def chain_transmission(n_rise, excess, t_min: float, t_max: float):
     ``(excess / n_rise_i)^(1/i)`` that each term alone sets; a rise of
     exactly 0 (stages cold enough for the occupancy to vanish) sets
     none.  With one attenuator that bound is the root itself, so the
-    first step confirms it; longer chains take a few steps more.  The
-    iteration stops once no step exceeds a few ulps, and after
-    ``_NEWTON_STEPS`` at the most.
+    first step confirms it; longer chains take a few steps more.  Each
+    chain stops once its own step is at most a few ulps, and after
+    ``_NEWTON_STEPS`` at the most, so a chain ends on the same bits
+    whatever batch it is solved in.
     """
     n_rise = np.asarray(n_rise, dtype=float)
     excess = np.asarray(excess, dtype=float)
@@ -148,6 +149,7 @@ def chain_transmission(n_rise, excess, t_min: float, t_max: float):
     for i, rise in enumerate(n_rise, start=1):
         bound = np.divide(excess, rise, out=np.full(excess.shape, np.inf), where=rise > 0)
         t = np.minimum(t, bound ** (1.0 / i))
+    done = np.zeros(t.shape, bool)
     for _ in range(_NEWTON_STEPS):
         # leak = t*h(t) and its slope h + t*h', by Horner's rule on h
         h, dh = 0.0, 0.0
@@ -155,9 +157,10 @@ def chain_transmission(n_rise, excess, t_min: float, t_max: float):
             dh = dh * t + h
             h = h * t + rise
         slope = h + t * dh
-        step = np.divide(t * h - excess, slope, out=np.zeros_like(t), where=slope > 0)
-        t = t - step
-        if np.all(np.abs(step) <= _NEWTON_RTOL * t):
+        step = np.divide(t * h - excess, slope, out=np.zeros_like(t), where=(slope > 0) & ~done)
+        t -= step
+        done |= np.abs(step) <= _NEWTON_RTOL * t
+        if done.all():
             break
     return np.clip(t, t_min, t_max)
 

@@ -24,10 +24,10 @@ constraint is thereby met to round-off rather than grid precision.
 The reduction is an ordered argmin with a fixed tie-break (smaller
 concatenation level, then smaller attenuation, then warmer qubits, then
 cooler generation stage), and the same grid gives the same bits, so
-results are deterministic.  A solve is not elementwise: its Newton
-iteration (:func:`~coldstack.noise.chain_transmission`) stops once the
-whole grid has converged, so a chain's attenuation can differ, within
-``_NEWTON_RTOL``, between the grids it is solved in.
+results are deterministic.  A solve is elementwise: a point's power
+and attenuation are the same bits in any grid or selection it is
+solved in, as Newton (:func:`~coldstack.noise.chain_transmission`)
+stops chain by chain.
 
 The fault-tolerant model has one implementation, :class:`_FtProblem`.
 On any temperature grid it gives the power of the whole machine as
@@ -64,13 +64,9 @@ rows each depend on one axis.  An exact solve of every
 ``_UPPER_STRIDE``-th node of each axis gives an upper bound U on the
 grid's least power.  Only the points whose bound is at most ``U (1 +
 RELATIVE_TIE)`` are solved; a point above it cannot enter the tie band
-of the least power, so the coarse pick is the pick of the full grid.
-Its bits need not be: the kept points are a smaller Newton batch than
-the full grid.  The refine passes solve their grids in full, so this
-reaches the result only where a level's answer lies on a coarse node,
-which the refinement did not improve on; there the level's coarse grid
-is solved again with every point kept, and each refine grid that is
-the same as before is taken from the first search.
+of the least power, and as the solve is elementwise the kept points
+have the bits the full grid gives them, so the coarse pick is the pick
+of the full grid, to the bit.
 """
 
 from __future__ import annotations
@@ -624,10 +620,6 @@ class _FtProblem:
         return (stages, conduction_rises(stages, self.cable), *self.occupancies(stages),
                 t_qb[:, None] < t_gen[None, :])
 
-    def on_coarse_node(self, t_qb: float, t_gen: float) -> bool:
-        """Whether the point (``t_qb``, ``t_gen``) is a node of the coarse grid."""
-        return all(np.any(axis == t) for axis, t in zip(self._coarse[0], (t_qb, t_gen)))
-
     def coarse_fields(self, t_qb: np.ndarray, t_gen: np.ndarray):
         """The stage temperatures, the rises of the cable's conduction
         integral across the spans (:func:`grid_conduction_rises`), the
@@ -781,37 +773,27 @@ class _FtProblem:
         return _boundary_attenuation(gap, lo, hi, invert)
 
     def solve(self, k: int, target: float, options: GridOptions,
-              t_qb: np.ndarray, t_gen: np.ndarray, prune: bool = True,
-              memo: dict | None = None):
+              t_qb: np.ndarray, t_gen: np.ndarray):
         """Power and boundary attenuation on the (T_qb, T_gen) grid, as a
         batch of one for :func:`_grid_refine`: the axes come as rows of
         shape (1, n) and the results have shape (1, n_qb, n_gen).  A
         collapsed chain (qubit stage as warm as the generation stage) has
         no valid layout and is excluded.
 
-        On the coarse grid, unless ``prune`` is False, only the points
-        that can still be the grid's pick are solved (:meth:`candidates`);
-        the others get infinite power and NaN attenuation.  Any other
-        grid is solved in full, or taken from ``memo``, a dict of the
-        grids solved before at this level and target, if it holds it.
+        On the coarse grid only the points that can still be the grid's
+        pick are solved (:meth:`candidates`), with the bits a solve of
+        the full grid gives them; the others get infinite power and NaN
+        attenuation.  Any other grid is solved in full.
         """
         (t_qb,), (t_gen,) = t_qb, t_gen
-        key = (t_qb.tobytes(), t_gen.tobytes())
-        if memo is not None and key in memo:
-            power, a_star = memo[key]
-            return power[None], a_star[None]
         fields = self.grid_fields(t_qb, t_gen)
         if fields is not self._coarse[1]:
             power, a_star = self.solve_fields(k, target, options, fields)
-            if memo is not None:
-                memo[key] = power, a_star
-        elif prune:
+        else:
             keep = self.candidates(k, target, options)
             power, a_star = np.full(keep.shape, np.inf), np.full(keep.shape, np.nan)
             at = np.nonzero(keep)
             power[at], a_star[at] = self.solve_fields(k, target, options, _at(fields, at))
-        else:
-            power, a_star = self.solve_fields(k, target, options, fields)
         return power[None], a_star[None]
 
     def solve_fields(self, k: int, target: float, options: GridOptions, fields: tuple):
@@ -998,10 +980,7 @@ def optimize_ft(workload: Workload, tech: QubitTechnology,
     to the smaller k; within a level :func:`_grid_refine` breaks ties.
     So a level whose :meth:`_FtProblem.power_floor` exceeds ``(1 +
     RELATIVE_TIE)`` times the incumbent's power cannot win, and is not
-    searched.  A level whose answer lies on a node of the coarse grid,
-    whose pruned solve may differ from the full one in the last bits, is
-    searched again with every coarse point kept; the refine grids it
-    solved before are not solved again.
+    searched.  Each level is searched once.
     """
     if not (0 <= target < 1):
         raise ValueError("target metric must lie in [0, 1)")
@@ -1020,12 +999,10 @@ def optimize_ft(workload: Workload, tech: QubitTechnology,
         if best is not None and (problem.power_floor(k, target, options)
                                  > best[0] * (1 + RELATIVE_TIE)):
             continue
-        solve = partial(problem.solve, k, target, options, memo={})
-        (found,), spacing = _grid_refine(solve, axes, options)
+        (found,), spacing = _grid_refine(partial(problem.solve, k, target, options),
+                                         axes, options)
         if found is None:
             continue
-        if problem.on_coarse_node(*found[1]):
-            (found,), spacing = _grid_refine(partial(solve, prune=False), axes, options)
         power, (t_qb, t_gen), a_star = found
         if best is None or power < best[0] * (1 - RELATIVE_TIE):
             best = (power, k, a_star, t_qb, t_gen, spacing)

@@ -238,11 +238,11 @@ def attenuator_heat_fractions(a_total, k_stages: int = 5) -> np.ndarray:
     (i = 1..K-1) dissipates ``cum_i - cum_{i-1}`` times the power
     arriving at the qubit; the final signal itself is absorbed at stage 1
     (the i=0 cumulative attenuation counts as 0).  The top stage hosts
-    no attenuator.  The fractions sum to ``a_total``.
+    no attenuator.  The fractions sum to ``a_total``.  Each exponent is a
+    scalar, so a selection of a grid rounds as the grid does.
     """
     a = np.asarray(a_total, dtype=float)
-    exponents = (np.arange(1, k_stages) / (k_stages - 1)).reshape((-1,) + (1,) * a.ndim)
-    cum = a**exponents
+    cum = np.stack([a ** (i / (k_stages - 1)) for i in range(1, k_stages)])
     return np.concatenate([cum[:1], np.diff(cum, axis=0), np.zeros((1,) + a.shape)])
 
 

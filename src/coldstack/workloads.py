@@ -5,6 +5,7 @@ number-field-sieve baseline."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,8 @@ class Workload:
     def __post_init__(self) -> None:
         if self.q_logical < 1 or self.d_logical < 1:
             raise ValueError("workload dimensions must be >= 1")
+        if self.n_locations > sys.float_info.max:
+            raise ValueError("workload too large: Q_L * D_L exceeds the float range")
 
     @property
     def n_locations(self) -> int:
@@ -45,6 +48,8 @@ def rsa_workload(n: int, variant: str = "gidney", log_base: float = 2.0) -> Work
     """
     if n < 16:
         raise ValueError("key size must be at least 16 bits")
+    if n > sys.float_info.max ** (1 / 3):  # n^3 is below Q_L*D_L in both variants
+        raise ValueError("key size too large: Q_L * D_L exceeds the float range")
     if variant == "gidney":
         log_n = math.log(n, log_base)
         q = math.ceil(3 * n + 0.002 * n * log_n)

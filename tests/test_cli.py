@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 
 from coldstack import driver
 from coldstack.cli import _build_parser, main
-from coldstack.config import RunConfig, load_config
+from coldstack.config import ConfigError, RunConfig, load_config
 from coldstack.driver import SweepAxis, compare_rsa, run_problem, sweep
 from coldstack.results import parse_csv
 
@@ -126,6 +126,30 @@ class TestDriver:
         for key in ("scenario", "include_demod_syndrome", "technology"):
             with pytest.raises(ValueError):
                 sweep(cfg, [SweepAxis(key, 0.0, 1.0, 2)])
+
+    @pytest.mark.parametrize("spec, problem", [
+        ("t_qb_max_k=400:400:1", "t_qb_max_k must lie below the ambient t_ext_k"),
+        ("steps_per_logical_level=-3:-3:1", "steps_per_logical_level: must be > 0"),
+        ("gamma_inverse_s=nan:1:2", "gamma_inverse_s: must be a finite number"),
+        ("k_max=inf:inf:1", "k_max: must be a finite number"),
+        ("rsa_n=1e300:1e300:1", "workload: key size")])
+    def test_sweep_points_are_validated(self, tmp_path, capsys, spec, problem):
+        # each point meets the rules of a config file
+        cfg = load_config(text=RSA_830_LIGHT)
+        axis = SweepAxis.parse(spec)
+        with pytest.raises(ConfigError, match=f"sweep point {axis.key}=.*{problem}"):
+            sweep(cfg, [axis])
+        out = tmp_path / "s.csv"
+        assert main(["--config", _write(tmp_path, RSA_830_LIGHT), "sweep",
+                     "--out", str(out), "--sweep", spec]) == 1
+        err = capsys.readouterr().err
+        assert f"sweep point {axis.key}=" in err and problem in err
+        assert not out.exists()
+
+    def test_compare_rsa_rejects_a_huge_key(self, tmp_path, capsys):
+        assert main(["compare-rsa", "--n", "1e300:1e300:1",
+                     "--out", str(tmp_path / "r.csv")]) == 1
+        assert "key size" in capsys.readouterr().err
 
     def test_level_transitions_monotone_along_depth_sweep(self):
         cfg = load_config(text=LIGHT_OPTIMIZER).replace(

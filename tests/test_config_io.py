@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from coldstack.config import FIELD_TYPES, ConfigError, RunConfig, load_config, show_config
+from coldstack.config import (FIELD_TYPES, ConfigError, RunConfig, load_config, show_config,
+                              validate)
 from coldstack.results import emit_results, parse_csv
 
 
@@ -110,6 +111,35 @@ class TestLoadConfig:
         assert err.value.problems == [
             "stages: expected an integer, got '4.5'",
             "include_demod_syndrome: expected a boolean, got 'maybe'"]
+
+    @pytest.mark.parametrize("raw", ["inf", "-inf", "nan", "1e400"])
+    @pytest.mark.parametrize("section, key", [("optimizer", "k_max"),
+                                              ("chain", "t_ext_k"),
+                                              ("technology", "gamma_inverse_s"),
+                                              ("chain", "attenuation_max")])
+    def test_non_finite_numbers_rejected_by_key(self, section, key, raw):
+        # an integer key, two float keys and a natural-unit bound: none may
+        # end in an overflow, nor let NaN slip past every comparison
+        with pytest.raises(ConfigError) as err:
+            load_config(text=f"[{section}]\n{key} = {raw}\n")
+        assert key in err.value.problems[0]
+
+    @pytest.mark.parametrize("field", ["t_ext_k", "gamma_inverse_s", "k_max",
+                                       "steps_per_logical_level"])
+    def test_validate_rejects_a_non_finite_field(self, field):
+        # a config built in code, as a sweep point is, meets the same rules
+        assert validate(RunConfig()) == RunConfig()
+        with pytest.raises(ConfigError, match=f"{field}: must be a finite number"):
+            validate(RunConfig().replace(**{field: math.nan}))
+
+    @pytest.mark.parametrize("text", [
+        "[workload]\nrsa_n = 1e300\n",
+        "[workload]\nrsa_n = 1e150\n",
+        "[workload]\nrsa_n = 8\n",
+        "[workload]\nkind = rectangular\nq_logical = 1e300\nd_logical = 1e300\n"])
+    def test_workload_out_of_range_rejected(self, text):
+        with pytest.raises(ConfigError, match="workload: "):
+            load_config(text=text)
 
 
 class TestShowConfig:

@@ -33,7 +33,7 @@ from coldstack import (
 from coldstack import optimize, thermal
 from coldstack.config import load_config
 from coldstack.driver import SweepAxis, run_problem, sweep
-from coldstack.noise import _NEWTON_RTOL, _pauli_error, chain_occupancy, chain_transmission
+from coldstack.noise import _pauli_error, chain_occupancy, chain_transmission
 from coldstack.optimize import (
     RELATIVE_TIE,
     FtToggles,
@@ -419,8 +419,8 @@ class TestBoundarySolve:
             assert np.array_equal(p_err(log_a), want), log_a
 
     def test_chain_solved_alone_agrees_with_its_batch(self, tech50):
-        # Newton stops once its whole batch has converged, so a chain solved
-        # alone may stop a step earlier; only the same grid gives the same bits
+        # Newton stops chain by chain, so a chain solved alone takes the
+        # steps it takes in its batch and ends on the same bits
         problem, (*_, n_cold, n_rise, valid) = self._coarse_problem(tech50)
         excess = problem.occupancy_budget(2.0 / 3.0, 3) - n_cold
         active = valid & (excess > 0.0)
@@ -430,7 +430,7 @@ class TestBoundarySolve:
         assert np.array_equal(chain_transmission(rises, excess, 1e-3, 1.0), batch)
         for i in range(0, batch.size, 23):
             (alone,) = chain_transmission(rises[:, i:i + 1], excess[i:i + 1], 1e-3, 1.0)
-            assert abs(alone - batch[i]) <= _NEWTON_RTOL * batch[i], i
+            assert alone == batch[i], i
 
 
 class TestOptimizeFt:
@@ -568,6 +568,14 @@ class TestOptimizeFt:
         assert 40 < ratio < 90
 
 
+def _keep_every_coarse_point(mp) -> None:
+    """Patches the coarse floor to -inf, so that the search solves every
+    coarse point and the floor plays no part in it."""
+    floor = _FtProblem.coarse_floor
+    mp.setattr(_FtProblem, "coarse_floor",
+               lambda self, *args: np.full_like(floor(self, *args), -np.inf))
+
+
 def _floors_and_powers(cfg) -> list:
     """(k, floor, searched power) for each level of the range that has a
     feasible point; every such level is searched, with every coarse point
@@ -578,13 +586,15 @@ def _floors_and_powers(cfg) -> list:
                          cfg.cable(), cfg.efficiency(), cfg.ft_toggles())
     axes = [("t_qb", options.t_qb_bounds), ("t_gen", options.t_gen_bounds)]
     levels = []
-    for k in range(options.k_min, options.k_max + 1):
-        floor = problem.power_floor(k, cfg.target_metric, options)
-        assert floor > -math.inf  # a validated config meets the premises
-        (found,), _ = _grid_refine(partial(problem.solve, k, cfg.target_metric, options,
-                                           prune=False), axes, options)
-        if found is not None:
-            levels.append((k, floor, found[0]))
+    with pytest.MonkeyPatch.context() as mp:
+        _keep_every_coarse_point(mp)
+        for k in range(options.k_min, options.k_max + 1):
+            floor = problem.power_floor(k, cfg.target_metric, options)
+            assert floor > -math.inf  # a validated config meets the premises
+            (found,), _ = _grid_refine(partial(problem.solve, k, cfg.target_metric, options),
+                                       axes, options)
+            if found is not None:
+                levels.append((k, floor, found[0]))
     return levels
 
 
@@ -730,12 +740,10 @@ class TestPowerFloor:
         # the qubit-quality sweep on its two hardware sets, and the first
         # point once more: each floor takes mu at its capped qubit-stage
         # temperature, and mu at t_gen_hi, PARAMP_K and HEMT_K, and on the
-        # stages of the coarse grid, is computed once per efficiency model;
-        # a search that solves every coarse point prices them all again
+        # stages of the coarse grid, is computed once per efficiency model
         thermal._fixed_multiplier.cache_clear()
         optimize._COARSE_MULT.clear()
         scalar, floors, coarse = [], [], collections.Counter()
-        searches = _count_level_searches(monkeypatch)
         heat_multiplier, floor = CryoEfficiencyModel.heat_multiplier, _FtProblem.power_floor
 
         def counting(self, t_stage, t_ext=thermal.AMBIENT_K):
@@ -759,10 +767,7 @@ class TestPowerFloor:
         run_problem(cfgs[0])
         assert len(floors) > 30
         assert len(scalar) == len(floors) + 2 * 3
-        again = collections.Counter(search.func.__self__.model.kind for search in searches
-                                    if search.keywords.get("prune") is False)
-        assert again["carnot"] > 0
-        assert coarse == {kind: 1 + again[kind] for kind in ("carnot", "small_scale")}
+        assert coarse == {"carnot": 1, "small_scale": 1}
 
 
 #: The config whose level answer lies on a coarse node: Carnot, scenario
@@ -770,31 +775,31 @@ class TestPowerFloor:
 ON_A_COARSE_NODE = "[technology]\ngamma_inverse_s = 0.003\n"
 
 
-def _searched(cfg, keep_all: bool = False) -> tuple:
-    """``run_problem(cfg)``, pruned or with every coarse point kept, and the
-    number of levels searched again with every coarse point kept."""
+def _searched(cfg, keep_all: bool = False):
+    """``run_problem(cfg)``, pruned or with every coarse point kept."""
     with pytest.MonkeyPatch.context() as mp:
         if keep_all:
-            floor = _FtProblem.coarse_floor
-            mp.setattr(_FtProblem, "coarse_floor",
-                       lambda self, *args: np.full_like(floor(self, *args), -np.inf))
-        calls = _count_level_searches(mp)
-        result = run_problem(cfg)
-    return result, sum(call.keywords.get("prune") is False for call in calls)
+            _keep_every_coarse_point(mp)
+        return run_problem(cfg)
 
 
-def _coarse_floor_violations(cfg) -> list:
-    """(k, point) for each level and coarse point whose fully solved power
-    lies below the point's coarse floor."""
+def _on_the_coarse_grid(cfg) -> tuple:
+    """The problem of ``cfg``, its options, and its fields on its coarse grid."""
     options = cfg.grid_options()
     problem = _FtProblem(cfg.workload(), cfg.technology(), cfg.electronics(),
                          cfg.cable(), cfg.efficiency(), cfg.ft_toggles())
     t_qb, t_gen = (optimize._log_axis(lo, hi, options.temperature_points_per_decade)[0]
                    for lo, hi in (options.t_qb_bounds, options.t_gen_bounds))
+    return problem, options, (t_qb, t_gen), problem.grid_fields(t_qb, t_gen)
+
+
+def _coarse_floor_violations(cfg) -> list:
+    """(k, point) for each level and coarse point whose fully solved power
+    lies below the point's coarse floor."""
+    problem, options, _, fields = _on_the_coarse_grid(cfg)
     violations = []
     for k in range(options.k_min, options.k_max + 1):
-        (power,), _ = problem.solve(k, cfg.target_metric, options, t_qb[None], t_gen[None],
-                                    prune=False)
+        power, _ = problem.solve_fields(k, cfg.target_metric, options, fields)
         floor = problem.coarse_floor(k, cfg.target_metric, options)
         assert (floor > -np.inf).all()  # a validated config meets the premises
         # the floor sums the rows in another order than the search
@@ -825,11 +830,26 @@ class TestCoarsePruning:
               suppress_health_check=[HealthCheck.too_slow])
     def test_pruned_search_equals_the_search_of_every_point(self, text):
         cfg = load_config(text=text)
-        pruned, again = _searched(cfg)
-        full, _ = _searched(cfg, keep_all=True)
-        assert repr(pruned) == repr(full)
-        if text == ON_A_COARSE_NODE:
-            assert again == 1
+        assert repr(_searched(cfg)) == repr(_searched(cfg, keep_all=True))
+
+    @given(text=valid_config_texts(kinds=("rsa", "rectangular")))
+    @example(text=ON_A_COARSE_NODE)
+    @example(text="")
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_kept_points_are_solved_as_in_the_full_grid(self, text):
+        # the solve is elementwise: each point the pruned coarse pass keeps
+        # has the power and attenuation of the solve of every point, bit for bit
+        cfg = load_config(text=text)
+        problem, options, (t_qb, t_gen), fields = _on_the_coarse_grid(cfg)
+        for k in range(options.k_min, options.k_max + 1):
+            (power,), (a_star,) = problem.solve(k, cfg.target_metric, options,
+                                                t_qb[None], t_gen[None])
+            full_power, full_a = problem.solve_fields(k, cfg.target_metric, options, fields)
+            kept = problem.candidates(k, cfg.target_metric, options)
+            assert np.array_equal(power[kept], full_power[kept]), k
+            assert np.array_equal(a_star[kept], full_a[kept], equal_nan=True), k
+            assert np.isinf(power[~kept]).all() and np.isnan(a_star[~kept]).all(), k
 
     @given(text=valid_config_texts(kinds=("rsa", "rectangular")))
     @example(text="[optimizer]\ntemperature_points_per_decade = 12\n")
@@ -848,9 +868,7 @@ class TestCoarsePruning:
         # both properties above at the density of the default grid, where
         # the pruning drops most of the points, half of them on its box
         cfg = load_config(text=text)
-        pruned, _ = _searched(cfg)
-        full, _ = _searched(cfg, keep_all=True)
-        assert repr(pruned) == repr(full)
+        assert repr(_searched(cfg)) == repr(_searched(cfg, keep_all=True))
         assert _coarse_floor_violations(cfg) == []
 
     @pytest.mark.parametrize("scenario", ["A", "B", "C"])
@@ -887,21 +905,6 @@ class TestCoarsePruning:
         assert (5, 9, 9) in shapes and (5, 26, 14) in shapes
         assert (5, 146, 77) not in shapes
 
-    def test_search_again_solves_no_refine_grid_twice(self, monkeypatch):
-        # the level on a coarse node solves its coarse grid again, in full,
-        # and takes its refine grids from the first search
-        grids, grid_fields = collections.Counter(), _FtProblem.grid_fields
-
-        def recording(self, t_qb, t_gen):
-            grids[t_qb.size, t_gen.size, t_qb.tobytes(), t_gen.tobytes()] += 1
-            return grid_fields(self, t_qb, t_gen)
-
-        monkeypatch.setattr(_FtProblem, "grid_fields", recording)
-        _, again = _searched(load_config(text=ON_A_COARSE_NODE))
-        assert again == 1
-        counts = sorted((n_qb, n_gen, count) for (n_qb, n_gen, *_), count in grids.items())
-        assert counts == [(9, 9, 1), (9, 9, 1), (146, 77, 2)]
-
     def test_floor_is_tight_where_the_drive_dominates(self):
         # three stages on a one-point grid, 20 mK and 300 K, no electronics
         # and almost no cable: the drive is nearly all the power and the
@@ -912,13 +915,10 @@ class TestCoarsePruning:
             "t_gen_min_k = 300.0\n"
             "[scenario]\nname = custom\nq_gen_w = 0.0\nq_para_w = 0.0\nq_hemt_w = 0.0\n"
             "[cable]\ncontrol_lines_per_qubit = 0.001\nreadout_lines_per_qubit = 0.001\n"))
-        options = cfg.grid_options()
-        problem = _FtProblem(cfg.workload(), cfg.technology(), cfg.electronics(),
-                             cfg.cable(), cfg.efficiency(), cfg.ft_toggles())
+        problem, options, _, fields = _on_the_coarse_grid(cfg)
         ratios = {}
         for k in range(3, 7):
-            (power,), _ = problem.solve(k, cfg.target_metric, options, np.array([[0.02]]),
-                                        np.array([[300.0]]), prune=False)
+            power, _ = problem.solve_fields(k, cfg.target_metric, options, fields)
             ratios[k] = (problem.coarse_floor(k, cfg.target_metric, options) / power).item()
         assert all(0.95 <= ratio <= 1.0 for ratio in ratios.values()), ratios
 

@@ -69,6 +69,20 @@ class TestStageLayout:
         assert stage_temperatures(0.02, 300.0, k_stages=2).tolist() == [0.02, 300.0]
         assert attenuator_heat_fractions(1e3, k_stages=2).tolist() == [1e3, 0.0]
 
+    @pytest.mark.parametrize("k_stages", [2, 3, 5, 7])
+    def test_fractions_of_a_selection_are_those_of_the_grid(self, k_stages):
+        # the search prices the kept points of a grid as a 1-D selection;
+        # each must get the bits it gets on the grid, bounds included
+        rng = np.random.default_rng(11)
+        a_total = 10.0 ** rng.uniform(0.0, 12.0, (146, 77))
+        a_total[rng.random(a_total.shape) < 0.3] = 1e12
+        a_total[rng.random(a_total.shape) < 0.2] = 1.0
+        grid = attenuator_heat_fractions(a_total, k_stages)
+        for share in (0.01, 0.3, 1.0):
+            at = np.nonzero(rng.random(a_total.shape) < share)
+            assert np.array_equal(attenuator_heat_fractions(a_total[at], k_stages),
+                                  grid[(slice(None), *at)]), share
+
     def test_rejects_bad_ordering(self, tech_50ms):
         def evaluate(t_qb, t_gen, a_total):
             return evaluate_ft_point(Workload(1, 1), tech_50ms, SCEN_A, CABLE, CARNOT,

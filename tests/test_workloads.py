@@ -39,6 +39,16 @@ class TestRsaWorkload:
         with pytest.raises(ValueError):
             rsa_workload(2048, variant="mystery")
 
+    @pytest.mark.parametrize("variant", ["gidney", "haner"])
+    @pytest.mark.parametrize("n", [int(1e300), int(1e150)], ids=["1e300", "1e150"])
+    def test_rejects_keys_beyond_the_float_range(self, n, variant):
+        # the depth, or the product Q_L*D_L the metric takes as a float,
+        # would overflow
+        with pytest.raises(ValueError, match="float range"):
+            rsa_workload(n, variant)
+        with pytest.raises(ValueError, match="float range"):
+            Workload(10**200, 10**200)
+
     @pytest.mark.parametrize("n", [512, 2048, 8192])
     def test_depth_prefactor_asymptotics(self, n):
         wl = rsa_workload(n)
