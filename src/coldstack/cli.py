@@ -12,7 +12,7 @@ import argparse
 import math
 import sys
 
-from .config import ConfigError, RunConfig, load_config, show_config
+from .config import ConfigError, RunConfig, load_config, show_config, validate
 from .driver import (
     SweepAxis,
     breakdown_records,
@@ -124,7 +124,8 @@ def main(argv=None) -> int:
         return 1
     out = args.out or f"{args.command}.{args.format}"
     try:
-        return _dispatch(args, _kind_for(args.command, cfg), out)
+        # the kind may change for the command, and its rules with it
+        return _dispatch(args, validate(_kind_for(args.command, cfg)), out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

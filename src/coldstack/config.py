@@ -16,10 +16,12 @@ import configparser
 import dataclasses
 import io
 import math
+import sys
 from dataclasses import dataclass
 
 from .noise import QubitTechnology
 from .optimize import FtToggles, GridOptions
+from .qec import GATE_GROWTH, QUBIT_GROWTH
 from .thermal import CableModel, CryoEfficiencyModel, ElectronicsScenario, SCENARIO_PRESETS
 from .workloads import Workload, rsa_workload
 
@@ -306,12 +308,32 @@ def validate(cfg: RunConfig, problems: list[str] | None = None) -> RunConfig:
         problems.append("toggles.ft_metric_form: must be linear or exact")
     if not problems and cfg.workload_kind in ("rsa", "rectangular"):
         try:
-            cfg.workload()
+            top = _top_level(cfg.workload().q_logical)
         except ValueError as exc:
             problems.append(f"workload: {exc}")
+        else:
+            if cfg.k_max > top:
+                problems.append(f"optimizer.k_max: must be at most {top} for this workload, "
+                                "where 91^k_max * Q_L stays in the float range")
     if problems:
         raise ConfigError(problems)
     return cfg
+
+
+def _top_level(q_logical: int) -> int:
+    """The highest concatenation level at which the physical qubit count
+    ``91^k * Q_L`` and the gate growth ``64^k`` stay in the float range:
+    estimated by logarithms, then settled in exact integers."""
+
+    def fits(k: int) -> bool:
+        return max(QUBIT_GROWTH**k * q_logical, GATE_GROWTH**k) <= sys.float_info.max
+
+    k = int(math.log(sys.float_info.max / q_logical, QUBIT_GROWTH))
+    while fits(k + 1):
+        k += 1
+    while not fits(k):
+        k -= 1
+    return k
 
 
 def load_config(path: str | None = None, text: str | None = None) -> RunConfig:

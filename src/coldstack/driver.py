@@ -150,11 +150,16 @@ def compare_rsa(cfg: RunConfig, n_values: list[int]) -> list[dict]:
 
     Each row carries both machines' duration, energy, and bit-per-joule
     efficiency, plus advantage flags.  The classical baseline depends
-    only on the key size; the quantum side re-optimizes per key.
+    only on the key size; the quantum side re-optimizes per key.  Each
+    key size is checked first, as :func:`sweep` checks each point.
     """
     rows = []
     for n in n_values:
         point_cfg = cfg.replace(workload_kind="rsa", rsa_n=int(n))
+        try:
+            validate(point_cfg)
+        except ConfigError as exc:
+            raise ConfigError([f"rsa_n={int(n)}: {p}" for p in exc.problems]) from exc
         wl = point_cfg.workload()
         result = run_problem(point_cfg)
         t_q, e_q, eff_q = rsa_energy_summary(

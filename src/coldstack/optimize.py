@@ -40,16 +40,16 @@ point costs the same bits in any grid.  :func:`optimize_ft` searches the
 concatenation levels in ascending order and skips a level whose power
 floor, a closed-form lower bound on its power anywhere in the box,
 lies above the best power found so far; such a level could not have
-won, so the result is the same as without the skip.  The coarse grid's
-stage fields, where every level's search starts, sit in a one-entry
-table shared by all problems on the same grid, stage count, cable
-material and qubit frequency, so a run of searches that share these,
-such as the levels of one search or the points of a sweep, computes
-them once per process.  The heat multipliers mu of its stages that
-the coarse floor below needs, and its conduction sum G, also depend on
-the efficiency model and t_ext; they sit in a second table of
-``_COARSE_MULT_ENTRIES`` entries, so that a run alternating two
-efficiency models computes them once per model.
+won, so the result is the same as without the skip.  A problem is
+searched in the box of the :class:`GridOptions` it is built with.  The
+fields of the coarse grid, where every level's search starts, are
+cached (:func:`_coarse_grid`), keyed on the temperature bounds, the
+points per decade, the stage count, the cable's material and the qubit
+frequency, so the levels of one search and the points of a sweep that
+share these compute them once.  The heat multipliers mu of its stages
+that the coarse floor below needs, and its conduction sum G, are cached
+too (:func:`_coarse_multipliers`), keyed on the same and on the
+efficiency model and t_ext.
 
 Within a level, the coarse pass is pruned by branch and bound
 (:meth:`_FtProblem.candidates`).  Each coarse point has a closed-form
@@ -73,7 +73,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -103,7 +103,6 @@ from .thermal import (
     _fixed_multiplier,
     attenuator_heat_fractions,
     conduction_heat_per_qubit,
-    conduction_rises,
     demodulation_power_per_qubit,
     grid_conduction_rises,
     stage_temperatures,
@@ -114,6 +113,11 @@ from .workloads import Workload, nisq_circuit, nisq_metric, nisq_power
 
 #: Powers within this relative band count as ties for the tie-break.
 RELATIVE_TIE = 1e-9
+
+#: A fault-tolerant optimum meets its target metric to this much: the
+#: round-off of the boundary solve, which the metric's steepness 2^k
+#: amplifies at high concatenation levels, may take no more.
+METRIC_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -519,18 +523,6 @@ def _drive_power(tech: QubitTechnology, toggles: FtToggles) -> float:
     return pi_pulse_power(tech, tau)
 
 
-#: The coarse-grid fields that depend on no electronics scenario,
-#: efficiency model or t_ext, keyed on all they do depend on; one entry
-#: at the most, the last coarse grid searched.
-_COARSE_FIELDS = {}
-
-#: What the coarse floor needs of the coarse grid's heat multipliers,
-#: and its conduction sum G (:meth:`_FtProblem.coarse_multipliers`),
-#: keyed as ``_COARSE_FIELDS`` and on the efficiency model and t_ext; at
-#: most this many entries, the ones used last.
-_COARSE_MULT_ENTRIES = 2
-_COARSE_MULT = {}
-
 #: The exact solve that bounds the least power on the coarse grid from
 #: above takes every ``_UPPER_STRIDE``-th node of each axis, and the last.
 _UPPER_STRIDE = 6
@@ -544,9 +536,8 @@ def _electrical_rows(static: list) -> list:
 
 
 def _at(fields: tuple, index: tuple) -> tuple:
-    """The grid fields of :meth:`_FtProblem.grid_fields` at the points
-    ``index`` of the grid's two axes, which are the last axes of every
-    array."""
+    """The grid fields of :func:`_grid_fields` at the points ``index`` of
+    the grid's two axes, which are the last axes of every array."""
     return tuple(x[(Ellipsis, *index)] for x in fields)
 
 
@@ -555,28 +546,84 @@ def _strided(n: int) -> np.ndarray:
     return np.append(np.arange(0, n - 1, _UPPER_STRIDE), n - 1)
 
 
+def _read_only(arrays: tuple) -> tuple:
+    """``arrays``, made read-only, as the caches share them."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+def _grid_fields(t_qb: np.ndarray, t_gen: np.ndarray, k_stages: int,
+                 cable: CableModel, omega0: float) -> tuple:
+    """What the search needs on the grid of qubit temperatures ``t_qb``
+    (axis 0) by generation temperatures ``t_gen`` (axis 1) that depends
+    on neither the level nor the attenuation nor the hardware's costs:
+    the K stage temperatures (along a new axis 0), the rises of the
+    cable's conduction integral across the spans
+    (:func:`~coldstack.thermal.grid_conduction_rises`), the occupancy of
+    the qubit stage and its rise into each next stage, and the mask of
+    valid chains (qubit stage colder than the generation stage)."""
+    stages = stage_temperatures(t_qb[:, None], t_gen[None, :], k_stages)
+    # the conduction integral's temporaries are the largest: it runs before
+    # the occupancies are held, which keeps the peak memory down
+    rises = grid_conduction_rises(t_qb, t_gen, stages, cable)
+    occ = bose_einstein(stages, omega0)
+    return stages, rises, occ[0].copy(), occ[1:] - occ[:-1], t_qb[:, None] < t_gen[None, :]
+
+
+@lru_cache(maxsize=1)
+def _coarse_grid(t_qb_bounds: tuple, t_gen_bounds: tuple, per_decade: int,
+                 k_stages: int, material: tuple, omega0: float) -> tuple:
+    """The axes of the coarse grid every level's search starts from, and
+    :func:`_grid_fields` on them, as read-only arrays.  They depend only
+    on the arguments, which are the cache's key: the bounds, the points
+    per decade, the stage count, the cable's material (not its length
+    or line counts) and the qubit frequency."""
+    axes = tuple(_log_axis(lo, hi, per_decade)[0] for lo, hi in (t_qb_bounds, t_gen_bounds))
+    return _read_only(axes), _read_only(
+        _grid_fields(*axes, k_stages, CableModel(1.0, *material), omega0))
+
+
+@lru_cache(maxsize=2)
+def _coarse_multipliers(grid_key: tuple, model: CryoEfficiencyModel, t_ext: float) -> tuple:
+    """What the coarse floor needs of the heat multipliers mu of the
+    stages of ``_coarse_grid(*grid_key)``: mu of the qubit stage (a
+    column over t_qb), of the generation stage (a row over t_gen) and of
+    the stage below it, and the conduction sum ``G = sum_j r_j (mu_j -
+    mu_{j+1})`` over the rises r_j, as read-only arrays.  They add the
+    efficiency model and t_ext to the key, and two entries let a run
+    that alternates two efficiency models compute them once for each.
+
+    With nonnegative conductivities every term of G is >= 0, along a
+    chain of either direction, as the integral rises and mu falls with
+    the temperature.
+    """
+    _, (stages, rises, *_) = _coarse_grid(*grid_key)
+    mult = model.heat_multiplier(stages, t_ext)
+    # the end stages are the axes themselves
+    return _read_only((mult[0, :, :1].copy(), mult[-1, :1].copy(), mult[-2].copy(),
+                       (rises * (mult[:-1] - mult[1:])).sum(axis=0)))
+
+
 class _FtProblem:
     """The fault-tolerant model: metric and per-source power of the whole
-    machine over grids of (T_qb, T_gen), and the boundary solve on them."""
+    machine over grids of (T_qb, T_gen), and the boundary solve on them,
+    in the search box of ``options``."""
 
-    def __init__(self, workload, tech, scenario, cable, model, toggles):
+    def __init__(self, workload, tech, scenario, cable, model, toggles, options):
         self.workload = workload
         self.tech = tech
         self.scenario = scenario
         self.cable = cable
         self.model = model
         self.toggles = toggles
+        self.options = options
         self.p_pi = _drive_power(tech, toggles)
-        # the coarse grid's axes, its fields, and what its floor needs on it
-        # (mu of the qubit stage and of the stage below the top, and the
-        # static power per qubit)
-        self._coarse = None
-
-    def chains(self, t_qb: np.ndarray, t_gen: np.ndarray) -> np.ndarray:
-        """Stage temperatures (the K stages along axis 0) on the grid of
-        qubit temperatures ``t_qb`` (axis 0) and generation temperatures
-        ``t_gen`` (axis 1)."""
-        return stage_temperatures(t_qb[:, None], t_gen[None, :], self.toggles.k_stages)
+        #: the key of the coarse grid's tables
+        self.grid_key = (tuple(map(float, options.t_qb_bounds)),
+                         tuple(map(float, options.t_gen_bounds)),
+                         options.temperature_points_per_decade, toggles.k_stages,
+                         cable.material, tech.omega0)
 
     def stage_fields(self, stages: np.ndarray, rises: np.ndarray):
         """The heat multipliers of the chains ``stages`` and the per-qubit
@@ -587,100 +634,11 @@ class _FtProblem:
         return mult, static_power_breakdown(stages, self.scenario, self.cable, self.model,
                                             self.toggles.t_ext, net, mult)
 
-    def occupancies(self, stages: np.ndarray):
-        """Occupancy of the qubit stage and its rise into each next stage
-        (along axis 0), on the chains ``stages``."""
-        occ = bose_einstein(stages, self.tech.omega0)
-        return occ[0].copy(), occ[1:] - occ[:-1]
-
-    def grid_fields(self, t_qb: np.ndarray, t_gen: np.ndarray):
-        """What the search needs on the (T_qb, T_gen) grid that depends
-        on neither the level nor the attenuation nor the hardware's
-        costs: the stage temperatures, the rises of the cable's
-        conduction integral across the spans, the occupancies, and the
-        mask of valid chains (qubit stage colder than the generation
-        stage).
-
-        The first grid a problem is asked for is the coarse grid that
-        every level's search starts from.  Its fields are those of the
-        shared table (:meth:`coarse_fields`), and what its floor needs,
-        from the table of :meth:`coarse_multipliers` and
-        :meth:`coarse_static_power`, is kept once per problem; each later
-        level reuses them.
-        """
-        if self._coarse is None:
-            multipliers = self.coarse_multipliers(t_qb, t_gen)
-            mu_qb, _, mu_below_top, _ = multipliers
-            self._coarse = ((t_qb.copy(), t_gen.copy()), self.coarse_fields(t_qb, t_gen),
-                            (mu_qb, mu_below_top, self.coarse_static_power(t_gen, multipliers)))
-        (qb_axis, gen_axis), fields, _ = self._coarse
-        if t_qb.tobytes() == qb_axis.tobytes() and t_gen.tobytes() == gen_axis.tobytes():
-            return fields
-        stages = self.chains(t_qb, t_gen)
-        return (stages, conduction_rises(stages, self.cable), *self.occupancies(stages),
-                t_qb[:, None] < t_gen[None, :])
-
-    def coarse_fields(self, t_qb: np.ndarray, t_gen: np.ndarray):
-        """The stage temperatures, the rises of the cable's conduction
-        integral across the spans (:func:`grid_conduction_rises`), the
-        occupancies and the valid mask on the grid of ``t_qb`` by
-        ``t_gen``, as read-only arrays from the shared one-entry table.
-
-        They depend only on the two axes, the stage count, the cable's
-        material (not its length or line counts) and the qubit frequency,
-        which make the key; a new key drops the old entry before its
-        fields are computed, so one grid's fields are held at a time.
-        """
-        key = self._coarse_key(t_qb, t_gen)
-        fields = _COARSE_FIELDS.get(key)
-        if fields is None:
-            _COARSE_FIELDS.clear()
-            stages = self.chains(t_qb, t_gen)
-            fields = (stages, grid_conduction_rises(t_qb, t_gen, stages, self.cable),
-                      *self.occupancies(stages), t_qb[:, None] < t_gen[None, :])
-            for array in fields:
-                array.flags.writeable = False
-            _COARSE_FIELDS[key] = fields
-        return fields
-
-    def _coarse_key(self, t_qb: np.ndarray, t_gen: np.ndarray) -> tuple:
-        """The key of :meth:`coarse_fields` on the axes ``t_qb`` and ``t_gen``."""
-        return (t_qb.tobytes(), t_gen.tobytes(), self.toggles.k_stages,
-                self.cable.material, self.tech.omega0)
-
-    def coarse_multipliers(self, t_qb: np.ndarray, t_gen: np.ndarray):
-        """What the coarse floor needs of the heat multipliers mu of the
-        stages of :meth:`coarse_fields`: mu of the qubit stage (a column
-        over t_qb), of the generation stage (a row over t_gen) and of the
-        stage below it, and the conduction sum ``G = sum_j r_j (mu_j -
-        mu_{j+1})`` over the rises r_j; as read-only arrays from the
-        shared table of ``_COARSE_MULT_ENTRIES`` entries.
-
-        They add the efficiency model and t_ext to the key of
-        :meth:`coarse_fields`.  A miss drops the entry used least recently
-        once the table is full.  With nonnegative conductivities every
-        term of G is >= 0, along a chain of either direction, as the
-        integral rises and mu falls with the temperature.
-        """
-        key = (*self._coarse_key(t_qb, t_gen), self.model, self.toggles.t_ext)
-        entry = _COARSE_MULT.pop(key, None)
-        if entry is None:
-            if len(_COARSE_MULT) >= _COARSE_MULT_ENTRIES:
-                del _COARSE_MULT[next(iter(_COARSE_MULT))]
-            stages, rises, *_ = self.coarse_fields(t_qb, t_gen)
-            mult = self.model.heat_multiplier(stages, self.toggles.t_ext)
-            # the end stages are the axes themselves
-            entry = (mult[0, :, :1].copy(), mult[-1, :1].copy(), mult[-2].copy(),
-                     (rises * (mult[:-1] - mult[1:])).sum(axis=0))
-            for array in entry:
-                array.flags.writeable = False
-        _COARSE_MULT[key] = entry  # now the one used last
-        return entry
-
-    def coarse_static_power(self, t_gen: np.ndarray, multipliers: tuple) -> np.ndarray:
-        """The always-on power per physical qubit on the coarse grid of
-        generation temperatures ``t_gen``, from its ``multipliers``
-        (:meth:`coarse_multipliers`): the sum of the rows of
+    @cached_property
+    def coarse_static(self) -> tuple:
+        """mu of the qubit stage and of the stage below the top on the
+        coarse grid (:func:`_coarse_multipliers`), and the always-on power
+        per physical qubit there: the sum of the rows of
         :func:`~coldstack.thermal.static_power_breakdown`, in closed form.
 
         The conduction rows telescope to ``(l/L) G``.  The electronics
@@ -689,7 +647,9 @@ class _FtProblem:
         on neither.
         """
         cable, scenario, model, t_ext = self.cable, self.scenario, self.model, self.toggles.t_ext
-        mu_qb, mu_gen, _, conduction = multipliers
+        (_, t_gen), _ = _coarse_grid(*self.grid_key)
+        mu_qb, mu_gen, mu_below_top, conduction = _coarse_multipliers(self.grid_key, model,
+                                                                      t_ext)
         hemt = np.where(t_gen > HEMT_K, (1.0 + _fixed_multiplier(model, HEMT_K, t_ext))
                         * scenario.q_hemt, 0.0)
         per_gen = ((1.0 + mu_gen) * scenario.q_gen + hemt
@@ -697,7 +657,7 @@ class _FtProblem:
         static = cable.lines_per_qubit / cable.length_m * conduction + per_gen
         if model.kind == "small_scale":
             static += mu_qb * model.extra_qubit_heat_w
-        return static
+        return mu_qb, mu_below_top, static
 
     def error_probability(self, n_cold: np.ndarray, n_rise: np.ndarray):
         """Pauli error probability on chains of occupancies ``n_cold`` and
@@ -747,7 +707,7 @@ class _FtProblem:
             yield StageRecord(tog.t_ext, q_cl, q_cl, "electronics")
 
     def boundary(self, n_cold: np.ndarray, n_rise: np.ndarray, valid: np.ndarray,
-                 k: int, target: float, options: GridOptions) -> np.ndarray:
+                 k: int, target: float) -> np.ndarray:
         """Smallest total attenuation that meets the target on each chain
         of occupancies ``n_cold`` and rises ``n_rise``; NaN where even
         the upper bound fails or ``valid`` is False.
@@ -757,7 +717,7 @@ class _FtProblem:
         i attenuators of transmission ``b = A^(-1/(K-1))`` equals
         ``n* - n_cold``; Newton's method solves it for ``b``.
         """
-        lo, hi = options.attenuation_bounds
+        lo, hi = self.options.attenuation_bounds
         span = self.toggles.k_stages - 1
         p_err = self.error_probability(n_cold, n_rise)
 
@@ -772,8 +732,7 @@ class _FtProblem:
 
         return _boundary_attenuation(gap, lo, hi, invert)
 
-    def solve(self, k: int, target: float, options: GridOptions,
-              t_qb: np.ndarray, t_gen: np.ndarray):
+    def solve(self, k: int, target: float, t_qb: np.ndarray, t_gen: np.ndarray):
         """Power and boundary attenuation on the (T_qb, T_gen) grid, as a
         batch of one for :func:`_grid_refine`: the axes come as rows of
         shape (1, n) and the results have shape (1, n_qb, n_gen).  A
@@ -786,33 +745,37 @@ class _FtProblem:
         attenuation.  Any other grid is solved in full.
         """
         (t_qb,), (t_gen,) = t_qb, t_gen
-        fields = self.grid_fields(t_qb, t_gen)
-        if fields is not self._coarse[1]:
-            power, a_star = self.solve_fields(k, target, options, fields)
+        (qb_axis, gen_axis), fields = _coarse_grid(*self.grid_key)
+        if not (np.array_equal(t_qb, qb_axis) and np.array_equal(t_gen, gen_axis)):
+            power, a_star = self.solve_fields(k, target, _grid_fields(
+                t_qb, t_gen, self.toggles.k_stages, self.cable, self.tech.omega0))
         else:
-            keep = self.candidates(k, target, options)
+            keep = self.candidates(k, target)
             power, a_star = np.full(keep.shape, np.inf), np.full(keep.shape, np.nan)
             at = np.nonzero(keep)
-            power[at], a_star[at] = self.solve_fields(k, target, options, _at(fields, at))
+            power[at], a_star[at] = self.solve_fields(k, target, _at(fields, at))
         return power[None], a_star[None]
 
-    def solve_fields(self, k: int, target: float, options: GridOptions, fields: tuple):
+    def solve_fields(self, k: int, target: float, fields: tuple):
         """Power and boundary attenuation at the points of ``fields``
-        (:meth:`grid_fields`, or a selection of them by :func:`_at`), with
-        infinite power where the target is out of reach.  The heat
-        multipliers and the static rows are priced at these points only."""
+        (:func:`_grid_fields`, or a selection of them by :func:`_at`),
+        with infinite power and NaN attenuation where the target is out of
+        reach, or the power out of the float range.  The heat multipliers
+        and the static rows are priced at these points only."""
         stages, rises, n_cold, n_rise, valid = fields
         # the rows outlive the boundary solve's temporaries: allocated first
         mult, static = self.stage_fields(stages, rises)
         static = _electrical_rows(static)
-        a_star = self.boundary(n_cold, n_rise, valid, k, target, options)
+        a_star = self.boundary(n_cold, n_rise, valid, k, target)
         finite = np.isfinite(a_star)
-        a_safe = np.where(finite, a_star, options.attenuation_bounds[1])
-        power = sum(rec.electrical_power_w
-                    for rec in self.terms(stages, mult, static, a_safe, k))
-        return np.where(finite, power, np.inf), a_star
+        a_safe = np.where(finite, a_star, self.options.attenuation_bounds[1])
+        with np.errstate(over="ignore"):  # the power of 91^k qubits may overflow
+            power = sum(rec.electrical_power_w
+                        for rec in self.terms(stages, mult, static, a_safe, k))
+        finite &= np.isfinite(power)
+        return np.where(finite, power, np.inf), np.where(finite, a_star, np.nan)
 
-    def candidates(self, k: int, target: float, options: GridOptions) -> np.ndarray:
+    def candidates(self, k: int, target: float) -> np.ndarray:
         """Mask of the coarse-grid points that can be in the tie band of
         the grid's least power at level ``k``, by branch and bound.
 
@@ -822,19 +785,20 @@ class _FtProblem:
         ``U (1 + RELATIVE_TIE)``, with a margin of 1e-12 for the floor's
         round-off, lies above the band, and so does an infeasible one.
         """
-        floor = self.coarse_floor(k, target, options)
+        floor = self.coarse_floor(k, target)
         n_qb, n_gen = floor.shape
         sub = (_strided(n_qb)[:, None], _strided(n_gen)[None, :])
-        power, _ = self.solve_fields(k, target, options, _at(self._coarse[1], sub))
+        _, fields = _coarse_grid(*self.grid_key)
+        power, _ = self.solve_fields(k, target, _at(fields, sub))
         return (floor < np.inf) & (floor * (1 - 1e-12) <= power.min() * (1 + RELATIVE_TIE))
 
-    def coarse_floor(self, k: int, target: float, options: GridOptions) -> np.ndarray:
+    def coarse_floor(self, k: int, target: float) -> np.ndarray:
         """A lower bound on the power at level ``k`` at each point of the
         coarse grid where the metric meets ``target``: inf where no point
         does, and -inf where :meth:`power_floor`'s premises fail.
 
         The static rows cost their sum per qubit
-        (:meth:`coarse_static_power`) times the qubit count.  The K-1
+        (:attr:`coarse_static`) times the qubit count.  The K-1
         attenuator fractions (stages 1..K-1) are >= 0 and sum to the
         total attenuation A, the first is ``A^(1/(K-1)) >= 1``, and mu
         falls along a valid chain, so the drive costs at least
@@ -847,11 +811,13 @@ class _FtProblem:
         target.  The budget is taken 1e-9 relative high against the
         round-off of its inversion.
         """
-        _, _, n_cold, n_rise, valid = self._coarse[1]
-        if not self._floor_premises(k, options):
+        _, (_, _, n_cold, n_rise, valid) = _coarse_grid(*self.grid_key)
+        if not self._floor_premises(k):
             return np.full(n_cold.shape, -np.inf)
+        # priced (once per problem) before this call's own temporaries exist
+        mu_first, mu_last, per_qubit = self.coarse_static
         tog = self.toggles
-        a_low = options.attenuation_bounds[0]
+        a_low = self.options.attenuation_bounds[0]
         reachable = valid
         if target > 0:
             n_star = self.occupancy_budget(target, k)
@@ -859,22 +825,22 @@ class _FtProblem:
             reachable = valid & (excess >= 0.0)
             a_low = np.maximum(a_low, np.divide(n_rise[-1], excess, out=np.zeros_like(excess),
                                                 where=excess > 0.0))
-        mu_first, mu_last, per_qubit = self._coarse[2]
         if tog.include_demod_syndrome:
             per_qubit = per_qubit + (demodulation_power_per_qubit(k, self.tech)
                                      + syndrome_power_per_qubit(self.tech))
         weight = _dynamic_weight(self.tech, k, tog) * self.workload.q_logical
         drive = a_low ** (1.0 / (tog.k_stages - 1)) * (mu_first - mu_last) + a_low * mu_last
-        floor = qec.physical_qubits(self.workload.q_logical, k) * per_qubit + (
-            weight * self.p_pi * drive)
+        with np.errstate(over="ignore"):
+            floor = qec.physical_qubits(self.workload.q_logical, k) * per_qubit + (
+                weight * self.p_pi * drive)
         return np.where(reachable, floor, np.inf)
 
-    def _floor_premises(self, k: int, options: GridOptions) -> bool:
+    def _floor_premises(self, k: int) -> bool:
         """Whether the premises of the power floors hold: the generation
         stage no warmer than t_ext, an attenuation of at least 1, and
         nonnegative weights, parasitic heat, line counts and
         conductivities."""
-        cable = self.cable
+        cable, options = self.cable, self.options
         weight = _dynamic_weight(self.tech, k, self.toggles) * self.workload.q_logical
         q_extra = self.model.extra_qubit_heat_w if self.model.kind == "small_scale" else 0.0
         return (options.t_gen_bounds[1] <= self.toggles.t_ext
@@ -882,10 +848,10 @@ class _FtProblem:
                 and min(weight, q_extra, cable.lines_per_qubit, cable.kapton_low[0],
                         cable.kapton_mid[0]) >= 0.0)
 
-    def power_floor(self, k: int, target: float, options: GridOptions) -> float:
-        """A lower bound on the power at level ``k`` anywhere in the box
-        of ``options`` where the metric meets ``target``, or -inf where
-        its premises do not hold.
+    def power_floor(self, k: int, target: float) -> float:
+        """A lower bound on the power at level ``k`` anywhere in the
+        search box where the metric meets ``target``, or -inf where its
+        premises do not hold.
 
         The heat multiplier mu falls with the temperature up to t_ext in
         both efficiency models, and every stage of a valid chain sits at
@@ -907,9 +873,9 @@ class _FtProblem:
         ``sum_i span_i (mu_i - mu_{i+1})`` with spans and differences of
         mu both >= 0 (nonnegative line counts and conductivities).
         """
-        if not self._floor_premises(k, options):
+        if not self._floor_premises(k):
             return -math.inf
-        tog, model = self.toggles, self.model
+        tog, model, options = self.toggles, self.model, self.options
         t_gen_hi = options.t_gen_bounds[1]
         t_top = min(options.t_qb_bounds[1], t_gen_hi)
         weight = _dynamic_weight(self.tech, k, tog) * self.workload.q_logical
@@ -944,10 +910,11 @@ def evaluate_ft_point(workload: Workload, tech: QubitTechnology,
         raise ValueError("need 0 < t_qb < t_gen <= t_ext")
     if a_total < 1:
         raise ValueError("total attenuation must be >= 1")
-    problem = _FtProblem(workload, tech, scenario, cable, model, toggles)
-    stages = problem.chains(np.array([t_qb], float), np.array([t_gen], float))
-    mult, static = problem.stage_fields(stages, conduction_rises(stages, cable))
-    p_err = problem.error_probability(*problem.occupancies(stages))(np.log10(a_total))
+    problem = _FtProblem(workload, tech, scenario, cable, model, toggles, GridOptions())
+    stages, rises, n_cold, n_rise, _ = _grid_fields(
+        np.array([t_qb], float), np.array([t_gen], float), toggles.k_stages, cable, tech.omega0)
+    mult, static = problem.stage_fields(stages, rises)
+    p_err = problem.error_probability(n_cold, n_rise)(np.log10(a_total))
     records = tuple(
         StageRecord(np.asarray(rec.stage_temperature_k).item(),
                     np.asarray(rec.heat_extracted_w).item(),
@@ -980,34 +947,41 @@ def optimize_ft(workload: Workload, tech: QubitTechnology,
     to the smaller k; within a level :func:`_grid_refine` breaks ties.
     So a level whose :meth:`_FtProblem.power_floor` exceeds ``(1 +
     RELATIVE_TIE)`` times the incumbent's power cannot win, and is not
-    searched.  Each level is searched once.
+    searched.  Each level is searched once.  The optimum meets the target
+    to ``METRIC_TOL``: at high levels, where the metric's steepness
+    amplifies the round-off of the boundary solve past it, the
+    attenuation is raised until it does.
     """
     if not (0 <= target < 1):
         raise ValueError("target metric must lie in [0, 1)")
-    problem = _FtProblem(workload, tech, scenario, cable, model, toggles)
+    problem = _FtProblem(workload, tech, scenario, cable, model, toggles, options)
     # Lowest reachable error probability inside the box: coldest corner,
     # maximal attenuation, coldest generation stage.
-    corner = problem.chains(np.array([options.t_qb_bounds[0]], float),
-                            np.array([options.t_gen_bounds[0]], float))
-    p_err_min = problem.error_probability(*problem.occupancies(corner))(
+    _, _, n_cold, n_rise, _ = _grid_fields(
+        np.array([options.t_qb_bounds[0]], float), np.array([options.t_gen_bounds[0]], float),
+        toggles.k_stages, cable, tech.omega0)
+    p_err_min = problem.error_probability(n_cold, n_rise)(
         np.log10(options.attenuation_bounds[1])).item()
     axes = [("t_qb", options.t_qb_bounds), ("t_gen", options.t_gen_bounds)]
     best = None  # (power, k, a, t_qb, t_gen, spacing)
+    reachable = False  # whether the corner meets the target at some level
     for k in range(options.k_min, options.k_max + 1):
         if problem.metric(p_err_min, k) < target:
             continue
-        if best is not None and (problem.power_floor(k, target, options)
-                                 > best[0] * (1 + RELATIVE_TIE)):
+        reachable = True
+        if best is not None and problem.power_floor(k, target) > best[0] * (1 + RELATIVE_TIE):
             continue
-        (found,), spacing = _grid_refine(partial(problem.solve, k, target, options),
-                                         axes, options)
+        (found,), spacing = _grid_refine(partial(problem.solve, k, target), axes, options)
         if found is None:
             continue
         power, (t_qb, t_gen), a_star = found
         if best is None or power < best[0] * (1 - RELATIVE_TIE):
             best = (power, k, a_star, t_qb, t_gen, spacing)
     if best is None:
-        if p_err_min >= qec.P_THRESHOLD:
+        if reachable:  # a level's search found only powers beyond the float range
+            diag = (f"no point meets the target metric {target} at a power in the "
+                    f"float range for k in [{options.k_min}, {options.k_max}]")
+        elif p_err_min >= qec.P_THRESHOLD:
             diag = (f"physical error floor {p_err_min:.3g} is not below the "
                     f"threshold {qec.P_THRESHOLD:.3g}; no concatenation level helps")
         else:
@@ -1017,6 +991,14 @@ def optimize_ft(workload: Workload, tech: QubitTechnology,
     power, k, a_star, t_qb, t_gen, spacing = best
     ev = evaluate_ft_point(workload, tech, scenario, cable, model,
                            t_qb, t_gen, a_star, k, toggles)
+    # far up the levels the round-off of the boundary solve can miss the
+    # target by more than METRIC_TOL: the attenuation then rises, in
+    # doubling relative steps, until the point meets it
+    step, a_hi = 2.0**-50, options.attenuation_bounds[1]
+    while ev.metric < target - METRIC_TOL and a_star < a_hi:
+        a_star, step = min(a_hi, a_star * (1.0 + step)), 2.0 * step
+        ev = evaluate_ft_point(workload, tech, scenario, cable, model,
+                               t_qb, t_gen, a_star, k, toggles)
     return OptimizationResult(
         control=ControlPoint(t_qb=t_qb, t_gen=t_gen, a_total=a_star, k=k),
         power_w=ev.power_w,

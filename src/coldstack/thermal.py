@@ -272,11 +272,14 @@ def grid_conduction_rises(t_qb, t_gen, stages, cable: CableModel) -> np.ndarray:
     :func:`stage_temperatures` lays out on the grid of the axes ``t_qb``
     (axis 0) by ``t_gen`` (axis 1).  Their end stages are the axes
     themselves, so the integral there is taken once per axis node, not
-    once per grid point; the rises are the same to the bit."""
+    once per grid point, in one pass with the inner stages; the integral
+    is elementwise, so the rises are the same to the bit."""
+    n_qb, n_gen = len(t_qb), len(t_gen)
+    flat = _conduction_integral(cable, np.concatenate((t_qb, t_gen, stages[1:-1].ravel())))
     w = np.empty(stages.shape)
-    w[0] = _conduction_integral(cable, t_qb)[:, None]
-    w[-1] = _conduction_integral(cable, t_gen)
-    w[1:-1] = _conduction_integral(cable, stages[1:-1])
+    w[0] = flat[:n_qb, None]
+    w[-1] = flat[n_qb:n_qb + n_gen]
+    w[1:-1] = flat[n_qb + n_gen:].reshape(stages[1:-1].shape)
     return w[1:] - w[:-1]
 
 

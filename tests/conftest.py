@@ -3,7 +3,8 @@ import math
 import pytest
 from hypothesis import strategies as st
 
-from coldstack import QubitTechnology
+from coldstack import QubitTechnology, rsa_workload
+from coldstack.config import _top_level
 
 OMEGA0 = 2.0 * math.pi * 6e9
 
@@ -40,8 +41,12 @@ def valid_config_texts(draw, kinds=("rsa", "rectangular", "nisq", "gate"),
     """Configuration files that pass validation, of the workload ``kinds``,
     weighted toward the box bounds: t_gen_max = t_ext, equal bounds, the
     ends of the attenuation and k ranges, two stages, and zero heat loads.
-    ``per_decade`` draws the temperature points per decade; the few of
-    the default keep the grids small."""
+    In one of eight draws the k range starts one below the highest level
+    validation allows, where the physical qubit count nears the float
+    range; a circuit or gate config takes the limit of its RSA workload,
+    which the fault-tolerant commands run.  ``per_decade`` draws the
+    temperature points per decade; the few of the default keep the grids
+    small."""
     t_ext = draw(st.sampled_from([300.0, 290.0, 77.0, 4.5]))
     t_gen_max = draw(st.one_of(st.just(t_ext), edge_biased(min(4.0, t_ext), t_ext)))
     t_gen_min = draw(st.one_of(st.just(t_gen_max),
@@ -51,8 +56,19 @@ def valid_config_texts(draw, kinds=("rsa", "rectangular", "nisq", "gate"),
                               edge_biased(t_qb_min, t_ext * (1 - 1e-12))))
     att_min = draw(st.one_of(st.just(0.0), st.floats(0.0, 120.0)))
     att_max = draw(st.one_of(st.just(att_min), st.just(120.0), st.floats(att_min, 150.0)))
-    k_min = draw(st.integers(0, 6))
-    k_max = draw(st.one_of(st.just(k_min), st.just(6), st.integers(k_min, 8)))
+    workload = {"kind": draw(st.sampled_from(kinds)),
+                "rsa_n": draw(st.integers(16, 4096)),
+                "rsa_variant": draw(st.sampled_from(["gidney", "haner"])),
+                "q_logical": draw(st.integers(1, 10**4)),
+                "d_logical": draw(st.integers(1, 10**12)),
+                "nisq_qubits": draw(st.integers(3, 16))}
+    top = _top_level(workload["q_logical"] if workload["kind"] == "rectangular"
+                     else rsa_workload(workload["rsa_n"], workload["rsa_variant"]).q_logical)
+    k_min = draw(st.sampled_from([*range(7), top - 1]))
+    if k_min < top - 1:
+        k_max = draw(st.one_of(st.just(k_min), st.just(6), st.integers(k_min, 8)))
+    else:
+        k_max = draw(st.sampled_from([top - 1, top]))
     scenario = {"name": draw(st.sampled_from(["A", "B", "C", "custom"]))}
     if scenario["name"] == "custom":
         scenario.update({f"q_{part}_w": draw(st.one_of(st.just(0.0),
@@ -74,12 +90,7 @@ def valid_config_texts(draw, kinds=("rsa", "rectangular", "nisq", "gate"),
         "efficiency": {"model": draw(st.sampled_from(["carnot", "small_scale"])),
                        "extra_qubit_heat_w": draw(st.one_of(st.just(0.0),
                                                             edge_biased(1e-10, 1e-6)))},
-        "workload": {"kind": draw(st.sampled_from(kinds)),
-                     "rsa_n": draw(st.integers(16, 4096)),
-                     "rsa_variant": draw(st.sampled_from(["gidney", "haner"])),
-                     "q_logical": draw(st.integers(1, 10**4)),
-                     "d_logical": draw(st.integers(1, 10**12)),
-                     "nisq_qubits": draw(st.integers(3, 16))},
+        "workload": workload,
         "target": {"metric": draw(st.one_of(st.just(0.0), st.just(2.0 / 3.0),
                                             st.floats(0.0, 1.0, exclude_max=True)))},
         "optimizer": {"temperature_points_per_decade": draw(per_decade),

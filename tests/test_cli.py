@@ -1,5 +1,9 @@
 import argparse
+import contextlib
+import io
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -132,6 +136,7 @@ class TestDriver:
         ("steps_per_logical_level=-3:-3:1", "steps_per_logical_level: must be > 0"),
         ("gamma_inverse_s=nan:1:2", "gamma_inverse_s: must be a finite number"),
         ("k_max=inf:inf:1", "k_max: must be a finite number"),
+        ("k_max=157:157:1", "optimizer.k_max: must be at most 155"),
         ("rsa_n=1e300:1e300:1", "workload: key size")])
     def test_sweep_points_are_validated(self, tmp_path, capsys, spec, problem):
         # each point meets the rules of a config file
@@ -208,6 +213,22 @@ class TestNeverRaises:
             assert total == pytest.approx(result.power_w, rel=1e-12)
         else:
             assert result.diagnostic
+
+    @given(text=valid_config_texts())
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_no_command_ends_in_a_traceback(self, text):
+        # the fault-tolerant commands, which run a circuit or gate config
+        # as its RSA workload, and compare-rsa on two small keys
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = Path(tmp) / "run.cfg", str(Path(tmp) / "out.csv")
+            cfg.write_text(text)
+            for argv in (["optimize-ft"], ["breakdown"], ["compare-rsa", "--n", "64:128:2"]):
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = main(["--config", str(cfg), *argv, "--out", out])
+                assert code in (0, 1, 2), argv
+                assert "Traceback" not in err.getvalue(), argv
 
 
 class TestCliContract:
@@ -364,6 +385,39 @@ class TestCliContract:
         cfg = _write(tmp_path, INFEASIBLE + LIGHT_OPTIMIZER)
         out = tmp_path / "out.csv"
         assert main(["--config", cfg] + argv + ["--out", str(out)]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["optimize-ft"], ["breakdown"], ["compare-rsa", "--n", "512:1024:2"],
+        ["sweep", "--sweep", "gamma_inverse_s=0.05:0.05:1"]])
+    def test_k_max_beyond_the_float_range_is_a_config_error(self, tmp_path, capsys, argv):
+        # 91^157 times RSA-2048's 6175 logical qubits is no float
+        cfg = _write(tmp_path, "[optimizer]\nk_max = 157\n")
+        out = tmp_path / "out.csv"
+        assert main(["--config", cfg] + argv + ["--out", str(out)]) == 1
+        assert "optimizer.k_max: must be at most 155" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["optimize-ft", "breakdown"])
+    def test_the_config_is_validated_for_the_kind_it_runs(self, tmp_path, capsys, command):
+        # a circuit config has no level range to bound; these commands run
+        # it as RSA-2048, whose rules then apply
+        cfg = _write(tmp_path, "[workload]\nkind = nisq\n[optimizer]\nk_max = 400\n")
+        assert load_config(cfg).k_max == 400
+        out = tmp_path / "out.csv"
+        assert main(["--config", cfg, command, "--out", str(out)]) == 1
+        assert "optimizer.k_max: must be at most 155" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_compare_rsa_validates_each_key_size(self, tmp_path, capsys):
+        # RSA-16's 49 logical qubits allow one level more than RSA-512's 1546
+        text = "[workload]\nrsa_n = 16\n[optimizer]\nk_max = 156\n"
+        with pytest.raises(ConfigError, match="rsa_n=512: optimizer.k_max: must be at most 155"):
+            compare_rsa(load_config(text=text), [16, 512])
+        out = tmp_path / "out.csv"
+        assert main(["--config", _write(tmp_path, text), "compare-rsa", "--n", "512:1024:2",
+                     "--out", str(out)]) == 1
+        assert "rsa_n=512: optimizer.k_max" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_exit_code_two_for_gate_and_circuit_targets(self, tmp_path):
         cfg = _write(tmp_path, "[technology]\ngamma_inverse_s = 0.001\n")

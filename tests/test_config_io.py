@@ -142,6 +142,22 @@ class TestLoadConfig:
             load_config(text=text)
 
 
+    @pytest.mark.parametrize("text, top", [
+        ("", 155),
+        ("[workload]\nkind = rectangular\n", 157),
+        ("[workload]\nkind = rectangular\nq_logical = 1e300\n", 4)])
+    def test_k_max_keeps_the_qubit_count_in_the_float_range(self, text, top):
+        # RSA-2048's 6175 logical qubits, one, and 1e300: the physical count
+        # 91^k_max * Q_L of the highest level must be a float
+        assert load_config(text=text + f"[optimizer]\nk_max = {top}\n").k_max == top
+        for k_max in (top + 1, "1e300"):
+            with pytest.raises(ConfigError) as err:
+                load_config(text=text + f"[optimizer]\nk_max = {k_max}\n")
+            assert err.value.problems == [
+                f"optimizer.k_max: must be at most {top} for this workload, "
+                "where 91^k_max * Q_L stays in the float range"]
+
+
 class TestShowConfig:
     def test_round_trips_through_parser(self):
         rendered = show_config(RunConfig())

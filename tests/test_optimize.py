@@ -365,8 +365,6 @@ class TestBoundarySolve:
         tech = QubitTechnology(omega0=2.0 * math.pi * frequency_hz, gamma=20.0)
         wl = Workload(1, 30_000) if k == 0 else Workload(6175, 2_100_000_000)
         target = 2.0 / 3.0
-        problem = _FtProblem(wl, tech, SCEN_A, CABLE, CryoEfficiencyModel(),
-                             FtToggles(k_stages=k_stages, metric_form=form))
         if frequency_hz == 6e9:
             lo, hi = 10.0, 1e6
             t_qb, t_gen = np.geomspace(1e-3, 10.0, 15), np.array([0.5, 4.0, 40.0, 300.0])
@@ -375,10 +373,13 @@ class TestBoundarySolve:
             # qubits hold no photon at all: the first rise is exactly 0
             lo, hi = 1.0, 1e12
             t_qb, t_gen = np.geomspace(1e-4, 4.0, 15), np.array([0.5, 10.0, 300.0])
-        *_, n_cold, n_rise, valid = problem.grid_fields(t_qb, t_gen)
+        problem = _FtProblem(wl, tech, SCEN_A, CABLE, CryoEfficiencyModel(),
+                             FtToggles(k_stages=k_stages, metric_form=form),
+                             GridOptions(attenuation_bounds=(lo, hi)))
+        *_, n_cold, n_rise, valid = optimize._grid_fields(t_qb, t_gen, k_stages, CABLE,
+                                                          tech.omega0)
         with np.errstate(all="raise"):
-            a_star = problem.boundary(n_cold, n_rise, valid, k, target,
-                                      GridOptions(attenuation_bounds=(lo, hi)))
+            a_star = problem.boundary(n_cold, n_rise, valid, k, target)
         p_err = problem.error_probability(n_cold, n_rise)
 
         def metric_at(a):
@@ -400,11 +401,8 @@ class TestBoundarySolve:
     def _coarse_problem(tech):
         """The default RSA-2048 problem and its fields on the default coarse grid."""
         problem = _FtProblem(rsa_workload(2048), tech, SCEN_A, CABLE, CryoEfficiencyModel(),
-                             FtToggles())
-        options = GridOptions()
-        (t_qb, _), (t_gen, _) = (optimize._log_axis(lo, hi, 40)
-                                 for lo, hi in (options.t_qb_bounds, options.t_gen_bounds))
-        return problem, problem.grid_fields(t_qb, t_gen)
+                             FtToggles(), GridOptions())
+        return problem, optimize._coarse_grid(*problem.grid_key)[1]
 
     def test_bound_transmission_rounds_as_on_the_grid(self, tech50):
         # p_err at a scalar log10 attenuation raises 10 once, on a
@@ -490,10 +488,9 @@ class TestOptimizeFt:
         toggles = FtToggles(include_demod_syndrome=demod)
         res = optimize_ft(wl, tech50, SCEN_A, model=cryo, options=LIGHT, toggles=toggles)
         c = res.control
-        problem = _FtProblem(wl, tech50, SCEN_A, CABLE, cryo, toggles)
+        problem = _FtProblem(wl, tech50, SCEN_A, CABLE, cryo, toggles, LIGHT)
         axes = [("t_qb", LIGHT.t_qb_bounds), ("t_gen", LIGHT.t_gen_bounds)]
-        (found,), _ = _grid_refine(partial(problem.solve, c.k, 2.0 / 3.0, LIGHT), axes,
-                                   LIGHT)
+        (found,), _ = _grid_refine(partial(problem.solve, c.k, 2.0 / 3.0), axes, LIGHT)
         power, point, a_star = found
         assert point == (c.t_qb, c.t_gen) and a_star == c.a_total
         ev = evaluate_ft_point(wl, tech50, SCEN_A, CABLE, cryo, c.t_qb, c.t_gen,
@@ -501,6 +498,23 @@ class TestOptimizeFt:
         assert abs(ev.power_w - power) <= 1e-15 * power
         assert ev.power_w == sum(r.electrical_power_w for r in ev.per_stage)
         assert ev.power_w == res.power_w
+
+    @pytest.mark.parametrize("k", [20, 50, 155])
+    def test_high_levels_meet_the_target(self, k):
+        # the metric's steepness 2^k amplifies the round-off of the boundary
+        # solve: 7e-11 below the target at level 20, and at level 50 and up
+        # the solved point misses the target altogether
+        cfg = load_config(text=(
+            "[technology]\nfrequency_hz = 1e9\ngamma_inverse_s = 10.0\ntau_1qb_s = 1e-9\n"
+            "tau_meas_s = 1e-5\n[chain]\nstages = 2\nt_qb_min_k = 1e-4\nt_qb_max_k = 1e-4\n"
+            "t_gen_min_k = 300.0\n[cable]\nlength_m = 0.1\ncontrol_lines_per_qubit = 0.001\n"
+            "readout_lines_per_qubit = 0.001\n[workload]\nrsa_n = 16\n[optimizer]\n"
+            "temperature_points_per_decade = 1\nrefinement_passes = 0\n"
+            f"k_min = {k}\nk_max = {k}\n"))
+        result = run_problem(cfg)
+        assert result.feasible and result.control.k == k
+        assert result.metric_achieved >= cfg.target_metric - optimize.METRIC_TOL
+        assert result.power_w == sum(rec.electrical_power_w for rec in result.per_stage)
 
     def test_better_qubits_never_cost_more(self):
         wl = Workload(6175, 2_100_000_000)
@@ -583,16 +597,16 @@ def _floors_and_powers(cfg) -> list:
     floor plays no part."""
     options = cfg.grid_options()
     problem = _FtProblem(cfg.workload(), cfg.technology(), cfg.electronics(),
-                         cfg.cable(), cfg.efficiency(), cfg.ft_toggles())
+                         cfg.cable(), cfg.efficiency(), cfg.ft_toggles(), options)
     axes = [("t_qb", options.t_qb_bounds), ("t_gen", options.t_gen_bounds)]
     levels = []
     with pytest.MonkeyPatch.context() as mp:
         _keep_every_coarse_point(mp)
         for k in range(options.k_min, options.k_max + 1):
-            floor = problem.power_floor(k, cfg.target_metric, options)
+            floor = problem.power_floor(k, cfg.target_metric)
             assert floor > -math.inf  # a validated config meets the premises
-            (found,), _ = _grid_refine(partial(problem.solve, k, cfg.target_metric, options),
-                                       axes, options)
+            (found,), _ = _grid_refine(partial(problem.solve, k, cfg.target_metric), axes,
+                                       options)
             if found is not None:
                 levels.append((k, floor, found[0]))
     return levels
@@ -668,8 +682,8 @@ class TestPowerFloor:
         # validation rejects these configs, but direct calls can pass them
         wl, cable, model = Workload(6175, 2_100_000_000), CABLE, CryoEfficiencyModel()
         options = LIGHT
-        assert _FtProblem(wl, tech50, SCEN_A, cable, model, FtToggles()).power_floor(
-            3, 2.0 / 3.0, options) > 0
+        assert _FtProblem(wl, tech50, SCEN_A, cable, model, FtToggles(), options).power_floor(
+            3, 2.0 / 3.0) > 0
         if premise == "t_gen_max above t_ext":
             options = replace(LIGHT, t_gen_bounds=(4.0, 400.0))
         elif premise == "attenuation below 1":
@@ -678,13 +692,11 @@ class TestPowerFloor:
             cable = CableModel(control_lines_per_qubit=-0.5)
         else:
             model = CryoEfficiencyModel("small_scale", extra_qubit_heat_w=-1e-8)
-        problem = _FtProblem(wl, tech50, SCEN_A, cable, model, FtToggles())
-        assert problem.power_floor(3, 2.0 / 3.0, options) == -math.inf
+        problem = _FtProblem(wl, tech50, SCEN_A, cable, model, FtToggles(), options)
+        assert problem.power_floor(3, 2.0 / 3.0) == -math.inf
         # nor a coarse floor: every coarse point is solved
-        problem.grid_fields(*(optimize._log_axis(lo, hi, 20)[0]
-                              for lo, hi in (options.t_qb_bounds, options.t_gen_bounds)))
-        assert (problem.coarse_floor(3, 2.0 / 3.0, options) == -np.inf).all()
-        assert problem.candidates(3, 2.0 / 3.0, options).all()
+        assert (problem.coarse_floor(3, 2.0 / 3.0) == -np.inf).all()
+        assert problem.candidates(3, 2.0 / 3.0).all()
 
     @pytest.mark.parametrize("scenario", ["A", "B", "C"])
     @pytest.mark.parametrize("model", ["carnot", "small_scale"])
@@ -697,8 +709,7 @@ class TestPowerFloor:
         calls = _count_level_searches(monkeypatch)
         pruned = optimize_ft(*args, options=LIGHT, toggles=toggles)
         searched = len(calls)
-        monkeypatch.setattr(_FtProblem, "power_floor",
-                            lambda self, k, target, options: -math.inf)
+        monkeypatch.setattr(_FtProblem, "power_floor", lambda self, k, target: -math.inf)
         full = optimize_ft(*args, options=LIGHT, toggles=toggles)
         assert searched < len(calls) - searched
         assert repr(pruned) == repr(full)
@@ -708,8 +719,7 @@ class TestPowerFloor:
         calls = _count_level_searches(monkeypatch)
         pruned = run_problem(cfg)
         searched = len(calls)
-        monkeypatch.setattr(_FtProblem, "power_floor",
-                            lambda self, k, target, options: -math.inf)
+        monkeypatch.setattr(_FtProblem, "power_floor", lambda self, k, target: -math.inf)
         full = run_problem(cfg)
         assert repr(pruned) == repr(full)
         assert searched < len(calls) - searched
@@ -724,8 +734,7 @@ class TestPowerFloor:
         for cap in (True, False):
             if not cap:
                 monkeypatch.setattr(_FtProblem, "power_floor",
-                                    lambda self, k, target, options:
-                                    floor(self, k, 0.0, options))
+                                    lambda self, k, target: floor(self, k, 0.0))
             for scenario, model in (("A", "carnot"), ("C", "small_scale")):
                 cfg = load_config(text="").replace(scenario=scenario, efficiency_model=model)
                 calls = _count_level_searches(monkeypatch)
@@ -742,7 +751,7 @@ class TestPowerFloor:
         # temperature, and mu at t_gen_hi, PARAMP_K and HEMT_K, and on the
         # stages of the coarse grid, is computed once per efficiency model
         thermal._fixed_multiplier.cache_clear()
-        optimize._COARSE_MULT.clear()
+        optimize._coarse_multipliers.cache_clear()
         scalar, floors, coarse = [], [], collections.Counter()
         heat_multiplier, floor = CryoEfficiencyModel.heat_multiplier, _FtProblem.power_floor
 
@@ -784,13 +793,11 @@ def _searched(cfg, keep_all: bool = False):
 
 
 def _on_the_coarse_grid(cfg) -> tuple:
-    """The problem of ``cfg``, its options, and its fields on its coarse grid."""
+    """The problem of ``cfg``, its options, and its coarse grid's axes and fields."""
     options = cfg.grid_options()
     problem = _FtProblem(cfg.workload(), cfg.technology(), cfg.electronics(),
-                         cfg.cable(), cfg.efficiency(), cfg.ft_toggles())
-    t_qb, t_gen = (optimize._log_axis(lo, hi, options.temperature_points_per_decade)[0]
-                   for lo, hi in (options.t_qb_bounds, options.t_gen_bounds))
-    return problem, options, (t_qb, t_gen), problem.grid_fields(t_qb, t_gen)
+                         cfg.cable(), cfg.efficiency(), cfg.ft_toggles(), options)
+    return (problem, options, *optimize._coarse_grid(*problem.grid_key))
 
 
 def _coarse_floor_violations(cfg) -> list:
@@ -799,8 +806,8 @@ def _coarse_floor_violations(cfg) -> list:
     problem, options, _, fields = _on_the_coarse_grid(cfg)
     violations = []
     for k in range(options.k_min, options.k_max + 1):
-        power, _ = problem.solve_fields(k, cfg.target_metric, options, fields)
-        floor = problem.coarse_floor(k, cfg.target_metric, options)
+        power, _ = problem.solve_fields(k, cfg.target_metric, fields)
+        floor = problem.coarse_floor(k, cfg.target_metric)
         assert (floor > -np.inf).all()  # a validated config meets the premises
         # the floor sums the rows in another order than the search
         violations += [(k, point) for point in zip(*np.nonzero(
@@ -843,10 +850,9 @@ class TestCoarsePruning:
         cfg = load_config(text=text)
         problem, options, (t_qb, t_gen), fields = _on_the_coarse_grid(cfg)
         for k in range(options.k_min, options.k_max + 1):
-            (power,), (a_star,) = problem.solve(k, cfg.target_metric, options,
-                                                t_qb[None], t_gen[None])
-            full_power, full_a = problem.solve_fields(k, cfg.target_metric, options, fields)
-            kept = problem.candidates(k, cfg.target_metric, options)
+            (power,), (a_star,) = problem.solve(k, cfg.target_metric, t_qb[None], t_gen[None])
+            full_power, full_a = problem.solve_fields(k, cfg.target_metric, fields)
+            kept = problem.candidates(k, cfg.target_metric)
             assert np.array_equal(power[kept], full_power[kept]), k
             assert np.array_equal(a_star[kept], full_a[kept], equal_nan=True), k
             assert np.isinf(power[~kept]).all() and np.isnan(a_star[~kept]).all(), k
@@ -879,15 +885,10 @@ class TestCoarsePruning:
         # on a cable whose length is not 1 m
         cfg = load_config(text="[cable]\nlength_m = 2.5\n").replace(
             scenario=scenario, efficiency_model=model)
-        problem = _FtProblem(cfg.workload(), cfg.technology(), cfg.electronics(),
-                             cfg.cable(), cfg.efficiency(), cfg.ft_toggles())
-        options = cfg.grid_options()
-        t_qb, t_gen = (optimize._log_axis(lo, hi, 40)[0]
-                       for lo, hi in (options.t_qb_bounds, options.t_gen_bounds))
-        stages, *_ = problem.grid_fields(t_qb, t_gen)
+        problem, _, _, (stages, *_) = _on_the_coarse_grid(cfg)
         rows = sum(rec.electrical_power_w for rec in thermal.static_power_breakdown(
             stages, cfg.electronics(), cfg.cable(), cfg.efficiency(), cfg.t_ext_k))
-        static = problem.coarse_static_power(t_gen, problem.coarse_multipliers(t_qb, t_gen))
+        _, _, static = problem.coarse_static
         assert static.shape == rows.shape == (146, 77)
         np.testing.assert_allclose(static, rows, rtol=1e-12, atol=0.0)
 
@@ -918,8 +919,8 @@ class TestCoarsePruning:
         problem, options, _, fields = _on_the_coarse_grid(cfg)
         ratios = {}
         for k in range(3, 7):
-            power, _ = problem.solve_fields(k, cfg.target_metric, options, fields)
-            ratios[k] = (problem.coarse_floor(k, cfg.target_metric, options) / power).item()
+            power, _ = problem.solve_fields(k, cfg.target_metric, fields)
+            ratios[k] = (problem.coarse_floor(k, cfg.target_metric) / power).item()
         assert all(0.95 <= ratio <= 1.0 for ratio in ratios.values()), ratios
 
     def test_default_rsa_2048_solves_a_few_coarse_points(self, monkeypatch):
@@ -935,6 +936,22 @@ class TestCoarsePruning:
         ((size, count),) = kept
         assert size == 146 * 77
         assert 0 < count < size / 10
+
+    def test_power_beyond_the_float_range_is_infeasible(self):
+        # 91^155 * 49 physical qubits of RSA-16 at 0.1 mK behind the
+        # small-scale cryostat: the power overflows at every point, which
+        # the search, pruned or not, must not return
+        cfg = load_config(text=(
+            "[technology]\nfrequency_hz = 1e9\ngamma_inverse_s = 1e-4\n"
+            "[chain]\nstages = 2\nt_qb_min_k = 1e-4\nt_qb_max_k = 1e-4\n"
+            "t_gen_min_k = 300.0\n[efficiency]\nmodel = small_scale\n"
+            "[workload]\nrsa_n = 16\n[target]\nmetric = 0.0\n"
+            "[optimizer]\ntemperature_points_per_decade = 1\nk_min = 155\nk_max = 155\n"))
+        for keep_all in (False, True):
+            result = _searched(cfg, keep_all)
+            assert not result.feasible
+            assert result.diagnostic == ("no point meets the target metric 0.0 at a power "
+                                         "in the float range for k in [155, 155]")
 
     def test_first_searches_import_nothing(self):
         # numpy helpers such as np.unique import modules on their first call,
@@ -955,14 +972,26 @@ class TestCoarsePruning:
         assert proc.stdout.strip() == "[]"
 
 
+class _WithoutAreas(tuple):
+    """A cable material that compares and hashes as if it had no
+    cross-sections, though it carries them."""
+
+    def __eq__(self, other):
+        return tuple(self[2:]) == tuple(other[2:])
+
+    def __hash__(self):
+        return hash(tuple(self[2:]))
+
+
 class TestCoarseTable:
-    """The coarse-grid fields shared across fault-tolerant problems."""
+    """The coarse-grid tables shared across fault-tolerant problems."""
 
     @staticmethod
-    def _optimize(change: str):
+    def _args(change: str) -> dict:
         args = dict(workload=rsa_workload(2048),
                     tech=QubitTechnology(omega0=OMEGA0, gamma=20.0),
-                    scenario=SCEN_A, cable=CABLE, options=LIGHT)
+                    scenario=SCEN_A, cable=CABLE, model=CryoEfficiencyModel(),
+                    toggles=FtToggles())
         if change == "cable Y":
             args["cable"] = CableModel(length_m=0.5, control_lines_per_qubit=0.1)
         elif change == "cable Z":
@@ -973,22 +1002,39 @@ class TestCoarseTable:
             args["tech"] = QubitTechnology(omega0=2.0 * math.pi * 8e9, gamma=20.0)
         elif change == "3 stages":
             args["toggles"] = FtToggles(k_stages=3)
-        return optimize_ft(**args)
+        return args
+
+    def _optimize(self, change: str):
+        return optimize_ft(**self._args(change), options=LIGHT)
+
+    @staticmethod
+    def _clear():
+        optimize._coarse_grid.cache_clear()
+        optimize._coarse_multipliers.cache_clear()
 
     SEQUENCE = ("cable X", "cable Y", "scenario C", "8 GHz", "3 stages", "cable X")
 
     def test_interleaved_runs_match_runs_alone(self):
         alone = {}
         for change in self.SEQUENCE:
-            optimize._COARSE_FIELDS.clear()
+            self._clear()
             alone[change] = repr(self._optimize(change))
-        optimize._COARSE_FIELDS.clear()
+        self._clear()
         for change in self.SEQUENCE:
             assert repr(self._optimize(change)) == alone[change], change
-            assert len(optimize._COARSE_FIELDS) == 1
-            assert 1 <= len(optimize._COARSE_MULT) <= optimize._COARSE_MULT_ENTRIES
-            (fields,) = optimize._COARSE_FIELDS.values()
-            for array in (*fields, *(a for e in optimize._COARSE_MULT.values() for a in e)):
+            assert optimize._coarse_grid.cache_info().currsize == 1
+            assert 1 <= optimize._coarse_multipliers.cache_info().currsize <= 2
+            # the entries of the run just made, looked up without a miss
+            args = self._args(change)
+            problem = _FtProblem(**args, options=LIGHT)
+            misses = (optimize._coarse_grid.cache_info().misses,
+                      optimize._coarse_multipliers.cache_info().misses)
+            axes, fields = optimize._coarse_grid(*problem.grid_key)
+            multipliers = optimize._coarse_multipliers(problem.grid_key, args["model"],
+                                                       args["toggles"].t_ext)
+            assert misses == (optimize._coarse_grid.cache_info().misses,
+                              optimize._coarse_multipliers.cache_info().misses)
+            for array in (*axes, *fields, *multipliers):
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
                     array.flat[0] = 0
@@ -996,14 +1042,13 @@ class TestCoarseTable:
     def _second_after_first(self, first: str, second: str) -> tuple:
         """Whether the run ``second`` reuses the entry the run ``first``
         left, and whether its result then equals its result alone."""
-        optimize._COARSE_FIELDS.clear()
+        self._clear()
         alone = repr(self._optimize(second))
-        optimize._COARSE_FIELDS.clear()
+        self._clear()
         self._optimize(first)
-        (before,) = optimize._COARSE_FIELDS.values()
+        before = optimize._coarse_grid.cache_info().misses
         got = repr(self._optimize(second))
-        (after,) = optimize._COARSE_FIELDS.values()
-        return after is before, got == alone
+        return optimize._coarse_grid.cache_info().misses == before, got == alone
 
     def test_cables_of_one_material_share_the_entry(self):
         # X and Y differ in length and line counts only
@@ -1013,16 +1058,16 @@ class TestCoarseTable:
         assert self._second_after_first("cable X", "cable Z") == (False, True)
 
     def test_key_without_the_areas_is_caught(self, monkeypatch):
+        material = CableModel.material
         monkeypatch.setattr(CableModel, "material", property(
-            lambda cable: (cable.steel_fit, cable.kapton_low, cable.kapton_mid)))
+            lambda cable: _WithoutAreas(material.fget(cable))))
         assert self._second_after_first("cable X", "cable Z") == (True, False)
 
     def test_problems_on_one_cable_share_the_entry(self):
         self._optimize("cable X")
-        (before,) = optimize._COARSE_FIELDS.values()
+        before = optimize._coarse_grid.cache_info().misses
         self._optimize("scenario C")
-        (after,) = optimize._COARSE_FIELDS.values()
-        assert after is before
+        assert optimize._coarse_grid.cache_info().misses == before
 
 
 class TestTransitionEstimate:

@@ -227,16 +227,42 @@ class TestConductionKernel:
         # the default coarse grid, and one whose bounds are equal; the end
         # stages are the axes themselves, in the coarse table too
         t_qb, t_gen = (optimize._log_axis(lo, hi, 40)[0] for lo, hi in bounds)
+        want = self._check_rises(t_qb, t_gen, k_stages)
+        optimize._coarse_grid.cache_clear()
+        _, (table_stages, rises, *_) = optimize._coarse_grid(*bounds, 40, k_stages,
+                                                             CABLE.material, OMEGA0)
+        assert np.array_equal(table_stages, stage_temperatures(
+            t_qb[:, None], t_gen[None, :], k_stages))
+        assert np.array_equal(rises, want)
+
+    @pytest.mark.parametrize("k_stages", [2, 5, 8])
+    @pytest.mark.parametrize("centers", [(0.05, 30.0), (1e-3, 300.0), (4.0, 4.0)])
+    def test_rises_on_refine_rows_equal_the_grid_rises(self, centers, k_stages):
+        # refine rows inside the default box, and clipped at its bounds,
+        # where values repeat
+        (t_qb,), _ = optimize._refined_axis(np.array([centers[0]]), 0.025, 4, 1e-3, 4.0)
+        (t_gen,), _ = optimize._refined_axis(np.array([centers[1]]), 0.025, 4, 4.0, 300.0)
+        if centers[0] != 0.05:
+            assert len(set(t_qb)) < t_qb.size and len(set(t_gen)) < t_gen.size
+        self._check_rises(t_qb, t_gen, k_stages)
+
+    @pytest.mark.parametrize("k_stages", [2, 5, 8])
+    @pytest.mark.parametrize("point", [(1e-3, 4.0), (0.02, 300.0), (3.0, 7.5)])
+    def test_rises_on_one_point_equal_the_grid_rises(self, point, k_stages):
+        # the one-point grid of evaluate_ft_point and of the corner probe
+        self._check_rises(*(np.array([t]) for t in point), k_stages)
+
+    @staticmethod
+    def _check_rises(t_qb, t_gen, k_stages):
+        """The rises from the axes, by themselves and in the fields of
+        every grid, equal the rises of the grid's chains; returns them."""
         stages = stage_temperatures(t_qb[:, None], t_gen[None, :], k_stages)
         want = conduction_rises(stages, CABLE)
         assert np.array_equal(grid_conduction_rises(t_qb, t_gen, stages, CABLE), want)
-        optimize._COARSE_FIELDS.clear()
-        problem = optimize._FtProblem(Workload(6175, 2_100_000_000),
-                                      QubitTechnology(omega0=OMEGA0, gamma=20.0), SCEN_A,
-                                      CABLE, CARNOT, FtToggles(k_stages=k_stages))
-        table_stages, rises, *_ = problem.coarse_fields(t_qb, t_gen)
-        assert np.array_equal(table_stages, stages)
+        field_stages, rises, *_ = optimize._grid_fields(t_qb, t_gen, k_stages, CABLE, OMEGA0)
+        assert np.array_equal(field_stages, stages)
         assert np.array_equal(rises, want)
+        return want
 
 
 class TestCoolingPower:
