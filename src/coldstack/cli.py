@@ -147,8 +147,10 @@ def _dispatch(args, cfg: RunConfig, out: str) -> int:
               f"results written to {out}")
         return 0 if feasible else 2
     if args.command == "compare-rsa":
-        axis = SweepAxis.parse(f"rsa_n={args.n}")
-        n_values = sorted({int(round(v)) for v in axis.values()})
+        values = SweepAxis.parse(f"rsa_n={args.n}").values()
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"--n {args.n}: key sizes must be finite")
+        n_values = sorted({int(round(v)) for v in values})
         rows = compare_rsa(cfg, n_values)
         emit_results(rows, out, args.format)
         for flag, found, missing in (

@@ -260,6 +260,8 @@ def validate(cfg: RunConfig, problems: list[str] | None = None) -> RunConfig:
             problems.append(f"{sections.get(name, '?')}.{name}: must be > 0")
     if cfg.stages < 2:
         problems.append("chain.stages: need at least 2 cooling stages")
+    if 0 < cfg.gamma_inverse_s and math.isinf(1.0 / cfg.gamma_inverse_s):
+        problems.append("technology.gamma_inverse_s: too small for its inverse to be a float")
     if cfg.t_qb_min_k > cfg.t_qb_max_k:
         problems.append("chain.t_qb_min_k exceeds chain.t_qb_max_k")
     if cfg.t_gen_min_k > cfg.t_gen_max_k:
@@ -284,8 +286,9 @@ def validate(cfg: RunConfig, problems: list[str] | None = None) -> RunConfig:
         problems.append("scenario: heat loads may only accompany name = custom")
     if cfg.efficiency_model not in ("carnot", "small_scale"):
         problems.append("efficiency.model: must be carnot or small_scale")
-    if cfg.extra_qubit_heat_w < 0:
-        problems.append("efficiency.extra_qubit_heat_w: must be >= 0")
+    for name in ("control_lines_per_qubit", "readout_lines_per_qubit", "extra_qubit_heat_w"):
+        if getattr(cfg, name) < 0:
+            problems.append(f"{sections[name]}.{name}: must be >= 0")
     if cfg.workload_kind not in ("rsa", "rectangular", "nisq", "gate"):
         problems.append("workload.kind: must be rsa, rectangular, nisq, or gate")
     if cfg.rsa_variant not in ("gidney", "haner"):

@@ -56,11 +56,15 @@ def pi_pulse_power(tech: QubitTechnology, tau: float) -> float:
     Equals ``hbar*omega0*pi^2 / (4*gamma*tau^2)``, the power whose Rabi
     frequency ``Omega = sqrt(4*gamma*P/(hbar*omega0))`` is ``pi/tau``:
     faster gates and better-isolated qubits (smaller gamma) need
-    stronger drives.
+    stronger drives.  Where the denominator is no normal float (a gamma
+    near an end of the float range), the division by gamma comes last.
     """
     if tau <= 0:
         raise ValueError("pulse duration must be strictly positive")
-    return HBAR * tech.omega0 * np.pi**2 / (4.0 * tech.gamma * tau**2)
+    denominator = 4.0 * tech.gamma * tau**2
+    if not sys.float_info.min <= denominator <= sys.float_info.max:
+        return HBAR * tech.omega0 * np.pi**2 / (4.0 * tau**2) / tech.gamma
+    return HBAR * tech.omega0 * np.pi**2 / denominator
 
 
 def bose_einstein(temperature, omega0: float):

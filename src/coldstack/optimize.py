@@ -94,8 +94,6 @@ from .noise import (
 from .thermal import (
     AMBIENT_K,
     CARNOT,
-    HEMT_K,
-    PARAMP_K,
     CableModel,
     CryoEfficiencyModel,
     ElectronicsScenario,
@@ -105,6 +103,7 @@ from .thermal import (
     conduction_heat_per_qubit,
     demodulation_power_per_qubit,
     grid_conduction_rises,
+    hardware_rows,
     stage_temperatures,
     static_power_breakdown,
     syndrome_power_per_qubit,
@@ -144,6 +143,8 @@ class GridOptions:
         for lo, hi in (self.t_qb_bounds, self.t_gen_bounds, self.attenuation_bounds):
             if not (0 < lo <= hi):
                 raise ValueError("bounds must satisfy 0 < low <= high")
+        if self.attenuation_bounds[0] < 1:
+            raise ValueError("the attenuation lower bound must be at least 1")
         if self.t_gen_bounds[0] <= self.t_qb_bounds[0]:
             raise ValueError("the generation-stage lower bound must exceed "
                              "the qubit-stage lower bound")
@@ -161,6 +162,8 @@ class FtToggles:
     t_ext: float = AMBIENT_K
 
     def __post_init__(self) -> None:
+        if self.t_gate_multiplier < 0:
+            raise ValueError("the gate-time multiplier must be nonnegative")
         if self.k_stages < 2:
             raise ValueError("need at least 2 stages")
         if self.two_qubit_drive_duration not in ("tau_1qb", "tau_2qb"):
@@ -265,15 +268,16 @@ def _grid_refine(solve, axes, options: GridOptions, batch: int = 1):
     qubit stage first.  ``solve(*grids)`` takes one (batch, n) array per
     axis, row b for problem b, and returns the power and the boundary
     attenuation, of shape (batch, n_1, n_2, ...), on the grids the rows
-    span, with NaN attenuation (and infinite power) where the target is
-    out of reach.  Per problem, powers within ``RELATIVE_TIE`` of its
-    minimum tie; ties go to the smaller attenuation, then by
-    ``_TIE_SIGNS``, then to the first point.  Each of the
-    ``options.refinement_passes`` passes re-grids every axis one old
-    step either side of each incumbent at ``options.refinement_factor``
-    times finer spacing.  Returns per problem (power, point,
-    attenuation), or None if its first grid has no feasible point, and
-    the spacing in decades by axis name.
+    span, with infinite power at infeasible points: where the target is
+    out of reach (NaN attenuation) or the power is beyond the float
+    range.  Per problem, powers within ``RELATIVE_TIE`` of its minimum
+    tie; ties go to the smaller attenuation, then by ``_TIE_SIGNS``,
+    then to the first point.  Each of the ``options.refinement_passes``
+    passes re-grids every axis one old step either side of each
+    incumbent at ``options.refinement_factor`` times finer spacing.
+    Returns per problem (power, point, attenuation), or None if its
+    first grid has no feasible point, and the spacing in decades by axis
+    name.
     """
     grids, spacing = [], []
     for _, (lo, hi) in axes:
@@ -287,7 +291,7 @@ def _grid_refine(solve, axes, options: GridOptions, batch: int = 1):
     for pass_index in range(options.refinement_passes + 1):
         power, a_star = solve(*grids)
         if pass_index == 0:
-            alive = np.isfinite(a_star).any(axis=inner)
+            alive = np.isfinite(power).any(axis=inner)
             if not alive.any():
                 break
         low = power.min(axis=inner, keepdims=True) * (1 + RELATIVE_TIE)
@@ -382,20 +386,18 @@ class _AttenuatorProblem:
 
         a_star = _boundary_attenuation(gap, a_lo, a_hi, invert)
         finite = np.isfinite(a_star)
-        power = np.where(finite, self.power(t_axis, np.where(finite, a_star, a_hi)),
-                         np.inf)
+        with np.errstate(over="ignore"):  # a power beyond the float range is out of reach
+            power = np.where(finite, self.power(t_axis, np.where(finite, a_star, a_hi)),
+                             np.inf)
         return power, a_star
 
 
 def optimize_single_qubit(tech: QubitTechnology, target: float,
-                          topology: str = "single_attenuator",
                           options: GridOptions = GridOptions(),
                           t_ext: float = AMBIENT_K) -> OptimizationResult:
     """Minimize the cryo-power of one gate at fixed duration, subject to
     a worst-case gate-fidelity target, over (qubit temperature,
     attenuation) with a single attenuator at the qubit stage."""
-    if topology != "single_attenuator":
-        raise ValueError("only the single_attenuator topology is modeled")
     if not (0 <= target < 1):
         raise ValueError("target metric must lie in [0, 1)")
     if options.t_qb_bounds[1] >= t_ext:
@@ -510,29 +512,9 @@ class FtPointEvaluation:
     p_err: float
 
 
-def _dynamic_weight(tech: QubitTechnology, k: int, toggles: FtToggles) -> float:
-    """Parallel 2qb-equivalents per logical qubit: N_2qb + r*N_1qb, with
-    the 1qb gates active a fraction r of each step."""
-    r = tech.tau_1qb / tech.tau_step
-    n2, n1, _, _ = qec.physical_gate_counts_rectangular(1.0, k)
-    return toggles.t_gate_multiplier * (n2 + r * n1)
-
-
-def _drive_power(tech: QubitTechnology, toggles: FtToggles) -> float:
-    tau = tech.tau_1qb if toggles.two_qubit_drive_duration == "tau_1qb" else tech.tau_2qb
-    return pi_pulse_power(tech, tau)
-
-
 #: The exact solve that bounds the least power on the coarse grid from
 #: above takes every ``_UPPER_STRIDE``-th node of each axis, and the last.
 _UPPER_STRIDE = 6
-
-
-def _electrical_rows(static: list) -> list:
-    """The static rows without their heat, as the search sums electrical
-    powers only."""
-    return [StageRecord(rec.stage_temperature_k, 0.0, rec.electrical_power_w, rec.source)
-            for rec in static]
 
 
 def _at(fields: tuple, index: tuple) -> tuple:
@@ -618,7 +600,8 @@ class _FtProblem:
         self.model = model
         self.toggles = toggles
         self.options = options
-        self.p_pi = _drive_power(tech, toggles)
+        drive_1qb = toggles.two_qubit_drive_duration == "tau_1qb"
+        self.p_pi = pi_pulse_power(tech, tech.tau_1qb if drive_1qb else tech.tau_2qb)
         #: the key of the coarse grid's tables
         self.grid_key = (tuple(map(float, options.t_qb_bounds)),
                          tuple(map(float, options.t_gen_bounds)),
@@ -641,23 +624,31 @@ class _FtProblem:
         per physical qubit there: the sum of the rows of
         :func:`~coldstack.thermal.static_power_breakdown`, in closed form.
 
-        The conduction rows telescope to ``(l/L) G``.  The electronics
-        and HEMT rows depend on t_gen only, the parasitic row of the
-        small-scale model on t_qb only, and the parametric-amplifier row
-        on neither.
+        The conduction rows telescope to ``(l/L) G``; the others are
+        :func:`~coldstack.thermal.hardware_rows` on the coarse axes.
         """
-        cable, scenario, model, t_ext = self.cable, self.scenario, self.model, self.toggles.t_ext
-        (_, t_gen), _ = _coarse_grid(*self.grid_key)
-        mu_qb, mu_gen, mu_below_top, conduction = _coarse_multipliers(self.grid_key, model,
+        cable, t_ext = self.cable, self.toggles.t_ext
+        (t_qb, t_gen), _ = _coarse_grid(*self.grid_key)
+        mu_qb, mu_gen, mu_below_top, conduction = _coarse_multipliers(self.grid_key, self.model,
                                                                       t_ext)
-        hemt = np.where(t_gen > HEMT_K, (1.0 + _fixed_multiplier(model, HEMT_K, t_ext))
-                        * scenario.q_hemt, 0.0)
-        per_gen = ((1.0 + mu_gen) * scenario.q_gen + hemt
-                   + (1.0 + _fixed_multiplier(model, PARAMP_K, t_ext)) * scenario.q_para)
-        static = cable.lines_per_qubit / cable.length_m * conduction + per_gen
-        if model.kind == "small_scale":
-            static += mu_qb * model.extra_qubit_heat_w
+        rows = hardware_rows(t_qb[:, None], t_gen[None, :], mu_qb, mu_gen, self.scenario,
+                             self.model, t_ext)
+        static = (cable.lines_per_qubit / cable.length_m * conduction
+                  + sum(rec.electrical_power_w for rec in rows))
         return mu_qb, mu_below_top, static
+
+    def level(self, k: int) -> tuple:
+        """At level ``k``: the drive weight ``W_k Q_L`` (parallel 2qb-equivalents
+        N_2qb + r N_1qb, the 1qb gates active a fraction r of each step),
+        the physical qubits, and the demodulation-plus-syndrome cost per
+        physical qubit, 0 unless it is included."""
+        tech, tog = self.tech, self.toggles
+        n2, n1, _, _ = qec.physical_gate_counts_rectangular(1.0, k)
+        weight = tog.t_gate_multiplier * (n2 + tech.tau_1qb / tech.tau_step * n1)
+        classical = (demodulation_power_per_qubit(k, tech) + syndrome_power_per_qubit(tech)
+                     if tog.include_demod_syndrome else 0.0)
+        return (weight * self.workload.q_logical,
+                qec.physical_qubits(self.workload.q_logical, k), classical)
 
     def error_probability(self, n_cold: np.ndarray, n_rise: np.ndarray):
         """Pauli error probability on chains of occupancies ``n_cold`` and
@@ -692,18 +683,16 @@ class _FtProblem:
         electrical powers sum to the total.  A generator, so that summing
         over a large grid holds one term at a time."""
         tog = self.toggles
-        weight = _dynamic_weight(self.tech, k, tog) * self.workload.q_logical
+        weight, qubits, classical = self.level(k)
         fractions = attenuator_heat_fractions(a_total, tog.k_stages)
         for t, frac, mu in zip(stages, fractions, mult):
             heat = frac * self.p_pi * weight
             yield StageRecord(t, heat, mu * heat, "attenuator")
-        qubits = qec.physical_qubits(self.workload.q_logical, k)
         for rec in static:
             yield StageRecord(rec.stage_temperature_k, rec.heat_extracted_w * qubits,
                               rec.electrical_power_w * qubits, rec.source)
         if tog.include_demod_syndrome:
-            q_cl = (demodulation_power_per_qubit(k, self.tech)
-                    + syndrome_power_per_qubit(self.tech)) * qubits
+            q_cl = classical * qubits
             yield StageRecord(tog.t_ext, q_cl, q_cl, "electronics")
 
     def boundary(self, n_cold: np.ndarray, n_rise: np.ndarray, valid: np.ndarray,
@@ -765,7 +754,9 @@ class _FtProblem:
         stages, rises, n_cold, n_rise, valid = fields
         # the rows outlive the boundary solve's temporaries: allocated first
         mult, static = self.stage_fields(stages, rises)
-        static = _electrical_rows(static)
+        # without their heat, as the search sums electrical powers only
+        static = [StageRecord(rec.stage_temperature_k, 0.0, rec.electrical_power_w, rec.source)
+                  for rec in static]
         a_star = self.boundary(n_cold, n_rise, valid, k, target)
         finite = np.isfinite(a_star)
         a_safe = np.where(finite, a_star, self.options.attenuation_bounds[1])
@@ -794,8 +785,8 @@ class _FtProblem:
 
     def coarse_floor(self, k: int, target: float) -> np.ndarray:
         """A lower bound on the power at level ``k`` at each point of the
-        coarse grid where the metric meets ``target``: inf where no point
-        does, and -inf where :meth:`power_floor`'s premises fail.
+        coarse grid where the metric meets ``target``, and inf where no
+        point does.
 
         The static rows cost their sum per qubit
         (:attr:`coarse_static`) times the qubit count.  The K-1
@@ -812,8 +803,6 @@ class _FtProblem:
         round-off of its inversion.
         """
         _, (_, _, n_cold, n_rise, valid) = _coarse_grid(*self.grid_key)
-        if not self._floor_premises(k):
-            return np.full(n_cold.shape, -np.inf)
         # priced (once per problem) before this call's own temporaries exist
         mu_first, mu_last, per_qubit = self.coarse_static
         tog = self.toggles
@@ -825,33 +814,15 @@ class _FtProblem:
             reachable = valid & (excess >= 0.0)
             a_low = np.maximum(a_low, np.divide(n_rise[-1], excess, out=np.zeros_like(excess),
                                                 where=excess > 0.0))
-        if tog.include_demod_syndrome:
-            per_qubit = per_qubit + (demodulation_power_per_qubit(k, self.tech)
-                                     + syndrome_power_per_qubit(self.tech))
-        weight = _dynamic_weight(self.tech, k, tog) * self.workload.q_logical
+        weight, qubits, classical = self.level(k)
         drive = a_low ** (1.0 / (tog.k_stages - 1)) * (mu_first - mu_last) + a_low * mu_last
         with np.errstate(over="ignore"):
-            floor = qec.physical_qubits(self.workload.q_logical, k) * per_qubit + (
-                weight * self.p_pi * drive)
+            floor = qubits * (per_qubit + classical) + weight * self.p_pi * drive
         return np.where(reachable, floor, np.inf)
-
-    def _floor_premises(self, k: int) -> bool:
-        """Whether the premises of the power floors hold: the generation
-        stage no warmer than t_ext, an attenuation of at least 1, and
-        nonnegative weights, parasitic heat, line counts and
-        conductivities."""
-        cable, options = self.cable, self.options
-        weight = _dynamic_weight(self.tech, k, self.toggles) * self.workload.q_logical
-        q_extra = self.model.extra_qubit_heat_w if self.model.kind == "small_scale" else 0.0
-        return (options.t_gen_bounds[1] <= self.toggles.t_ext
-                and options.attenuation_bounds[0] >= 1.0
-                and min(weight, q_extra, cable.lines_per_qubit, cable.kapton_low[0],
-                        cable.kapton_mid[0]) >= 0.0)
 
     def power_floor(self, k: int, target: float) -> float:
         """A lower bound on the power at level ``k`` anywhere in the
-        search box where the metric meets ``target``, or -inf where its
-        premises do not hold.
+        search box where the metric meets ``target``.
 
         The heat multiplier mu falls with the temperature up to t_ext in
         both efficiency models, and every stage of a valid chain sits at
@@ -862,36 +833,31 @@ class _FtProblem:
         leak >= 0.  The occupancy rises with the temperature, so the qubit
         stage sits at or below ``T* = hbar omega0 / (k_B log1p(1/n*))``,
         and t_top is capped at T* (at target 0 every point meets it; with
-        n* <= 0 none does).  Per physical qubit, then, the electronics row
-        costs at least ``(1 + mu(t_gen_hi)) q_gen``, the small-scale
-        parasitic row at least ``mu(t_top) q_extra``, and the
-        parametric-amplifier, demodulation and syndrome rows are fixed.
+        n* <= 0 none does; a denominator that underflows to 0 caps
+        nothing).  Each row of :func:`~coldstack.thermal.hardware_rows`
+        is monotone in its one temperature, so it costs at least the
+        lesser of its values at (t_top, t_gen_lo) and (t_top, t_gen_hi).
         The qubit-stage attenuator dissipates ``A^(1/(K-1)) >= 1`` times
-        the drive power, which costs at least ``W_k P_pi mu(t_top)``.
-        The rest is nonnegative: the HEMT and the other attenuator rows
-        (A >= 1), and the conduction rows, which sum to
-        ``sum_i span_i (mu_i - mu_{i+1})`` with spans and differences of
-        mu both >= 0 (nonnegative line counts and conductivities).
+        the drive power, which costs at least ``W_k P_pi mu(t_top)``.  The
+        rest is nonnegative: the other attenuator rows (A >= 1), and the
+        conduction rows, which sum to ``sum_i span_i (mu_i - mu_{i+1})``
+        with spans and differences of mu both >= 0.  The inputs that break
+        these premises are rejected where they enter, t_gen_hi by optimize_ft.
         """
-        if not self._floor_premises(k):
-            return -math.inf
         tog, model, options = self.toggles, self.model, self.options
-        t_gen_hi = options.t_gen_bounds[1]
-        t_top = min(options.t_qb_bounds[1], t_gen_hi)
-        weight = _dynamic_weight(self.tech, k, tog) * self.workload.q_logical
-        q_extra = model.extra_qubit_heat_w if model.kind == "small_scale" else 0.0
+        t_top = min(options.t_qb_bounds[1], options.t_gen_bounds[1])
         n_star = self.occupancy_budget(target, k) if target > 0 else 0.0
-        if n_star > 0:
-            t_top = min(t_top, HBAR * self.tech.omega0 / (K_B * math.log1p(1.0 / n_star)))
+        if n_star > 0 and (rate := K_B * math.log1p(1.0 / n_star)) > 0:
+            t_top = min(t_top, HBAR * self.tech.omega0 / rate)
         mu_top = model.heat_multiplier(t_top, tog.t_ext)
-        per_qubit = ((1.0 + _fixed_multiplier(model, t_gen_hi, tog.t_ext)) * self.scenario.q_gen
-                     + (1.0 + _fixed_multiplier(model, PARAMP_K, tog.t_ext))
-                     * self.scenario.q_para + mu_top * q_extra)
-        if tog.include_demod_syndrome:
-            per_qubit += (demodulation_power_per_qubit(k, self.tech)
-                          + syndrome_power_per_qubit(self.tech))
-        return (qec.physical_qubits(self.workload.q_logical, k) * per_qubit
-                + weight * self.p_pi * mu_top)
+        lo, hi = (hardware_rows(t_top, t_gen, mu_top, _fixed_multiplier(model, t_gen, tog.t_ext),
+                                self.scenario, model, tog.t_ext)
+                  for t_gen in options.t_gen_bounds)
+        # Python floats, whose products overflow to inf silently
+        per_qubit = float(sum(min(a.electrical_power_w, b.electrical_power_w)
+                              for a, b in zip(lo, hi)))
+        weight, qubits, classical = self.level(k)
+        return qubits * (per_qubit + classical) + weight * self.p_pi * mu_top
 
 
 def evaluate_ft_point(workload: Workload, tech: QubitTechnology,
@@ -954,6 +920,8 @@ def optimize_ft(workload: Workload, tech: QubitTechnology,
     """
     if not (0 <= target < 1):
         raise ValueError("target metric must lie in [0, 1)")
+    if options.t_gen_bounds[1] > toggles.t_ext:
+        raise ValueError("the generation stage may be no warmer than t_ext")
     problem = _FtProblem(workload, tech, scenario, cable, model, toggles, options)
     # Lowest reachable error probability inside the box: coldest corner,
     # maximal attenuation, coldest generation stage.
@@ -1015,13 +983,14 @@ def optimize_ft(workload: Workload, tech: QubitTechnology,
 # Diagnostics and user-level costs
 # ---------------------------------------------------------------------------
 
-def transition_size_estimate(tech: QubitTechnology, target: float, k: int,
-                             p_thr: float = qec.P_THRESHOLD) -> float:
+def transition_size_estimate(tech: QubitTechnology, target: float, k: int) -> float:
     """Largest circuit size N_L a given level can support at the noise
-    floor: ``ln(1/target)/p_thr * (4 p_thr / (gamma tau_step))^(2^k)``.
-    Level transitions in optimized sweeps track this estimate."""
+    floor: ``ln(1/target)/p_thr * (4 p_thr / (gamma tau_step))^(2^k)``
+    with the threshold p_thr of the code.  Level transitions in optimized
+    sweeps track this estimate."""
     if not (0 < target < 1):
         raise ValueError("target metric must lie strictly between 0 and 1")
+    p_thr = qec.P_THRESHOLD
     base = 4.0 * p_thr / (tech.gamma * tech.tau_step)
     return math.log(1.0 / target) / p_thr * base ** (2**k)
 

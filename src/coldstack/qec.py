@@ -56,11 +56,11 @@ class LogicalGateCounts:
         return (self.n_2qb, self.n_1qb, self.n_id, self.n_meas)
 
 
-def logical_error_probability(p_err, k: int, p_thr: float = P_THRESHOLD):
+def logical_error_probability(p_err, k: int):
     """Error probability per logical qubit per logical step at level ``k``.
 
-    ``p_thr * (p_err/p_thr)^(2^k)``; equals ``p_err`` at k = 0 and has
-    ``p_thr`` as its fixed point.
+    ``p_thr * (p_err/p_thr)^(2^k)`` with ``p_thr = P_THRESHOLD``; equals
+    ``p_err`` at k = 0 and has ``p_thr`` as its fixed point.
     """
     p = np.asarray(p_err, dtype=float)
     if np.any(p < 0):
@@ -70,7 +70,7 @@ def logical_error_probability(p_err, k: int, p_thr: float = P_THRESHOLD):
     # far from the threshold the power leaves the float range, and 0
     # and inf are its values there
     with np.errstate(over="ignore", under="ignore"):
-        out = p_thr * (p / p_thr) ** (2**k)
+        out = P_THRESHOLD * (p / P_THRESHOLD) ** (2**k)
     if np.ndim(out) == 0:
         return float(out)
     return out
@@ -117,7 +117,7 @@ def measurement_fraction(k: int) -> float:
 
 
 def ft_metric(p_err, k: int, q_logical: float, d_logical: float,
-              linear: bool = True, p_thr: float = P_THRESHOLD):
+              linear: bool = True):
     """Success probability of a rectangular logical circuit, elementwise
     over ``p_err``.
 
@@ -128,7 +128,7 @@ def ft_metric(p_err, k: int, q_logical: float, d_logical: float,
     n_locations = q_logical * d_logical
     if n_locations < 0:
         raise ValueError("circuit size must be nonnegative")
-    p_l = logical_error_probability(p_err, k, p_thr)
+    p_l = logical_error_probability(p_err, k)
     # far above the threshold the expected error count overflows and the
     # metric is 0; far below, a vanishing success probability rounds to 0
     with np.errstate(over="ignore", under="ignore"):
@@ -145,7 +145,7 @@ def ft_metric(p_err, k: int, q_logical: float, d_logical: float,
 
 
 def ft_error_budget(target: float, k: int, q_logical: float, d_logical: float,
-                    linear: bool = True, p_thr: float = P_THRESHOLD) -> float:
+                    linear: bool = True) -> float:
     """Physical error probability at which :func:`ft_metric` equals
     ``target`` in (0, 1): its inverse, in closed form.
 
@@ -158,7 +158,7 @@ def ft_error_budget(target: float, k: int, q_logical: float, d_logical: float,
         p_l = (1.0 - target) / n_locations
     else:
         p_l = -math.expm1(math.log(target) / n_locations)
-    return p_thr * (p_l / p_thr) ** (2.0**-k)
+    return P_THRESHOLD * (p_l / P_THRESHOLD) ** (2.0**-k)
 
 
 def transfer_matrix_floats() -> np.ndarray:

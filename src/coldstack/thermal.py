@@ -72,6 +72,10 @@ class CableModel:
             raise ValueError("cable length must be positive")
         if self.area_above_10k_m2 <= 0 or self.area_below_10k_m2 <= 0:
             raise ValueError("cable cross-sections must be positive")
+        if min(self.control_lines_per_qubit, self.readout_lines_per_qubit) < 0:
+            raise ValueError("lines per qubit must be nonnegative")
+        if min(self.kapton_low[0], self.kapton_mid[0]) < 0:
+            raise ValueError("kapton conductivity prefactors must be nonnegative")
 
     @property
     def lines_per_qubit(self) -> float:
@@ -141,6 +145,8 @@ class CryoEfficiencyModel:
     def __post_init__(self) -> None:
         if self.kind not in ("carnot", "small_scale"):
             raise ValueError("efficiency model must be 'carnot' or 'small_scale'")
+        if self.extra_qubit_heat_w < 0:
+            raise ValueError("the parasitic qubit-stage heat must be nonnegative")
 
     def heat_multiplier(self, t_stage, t_ext: float = AMBIENT_K):
         """Electrical watts per watt of heat extracted at ``t_stage``."""
@@ -314,22 +320,42 @@ def _fixed_multiplier(model: CryoEfficiencyModel, t_stage: float,
     return model.heat_multiplier(t_stage, t_ext)
 
 
+def hardware_rows(t_qb, t_gen, mu_qb, mu_gen, scenario: ElectronicsScenario,
+                  model: CryoEfficiencyModel, t_ext: float) -> list[StageRecord]:
+    """The always-on rows other than conduction, per physical qubit, of
+    chains with the qubit stage at ``t_qb`` and the generation stage at
+    ``t_gen``, of heat multipliers ``mu_qb`` and ``mu_gen``; elementwise.
+
+    Electronics and amplifier rows include their supply power.  The HEMT
+    amplifiers are pointless (and dropped) when the generation stage sits
+    at or below 70 K.  The small-scale efficiency model adds its parasitic
+    per-qubit heat load at the qubit stage.  Each row depends on one
+    temperature at most, and is monotone in it.
+    """
+    mu_para = _fixed_multiplier(model, PARAMP_K, t_ext)
+    mu_hemt = _fixed_multiplier(model, HEMT_K, t_ext)
+    q_hemt = scenario.q_hemt * (t_gen > HEMT_K)
+    rows = [StageRecord(t_gen, scenario.q_gen, (1.0 + mu_gen) * scenario.q_gen, "electronics"),
+            StageRecord(PARAMP_K, scenario.q_para, (1.0 + mu_para) * scenario.q_para, "amplifier"),
+            StageRecord(HEMT_K, q_hemt, (1.0 + mu_hemt) * q_hemt, "amplifier")]
+    if model.kind == "small_scale":
+        q_extra = model.extra_qubit_heat_w
+        rows.append(StageRecord(t_qb, q_extra, mu_qb * q_extra, "extra"))
+    return rows
+
+
 def static_power_breakdown(temperatures, scenario: ElectronicsScenario,
                            cable: CableModel, model: CryoEfficiencyModel = CARNOT,
                            t_ext: float = AMBIENT_K, net=None,
                            mult=None) -> list[StageRecord]:
     """Per-stage, per-source breakdown of the always-on power per
-    physical qubit.
+    physical qubit: the conduction rows, then :func:`hardware_rows`.
 
     ``temperatures`` holds the stage temperatures cold to hot along axis
     0; any further axes are independent chains, over which each record's
-    fields vary.  Electronics and amplifier rows include their supply
-    power; the conduction rows cost only the heat extraction.  The HEMT
-    amplifiers are pointless (and dropped) when the generation stage
-    sits at or below 70 K.  The small-scale efficiency model adds its
-    parasitic per-qubit heat load at the qubit stage.  ``net`` and
-    ``mult``, when given, are :func:`conduction_heat_per_qubit` of
-    ``temperatures`` and ``cable`` and ``model.heat_multiplier`` of
+    fields vary.  The conduction rows cost only the heat extraction.
+    ``net`` and ``mult``, when given, are :func:`conduction_heat_per_qubit`
+    of ``temperatures`` and ``cable`` and ``model.heat_multiplier`` of
     ``temperatures``, computed before.
     """
     temps = np.asarray(temperatures, dtype=float)
@@ -341,19 +367,8 @@ def static_power_breakdown(temperatures, scenario: ElectronicsScenario,
                for t, q, m in zip(temps, net, mult)]
     # a single chain's rows hold Python floats, as the scalar multiplier gives
     mult = mult if temps.ndim > 1 else [float(m) for m in mult]
-    t_gen = temps[-1]
-    records.append(StageRecord(t_gen, scenario.q_gen,
-                               (1.0 + mult[-1]) * scenario.q_gen, "electronics"))
-    para_mult = _fixed_multiplier(model, PARAMP_K, t_ext)
-    records.append(StageRecord(PARAMP_K, scenario.q_para,
-                               (1.0 + para_mult) * scenario.q_para, "amplifier"))
-    q_hemt = np.where(t_gen > HEMT_K, scenario.q_hemt, 0.0)
-    hemt_mult = _fixed_multiplier(model, HEMT_K, t_ext)
-    records.append(StageRecord(HEMT_K, q_hemt, (1.0 + hemt_mult) * q_hemt, "amplifier"))
-    if model.kind == "small_scale":
-        q_extra = model.extra_qubit_heat_w
-        records.append(StageRecord(temps[0], q_extra, mult[0] * q_extra, "extra"))
-    return records
+    return records + hardware_rows(temps[0], temps[-1], mult[0], mult[-1], scenario,
+                                   model, t_ext)
 
 
 def demodulation_power_per_qubit(k: int, tech: QubitTechnology) -> float:

@@ -152,12 +152,15 @@ def gnfs_operations(n: int) -> float:
     """Operation count of the general number field sieve for an n-bit key.
 
     ``exp[(64/9 * n ln2 * (ln(n ln2))^2)^(1/3)]`` with the subleading
-    1+o(1) factor set to 1.
+    1+o(1) factor set to 1; ``inf`` where that leaves the float range.
     """
     if n < 2:
         raise ValueError("key size must be at least 2 bits")
     ln_n2 = math.log(n * math.log(2.0))
-    return math.exp((64.0 * n * math.log(2.0) / 9.0 * ln_n2**2) ** (1.0 / 3.0))
+    try:
+        return math.exp((64.0 * n * math.log(2.0) / 9.0 * ln_n2**2) ** (1.0 / 3.0))
+    except OverflowError:
+        return math.inf
 
 
 def classical_energy_time(n: int) -> tuple[float, float]:
@@ -165,7 +168,8 @@ def classical_energy_time(n: int) -> tuple[float, float]:
 
     Scales the 830-bit record by the GNFS operation count; the wall
     time assumes full parallelization on the reference machine, which
-    underestimates it.
+    underestimates it.  Both are ``inf`` where the operation count
+    leaves the float range.
     """
     ratio = gnfs_operations(n) / gnfs_operations(GNFS_ANCHOR_BITS)
     return GNFS_ANCHOR_ENERGY_J * ratio, GNFS_ANCHOR_TIME_S * ratio

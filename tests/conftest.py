@@ -1,4 +1,6 @@
+import functools
 import math
+import sys
 
 import pytest
 from hypothesis import strategies as st
@@ -25,14 +27,55 @@ def tech_3ms() -> QubitTechnology:
     return QubitTechnology(omega0=OMEGA0, gamma=1.0 / 3e-3)
 
 
+def _shortest_lifetime() -> float:
+    """The least qubit lifetime validation accepts: the least whose
+    inverse, the emission rate, is a float."""
+    lifetime = 1.0 / sys.float_info.max
+    while math.isinf(1.0 / lifetime):
+        lifetime = math.nextafter(lifetime, 1.0)
+    return lifetime
+
+
+SHORTEST_LIFETIME_S = _shortest_lifetime()
+
+
+def _pow10(x: float) -> float:
+    """10^x, and inf where that leaves the float range."""
+    try:
+        return 10.0**x
+    except OverflowError:
+        return math.inf
+
+
 def edge_biased(lo, hi, log=True):
     """Floats in [lo, hi], drawn at either bound as often as inside."""
     if log:
         inner = st.floats(math.log10(lo), math.log10(hi)).map(
-            lambda x: min(hi, max(lo, 10.0**x)))
+            lambda x: min(hi, max(lo, _pow10(x))))
     else:
         inner = st.floats(lo, hi)
     return st.one_of(st.just(lo), st.just(hi), inner)
+
+
+@functools.lru_cache(maxsize=None)
+def largest_rsa_key(variant: str) -> int:
+    """The largest key size of the RSA ``variant`` that validation accepts,
+    where its Q_L * D_L nears the float range, among those a config file
+    states exactly: a float, so that it reads back as itself."""
+
+    def fits(n: int) -> bool:
+        try:
+            rsa_workload(n, variant)
+        except ValueError:
+            return False
+        return True
+
+    lo, hi = 16, 10**120
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+    n = float(lo)
+    return int(n) if int(n) <= lo else int(math.nextafter(n, 0.0))
 
 
 @st.composite
@@ -40,13 +83,15 @@ def valid_config_texts(draw, kinds=("rsa", "rectangular", "nisq", "gate"),
                        per_decade=st.integers(1, 8)):
     """Configuration files that pass validation, of the workload ``kinds``,
     weighted toward the box bounds: t_gen_max = t_ext, equal bounds, the
-    ends of the attenuation and k ranges, two stages, and zero heat loads.
-    In one of eight draws the k range starts one below the highest level
-    validation allows, where the physical qubit count nears the float
-    range; a circuit or gate config takes the limit of its RSA workload,
-    which the fault-tolerant commands run.  ``per_decade`` draws the
-    temperature points per decade; the few of the default keep the grids
-    small."""
+    ends of the attenuation and k ranges, two stages, and zero heat loads
+    and line counts.  In one of eight draws the k range starts one below
+    the highest level validation allows, where the physical qubit count
+    nears the float range; a circuit or gate config takes the limit of its
+    RSA workload, which the fault-tolerant commands run.  In one of eight
+    the RSA key is the largest validation accepts, and in one of two the
+    qubit lifetime is drawn over all that validation accepts, both ends
+    included.  ``per_decade`` draws the temperature points per decade;
+    the few of the default keep the grids small."""
     t_ext = draw(st.sampled_from([300.0, 290.0, 77.0, 4.5]))
     t_gen_max = draw(st.one_of(st.just(t_ext), edge_biased(min(4.0, t_ext), t_ext)))
     t_gen_min = draw(st.one_of(st.just(t_gen_max),
@@ -56,9 +101,11 @@ def valid_config_texts(draw, kinds=("rsa", "rectangular", "nisq", "gate"),
                               edge_biased(t_qb_min, t_ext * (1 - 1e-12))))
     att_min = draw(st.one_of(st.just(0.0), st.floats(0.0, 120.0)))
     att_max = draw(st.one_of(st.just(att_min), st.just(120.0), st.floats(att_min, 150.0)))
+    variant = draw(st.sampled_from(["gidney", "haner"]))
     workload = {"kind": draw(st.sampled_from(kinds)),
-                "rsa_n": draw(st.integers(16, 4096)),
-                "rsa_variant": draw(st.sampled_from(["gidney", "haner"])),
+                "rsa_n": (draw(st.integers(16, 4096)) if draw(st.integers(0, 7))
+                          else largest_rsa_key(variant)),
+                "rsa_variant": variant,
                 "q_logical": draw(st.integers(1, 10**4)),
                 "d_logical": draw(st.integers(1, 10**12)),
                 "nisq_qubits": draw(st.integers(3, 16))}
@@ -76,7 +123,9 @@ def valid_config_texts(draw, kinds=("rsa", "rectangular", "nisq", "gate"),
                          for part in ("gen", "para", "hemt")})
     sections = {
         "technology": {"frequency_hz": draw(edge_biased(1e9, 2e11)),
-                       "gamma_inverse_s": draw(edge_biased(1e-4, 10.0)),
+                       "gamma_inverse_s": draw(st.one_of(
+                           edge_biased(1e-4, 10.0),
+                           edge_biased(SHORTEST_LIFETIME_S, sys.float_info.max))),
                        "tau_1qb_s": draw(edge_biased(1e-9, 1e-6)),
                        "tau_meas_s": draw(edge_biased(1e-8, 1e-5))},
         "chain": {"stages": draw(st.one_of(st.just(2), st.integers(2, 8))),
@@ -85,8 +134,9 @@ def valid_config_texts(draw, kinds=("rsa", "rectangular", "nisq", "gate"),
                   "attenuation_min_db": att_min, "attenuation_max_db": att_max},
         "scenario": scenario,
         "cable": {"length_m": draw(edge_biased(0.1, 10.0)),
-                  "control_lines_per_qubit": draw(edge_biased(1e-3, 1.0)),
-                  "readout_lines_per_qubit": draw(edge_biased(1e-3, 1.0))},
+                  **{f"{line}_lines_per_qubit": draw(st.one_of(st.just(0.0),
+                                                               edge_biased(1e-3, 1.0)))
+                     for line in ("control", "readout")}},
         "efficiency": {"model": draw(st.sampled_from(["carnot", "small_scale"])),
                        "extra_qubit_heat_w": draw(st.one_of(st.just(0.0),
                                                             edge_biased(1e-10, 1e-6)))},

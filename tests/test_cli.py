@@ -156,6 +156,22 @@ class TestDriver:
                      "--out", str(tmp_path / "r.csv")]) == 1
         assert "key size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", ["inf:inf:1", "1e400:1e400:1", "nan:nan:1"])
+    def test_compare_rsa_rejects_a_key_that_is_no_number(self, tmp_path, capsys, spec):
+        out = tmp_path / "r.csv"
+        assert main(["compare-rsa", "--n", spec, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"--n {spec}: key sizes must be finite" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_compare_rsa_prices_a_classical_key_beyond_the_float_range(self):
+        # the GNFS operation count of a 452,860-bit key is no float, while
+        # the quantum side still has one
+        (row,) = compare_rsa(load_config(text=LIGHT_OPTIMIZER), [452_860])
+        assert row["t_classical_s"] == row["energy_classical_j"] == math.inf
+        assert row["efficiency_classical_bit_per_j"] == 0.0
+        assert row["feasible"] and row["quantum_faster"] and row["quantum_more_efficient"]
+
     def test_level_transitions_monotone_along_depth_sweep(self):
         cfg = load_config(text=LIGHT_OPTIMIZER).replace(
             workload_kind="rectangular", q_logical=6175)
@@ -208,7 +224,9 @@ class TestNeverRaises:
         result = run_problem(cfg)
         if result.feasible:
             assert result.metric_achieved >= cfg.target_metric - 1e-12
-            assert math.isfinite(result.power_w) and result.power_w > 0
+            # at the shortest lifetime, a drive of ~1e-314 W behind a stage
+            # a hair below t_ext costs less than the least float: 0 W
+            assert math.isfinite(result.power_w) and result.power_w >= 0
             total = sum(rec.electrical_power_w for rec in result.per_stage)
             assert total == pytest.approx(result.power_w, rel=1e-12)
         else:
@@ -219,11 +237,14 @@ class TestNeverRaises:
               suppress_health_check=[HealthCheck.too_slow])
     def test_no_command_ends_in_a_traceback(self, text):
         # the fault-tolerant commands, which run a circuit or gate config
-        # as its RSA workload, and compare-rsa on two small keys
+        # as its RSA workload, and compare-rsa on two small keys and on the
+        # drawn one
+        n = load_config(text=text).rsa_n
         with tempfile.TemporaryDirectory() as tmp:
             cfg, out = Path(tmp) / "run.cfg", str(Path(tmp) / "out.csv")
             cfg.write_text(text)
-            for argv in (["optimize-ft"], ["breakdown"], ["compare-rsa", "--n", "64:128:2"]):
+            for argv in (["optimize-ft"], ["breakdown"], ["compare-rsa", "--n", "64:128:2"],
+                         ["compare-rsa", "--n", f"{n}:{n}:1"]):
                 err = io.StringIO()
                 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                     code = main(["--config", str(cfg), *argv, "--out", out])
@@ -256,6 +277,16 @@ class TestCliContract:
                      str(tmp_path / "x.csv")])
         assert code == 1
         assert "gamma_inverse_s" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["control_lines_per_qubit", "readout_lines_per_qubit"])
+    def test_negative_line_count_is_a_config_error(self, tmp_path, capsys, key):
+        # a negative conduction would make the power negative
+        cfg = _write(tmp_path, f"[cable]\n{key} = -0.5\n")
+        out = tmp_path / "x.csv"
+        assert main(["--config", cfg, "optimize-ft", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"cable.{key}: must be >= 0" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = _write(tmp_path, RSA_830_LIGHT)

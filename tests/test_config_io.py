@@ -54,6 +54,25 @@ class TestLoadConfig:
         assert "workload.kind" in message
         assert len(err.value.problems) == 3
 
+    @pytest.mark.parametrize("lifetime, ok", [("5e-324", False),
+                                              ("5.562684646268003e-309", False),
+                                              ("5.56268464626801e-309", True)])
+    def test_lifetime_whose_rate_is_no_float_rejected(self, lifetime, ok):
+        # gamma = 1/gamma_inverse_s must be a float: an infinite rate would
+        # price every drive at 0 W
+        text = f"[technology]\ngamma_inverse_s = {lifetime}\n"
+        if ok:
+            assert math.isfinite(load_config(text=text).technology().gamma)
+        else:
+            with pytest.raises(ConfigError, match="technology.gamma_inverse_s: too small"):
+                load_config(text=text)
+
+    @pytest.mark.parametrize("key", ["control_lines_per_qubit", "readout_lines_per_qubit"])
+    def test_negative_line_count_rejected(self, key):
+        assert getattr(load_config(text=f"[cable]\n{key} = 0\n"), key) == 0.0
+        with pytest.raises(ConfigError, match=f"cable.{key}: must be >= 0"):
+            load_config(text=f"[cable]\n{key} = -0.5\n")
+
     @pytest.mark.parametrize("t_qb_max", ["300", "400"])
     def test_qubit_stage_at_or_above_ambient_rejected(self, t_qb_max):
         # one-attenuator problems would count a qubit stage at ambient as

@@ -33,7 +33,7 @@ from coldstack import (
 from coldstack import optimize, thermal
 from coldstack.config import load_config
 from coldstack.driver import SweepAxis, run_problem, sweep
-from coldstack.noise import _pauli_error, chain_occupancy, chain_transmission
+from coldstack.noise import K_B, _pauli_error, chain_occupancy, chain_transmission
 from coldstack.optimize import (
     RELATIVE_TIE,
     FtToggles,
@@ -604,7 +604,6 @@ def _floors_and_powers(cfg) -> list:
         _keep_every_coarse_point(mp)
         for k in range(options.k_min, options.k_max + 1):
             floor = problem.power_floor(k, cfg.target_metric)
-            assert floor > -math.inf  # a validated config meets the premises
             (found,), _ = _grid_refine(partial(problem.solve, k, cfg.target_metric), axes,
                                        options)
             if found is not None:
@@ -675,28 +674,40 @@ class TestPowerFloor:
         for k, floor, power in levels:
             assert 0.75 * power <= floor <= power * (1 + 1e-12), k
 
-    @pytest.mark.parametrize("premise", [
-        "t_gen_max above t_ext", "attenuation below 1", "negative line count",
-        "negative parasitic heat"])
-    def test_no_floor_where_a_premise_fails(self, tech50, premise):
-        # validation rejects these configs, but direct calls can pass them
-        wl, cable, model = Workload(6175, 2_100_000_000), CABLE, CryoEfficiencyModel()
-        options = LIGHT
-        assert _FtProblem(wl, tech50, SCEN_A, cable, model, FtToggles(), options).power_floor(
-            3, 2.0 / 3.0) > 0
-        if premise == "t_gen_max above t_ext":
-            options = replace(LIGHT, t_gen_bounds=(4.0, 400.0))
-        elif premise == "attenuation below 1":
-            options = replace(LIGHT, attenuation_bounds=(0.5, 1e12))
-        elif premise == "negative line count":
-            cable = CableModel(control_lines_per_qubit=-0.5)
-        else:
-            model = CryoEfficiencyModel("small_scale", extra_qubit_heat_w=-1e-8)
-        problem = _FtProblem(wl, tech50, SCEN_A, cable, model, FtToggles(), options)
-        assert problem.power_floor(3, 2.0 / 3.0) == -math.inf
-        # nor a coarse floor: every coarse point is solved
-        assert (problem.coarse_floor(3, 2.0 / 3.0) == -np.inf).all()
-        assert problem.candidates(3, 2.0 / 3.0).all()
+    @pytest.mark.parametrize("build, message", [
+        (lambda: CableModel(control_lines_per_qubit=-0.5), "lines per qubit"),
+        (lambda: CableModel(readout_lines_per_qubit=-0.5), "lines per qubit"),
+        (lambda: CableModel(kapton_low=(-4.6, 0.56)), "kapton"),
+        (lambda: CableModel(kapton_mid=(-3.0, 0.98)), "kapton"),
+        (lambda: CryoEfficiencyModel("small_scale", extra_qubit_heat_w=-1e-8), "parasitic"),
+        (lambda: GridOptions(attenuation_bounds=(0.5, 1e12)), "attenuation lower bound"),
+        (lambda: FtToggles(t_gate_multiplier=-1.0), "gate-time multiplier"),
+    ], ids=["control lines", "readout lines", "kapton below 4 K", "kapton 4-10 K",
+            "parasitic heat", "attenuation below 1", "gate-time multiplier"])
+    def test_an_input_against_a_floor_premise_is_rejected(self, build, message):
+        # each premise of the power floors is checked where its input enters
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    def test_generation_stage_above_t_ext_is_rejected(self, tech50):
+        # the default box reaches 300 K, above this ambient
+        with pytest.raises(ValueError, match="no warmer than t_ext"):
+            optimize_ft(Workload(6175, 2_100_000_000), tech50, SCEN_A, options=LIGHT,
+                        toggles=FtToggles(t_ext=250.0))
+
+    @pytest.mark.parametrize("gamma_inverse_s", [1e300, 1.7976931348623157e308])
+    def test_cap_whose_denominator_underflows_caps_nothing(self, gamma_inverse_s):
+        # so long a lifetime gives the level an occupancy budget n* whose
+        # k_B log1p(1/n*) underflows to 0: T* lies beyond the float range
+        cfg = load_config(text=f"[technology]\ngamma_inverse_s = {gamma_inverse_s!r}\n"
+                               "[optimizer]\ntemperature_points_per_decade = 4\n")
+        problem = _FtProblem(cfg.workload(), cfg.technology(), cfg.electronics(),
+                             cfg.cable(), cfg.efficiency(), cfg.ft_toggles(),
+                             cfg.grid_options())
+        assert K_B * math.log1p(1.0 / problem.occupancy_budget(cfg.target_metric, 3)) == 0.0
+        assert problem.power_floor(3, cfg.target_metric) == problem.power_floor(3, 0.0)
+        assert _floor_violations(cfg) == []
+        assert run_problem(cfg).feasible
 
     @pytest.mark.parametrize("scenario", ["A", "B", "C"])
     @pytest.mark.parametrize("model", ["carnot", "small_scale"])
@@ -808,7 +819,6 @@ def _coarse_floor_violations(cfg) -> list:
     for k in range(options.k_min, options.k_max + 1):
         power, _ = problem.solve_fields(k, cfg.target_metric, fields)
         floor = problem.coarse_floor(k, cfg.target_metric)
-        assert (floor > -np.inf).all()  # a validated config meets the premises
         # the floor sums the rows in another order than the search
         violations += [(k, point) for point in zip(*np.nonzero(
             ~(floor <= power * (1 + 1e-12))))]

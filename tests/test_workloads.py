@@ -161,6 +161,13 @@ class TestClassicalBaseline:
         assert gnfs_operations(n) == pytest.approx(math.exp(inner ** (1 / 3)),
                                                    rel=1e-12)
 
+    @pytest.mark.parametrize("n", [452_860, 10**20])
+    def test_count_beyond_the_float_range_is_inf(self, n):
+        # the exponent passes 709.78 near n = 452,860
+        assert gnfs_operations(n) == math.inf
+        assert classical_energy_time(n) == (math.inf, math.inf)
+        assert math.isfinite(gnfs_operations(450_000))
+
     def test_monotone_increasing(self):
         sizes = [512, 830, 1024, 2048, 4096, 8192]
         values = [gnfs_operations(n) for n in sizes]
