@@ -9,8 +9,10 @@ of its inputs, so concurrent use is safe.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -56,15 +58,20 @@ def pi_pulse_power(tech: QubitTechnology, tau: float) -> float:
     Equals ``hbar*omega0*pi^2 / (4*gamma*tau^2)``, the power whose Rabi
     frequency ``Omega = sqrt(4*gamma*P/(hbar*omega0))`` is ``pi/tau``:
     faster gates and better-isolated qubits (smaller gamma) need
-    stronger drives.  Where the denominator is no normal float (a gamma
-    near an end of the float range), the division by gamma comes last.
+    stronger drives.  Where ``4*gamma*tau^2`` is no normal float (gamma
+    or tau near an end of the float range), the quotient is taken exactly
+    and rounded once, inf or 0 out of the float range; elsewhere it runs
+    as written, as one order throughout (such as dividing by gamma last)
+    moves the last bit of a third of all drive powers and results.
     """
     if tau <= 0:
         raise ValueError("pulse duration must be strictly positive")
+    numerator = HBAR * tech.omega0 * np.pi**2
     denominator = 4.0 * tech.gamma * tau**2
-    if not sys.float_info.min <= denominator <= sys.float_info.max:
-        return HBAR * tech.omega0 * np.pi**2 / (4.0 * tau**2) / tech.gamma
-    return HBAR * tech.omega0 * np.pi**2 / denominator
+    if sys.float_info.min <= denominator <= sys.float_info.max:
+        return numerator / denominator
+    exact = Fraction(numerator) / (4 * Fraction(tech.gamma) * Fraction(tau) ** 2)
+    return float(exact) if exact <= sys.float_info.max else math.inf
 
 
 def bose_einstein(temperature, omega0: float):

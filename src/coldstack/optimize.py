@@ -269,7 +269,7 @@ def _grid_refine(solve, axes, options: GridOptions, batch: int = 1):
     axis, row b for problem b, and returns the power and the boundary
     attenuation, of shape (batch, n_1, n_2, ...), on the grids the rows
     span, with infinite power at infeasible points: where the target is
-    out of reach (NaN attenuation) or the power is beyond the float
+    out of reach (NaN attenuation) or the power is out of the float
     range.  Per problem, powers within ``RELATIVE_TIE`` of its minimum
     tie; ties go to the smaller attenuation, then by ``_TIE_SIGNS``,
     then to the first point.  Each of the ``options.refinement_passes``
@@ -385,11 +385,19 @@ class _AttenuatorProblem:
                                             1.0 / a_hi, 1.0 / a_lo)
 
         a_star = _boundary_attenuation(gap, a_lo, a_hi, invert)
-        finite = np.isfinite(a_star)
-        with np.errstate(over="ignore"):  # a power beyond the float range is out of reach
-            power = np.where(finite, self.power(t_axis, np.where(finite, a_star, a_hi)),
-                             np.inf)
-        return power, a_star
+        with np.errstate(over="ignore"):  # a power out of the float range is out of reach
+            power = self.power(t_axis, a_star)
+        # NaN where the target is out of reach, and 0 where the power
+        # underflowed, as every drive heats a stage colder than t_ext
+        return np.where(power > 0.0, power, np.inf), a_star
+
+    def infeasible(self, target: float, options: GridOptions, unreachable: str):
+        """The result where no point is feasible: ``unreachable``, unless some
+        problem meets ``target`` where its metric peaks, at the coldest qubit
+        stage and the largest attenuation, and only its power is out of range."""
+        if np.any(self.metric(options.t_qb_bounds[0], options.attenuation_bounds[1]) >= target):
+            unreachable = f"no point meets the target metric {target} at a power in the float range"
+        return _infeasible(unreachable)
 
 
 def optimize_single_qubit(tech: QubitTechnology, target: float,
@@ -411,7 +419,7 @@ def optimize_single_qubit(tech: QubitTechnology, target: float,
     (found,), spacing = _grid_refine(partial(problem.solve, target, options),
                                      [("t_qb", options.t_qb_bounds)], options)
     if found is None:
-        return _infeasible("no grid point satisfies the metric target")
+        return problem.infeasible(target, options, "no grid point satisfies the metric target")
     power, (t_star,), a_star = found
     heat = a_star * problem.p_pi
     record = StageRecord(t_star, heat, power, "attenuator")
@@ -479,9 +487,9 @@ def optimize_nisq(q: int, target: float, tech: QubitTechnology,
         if cand and (best is None or cand[0] < found[best][0] * (1 - RELATIVE_TIE)):
             best = row
     if best is None:
-        return _infeasible(
-            f"metric target {target} unreachable for any compression of the "
-            f"{q}-qubit circuit (zero-noise floor too high)")
+        return problem.infeasible(
+            target, options, f"metric target {target} unreachable for any compression of "
+            f"the {q}-qubit circuit (zero-noise floor too high)")
     power, (t_star,), a_star = found[best]
     heat = a_star * problem.p_pi * scales[best]
     record = StageRecord(t_star, heat, power, "attenuator")
@@ -749,8 +757,9 @@ class _FtProblem:
         """Power and boundary attenuation at the points of ``fields``
         (:func:`_grid_fields`, or a selection of them by :func:`_at`),
         with infinite power and NaN attenuation where the target is out of
-        reach, or the power out of the float range.  The heat multipliers
-        and the static rows are priced at these points only."""
+        reach, or the power out of the float range: inf, or 0 where it
+        underflowed, as the drive heats a stage colder than t_ext.  The
+        heat multipliers and the static rows are priced here only."""
         stages, rises, n_cold, n_rise, valid = fields
         # the rows outlive the boundary solve's temporaries: allocated first
         mult, static = self.stage_fields(stages, rises)
@@ -760,10 +769,12 @@ class _FtProblem:
         a_star = self.boundary(n_cold, n_rise, valid, k, target)
         finite = np.isfinite(a_star)
         a_safe = np.where(finite, a_star, self.options.attenuation_bounds[1])
-        with np.errstate(over="ignore"):  # the power of 91^k qubits may overflow
+        # the power of 91^k qubits may overflow, and an inf drive times a
+        # stage that dissipates none of it is NaN: both out of reach
+        with np.errstate(over="ignore", invalid="ignore"):
             power = sum(rec.electrical_power_w
                         for rec in self.terms(stages, mult, static, a_safe, k))
-        finite &= np.isfinite(power)
+        finite &= (power > 0.0) & (power < np.inf)
         return np.where(finite, power, np.inf), np.where(finite, a_star, np.nan)
 
     def candidates(self, k: int, target: float) -> np.ndarray:
@@ -946,7 +957,7 @@ def optimize_ft(workload: Workload, tech: QubitTechnology,
         if best is None or power < best[0] * (1 - RELATIVE_TIE):
             best = (power, k, a_star, t_qb, t_gen, spacing)
     if best is None:
-        if reachable:  # a level's search found only powers beyond the float range
+        if reachable:  # a level's search found only powers out of the float range
             diag = (f"no point meets the target metric {target} at a power in the "
                     f"float range for k in [{options.k_min}, {options.k_max}]")
         elif p_err_min >= qec.P_THRESHOLD:
@@ -1006,9 +1017,10 @@ def rsa_energy_summary(n: int, result: OptimizationResult, workload: Workload,
                        tech: QubitTechnology,
                        steps_per_level: float = 3.0) -> tuple[float, float, float]:
     """Duration (s), energy (J), and efficiency (bit/J) of a factoring
-    run at the optimized operating point."""
+    run at the optimized operating point.  An energy that underflows to
+    0 J gives an efficiency beyond the float range: inf."""
     if not result.feasible:
         return math.inf, math.inf, 0.0
     t = ft_duration_s(workload, tech, result.control.k, steps_per_level)
     energy = result.power_w * t
-    return t, energy, n / energy
+    return t, energy, n / energy if energy > 0 else math.inf

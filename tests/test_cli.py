@@ -14,7 +14,7 @@ from coldstack.config import ConfigError, RunConfig, load_config
 from coldstack.driver import SweepAxis, compare_rsa, run_problem, sweep
 from coldstack.results import parse_csv
 
-from conftest import valid_config_texts
+from conftest import SHORTEST_LIFETIME_S, valid_config_texts
 from test_golden import readme_commands
 
 LIGHT_OPTIMIZER = """
@@ -35,6 +35,26 @@ gamma_inverse_s = 0.001
 kind = rectangular
 q_logical = 1000
 d_logical = 1000000000
+"""
+
+
+#: The shortest lifetime, no always-on rows and a target every point
+#: meets: the power is the drive alone, ~1e-323 W near t_ext.
+BELOW_THE_FLOAT_RANGE = f"""
+[technology]
+gamma_inverse_s = {SHORTEST_LIFETIME_S!r}
+[chain]
+t_qb_max_k = 299.9999999997
+[scenario]
+name = custom
+q_gen_w = 0.0
+q_para_w = 0.0
+q_hemt_w = 0.0
+[cable]
+control_lines_per_qubit = 0.0
+readout_lines_per_qubit = 0.0
+[target]
+metric = 0.0
 """
 
 
@@ -172,6 +192,34 @@ class TestDriver:
         assert row["efficiency_classical_bit_per_j"] == 0.0
         assert row["feasible"] and row["quantum_faster"] and row["quantum_more_efficient"]
 
+    def test_compare_rsa_prices_a_run_below_the_float_range(self, tmp_path, capsys):
+        # the shortest lifetime, no always-on rows and a qubit stage a hair
+        # below t_ext: the drive costs ~1e-323 W, and the run's energy
+        # underflows to 0 J, whose efficiency is beyond the float range
+        out = tmp_path / "r.csv"
+        cfg = _write(tmp_path, BELOW_THE_FLOAT_RANGE + "[workload]\nrsa_n = 16\n")
+        assert main(["--config", cfg, "compare-rsa", "--n", "16:16:1", "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        (row,) = parse_csv(str(out))
+        assert row["feasible"] and row["power_w"] > 0 and row["energy_quantum_j"] == 0.0
+        assert row["efficiency_quantum_bit_per_j"] == math.inf
+
+    def test_power_that_underflows_to_zero_is_out_of_the_float_range(self, tmp_path, capsys):
+        # the qubit stage pinned a hair below t_ext at level 0: every
+        # point's power rounds to 0 W, which is no result
+        out = tmp_path / "r.csv"
+        pinned = BELOW_THE_FLOAT_RANGE.replace(
+            "[chain]\n", "[chain]\nt_qb_min_k = 299.9999999997\nt_gen_min_k = 300.0\n")
+        cfg = _write(tmp_path, pinned + "[optimizer]\nk_min = 0\nk_max = 0\n")
+        assert main(["--config", cfg, "compare-rsa", "--n", "2048:2048:1",
+                     "--out", str(out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        (row,) = parse_csv(str(out))
+        assert not row["feasible"] and row["efficiency_quantum_bit_per_j"] == 0.0
+        result = run_problem(load_config(path=cfg))
+        assert result.diagnostic == ("no point meets the target metric 0.0 at a power "
+                                     "in the float range for k in [0, 0]")
+
     def test_level_transitions_monotone_along_depth_sweep(self):
         cfg = load_config(text=LIGHT_OPTIMIZER).replace(
             workload_kind="rectangular", q_logical=6175)
@@ -224,9 +272,7 @@ class TestNeverRaises:
         result = run_problem(cfg)
         if result.feasible:
             assert result.metric_achieved >= cfg.target_metric - 1e-12
-            # at the shortest lifetime, a drive of ~1e-314 W behind a stage
-            # a hair below t_ext costs less than the least float: 0 W
-            assert math.isfinite(result.power_w) and result.power_w >= 0
+            assert math.isfinite(result.power_w) and result.power_w > 0
             total = sum(rec.electrical_power_w for rec in result.per_stage)
             assert total == pytest.approx(result.power_w, rel=1e-12)
         else:
@@ -287,6 +333,17 @@ class TestCliContract:
         err = capsys.readouterr().err
         assert f"cable.{key}: must be >= 0" in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["optimize-1qb", "optimize-nisq", "optimize-ft",
+                                         "breakdown"])
+    def test_drive_beyond_the_float_range_is_infeasible(self, tmp_path, capsys, command):
+        # at a 1e-170 s pulse, tau^2 underflows to 0 and the drive power
+        # is beyond the float range
+        cfg = _write(tmp_path, "[technology]\ntau_1qb_s = 1e-170\n")
+        assert main(["--config", cfg, command, "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr()
+        assert "at a power in the float range" in err.out + err.err
+        assert "Traceback" not in err.err
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = _write(tmp_path, RSA_830_LIGHT)

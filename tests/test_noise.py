@@ -75,12 +75,20 @@ class TestPiPulsePower:
     @pytest.mark.parametrize("gamma", [5.562684646268003e-309, 1.7976931348623157e308])
     def test_gamma_at_an_end_of_the_float_range(self, gamma):
         # 4 gamma tau^2 underflows to 0 at the one end and overflows at the
-        # other; the power is what dividing by gamma last gives, a float
+        # other, while the power itself is a float
         tech = QubitTechnology(omega0=OMEGA0, gamma=gamma, tau_1qb=1e-9)
         power = pi_pulse_power(tech, 1e-9)
         assert 0.0 < power < math.inf
         assert power == pytest.approx(hbar * OMEGA0 * math.pi**2 / (4.0 * 1e-9**2) / gamma,
                                       rel=1e-12)
+
+    @pytest.mark.parametrize("gamma, tau, power", [(1e3, 1e-170, math.inf),
+                                                   (1.7976931348623157e308, 1e10, 0.0)])
+    def test_power_out_of_the_float_range(self, gamma, tau, power):
+        # tau^2 underflows to 0 in the first case: the power is beyond the
+        # float range, and below it in the second
+        tech = QubitTechnology(omega0=OMEGA0, gamma=gamma, tau_1qb=tau)
+        assert pi_pulse_power(tech, tau) == power
 
     def test_quarter_power_when_duration_doubles(self, tech_1ms):
         p1 = pi_pulse_power(tech_1ms, 25e-9)

@@ -132,6 +132,15 @@ class TestOptimizeSingleQubit:
         assert "zero-noise" in res.diagnostic
         assert res.power_w == math.inf
 
+    def test_target_met_only_beyond_the_float_range(self):
+        # a lifetime at the float maximum needs a drive of ~1e300 W, and
+        # 120 dB of attenuation takes every power past the float range
+        tech = QubitTechnology(omega0=OMEGA0, gamma=1.0 / 1.7976931348623157e308)
+        res = optimize_single_qubit(tech, 0.9995, GridOptions(attenuation_bounds=(1e12, 1e12)))
+        assert not res.feasible and res.power_w == math.inf
+        assert res.diagnostic == ("no point meets the target metric 0.9995 "
+                                  "at a power in the float range")
+
     def test_stage_record_consistent(self, gate_opt):
         _, res = gate_opt
         (record,) = res.per_stage
@@ -262,6 +271,13 @@ class TestOptimizeNisq:
     def test_infeasible_target(self, tech_1ms):
         res = optimize_nisq(25, 0.99, tech_1ms)
         assert not res.feasible and "unreachable" in res.diagnostic
+
+    def test_target_met_only_beyond_the_float_range(self):
+        tech = QubitTechnology(omega0=OMEGA0, gamma=1.0 / 1.7976931348623157e308)
+        res = optimize_nisq(25, 2.0 / 3.0, tech, GridOptions(attenuation_bounds=(1e12, 1e12)))
+        assert not res.feasible and res.power_w == math.inf
+        assert res.diagnostic == ("no point meets the target metric 0.6666666666666666 "
+                                  "at a power in the float range")
 
     def test_metric_boundary_hit(self, tech_1ms):
         res = optimize_nisq(25, 0.9, tech_1ms)
