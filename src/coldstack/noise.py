@@ -152,7 +152,15 @@ def chain_transmission(n_rise, excess, t_min: float, t_max: float):
     first step confirms it; longer chains take a few steps more.  Each
     chain stops once its own step is at most a few ulps, and after
     ``_NEWTON_STEPS`` at the most, so a chain ends on the same bits
-    whatever batch it is solved in.
+    whatever batch it is solved in.  A chain whose iterate is NaN (an
+    excess <= 0 can set a NaN start) stays NaN, and stops at once.
+
+    The leak is ``t h(t)`` and its slope ``h + t h'``, both by Horner's
+    rule on h from the top rise down.  Its first step is exact, so it is
+    not computed: ``h = top`` and ``h' = 0``.  The next, ``h' = 0 t +
+    top``, is computed, so that an iterate that overflowed to inf makes
+    the slope NaN and stays, as in the recurrence from 0: every chain
+    takes its iterates.
     """
     n_rise = np.asarray(n_rise, dtype=float)
     excess = np.asarray(excess, dtype=float)
@@ -160,18 +168,18 @@ def chain_transmission(n_rise, excess, t_min: float, t_max: float):
     for i, rise in enumerate(n_rise, start=1):
         bound = np.divide(excess, rise, out=np.full(excess.shape, np.inf), where=rise > 0)
         t = np.minimum(t, bound ** (1.0 / i))
-    done = np.zeros(t.shape, bool)
+    top, *rest = n_rise[::-1]
+    todo = np.ones(t.shape, bool)
     for _ in range(_NEWTON_STEPS):
-        # leak = t*h(t) and its slope h + t*h', by Horner's rule on h
-        h, dh = 0.0, 0.0
-        for rise in n_rise[::-1]:
+        h, dh = top, 0.0
+        for rise in rest:
             dh = dh * t + h
             h = h * t + rise
         slope = h + t * dh
-        step = np.divide(t * h - excess, slope, out=np.zeros_like(t), where=(slope > 0) & ~done)
+        step = np.divide(t * h - excess, slope, out=np.zeros(t.shape), where=(slope > 0) & todo)
         t -= step
-        done |= np.abs(step) <= _NEWTON_RTOL * t
-        if done.all():
+        todo &= np.abs(step) > _NEWTON_RTOL * t
+        if not todo.any():
             break
     return np.clip(t, t_min, t_max)
 

@@ -16,10 +16,14 @@ boundary is solved, not searched: the target is inverted once per
 problem (and concatenation level) to the occupancy it allows, and the
 attenuation that brings the chain's thermal leak down to it is the
 root of a polynomial with nonnegative coefficients, in closed form for
-one attenuator and a few Newton steps for a chain.  The search takes
-the argmin and refines: each pass re-grids every axis one old step
-either side of the incumbent at a finer spacing.  The equality
-constraint is thereby met to round-off rather than grid precision.
+one attenuator and a few Newton steps for a chain.  A solve sorts its
+points by the metric at both attenuation bounds, which it evaluates in
+one call on the two bounds stacked along a leading axis
+(:func:`_boundary_attenuation`), and inverts only the points between
+them.  The search takes the argmin and refines: each pass re-grids
+every axis one old step either side of the incumbent at a finer
+spacing.  The equality constraint is thereby met to round-off rather
+than grid precision.
 
 The reduction is an ordered argmin with a fixed tie-break (smaller
 concatenation level, then smaller attenuation, then warmer qubits, then
@@ -31,25 +35,32 @@ stops chain by chain.
 
 The fault-tolerant model has one implementation, :class:`_FtProblem`.
 On any temperature grid it gives the power of the whole machine as
-per-stage, per-source terms; the search sums them, and
+per-stage, per-source terms (:meth:`_FtProblem.terms`, the one home of
+each row's formula); the search sums their electrical powers, and
 :func:`evaluate_ft_point` is the same kernel on a one-point grid that
-reports them as the breakdown.  A solve prices the heat multipliers
-and the always-on rows (:func:`~coldstack.thermal.static_power_breakdown`)
-at the points it solves and nowhere else; both are elementwise, so a
-point costs the same bits in any grid.  :func:`optimize_ft` searches the
-concatenation levels in ascending order and skips a level whose power
-floor, a closed-form lower bound on its power anywhere in the box,
-lies above the best power found so far; such a level could not have
-won, so the result is the same as without the skip.  A problem is
-searched in the box of the :class:`GridOptions` it is built with.  The
-fields of the coarse grid, where every level's search starts, are
-cached (:func:`_coarse_grid`), keyed on the temperature bounds, the
-points per decade, the stage count, the cable's material and the qubit
-frequency, so the levels of one search and the points of a sweep that
-share these compute them once.  The heat multipliers mu of its stages
-that the coarse floor below needs, and its conduction sum G, are cached
-too (:func:`_coarse_multipliers`), keyed on the same and on the
-efficiency model and t_ext.
+makes them the StageRecords of the breakdown.  A solve prices the heat
+multipliers and the always-on rows
+(:func:`~coldstack.thermal.static_power_breakdown`) at the points it
+solves and nowhere else; both are elementwise, so a point costs the
+same bits in any grid.  What a level adds to them, its drive weight,
+qubit count and classical cost, is computed once per problem and level
+(:meth:`_FtProblem.level`), on the problem, so that nothing outlives
+the search.  :func:`optimize_ft` first reads the least error
+probability in the box at node (0, 0) of the coarse grid, which skips
+the levels that cannot reach the target.  It searches the others in
+ascending order and skips a level whose power floor, a closed-form
+lower bound on its power anywhere in the box, lies above the best power
+found so far; such a level could not have won, so the result is the
+same as without the skip.  A problem is searched in the box of the
+:class:`GridOptions` it is built with.  The fields of the coarse grid,
+where every level's search starts, are cached (:func:`_coarse_grid`),
+with their gather on the strided sub-grid below, keyed on the
+temperature bounds, the points per decade, the stage count, the cable's
+material and the qubit frequency, so the levels of one search and the
+points of a sweep that share these compute them once.  The heat
+multipliers mu of its stages that the coarse floor below needs, and
+its conduction sum G, are cached too (:func:`_coarse_multipliers`),
+keyed on the same and on the efficiency model and t_ext.
 
 Within a level, the coarse pass is pruned by branch and bound
 (:meth:`_FtProblem.candidates`).  Each coarse point has a closed-form
@@ -230,22 +241,21 @@ def _refined_axis(centers: np.ndarray, spacing: float, factor: int,
     return np.clip(centers[:, None] * 10.0**offsets, lo, hi), fine
 
 
-def _boundary_attenuation(metric_of_log_a, lo: float, hi: float, invert):
+def _boundary_attenuation(gap, lo: float, hi: float, invert):
     """Smallest attenuation in [lo, hi] meeting the target, elementwise
     over a grid.
 
-    ``metric_of_log_a`` returns (metric - target) on the grid at a
-    log10 attenuation; it is called once at each bound, which sorts the
-    points: slack ones (the target met at ``lo``) get ``lo``,
-    unreachable ones (missed even at ``hi``) NaN.  On the active rest,
-    given as a boolean mask, ``invert(active)`` returns the attenuation
-    at which the metric equals the target, solved directly; it is
-    clipped to the bounds against round-off.
+    ``gap(log_a)`` returns (metric - target) on the grid at each log10
+    attenuation of the tuple of Python floats ``log_a``, stacked along a
+    new leading axis (:func:`_stacked`).  It is called once, on the
+    bounds (hi, lo), which sorts the points: slack ones (the target met
+    at ``lo``) get ``lo``, unreachable ones (missed even at ``hi``) NaN.
+    On the active rest, given as a boolean mask, ``invert(active)``
+    returns the attenuation at which the metric equals the target,
+    solved directly; it is clipped to the bounds against round-off.
     """
-    top = metric_of_log_a(math.log10(hi))
-    bottom = metric_of_log_a(math.log10(lo))
-    shape = np.broadcast(top, bottom).shape
-    a = np.full(shape, np.nan)
+    top, bottom = gap((math.log10(hi), math.log10(lo)))
+    a = np.full(top.shape, np.nan)
     reachable = top >= 0.0
     slack = reachable & (bottom >= 0.0)
     a[slack] = lo
@@ -253,6 +263,12 @@ def _boundary_attenuation(metric_of_log_a, lo: float, hi: float, invert):
     if np.any(active):
         a[active] = np.clip(invert(active), lo, hi)
     return a
+
+
+def _stacked(values, ndim: int) -> np.ndarray:
+    """``values`` along a new leading axis, against grids of ``ndim``
+    dimensions."""
+    return np.reshape(values, (-1,) + (1,) * ndim)
 
 
 #: Tie-break direction per temperature axis: warmer qubits, then a
@@ -357,9 +373,11 @@ class _AttenuatorProblem:
     def _metric(self, n_cold, n_rise, transmission):
         """Metric behind one attenuator of power ``transmission``, on
         qubit-stage occupancies ``n_cold`` and rises ``n_rise`` to the
-        ambient one."""
+        ambient one.  A weighted infidelity beyond the float range
+        overflows to a metric of 0, as the clamp gives it."""
         occ = chain_occupancy(n_cold, (n_rise,), transmission)
-        return nisq_metric(self.weight, _infidelity(self.tech, occ))
+        with np.errstate(over="ignore"):
+            return nisq_metric(self.weight, _infidelity(self.tech, occ))
 
     def power(self, t_qb, a):
         return CARNOT.heat_multiplier(t_qb, self.t_ext) * a * self.p_pi * self.power_scale
@@ -376,7 +394,10 @@ class _AttenuatorProblem:
         n_rise = self.n_hot - n_cold
 
         def gap(log_a):
-            return self._metric(n_cold, n_rise, 10.0 ** -log_a) - target
+            # Python's pow on each bound, which numpy's vector pow does not
+            # match to the bit, and only then stacked
+            transmission = _stacked([10.0 ** -x for x in log_a], n_cold.ndim)
+            return self._metric(n_cold, n_rise, transmission) - target
 
         def invert(active):
             excess = (_infidelity_occupancy(self.tech, (1.0 - target) / self.weight)
@@ -410,11 +431,13 @@ def optimize_single_qubit(tech: QubitTechnology, target: float,
         raise ValueError("target metric must lie in [0, 1)")
     if options.t_qb_bounds[1] >= t_ext:
         raise ValueError("the qubit stage must stay colder than t_ext")
+    # the metric is clamped at 0, which meets a target of 0 at any floor
     floor = tech.gamma * tech.tau_1qb
-    if target > 1.0 - floor:
+    bound = max(0.0, 1.0 - floor)
+    if target > bound:
         return _infeasible(
             f"target metric {target} exceeds the zero-noise bound "
-            f"{1.0 - floor:.9g} (infidelity floor gamma*tau_1qb = {floor:.3g})")
+            f"{bound:.9g} (infidelity floor gamma*tau_1qb = {floor:.3g})")
     problem = _AttenuatorProblem(tech, 1.0, 1.0, t_ext)
     (found,), spacing = _grid_refine(partial(problem.solve, target, options),
                                      [("t_qb", options.t_qb_bounds)], options)
@@ -564,14 +587,17 @@ def _grid_fields(t_qb: np.ndarray, t_gen: np.ndarray, k_stages: int,
 @lru_cache(maxsize=1)
 def _coarse_grid(t_qb_bounds: tuple, t_gen_bounds: tuple, per_decade: int,
                  k_stages: int, material: tuple, omega0: float) -> tuple:
-    """The axes of the coarse grid every level's search starts from, and
-    :func:`_grid_fields` on them, as read-only arrays.  They depend only
-    on the arguments, which are the cache's key: the bounds, the points
-    per decade, the stage count, the cable's material (not its length
-    or line counts) and the qubit frequency."""
+    """The axes of the coarse grid every level's search starts from,
+    :func:`_grid_fields` on them, and those fields on its sub-grid of
+    every ``_UPPER_STRIDE``-th node of each axis (and the last), as
+    read-only arrays.  They depend only on the arguments, which are the
+    cache's key: the bounds, the points per decade, the stage count, the
+    cable's material (not its length or line counts) and the qubit
+    frequency."""
     axes = tuple(_log_axis(lo, hi, per_decade)[0] for lo, hi in (t_qb_bounds, t_gen_bounds))
-    return _read_only(axes), _read_only(
-        _grid_fields(*axes, k_stages, CableModel(1.0, *material), omega0))
+    fields = _grid_fields(*axes, k_stages, CableModel(1.0, *material), omega0)
+    sub = (_strided(len(axes[0]))[:, None], _strided(len(axes[1]))[None, :])
+    return _read_only(axes), _read_only(fields), _read_only(_at(fields, sub))
 
 
 @lru_cache(maxsize=2)
@@ -588,7 +614,7 @@ def _coarse_multipliers(grid_key: tuple, model: CryoEfficiencyModel, t_ext: floa
     chain of either direction, as the integral rises and mu falls with
     the temperature.
     """
-    _, (stages, rises, *_) = _coarse_grid(*grid_key)
+    _, (stages, rises, *_), _ = _coarse_grid(*grid_key)
     mult = model.heat_multiplier(stages, t_ext)
     # the end stages are the axes themselves
     return _read_only((mult[0, :, :1].copy(), mult[-1, :1].copy(), mult[-2].copy(),
@@ -610,6 +636,7 @@ class _FtProblem:
         self.options = options
         drive_1qb = toggles.two_qubit_drive_duration == "tau_1qb"
         self.p_pi = pi_pulse_power(tech, tech.tau_1qb if drive_1qb else tech.tau_2qb)
+        self._levels = {}  # level(k) by k
         #: the key of the coarse grid's tables
         self.grid_key = (tuple(map(float, options.t_qb_bounds)),
                          tuple(map(float, options.t_gen_bounds)),
@@ -636,7 +663,7 @@ class _FtProblem:
         :func:`~coldstack.thermal.hardware_rows` on the coarse axes.
         """
         cable, t_ext = self.cable, self.toggles.t_ext
-        (t_qb, t_gen), _ = _coarse_grid(*self.grid_key)
+        (t_qb, t_gen), *_ = _coarse_grid(*self.grid_key)
         mu_qb, mu_gen, mu_below_top, conduction = _coarse_multipliers(self.grid_key, self.model,
                                                                       t_ext)
         rows = hardware_rows(t_qb[:, None], t_gen[None, :], mu_qb, mu_gen, self.scenario,
@@ -649,20 +676,24 @@ class _FtProblem:
         """At level ``k``: the drive weight ``W_k Q_L`` (parallel 2qb-equivalents
         N_2qb + r N_1qb, the 1qb gates active a fraction r of each step),
         the physical qubits, and the demodulation-plus-syndrome cost per
-        physical qubit, 0 unless it is included."""
-        tech, tog = self.tech, self.toggles
-        n2, n1, _, _ = qec.physical_gate_counts_rectangular(1.0, k)
-        weight = tog.t_gate_multiplier * (n2 + tech.tau_1qb / tech.tau_step * n1)
-        classical = (demodulation_power_per_qubit(k, tech) + syndrome_power_per_qubit(tech)
-                     if tog.include_demod_syndrome else 0.0)
-        return (weight * self.workload.q_logical,
-                qec.physical_qubits(self.workload.q_logical, k), classical)
+        physical qubit, 0 unless it is included.  Computed once per level."""
+        if k not in self._levels:
+            tech, tog = self.tech, self.toggles
+            n2, n1, _, _ = qec.physical_gate_counts_rectangular(1.0, k)
+            weight = tog.t_gate_multiplier * (n2 + tech.tau_1qb / tech.tau_step * n1)
+            classical = (demodulation_power_per_qubit(k, tech) + syndrome_power_per_qubit(tech)
+                         if tog.include_demod_syndrome else 0.0)
+            self._levels[k] = (weight * self.workload.q_logical,
+                               qec.physical_qubits(self.workload.q_logical, k), classical)
+        return self._levels[k]
 
     def error_probability(self, n_cold: np.ndarray, n_rise: np.ndarray):
         """Pauli error probability on chains of occupancies ``n_cold`` and
         rises ``n_rise`` as a function of the log10 total attenuation (a
-        scalar or a grid).  A scalar's transmission is raised once, on a
-        shape-(1,) array, which rounds as each element of a grid does."""
+        scalar, a grid, or values stacked along a leading axis by
+        :func:`_stacked`).  A scalar's transmission is raised once, on a
+        shape-(1,) array, which rounds as each element of a grid does, and
+        so do stacked values."""
         inv_span = 1.0 / (self.toggles.k_stages - 1)
 
         def p_err(log_a):
@@ -687,21 +718,23 @@ class _FtProblem:
     def terms(self, stages: np.ndarray, mult, static: list, a_total, k: int):
         """Heat and electrical power of the whole machine by stage and
         source at total attenuations ``a_total`` on the chains
-        ``stages`` of heat multipliers ``mult``, as StageRecords whose
-        electrical powers sum to the total.  A generator, so that summing
-        over a large grid holds one term at a time."""
+        ``stages`` of heat multipliers ``mult``, given the always-on
+        StageRecords ``static`` per physical qubit, as the fields of
+        StageRecords: (stage temperature, heat, electrical power,
+        source), whose electrical powers sum to the total.  A generator,
+        so that summing over a large grid holds one term at a time."""
         tog = self.toggles
         weight, qubits, classical = self.level(k)
         fractions = attenuator_heat_fractions(a_total, tog.k_stages)
         for t, frac, mu in zip(stages, fractions, mult):
             heat = frac * self.p_pi * weight
-            yield StageRecord(t, heat, mu * heat, "attenuator")
+            yield t, heat, mu * heat, "attenuator"
         for rec in static:
-            yield StageRecord(rec.stage_temperature_k, rec.heat_extracted_w * qubits,
-                              rec.electrical_power_w * qubits, rec.source)
+            yield (rec.stage_temperature_k, rec.heat_extracted_w * qubits,
+                   rec.electrical_power_w * qubits, rec.source)
         if tog.include_demod_syndrome:
             q_cl = classical * qubits
-            yield StageRecord(tog.t_ext, q_cl, q_cl, "electronics")
+            yield tog.t_ext, q_cl, q_cl, "electronics"
 
     def boundary(self, n_cold: np.ndarray, n_rise: np.ndarray, valid: np.ndarray,
                  k: int, target: float) -> np.ndarray:
@@ -719,7 +752,8 @@ class _FtProblem:
         p_err = self.error_probability(n_cold, n_rise)
 
         def gap(log_a):
-            return np.where(valid, self.metric(p_err(log_a), k) - target, -np.inf)
+            metric = self.metric(p_err(_stacked(log_a, n_cold.ndim)), k)
+            return np.where(valid, metric - target, -np.inf)
 
         def invert(active):
             excess = self.occupancy_budget(target, k) - n_cold[active]
@@ -742,7 +776,7 @@ class _FtProblem:
         attenuation.  Any other grid is solved in full.
         """
         (t_qb,), (t_gen,) = t_qb, t_gen
-        (qb_axis, gen_axis), fields = _coarse_grid(*self.grid_key)
+        (qb_axis, gen_axis), fields, _ = _coarse_grid(*self.grid_key)
         if not (np.array_equal(t_qb, qb_axis) and np.array_equal(t_gen, gen_axis)):
             power, a_star = self.solve_fields(k, target, _grid_fields(
                 t_qb, t_gen, self.toggles.k_stages, self.cable, self.tech.omega0))
@@ -759,21 +793,18 @@ class _FtProblem:
         with infinite power and NaN attenuation where the target is out of
         reach, or the power out of the float range: inf, or 0 where it
         underflowed, as the drive heats a stage colder than t_ext.  The
-        heat multipliers and the static rows are priced here only."""
+        heat multipliers and the static rows are priced here only, and
+        the electrical powers of :meth:`terms` summed in its order."""
         stages, rises, n_cold, n_rise, valid = fields
         # the rows outlive the boundary solve's temporaries: allocated first
         mult, static = self.stage_fields(stages, rises)
-        # without their heat, as the search sums electrical powers only
-        static = [StageRecord(rec.stage_temperature_k, 0.0, rec.electrical_power_w, rec.source)
-                  for rec in static]
         a_star = self.boundary(n_cold, n_rise, valid, k, target)
         finite = np.isfinite(a_star)
         a_safe = np.where(finite, a_star, self.options.attenuation_bounds[1])
         # the power of 91^k qubits may overflow, and an inf drive times a
         # stage that dissipates none of it is NaN: both out of reach
         with np.errstate(over="ignore", invalid="ignore"):
-            power = sum(rec.electrical_power_w
-                        for rec in self.terms(stages, mult, static, a_safe, k))
+            power = sum(p for _, _, p, _ in self.terms(stages, mult, static, a_safe, k))
         finite &= (power > 0.0) & (power < np.inf)
         return np.where(finite, power, np.inf), np.where(finite, a_star, np.nan)
 
@@ -788,10 +819,8 @@ class _FtProblem:
         round-off, lies above the band, and so does an infeasible one.
         """
         floor = self.coarse_floor(k, target)
-        n_qb, n_gen = floor.shape
-        sub = (_strided(n_qb)[:, None], _strided(n_gen)[None, :])
-        _, fields = _coarse_grid(*self.grid_key)
-        power, _ = self.solve_fields(k, target, _at(fields, sub))
+        *_, sub_fields = _coarse_grid(*self.grid_key)
+        power, _ = self.solve_fields(k, target, sub_fields)
         return (floor < np.inf) & (floor * (1 - 1e-12) <= power.min() * (1 + RELATIVE_TIE))
 
     def coarse_floor(self, k: int, target: float) -> np.ndarray:
@@ -813,7 +842,7 @@ class _FtProblem:
         target.  The budget is taken 1e-9 relative high against the
         round-off of its inversion.
         """
-        _, (_, _, n_cold, n_rise, valid) = _coarse_grid(*self.grid_key)
+        _, (_, _, n_cold, n_rise, valid), _ = _coarse_grid(*self.grid_key)
         # priced (once per problem) before this call's own temporaries exist
         mu_first, mu_last, per_qubit = self.coarse_static
         tog = self.toggles
@@ -893,10 +922,9 @@ def evaluate_ft_point(workload: Workload, tech: QubitTechnology,
     mult, static = problem.stage_fields(stages, rises)
     p_err = problem.error_probability(n_cold, n_rise)(np.log10(a_total))
     records = tuple(
-        StageRecord(np.asarray(rec.stage_temperature_k).item(),
-                    np.asarray(rec.heat_extracted_w).item(),
-                    np.asarray(rec.electrical_power_w).item(), rec.source)
-        for rec in problem.terms(stages, mult, static, np.array([[a_total]], float), k))
+        StageRecord(*(np.asarray(x).item() for x in (t, heat, power)), source)
+        for t, heat, power, source in problem.terms(stages, mult, static,
+                                                    np.array([[a_total]], float), k))
     return FtPointEvaluation(
         power_w=sum(rec.electrical_power_w for rec in records),
         metric=problem.metric(p_err, k).item(),
@@ -935,11 +963,11 @@ def optimize_ft(workload: Workload, tech: QubitTechnology,
         raise ValueError("the generation stage may be no warmer than t_ext")
     problem = _FtProblem(workload, tech, scenario, cable, model, toggles, options)
     # Lowest reachable error probability inside the box: coldest corner,
-    # maximal attenuation, coldest generation stage.
-    _, _, n_cold, n_rise, _ = _grid_fields(
-        np.array([options.t_qb_bounds[0]], float), np.array([options.t_gen_bounds[0]], float),
-        toggles.k_stages, cable, tech.omega0)
-    p_err_min = problem.error_probability(n_cold, n_rise)(
+    # maximal attenuation, coldest generation stage.  That is node (0, 0)
+    # of the coarse grid, whose fields are elementwise: the bits of a
+    # one-point grid there.
+    _, (_, _, n_cold, n_rise, _), _ = _coarse_grid(*problem.grid_key)
+    p_err_min = problem.error_probability(n_cold[:1, :1], n_rise[:, :1, :1])(
         np.log10(options.attenuation_bounds[1])).item()
     axes = [("t_qb", options.t_qb_bounds), ("t_gen", options.t_gen_bounds)]
     best = None  # (power, k, a, t_qb, t_gen, spacing)

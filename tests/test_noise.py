@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.constants import hbar, k as k_B
 
@@ -196,6 +196,97 @@ class TestChainOccupancy:
         base = _occupancy((0.02, 1.0, 300.0), 10.0)
         hotter = _occupancy((0.02, 1.0 + bump, 300.0 + bump), 10.0)
         assert hotter >= base - 1e-15
+
+
+def _chain_transmission_oracle(n_rise, excess, t_min, t_max):
+    """:func:`~coldstack.noise.chain_transmission` as first written: Horner's
+    rule started from 0 at every Newton step, and a mask of the chains done."""
+    n_rise = np.asarray(n_rise, dtype=float)
+    excess = np.asarray(excess, dtype=float)
+    t = np.full(excess.shape, float(t_max))
+    for i, rise in enumerate(n_rise, start=1):
+        bound = np.divide(excess, rise, out=np.full(excess.shape, np.inf), where=rise > 0)
+        t = np.minimum(t, bound ** (1.0 / i))
+    done = np.zeros(t.shape, bool)
+    for _ in range(noise._NEWTON_STEPS):
+        h, dh = 0.0, 0.0
+        for rise in n_rise[::-1]:
+            dh = dh * t + h
+            h = h * t + rise
+        slope = h + t * dh
+        step = np.divide(t * h - excess, slope, out=np.zeros_like(t), where=(slope > 0) & ~done)
+        t -= step
+        done |= np.abs(step) <= noise._NEWTON_RTOL * t
+        if done.all():
+            break
+    return np.clip(t, t_min, t_max)
+
+
+def _decades(lo: float, hi: float):
+    """10^x for x drawn in [lo, hi]."""
+    return st.floats(lo, hi).map(lambda x: 10.0**x)
+
+
+@st.composite
+def _chains(draw):
+    """(rises, excess, t_min, t_max) of a batch of chains of 1-7
+    attenuators: rises of exactly 0 and from subnormal to 1e4; excesses
+    that put the root from 3 decades below the transmission bounds to 1
+    above them, so that it lies inside or is clipped at either bound, or
+    far above them, where Newton's first step from t_max overshoots and
+    can overflow; and excesses across 33 decades, 0 and negative (NaN or
+    negative starts)."""
+    rises, n = draw(st.integers(1, 7)), draw(st.integers(1, 12))
+    rise = st.one_of(st.just(0.0), _decades(-320.0, 4.0), _decades(-3.0, 1.0))
+    n_rise = np.array(draw(st.lists(st.lists(rise, min_size=n, max_size=n),
+                                    min_size=rises, max_size=rises)))
+    t_max = draw(st.one_of(st.just(1.0), _decades(-6.0, 0.0)))
+    t_min = t_max * draw(st.one_of(st.just(1.0), _decades(-6.0, -1.0), _decades(-6.0, -1.0)))
+    excess = []
+    for chain in n_rise.T:
+        kind = draw(st.sampled_from(["root", "root", "far", "decades", "zero", "negative"]))
+        if kind in ("root", "far"):
+            low, high = (-3.0, 1.0) if kind == "root" else (2.0, 40.0)
+            root = draw(_decades(math.log10(t_min) + low, math.log10(t_max) + high))
+            excess.append(sum(r * root**i for i, r in enumerate(chain, start=1)))
+        elif kind == "decades":
+            excess.append(draw(_decades(-30.0, 3.0)))
+        else:
+            excess.append(0.0 if kind == "zero" else -draw(_decades(-30.0, 3.0)))
+    return n_rise, np.array(excess, dtype=float), t_min, t_max
+
+
+class TestChainTransmission:
+    @given(chain=_chains())
+    # the root 4.6e51 lies far above t_max = 1: the first step overshoots
+    # to 3e154, the next overflows to -inf, where the iterate stays
+    @example(chain=(np.array([[0.0], [0.0], [1e-155]]), np.array([1.0]), 1.0, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_bits_of_the_recurrence_started_from_0(self, chain):
+        rises, excess, t_min, t_max = chain
+        with np.errstate(all="ignore"):
+            want = _chain_transmission_oracle(rises, excess, t_min, t_max)
+            got = noise.chain_transmission(rises, excess, t_min, t_max)
+        assert np.array_equal(got, want, equal_nan=True)
+
+    def test_draws_reach_every_kind_of_chain(self):
+        # the oracle comparison above sees NaN chains, roots clipped at
+        # both bounds, roots inside them and chains whose rises are all 0
+        seen = set()
+
+        @given(chain=_chains())
+        @settings(max_examples=100, deadline=None, database=None)
+        def classify(chain):
+            rises, excess, t_min, t_max = chain
+            with np.errstate(all="ignore"):
+                t = noise.chain_transmission(rises, excess, t_min, t_max)
+            kinds = {"nan": np.isnan(t), "low": (t == t_min) & (t_min < t_max),
+                     "high": (t == t_max) & (t_min < t_max), "inside": (t_min < t) & (t < t_max),
+                     "all zero": (rises == 0.0).all(axis=0)}
+            seen.update(kind for kind, chains in kinds.items() if chains.any())
+
+        classify()
+        assert seen == {"nan", "low", "high", "inside", "all zero"}
 
 
 class TestInfidelityAndPauliError:

@@ -1,9 +1,12 @@
 import collections
+import gc
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import warnings
+import weakref
 from dataclasses import replace
 from functools import partial
 
@@ -43,7 +46,7 @@ from coldstack.optimize import (
 )
 from coldstack.workloads import nisq_circuit
 
-from conftest import OMEGA0, edge_biased, valid_config_texts
+from conftest import OMEGA0, SHORTEST_LIFETIME_S, edge_biased, valid_config_texts
 
 CABLE = CableModel()
 SCEN_A = ElectronicsScenario.preset("A")
@@ -140,6 +143,19 @@ class TestOptimizeSingleQubit:
         assert not res.feasible and res.power_w == math.inf
         assert res.diagnostic == ("no point meets the target metric 0.9995 "
                                   "at a power in the float range")
+
+    def test_target_zero_is_met_where_the_infidelity_floor_exceeds_one(self):
+        # gamma*tau_1qb ~ 4.5e300: the metric, clamped at 0, meets a target
+        # of 0 everywhere, so the zero-noise bound is max(0, 1 - floor), and
+        # the least power is the drive at the warmest qubits and A = 1
+        tech = QubitTechnology(omega0=OMEGA0, gamma=1.0 / SHORTEST_LIFETIME_S)
+        res = optimize_single_qubit(tech, 0.0)
+        assert res.feasible and res.metric_achieved == 0.0
+        assert res.control.t_qb == 4.0 and res.control.a_total == 1.0
+        assert 0.0 < res.power_w < 1e-300
+        res = optimize_single_qubit(tech, 1e-9)
+        assert not res.feasible
+        assert res.diagnostic.startswith("target metric 1e-09 exceeds the zero-noise bound 0 ")
 
     def test_stage_record_consistent(self, gate_opt):
         _, res = gate_opt
@@ -279,6 +295,16 @@ class TestOptimizeNisq:
         assert res.diagnostic == ("no point meets the target metric 0.6666666666666666 "
                                   "at a power in the float range")
 
+    def test_infidelity_beyond_the_float_range_warns_nothing(self):
+        # gamma*tau_1qb ~ 1.8e302: the weighted infidelity overflows, and
+        # the metric is 0, as its clamp gives it, without a RuntimeWarning
+        tech = QubitTechnology(omega0=OMEGA0, gamma=1.0 / SHORTEST_LIFETIME_S, tau_1qb=1e-6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = optimize_nisq(25, 2.0 / 3.0, tech)
+            gate = optimize_single_qubit(tech, 0.0)
+        assert not res.feasible and gate.feasible and gate.metric_achieved == 0.0
+
     def test_metric_boundary_hit(self, tech_1ms):
         res = optimize_nisq(25, 0.9, tech_1ms)
         assert res.feasible
@@ -341,6 +367,20 @@ def _check_boundary(a_star, gap, metric_at, target, lo, hi):
             & (np.abs(metric_at(a) - metric_at(ref)) <= 1e-12))
     assert np.all((close | flat)[active])
     return slack, ~reachable, active
+
+
+def _boundary_of_two_calls(gap, lo, hi, invert):
+    """:func:`~coldstack.optimize._boundary_attenuation` as first written:
+    ``gap`` at one log10 attenuation, called at each bound in turn."""
+    top, bottom = gap(math.log10(hi)), gap(math.log10(lo))
+    a = np.full(np.broadcast(top, bottom).shape, np.nan)
+    reachable = top >= 0.0
+    slack = reachable & (bottom >= 0.0)
+    a[slack] = lo
+    active = reachable & ~slack
+    if np.any(active):
+        a[active] = np.clip(invert(active), lo, hi)
+    return a
 
 
 class TestBoundarySolve:
@@ -431,6 +471,33 @@ class TestBoundarySolve:
             grid = 10.0 ** (-np.broadcast_to(log_a, n_cold.shape) * 0.25)
             want = _pauli_error(tech50, chain_occupancy(n_cold, n_rise, grid))
             assert np.array_equal(p_err(log_a), want), log_a
+            # and so does a pair of them stacked along a leading axis, as
+            # the boundary solve evaluates its two bounds
+            pair = p_err(optimize._stacked((log_a, 12.0 - log_a), n_cold.ndim))
+            assert np.array_equal(pair, np.stack([p_err(log_a), p_err(12.0 - log_a)]))
+
+    def test_nisq_bound_transmissions_are_python_powers(self, monkeypatch):
+        # numpy's vector pow need not round as Python's does: a NISQ solve
+        # raises 10 to each bound in Python floats, as a scalar metric
+        # does, and only then stacks the two transmissions
+        seen, metric = [], _AttenuatorProblem._metric
+
+        def recording(self, n_cold, n_rise, transmission):
+            seen.append(np.array(transmission, copy=True))
+            return metric(self, n_cold, n_rise, transmission)
+
+        monkeypatch.setattr(_AttenuatorProblem, "_metric", recording)
+        tech = QubitTechnology(omega0=OMEGA0, gamma=1e3)
+        problem = _AttenuatorProblem(tech, [30.0, 60.0], [1.0, 2.0], 300.0)
+        t_axis = np.tile(np.geomspace(1e-3, 4.0, 9), (2, 1))
+        for lo_db, hi_db in np.random.default_rng(7).uniform(0.0, 120.0, (200, 2)):
+            lo, hi = 10.0 ** (min(lo_db, hi_db) / 10.0), 10.0 ** (max(lo_db, hi_db) / 10.0)
+            seen.clear()
+            problem.solve(0.99, GridOptions(attenuation_bounds=(lo, hi)), t_axis)
+            (transmission,) = seen
+            assert transmission.shape == (2, 1, 1)
+            assert transmission.ravel().tolist() == [10.0 ** -math.log10(hi),
+                                                     10.0 ** -math.log10(lo)]
 
     def test_chain_solved_alone_agrees_with_its_batch(self, tech50):
         # Newton stops chain by chain, so a chain solved alone takes the
@@ -446,8 +513,49 @@ class TestBoundarySolve:
             (alone,) = chain_transmission(rises[:, i:i + 1], excess[i:i + 1], 1e-3, 1.0)
             assert alone == batch[i], i
 
+    @given(text=valid_config_texts())
+    @example(text="[chain]\nstages = 8\nattenuation_min_db = 7.3\nattenuation_max_db = 93.1\n")
+    @example(text="[workload]\nkind = nisq\n[chain]\nattenuation_min_db = 3.3\n")
+    @example(text="[workload]\nkind = gate\n")
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_stacked_bounds_equal_separate_evaluations(self, text):
+        # a solve evaluates the metric at both attenuation bounds in one
+        # call, stacked along a leading axis: bit for bit a call at each
+        # bound alone, and the attenuations those two calls sort out
+        calls, boundary = [], optimize._boundary_attenuation
+
+        def recording(gap, lo, hi, invert):
+            a_star = boundary(gap, lo, hi, invert)
+            calls.append((gap, lo, hi, invert, a_star))
+            return a_star
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optimize, "_boundary_attenuation", recording)
+            run_problem(load_config(text=text))
+        for gap, lo, hi, invert, a_star in calls:
+            bounds = (math.log10(hi), math.log10(lo))
+            alone = np.concatenate([gap((log_a,)) for log_a in bounds])
+            assert np.array_equal(gap(bounds), alone, equal_nan=True)
+            want = _boundary_of_two_calls(lambda log_a: gap((log_a,))[0], lo, hi, invert)
+            assert np.array_equal(a_star, want, equal_nan=True)
+
 
 class TestOptimizeFt:
+    def test_the_problem_is_freed_after_the_search(self, monkeypatch):
+        # no cache holds a problem, or the coarse-grid tables it prices,
+        # once the search returns: level(k) is memoized on the instance
+        problems, init = [], _FtProblem.__init__
+
+        def recording(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            problems.append(weakref.ref(self))
+
+        monkeypatch.setattr(_FtProblem, "__init__", recording)
+        assert run_problem(load_config(text="")).feasible
+        gc.collect()
+        assert problems and all(ref() is None for ref in problems)
+
     def test_star_point_level_and_size(self, star_result):
         assert star_result.feasible
         assert star_result.control.k == 3
@@ -824,7 +932,8 @@ def _on_the_coarse_grid(cfg) -> tuple:
     options = cfg.grid_options()
     problem = _FtProblem(cfg.workload(), cfg.technology(), cfg.electronics(),
                          cfg.cable(), cfg.efficiency(), cfg.ft_toggles(), options)
-    return (problem, options, *optimize._coarse_grid(*problem.grid_key))
+    axes, fields, _ = optimize._coarse_grid(*problem.grid_key)
+    return problem, options, axes, fields
 
 
 def _coarse_floor_violations(cfg) -> list:
@@ -1055,12 +1164,12 @@ class TestCoarseTable:
             problem = _FtProblem(**args, options=LIGHT)
             misses = (optimize._coarse_grid.cache_info().misses,
                       optimize._coarse_multipliers.cache_info().misses)
-            axes, fields = optimize._coarse_grid(*problem.grid_key)
+            axes, fields, sub_fields = optimize._coarse_grid(*problem.grid_key)
             multipliers = optimize._coarse_multipliers(problem.grid_key, args["model"],
                                                        args["toggles"].t_ext)
             assert misses == (optimize._coarse_grid.cache_info().misses,
                               optimize._coarse_multipliers.cache_info().misses)
-            for array in (*axes, *fields, *multipliers):
+            for array in (*axes, *fields, *sub_fields, *multipliers):
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
                     array.flat[0] = 0
