@@ -81,16 +81,21 @@ def bose_einstein(temperature, omega0: float):
     temperatures so low that the exponent exceeds the overflow clamp.
     """
     t = np.asarray(temperature, dtype=float)
-    if np.any(t < 0):
+    if (t < 0).any():
         raise ValueError("temperature must be nonnegative")
-    with np.errstate(divide="ignore", over="ignore"):
-        x = np.where(t > 0, HBAR * omega0 / (K_B * np.where(t > 0, t, 1.0)), np.inf)
-    occ = np.where(
-        x >= _EXPONENT_CLAMP, 0.0, 1.0 / np.expm1(np.minimum(x, _EXPONENT_CLAMP))
-    )
+    occ = _bose_einstein(t, omega0)
     if occ.ndim == 0:
         return float(occ)
     return occ
+
+
+def _bose_einstein(t: np.ndarray, omega0: float) -> np.ndarray:
+    """:func:`bose_einstein` without the input check, for the optimizer,
+    which calls it on arrays of temperatures it laid out itself."""
+    positive = t > 0
+    with np.errstate(divide="ignore", over="ignore"):
+        x = np.where(positive, HBAR * omega0 / (K_B * np.where(positive, t, 1.0)), np.inf)
+    return np.where(x >= _EXPONENT_CLAMP, 0.0, 1.0 / np.expm1(np.minimum(x, _EXPONENT_CLAMP)))
 
 
 def single_attenuator_occupancy(attenuation, t_qubit, t_external, omega0: float):
@@ -101,7 +106,7 @@ def single_attenuator_occupancy(attenuation, t_qubit, t_external, omega0: float)
     one-attenuator case of :func:`chain_occupancy`.
     """
     a = np.asarray(attenuation, dtype=float)
-    if np.any(a < 1):
+    if (a < 1).any():
         raise ValueError("attenuation must be >= 1 (natural units)")
     n_cold = bose_einstein(t_qubit, omega0)
     out = chain_occupancy(n_cold, (bose_einstein(t_external, omega0) - n_cold,), 1.0 / a)
@@ -153,7 +158,9 @@ def chain_transmission(n_rise, excess, t_min: float, t_max: float):
     chain stops once its own step is at most a few ulps, and after
     ``_NEWTON_STEPS`` at the most, so a chain ends on the same bits
     whatever batch it is solved in.  A chain whose iterate is NaN (an
-    excess <= 0 can set a NaN start) stays NaN, and stops at once.
+    excess <= 0 can set a NaN start) stays NaN, and stops at once.  A
+    chain that starts at ``t_max`` and would step up from it has its
+    root above ``t_max``, and stops there at once.
 
     The leak is ``t h(t)`` and its slope ``h + t h'``, both by Horner's
     rule on h from the top rise down.  Its first step is exact, so it is
@@ -170,18 +177,20 @@ def chain_transmission(n_rise, excess, t_min: float, t_max: float):
         t = np.minimum(t, bound ** (1.0 / i))
     top, *rest = n_rise[::-1]
     todo = np.ones(t.shape, bool)
-    for _ in range(_NEWTON_STEPS):
+    for n in range(_NEWTON_STEPS):
         h, dh = top, 0.0
         for rise in rest:
             dh = dh * t + h
             h = h * t + rise
         slope = h + t * dh
         step = np.divide(t * h - excess, slope, out=np.zeros(t.shape), where=(slope > 0) & todo)
+        if n == 0:  # a step up from t_max: the root lies above, and the chain stays
+            step[(step < 0.0) & (t == t_max)] = 0.0
         t -= step
         todo &= np.abs(step) > _NEWTON_RTOL * t
         if not todo.any():
             break
-    return np.clip(t, t_min, t_max)
+    return np.minimum(np.maximum(t, t_min), t_max)
 
 
 def worst_case_infidelity_1qb(tech: QubitTechnology, n_noise):
@@ -192,7 +201,7 @@ def worst_case_infidelity_1qb(tech: QubitTechnology, n_noise):
     ``1 - infidelity``.
     """
     n = np.asarray(n_noise, dtype=float)
-    if np.any(n < 0):
+    if (n < 0).any():
         raise ValueError("occupancy must be nonnegative")
     out = _infidelity(tech, n)
     if np.ndim(out) == 0:
@@ -220,12 +229,12 @@ def pauli_error_probability(tech: QubitTechnology, n_noise, with_flag: bool = Fa
     (the linearized formula can exceed 1 for absurd inputs).
     """
     n = np.asarray(n_noise, dtype=float)
-    if np.any(n < 0):
+    if (n < 0).any():
         raise ValueError("occupancy must be nonnegative")
     p = _pauli_error(tech, n)
     out = float(p) if p.ndim == 0 else p
     if with_flag:
-        return out, bool(np.any(p == 1.0))
+        return out, bool((p == 1.0).any())
     return out
 
 

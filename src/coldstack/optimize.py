@@ -46,8 +46,10 @@ same bits in any grid.  What a level adds to them, its drive weight,
 qubit count and classical cost, is computed once per problem and level
 (:meth:`_FtProblem.level`), on the problem, so that nothing outlives
 the search.  :func:`optimize_ft` first reads the least error
-probability in the box at node (0, 0) of the coarse grid, which skips
-the levels that cannot reach the target.  It searches the others in
+probability in the box (:meth:`_FtProblem.least_error_probability`) on
+the one chain at its coldest corner, laid out alone with the bits of
+node (0, 0) of the coarse grid, which skips the levels that cannot reach
+the target without building the grid.  It searches the others in
 ascending order and skips a level whose power floor, a closed-form
 lower bound on its power anywhere in the box, lies above the best power
 found so far; such a level could not have won, so the result is the
@@ -60,7 +62,14 @@ material and the qubit frequency, so the levels of one search and the
 points of a sweep that share these compute them once.  The heat
 multipliers mu of its stages that the coarse floor below needs, and
 its conduction sum G, are cached too (:func:`_coarse_multipliers`),
-keyed on the same and on the efficiency model and t_ext.
+keyed on the same and on the efficiency model and t_ext.  The coarse
+axes themselves are cached per bounds and points per decade
+(:func:`_log_axis`), read-only, and :func:`_grid_refine` hands them to
+every problem of a batch as broadcast views.  On the grids it lays out
+itself the search calls the unchecked kernels of the model's formulas
+(such as :func:`~coldstack.noise._bose_einstein` and
+:func:`~coldstack.qec._ft_metric`); the public functions check their
+inputs and then call the same kernels.
 
 Within a level, the coarse pass is pruned by branch and bound
 (:meth:`_FtProblem.candidates`).  Each coarse point has a closed-form
@@ -93,6 +102,7 @@ from .noise import (
     HBAR,
     K_B,
     QubitTechnology,
+    _bose_einstein,
     _infidelity,
     _infidelity_occupancy,
     _pauli_error,
@@ -219,16 +229,21 @@ def _infeasible(diagnostic: str, control: ControlPoint = ControlPoint()) -> Opti
 # Grid helpers
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=8)
 def _log_axis(lo: float, hi: float, per_decade: int) -> tuple[np.ndarray, float]:
     """Log-spaced axis with both endpoints and spacing <= 1/per_decade
-    decades; returns (values, actual spacing in decades)."""
+    decades; returns (values, actual spacing in decades).  The values are
+    cached, and read-only, as every search of a box starts from them."""
     if hi == lo:
-        return np.array([lo]), 0.0
-    decades = math.log10(hi / lo)
-    n = int(math.ceil(decades * per_decade)) + 1
-    vals = np.logspace(math.log10(lo), math.log10(hi), n)
-    vals[0], vals[-1] = lo, hi  # logspace endpoints carry rounding error
-    return vals, decades / (n - 1)
+        vals, spacing = np.array([lo], float), 0.0
+    else:
+        decades = math.log10(hi / lo)
+        n = int(math.ceil(decades * per_decade)) + 1
+        vals = np.logspace(math.log10(lo), math.log10(hi), n)
+        vals[0], vals[-1] = lo, hi  # logspace endpoints carry rounding error
+        spacing = decades / (n - 1)
+    vals.flags.writeable = False
+    return vals, spacing
 
 
 def _refined_axis(centers: np.ndarray, spacing: float, factor: int,
@@ -238,7 +253,7 @@ def _refined_axis(centers: np.ndarray, spacing: float, factor: int,
     values repeat, so the rows keep one length; a repeat ties exactly."""
     fine = spacing / factor
     offsets = np.arange(-factor, factor + 1) * fine
-    return np.clip(centers[:, None] * 10.0**offsets, lo, hi), fine
+    return np.minimum(np.maximum(centers[:, None] * 10.0**offsets, lo), hi), fine
 
 
 def _boundary_attenuation(gap, lo: float, hi: float, invert):
@@ -260,8 +275,8 @@ def _boundary_attenuation(gap, lo: float, hi: float, invert):
     slack = reachable & (bottom >= 0.0)
     a[slack] = lo
     active = reachable & ~slack
-    if np.any(active):
-        a[active] = np.clip(invert(active), lo, hi)
+    if active.any():
+        a[active] = np.minimum(np.maximum(invert(active), lo), hi)
     return a
 
 
@@ -298,30 +313,36 @@ def _grid_refine(solve, axes, options: GridOptions, batch: int = 1):
     grids, spacing = [], []
     for _, (lo, hi) in axes:
         grid, step = _log_axis(lo, hi, options.temperature_points_per_decade)
-        grids.append(np.tile(grid, (batch, 1)))
+        grids.append(np.broadcast_to(grid, (batch, grid.size)))
         spacing.append(step)
     inner = tuple(range(1, len(axes) + 1))
     best_power, best_a = np.full(batch, np.inf), np.full(batch, np.nan)
     # a problem without a feasible point refines, unused, around the lower corner
-    best_point = np.tile([lo for _, (lo, _) in axes], (batch, 1))
+    best_point = np.empty((batch, len(axes)))
+    best_point[:] = [lo for _, (lo, _) in axes]
     for pass_index in range(options.refinement_passes + 1):
         power, a_star = solve(*grids)
         if pass_index == 0:
             alive = np.isfinite(power).any(axis=inner)
-            if not alive.any():
+            live = np.count_nonzero(alive)
+            if not live:
                 break
         low = power.min(axis=inner, keepdims=True) * (1 + RELATIVE_TIE)
-        # the tied points of the live problems as (problem, grid indices), in C order
-        tied = np.nonzero(power <= np.where(alive.reshape(low.shape), low, -np.inf))
-        keys = [sign * g[tied[0], i] for sign, g, i in zip(_TIE_SIGNS, grids, tied[1:])]
-        order = np.lexsort((np.arange(tied[0].size), *keys[::-1], a_star[tied], tied[0]))
-        rows = tied[0][order]
-        first = order[np.concatenate(([True], rows[1:] != rows[:-1]))]  # one per problem
-        pick = tuple(i[first] for i in tied)
+        # the tied points of the live problems as (problem, grid indices), in C
+        # order, so by problem; each live problem ties at least at its least
+        # power, so more points than live problems means several in some one
+        pick = np.nonzero(power <= np.where(alive.reshape(low.shape), low, -np.inf))
+        if pick[0].size > live:  # the tie-break picks one per problem
+            keys = [sign * g[pick[0], i] for sign, g, i in zip(_TIE_SIGNS, grids, pick[1:])]
+            order = np.lexsort((np.arange(pick[0].size), *keys[::-1], a_star[pick], pick[0]))
+            rows = pick[0][order]
+            first = order[np.concatenate(([True], rows[1:] != rows[:-1]))]  # one per problem
+            pick = tuple(i[first] for i in pick)
         # the picks that improve on their problem's incumbent
         b, *at = pick = tuple(i[power[pick] < best_power[pick[0]]] for i in pick)
         best_power[b], best_a[b] = power[pick], a_star[pick]
-        best_point[b] = np.stack([g[b, i] for g, i in zip(grids, at)], axis=1)
+        for d, (g, i) in enumerate(zip(grids, at)):
+            best_point[b, d] = g[b, i]
         if pass_index < options.refinement_passes:
             for d, (_, (lo, hi)) in enumerate(axes):
                 grids[d], spacing[d] = _refined_axis(
@@ -380,7 +401,7 @@ class _AttenuatorProblem:
             return nisq_metric(self.weight, _infidelity(self.tech, occ))
 
     def power(self, t_qb, a):
-        return CARNOT.heat_multiplier(t_qb, self.t_ext) * a * self.p_pi * self.power_scale
+        return CARNOT._heat_multiplier(t_qb, self.t_ext) * a * self.p_pi * self.power_scale
 
     def solve(self, target: float, options: GridOptions, t_axis: np.ndarray):
         """Power and boundary attenuation on the qubit-temperature rows ``t_axis``.
@@ -390,7 +411,7 @@ class _AttenuatorProblem:
         """
         a_lo, a_hi = options.attenuation_bounds
         # the occupancies do not depend on the attenuation: once per grid
-        n_cold = bose_einstein(t_axis, self.tech.omega0)
+        n_cold = _bose_einstein(t_axis, self.tech.omega0)
         n_rise = self.n_hot - n_cold
 
         def gap(log_a):
@@ -416,7 +437,7 @@ class _AttenuatorProblem:
         """The result where no point is feasible: ``unreachable``, unless some
         problem meets ``target`` where its metric peaks, at the coldest qubit
         stage and the largest attenuation, and only its power is out of range."""
-        if np.any(self.metric(options.t_qb_bounds[0], options.attenuation_bounds[1]) >= target):
+        if (self.metric(options.t_qb_bounds[0], options.attenuation_bounds[1]) >= target).any():
             unreachable = f"no point meets the target metric {target} at a power in the float range"
         return _infeasible(unreachable)
 
@@ -580,7 +601,7 @@ def _grid_fields(t_qb: np.ndarray, t_gen: np.ndarray, k_stages: int,
     # the conduction integral's temporaries are the largest: it runs before
     # the occupancies are held, which keeps the peak memory down
     rises = grid_conduction_rises(t_qb, t_gen, stages, cable)
-    occ = bose_einstein(stages, omega0)
+    occ = _bose_einstein(stages, omega0)
     return stages, rises, occ[0].copy(), occ[1:] - occ[:-1], t_qb[:, None] < t_gen[None, :]
 
 
@@ -615,7 +636,7 @@ def _coarse_multipliers(grid_key: tuple, model: CryoEfficiencyModel, t_ext: floa
     the temperature.
     """
     _, (stages, rises, *_), _ = _coarse_grid(*grid_key)
-    mult = model.heat_multiplier(stages, t_ext)
+    mult = model._heat_multiplier(stages, t_ext)
     # the end stages are the axes themselves
     return _read_only((mult[0, :, :1].copy(), mult[-1, :1].copy(), mult[-2].copy(),
                        (rises * (mult[:-1] - mult[1:])).sum(axis=0)))
@@ -636,6 +657,7 @@ class _FtProblem:
         self.options = options
         drive_1qb = toggles.two_qubit_drive_duration == "tau_1qb"
         self.p_pi = pi_pulse_power(tech, tech.tau_1qb if drive_1qb else tech.tau_2qb)
+        self.n_locations = workload.q_logical * workload.d_logical
         self._levels = {}  # level(k) by k
         #: the key of the coarse grid's tables
         self.grid_key = (tuple(map(float, options.t_qb_bounds)),
@@ -647,7 +669,7 @@ class _FtProblem:
         """The heat multipliers of the chains ``stages`` and the per-qubit
         always-on StageRecords on them, given the rises ``rises`` of the
         cable's conduction integral across their spans."""
-        mult = self.model.heat_multiplier(stages, self.toggles.t_ext)
+        mult = self.model._heat_multiplier(stages, self.toggles.t_ext)
         net = conduction_heat_per_qubit(stages, self.cable, rises)
         return mult, static_power_breakdown(stages, self.scenario, self.cable, self.model,
                                             self.toggles.t_ext, net, mult)
@@ -702,10 +724,25 @@ class _FtProblem:
 
         return p_err
 
+    def least_error_probability(self) -> float:
+        """The least Pauli error probability in the search box: at its
+        coldest corner, (t_qb_lo, t_gen_lo), behind the largest
+        attenuation.  The chain there is laid out alone, as node (0, 0) of
+        the coarse grid is laid out, so it has that node's bits, and no
+        grid is built to read them."""
+        options = self.options
+        stages = stage_temperatures(np.array([[options.t_qb_bounds[0]]], float),
+                                    np.array([[options.t_gen_bounds[0]]], float),
+                                    self.toggles.k_stages)
+        occ = _bose_einstein(stages, self.tech.omega0)
+        return self.error_probability(occ[0], occ[1:] - occ[:-1])(
+            np.log10(options.attenuation_bounds[1])).item()
+
     def metric(self, p_err, k: int):
-        return qec.ft_metric(p_err, k, self.workload.q_logical,
-                             self.workload.d_logical,
-                             linear=self.toggles.metric_form == "linear")
+        """:func:`~coldstack.qec.ft_metric` of the error probabilities
+        ``p_err``, which :func:`~coldstack.noise._pauli_error` clamps to
+        [0, 1], so unchecked."""
+        return qec._ft_metric(p_err, k, self.n_locations, self.toggles.metric_form == "linear")
 
     def occupancy_budget(self, target: float, k: int) -> float:
         """Qubit-line occupancy at which the metric at level ``k`` equals
@@ -962,13 +999,7 @@ def optimize_ft(workload: Workload, tech: QubitTechnology,
     if options.t_gen_bounds[1] > toggles.t_ext:
         raise ValueError("the generation stage may be no warmer than t_ext")
     problem = _FtProblem(workload, tech, scenario, cable, model, toggles, options)
-    # Lowest reachable error probability inside the box: coldest corner,
-    # maximal attenuation, coldest generation stage.  That is node (0, 0)
-    # of the coarse grid, whose fields are elementwise: the bits of a
-    # one-point grid there.
-    _, (_, _, n_cold, n_rise, _), _ = _coarse_grid(*problem.grid_key)
-    p_err_min = problem.error_probability(n_cold[:1, :1], n_rise[:, :1, :1])(
-        np.log10(options.attenuation_bounds[1])).item()
+    p_err_min = problem.least_error_probability()
     axes = [("t_qb", options.t_qb_bounds), ("t_gen", options.t_gen_bounds)]
     best = None  # (power, k, a, t_qb, t_gen, spacing)
     reachable = False  # whether the corner meets the target at some level

@@ -62,18 +62,30 @@ def logical_error_probability(p_err, k: int):
     ``p_thr * (p_err/p_thr)^(2^k)`` with ``p_thr = P_THRESHOLD``; equals
     ``p_err`` at k = 0 and has ``p_thr`` as its fixed point.
     """
-    p = np.asarray(p_err, dtype=float)
-    if np.any(p < 0):
-        raise ValueError("error probability must be nonnegative")
-    if k < 0:
-        raise ValueError("concatenation level must be a nonnegative integer")
+    p = _checked_probability(p_err, k)
     # far from the threshold the power leaves the float range, and 0
     # and inf are its values there
     with np.errstate(over="ignore", under="ignore"):
-        out = P_THRESHOLD * (p / P_THRESHOLD) ** (2**k)
+        out = _logical_error(p, k)
     if np.ndim(out) == 0:
         return float(out)
     return out
+
+
+def _checked_probability(p_err, k: int) -> np.ndarray:
+    """``p_err`` as an array, once it and the level ``k`` are checked."""
+    p = np.asarray(p_err, dtype=float)
+    if (p < 0).any():
+        raise ValueError("error probability must be nonnegative")
+    if k < 0:
+        raise ValueError("concatenation level must be a nonnegative integer")
+    return p
+
+
+def _logical_error(p: np.ndarray, k: int):
+    """:func:`logical_error_probability` of the array ``p`` without the
+    input checks or an error state of its own: its callers hold one."""
+    return P_THRESHOLD * (p / P_THRESHOLD) ** (2**k)
 
 
 def physical_qubits(q_logical: int, k: int) -> int:
@@ -128,20 +140,30 @@ def ft_metric(p_err, k: int, q_logical: float, d_logical: float,
     n_locations = q_logical * d_logical
     if n_locations < 0:
         raise ValueError("circuit size must be nonnegative")
-    p_l = logical_error_probability(p_err, k)
-    # far above the threshold the expected error count overflows and the
-    # metric is 0; far below, a vanishing success probability rounds to 0
-    with np.errstate(over="ignore", under="ignore"):
-        if linear:
-            out = np.maximum(0.0, 1.0 - n_locations * p_l)
-        else:
-            # log1p avoids the cancellation in (1 - p_l) for tiny p_l
-            survivable = p_l < 1.0
-            log_term = np.log1p(-np.where(survivable, p_l, 0.0))
-            out = np.where(survivable, np.exp(n_locations * log_term), 0.0)
+    out = _ft_metric(_checked_probability(p_err, k), k, n_locations, linear)
     if np.ndim(out) == 0:
         return float(out)
     return out
+
+
+def _ft_metric(p, k: int, n_locations: float, linear: bool):
+    """:func:`ft_metric` of ``p`` (an array, or a float, which it takes as
+    a 0-d array) on ``n_locations`` logical locations, without the input
+    checks, for the optimizer, whose error probabilities are clamped to
+    [0, 1]."""
+    p = np.asarray(p, dtype=float)
+    # far from the threshold the logical error probability leaves the
+    # float range, and 0 and inf are its values there; far above it the
+    # expected error count overflows and the metric is 0; far below, a
+    # vanishing success probability rounds to 0
+    with np.errstate(over="ignore", under="ignore"):
+        p_l = _logical_error(p, k)
+        if linear:
+            return np.maximum(0.0, 1.0 - n_locations * p_l)
+        # log1p avoids the cancellation in (1 - p_l) for tiny p_l
+        survivable = p_l < 1.0
+        log_term = np.log1p(-np.where(survivable, p_l, 0.0))
+        return np.where(survivable, np.exp(n_locations * log_term), 0.0)
 
 
 def ft_error_budget(target: float, k: int, q_logical: float, d_logical: float,

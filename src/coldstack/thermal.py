@@ -26,7 +26,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -151,15 +151,20 @@ class CryoEfficiencyModel:
     def heat_multiplier(self, t_stage, t_ext: float = AMBIENT_K):
         """Electrical watts per watt of heat extracted at ``t_stage``."""
         t = np.asarray(t_stage, dtype=float)
-        if np.any(t <= 0):
+        if (t <= 0).any():
             raise ValueError("stage temperature must be positive")
-        if self.kind == "carnot":
-            out = (t_ext - t) / t
-        else:
-            out = self.small_scale_prefactor * (1.0 - t / t_ext) / t**2
+        out = self._heat_multiplier(t, t_ext)
         if np.ndim(out) == 0:
             return float(out)
         return out
+
+    def _heat_multiplier(self, t: np.ndarray, t_ext: float):
+        """:meth:`heat_multiplier` without the input check, for the
+        optimizer, which calls it on arrays of stage temperatures it laid
+        out itself."""
+        if self.kind == "carnot":
+            return (t_ext - t) / t
+        return self.small_scale_prefactor * (1.0 - t / t_ext) / t**2
 
 
 CARNOT = CryoEfficiencyModel("carnot")
@@ -211,14 +216,17 @@ def _conduction_integral(cable: CableModel, temperature):
     c_mid, p_mid = cable.kapton_mid
     out = cable.area_below_10k_m2 * c_lo * np.clip(t, 0.0, 4.0) ** (p_lo + 1) / (p_lo + 1)
     out = out + cable.area_below_10k_m2 * c_mid * (
-        np.clip(t, 4.0, 10.0) ** (p_mid + 1) - 4.0 ** (p_mid + 1)) / (p_mid + 1)
+        np.minimum(np.maximum(t, 4.0), 10.0) ** (p_mid + 1) - 4.0 ** (p_mid + 1)) / (p_mid + 1)
     flat, t = out.reshape(-1), t.reshape(-1)
     hot = np.flatnonzero(t > 10.0)
     for start in range(0, hot.size, _HOT_BLOCK):
         at = hot[start:start + _HOT_BLOCK]
         half = 0.5 * (np.log10(t[at]) - 1.0)
         t_node = 10.0 ** (1.0 + half * (_STEEL_X + 1.0))
-        steel = reduce(np.add, _STEEL_W * cable.steel_conductivity(t_node) * t_node)
+        # accumulate adds the nodes in order for every block shape, which
+        # np.add.reduce does not: it pairs them on some shapes
+        steel = np.add.accumulate(_STEEL_W * cable.steel_conductivity(t_node) * t_node,
+                                  axis=0)[-1]
         flat[at] += cable.area_above_10k_m2 * np.log(10.0) * half * steel
     return float(out[0]) if np.ndim(temperature) == 0 else out
 
@@ -248,8 +256,14 @@ def attenuator_heat_fractions(a_total, k_stages: int = 5) -> np.ndarray:
     scalar, so a selection of a grid rounds as the grid does.
     """
     a = np.asarray(a_total, dtype=float)
-    cum = np.stack([a ** (i / (k_stages - 1)) for i in range(1, k_stages)])
-    return np.concatenate([cum[:1], np.diff(cum, axis=0), np.zeros((1,) + a.shape)])
+    fractions = np.empty((k_stages,) + a.shape)
+    fractions[0] = below = a ** (1 / (k_stages - 1))
+    for i in range(2, k_stages):
+        cum = a ** (i / (k_stages - 1))
+        fractions[i - 1] = cum - below
+        below = cum
+    fractions[-1] = 0.0
+    return fractions
 
 
 @dataclass(frozen=True)

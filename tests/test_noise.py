@@ -200,13 +200,19 @@ class TestChainOccupancy:
 
 def _chain_transmission_oracle(n_rise, excess, t_min, t_max):
     """:func:`~coldstack.noise.chain_transmission` as first written: Horner's
-    rule started from 0 at every Newton step, and a mask of the chains done."""
+    rule started from 0 at every Newton step, and a mask of the chains done;
+    but t_max where the leak there falls short of the excess, as the root
+    then lies above t_max."""
     n_rise = np.asarray(n_rise, dtype=float)
     excess = np.asarray(excess, dtype=float)
     t = np.full(excess.shape, float(t_max))
     for i, rise in enumerate(n_rise, start=1):
         bound = np.divide(excess, rise, out=np.full(excess.shape, np.inf), where=rise > 0)
         t = np.minimum(t, bound ** (1.0 / i))
+    h = 0.0
+    for rise in n_rise[::-1]:
+        h = h * t_max + rise
+    above = (t == t_max) & (t_max * h < excess)
     done = np.zeros(t.shape, bool)
     for _ in range(noise._NEWTON_STEPS):
         h, dh = 0.0, 0.0
@@ -219,7 +225,7 @@ def _chain_transmission_oracle(n_rise, excess, t_min, t_max):
         done |= np.abs(step) <= noise._NEWTON_RTOL * t
         if done.all():
             break
-    return np.clip(t, t_min, t_max)
+    return np.where(above, t_max, np.clip(t, t_min, t_max))
 
 
 def _decades(lo: float, hi: float):
@@ -258,9 +264,9 @@ def _chains(draw):
 
 class TestChainTransmission:
     @given(chain=_chains())
-    # the root 4.6e51 lies far above t_max = 1: the first step overshoots
-    # to 3e154, the next overflows to -inf, where the iterate stays
-    @example(chain=(np.array([[0.0], [0.0], [1e-155]]), np.array([1.0]), 1.0, 1.0))
+    # the root 4.6e51 lies far above t_max = 1: a first step would overshoot
+    # to 3e154, the next overflow to -inf, and the clip give t_min
+    @example(chain=(np.array([[0.0], [0.0], [1e-155]]), np.array([1.0]), 1e-3, 1.0))
     @settings(max_examples=200, deadline=None)
     def test_bits_of_the_recurrence_started_from_0(self, chain):
         rises, excess, t_min, t_max = chain
@@ -268,6 +274,18 @@ class TestChainTransmission:
             want = _chain_transmission_oracle(rises, excess, t_min, t_max)
             got = noise.chain_transmission(rises, excess, t_min, t_max)
         assert np.array_equal(got, want, equal_nan=True)
+
+    def test_root_far_above_t_max_gives_t_max_at_once(self, monkeypatch):
+        # the leak at t_max = 1 is 1e-155, far short of the excess 1: the chain
+        # stays at t_max, takes no step that could overflow, and stops
+        steps, divide = [], np.divide
+        monkeypatch.setattr(np, "divide",
+                            lambda *args, **kw: steps.append(1) or divide(*args, **kw))
+        got = noise.chain_transmission(np.array([[0.0], [0.0], [1e-155]]), np.array([1.0]),
+                                       1e-3, 1.0)
+        monkeypatch.undo()
+        assert got.tolist() == [1.0]
+        assert len(steps) == 3 + 1  # a bound per rise, and one Newton step
 
     def test_draws_reach_every_kind_of_chain(self):
         # the oracle comparison above sees NaN chains, roots clipped at

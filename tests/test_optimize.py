@@ -662,6 +662,37 @@ class TestOptimizeFt:
         assert not res.feasible
         assert "threshold" in res.diagnostic
 
+    def test_unreachable_run_builds_no_coarse_grid(self):
+        # no level reaches the target: the reachability probe lays out the
+        # corner chain alone, and nothing reads the coarse grid
+        optimize._coarse_grid.cache_clear()
+        for frequency_hz in (6e9, 8e9):
+            cfg = load_config(text=f"[technology]\nfrequency_hz = {frequency_hz}\n"
+                                   "gamma_inverse_s = 1e-6\n")
+            result = run_problem(cfg)
+            assert not result.feasible and "threshold" in result.diagnostic
+        assert optimize._coarse_grid.cache_info().misses == 0
+
+    @given(qb_lo=edge_biased(1e-4, 3.0), qb_decades=st.floats(0.0, 3.0),
+           gen_over_qb=edge_biased(1.001, 1e4), per_decade=st.sampled_from([1, 4, 40]),
+           k_stages=st.integers(2, 8), frequency_hz=edge_biased(1e9, 2e11),
+           a_hi=edge_biased(1.0, 1e12))
+    @settings(max_examples=40, deadline=None)
+    def test_probe_has_the_bits_of_the_coarse_corner(self, qb_lo, qb_decades, gen_over_qb,
+                                                     per_decade, k_stages, frequency_hz, a_hi):
+        gen_lo = min(qb_lo * gen_over_qb, 300.0)
+        options = GridOptions(temperature_points_per_decade=per_decade,
+                              t_qb_bounds=(qb_lo, qb_lo * 10.0**qb_decades),
+                              t_gen_bounds=(gen_lo, 300.0), attenuation_bounds=(1.0, a_hi))
+        tech = QubitTechnology(omega0=2.0 * math.pi * frequency_hz, gamma=20.0)
+        problem = _FtProblem(Workload(10, 10), tech, SCEN_A, CABLE, CryoEfficiencyModel(),
+                             FtToggles(k_stages=k_stages), options)
+        # the probe as first written: node (0, 0) of the coarse grid
+        _, (_, _, n_cold, n_rise, _), _ = optimize._coarse_grid(*problem.grid_key)
+        want = problem.error_probability(n_cold[:1, :1], n_rise[:, :1, :1])(
+            np.log10(a_hi)).item()
+        assert problem.least_error_probability() == want
+
     def test_exact_metric_form_close_to_linear(self, tech50):
         wl = Workload(6175, 2_100_000_000)
         exact = optimize_ft(wl, tech50, SCEN_A, options=LIGHT,
@@ -888,9 +919,10 @@ class TestPowerFloor:
         thermal._fixed_multiplier.cache_clear()
         optimize._coarse_multipliers.cache_clear()
         scalar, floors, coarse = [], [], collections.Counter()
-        heat_multiplier, floor = CryoEfficiencyModel.heat_multiplier, _FtProblem.power_floor
+        # the kernel, which the public heat_multiplier calls after its check
+        heat_multiplier, floor = CryoEfficiencyModel._heat_multiplier, _FtProblem.power_floor
 
-        def counting(self, t_stage, t_ext=thermal.AMBIENT_K):
+        def counting(self, t_stage, t_ext):
             if np.ndim(t_stage) == 0:
                 scalar.append(t_stage)
             elif np.shape(t_stage) == (5, 146, 77):
@@ -901,7 +933,7 @@ class TestPowerFloor:
             floors.append(args)
             return floor(self, *args)
 
-        monkeypatch.setattr(CryoEfficiencyModel, "heat_multiplier", counting)
+        monkeypatch.setattr(CryoEfficiencyModel, "_heat_multiplier", counting)
         monkeypatch.setattr(_FtProblem, "power_floor", counting_floor)
         axes = [SweepAxis.parse("gamma_inverse_s=0.003:1:15:log")]
         cfgs = [load_config(text="").replace(scenario=scenario, efficiency_model=model)
@@ -1203,6 +1235,132 @@ class TestCoarseTable:
         before = optimize._coarse_grid.cache_info().misses
         self._optimize("scenario C")
         assert optimize._coarse_grid.cache_info().misses == before
+
+
+def _grid_refine_as_first_written(solve, axes, options: GridOptions, batch: int = 1):
+    """:func:`~coldstack.optimize._grid_refine` before its bookkeeping was
+    cut: fresh axes tiled per problem, a lexsort of the tied points on
+    every pass, and the incumbents' points stacked."""
+    def log_axis(lo, hi, per_decade):
+        if hi == lo:
+            return np.array([lo]), 0.0
+        decades = math.log10(hi / lo)
+        n = int(math.ceil(decades * per_decade)) + 1
+        vals = np.logspace(math.log10(lo), math.log10(hi), n)
+        vals[0], vals[-1] = lo, hi
+        return vals, decades / (n - 1)
+
+    grids, spacing = [], []
+    for _, (lo, hi) in axes:
+        grid, step = log_axis(lo, hi, options.temperature_points_per_decade)
+        grids.append(np.tile(grid, (batch, 1)))
+        spacing.append(step)
+    inner = tuple(range(1, len(axes) + 1))
+    best_power, best_a = np.full(batch, np.inf), np.full(batch, np.nan)
+    best_point = np.tile([lo for _, (lo, _) in axes], (batch, 1))
+    for pass_index in range(options.refinement_passes + 1):
+        power, a_star = solve(*grids)
+        if pass_index == 0:
+            alive = np.isfinite(power).any(axis=inner)
+            if not alive.any():
+                break
+        low = power.min(axis=inner, keepdims=True) * (1 + RELATIVE_TIE)
+        tied = np.nonzero(power <= np.where(alive.reshape(low.shape), low, -np.inf))
+        keys = [sign * g[tied[0], i] for sign, g, i in zip(optimize._TIE_SIGNS, grids, tied[1:])]
+        order = np.lexsort((np.arange(tied[0].size), *keys[::-1], a_star[tied], tied[0]))
+        rows = tied[0][order]
+        first = order[np.concatenate(([True], rows[1:] != rows[:-1]))]
+        pick = tuple(i[first] for i in tied)
+        b, *at = pick = tuple(i[power[pick] < best_power[pick[0]]] for i in pick)
+        best_power[b], best_a[b] = power[pick], a_star[pick]
+        best_point[b] = np.stack([g[b, i] for g, i in zip(grids, at)], axis=1)
+        if pass_index < options.refinement_passes:
+            for d, (_, (lo, hi)) in enumerate(axes):
+                grids[d], spacing[d] = optimize._refined_axis(
+                    best_point[:, d], spacing[d], options.refinement_factor, lo, hi)
+    found = [(float(p), tuple(map(float, x)), float(a)) if ok else None
+             for ok, p, x, a in zip(alive, best_power, best_point, best_a)]
+    return found, {name: step for (name, _), step in zip(axes, spacing)}
+
+
+def _toy_solve(problems, *grids):
+    """Power and attenuation of toy problems, one per entry of
+    ``problems`` as (centre by axis, quantum, dead), on the grids the
+    rows of ``grids`` span: the squared log distance to the centre,
+    rounded to the quantum, so that a coarse quantum ties many points
+    exactly, in power and in attenuation; a dead problem is infeasible
+    everywhere."""
+    ndim = len(grids)
+    dist = 0.0
+    for d, grid in enumerate(grids):
+        shape = [len(problems)] + [1] * ndim
+        shape[d + 1] = grid.shape[1]
+        centre = np.array([[centres[d]] for centres, _, _ in problems])
+        dist = dist + ((np.log10(grid) - centre) ** 2).reshape(shape)
+    quantum = np.reshape([q for _, q, _ in problems], (-1,) + (1,) * ndim)
+    dead = np.reshape([dead for *_, dead in problems], (-1,) + (1,) * ndim)
+    steps = np.round(dist / quantum)
+    return (np.where(dead, np.inf, 1.0 + steps * quantum),
+            np.where(dead, np.nan, 1.0 + np.round(steps / 3.0)))
+
+
+@st.composite
+def _toy_searches(draw):
+    """(problems, axes, options) of toy batched searches over one or two
+    axes: up to four problems, some dead, whose quanta tie from no point
+    to most points of a grid."""
+    axes = [("t_qb", (1e-3, 4.0)), ("t_gen", (4.0, 300.0))][:draw(st.integers(1, 2))]
+    problems = [(tuple(draw(st.floats(math.log10(lo) - 0.5, math.log10(hi) + 0.5))
+                       for _, (lo, hi) in axes),
+                 draw(st.sampled_from([1e-6, 1e-3, 0.05, 1.0, 100.0])),
+                 draw(st.booleans()) and draw(st.booleans()))
+                for _ in range(draw(st.integers(1, 4)))]
+    options = GridOptions(temperature_points_per_decade=draw(st.integers(1, 6)),
+                          refinement_passes=draw(st.integers(0, 2)),
+                          refinement_factor=draw(st.integers(1, 4)))
+    return problems, axes, options
+
+
+class TestGridRefineBookkeeping:
+    @given(search=_toy_searches())
+    @settings(max_examples=150, deadline=None)
+    def test_search_equals_the_search_as_first_written(self, search):
+        problems, axes, options = search
+        solve = partial(_toy_solve, problems)
+        want = _grid_refine_as_first_written(solve, axes, options, len(problems))
+        assert repr(_grid_refine(solve, axes, options, len(problems))) == repr(want)
+
+    @pytest.mark.parametrize("quantum, sorts", [(1e-6, False), (100.0, True)])
+    def test_lexsort_runs_only_where_a_problem_has_several_ties(self, quantum, sorts,
+                                                                monkeypatch):
+        # one tied point per live problem, beside a dead one, needs no sort
+        problems = [((-1.0, 1.5), quantum, False), ((0.0, 2.0), quantum, True),
+                    ((0.3, 1.9), quantum, False)]
+        axes = [("t_qb", (1e-3, 4.0)), ("t_gen", (4.0, 300.0))]
+        calls = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+        solve = partial(_toy_solve, problems)
+        got = _grid_refine(solve, axes, LIGHT, len(problems))
+        assert bool(calls) == sorts
+        monkeypatch.undo()
+        assert repr(got) == repr(_grid_refine_as_first_written(solve, axes, LIGHT,
+                                                               len(problems)))
+
+    @pytest.mark.parametrize("bounds, per_decade", [((1e-3, 4.0), 40), ((4.0, 300.0), 3),
+                                                    ((0.5, 0.5), 40), ((1e-4, 1e-3), 7)])
+    def test_axes_are_cached_read_only_logspace(self, bounds, per_decade):
+        lo, hi = bounds
+        axis, step = optimize._log_axis(lo, hi, per_decade)
+        assert optimize._log_axis(lo, hi, per_decade)[0] is axis
+        assert not axis.flags.writeable
+        with pytest.raises(ValueError):
+            axis[0] = 1.0
+        want = np.logspace(math.log10(lo), math.log10(hi), axis.size)
+        want[0], want[-1] = lo, hi
+        assert np.array_equal(axis, want)
+        if lo < hi:
+            assert step == math.log10(hi / lo) / (axis.size - 1) <= 1.0 / per_decade
 
 
 class TestTransitionEstimate:

@@ -175,6 +175,20 @@ class TestRectangularApproximation:
 
 
 class TestFtMetric:
+    @pytest.mark.parametrize("p_err", [-1e-9, np.array([[1e-6], [-0.5]])])
+    def test_rejects_a_negative_probability(self, p_err):
+        # the search calls the unchecked kernel; the public functions check
+        with pytest.raises(ValueError, match="nonnegative"):
+            logical_error_probability(p_err, 1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            ft_metric(p_err, 1, 10, 10)
+        with pytest.raises(ValueError, match="nonnegative"):
+            ft_metric(p_err, 1, 10, 10, linear=False)
+
+    def test_rejects_a_negative_level(self):
+        with pytest.raises(ValueError, match="concatenation level"):
+            ft_metric(1e-6, -1, 10, 10)
+
     def test_empty_circuit(self):
         assert ft_metric(1e-6, 2, 0, 0) == 1.0
         assert ft_metric(1e-6, 2, 0, 0, linear=False) == 1.0

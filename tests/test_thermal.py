@@ -83,6 +83,20 @@ class TestStageLayout:
             assert np.array_equal(attenuator_heat_fractions(a_total[at], k_stages),
                                   grid[(slice(None), *at)]), share
 
+    @pytest.mark.parametrize("k_stages", range(2, 9))
+    @pytest.mark.parametrize("shape", [(), (1,), (37,), (146, 77), (3, 1)])
+    def test_fractions_equal_the_stacked_differences(self, k_stages, shape):
+        # the fractions as first written: the cumulative attenuations stacked,
+        # differenced along the stages and a zero row appended
+        rng = np.random.default_rng(k_stages)
+        a_total = np.asarray(10.0 ** rng.uniform(0.0, 12.0, shape))
+        a_total[rng.random(shape) < 0.2] = 1.0
+        cum = np.stack([a_total ** (i / (k_stages - 1)) for i in range(1, k_stages)])
+        want = np.concatenate([cum[:1], np.diff(cum, axis=0), np.zeros((1,) + shape)])
+        for a in ((float(a_total),) if shape == () else ()) + (a_total,):
+            got = attenuator_heat_fractions(a, k_stages)
+            assert got.shape == want.shape and np.array_equal(got, want)
+
     def test_rejects_bad_ordering(self, tech_50ms):
         def evaluate(t_qb, t_gen, a_total):
             return evaluate_ft_point(Workload(1, 1), tech_50ms, SCEN_A, CABLE, CARNOT,
@@ -219,6 +233,19 @@ class TestConductionKernel:
         assert len(calls) == -(-n_hot // thermal._HOT_BLOCK)  # one per block
         # a transposed (Fortran-ordered) grid gives the same values
         assert np.array_equal(_conduction_integral(cable, stages.T), want.T)
+
+    @given(temps=st.lists(st.floats(10.0, 300.0, exclude_min=True), min_size=1, max_size=5),
+           scalar=st.booleans())
+    @settings(max_examples=200)
+    def test_few_hot_temperatures_sum_their_nodes_in_order(self, temps, scalar):
+        # a block of one or a few hot temperatures, where a pairwise sum of
+        # the 16 nodes would round otherwise than the sum in node order
+        if scalar:
+            assert _conduction_integral(CABLE, temps[0]) == \
+                _per_node_conduction_integral(CABLE, temps[0])[0]
+        else:
+            assert np.array_equal(_conduction_integral(CABLE, np.array(temps)),
+                                  _per_node_conduction_integral(CABLE, temps))
 
     @pytest.mark.parametrize("k_stages", [2, 5, 8])
     @pytest.mark.parametrize("bounds", [((1e-3, 4.0), (4.0, 300.0)),
