@@ -2,11 +2,12 @@
 
 All keys carry explicit SI-unit suffixes (``gamma_inverse_s``,
 ``t_ext_k``) so nothing is implicit; attenuation bounds may be given in
-dB or natural units through distinct keys.  Unknown sections or keys
-are rejected, and validation reports every violation at once rather
-than stopping at the first.  An empty file reproduces the default
-hardware table: 6 GHz qubits, 25/100/100 ns gate/measure times, a
-50 ms lifetime, five cooling stages, scenario A electronics, and a
+dB or natural units through distinct keys.  Each key is declared once,
+on the :class:`RunConfig` field it sets.  Unknown sections or keys are
+rejected, and validation reports every violation at once rather than
+stopping at the first.  An empty file reproduces the default hardware
+table: 6 GHz qubits, 25/100/100 ns gate/measure times, a 50 ms
+lifetime, five cooling stages, scenario A electronics, and a
 Carnot-efficient cryostat.
 """
 
@@ -34,56 +35,52 @@ class ConfigError(ValueError):
         super().__init__("invalid configuration:\n  " + "\n  ".join(problems))
 
 
+def _key(section: str, default, key: str | None = None):
+    """A :class:`RunConfig` field set by ``key`` (by default its name) in ``section``."""
+    return dataclasses.field(default=default, metadata={"section": section, "key": key})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    # [technology]
-    frequency_hz: float = 6e9
-    gamma_inverse_s: float = 0.05
-    tau_1qb_s: float = 25e-9
-    tau_2qb_s: float = 100e-9
-    tau_meas_s: float = 100e-9
-    # [chain]
-    stages: int = 5
-    t_ext_k: float = 300.0
-    t_qb_min_k: float = 1e-3
-    t_qb_max_k: float = 4.0
-    t_gen_min_k: float = 4.0
-    t_gen_max_k: float = 300.0
-    attenuation_min_db: float = 0.0
-    attenuation_max_db: float = 120.0
-    # [scenario]
-    scenario: str = "A"
-    q_gen_w: float | None = None
-    q_para_w: float | None = None
-    q_hemt_w: float | None = None
-    # [cable]
-    cable_length_m: float = 1.0
-    control_lines_per_qubit: float = 1.0 / 25.0
-    readout_lines_per_qubit: float = 1.0 / 100.0
-    # [efficiency]
-    efficiency_model: str = "carnot"
-    extra_qubit_heat_w: float = 5e-8
-    # [workload]
-    workload_kind: str = "rsa"  # rsa | rectangular | nisq | gate
-    rsa_n: int = 2048
-    rsa_variant: str = "gidney"
-    q_logical: int = 1
-    d_logical: int = 1
-    nisq_qubits: int = 25
-    # [target]
-    target_metric: float = 2.0 / 3.0
-    # [optimizer]
-    temperature_points_per_decade: int = 40
-    refinement_passes: int = 2
-    k_min: int = 0
-    k_max: int = 6
-    # [toggles]
-    include_demod_syndrome: bool = False
-    t_gate_multiplier: float = 1.0
-    two_qubit_drive_duration: str = "tau_1qb"
-    rsa_log_base: str = "2"  # '2' or 'e'
-    steps_per_logical_level: float = 3.0
-    ft_metric_form: str = "linear"
+    frequency_hz: float = _key("technology", 6e9)
+    gamma_inverse_s: float = _key("technology", 0.05)
+    tau_1qb_s: float = _key("technology", 25e-9)
+    tau_2qb_s: float = _key("technology", 100e-9)
+    tau_meas_s: float = _key("technology", 100e-9)
+    stages: int = _key("chain", 5)
+    t_ext_k: float = _key("chain", 300.0)
+    t_qb_min_k: float = _key("chain", 1e-3)
+    t_qb_max_k: float = _key("chain", 4.0)
+    t_gen_min_k: float = _key("chain", 4.0)
+    t_gen_max_k: float = _key("chain", 300.0)
+    attenuation_min_db: float = _key("chain", 0.0)
+    attenuation_max_db: float = _key("chain", 120.0)
+    scenario: str = _key("scenario", "A", key="name")
+    q_gen_w: float | None = _key("scenario", None)
+    q_para_w: float | None = _key("scenario", None)
+    q_hemt_w: float | None = _key("scenario", None)
+    cable_length_m: float = _key("cable", 1.0, key="length_m")
+    control_lines_per_qubit: float = _key("cable", 1.0 / 25.0)
+    readout_lines_per_qubit: float = _key("cable", 1.0 / 100.0)
+    efficiency_model: str = _key("efficiency", "carnot", key="model")
+    extra_qubit_heat_w: float = _key("efficiency", 5e-8)
+    workload_kind: str = _key("workload", "rsa", key="kind")  # rsa | rectangular | nisq | gate
+    rsa_n: int = _key("workload", 2048)
+    rsa_variant: str = _key("workload", "gidney")
+    q_logical: int = _key("workload", 1)
+    d_logical: int = _key("workload", 1)
+    nisq_qubits: int = _key("workload", 25)
+    target_metric: float = _key("target", 2.0 / 3.0, key="metric")
+    temperature_points_per_decade: int = _key("optimizer", 40)
+    refinement_passes: int = _key("optimizer", 2)
+    k_min: int = _key("optimizer", 0)
+    k_max: int = _key("optimizer", 6)
+    include_demod_syndrome: bool = _key("toggles", False)
+    t_gate_multiplier: float = _key("toggles", 1.0)
+    two_qubit_drive_duration: str = _key("toggles", "tau_1qb")
+    rsa_log_base: str = _key("toggles", "2")  # '2' or 'e'
+    steps_per_logical_level: float = _key("toggles", 3.0)
+    ft_metric_form: str = _key("toggles", "linear")
 
     # ---- domain-object builders ----
 
@@ -103,11 +100,8 @@ class RunConfig:
         return ElectronicsScenario.preset(self.scenario)
 
     def cable(self) -> CableModel:
-        return CableModel(
-            length_m=self.cable_length_m,
-            control_lines_per_qubit=self.control_lines_per_qubit,
-            readout_lines_per_qubit=self.readout_lines_per_qubit,
-        )
+        return CableModel(self.cable_length_m, self.control_lines_per_qubit,
+                          self.readout_lines_per_qubit)
 
     def efficiency(self) -> CryoEfficiencyModel:
         return CryoEfficiencyModel(self.efficiency_model,
@@ -147,67 +141,16 @@ class RunConfig:
         return dataclasses.replace(self, **kwargs)
 
 
-#: section -> {key: RunConfig field}.  The attenuation bound keys accept
-#: either dB or natural units, hence the aliases below.
-_SCHEMA = {
-    "technology": {
-        "frequency_hz": "frequency_hz",
-        "gamma_inverse_s": "gamma_inverse_s",
-        "tau_1qb_s": "tau_1qb_s",
-        "tau_2qb_s": "tau_2qb_s",
-        "tau_meas_s": "tau_meas_s",
-    },
-    "chain": {
-        "stages": "stages",
-        "t_ext_k": "t_ext_k",
-        "t_qb_min_k": "t_qb_min_k",
-        "t_qb_max_k": "t_qb_max_k",
-        "t_gen_min_k": "t_gen_min_k",
-        "t_gen_max_k": "t_gen_max_k",
-        "attenuation_min_db": "attenuation_min_db",
-        "attenuation_max_db": "attenuation_max_db",
-        "attenuation_min": "attenuation_min_db",
-        "attenuation_max": "attenuation_max_db",
-    },
-    "scenario": {
-        "name": "scenario",
-        "q_gen_w": "q_gen_w",
-        "q_para_w": "q_para_w",
-        "q_hemt_w": "q_hemt_w",
-    },
-    "cable": {
-        "length_m": "cable_length_m",
-        "control_lines_per_qubit": "control_lines_per_qubit",
-        "readout_lines_per_qubit": "readout_lines_per_qubit",
-    },
-    "efficiency": {
-        "model": "efficiency_model",
-        "extra_qubit_heat_w": "extra_qubit_heat_w",
-    },
-    "workload": {
-        "kind": "workload_kind",
-        "rsa_n": "rsa_n",
-        "rsa_variant": "rsa_variant",
-        "q_logical": "q_logical",
-        "d_logical": "d_logical",
-        "nisq_qubits": "nisq_qubits",
-    },
-    "target": {"metric": "target_metric"},
-    "optimizer": {
-        "temperature_points_per_decade": "temperature_points_per_decade",
-        "refinement_passes": "refinement_passes",
-        "k_min": "k_min",
-        "k_max": "k_max",
-    },
-    "toggles": {
-        "include_demod_syndrome": "include_demod_syndrome",
-        "t_gate_multiplier": "t_gate_multiplier",
-        "two_qubit_drive_duration": "two_qubit_drive_duration",
-        "rsa_log_base": "rsa_log_base",
-        "steps_per_logical_level": "steps_per_logical_level",
-        "ft_metric_form": "ft_metric_form",
-    },
-}
+#: section -> {key: RunConfig field}, in the order the fields are declared.
+_SCHEMA: dict[str, dict[str, str]] = {}
+for _f in dataclasses.fields(RunConfig):
+    _SCHEMA.setdefault(_f.metadata["section"], {})[_f.metadata["key"] or _f.name] = _f.name
+#: RunConfig field -> its section.
+_SECTION = {name: section for section, keys in _SCHEMA.items() for name in keys.values()}
+#: The [chain] keys that give an attenuation bound in natural units, not
+#: dB, by the field they set.
+_NATURAL_UNITS = {"attenuation_min": "attenuation_min_db",
+                  "attenuation_max": "attenuation_max_db"}
 
 #: RunConfig field -> its annotation as written: "int", "bool", "str",
 #: "float" or "float | None".
@@ -243,11 +186,10 @@ def validate(cfg: RunConfig, problems: list[str] | None = None) -> RunConfig:
     """``cfg`` if it passes every check of :func:`load_config`, or raises
     :class:`ConfigError` listing the earlier ``problems`` and each violation."""
     problems = list(problems or [])
-    sections = {f: s for s, keys in _SCHEMA.items() for f in keys.values()}
     for name in FIELD_TYPES:
         value = getattr(cfg, name)
         if isinstance(value, float) and not math.isfinite(value):
-            problems.append(f"{sections.get(name, '?')}.{name}: must be a finite number")
+            problems.append(f"{_SECTION[name]}.{name}: must be a finite number")
     positive = [
         "frequency_hz", "gamma_inverse_s", "tau_1qb_s", "tau_2qb_s",
         "tau_meas_s", "t_ext_k", "t_qb_min_k", "t_qb_max_k", "t_gen_min_k",
@@ -257,7 +199,7 @@ def validate(cfg: RunConfig, problems: list[str] | None = None) -> RunConfig:
     ]
     for name in positive:
         if getattr(cfg, name) <= 0:
-            problems.append(f"{sections.get(name, '?')}.{name}: must be > 0")
+            problems.append(f"{_SECTION[name]}.{name}: must be > 0")
     if cfg.stages < 2:
         problems.append("chain.stages: need at least 2 cooling stages")
     if 0 < cfg.gamma_inverse_s and math.isinf(1.0 / cfg.gamma_inverse_s):
@@ -288,7 +230,9 @@ def validate(cfg: RunConfig, problems: list[str] | None = None) -> RunConfig:
         problems.append("efficiency.model: must be carnot or small_scale")
     for name in ("control_lines_per_qubit", "readout_lines_per_qubit", "extra_qubit_heat_w"):
         if getattr(cfg, name) < 0:
-            problems.append(f"{sections[name]}.{name}: must be >= 0")
+            problems.append(f"{_SECTION[name]}.{name}: must be >= 0")
+    if math.isinf(cfg.control_lines_per_qubit + cfg.readout_lines_per_qubit):
+        problems.append("cable: the lines per qubit must sum to a float")
     if cfg.workload_kind not in ("rsa", "rectangular", "nisq", "gate"):
         problems.append("workload.kind: must be rsa, rectangular, nisq, or gate")
     if cfg.rsa_variant not in ("gidney", "haner"):
@@ -355,19 +299,21 @@ def load_config(path: str | None = None, text: str | None = None) -> RunConfig:
     problems: list[str] = []
     values: dict = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        keys = _SCHEMA.get(section)
+        if keys is None:
             problems.append(f"unknown section [{section}]")
             continue
+        if section == "chain":
+            keys = {**keys, **_NATURAL_UNITS}
         for key, raw in parser.items(section):
-            field_name = _SCHEMA[section].get(key)
+            field_name = keys.get(key)
             if field_name is None:
                 problems.append(f"unknown key {section}.{key}")
                 continue
             if field_name in values:
-                problems.append(
-                    f"{section}.{key}: duplicates another key setting {field_name}")
+                problems.append(f"{section}.{key}: duplicates another key setting {field_name}")
                 continue
-            if key in ("attenuation_min", "attenuation_max"):
+            if key in _NATURAL_UNITS:
                 coerced = _db_from_natural(key, raw, problems)
             else:
                 coerced = _coerce(field_name, raw, problems)
@@ -391,23 +337,14 @@ def _db_from_natural(key: str, raw: str, problems: list[str]):
 def show_config(cfg: RunConfig) -> str:
     """Render the fully resolved configuration in the file format."""
     out = io.StringIO()
-    canonical: dict[str, list[tuple[str, str]]] = {}
-    skip_aliases = {"attenuation_min", "attenuation_max"}
     for section, keys in _SCHEMA.items():
-        rows = []
+        out.write(f"[{section}]\n")
         for key, field_name in keys.items():
-            if key in skip_aliases:
-                continue
             value = getattr(cfg, field_name)
             if value is None:
                 continue
             if isinstance(value, bool):
                 value = "true" if value else "false"
-            rows.append((key, str(value)))
-        canonical[section] = rows
-    for section, rows in canonical.items():
-        out.write(f"[{section}]\n")
-        for key, value in rows:
             out.write(f"{key} = {value}\n")
         out.write("\n")
     return out.getvalue()

@@ -221,21 +221,17 @@ def _infidelity_occupancy(tech: QubitTechnology, infidelity: float) -> float:
     return infidelity / (tech.gamma * tech.tau_1qb) - 1.0
 
 
-def pauli_error_probability(tech: QubitTechnology, n_noise, with_flag: bool = False):
+def pauli_error_probability(tech: QubitTechnology, n_noise):
     """Worst-case Pauli error probability per qubit per clock step.
 
-    ``(gamma*tau_step/2) * (1/2 + n_noise)``, clamped to [0, 1].  With
-    ``with_flag=True`` also returns whether the clamp at 1 was reached
-    (the linearized formula can exceed 1 for absurd inputs).
+    ``(gamma*tau_step/2) * (1/2 + n_noise)``, clamped to [0, 1]: the
+    linearized formula can exceed 1 for absurd inputs.
     """
     n = np.asarray(n_noise, dtype=float)
     if (n < 0).any():
         raise ValueError("occupancy must be nonnegative")
     p = _pauli_error(tech, n)
-    out = float(p) if p.ndim == 0 else p
-    if with_flag:
-        return out, bool((p == 1.0).any())
-    return out
+    return float(p) if p.ndim == 0 else p
 
 
 def _pauli_error(tech: QubitTechnology, n_noise):

@@ -57,11 +57,13 @@ same as without the skip.  A problem is searched in the box of the
 :class:`GridOptions` it is built with.  The fields of the coarse grid,
 where every level's search starts, are cached (:func:`_coarse_grid`),
 with their gather on the strided sub-grid below, keyed on the
-temperature bounds, the points per decade, the stage count, the cable's
-material and the qubit frequency, so the levels of one search and the
-points of a sweep that share these compute them once.  The heat
-multipliers mu of its stages that the coarse floor below needs, and
-its conduction sum G, are cached too (:func:`_coarse_multipliers`),
+temperature bounds, the points per decade, the stage count and the qubit
+frequency, so the levels of one search and the points of a sweep that
+share these compute them once, whatever their cables: the lines'
+conduction law is the model's, and a cable's length and line counts
+scale the conduction rows only where they are priced.  The heat
+multipliers mu of its stages that the coarse floor below needs, and its
+conduction sum G, are cached too (:func:`_coarse_multipliers`),
 keyed on the same and on the efficiency model and t_ext.  The coarse
 axes themselves are cached per bounds and points per decade
 (:func:`_log_axis`), read-only, and :func:`_grid_refine` hands them to
@@ -92,6 +94,7 @@ of the full grid, to the bit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 
@@ -119,7 +122,6 @@ from .thermal import (
     CryoEfficiencyModel,
     ElectronicsScenario,
     StageRecord,
-    _fixed_multiplier,
     attenuator_heat_fractions,
     conduction_heat_per_qubit,
     demodulation_power_per_qubit,
@@ -139,6 +141,9 @@ RELATIVE_TIE = 1e-9
 #: amplifies at high concatenation levels, may take no more.
 METRIC_TOL = 1e-12
 
+#: Each refinement pass spaces an axis this many times finer.
+REFINEMENT_FACTOR = 4
+
 
 @dataclass(frozen=True)
 class GridOptions:
@@ -146,7 +151,6 @@ class GridOptions:
 
     temperature_points_per_decade: int = 40
     refinement_passes: int = 2
-    refinement_factor: int = 4
     k_min: int = 0
     k_max: int = 6
     t_qb_bounds: tuple = (1e-3, 4.0)
@@ -154,9 +158,8 @@ class GridOptions:
     attenuation_bounds: tuple = (1.0, 1e12)
 
     def __post_init__(self) -> None:
-        if self.temperature_points_per_decade < 1 or self.refinement_factor < 1:
-            raise ValueError("need at least 1 temperature point per decade "
-                             "and a refinement factor of at least 1")
+        if self.temperature_points_per_decade < 1:
+            raise ValueError("need at least 1 temperature point per decade")
         if self.refinement_passes < 0:
             raise ValueError("need refinement_passes >= 0")
         if self.k_min < 0 or self.k_max < self.k_min:
@@ -246,13 +249,14 @@ def _log_axis(lo: float, hi: float, per_decade: int) -> tuple[np.ndarray, float]
     return vals, spacing
 
 
-def _refined_axis(centers: np.ndarray, spacing: float, factor: int,
+def _refined_axis(centers: np.ndarray, spacing: float,
                   lo: float, hi: float) -> tuple[np.ndarray, float]:
     """Rows spanning one old step around each of ``centers`` at
-    ``factor``-times finer spacing, clipped to the bounds.  Clipped
-    values repeat, so the rows keep one length; a repeat ties exactly."""
-    fine = spacing / factor
-    offsets = np.arange(-factor, factor + 1) * fine
+    ``REFINEMENT_FACTOR``-times finer spacing, clipped to the bounds.
+    Clipped values repeat, so the rows keep one length; a repeat ties
+    exactly."""
+    fine = spacing / REFINEMENT_FACTOR
+    offsets = np.arange(-REFINEMENT_FACTOR, REFINEMENT_FACTOR + 1) * fine
     return np.minimum(np.maximum(centers[:, None] * 10.0**offsets, lo), hi), fine
 
 
@@ -305,7 +309,7 @@ def _grid_refine(solve, axes, options: GridOptions, batch: int = 1):
     tie; ties go to the smaller attenuation, then by ``_TIE_SIGNS``,
     then to the first point.  Each of the ``options.refinement_passes``
     passes re-grids every axis one old step either side of each
-    incumbent at ``options.refinement_factor`` times finer spacing.
+    incumbent at ``REFINEMENT_FACTOR`` times finer spacing.
     Returns per problem (power, point, attenuation), or None if its
     first grid has no feasible point, and the spacing in decades by axis
     name.
@@ -345,8 +349,7 @@ def _grid_refine(solve, axes, options: GridOptions, batch: int = 1):
             best_point[b, d] = g[b, i]
         if pass_index < options.refinement_passes:
             for d, (_, (lo, hi)) in enumerate(axes):
-                grids[d], spacing[d] = _refined_axis(
-                    best_point[:, d], spacing[d], options.refinement_factor, lo, hi)
+                grids[d], spacing[d] = _refined_axis(best_point[:, d], spacing[d], lo, hi)
     found = [(float(p), tuple(map(float, x)), float(a)) if ok else None
              for ok, p, x, a in zip(alive, best_power, best_point, best_a)]
     return found, {name: step for (name, _), step in zip(axes, spacing)}
@@ -588,35 +591,35 @@ def _read_only(arrays: tuple) -> tuple:
 
 
 def _grid_fields(t_qb: np.ndarray, t_gen: np.ndarray, k_stages: int,
-                 cable: CableModel, omega0: float) -> tuple:
+                 omega0: float) -> tuple:
     """What the search needs on the grid of qubit temperatures ``t_qb``
     (axis 0) by generation temperatures ``t_gen`` (axis 1) that depends
     on neither the level nor the attenuation nor the hardware's costs:
     the K stage temperatures (along a new axis 0), the rises of the
-    cable's conduction integral across the spans
+    conduction integral across the spans
     (:func:`~coldstack.thermal.grid_conduction_rises`), the occupancy of
     the qubit stage and its rise into each next stage, and the mask of
     valid chains (qubit stage colder than the generation stage)."""
     stages = stage_temperatures(t_qb[:, None], t_gen[None, :], k_stages)
     # the conduction integral's temporaries are the largest: it runs before
     # the occupancies are held, which keeps the peak memory down
-    rises = grid_conduction_rises(t_qb, t_gen, stages, cable)
+    rises = grid_conduction_rises(t_qb, t_gen, stages)
     occ = _bose_einstein(stages, omega0)
     return stages, rises, occ[0].copy(), occ[1:] - occ[:-1], t_qb[:, None] < t_gen[None, :]
 
 
 @lru_cache(maxsize=1)
 def _coarse_grid(t_qb_bounds: tuple, t_gen_bounds: tuple, per_decade: int,
-                 k_stages: int, material: tuple, omega0: float) -> tuple:
+                 k_stages: int, omega0: float) -> tuple:
     """The axes of the coarse grid every level's search starts from,
     :func:`_grid_fields` on them, and those fields on its sub-grid of
     every ``_UPPER_STRIDE``-th node of each axis (and the last), as
     read-only arrays.  They depend only on the arguments, which are the
-    cache's key: the bounds, the points per decade, the stage count, the
-    cable's material (not its length or line counts) and the qubit
-    frequency."""
+    cache's key: the bounds, the points per decade, the stage count and
+    the qubit frequency, and on no cable, as every cable has the
+    module's conduction law."""
     axes = tuple(_log_axis(lo, hi, per_decade)[0] for lo, hi in (t_qb_bounds, t_gen_bounds))
-    fields = _grid_fields(*axes, k_stages, CableModel(1.0, *material), omega0)
+    fields = _grid_fields(*axes, k_stages, omega0)
     sub = (_strided(len(axes[0]))[:, None], _strided(len(axes[1]))[None, :])
     return _read_only(axes), _read_only(fields), _read_only(_at(fields, sub))
 
@@ -663,7 +666,7 @@ class _FtProblem:
         self.grid_key = (tuple(map(float, options.t_qb_bounds)),
                          tuple(map(float, options.t_gen_bounds)),
                          options.temperature_points_per_decade, toggles.k_stages,
-                         cable.material, tech.omega0)
+                         tech.omega0)
 
     def stage_fields(self, stages: np.ndarray, rises: np.ndarray):
         """The heat multipliers of the chains ``stages`` and the per-qubit
@@ -682,16 +685,24 @@ class _FtProblem:
         :func:`~coldstack.thermal.static_power_breakdown`, in closed form.
 
         The conduction rows telescope to ``(l/L) G``; the others are
-        :func:`~coldstack.thermal.hardware_rows` on the coarse axes.
+        :func:`~coldstack.thermal.hardware_rows` on the coarse axes.  The
+        rows take each span as ``r_j / L * l``, which stays finite where
+        l/L overflows, and whose quotient may round to a subnormal, off by
+        up to ulp(0); so G is scaled by l/L capped at the float maximum,
+        less ``l ulp(0) (1 + max mu_qb)``, as the spans' mu differences sum
+        to at most mu_qb.
         """
-        cable, t_ext = self.cable, self.toggles.t_ext
+        cable, t_ext, largest = self.cable, self.toggles.t_ext, sys.float_info.max
         (t_qb, t_gen), *_ = _coarse_grid(*self.grid_key)
         mu_qb, mu_gen, mu_below_top, conduction = _coarse_multipliers(self.grid_key, self.model,
                                                                       t_ext)
         rows = hardware_rows(t_qb[:, None], t_gen[None, :], mu_qb, mu_gen, self.scenario,
                              self.model, t_ext)
-        static = (cable.lines_per_qubit / cable.length_m * conduction
-                  + sum(rec.electrical_power_w for rec in rows))
+        lines = cable.lines_per_qubit
+        slack = lines * math.ulp(0.0) * (1.0 + min(float(mu_qb.max()), largest))
+        with np.errstate(over="ignore"):  # inf where the rows leave the float range
+            static = (min(lines / cable.length_m, largest) * conduction
+                      + sum((rec.electrical_power_w for rec in rows), -slack))
         return mu_qb, mu_below_top, static
 
     def level(self, k: int) -> tuple:
@@ -816,7 +827,7 @@ class _FtProblem:
         (qb_axis, gen_axis), fields, _ = _coarse_grid(*self.grid_key)
         if not (np.array_equal(t_qb, qb_axis) and np.array_equal(t_gen, gen_axis)):
             power, a_star = self.solve_fields(k, target, _grid_fields(
-                t_qb, t_gen, self.toggles.k_stages, self.cable, self.tech.omega0))
+                t_qb, t_gen, self.toggles.k_stages, self.tech.omega0))
         else:
             keep = self.candidates(k, target)
             power, a_star = np.full(keep.shape, np.inf), np.full(keep.shape, np.nan)
@@ -833,8 +844,10 @@ class _FtProblem:
         heat multipliers and the static rows are priced here only, and
         the electrical powers of :meth:`terms` summed in its order."""
         stages, rises, n_cold, n_rise, valid = fields
-        # the rows outlive the boundary solve's temporaries: allocated first
-        mult, static = self.stage_fields(stages, rises)
+        # the rows outlive the boundary solve's temporaries: allocated first;
+        # rows out of the float range are inf or NaN, and so out of reach below
+        with np.errstate(over="ignore", invalid="ignore"):
+            mult, static = self.stage_fields(stages, rises)
         a_star = self.boundary(n_cold, n_rise, valid, k, target)
         finite = np.isfinite(a_star)
         a_safe = np.where(finite, a_star, self.options.attenuation_bounds[1])
@@ -927,7 +940,7 @@ class _FtProblem:
         if n_star > 0 and (rate := K_B * math.log1p(1.0 / n_star)) > 0:
             t_top = min(t_top, HBAR * self.tech.omega0 / rate)
         mu_top = model.heat_multiplier(t_top, tog.t_ext)
-        lo, hi = (hardware_rows(t_top, t_gen, mu_top, _fixed_multiplier(model, t_gen, tog.t_ext),
+        lo, hi = (hardware_rows(t_top, t_gen, mu_top, model._heat_multiplier(t_gen, tog.t_ext),
                                 self.scenario, model, tog.t_ext)
                   for t_gen in options.t_gen_bounds)
         # Python floats, whose products overflow to inf silently
@@ -955,13 +968,15 @@ def evaluate_ft_point(workload: Workload, tech: QubitTechnology,
         raise ValueError("total attenuation must be >= 1")
     problem = _FtProblem(workload, tech, scenario, cable, model, toggles, GridOptions())
     stages, rises, n_cold, n_rise, _ = _grid_fields(
-        np.array([t_qb], float), np.array([t_gen], float), toggles.k_stages, cable, tech.omega0)
-    mult, static = problem.stage_fields(stages, rises)
+        np.array([t_qb], float), np.array([t_gen], float), toggles.k_stages, tech.omega0)
     p_err = problem.error_probability(n_cold, n_rise)(np.log10(a_total))
-    records = tuple(
-        StageRecord(*(np.asarray(x).item() for x in (t, heat, power)), source)
-        for t, heat, power, source in problem.terms(stages, mult, static,
-                                                    np.array([[a_total]], float), k))
+    # rows priced as in the search; a heat may be inf where its power is not
+    with np.errstate(over="ignore", invalid="ignore"):
+        mult, static = problem.stage_fields(stages, rises)
+        records = tuple(
+            StageRecord(*(np.asarray(x).item() for x in (t, heat, power)), source)
+            for t, heat, power, source in problem.terms(stages, mult, static,
+                                                        np.array([[a_total]], float), k))
     return FtPointEvaluation(
         power_w=sum(rec.electrical_power_w for rec in records),
         metric=problem.metric(p_err, k).item(),

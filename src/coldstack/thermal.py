@@ -5,8 +5,9 @@ control/readout cables, the electrical cost of extracting heat at each
 stage, and the heat the drive lines and the always-on hardware leave at
 each stage.  The layout, conduction and per-stage power functions are
 elementwise over a grid of chains, so the optimizer's search and the
-per-point breakdown call the same code.  Cable conduction has no
-adaptive quadrature and no cache.
+per-point breakdown call the same code.  The lines' materials are module
+constants, so cable conduction depends on the temperature alone; it has
+no adaptive quadrature and no cache.
 
 Conventions used throughout:
 
@@ -26,7 +27,6 @@ Conventions used throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -38,6 +38,15 @@ AMBIENT_K = 300.0
 #: Stainless-steel conductivity fit, log10(lambda) = sum a_i * log10(T)^i,
 #: valid above 10 K.
 STEEL_FIT = (-1.4087, 1.3982, 0.2543, -0.6260, 0.2334, 0.4256, -0.4658, 0.1650, -0.0199)
+#: Kapton conductivity lambda = c * T^p as (c, p), below 4 K and for 4..10 K.
+KAPTON_LOW = (4.6, 0.56)
+KAPTON_MID = (3.0, 0.98)
+#: Cross-sections of a line: steel coax above 10 K, kapton microstrip below.
+AREA_ABOVE_10K_M2 = 2.7e-7
+AREA_BELOW_10K_M2 = 1.3e-9
+
+#: K^2 prefactor of the small-scale cryostat's heat multiplier.
+SMALL_SCALE_PREFACTOR = 3.24e5
 
 #: Temperatures of the stages that host the parametric and the HEMT
 #: readout amplifiers.
@@ -51,49 +60,37 @@ FLOAT_OP_ENERGY_J = 0.85e-12  # energy per floating-point operation
 
 @dataclass(frozen=True)
 class CableModel:
-    """Geometry and material laws of one control/readout line.
+    """Length and count of the control/readout lines.
 
-    Coaxial cable (stainless steel) above 10 K, superconducting
-    microstrip with kapton dielectric below.  The kapton law is a
+    Each line is coaxial cable (stainless steel) above 10 K and
+    superconducting microstrip with kapton dielectric below, of the
+    module's cross-sections and conductivity laws.  The kapton law is a
     two-piece power law with a small discontinuity at 4 K.
     """
 
     length_m: float = 1.0
-    area_above_10k_m2: float = 2.7e-7
-    area_below_10k_m2: float = 1.3e-9
-    steel_fit: tuple = STEEL_FIT
-    kapton_low: tuple = (4.6, 0.56)   # lambda = c * T^p below 4 K
-    kapton_mid: tuple = (3.0, 0.98)   # lambda = c * T^p for 4..10 K
     control_lines_per_qubit: float = 1.0 / 25.0
     readout_lines_per_qubit: float = 1.0 / 100.0
 
     def __post_init__(self) -> None:
         if self.length_m <= 0:
             raise ValueError("cable length must be positive")
-        if self.area_above_10k_m2 <= 0 or self.area_below_10k_m2 <= 0:
-            raise ValueError("cable cross-sections must be positive")
-        if min(self.control_lines_per_qubit, self.readout_lines_per_qubit) < 0:
-            raise ValueError("lines per qubit must be nonnegative")
-        if min(self.kapton_low[0], self.kapton_mid[0]) < 0:
-            raise ValueError("kapton conductivity prefactors must be nonnegative")
+        if (min(self.control_lines_per_qubit, self.readout_lines_per_qubit) < 0
+                or np.isinf(self.lines_per_qubit)):
+            raise ValueError("lines per qubit must be nonnegative and sum to a float")
 
     @property
     def lines_per_qubit(self) -> float:
         return self.control_lines_per_qubit + self.readout_lines_per_qubit
 
-    @property
-    def material(self) -> tuple:
-        """The fields the conduction integral reads (not length or lines)."""
-        return (self.area_above_10k_m2, self.area_below_10k_m2, self.steel_fit,
-                self.kapton_low, self.kapton_mid)
 
-    def steel_conductivity(self, temperature: float) -> float:
-        """Stainless-steel thermal conductivity (W/m/K), T > 10 K fit."""
-        lt = np.log10(temperature)
-        z = 0.0
-        for a in reversed(self.steel_fit):  # Horner's rule
-            z = z * lt + a
-        return 10.0**z
+def steel_conductivity(temperature):
+    """Stainless-steel thermal conductivity (W/m/K), T > 10 K fit."""
+    lt = np.log10(temperature)
+    z = 0.0
+    for a in reversed(STEEL_FIT):  # Horner's rule
+        z = z * lt + a
+    return 10.0**z
 
 
 @dataclass(frozen=True)
@@ -139,7 +136,6 @@ class CryoEfficiencyModel:
     """
 
     kind: str = "carnot"
-    small_scale_prefactor: float = 3.24e5  # K^2
     extra_qubit_heat_w: float = 5e-8
 
     def __post_init__(self) -> None:
@@ -164,7 +160,7 @@ class CryoEfficiencyModel:
         out itself."""
         if self.kind == "carnot":
             return (t_ext - t) / t
-        return self.small_scale_prefactor * (1.0 - t / t_ext) / t**2
+        return SMALL_SCALE_PREFACTOR * (1.0 - t / t_ext) / t**2
 
 
 CARNOT = CryoEfficiencyModel("carnot")
@@ -197,7 +193,7 @@ _STEEL_X, _STEEL_W = (v[:, None] for v in np.polynomial.legendre.leggauss(_STEEL
 _HOT_BLOCK = 2048
 
 
-def _conduction_integral(cable: CableModel, temperature):
+def _conduction_integral(temperature):
     """Integral of area(T)*lambda(T) from 0 to ``temperature``, in W*m/m,
     elementwise on a scalar or an array.
 
@@ -212,10 +208,10 @@ def _conduction_integral(cable: CableModel, temperature):
     # shape (1,) for a scalar, so it takes the same arithmetic as an array,
     # and C order, so that every array below is too and reshapes to a view
     t = np.ascontiguousarray(temperature, dtype=float)
-    c_lo, p_lo = cable.kapton_low
-    c_mid, p_mid = cable.kapton_mid
-    out = cable.area_below_10k_m2 * c_lo * np.clip(t, 0.0, 4.0) ** (p_lo + 1) / (p_lo + 1)
-    out = out + cable.area_below_10k_m2 * c_mid * (
+    c_lo, p_lo = KAPTON_LOW
+    c_mid, p_mid = KAPTON_MID
+    out = AREA_BELOW_10K_M2 * c_lo * np.clip(t, 0.0, 4.0) ** (p_lo + 1) / (p_lo + 1)
+    out = out + AREA_BELOW_10K_M2 * c_mid * (
         np.minimum(np.maximum(t, 4.0), 10.0) ** (p_mid + 1) - 4.0 ** (p_mid + 1)) / (p_mid + 1)
     flat, t = out.reshape(-1), t.reshape(-1)
     hot = np.flatnonzero(t > 10.0)
@@ -225,9 +221,8 @@ def _conduction_integral(cable: CableModel, temperature):
         t_node = 10.0 ** (1.0 + half * (_STEEL_X + 1.0))
         # accumulate adds the nodes in order for every block shape, which
         # np.add.reduce does not: it pairs them on some shapes
-        steel = np.add.accumulate(_STEEL_W * cable.steel_conductivity(t_node) * t_node,
-                                  axis=0)[-1]
-        flat[at] += cable.area_above_10k_m2 * np.log(10.0) * half * steel
+        steel = np.add.accumulate(_STEEL_W * steel_conductivity(t_node) * t_node, axis=0)[-1]
+        flat[at] += AREA_ABOVE_10K_M2 * np.log(10.0) * half * steel
     return float(out[0]) if np.ndim(temperature) == 0 else out
 
 
@@ -235,8 +230,7 @@ def cable_heat_flow(t_low: float, t_high: float, cable: CableModel) -> float:
     """Heat conducted by one cable from ``t_high`` down to ``t_low`` (W)."""
     if not (0 <= t_low <= t_high <= AMBIENT_K):
         raise ValueError("need 0 <= t_low <= t_high <= 300 K")
-    return (_conduction_integral(cable, t_high)
-            - _conduction_integral(cable, t_low)) / cable.length_m
+    return (_conduction_integral(t_high) - _conduction_integral(t_low)) / cable.length_m
 
 
 # ---------------------------------------------------------------------------
@@ -280,14 +274,15 @@ class StageRecord:
     source: str  # attenuator | conduction | amplifier | electronics | extra
 
 
-def conduction_rises(temperatures, cable: CableModel) -> np.ndarray:
+def conduction_rises(temperatures) -> np.ndarray:
     """Rise of the conduction integral across each span between the
-    stages along axis 0 of ``temperatures``; it reads ``cable.material``."""
-    w = _conduction_integral(cable, temperatures)
+    stages along axis 0 of ``temperatures``: the heat one line of unit
+    length conducts down it, the same for every cable."""
+    w = _conduction_integral(temperatures)
     return w[1:] - w[:-1]
 
 
-def grid_conduction_rises(t_qb, t_gen, stages, cable: CableModel) -> np.ndarray:
+def grid_conduction_rises(t_qb, t_gen, stages) -> np.ndarray:
     """:func:`conduction_rises` of the chains ``stages`` that
     :func:`stage_temperatures` lays out on the grid of the axes ``t_qb``
     (axis 0) by ``t_gen`` (axis 1).  Their end stages are the axes
@@ -295,7 +290,7 @@ def grid_conduction_rises(t_qb, t_gen, stages, cable: CableModel) -> np.ndarray:
     once per grid point, in one pass with the inner stages; the integral
     is elementwise, so the rises are the same to the bit."""
     n_qb, n_gen = len(t_qb), len(t_gen)
-    flat = _conduction_integral(cable, np.concatenate((t_qb, t_gen, stages[1:-1].ravel())))
+    flat = _conduction_integral(np.concatenate((t_qb, t_gen, stages[1:-1].ravel())))
     w = np.empty(stages.shape)
     w[0] = flat[:n_qb, None]
     w[-1] = flat[n_qb:n_qb + n_gen]
@@ -317,21 +312,14 @@ def conduction_heat_per_qubit(temperatures, cable: CableModel,
     :func:`conduction_rises` of ``temperatures``, computed before.
     """
     if rises is None:
-        rises = conduction_rises(temperatures, cable)
-    spans = rises / cable.length_m * cable.lines_per_qubit
+        rises = conduction_rises(temperatures)
+    lines = cable.lines_per_qubit
+    # no lines conduct nothing, even where a rise per metre overflows
+    spans = rises / cable.length_m * lines if lines else 0.0 * rises
     net = np.zeros((len(spans) + 1,) + spans.shape[1:])
     net[:-1] += spans
     net[1:] -= spans
     return net
-
-
-@lru_cache(maxsize=16)
-def _fixed_multiplier(model: CryoEfficiencyModel, t_stage: float,
-                      t_ext: float = AMBIENT_K) -> float:
-    """``model.heat_multiplier(t_stage, t_ext)`` at a temperature fixed by
-    the configuration, such as an amplifier stage's, computed once per
-    process rather than on every grid."""
-    return model.heat_multiplier(t_stage, t_ext)
 
 
 def hardware_rows(t_qb, t_gen, mu_qb, mu_gen, scenario: ElectronicsScenario,
@@ -346,8 +334,8 @@ def hardware_rows(t_qb, t_gen, mu_qb, mu_gen, scenario: ElectronicsScenario,
     per-qubit heat load at the qubit stage.  Each row depends on one
     temperature at most, and is monotone in it.
     """
-    mu_para = _fixed_multiplier(model, PARAMP_K, t_ext)
-    mu_hemt = _fixed_multiplier(model, HEMT_K, t_ext)
+    mu_para = model._heat_multiplier(PARAMP_K, t_ext)
+    mu_hemt = model._heat_multiplier(HEMT_K, t_ext)
     q_hemt = scenario.q_hemt * (t_gen > HEMT_K)
     rows = [StageRecord(t_gen, scenario.q_gen, (1.0 + mu_gen) * scenario.q_gen, "electronics"),
             StageRecord(PARAMP_K, scenario.q_para, (1.0 + mu_para) * scenario.q_para, "amplifier"),

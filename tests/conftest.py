@@ -90,7 +90,8 @@ def valid_config_texts(draw, kinds=("rsa", "rectangular", "nisq", "gate"),
     RSA workload, which the fault-tolerant commands run.  In one of eight
     the RSA key is the largest validation accepts, and in one of two the
     qubit lifetime is drawn over all that validation accepts, both ends
-    included.  ``per_decade`` draws the temperature points per decade;
+    included, and so are the cable's length and line counts, each in one
+    of two or three draws.  ``per_decade`` draws the temperature points per decade;
     the few of the default keep the grids small."""
     t_ext = draw(st.sampled_from([300.0, 290.0, 77.0, 4.5]))
     t_gen_max = draw(st.one_of(st.just(t_ext), edge_biased(min(4.0, t_ext), t_ext)))
@@ -121,6 +122,11 @@ def valid_config_texts(draw, kinds=("rsa", "rectangular", "nisq", "gate"),
         scenario.update({f"q_{part}_w": draw(st.one_of(st.just(0.0),
                                                        edge_biased(1e-10, 1e-2)))
                          for part in ("gen", "para", "hemt")})
+    lines = {f"{line}_lines_per_qubit": draw(st.one_of(
+        st.just(0.0), edge_biased(1e-3, 1.0), edge_biased(math.ulp(0.0), sys.float_info.max)))
+        for line in ("control", "readout")}
+    if math.isinf(sum(lines.values())):  # a sum validation rejects
+        lines["readout_lines_per_qubit"] = 0.0
     sections = {
         "technology": {"frequency_hz": draw(edge_biased(1e9, 2e11)),
                        "gamma_inverse_s": draw(st.one_of(
@@ -133,10 +139,9 @@ def valid_config_texts(draw, kinds=("rsa", "rectangular", "nisq", "gate"),
                   "t_gen_min_k": t_gen_min, "t_gen_max_k": t_gen_max,
                   "attenuation_min_db": att_min, "attenuation_max_db": att_max},
         "scenario": scenario,
-        "cable": {"length_m": draw(edge_biased(0.1, 10.0)),
-                  **{f"{line}_lines_per_qubit": draw(st.one_of(st.just(0.0),
-                                                               edge_biased(1e-3, 1.0)))
-                     for line in ("control", "readout")}},
+        "cable": {"length_m": draw(st.one_of(
+                      edge_biased(0.1, 10.0), edge_biased(math.ulp(0.0), sys.float_info.max))),
+                  **lines},
         "efficiency": {"model": draw(st.sampled_from(["carnot", "small_scale"])),
                        "extra_qubit_heat_w": draw(st.one_of(st.just(0.0),
                                                             edge_biased(1e-10, 1e-6)))},

@@ -298,6 +298,22 @@ class TestNeverRaises:
                 assert "Traceback" not in err.getvalue(), argv
 
 
+    def test_no_lines_conduct_nothing_on_the_shortest_cable(self, tmp_path, capsys):
+        # a rise per metre of 5e-324 m overflows, and times zero lines it
+        # was NaN: the run read infeasible with warnings; no lines conduct
+        # 0 W at any length, so the optimum is the one at 1 m
+        outputs = []
+        for length in ("5e-324", "1.0"):
+            cfg = _write(tmp_path, f"[cable]\nlength_m = {length}\ncontrol_lines_per_qubit = 0"
+                                   "\nreadout_lines_per_qubit = 0\n")
+            out = tmp_path / f"{length}.csv"
+            assert main(["--config", cfg, "optimize-ft", "--out", str(out)]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outputs.append((captured.out.replace(str(out), ""), out.read_text()))
+        assert outputs[0] == outputs[1]
+
+
 class TestCliContract:
     def test_optimize_ft_writes_summary_and_file(self, tmp_path, capsys):
         cfg = _write(tmp_path, RSA_830_LIGHT)

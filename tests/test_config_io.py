@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import sys
 
 import pytest
 
@@ -72,6 +74,13 @@ class TestLoadConfig:
         assert getattr(load_config(text=f"[cable]\n{key} = 0\n"), key) == 0.0
         with pytest.raises(ConfigError, match=f"cable.{key}: must be >= 0"):
             load_config(text=f"[cable]\n{key} = -0.5\n")
+
+    def test_lines_that_sum_beyond_the_float_range_rejected(self):
+        text = "[cable]\ncontrol_lines_per_qubit = 1.7976931348623157e+308\n"
+        assert load_config(text=text).cable().lines_per_qubit == sys.float_info.max
+        with pytest.raises(ConfigError) as err:
+            load_config(text=text + "readout_lines_per_qubit = 1e292\n")
+        assert err.value.problems == ["cable: the lines per qubit must sum to a float"]
 
     @pytest.mark.parametrize("t_qb_max", ["300", "400"])
     def test_qubit_stage_at_or_above_ambient_rejected(self, t_qb_max):
@@ -190,6 +199,41 @@ class TestShowConfig:
                        "gamma_inverse_s = 0.05", "stages = 5",
                        "t_ext_k = 300.0", "name = A", "model = carnot"):
             assert needle in rendered
+
+
+#: A value other than the default of each string key, which the builders take.
+_OTHER_CHOICE = {"scenario": "B", "efficiency_model": "small_scale",
+                 "workload_kind": "rectangular", "rsa_variant": "haner",
+                 "two_qubit_drive_duration": "tau_2qb", "rsa_log_base": "e",
+                 "ft_metric_form": "exact"}
+#: The builders of the model's inputs from a configuration.
+_BUILDERS = ("technology", "electronics", "cable", "efficiency", "grid_options",
+             "ft_toggles")
+
+
+def _other_value(field: str, value):
+    """A value of the RunConfig ``field`` other than ``value``."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, str):
+        return _OTHER_CHOICE[field]
+    return 1e-3 if value is None else value + 1
+
+
+def test_every_model_setting_is_a_config_key():
+    # a setting of the model that no config key reaches is one only code
+    # can change: each field of every object the builders make must change
+    # with some key, from a custom scenario, whose heat loads are keys too
+    base = RunConfig(scenario="custom", q_gen_w=1e-3, q_para_w=1e-6, q_hemt_w=5e-5)
+    built = [getattr(base, builder)() for builder in _BUILDERS]
+    unreached = {(type(obj).__name__, f.name) for obj in built for f in dataclasses.fields(obj)}
+    for name in FIELD_TYPES:
+        cfg = base.replace(**{name: _other_value(name, getattr(base, name))})
+        for builder, obj in zip(_BUILDERS, built):
+            other = getattr(cfg, builder)()
+            unreached -= {(type(obj).__name__, f.name) for f in dataclasses.fields(obj)
+                          if getattr(other, f.name) != getattr(obj, f.name)}
+    assert unreached == set()
 
 
 class TestEmitResults:

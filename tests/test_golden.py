@@ -1,12 +1,15 @@
 """The README's command-line examples, run as written, and reference optima,
 both checked against the committed outputs in ``tests/golden``.
 
-The commands are read from the README's "Command line" block, so the
-documentation and this test cannot drift apart.  Numeric fields must
+The commands are read from the README's "Command line" block, and the
+keys of its "Configuration file" block are checked against
+``--show-config``, so the documentation and these tests cannot drift
+apart.  Numeric fields must
 agree with the golden values within ``RTOL`` relative; every other field
 must be equal.
 """
 
+import configparser
 import csv
 import dataclasses
 import json
@@ -27,6 +30,7 @@ from coldstack import (
     optimize_single_qubit,
 )
 from coldstack.cli import main
+from coldstack.config import RunConfig, load_config, show_config
 
 from conftest import OMEGA0
 
@@ -47,6 +51,19 @@ def readme_commands() -> list[list[str]]:
             assert words[0] == "coldstack", line
             commands.append(words[1:])
     return commands
+
+
+def readme_config() -> str:
+    """The ini block of the README's "Configuration file" section."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return text.split("## Configuration file", 1)[1].split("```ini", 1)[1].split("```", 1)[0]
+
+
+def _sections_and_keys(text: str) -> list[tuple[str, list[str]]]:
+    """The sections of a config file and the keys set in each, in order."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+    parser.read_string(text)
+    return [(section, list(parser[section])) for section in parser.sections()]
 
 
 #: NISQ circuits (qubits, target, lifetime 1/gamma in s, grid options)
@@ -131,6 +148,14 @@ def test_readme_command_matches_golden(argv, tmp_path, monkeypatch):
     for row, (g, w) in enumerate(zip(got[1:], want[1:]), start=1):
         bad = [(col, a, b) for col, a, b in zip(want[0], g, w) if not _same(a, b)]
         assert not bad, f"{name} row {row}: {bad}"
+
+
+def test_readme_config_lists_the_keys_show_config_prints():
+    # the documented file names every key in the order --show-config
+    # prints them, and its values are the defaults
+    block = readme_config()
+    assert _sections_and_keys(block) == _sections_and_keys(show_config(RunConfig()))
+    assert load_config(text=block) == RunConfig()
 
 
 def test_reference_optima_match_golden():

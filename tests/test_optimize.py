@@ -72,7 +72,6 @@ def gate_opt():
 
 class TestGridOptions:
     @pytest.mark.parametrize("field, value", [("temperature_points_per_decade", 0),
-                                              ("refinement_factor", 0),
                                               ("refinement_passes", -1)])
     def test_rejects_a_schedule_the_search_cannot_run(self, field, value):
         with pytest.raises(ValueError):
@@ -80,8 +79,7 @@ class TestGridOptions:
 
     @pytest.mark.parametrize("passes", [0, 1])
     def test_runs_the_sparsest_schedule(self, tech_50ms, passes):
-        options = GridOptions(temperature_points_per_decade=1, refinement_factor=1,
-                              refinement_passes=passes)
+        options = GridOptions(temperature_points_per_decade=1, refinement_passes=passes)
         assert optimize_single_qubit(tech_50ms, 0.99, options=options).feasible
         assert optimize_ft(rsa_workload(2048), tech_50ms, SCEN_A, options=options).feasible
 
@@ -432,8 +430,7 @@ class TestBoundarySolve:
         problem = _FtProblem(wl, tech, SCEN_A, CABLE, CryoEfficiencyModel(),
                              FtToggles(k_stages=k_stages, metric_form=form),
                              GridOptions(attenuation_bounds=(lo, hi)))
-        *_, n_cold, n_rise, valid = optimize._grid_fields(t_qb, t_gen, k_stages, CABLE,
-                                                          tech.omega0)
+        *_, n_cold, n_rise, valid = optimize._grid_fields(t_qb, t_gen, k_stages, tech.omega0)
         with np.errstate(all="raise"):
             a_star = problem.boundary(n_cold, n_rise, valid, k, target)
         p_err = problem.error_probability(n_cold, n_rise)
@@ -832,12 +829,12 @@ class TestPowerFloor:
     @pytest.mark.parametrize("build, message", [
         (lambda: CableModel(control_lines_per_qubit=-0.5), "lines per qubit"),
         (lambda: CableModel(readout_lines_per_qubit=-0.5), "lines per qubit"),
-        (lambda: CableModel(kapton_low=(-4.6, 0.56)), "kapton"),
-        (lambda: CableModel(kapton_mid=(-3.0, 0.98)), "kapton"),
+        (lambda: CableModel(control_lines_per_qubit=1e308, readout_lines_per_qubit=1e308),
+         "sum to a float"),
         (lambda: CryoEfficiencyModel("small_scale", extra_qubit_heat_w=-1e-8), "parasitic"),
         (lambda: GridOptions(attenuation_bounds=(0.5, 1e12)), "attenuation lower bound"),
         (lambda: FtToggles(t_gate_multiplier=-1.0), "gate-time multiplier"),
-    ], ids=["control lines", "readout lines", "kapton below 4 K", "kapton 4-10 K",
+    ], ids=["control lines", "readout lines", "lines beyond the float range",
             "parasitic heat", "attenuation below 1", "gate-time multiplier"])
     def test_an_input_against_a_floor_premise_is_rejected(self, build, message):
         # each premise of the power floors is checked where its input enters
@@ -913,36 +910,25 @@ class TestPowerFloor:
 
     def test_fixed_multipliers_are_computed_once(self, monkeypatch):
         # the qubit-quality sweep on its two hardware sets, and the first
-        # point once more: each floor takes mu at its capped qubit-stage
-        # temperature, and mu at t_gen_hi, PARAMP_K and HEMT_K, and on the
-        # stages of the coarse grid, is computed once per efficiency model
-        thermal._fixed_multiplier.cache_clear()
+        # point once more: mu on the stages of the coarse grid is computed
+        # once per efficiency model
         optimize._coarse_multipliers.cache_clear()
-        scalar, floors, coarse = [], [], collections.Counter()
+        coarse = collections.Counter()
         # the kernel, which the public heat_multiplier calls after its check
-        heat_multiplier, floor = CryoEfficiencyModel._heat_multiplier, _FtProblem.power_floor
+        heat_multiplier = CryoEfficiencyModel._heat_multiplier
 
         def counting(self, t_stage, t_ext):
-            if np.ndim(t_stage) == 0:
-                scalar.append(t_stage)
-            elif np.shape(t_stage) == (5, 146, 77):
+            if np.shape(t_stage) == (5, 146, 77):
                 coarse[self.kind] += 1
             return heat_multiplier(self, t_stage, t_ext)
 
-        def counting_floor(self, *args):
-            floors.append(args)
-            return floor(self, *args)
-
         monkeypatch.setattr(CryoEfficiencyModel, "_heat_multiplier", counting)
-        monkeypatch.setattr(_FtProblem, "power_floor", counting_floor)
         axes = [SweepAxis.parse("gamma_inverse_s=0.003:1:15:log")]
         cfgs = [load_config(text="").replace(scenario=scenario, efficiency_model=model)
                 for scenario, model in (("A", "carnot"), ("C", "small_scale"))]
         for cfg in cfgs:
             sweep(cfg, axes)
         run_problem(cfgs[0])
-        assert len(floors) > 30
-        assert len(scalar) == len(floors) + 2 * 3
         assert coarse == {"carnot": 1, "small_scale": 1}
 
 
@@ -994,12 +980,24 @@ def _on_the_default_box(text: str) -> str:
                    if line.split(" = ")[0] not in box)
 
 
+#: A cable of float-max lines per qubit, and a box whose chains reach t_ext.
+_HUGE_LINES = ("[efficiency]\nextra_qubit_heat_w = 0.0\n"
+               "[cable]\nreadout_lines_per_qubit = 1.7976931348623157e+308\n")
+_NEAR_T_EXT = ("[chain]\nstages = 2\nt_qb_min_k = 0.0001\nt_qb_max_k = 299.7\n"
+               "t_gen_min_k = 300.0\n[target]\nmetric = 0.0\n[optimizer]\n"
+               "temperature_points_per_decade = 1\nk_max = 0\n")
+
+
 class TestCoarsePruning:
     """Branch and bound on the coarse grid of each level's search."""
 
     @given(text=valid_config_texts(kinds=("rsa", "rectangular")))
     @example(text=ON_A_COARSE_NODE)
     @example(text="")
+    # a heat out of the float range where the power is not: at t_ext
+    @example(text=_HUGE_LINES + "[chain]\nstages = 2\nt_qb_max_k = 299.9999999997\n"
+                  "t_gen_min_k = 300.0\n[target]\nmetric = 0.0\n[optimizer]\n"
+                  "temperature_points_per_decade = 1\nk_min = 6\n")
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_pruned_search_equals_the_search_of_every_point(self, text):
@@ -1029,6 +1027,13 @@ class TestCoarsePruning:
     @example(text="[efficiency]\nmodel = small_scale\n[toggles]\n"
                   "include_demod_syndrome = true\n[optimizer]\n"
                   "temperature_points_per_decade = 12\n")
+    # cables whose conduction rows leave the normal floats: l / L overflows
+    # where r / L * l does not, and r / L rounds to a subnormal
+    @example(text=_HUGE_LINES + "length_m = 0.1\n" + _NEAR_T_EXT)
+    @example(text=_HUGE_LINES + "length_m = 1.7976931348623157e+308\n[scenario]\nname = custom\n"
+                  "q_gen_w = 0.0\nq_para_w = 0.0\nq_hemt_w = 0.0\n[chain]\nstages = 2\n"
+                  "t_qb_min_k = 0.0001\n[target]\nmetric = 0.0\n[optimizer]\n"
+                  "temperature_points_per_decade = 1\nk_max = 0\n")
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_floor_is_below_the_solved_power_at_every_point(self, text):
@@ -1139,17 +1144,6 @@ class TestCoarsePruning:
         assert proc.stdout.strip() == "[]"
 
 
-class _WithoutAreas(tuple):
-    """A cable material that compares and hashes as if it had no
-    cross-sections, though it carries them."""
-
-    def __eq__(self, other):
-        return tuple(self[2:]) == tuple(other[2:])
-
-    def __hash__(self):
-        return hash(tuple(self[2:]))
-
-
 class TestCoarseTable:
     """The coarse-grid tables shared across fault-tolerant problems."""
 
@@ -1161,8 +1155,6 @@ class TestCoarseTable:
                     toggles=FtToggles())
         if change == "cable Y":
             args["cable"] = CableModel(length_m=0.5, control_lines_per_qubit=0.1)
-        elif change == "cable Z":
-            args["cable"] = CableModel(area_above_10k_m2=3e-7)
         elif change == "scenario C":
             args["scenario"] = ElectronicsScenario.preset("C")
         elif change == "8 GHz":
@@ -1218,17 +1210,8 @@ class TestCoarseTable:
         return optimize._coarse_grid.cache_info().misses == before, got == alone
 
     def test_cables_of_one_material_share_the_entry(self):
-        # X and Y differ in length and line counts only
+        # X and Y differ in length and line counts, which is all a cable sets
         assert self._second_after_first("cable X", "cable Y") == (True, True)
-
-    def test_cable_of_another_area_misses_the_entry(self):
-        assert self._second_after_first("cable X", "cable Z") == (False, True)
-
-    def test_key_without_the_areas_is_caught(self, monkeypatch):
-        material = CableModel.material
-        monkeypatch.setattr(CableModel, "material", property(
-            lambda cable: _WithoutAreas(material.fget(cable))))
-        assert self._second_after_first("cable X", "cable Z") == (True, False)
 
     def test_problems_on_one_cable_share_the_entry(self):
         self._optimize("cable X")
@@ -1276,8 +1259,8 @@ def _grid_refine_as_first_written(solve, axes, options: GridOptions, batch: int 
         best_point[b] = np.stack([g[b, i] for g, i in zip(grids, at)], axis=1)
         if pass_index < options.refinement_passes:
             for d, (_, (lo, hi)) in enumerate(axes):
-                grids[d], spacing[d] = optimize._refined_axis(
-                    best_point[:, d], spacing[d], options.refinement_factor, lo, hi)
+                grids[d], spacing[d] = optimize._refined_axis(best_point[:, d], spacing[d],
+                                                              lo, hi)
     found = [(float(p), tuple(map(float, x)), float(a)) if ok else None
              for ok, p, x, a in zip(alive, best_power, best_point, best_a)]
     return found, {name: step for (name, _), step in zip(axes, spacing)}
@@ -1316,8 +1299,7 @@ def _toy_searches(draw):
                  draw(st.booleans()) and draw(st.booleans()))
                 for _ in range(draw(st.integers(1, 4)))]
     options = GridOptions(temperature_points_per_decade=draw(st.integers(1, 6)),
-                          refinement_passes=draw(st.integers(0, 2)),
-                          refinement_factor=draw(st.integers(1, 4)))
+                          refinement_passes=draw(st.integers(0, 2)))
     return problems, axes, options
 
 

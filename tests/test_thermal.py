@@ -24,11 +24,16 @@ from coldstack import (
 from coldstack import optimize, thermal
 from coldstack.optimize import FtToggles
 from coldstack.thermal import (
+    AREA_ABOVE_10K_M2,
+    AREA_BELOW_10K_M2,
     CARNOT,
+    KAPTON_LOW,
+    KAPTON_MID,
     _conduction_integral,
     conduction_heat_per_qubit,
     conduction_rises,
     grid_conduction_rises,
+    steel_conductivity,
 )
 
 from conftest import OMEGA0
@@ -135,8 +140,8 @@ class TestCableHeatFlow:
 
     def test_cold_segment_closed_form(self):
         # below 4 K only the kapton power law contributes
-        c, p = CABLE.kapton_low
-        expected = CABLE.area_below_10k_m2 * c * 4.0 ** (p + 1) / (p + 1)
+        c, p = KAPTON_LOW
+        expected = AREA_BELOW_10K_M2 * c * 4.0 ** (p + 1) / (p + 1)
         assert cable_heat_flow(0.0, 4.0, CABLE) == pytest.approx(expected, rel=1e-9)
         assert expected == pytest.approx(3.33e-8, rel=1e-2)
 
@@ -159,80 +164,74 @@ class TestCableHeatFlow:
             0.5 * cable_heat_flow(0.0, 300.0, CABLE), rel=1e-12)
 
 
-def _quad_conduction_integral(cable, t):
+def _quad_conduction_integral(t):
     """Reference: each segment of the conduction integral by adaptive
     quadrature at a tight tolerance."""
-    c_lo, p_lo = cable.kapton_low
-    c_mid, p_mid = cable.kapton_mid
+    c_lo, p_lo = KAPTON_LOW
+    c_mid, p_mid = KAPTON_MID
     tight = {"epsabs": 0.0, "epsrel": 1e-13, "limit": 200}
-    out = cable.area_below_10k_m2 * quad(lambda x: c_lo * x**p_lo, 0.0,
-                                         min(t, 4.0), **tight)[0]
+    out = AREA_BELOW_10K_M2 * quad(lambda x: c_lo * x**p_lo, 0.0, min(t, 4.0), **tight)[0]
     if t > 4.0:
-        out += cable.area_below_10k_m2 * quad(lambda x: c_mid * x**p_mid, 4.0,
-                                              min(t, 10.0), **tight)[0]
+        out += AREA_BELOW_10K_M2 * quad(lambda x: c_mid * x**p_mid, 4.0,
+                                        min(t, 10.0), **tight)[0]
     if t > 10.0:
-        out += cable.area_above_10k_m2 * quad(cable.steel_conductivity, 10.0, t,
-                                              **tight)[0]
+        out += AREA_ABOVE_10K_M2 * quad(steel_conductivity, 10.0, t, **tight)[0]
     return out
 
 
 LOG_GRID = np.append(np.logspace(-3, np.log10(300.0), 120)[:-1], 300.0)
 
 
-def _per_node_conduction_integral(cable, temperature):
+def _per_node_conduction_integral(temperature):
     """The conduction integral with one array pass per Gauss node, the
     kernel's arithmetic before its nodes were stacked."""
     t = np.atleast_1d(np.asarray(temperature, dtype=float))
-    c_lo, p_lo = cable.kapton_low
-    c_mid, p_mid = cable.kapton_mid
-    out = cable.area_below_10k_m2 * c_lo * np.clip(t, 0.0, 4.0) ** (p_lo + 1) / (p_lo + 1)
-    out = out + cable.area_below_10k_m2 * c_mid * (
+    c_lo, p_lo = KAPTON_LOW
+    c_mid, p_mid = KAPTON_MID
+    out = AREA_BELOW_10K_M2 * c_lo * np.clip(t, 0.0, 4.0) ** (p_lo + 1) / (p_lo + 1)
+    out = out + AREA_BELOW_10K_M2 * c_mid * (
         np.clip(t, 4.0, 10.0) ** (p_mid + 1) - 4.0 ** (p_mid + 1)) / (p_mid + 1)
     hot = t > 10.0
     half = 0.5 * (np.log10(t[hot]) - 1.0)
     steel = 0.0
     for x, w in zip(*np.polynomial.legendre.leggauss(16)):
         t_node = 10.0 ** (1.0 + half * (x + 1.0))
-        steel = steel + w * cable.steel_conductivity(t_node) * t_node
-    out[hot] += cable.area_above_10k_m2 * np.log(10.0) * half * steel
+        steel = steel + w * steel_conductivity(t_node) * t_node
+    out[hot] += AREA_ABOVE_10K_M2 * np.log(10.0) * half * steel
     return out
 
 
 class TestConductionKernel:
-    @pytest.mark.parametrize("cable", [
-        CABLE, CableModel(length_m=2.5, area_above_10k_m2=1.1e-6)])
+    @pytest.mark.parametrize("cable", [CABLE, CableModel(length_m=2.5)])
     def test_matches_adaptive_quadrature(self, cable):
-        want = np.array([_quad_conduction_integral(cable, t) for t in LOG_GRID])
-        got = _conduction_integral(cable, LOG_GRID)
+        want = np.array([_quad_conduction_integral(t) for t in LOG_GRID])
+        got = _conduction_integral(LOG_GRID)
         assert np.max(np.abs(got / want - 1.0)) <= 1e-12
         flows = np.array([cable_heat_flow(0.0, t, cable) for t in LOG_GRID])
         assert np.max(np.abs(flows * cable.length_m / want - 1.0)) <= 1e-12
 
     def test_array_call_equals_scalar_calls(self):
         temps = np.append(LOG_GRID, [0.0, 4.0, 10.0, 10.5]).reshape(4, 31)
-        got = _conduction_integral(CABLE, temps)
+        got = _conduction_integral(temps)
         assert got.shape == temps.shape
-        scalars = [_conduction_integral(CABLE, float(t)) for t in temps.ravel()]
+        scalars = [_conduction_integral(float(t)) for t in temps.ravel()]
         assert all(type(v) is float for v in scalars)
         assert np.array_equal(got.ravel(), scalars)
 
-    @pytest.mark.parametrize("cable", [
-        CABLE, CableModel(area_above_10k_m2=1.1e-6, steel_fit=(-1.4, 1.4, 0.25))])
-    def test_stacked_nodes_match_a_pass_per_node(self, cable, monkeypatch):
+    def test_stacked_nodes_match_a_pass_per_node(self, monkeypatch):
         # the stage temperatures of the default coarse grid, 146 x 77 chains
         stages = stage_temperatures(np.geomspace(1e-3, 4.0, 146)[:, None],
                                     np.geomspace(4.0, 300.0, 77)[None, :])
         n_hot = int(np.count_nonzero(stages > 10.0))
         assert n_hot > 3 * thermal._HOT_BLOCK
-        want = _per_node_conduction_integral(cable, stages)
+        want = _per_node_conduction_integral(stages)
         calls = []
-        steel = CableModel.steel_conductivity
-        monkeypatch.setattr(CableModel, "steel_conductivity",
-                            lambda self, t: calls.append(t.shape) or steel(self, t))
-        assert np.array_equal(_conduction_integral(cable, stages), want)
+        monkeypatch.setattr(thermal, "steel_conductivity",
+                            lambda t: calls.append(t.shape) or steel_conductivity(t))
+        assert np.array_equal(_conduction_integral(stages), want)
         assert len(calls) == -(-n_hot // thermal._HOT_BLOCK)  # one per block
         # a transposed (Fortran-ordered) grid gives the same values
-        assert np.array_equal(_conduction_integral(cable, stages.T), want.T)
+        assert np.array_equal(_conduction_integral(stages.T), want.T)
 
     @given(temps=st.lists(st.floats(10.0, 300.0, exclude_min=True), min_size=1, max_size=5),
            scalar=st.booleans())
@@ -241,11 +240,10 @@ class TestConductionKernel:
         # a block of one or a few hot temperatures, where a pairwise sum of
         # the 16 nodes would round otherwise than the sum in node order
         if scalar:
-            assert _conduction_integral(CABLE, temps[0]) == \
-                _per_node_conduction_integral(CABLE, temps[0])[0]
+            assert _conduction_integral(temps[0]) == _per_node_conduction_integral(temps[0])[0]
         else:
-            assert np.array_equal(_conduction_integral(CABLE, np.array(temps)),
-                                  _per_node_conduction_integral(CABLE, temps))
+            assert np.array_equal(_conduction_integral(np.array(temps)),
+                                  _per_node_conduction_integral(temps))
 
     @pytest.mark.parametrize("k_stages", [2, 5, 8])
     @pytest.mark.parametrize("bounds", [((1e-3, 4.0), (4.0, 300.0)),
@@ -256,8 +254,7 @@ class TestConductionKernel:
         t_qb, t_gen = (optimize._log_axis(lo, hi, 40)[0] for lo, hi in bounds)
         want = self._check_rises(t_qb, t_gen, k_stages)
         optimize._coarse_grid.cache_clear()
-        _, (table_stages, rises, *_), _ = optimize._coarse_grid(*bounds, 40, k_stages,
-                                                                CABLE.material, OMEGA0)
+        _, (table_stages, rises, *_), _ = optimize._coarse_grid(*bounds, 40, k_stages, OMEGA0)
         assert np.array_equal(table_stages, stage_temperatures(
             t_qb[:, None], t_gen[None, :], k_stages))
         assert np.array_equal(rises, want)
@@ -267,8 +264,8 @@ class TestConductionKernel:
     def test_rises_on_refine_rows_equal_the_grid_rises(self, centers, k_stages):
         # refine rows inside the default box, and clipped at its bounds,
         # where values repeat
-        (t_qb,), _ = optimize._refined_axis(np.array([centers[0]]), 0.025, 4, 1e-3, 4.0)
-        (t_gen,), _ = optimize._refined_axis(np.array([centers[1]]), 0.025, 4, 4.0, 300.0)
+        (t_qb,), _ = optimize._refined_axis(np.array([centers[0]]), 0.025, 1e-3, 4.0)
+        (t_gen,), _ = optimize._refined_axis(np.array([centers[1]]), 0.025, 4.0, 300.0)
         if centers[0] != 0.05:
             assert len(set(t_qb)) < t_qb.size and len(set(t_gen)) < t_gen.size
         self._check_rises(t_qb, t_gen, k_stages)
@@ -284,9 +281,9 @@ class TestConductionKernel:
         """The rises from the axes, by themselves and in the fields of
         every grid, equal the rises of the grid's chains; returns them."""
         stages = stage_temperatures(t_qb[:, None], t_gen[None, :], k_stages)
-        want = conduction_rises(stages, CABLE)
-        assert np.array_equal(grid_conduction_rises(t_qb, t_gen, stages, CABLE), want)
-        field_stages, rises, *_ = optimize._grid_fields(t_qb, t_gen, k_stages, CABLE, OMEGA0)
+        want = conduction_rises(stages)
+        assert np.array_equal(grid_conduction_rises(t_qb, t_gen, stages), want)
+        field_stages, rises, *_ = optimize._grid_fields(t_qb, t_gen, k_stages, OMEGA0)
         assert np.array_equal(field_stages, stages)
         assert np.array_equal(rises, want)
         return want
