@@ -145,8 +145,9 @@ class RunConfig:
 _SCHEMA: dict[str, dict[str, str]] = {}
 for _f in dataclasses.fields(RunConfig):
     _SCHEMA.setdefault(_f.metadata["section"], {})[_f.metadata["key"] or _f.name] = _f.name
-#: RunConfig field -> its section.
-_SECTION = {name: section for section, keys in _SCHEMA.items() for name in keys.values()}
+#: RunConfig field -> ``section.key``, as a file writes it.
+_WRITTEN = {name: f"{section}.{key}" for section, keys in _SCHEMA.items()
+            for key, name in keys.items()}
 #: The [chain] keys that give an attenuation bound in natural units, not
 #: dB, by the field they set.
 _NATURAL_UNITS = {"attenuation_min": "attenuation_min_db",
@@ -167,16 +168,16 @@ def _coerce(field_name: str, raw: str, problems: list[str]):
             return True
         if raw.lower() in ("false", "no", "off", "0"):
             return False
-        problems.append(f"{field_name}: expected a boolean, got {raw!r}")
+        problems.append(f"{_WRITTEN[field_name]}: expected a boolean, got {raw!r}")
         return None
     try:
         value = float(raw)
     except ValueError:
-        problems.append(f"{field_name}: expected a number, got {raw!r}")
+        problems.append(f"{_WRITTEN[field_name]}: expected a number, got {raw!r}")
         return None
     if kind == "int":
         if not value.is_integer():  # False for nan and inf too
-            problems.append(f"{field_name}: expected an integer, got {raw!r}")
+            problems.append(f"{_WRITTEN[field_name]}: expected an integer, got {raw!r}")
             return None
         return int(value)
     return value
@@ -189,7 +190,7 @@ def validate(cfg: RunConfig, problems: list[str] | None = None) -> RunConfig:
     for name in FIELD_TYPES:
         value = getattr(cfg, name)
         if isinstance(value, float) and not math.isfinite(value):
-            problems.append(f"{_SECTION[name]}.{name}: must be a finite number")
+            problems.append(f"{_WRITTEN[name]}: must be a finite number")
     positive = [
         "frequency_hz", "gamma_inverse_s", "tau_1qb_s", "tau_2qb_s",
         "tau_meas_s", "t_ext_k", "t_qb_min_k", "t_qb_max_k", "t_gen_min_k",
@@ -199,7 +200,7 @@ def validate(cfg: RunConfig, problems: list[str] | None = None) -> RunConfig:
     ]
     for name in positive:
         if getattr(cfg, name) <= 0:
-            problems.append(f"{_SECTION[name]}.{name}: must be > 0")
+            problems.append(f"{_WRITTEN[name]}: must be > 0")
     if cfg.stages < 2:
         problems.append("chain.stages: need at least 2 cooling stages")
     if 0 < cfg.gamma_inverse_s and math.isinf(1.0 / cfg.gamma_inverse_s):
@@ -230,7 +231,7 @@ def validate(cfg: RunConfig, problems: list[str] | None = None) -> RunConfig:
         problems.append("efficiency.model: must be carnot or small_scale")
     for name in ("control_lines_per_qubit", "readout_lines_per_qubit", "extra_qubit_heat_w"):
         if getattr(cfg, name) < 0:
-            problems.append(f"{_SECTION[name]}.{name}: must be >= 0")
+            problems.append(f"{_WRITTEN[name]}: must be >= 0")
     if math.isinf(cfg.control_lines_per_qubit + cfg.readout_lines_per_qubit):
         problems.append("cable: the lines per qubit must sum to a float")
     if cfg.workload_kind not in ("rsa", "rectangular", "nisq", "gate"):
@@ -326,10 +327,10 @@ def _db_from_natural(key: str, raw: str, problems: list[str]):
     try:
         value = float(raw)
     except ValueError:
-        problems.append(f"{key}: expected a number, got {raw!r}")
+        problems.append(f"chain.{key}: expected a number, got {raw!r}")
         return None
     if value < 1:
-        problems.append(f"{key}: natural-unit attenuation must be >= 1")
+        problems.append(f"chain.{key}: natural-unit attenuation must be >= 1")
         return None
     return 10.0 * math.log10(value)
 

@@ -56,16 +56,15 @@ found so far; such a level could not have won, so the result is the
 same as without the skip.  A problem is searched in the box of the
 :class:`GridOptions` it is built with.  The fields of the coarse grid,
 where every level's search starts, are cached (:func:`_coarse_grid`),
-with their gather on the strided sub-grid below, keyed on the
-temperature bounds, the points per decade, the stage count and the qubit
-frequency, so the levels of one search and the points of a sweep that
-share these compute them once, whatever their cables: the lines'
-conduction law is the model's, and a cable's length and line counts
-scale the conduction rows only where they are priced.  The heat
-multipliers mu of its stages that the coarse floor below needs, and its
-conduction sum G, are cached too (:func:`_coarse_multipliers`),
-keyed on the same and on the efficiency model and t_ext.  The coarse
-axes themselves are cached per bounds and points per decade
+keyed on the temperature bounds, the points per decade, the stage
+count and the qubit frequency, so the levels of one search and the
+points of a sweep that share these compute them once, whatever their
+cables: the lines' conduction law is the model's, and a cable's length
+and line counts scale the conduction rows only where they are priced.
+The heat multipliers mu of its stages that the coarse floor below
+needs, and its conduction sum G, are cached too
+(:func:`_coarse_multipliers`), keyed on the same and on the efficiency
+model and t_ext.  The coarse axes themselves are cached per bounds and points per decade
 (:func:`_log_axis`), read-only, and :func:`_grid_refine` hands them to
 every problem of a batch as broadcast views.  On the grids it lays out
 itself the search calls the unchecked kernels of the model's formulas
@@ -73,22 +72,23 @@ itself the search calls the unchecked kernels of the model's formulas
 :func:`~coldstack.qec._ft_metric`); the public functions check their
 inputs and then call the same kernels.
 
-Within a level, the coarse pass is pruned by branch and bound
-(:meth:`_FtProblem.candidates`).  Each coarse point has a closed-form
-lower bound on its power that needs no boundary solve
+Within a level, the coarse pass is pruned by branch and bound, best
+first (:meth:`_FtProblem.coarse_pass`).  Each coarse point has a
+closed-form lower bound on its power that needs no boundary solve
 (:meth:`_FtProblem.coarse_floor`): the static rows, and the drive
 priced with the least attenuation the occupancy budget allows.  The
 static rows' sum is exact, in closed form: the conduction rows
 telescope, ``sum_i mu_i net_i = (l/L) G`` with ``G = sum_j r_j (mu_j -
 mu_{j+1})`` over the rises r_j of the conduction integral across the
 spans, the lines per qubit l and the cable length L, and the other
-rows each depend on one axis.  An exact solve of every
-``_UPPER_STRIDE``-th node of each axis gives an upper bound U on the
-grid's least power.  Only the points whose bound is at most ``U (1 +
-RELATIVE_TIE)`` are solved; a point above it cannot enter the tie band
-of the least power, and as the solve is elementwise the kept points
-have the bits the full grid gives them, so the coarse pick is the pick
-of the full grid, to the bit.
+rows each depend on one axis.  The ``_FIRST_BATCH`` points of least
+bound are solved first, and the least power among them is an upper
+bound U on the grid's least power.  A point whose bound exceeds ``U (1
++ RELATIVE_TIE)`` cannot enter the tie band of the least power; the
+points left whose bound does not, if any, are solved in a second call.
+As the solve is elementwise, the solved points have the bits the full
+grid gives them, so the coarse pick is the pick of the full grid, to
+the bit.
 """
 
 from __future__ import annotations
@@ -567,20 +567,15 @@ class FtPointEvaluation:
     p_err: float
 
 
-#: The exact solve that bounds the least power on the coarse grid from
-#: above takes every ``_UPPER_STRIDE``-th node of each axis, and the last.
-_UPPER_STRIDE = 6
+#: The coarse pass of a level first solves this many points of least
+#: floor, whose least power bounds the grid's from above.
+_FIRST_BATCH = 384
 
 
 def _at(fields: tuple, index: tuple) -> tuple:
     """The grid fields of :func:`_grid_fields` at the points ``index`` of
     the grid's two axes, which are the last axes of every array."""
     return tuple(x[(Ellipsis, *index)] for x in fields)
-
-
-def _strided(n: int) -> np.ndarray:
-    """Every ``_UPPER_STRIDE``-th of ``n`` axis nodes, and the last."""
-    return np.append(np.arange(0, n - 1, _UPPER_STRIDE), n - 1)
 
 
 def _read_only(arrays: tuple) -> tuple:
@@ -611,17 +606,13 @@ def _grid_fields(t_qb: np.ndarray, t_gen: np.ndarray, k_stages: int,
 @lru_cache(maxsize=1)
 def _coarse_grid(t_qb_bounds: tuple, t_gen_bounds: tuple, per_decade: int,
                  k_stages: int, omega0: float) -> tuple:
-    """The axes of the coarse grid every level's search starts from,
-    :func:`_grid_fields` on them, and those fields on its sub-grid of
-    every ``_UPPER_STRIDE``-th node of each axis (and the last), as
-    read-only arrays.  They depend only on the arguments, which are the
-    cache's key: the bounds, the points per decade, the stage count and
-    the qubit frequency, and on no cable, as every cable has the
-    module's conduction law."""
+    """The axes of the coarse grid every level's search starts from, and
+    :func:`_grid_fields` on them, as read-only arrays.  They depend only
+    on the arguments, which are the cache's key: the bounds, the points
+    per decade, the stage count and the qubit frequency, and on no
+    cable, as every cable has the module's conduction law."""
     axes = tuple(_log_axis(lo, hi, per_decade)[0] for lo, hi in (t_qb_bounds, t_gen_bounds))
-    fields = _grid_fields(*axes, k_stages, omega0)
-    sub = (_strided(len(axes[0]))[:, None], _strided(len(axes[1]))[None, :])
-    return _read_only(axes), _read_only(fields), _read_only(_at(fields, sub))
+    return _read_only(axes), _read_only(_grid_fields(*axes, k_stages, omega0))
 
 
 @lru_cache(maxsize=2)
@@ -638,7 +629,7 @@ def _coarse_multipliers(grid_key: tuple, model: CryoEfficiencyModel, t_ext: floa
     chain of either direction, as the integral rises and mu falls with
     the temperature.
     """
-    _, (stages, rises, *_), _ = _coarse_grid(*grid_key)
+    _, (stages, rises, *_) = _coarse_grid(*grid_key)
     mult = model._heat_multiplier(stages, t_ext)
     # the end stages are the axes themselves
     return _read_only((mult[0, :, :1].copy(), mult[-1, :1].copy(), mult[-2].copy(),
@@ -819,20 +810,17 @@ class _FtProblem:
         no valid layout and is excluded.
 
         On the coarse grid only the points that can still be the grid's
-        pick are solved (:meth:`candidates`), with the bits a solve of
+        pick are solved (:meth:`coarse_pass`), with the bits a solve of
         the full grid gives them; the others get infinite power and NaN
         attenuation.  Any other grid is solved in full.
         """
         (t_qb,), (t_gen,) = t_qb, t_gen
-        (qb_axis, gen_axis), fields, _ = _coarse_grid(*self.grid_key)
+        (qb_axis, gen_axis), fields = _coarse_grid(*self.grid_key)
         if not (np.array_equal(t_qb, qb_axis) and np.array_equal(t_gen, gen_axis)):
             power, a_star = self.solve_fields(k, target, _grid_fields(
                 t_qb, t_gen, self.toggles.k_stages, self.tech.omega0))
         else:
-            keep = self.candidates(k, target)
-            power, a_star = np.full(keep.shape, np.inf), np.full(keep.shape, np.nan)
-            at = np.nonzero(keep)
-            power[at], a_star[at] = self.solve_fields(k, target, _at(fields, at))
+            power, a_star = self.coarse_pass(k, target, fields)
         return power[None], a_star[None]
 
     def solve_fields(self, k: int, target: float, fields: tuple):
@@ -858,20 +846,43 @@ class _FtProblem:
         finite &= (power > 0.0) & (power < np.inf)
         return np.where(finite, power, np.inf), np.where(finite, a_star, np.nan)
 
-    def candidates(self, k: int, target: float) -> np.ndarray:
-        """Mask of the coarse-grid points that can be in the tie band of
-        the grid's least power at level ``k``, by branch and bound.
+    def coarse_pass(self, k: int, target: float, fields: tuple):
+        """Power and boundary attenuation at level ``k`` on the coarse grid
+        of fields ``fields``, solved at the points that can be in the tie
+        band of the grid's least power, best first, and infinite power and
+        NaN attenuation elsewhere.
 
-        The least power is at most U, the least power of the exactly
-        solved sub-grid of every ``_UPPER_STRIDE``-th node of each axis
-        (and the last).  A point whose :meth:`coarse_floor` exceeds
-        ``U (1 + RELATIVE_TIE)``, with a margin of 1e-12 for the floor's
-        round-off, lies above the band, and so does an infeasible one.
+        The ``_FIRST_BATCH`` points of least :meth:`coarse_floor` are
+        solved first; the least power among them, U, bounds the grid's
+        least power from above.  A point whose floor exceeds ``U (1 +
+        RELATIVE_TIE)``, with a margin of 1e-12 for the floor's round-off,
+        lies above the band, and so does an infeasible one.  If the least
+        floor left lies above it, the pass is done; otherwise the points
+        left whose floor does not are solved too.
         """
-        floor = self.coarse_floor(k, target)
-        *_, sub_fields = _coarse_grid(*self.grid_key)
-        power, _ = self.solve_fields(k, target, sub_fields)
-        return (floor < np.inf) & (floor * (1 - 1e-12) <= power.min() * (1 + RELATIVE_TIE))
+        shape = fields[-1].shape
+        floor = self.coarse_floor(k, target).ravel()
+        power, a_star = np.full(floor.size, np.inf), np.full(floor.size, np.nan)
+
+        def least_power(points: np.ndarray) -> float:
+            """Solves the points of flat indices ``points``; their least power."""
+            if not points.size:
+                return math.inf
+            solved = self.solve_fields(k, target, _at(fields, np.unravel_index(points, shape)))
+            power[points], a_star[points] = solved
+            return solved[0].min()
+
+        if floor.size > _FIRST_BATCH:
+            order = np.argpartition(floor, _FIRST_BATCH)
+            first, next_floor = order[:_FIRST_BATCH], floor[order[_FIRST_BATCH]]
+        else:
+            first, next_floor = np.arange(floor.size), math.inf
+        bound = least_power(first[floor[first] < np.inf]) * (1 + RELATIVE_TIE)
+        if next_floor * (1 - 1e-12) <= bound:
+            band = (floor < np.inf) & (floor * (1 - 1e-12) <= bound)
+            band[first] = False
+            least_power(np.flatnonzero(band))
+        return power.reshape(shape), a_star.reshape(shape)
 
     def coarse_floor(self, k: int, target: float) -> np.ndarray:
         """A lower bound on the power at level ``k`` at each point of the
@@ -892,7 +903,7 @@ class _FtProblem:
         target.  The budget is taken 1e-9 relative high against the
         round-off of its inversion.
         """
-        _, (_, _, n_cold, n_rise, valid), _ = _coarse_grid(*self.grid_key)
+        _, (_, _, n_cold, n_rise, valid) = _coarse_grid(*self.grid_key)
         # priced (once per problem) before this call's own temporaries exist
         mu_first, mu_last, per_qubit = self.coarse_static
         tog = self.toggles
@@ -906,7 +917,9 @@ class _FtProblem:
                                                 where=excess > 0.0))
         weight, qubits, classical = self.level(k)
         drive = a_low ** (1.0 / (tog.k_stages - 1)) * (mu_first - mu_last) + a_low * mu_last
-        with np.errstate(over="ignore"):
+        # inf where the floor leaves the float range; NaN where an inf drive
+        # weight meets a drive that rounds to 0, on a chain that is not valid
+        with np.errstate(over="ignore", invalid="ignore"):
             floor = qubits * (per_qubit + classical) + weight * self.p_pi * drive
         return np.where(reachable, floor, np.inf)
 

@@ -137,8 +137,22 @@ class TestLoadConfig:
             load_config(text="[chain]\nstages = 4.5\n[toggles]\n"
                              "include_demod_syndrome = maybe\n")
         assert err.value.problems == [
-            "stages: expected an integer, got '4.5'",
-            "include_demod_syndrome: expected a boolean, got 'maybe'"]
+            "chain.stages: expected an integer, got '4.5'",
+            "toggles.include_demod_syndrome: expected a boolean, got 'maybe'"]
+
+    @pytest.mark.parametrize("section, key, raw", [
+        ("scenario", "name", "Z"), ("efficiency", "model", "ideal"),
+        ("workload", "kind", "qaoa"), ("cable", "length_m", "abc"),
+        ("cable", "length_m", "nan"), ("cable", "length_m", "-1"),
+        ("target", "metric", "abc"), ("target", "metric", "nan"),
+        ("chain", "attenuation_max", "abc"), ("chain", "attenuation_max", "0.5")])
+    def test_messages_name_the_key_a_file_writes(self, section, key, raw):
+        # the five keys whose RunConfig fields have other names, and a
+        # natural-unit bound: every message names the key as written
+        with pytest.raises(ConfigError) as err:
+            load_config(text=f"[{section}]\n{key} = {raw}\n")
+        assert err.value.problems
+        assert all(p.startswith(f"{section}.{key}: ") for p in err.value.problems)
 
     @pytest.mark.parametrize("raw", ["inf", "-inf", "nan", "1e400"])
     @pytest.mark.parametrize("section, key", [("optimizer", "k_max"),

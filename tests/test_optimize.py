@@ -1,5 +1,6 @@
 import collections
 import gc
+import itertools
 import math
 import os
 import pathlib
@@ -685,7 +686,7 @@ class TestOptimizeFt:
         problem = _FtProblem(Workload(10, 10), tech, SCEN_A, CABLE, CryoEfficiencyModel(),
                              FtToggles(k_stages=k_stages), options)
         # the probe as first written: node (0, 0) of the coarse grid
-        _, (_, _, n_cold, n_rise, _), _ = optimize._coarse_grid(*problem.grid_key)
+        _, (_, _, n_cold, n_rise, _) = optimize._coarse_grid(*problem.grid_key)
         want = problem.error_probability(n_cold[:1, :1], n_rise[:, :1, :1])(
             np.log10(a_hi)).item()
         assert problem.least_error_probability() == want
@@ -945,12 +946,25 @@ def _searched(cfg, keep_all: bool = False):
         return run_problem(cfg)
 
 
+def _record_coarse_picks(mp) -> list:
+    """The points of the coarse grid that each solve of the coarse pass
+    takes, as index tuples, recorded from the patched selection."""
+    picks, at = [], optimize._at
+
+    def recording(fields, index):
+        picks.append(index)
+        return at(fields, index)
+
+    mp.setattr(optimize, "_at", recording)
+    return picks
+
+
 def _on_the_coarse_grid(cfg) -> tuple:
     """The problem of ``cfg``, its options, and its coarse grid's axes and fields."""
     options = cfg.grid_options()
     problem = _FtProblem(cfg.workload(), cfg.technology(), cfg.electronics(),
                          cfg.cable(), cfg.efficiency(), cfg.ft_toggles(), options)
-    axes, fields, _ = optimize._coarse_grid(*problem.grid_key)
+    axes, fields = optimize._coarse_grid(*problem.grid_key)
     return problem, options, axes, fields
 
 
@@ -988,6 +1002,14 @@ _NEAR_T_EXT = ("[chain]\nstages = 2\nt_qb_min_k = 0.0001\nt_qb_max_k = 299.7\n"
                "temperature_points_per_decade = 1\nk_max = 0\n")
 
 
+#: Two stages, a one-point box and a cable of 5e-324 m at target 0: at
+#: k = 0 the point's floor is finite and its power out of the float range,
+#: and at higher levels its floor is too.
+_NO_POWER_IN_RANGE = ("[chain]\nstages = 2\nt_qb_min_k = 0.5\nt_qb_max_k = 0.5\n"
+                      "t_gen_min_k = 4.0\nt_gen_max_k = 4.0\n[target]\nmetric = 0.0\n"
+                      "[cable]\nlength_m = 5e-324\n")
+
+
 class TestCoarsePruning:
     """Branch and bound on the coarse grid of each level's search."""
 
@@ -1009,18 +1031,50 @@ class TestCoarsePruning:
     @example(text="")
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    def test_kept_points_are_solved_as_in_the_full_grid(self, text):
-        # the solve is elementwise: each point the pruned coarse pass keeps
-        # has the power and attenuation of the solve of every point, bit for bit
+    def test_solved_points_have_the_bits_of_the_full_grid(self, text):
+        # the solve is elementwise: each point the coarse pass solves has the
+        # power and attenuation of the solve of every point, bit for bit,
+        # and each point it leaves unsolved has a floor above the tie band;
+        # with a first batch of one point too, which leaves the band to a
+        # second solve
         cfg = load_config(text=text)
         problem, options, (t_qb, t_gen), fields = _on_the_coarse_grid(cfg)
-        for k in range(options.k_min, options.k_max + 1):
-            (power,), (a_star,) = problem.solve(k, cfg.target_metric, t_qb[None], t_gen[None])
+        levels = range(options.k_min, options.k_max + 1)
+        for k, batch in itertools.product(levels, (optimize._FIRST_BATCH, 1)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(optimize, "_FIRST_BATCH", batch)
+                picks = _record_coarse_picks(mp)
+                (power,), (a_star,) = problem.solve(k, cfg.target_metric, t_qb[None],
+                                                    t_gen[None])
             full_power, full_a = problem.solve_fields(k, cfg.target_metric, fields)
-            kept = problem.candidates(k, cfg.target_metric)
-            assert np.array_equal(power[kept], full_power[kept]), k
-            assert np.array_equal(a_star[kept], full_a[kept], equal_nan=True), k
-            assert np.isinf(power[~kept]).all() and np.isnan(a_star[~kept]).all(), k
+            solved = np.zeros(power.shape, bool)
+            for at in picks:
+                assert not solved[at].any(), k  # no point is solved twice
+                solved[at] = True
+            assert np.array_equal(power[solved], full_power[solved]), k
+            assert np.array_equal(a_star[solved], full_a[solved], equal_nan=True), k
+            assert np.isinf(power[~solved]).all() and np.isnan(a_star[~solved]).all(), k
+            floor = problem.coarse_floor(k, cfg.target_metric)
+            band = (floor < np.inf) & (floor * (1 - 1e-12)
+                                       <= full_power.min() * (1 + RELATIVE_TIE))
+            assert not band[~solved].any(), k
+
+    @given(text=valid_config_texts(kinds=("rsa", "rectangular")))
+    @example(text=ON_A_COARSE_NODE)
+    @example(text="")
+    # no feasible point: U is inf at k = 0, and no floor is finite above it
+    @example(text=_NO_POWER_IN_RANGE)
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_any_first_batch_gives_the_search_of_every_point(self, text):
+        # a first batch of one point leaves a second solve to every level that
+        # has a band; one larger than the grid solves it whole in one call
+        cfg = load_config(text=text)
+        every = repr(_searched(cfg, keep_all=True))
+        for batch in (1, 10**9):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(optimize, "_FIRST_BATCH", batch)
+                assert repr(_searched(cfg)) == every, batch
 
     @given(text=valid_config_texts(kinds=("rsa", "rectangular")))
     @example(text="[optimizer]\ntemperature_points_per_decade = 12\n")
@@ -1034,6 +1088,11 @@ class TestCoarsePruning:
                   "q_gen_w = 0.0\nq_para_w = 0.0\nq_hemt_w = 0.0\n[chain]\nstages = 2\n"
                   "t_qb_min_k = 0.0001\n[target]\nmetric = 0.0\n[optimizer]\n"
                   "temperature_points_per_decade = 1\nk_max = 0\n")
+    # an inf drive weight, and a qubit stage so close to t_ext that the drive
+    # of a chain that is not valid rounds to 0: the floor there is NaN
+    @example(text="[technology]\ngamma_inverse_s = 1.7976931348623157e+308\n[chain]\n"
+                  "stages = 7\nt_qb_max_k = 299.9999999997\nt_gen_min_k = 1.0\n"
+                  "[efficiency]\nmodel = small_scale\n[workload]\nrsa_n = 3.88e101\n")
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_floor_is_below_the_solved_power_at_every_point(self, text):
@@ -1066,7 +1125,7 @@ class TestCoarsePruning:
 
     def test_no_rows_are_priced_on_the_coarse_grid(self, monkeypatch):
         # the coarse floor sums the rows in closed form; the solves price
-        # them at the points they solve: sub-grid, kept points, refine grids
+        # them at the points they solve: the first batch, refine grids
         shapes, breakdown = [], optimize.static_power_breakdown
 
         def recording(temperatures, *args):
@@ -1075,7 +1134,7 @@ class TestCoarsePruning:
 
         monkeypatch.setattr(optimize, "static_power_breakdown", recording)
         run_problem(load_config(text=""))
-        assert (5, 9, 9) in shapes and (5, 26, 14) in shapes
+        assert (5, 9, 9) in shapes and (5, optimize._FIRST_BATCH) in shapes
         assert (5, 146, 77) not in shapes
 
     def test_floor_is_tight_where_the_drive_dominates(self):
@@ -1095,19 +1154,19 @@ class TestCoarsePruning:
             ratios[k] = (problem.coarse_floor(k, cfg.target_metric) / power).item()
         assert all(0.95 <= ratio <= 1.0 for ratio in ratios.values()), ratios
 
-    def test_default_rsa_2048_solves_a_few_coarse_points(self, monkeypatch):
-        candidates, kept = _FtProblem.candidates, []
+    def test_default_rsa_2048_solves_its_coarse_pass_in_one_call(self, monkeypatch):
+        # one level is searched: one solve of the first batch on the coarse
+        # grid, whose points come as a selection, then two refine grids
+        shapes, solve_fields = [], _FtProblem.solve_fields
 
-        def recording(self, *args):
-            keep = candidates(self, *args)
-            kept.append((keep.size, int(keep.sum())))
-            return keep
+        def recording(self, k, target, fields):
+            shapes.append(np.shape(fields[2]))
+            return solve_fields(self, k, target, fields)
 
-        monkeypatch.setattr(_FtProblem, "candidates", recording)
+        monkeypatch.setattr(_FtProblem, "solve_fields", recording)
         run_problem(load_config(text=""))
-        ((size, count),) = kept
-        assert size == 146 * 77
-        assert 0 < count < size / 10
+        assert shapes == [(optimize._FIRST_BATCH,), (9, 9), (9, 9)]
+        assert optimize._FIRST_BATCH < 146 * 77 / 10
 
     def test_power_beyond_the_float_range_is_infeasible(self):
         # 91^155 * 49 physical qubits of RSA-16 at 0.1 mK behind the
@@ -1188,12 +1247,12 @@ class TestCoarseTable:
             problem = _FtProblem(**args, options=LIGHT)
             misses = (optimize._coarse_grid.cache_info().misses,
                       optimize._coarse_multipliers.cache_info().misses)
-            axes, fields, sub_fields = optimize._coarse_grid(*problem.grid_key)
+            axes, fields = optimize._coarse_grid(*problem.grid_key)
             multipliers = optimize._coarse_multipliers(problem.grid_key, args["model"],
                                                        args["toggles"].t_ext)
             assert misses == (optimize._coarse_grid.cache_info().misses,
                               optimize._coarse_multipliers.cache_info().misses)
-            for array in (*axes, *fields, *sub_fields, *multipliers):
+            for array in (*axes, *fields, *multipliers):
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
                     array.flat[0] = 0

@@ -254,7 +254,7 @@ class TestConductionKernel:
         t_qb, t_gen = (optimize._log_axis(lo, hi, 40)[0] for lo, hi in bounds)
         want = self._check_rises(t_qb, t_gen, k_stages)
         optimize._coarse_grid.cache_clear()
-        _, (table_stages, rises, *_), _ = optimize._coarse_grid(*bounds, 40, k_stages, OMEGA0)
+        _, (table_stages, rises, *_) = optimize._coarse_grid(*bounds, 40, k_stages, OMEGA0)
         assert np.array_equal(table_stages, stage_temperatures(
             t_qb[:, None], t_gen[None, :], k_stages))
         assert np.array_equal(rises, want)
