@@ -52,7 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", parents=[common],
                        help="optimize over a parameter grid")
     p.add_argument("--sweep", action="append", required=True, metavar="AXIS",
-                   help="axis spec key=start:stop:points[:log]; repeatable")
+                   help="axis spec key=start:stop:points[:log], the key as "
+                        "section.key or the config field name; repeatable")
     p = sub.add_parser("compare-rsa", parents=[common],
                        help="quantum vs classical factoring table")
     p.add_argument("--n", default="512:4096:8:log", metavar="RANGE",

@@ -148,6 +148,8 @@ for _f in dataclasses.fields(RunConfig):
 #: RunConfig field -> ``section.key``, as a file writes it.
 _WRITTEN = {name: f"{section}.{key}" for section, keys in _SCHEMA.items()
             for key, name in keys.items()}
+#: ``section.key``, as a file writes it, -> RunConfig field.
+WRITTEN_FIELDS = {written: name for name, written in _WRITTEN.items()}
 #: The [chain] keys that give an attenuation bound in natural units, not
 #: dB, by the field they set.
 _NATURAL_UNITS = {"attenuation_min": "attenuation_min_db",

@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .config import FIELD_TYPES, ConfigError, RunConfig, validate
+from .config import FIELD_TYPES, WRITTEN_FIELDS, ConfigError, RunConfig, validate
 from .optimize import (
     OptimizationResult,
     optimize_ft,
@@ -23,7 +23,8 @@ from .workloads import classical_energy_time
 
 @dataclass(frozen=True)
 class SweepAxis:
-    """One swept configuration field: ``key=start:stop:points[:log]``."""
+    """One swept setting: ``key=start:stop:points[:log]``, with ``key``
+    as a config file writes it, ``section.key``, or the RunConfig field."""
 
     key: str
     start: float
@@ -57,15 +58,24 @@ class SweepAxis:
         return cls(key.strip(), float(parts[0]), float(parts[1]), int(parts[2]), log)
 
 
-def _override(cfg: RunConfig, key: str, value: float) -> RunConfig:
-    kind = FIELD_TYPES.get(key)
+def _sweep_field(key: str) -> str:
+    """The numeric RunConfig field that the sweep key ``key`` sets: ``key``
+    is written as in a config file, ``section.key``, or is the field."""
+    name = WRITTEN_FIELDS.get(key, key)
+    kind = FIELD_TYPES.get(name)
     if kind is None:
-        raise ValueError(f"unknown sweep key {key!r}")
+        written = [w for w in WRITTEN_FIELDS if w.endswith(f".{key}")]
+        hint = f"; did you mean {written[0]!r}?" if len(written) == 1 else ""
+        raise ValueError(f"unknown sweep key {key!r}{hint}")
     if kind in ("str", "bool"):
         raise ValueError(f"sweep key {key!r} is not numeric")
-    if kind == "int" and math.isfinite(value):
+    return name
+
+
+def _override(cfg: RunConfig, name: str, value: float) -> RunConfig:
+    if FIELD_TYPES[name] == "int" and math.isfinite(value):
         value = int(round(value))
-    return cfg.replace(**{key: value})
+    return cfg.replace(**{name: value})
 
 
 def run_problem(cfg: RunConfig) -> OptimizationResult:
@@ -119,19 +129,22 @@ def sweep(cfg: RunConfig, axes: list[SweepAxis]) -> list[dict]:
     """Cartesian-product evaluation over the given axes.
 
     Rows come out in C order of the axis values (last axis fastest), one
-    :func:`run_problem` per point, infeasible points included.  Each point
-    is checked first, as :func:`~coldstack.config.load_config` checks a
-    file.  A point that fails the check or raises stops the sweep with an
-    exception of the same type whose message names the point.
+    :func:`run_problem` per point, infeasible points included; each
+    starts with the swept values, under the names of the fields they set,
+    whichever way the keys are written.  Each point is checked first, as
+    :func:`~coldstack.config.load_config` checks a file.  A point that
+    fails the check or raises stops the sweep with an exception of the
+    same type whose message names the point, by the keys as written.
     """
     if not axes:
         raise ValueError("sweep needs at least one axis")
+    names = [_sweep_field(axis.key) for axis in axes]
     grids = [axis.values() for axis in axes]
     rows = []
     for combo in itertools.product(*grids):
         point_cfg = cfg
-        for axis, value in zip(axes, combo):
-            point_cfg = _override(point_cfg, axis.key, float(value))
+        for name, value in zip(names, combo):
+            point_cfg = _override(point_cfg, name, float(value))
         where = ", ".join(f"{axis.key}={float(value)!r}" for axis, value in zip(axes, combo))
         try:
             result = run_problem(validate(point_cfg))
@@ -139,7 +152,7 @@ def sweep(cfg: RunConfig, axes: list[SweepAxis]) -> list[dict]:
             raise ConfigError([f"sweep point {where}: {p}" for p in exc.problems]) from exc
         except Exception as exc:
             raise type(exc)(f"sweep point {where}: {exc}") from exc
-        row = {axis.key: value for axis, value in zip(axes, combo)}
+        row = dict(zip(names, combo))
         row.update(result_record(point_cfg, result))
         rows.append(row)
     return rows

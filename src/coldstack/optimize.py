@@ -37,8 +37,10 @@ The fault-tolerant model has one implementation, :class:`_FtProblem`.
 On any temperature grid it gives the power of the whole machine as
 per-stage, per-source terms (:meth:`_FtProblem.terms`, the one home of
 each row's formula); the search sums their electrical powers, and
-:func:`evaluate_ft_point` is the same kernel on a one-point grid that
-makes them the StageRecords of the breakdown.  A solve prices the heat
+:meth:`_FtProblem.evaluate` is the same kernel on a one-point grid that
+makes them the StageRecords of the breakdown: :func:`optimize_ft`
+prices its answer with it on the problem that searched, and
+:func:`evaluate_ft_point` calls it.  A solve prices the heat
 multipliers and the always-on rows
 (:func:`~coldstack.thermal.static_power_breakdown`) at the points it
 solves and nowhere else; both are elementwise, so a point costs the
@@ -48,8 +50,9 @@ qubit count and classical cost, is computed once per problem and level
 the search.  :func:`optimize_ft` first reads the least error
 probability in the box (:meth:`_FtProblem.least_error_probability`) on
 the one chain at its coldest corner, laid out alone with the bits of
-node (0, 0) of the coarse grid, which skips the levels that cannot reach
-the target without building the grid.  It searches the others in
+node (0, 0) of the coarse grid (and cached, :func:`_corner_occupancies`),
+which skips the levels that cannot reach the target without building
+the grid.  It searches the others in
 ascending order and skips a level whose power floor, a closed-form
 lower bound on its power anywhere in the box, lies above the best power
 found so far; such a level could not have won, so the result is the
@@ -64,13 +67,15 @@ and line counts scale the conduction rows only where they are priced.
 The heat multipliers mu of its stages that the coarse floor below
 needs, and its conduction sum G, are cached too
 (:func:`_coarse_multipliers`), keyed on the same and on the efficiency
-model and t_ext.  The coarse axes themselves are cached per bounds and points per decade
-(:func:`_log_axis`), read-only, and :func:`_grid_refine` hands them to
-every problem of a batch as broadcast views.  On the grids it lays out
-itself the search calls the unchecked kernels of the model's formulas
-(such as :func:`~coldstack.noise._bose_einstein` and
-:func:`~coldstack.qec._ft_metric`); the public functions check their
-inputs and then call the same kernels.
+model and t_ext, and so is the always-on power per qubit that the floor
+takes with them (:func:`_coarse_static`), keyed also on the scenario
+and the cable.  The coarse axes themselves are cached per bounds and
+points per decade (:func:`_log_axis`), read-only, and
+:func:`_grid_refine` gives every problem of a batch a copy of them.  On
+the grids it lays out itself the search calls the unchecked kernels of
+the model's formulas (such as :func:`~coldstack.noise._bose_einstein`
+and :func:`~coldstack.qec._ft_metric`); the public functions check
+their inputs and then call the same kernels.
 
 Within a level, the coarse pass is pruned by branch and bound, best
 first (:meth:`_FtProblem.coarse_pass`).  Each coarse point has a
@@ -125,8 +130,10 @@ from .thermal import (
     attenuator_heat_fractions,
     conduction_heat_per_qubit,
     demodulation_power_per_qubit,
+    generation_rows,
     grid_conduction_rises,
     hardware_rows,
+    qubit_stage_rows,
     stage_temperatures,
     static_power_breakdown,
     syndrome_power_per_qubit,
@@ -249,6 +256,10 @@ def _log_axis(lo: float, hi: float, per_decade: int) -> tuple[np.ndarray, float]
     return vals, spacing
 
 
+#: The nodes of a refined row, in fine steps from its centre.
+_REFINED_STEPS = np.arange(-REFINEMENT_FACTOR, REFINEMENT_FACTOR + 1)
+
+
 def _refined_axis(centers: np.ndarray, spacing: float,
                   lo: float, hi: float) -> tuple[np.ndarray, float]:
     """Rows spanning one old step around each of ``centers`` at
@@ -256,8 +267,8 @@ def _refined_axis(centers: np.ndarray, spacing: float,
     Clipped values repeat, so the rows keep one length; a repeat ties
     exactly."""
     fine = spacing / REFINEMENT_FACTOR
-    offsets = np.arange(-REFINEMENT_FACTOR, REFINEMENT_FACTOR + 1) * fine
-    return np.minimum(np.maximum(centers[:, None] * 10.0**offsets, lo), hi), fine
+    return np.minimum(np.maximum(centers[:, None] * 10.0**(_REFINED_STEPS * fine), lo),
+                      hi), fine
 
 
 def _boundary_attenuation(gap, lo: float, hi: float, invert):
@@ -313,45 +324,56 @@ def _grid_refine(solve, axes, options: GridOptions, batch: int = 1):
     Returns per problem (power, point, attenuation), or None if its
     first grid has no feasible point, and the spacing in decades by axis
     name.
+
+    Each pass works on the results flattened to one row per problem, so
+    a point is one flat index, in C order, and so by problem.
     """
     grids, spacing = [], []
     for _, (lo, hi) in axes:
         grid, step = _log_axis(lo, hi, options.temperature_points_per_decade)
-        grids.append(np.broadcast_to(grid, (batch, grid.size)))
+        grids.append(grid[None].repeat(batch, axis=0))
         spacing.append(step)
-    inner = tuple(range(1, len(axes) + 1))
     best_power, best_a = np.full(batch, np.inf), np.full(batch, np.nan)
     # a problem without a feasible point refines, unused, around the lower corner
     best_point = np.empty((batch, len(axes)))
     best_point[:] = [lo for _, (lo, _) in axes]
     for pass_index in range(options.refinement_passes + 1):
         power, a_star = solve(*grids)
+        shape = power.shape[1:]
+        power, a_star = power.reshape(batch, -1), a_star.ravel()
+        low = power.min(axis=1)
         if pass_index == 0:
-            alive = np.isfinite(power).any(axis=inner)
+            alive = low < np.inf
             live = np.count_nonzero(alive)
             if not live:
                 break
-        low = power.min(axis=inner, keepdims=True) * (1 + RELATIVE_TIE)
-        # the tied points of the live problems as (problem, grid indices), in C
-        # order, so by problem; each live problem ties at least at its least
-        # power, so more points than live problems means several in some one
-        pick = np.nonzero(power <= np.where(alive.reshape(low.shape), low, -np.inf))
-        if pick[0].size > live:  # the tie-break picks one per problem
-            keys = [sign * g[pick[0], i] for sign, g, i in zip(_TIE_SIGNS, grids, pick[1:])]
-            order = np.lexsort((np.arange(pick[0].size), *keys[::-1], a_star[pick], pick[0]))
-            rows = pick[0][order]
-            first = order[np.concatenate(([True], rows[1:] != rows[:-1]))]  # one per problem
-            pick = tuple(i[first] for i in pick)
+            # each problem's least power times this tops its tie band; a
+            # dead problem's -inf leaves it no point
+            tie_factor = np.where(alive, 1 + RELATIVE_TIE, -np.inf)
+        # the tied points of the live problems; each ties at least at its
+        # least power, so more points than live problems means several in some one
+        pick = (power <= (low * tie_factor)[:, None]).ravel().nonzero()[0]
+        rows, cols = np.divmod(pick, power.shape[1])
+        if pick.size > live:  # the tie-break picks one per problem; lexsort is stable
+            at = np.unravel_index(cols, shape)
+            keys = [sign * g[rows, i] for sign, g, i in zip(_TIE_SIGNS, grids, at)]
+            order = np.lexsort((*keys[::-1], a_star[pick], rows))
+            ranked = rows[order]
+            first = order[np.concatenate(([True], ranked[1:] != ranked[:-1]))]  # one per problem
+            pick, rows, cols = pick[first], rows[first], cols[first]
         # the picks that improve on their problem's incumbent
-        b, *at = pick = tuple(i[power[pick] < best_power[pick[0]]] for i in pick)
-        best_power[b], best_a[b] = power[pick], a_star[pick]
-        for d, (g, i) in enumerate(zip(grids, at)):
-            best_point[b, d] = g[b, i]
+        picked = power.ravel()[pick]
+        better = picked < best_power[rows]
+        pick, rows, cols = pick[better], rows[better], cols[better]
+        best_power[rows], best_a[rows] = picked[better], a_star[pick]
+        for d, (g, i) in enumerate(zip(grids, np.unravel_index(cols, shape))):
+            best_point[rows, d] = g[rows, i]
         if pass_index < options.refinement_passes:
             for d, (_, (lo, hi)) in enumerate(axes):
                 grids[d], spacing[d] = _refined_axis(best_point[:, d], spacing[d], lo, hi)
-    found = [(float(p), tuple(map(float, x)), float(a)) if ok else None
-             for ok, p, x, a in zip(alive, best_power, best_point, best_a)]
+    found = [(p, tuple(x), a) if ok else None
+             for ok, p, x, a in zip(alive.tolist(), best_power.tolist(), best_point.tolist(),
+                                    best_a.tolist())]
     return found, {name: step for (name, _), step in zip(axes, spacing)}
 
 
@@ -636,6 +658,47 @@ def _coarse_multipliers(grid_key: tuple, model: CryoEfficiencyModel, t_ext: floa
                        (rises * (mult[:-1] - mult[1:])).sum(axis=0)))
 
 
+@lru_cache(maxsize=2)
+def _coarse_static(grid_key: tuple, scenario: ElectronicsScenario, cable: CableModel,
+                   model: CryoEfficiencyModel, t_ext: float) -> tuple:
+    """On the coarse grid ``_coarse_grid(*grid_key)``, what the coarse floor
+    needs of the heat multipliers mu (:func:`_coarse_multipliers`): mu of
+    the qubit stage less mu of the stage below the top, and the latter;
+    and the always-on power per physical qubit there, the sum of the rows
+    of :func:`~coldstack.thermal.static_power_breakdown` in closed form;
+    as read-only arrays.  The arguments are the cache's key; two entries let
+    a run that alternates two hardware sets on one cable price each once.
+
+    The conduction rows telescope to ``(l/L) G``; the others are
+    :func:`~coldstack.thermal.hardware_rows` on the coarse axes.  The
+    rows take each span as ``r_j / L * l``, which stays finite where l/L
+    overflows, and whose quotient may round to a subnormal, off by up to
+    ulp(0); so G is scaled by l/L capped at the float maximum, less ``l
+    ulp(0) (1 + max mu_qb)``, as the spans' mu differences sum to at most
+    mu_qb.
+    """
+    largest = sys.float_info.max
+    (t_qb, t_gen), *_ = _coarse_grid(*grid_key)
+    mu_qb, mu_gen, mu_below_top, conduction = _coarse_multipliers(grid_key, model, t_ext)
+    rows = hardware_rows(t_qb[:, None], t_gen[None, :], mu_qb, mu_gen, scenario, model, t_ext)
+    lines = cable.lines_per_qubit
+    slack = lines * math.ulp(0.0) * (1.0 + min(float(mu_qb.max()), largest))
+    with np.errstate(over="ignore"):  # inf where the rows leave the float range
+        static = (min(lines / cable.length_m, largest) * conduction
+                  + sum((rec.electrical_power_w for rec in rows), -slack))
+    return _read_only((mu_qb - mu_below_top, mu_below_top, static))
+
+
+@lru_cache(maxsize=1)
+def _corner_occupancies(t_qb: float, t_gen: float, k_stages: int, omega0: float) -> tuple:
+    """The occupancy of the qubit stage, and its rise into each next
+    stage, of the chain from ``t_qb`` to ``t_gen``, laid out alone as a
+    1x1 grid, as read-only arrays.  The arguments are the cache's key."""
+    stages = stage_temperatures(np.array([[t_qb]], float), np.array([[t_gen]], float), k_stages)
+    occ = _bose_einstein(stages, omega0)
+    return _read_only((occ[0], occ[1:] - occ[:-1]))
+
+
 class _FtProblem:
     """The fault-tolerant model: metric and per-source power of the whole
     machine over grids of (T_qb, T_gen), and the boundary solve on them,
@@ -653,6 +716,7 @@ class _FtProblem:
         self.p_pi = pi_pulse_power(tech, tech.tau_1qb if drive_1qb else tech.tau_2qb)
         self.n_locations = workload.q_logical * workload.d_logical
         self._levels = {}  # level(k) by k
+        self._solved = {}  # by k, the axes and fields of the last grid solved at level k
         #: the key of the coarse grid's tables
         self.grid_key = (tuple(map(float, options.t_qb_bounds)),
                          tuple(map(float, options.t_gen_bounds)),
@@ -667,34 +731,6 @@ class _FtProblem:
         net = conduction_heat_per_qubit(stages, self.cable, rises)
         return mult, static_power_breakdown(stages, self.scenario, self.cable, self.model,
                                             self.toggles.t_ext, net, mult)
-
-    @cached_property
-    def coarse_static(self) -> tuple:
-        """mu of the qubit stage and of the stage below the top on the
-        coarse grid (:func:`_coarse_multipliers`), and the always-on power
-        per physical qubit there: the sum of the rows of
-        :func:`~coldstack.thermal.static_power_breakdown`, in closed form.
-
-        The conduction rows telescope to ``(l/L) G``; the others are
-        :func:`~coldstack.thermal.hardware_rows` on the coarse axes.  The
-        rows take each span as ``r_j / L * l``, which stays finite where
-        l/L overflows, and whose quotient may round to a subnormal, off by
-        up to ulp(0); so G is scaled by l/L capped at the float maximum,
-        less ``l ulp(0) (1 + max mu_qb)``, as the spans' mu differences sum
-        to at most mu_qb.
-        """
-        cable, t_ext, largest = self.cable, self.toggles.t_ext, sys.float_info.max
-        (t_qb, t_gen), *_ = _coarse_grid(*self.grid_key)
-        mu_qb, mu_gen, mu_below_top, conduction = _coarse_multipliers(self.grid_key, self.model,
-                                                                      t_ext)
-        rows = hardware_rows(t_qb[:, None], t_gen[None, :], mu_qb, mu_gen, self.scenario,
-                             self.model, t_ext)
-        lines = cable.lines_per_qubit
-        slack = lines * math.ulp(0.0) * (1.0 + min(float(mu_qb.max()), largest))
-        with np.errstate(over="ignore"):  # inf where the rows leave the float range
-            static = (min(lines / cable.length_m, largest) * conduction
-                      + sum((rec.electrical_power_w for rec in rows), -slack))
-        return mu_qb, mu_below_top, static
 
     def level(self, k: int) -> tuple:
         """At level ``k``: the drive weight ``W_k Q_L`` (parallel 2qb-equivalents
@@ -732,13 +768,10 @@ class _FtProblem:
         attenuation.  The chain there is laid out alone, as node (0, 0) of
         the coarse grid is laid out, so it has that node's bits, and no
         grid is built to read them."""
-        options = self.options
-        stages = stage_temperatures(np.array([[options.t_qb_bounds[0]]], float),
-                                    np.array([[options.t_gen_bounds[0]]], float),
-                                    self.toggles.k_stages)
-        occ = _bose_einstein(stages, self.tech.omega0)
-        return self.error_probability(occ[0], occ[1:] - occ[:-1])(
-            np.log10(options.attenuation_bounds[1])).item()
+        (t_qb_lo, _), (t_gen_lo, _), _, k_stages, omega0 = self.grid_key
+        n_cold, n_rise = _corner_occupancies(t_qb_lo, t_gen_lo, k_stages, omega0)
+        return self.error_probability(n_cold, n_rise)(
+            np.log10(self.options.attenuation_bounds[1])).item()
 
     def metric(self, p_err, k: int):
         """:func:`~coldstack.qec.ft_metric` of the error probabilities
@@ -812,15 +845,18 @@ class _FtProblem:
         On the coarse grid only the points that can still be the grid's
         pick are solved (:meth:`coarse_pass`), with the bits a solve of
         the full grid gives them; the others get infinite power and NaN
-        attenuation.  Any other grid is solved in full.
+        attenuation.  Any other grid is solved in full.  The axes and
+        fields of the last grid taken at each level are kept, on the
+        problem, for :meth:`evaluate`.
         """
         (t_qb,), (t_gen,) = t_qb, t_gen
         (qb_axis, gen_axis), fields = _coarse_grid(*self.grid_key)
         if not (np.array_equal(t_qb, qb_axis) and np.array_equal(t_gen, gen_axis)):
-            power, a_star = self.solve_fields(k, target, _grid_fields(
-                t_qb, t_gen, self.toggles.k_stages, self.tech.omega0))
+            fields = _grid_fields(t_qb, t_gen, self.toggles.k_stages, self.tech.omega0)
+            power, a_star = self.solve_fields(k, target, fields)
         else:
             power, a_star = self.coarse_pass(k, target, fields)
+        self._solved[k] = t_qb, t_gen, fields
         return power[None], a_star[None]
 
     def solve_fields(self, k: int, target: float, fields: tuple):
@@ -890,7 +926,7 @@ class _FtProblem:
         point does.
 
         The static rows cost their sum per qubit
-        (:attr:`coarse_static`) times the qubit count.  The K-1
+        (:func:`_coarse_static`) times the qubit count.  The K-1
         attenuator fractions (stages 1..K-1) are >= 0 and sum to the
         total attenuation A, the first is ``A^(1/(K-1)) >= 1``, and mu
         falls along a valid chain, so the drive costs at least
@@ -903,20 +939,21 @@ class _FtProblem:
         target.  The budget is taken 1e-9 relative high against the
         round-off of its inversion.
         """
-        _, (_, _, n_cold, n_rise, valid) = _coarse_grid(*self.grid_key)
-        # priced (once per problem) before this call's own temporaries exist
-        mu_first, mu_last, per_qubit = self.coarse_static
         tog = self.toggles
+        _, (_, _, n_cold, n_rise, valid) = _coarse_grid(*self.grid_key)
+        # priced before this call's own temporaries exist
+        mu_span, mu_last, per_qubit = _coarse_static(self.grid_key, self.scenario, self.cable,
+                                                     self.model, tog.t_ext)
         a_low = self.options.attenuation_bounds[0]
         reachable = valid
         if target > 0:
             n_star = self.occupancy_budget(target, k)
             excess = n_star + 1e-9 * abs(n_star) - n_cold
             reachable = valid & (excess >= 0.0)
-            a_low = np.maximum(a_low, np.divide(n_rise[-1], excess, out=np.zeros_like(excess),
-                                                where=excess > 0.0))
+            # a quotient of 0 where the budget leaves no excess: n_rise / inf
+            a_low = np.maximum(a_low, n_rise[-1] / np.where(excess > 0.0, excess, np.inf))
         weight, qubits, classical = self.level(k)
-        drive = a_low ** (1.0 / (tog.k_stages - 1)) * (mu_first - mu_last) + a_low * mu_last
+        drive = a_low ** (1.0 / (tog.k_stages - 1)) * mu_span + a_low * mu_last
         # inf where the floor leaves the float range; NaN where an inf drive
         # weight meets a drive that rounds to 0, on a chain that is not valid
         with np.errstate(over="ignore", invalid="ignore"):
@@ -953,14 +990,61 @@ class _FtProblem:
         if n_star > 0 and (rate := K_B * math.log1p(1.0 / n_star)) > 0:
             t_top = min(t_top, HBAR * self.tech.omega0 / rate)
         mu_top = model.heat_multiplier(t_top, tog.t_ext)
-        lo, hi = (hardware_rows(t_top, t_gen, mu_top, model._heat_multiplier(t_gen, tog.t_ext),
-                                self.scenario, model, tog.t_ext)
-                  for t_gen in options.t_gen_bounds)
-        # Python floats, whose products overflow to inf silently
-        per_qubit = float(sum(min(a.electrical_power_w, b.electrical_power_w)
-                              for a, b in zip(lo, hi)))
+        # Python floats, whose products overflow to inf silently; the qubit
+        # stage's rows, at t_top, are the same at both t_gen bounds
+        per_qubit = float(sum((rec.electrical_power_w
+                               for rec in qubit_stage_rows(t_top, mu_top, model)),
+                              self.generation_floor))
         weight, qubits, classical = self.level(k)
         return qubits * (per_qubit + classical) + weight * self.p_pi * mu_top
+
+    @cached_property
+    def generation_floor(self) -> float:
+        """The lesser of each row of :func:`~coldstack.thermal.generation_rows`
+        at the box's two generation-stage bounds, summed in row order: the
+        part of :meth:`power_floor`'s always-on rows that is the same at
+        every level."""
+        tog, model = self.toggles, self.model
+        lo, hi = (generation_rows(t_gen, model._heat_multiplier(t_gen, tog.t_ext), self.scenario,
+                                  model, tog.t_ext)
+                  for t_gen in self.options.t_gen_bounds)
+        return sum(min(a.electrical_power_w, b.electrical_power_w) for a, b in zip(lo, hi))
+
+    def evaluate(self, t_qb: float, t_gen: float, a_total: float, k: int) -> FtPointEvaluation:
+        """Power, metric and per-stage breakdown at one point of level ``k``:
+        :meth:`terms` on a one-point grid of :func:`_grid_fields`, priced
+        as :meth:`solve_fields` prices a grid, so the power is the one the
+        search compared.  It is exactly the sum of the per-stage
+        electrical powers.
+
+        A point of the last grid :meth:`solve` took at level ``k`` is
+        sliced from that grid's fields, which are elementwise, so it has
+        the bits of its own layout; any other point is laid out alone."""
+        fields = None
+        if k in self._solved:
+            qb_row, gen_row, grid = self._solved[k]
+            i, j = np.flatnonzero(qb_row == t_qb), np.flatnonzero(gen_row == t_gen)
+            if i.size and j.size:
+                fields = _at(grid, (slice(i[0], i[0] + 1), slice(j[0], j[0] + 1)))
+        if fields is None:
+            fields = _grid_fields(np.array([t_qb], float), np.array([t_gen], float),
+                                  self.toggles.k_stages, self.tech.omega0)
+        stages, rises, n_cold, n_rise, _ = fields
+        p_err = self.error_probability(n_cold, n_rise)(np.log10(a_total))
+        # rows priced as in the search; a heat may be inf where its power is not
+        with np.errstate(over="ignore", invalid="ignore"):
+            mult, static = self.stage_fields(stages, rises)
+            records = tuple(
+                StageRecord(*(x.item() if isinstance(x, (np.ndarray, np.generic)) else x
+                              for x in (t, heat, power)), source)
+                for t, heat, power, source in self.terms(stages, mult, static,
+                                                         np.array([[a_total]], float), k))
+        return FtPointEvaluation(
+            power_w=sum(rec.electrical_power_w for rec in records),
+            metric=self.metric(p_err, k).item(),
+            per_stage=records,
+            physical_qubits=self.level(k)[1],
+            p_err=p_err.item())
 
 
 def evaluate_ft_point(workload: Workload, tech: QubitTechnology,
@@ -970,32 +1054,18 @@ def evaluate_ft_point(workload: Workload, tech: QubitTechnology,
                       toggles: FtToggles = FtToggles()) -> FtPointEvaluation:
     """Evaluate power, metric, and the per-stage breakdown at one point.
 
-    This is the optimizer's kernel on a one-point grid, so the power is
-    the one the search compared.  It is exactly the sum of the per-stage
-    electrical powers, so breakdowns reconstruct the total without
-    residue.
+    This is the optimizer's kernel on a one-point grid
+    (:meth:`_FtProblem.evaluate`, which :func:`optimize_ft` prices its
+    answer with), so the power is the one the search compared.  It is
+    exactly the sum of the per-stage electrical powers, so breakdowns
+    reconstruct the total without residue.
     """
     if not (0 < t_qb < t_gen <= toggles.t_ext):
         raise ValueError("need 0 < t_qb < t_gen <= t_ext")
     if a_total < 1:
         raise ValueError("total attenuation must be >= 1")
     problem = _FtProblem(workload, tech, scenario, cable, model, toggles, GridOptions())
-    stages, rises, n_cold, n_rise, _ = _grid_fields(
-        np.array([t_qb], float), np.array([t_gen], float), toggles.k_stages, tech.omega0)
-    p_err = problem.error_probability(n_cold, n_rise)(np.log10(a_total))
-    # rows priced as in the search; a heat may be inf where its power is not
-    with np.errstate(over="ignore", invalid="ignore"):
-        mult, static = problem.stage_fields(stages, rises)
-        records = tuple(
-            StageRecord(*(np.asarray(x).item() for x in (t, heat, power)), source)
-            for t, heat, power, source in problem.terms(stages, mult, static,
-                                                        np.array([[a_total]], float), k))
-    return FtPointEvaluation(
-        power_w=sum(rec.electrical_power_w for rec in records),
-        metric=problem.metric(p_err, k).item(),
-        per_stage=records,
-        physical_qubits=qec.physical_qubits(workload.q_logical, k),
-        p_err=p_err.item())
+    return problem.evaluate(t_qb, t_gen, a_total, k)
 
 
 def optimize_ft(workload: Workload, tech: QubitTechnology,
@@ -1055,16 +1125,14 @@ def optimize_ft(workload: Workload, tech: QubitTechnology,
                     f"[{options.k_min}, {options.k_max}]")
         return _infeasible(diag)
     power, k, a_star, t_qb, t_gen, spacing = best
-    ev = evaluate_ft_point(workload, tech, scenario, cable, model,
-                           t_qb, t_gen, a_star, k, toggles)
+    ev = problem.evaluate(t_qb, t_gen, a_star, k)
     # far up the levels the round-off of the boundary solve can miss the
     # target by more than METRIC_TOL: the attenuation then rises, in
     # doubling relative steps, until the point meets it
     step, a_hi = 2.0**-50, options.attenuation_bounds[1]
     while ev.metric < target - METRIC_TOL and a_star < a_hi:
         a_star, step = min(a_hi, a_star * (1.0 + step)), 2.0 * step
-        ev = evaluate_ft_point(workload, tech, scenario, cable, model,
-                               t_qb, t_gen, a_star, k, toggles)
+        ev = problem.evaluate(t_qb, t_gen, a_star, k)
     return OptimizationResult(
         control=ControlPoint(t_qb=t_qb, t_gen=t_gen, a_total=a_star, k=k),
         power_w=ev.power_w,

@@ -186,9 +186,22 @@ def stage_temperatures(t_qb, t_gen, k_stages: int = 5) -> np.ndarray:
 # Cable heat conduction
 # ---------------------------------------------------------------------------
 
-#: Gauss-Legendre nodes of the steel part of the conduction integral, as columns.
-_STEEL_NODES = 16
-_STEEL_X, _STEEL_W = (v[:, None] for v in np.polynomial.legendre.leggauss(_STEEL_NODES))
+#: The 16-point Gauss-Legendre rule of the steel part of the conduction
+#: integral on [-1, 1], as columns: ``numpy.polynomial.legendre.leggauss(16)``
+#: to the bit, written out so that importing this module does not import
+#: ``numpy.polynomial``.
+_STEEL_X = np.array([
+    -0.9894009349916499, -0.9445750230732326, -0.8656312023878318, -0.755404408355003,
+    -0.6178762444026438, -0.45801677765722737, -0.2816035507792589, -0.09501250983763744,
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
+])[:, None]
+_STEEL_W = np.array([
+    0.027152459411754176, 0.062253523938647456, 0.0951585116824926, 0.12462897125553407,
+    0.1495959888165767, 0.16915651939500265, 0.18260341504492364, 0.18945061045506864,
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176,
+])[:, None]
 #: Hot temperatures per pass of the steel rule: its temporaries stay small.
 _HOT_BLOCK = 2048
 
@@ -219,9 +232,13 @@ def _conduction_integral(temperature):
         at = hot[start:start + _HOT_BLOCK]
         half = 0.5 * (np.log10(t[at]) - 1.0)
         t_node = 10.0 ** (1.0 + half * (_STEEL_X + 1.0))
-        # accumulate adds the nodes in order for every block shape, which
-        # np.add.reduce does not: it pairs them on some shapes
-        steel = np.add.accumulate(_STEEL_W * steel_conductivity(t_node) * t_node, axis=0)[-1]
+        # the nodes added in order, one row at a time: np.add.reduce pairs
+        # them on some block shapes, and np.add.accumulate loops once per
+        # temperature, which costs ten times as much on a full block
+        terms = _STEEL_W * steel_conductivity(t_node) * t_node
+        steel = terms[0] + terms[1]
+        for row in terms[2:]:
+            steel += row
         flat[at] += AREA_ABOVE_10K_M2 * np.log(10.0) * half * steel
     return float(out[0]) if np.ndim(temperature) == 0 else out
 
@@ -326,24 +343,37 @@ def hardware_rows(t_qb, t_gen, mu_qb, mu_gen, scenario: ElectronicsScenario,
                   model: CryoEfficiencyModel, t_ext: float) -> list[StageRecord]:
     """The always-on rows other than conduction, per physical qubit, of
     chains with the qubit stage at ``t_qb`` and the generation stage at
-    ``t_gen``, of heat multipliers ``mu_qb`` and ``mu_gen``; elementwise.
-
-    Electronics and amplifier rows include their supply power.  The HEMT
-    amplifiers are pointless (and dropped) when the generation stage sits
-    at or below 70 K.  The small-scale efficiency model adds its parasitic
-    per-qubit heat load at the qubit stage.  Each row depends on one
-    temperature at most, and is monotone in it.
+    ``t_gen``, of heat multipliers ``mu_qb`` and ``mu_gen``; elementwise:
+    :func:`generation_rows`, then :func:`qubit_stage_rows`.  Each row
+    depends on one temperature at most, and is monotone in it.
     """
+    return (generation_rows(t_gen, mu_gen, scenario, model, t_ext)
+            + qubit_stage_rows(t_qb, mu_qb, model))
+
+
+def generation_rows(t_gen, mu_gen, scenario: ElectronicsScenario,
+                    model: CryoEfficiencyModel, t_ext: float) -> list[StageRecord]:
+    """The electronics and amplifier rows of :func:`hardware_rows`, which
+    depend on no stage but the generation stage, at ``t_gen`` of heat
+    multiplier ``mu_gen``.  They include their supply power.  The HEMT
+    amplifiers are pointless (and dropped) when the generation stage sits
+    at or below 70 K."""
     mu_para = model._heat_multiplier(PARAMP_K, t_ext)
     mu_hemt = model._heat_multiplier(HEMT_K, t_ext)
     q_hemt = scenario.q_hemt * (t_gen > HEMT_K)
-    rows = [StageRecord(t_gen, scenario.q_gen, (1.0 + mu_gen) * scenario.q_gen, "electronics"),
+    return [StageRecord(t_gen, scenario.q_gen, (1.0 + mu_gen) * scenario.q_gen, "electronics"),
             StageRecord(PARAMP_K, scenario.q_para, (1.0 + mu_para) * scenario.q_para, "amplifier"),
             StageRecord(HEMT_K, q_hemt, (1.0 + mu_hemt) * q_hemt, "amplifier")]
-    if model.kind == "small_scale":
-        q_extra = model.extra_qubit_heat_w
-        rows.append(StageRecord(t_qb, q_extra, mu_qb * q_extra, "extra"))
-    return rows
+
+
+def qubit_stage_rows(t_qb, mu_qb, model: CryoEfficiencyModel) -> list[StageRecord]:
+    """The rows of :func:`hardware_rows` at the qubit stage, at ``t_qb`` of
+    heat multiplier ``mu_qb``: the small-scale efficiency model's
+    parasitic per-qubit heat load, and none for the Carnot model."""
+    if model.kind != "small_scale":
+        return []
+    q_extra = model.extra_qubit_heat_w
+    return [StageRecord(t_qb, q_extra, mu_qb * q_extra, "extra")]
 
 
 def static_power_breakdown(temperatures, scenario: ElectronicsScenario,

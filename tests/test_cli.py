@@ -2,12 +2,16 @@ import argparse
 import contextlib
 import io
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+import coldstack
 from coldstack import driver
 from coldstack.cli import _build_parser, main
 from coldstack.config import ConfigError, RunConfig, load_config
@@ -146,10 +150,34 @@ class TestDriver:
 
     def test_sweep_rejects_non_numeric_keys(self):
         cfg = load_config(text=RSA_830_LIGHT)
-        # a string field, a boolean field, and a method of the config
-        for key in ("scenario", "include_demod_syndrome", "technology"):
+        # a string field, a boolean field, and a method of the config, by
+        # field name and as a file writes them
+        for key in ("scenario", "include_demod_syndrome", "technology", "scenario.name",
+                    "toggles.include_demod_syndrome"):
             with pytest.raises(ValueError):
                 sweep(cfg, [SweepAxis(key, 0.0, 1.0, 2)])
+
+    @pytest.mark.parametrize("key", ["length_m", "cable.cable_length_m", "target.target_metric",
+                                     "technology.rsa_n", "chain.attenuation_max"])
+    def test_sweep_rejects_keys_no_file_or_field_has(self, key):
+        with pytest.raises(ValueError, match=f"unknown sweep key '{key}'") as info:
+            sweep(load_config(text=RSA_830_LIGHT), [SweepAxis(key, 1.0, 1.0, 1)])
+        # a key without its section is named in full
+        assert str(info.value).endswith("did you mean 'cable.length_m'?") == (key == "length_m")
+
+    @pytest.mark.parametrize("written, field, spec", [
+        ("cable.length_m", "cable_length_m", "0.5:2:2"),
+        ("target.metric", "target_metric", "0.5:0.7:2"),
+        ("technology.gamma_inverse_s", "gamma_inverse_s", "0.05:0.5:2:log"),
+        ("optimizer.refinement_passes", "refinement_passes", "0:1:2")])
+    def test_both_key_spellings_give_the_same_results(self, written, field, spec):
+        # a key as a config file writes it and as the RunConfig field: the
+        # same rows, the swept column named by the field
+        cfg = load_config(text=RSA_830_LIGHT)
+        by_written = sweep(cfg, [SweepAxis.parse(f"{written}={spec}")])
+        by_field = sweep(cfg, [SweepAxis.parse(f"{field}={spec}")])
+        assert list(by_written[0])[0] == field
+        assert repr(by_written) == repr(by_field)
 
     @pytest.mark.parametrize("spec, problem", [
         ("t_qb_max_k=400:400:1", "t_qb_max_k must lie below the ambient t_ext_k"),
@@ -157,6 +185,8 @@ class TestDriver:
         ("gamma_inverse_s=nan:1:2", "gamma_inverse_s: must be a finite number"),
         ("k_max=inf:inf:1", "k_max: must be a finite number"),
         ("k_max=157:157:1", "optimizer.k_max: must be at most 155"),
+        ("cable_length_m=-1:-1:1", "cable.length_m: must be > 0"),
+        ("cable.length_m=-1:-1:1", "cable.length_m: must be > 0"),
         ("rsa_n=1e300:1e300:1", "workload: key size")])
     def test_sweep_points_are_validated(self, tmp_path, capsys, spec, problem):
         # each point meets the rules of a config file
@@ -261,6 +291,18 @@ class TestDriver:
             flags[scenario] = [r["quantum_faster"]
                                for r in compare_rsa(cfg, sizes)]
         assert flags["A"] == flags["C"]
+
+
+class TestStartUp:
+    def test_cli_import_leaves_out_numpy_polynomial(self):
+        # the steel rule's nodes and weights are literals, so no command
+        # pays for importing numpy.polynomial at start-up
+        src = str(Path(coldstack.__file__).parents[1])
+        code = "import sys, coldstack.cli\nprint('numpy.polynomial' in sys.modules)\n"
+        proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestNeverRaises:

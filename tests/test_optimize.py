@@ -621,6 +621,22 @@ class TestOptimizeFt:
         assert ev.power_w == sum(r.electrical_power_w for r in ev.per_stage)
         assert ev.power_w == res.power_w
 
+    @given(text=valid_config_texts(kinds=("rsa", "rectangular")))
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_answer_is_the_point_evaluation(self, text):
+        # the search prices its answer with the kernel evaluate_ft_point
+        # runs, on the problem that searched: the same bits
+        cfg = load_config(text=text)
+        result = run_problem(cfg)
+        if result.feasible:
+            c = result.control
+            ev = evaluate_ft_point(cfg.workload(), cfg.technology(), cfg.electronics(),
+                                   cfg.cable(), cfg.efficiency(), c.t_qb, c.t_gen, c.a_total,
+                                   c.k, cfg.ft_toggles())
+            assert repr((ev.power_w, ev.metric, ev.per_stage, ev.physical_qubits)) == repr(
+                (result.power_w, result.metric_achieved, result.per_stage,
+                 result.physical_qubits))
+
     @pytest.mark.parametrize("k", [20, 50, 155])
     def test_high_levels_meet_the_target(self, k):
         # the metric's steepness 2^k amplifies the round-off of the boundary
@@ -912,8 +928,10 @@ class TestPowerFloor:
     def test_fixed_multipliers_are_computed_once(self, monkeypatch):
         # the qubit-quality sweep on its two hardware sets, and the first
         # point once more: mu on the stages of the coarse grid is computed
-        # once per efficiency model
+        # once per efficiency model; the static rows' table above it is
+        # cleared too, as a hit there reads no multipliers
         optimize._coarse_multipliers.cache_clear()
+        optimize._coarse_static.cache_clear()
         coarse = collections.Counter()
         # the kernel, which the public heat_multiplier calls after its check
         heat_multiplier = CryoEfficiencyModel._heat_multiplier
@@ -1119,7 +1137,8 @@ class TestCoarsePruning:
         problem, _, _, (stages, *_) = _on_the_coarse_grid(cfg)
         rows = sum(rec.electrical_power_w for rec in thermal.static_power_breakdown(
             stages, cfg.electronics(), cfg.cable(), cfg.efficiency(), cfg.t_ext_k))
-        _, _, static = problem.coarse_static
+        _, _, static = optimize._coarse_static(problem.grid_key, cfg.electronics(), cfg.cable(),
+                                               cfg.efficiency(), cfg.t_ext_k)
         assert static.shape == rows.shape == (146, 77)
         np.testing.assert_allclose(static, rows, rtol=1e-12, atol=0.0)
 
@@ -1229,6 +1248,8 @@ class TestCoarseTable:
     def _clear():
         optimize._coarse_grid.cache_clear()
         optimize._coarse_multipliers.cache_clear()
+        optimize._coarse_static.cache_clear()
+        optimize._corner_occupancies.cache_clear()
 
     SEQUENCE = ("cable X", "cable Y", "scenario C", "8 GHz", "3 stages", "cable X")
 
@@ -1242,17 +1263,23 @@ class TestCoarseTable:
             assert repr(self._optimize(change)) == alone[change], change
             assert optimize._coarse_grid.cache_info().currsize == 1
             assert 1 <= optimize._coarse_multipliers.cache_info().currsize <= 2
+            assert 1 <= optimize._coarse_static.cache_info().currsize <= 2
+            assert optimize._corner_occupancies.cache_info().currsize == 1
             # the entries of the run just made, looked up without a miss
             args = self._args(change)
             problem = _FtProblem(**args, options=LIGHT)
-            misses = (optimize._coarse_grid.cache_info().misses,
-                      optimize._coarse_multipliers.cache_info().misses)
+            tables = (optimize._coarse_grid, optimize._coarse_multipliers,
+                      optimize._coarse_static, optimize._corner_occupancies)
+            misses = [table.cache_info().misses for table in tables]
             axes, fields = optimize._coarse_grid(*problem.grid_key)
             multipliers = optimize._coarse_multipliers(problem.grid_key, args["model"],
                                                        args["toggles"].t_ext)
-            assert misses == (optimize._coarse_grid.cache_info().misses,
-                              optimize._coarse_multipliers.cache_info().misses)
-            for array in (*axes, *fields, *multipliers):
+            static = optimize._coarse_static(problem.grid_key, args["scenario"], args["cable"],
+                                             args["model"], args["toggles"].t_ext)
+            (qb_lo, _), (gen_lo, _), _, k_stages, omega0 = problem.grid_key
+            corner = optimize._corner_occupancies(qb_lo, gen_lo, k_stages, omega0)
+            assert misses == [table.cache_info().misses for table in tables]
+            for array in (*axes, *fields, *multipliers, *static, *corner):
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
                     array.flat[0] = 0
@@ -1362,12 +1389,76 @@ def _toy_searches(draw):
     return problems, axes, options
 
 
+def _sparse_toy_solve(problems, *grids):
+    """:func:`_toy_solve` of problems given as (centre by axis, quantum,
+    dead, share, phase), infeasible, with infinite power and NaN
+    attenuation, but at about the fraction ``share`` of the points: where
+    a fixed function of the point's temperatures, offset by ``phase``,
+    has a fractional part below ``share``.  The attenuation, 1 to 4, is
+    another function of it, so points of equal power need not tie in
+    attenuation.  Both depend on the temperatures alone, so a node that a
+    refined grid repeats keeps its power and attenuation, and an
+    incumbent stays feasible in the grids around it."""
+    power, _ = _toy_solve([p[:3] for p in problems], *grids)
+    ndim = len(grids)
+    hashed = np.reshape([phase for *_, phase in problems], (-1,) + (1,) * ndim)
+    for d, grid in enumerate(grids):
+        shape = [len(problems)] + [1] * ndim
+        shape[d + 1] = grid.shape[1]
+        hashed = hashed + (97.0 + 31.0 * d) * np.log10(grid).reshape(shape)
+    share = np.reshape([share for *_, share, _ in problems], (-1,) + (1,) * ndim)
+    power = np.where(hashed - np.floor(hashed) < share, power, np.inf)
+    a_star = 1.0 + np.round(3.0 * np.abs(np.sin(7.0 * hashed)))
+    return power, np.where(power < np.inf, a_star, np.nan)
+
+
+@st.composite
+def _sparse_toy_searches(draw):
+    """(problems, axes, options) of :func:`_sparse_toy_solve` searches.  On
+    the default coarse grid, 146 x 77 by 40 points per decade, a few
+    hundred points are feasible, as the coarse pass of a level leaves
+    them; on sparser grids any share is.  Centres sit on a bound or
+    beyond it as often as inside the box, where the refined grids clip
+    and repeat nodes, which tie exactly."""
+    coarse = draw(st.booleans())
+    axes = [("t_qb", (1e-3, 4.0)), ("t_gen", (4.0, 300.0))]
+    if not coarse:
+        axes = axes[:draw(st.integers(1, 2))]
+
+    def centre(lo, hi):
+        lo, hi = math.log10(lo), math.log10(hi)
+        return draw(st.one_of(st.sampled_from([lo, hi, lo - 0.3, hi + 0.3]),
+                              st.floats(lo, hi)))
+
+    shares = [0.02, 0.05] if coarse else [0.02, 0.3, 1.0]
+    problems = [(tuple(centre(lo, hi) for _, (lo, hi) in axes),
+                 draw(st.sampled_from([1e-6, 1e-3, 0.05, 1.0, 100.0])),
+                 draw(st.booleans()) and draw(st.booleans()),
+                 draw(st.sampled_from(shares)), draw(st.floats(0.0, 1.0)))
+                for _ in range(draw(st.integers(1, 4)))]
+    per_decade = 40 if coarse else draw(st.integers(1, 6))
+    options = GridOptions(temperature_points_per_decade=per_decade,
+                          refinement_passes=draw(st.integers(0, 2)))
+    return problems, axes, options
+
+
 class TestGridRefineBookkeeping:
     @given(search=_toy_searches())
     @settings(max_examples=150, deadline=None)
     def test_search_equals_the_search_as_first_written(self, search):
         problems, axes, options = search
         solve = partial(_toy_solve, problems)
+        want = _grid_refine_as_first_written(solve, axes, options, len(problems))
+        assert repr(_grid_refine(solve, axes, options, len(problems))) == repr(want)
+
+    @given(search=_sparse_toy_searches())
+    @settings(max_examples=100, deadline=None)
+    def test_sparse_search_equals_the_search_as_first_written(self, search):
+        # mostly infeasible grids, as the coarse pass returns them, and
+        # refined grids clipped at the bounds, with NaN attenuations at the
+        # infeasible points and dead problems beside live ones
+        problems, axes, options = search
+        solve = partial(_sparse_toy_solve, problems)
         want = _grid_refine_as_first_written(solve, axes, options, len(problems))
         assert repr(_grid_refine(solve, axes, options, len(problems))) == repr(want)
 

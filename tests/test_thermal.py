@@ -234,16 +234,28 @@ class TestConductionKernel:
         assert np.array_equal(_conduction_integral(stages.T), want.T)
 
     @given(temps=st.lists(st.floats(10.0, 300.0, exclude_min=True), min_size=1, max_size=5),
-           scalar=st.booleans())
-    @settings(max_examples=200)
-    def test_few_hot_temperatures_sum_their_nodes_in_order(self, temps, scalar):
+           scalar=st.booleans(),
+           block=st.sampled_from([0, 90, 171, thermal._HOT_BLOCK, thermal._HOT_BLOCK + 1]))
+    @settings(max_examples=200, deadline=None)
+    def test_few_hot_temperatures_sum_their_nodes_in_order(self, temps, scalar, block):
         # a block of one or a few hot temperatures, where a pairwise sum of
-        # the 16 nodes would round otherwise than the sum in node order
+        # the 16 nodes would round otherwise than the sum in node order; or
+        # the drawn ones among as many as a refine grid's hot stages, a
+        # full block, or a full block and one more
+        if block:
+            temps = np.concatenate((temps, np.geomspace(10.5, 300.0, block - len(temps))))
         if scalar:
             assert _conduction_integral(temps[0]) == _per_node_conduction_integral(temps[0])[0]
         else:
             assert np.array_equal(_conduction_integral(np.array(temps)),
                                   _per_node_conduction_integral(temps))
+
+    def test_steel_rule_is_numpys_gauss_legendre_rule(self):
+        # written out as literals, and equal to numpy's rule to the bit
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        assert thermal._STEEL_X.shape == thermal._STEEL_W.shape == (16, 1)
+        assert np.array_equal(thermal._STEEL_X[:, 0], nodes)
+        assert np.array_equal(thermal._STEEL_W[:, 0], weights)
 
     @pytest.mark.parametrize("k_stages", [2, 5, 8])
     @pytest.mark.parametrize("bounds", [((1e-3, 4.0), (4.0, 300.0)),
