@@ -20,7 +20,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .noise import QubitTechnology
+from .noise import HBAR, K_B, QubitTechnology
 from .optimize import FtToggles, GridOptions
 from .qec import GATE_GROWTH, QUBIT_GROWTH
 from .thermal import CableModel, CryoEfficiencyModel, ElectronicsScenario, SCENARIO_PRESETS
@@ -207,6 +207,15 @@ def validate(cfg: RunConfig, problems: list[str] | None = None) -> RunConfig:
         problems.append("chain.stages: need at least 2 cooling stages")
     if 0 < cfg.gamma_inverse_s and math.isinf(1.0 / cfg.gamma_inverse_s):
         problems.append("technology.gamma_inverse_s: too small for its inverse to be a float")
+    omega0 = 2.0 * math.pi * cfg.frequency_hz
+    if math.isinf(omega0):
+        problems.append("technology.frequency_hz: too high for 2*pi*f to be a float")
+    elif min(cfg.frequency_hz, cfg.t_ext_k) > 0:
+        # the occupancy at t_ext, the box's largest, 1/expm1(x), must be a float
+        x = HBAR * omega0 / (K_B * cfg.t_ext_k)
+        if x == 0 or math.isinf(1.0 / x):
+            problems.append("technology.frequency_hz: too low for the thermal occupancy "
+                            "at chain.t_ext_k to be a float")
     if cfg.t_qb_min_k > cfg.t_qb_max_k:
         problems.append("chain.t_qb_min_k exceeds chain.t_qb_max_k")
     if cfg.t_gen_min_k > cfg.t_gen_max_k:

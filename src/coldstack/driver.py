@@ -93,6 +93,17 @@ def run_problem(cfg: RunConfig) -> OptimizationResult:
                        toggles=cfg.ft_toggles())
 
 
+def _run_point(cfg: RunConfig, where: str) -> OptimizationResult:
+    """:func:`run_problem` on ``cfg``, checked first as a config file is; a
+    failed check or a raise ends in an error of its type led by ``where``."""
+    try:
+        return run_problem(validate(cfg))
+    except ConfigError as exc:
+        raise ConfigError([f"{where}: {p}" for p in exc.problems]) from exc
+    except Exception as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
+
+
 def result_record(cfg: RunConfig, result: OptimizationResult,
                   extra: dict | None = None) -> dict:
     """Flatten inputs and result into one emission-ready row."""
@@ -131,10 +142,9 @@ def sweep(cfg: RunConfig, axes: list[SweepAxis]) -> list[dict]:
     Rows come out in C order of the axis values (last axis fastest), one
     :func:`run_problem` per point, infeasible points included; each
     starts with the swept values, under the names of the fields they set,
-    whichever way the keys are written.  Each point is checked first, as
-    :func:`~coldstack.config.load_config` checks a file.  A point that
-    fails the check or raises stops the sweep with an exception of the
-    same type whose message names the point, by the keys as written.
+    whichever way the keys are written.  Each point is checked and run
+    by :func:`_run_point`; one that fails the check or raises stops the
+    sweep with an error that names it by the keys as written.
     """
     if not axes:
         raise ValueError("sweep needs at least one axis")
@@ -146,12 +156,7 @@ def sweep(cfg: RunConfig, axes: list[SweepAxis]) -> list[dict]:
         for name, value in zip(names, combo):
             point_cfg = _override(point_cfg, name, float(value))
         where = ", ".join(f"{axis.key}={float(value)!r}" for axis, value in zip(axes, combo))
-        try:
-            result = run_problem(validate(point_cfg))
-        except ConfigError as exc:
-            raise ConfigError([f"sweep point {where}: {p}" for p in exc.problems]) from exc
-        except Exception as exc:
-            raise type(exc)(f"sweep point {where}: {exc}") from exc
+        result = _run_point(point_cfg, f"sweep point {where}")
         row = dict(zip(names, combo))
         row.update(result_record(point_cfg, result))
         rows.append(row)
@@ -164,17 +169,14 @@ def compare_rsa(cfg: RunConfig, n_values: list[int]) -> list[dict]:
     Each row carries both machines' duration, energy, and bit-per-joule
     efficiency, plus advantage flags.  The classical baseline depends
     only on the key size; the quantum side re-optimizes per key.  Each
-    key size is checked first, as :func:`sweep` checks each point.
+    key size is checked and run as :func:`sweep` runs a point, and named
+    ``rsa_n=...`` in the errors.
     """
     rows = []
     for n in n_values:
         point_cfg = cfg.replace(workload_kind="rsa", rsa_n=int(n))
-        try:
-            validate(point_cfg)
-        except ConfigError as exc:
-            raise ConfigError([f"rsa_n={int(n)}: {p}" for p in exc.problems]) from exc
+        result = _run_point(point_cfg, f"rsa_n={int(n)}")
         wl = point_cfg.workload()
-        result = run_problem(point_cfg)
         t_q, e_q, eff_q = rsa_energy_summary(
             n, result, wl, point_cfg.technology(),
             steps_per_level=point_cfg.steps_per_logical_level)

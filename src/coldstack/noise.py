@@ -67,7 +67,10 @@ def pi_pulse_power(tech: QubitTechnology, tau: float) -> float:
     if tau <= 0:
         raise ValueError("pulse duration must be strictly positive")
     numerator = HBAR * tech.omega0 * np.pi**2
-    denominator = 4.0 * tech.gamma * tau**2
+    try:
+        denominator = 4.0 * tech.gamma * tau**2
+    except OverflowError:  # Python's float pow raises where numpy's gives inf
+        denominator = math.inf
     if sys.float_info.min <= denominator <= sys.float_info.max:
         return numerator / denominator
     exact = Fraction(numerator) / (4 * Fraction(tech.gamma) * Fraction(tau) ** 2)
@@ -215,10 +218,15 @@ def _infidelity(tech: QubitTechnology, n_noise):
     return tech.gamma * tech.tau_1qb * (1.0 + n_noise)
 
 
-def _infidelity_occupancy(tech: QubitTechnology, infidelity: float) -> float:
-    """Occupancy at which the worst-case infidelity equals ``infidelity``:
-    the inverse of :func:`worst_case_infidelity_1qb`."""
-    return infidelity / (tech.gamma * tech.tau_1qb) - 1.0
+def _infidelity_occupancy(tech: QubitTechnology, infidelity: np.ndarray) -> np.ndarray:
+    """Occupancies at which the worst-case infidelity (at most 1) equals
+    ``infidelity``: the inverse of :func:`worst_case_infidelity_1qb`, inf
+    where a rate ``gamma*tau_1qb`` below the normal floats overflows it."""
+    rate = tech.gamma * tech.tau_1qb
+    if rate >= sys.float_info.min:  # the quotient is a float: no error state to pay for
+        return infidelity / rate - 1.0
+    with np.errstate(divide="ignore", over="ignore"):
+        return infidelity / rate - 1.0
 
 
 def pauli_error_probability(tech: QubitTechnology, n_noise):
@@ -237,12 +245,14 @@ def pauli_error_probability(tech: QubitTechnology, n_noise):
 def _pauli_error(tech: QubitTechnology, n_noise):
     """:func:`pauli_error_probability` without the input check, for the
     optimizer's boundary solve, which calls it on whole grids of
-    occupancies of validated chains."""
-    return np.clip(0.5 * tech.gamma * tech.tau_step * (0.5 + n_noise), 0.0, 1.0)
+    occupancies of validated chains.  A product beyond the float range clamps to 1."""
+    with np.errstate(over="ignore"):
+        return np.clip(0.5 * tech.gamma * tech.tau_step * (0.5 + n_noise), 0.0, 1.0)
 
 
 def _pauli_error_occupancy(tech: QubitTechnology, p_err: float) -> float:
     """Occupancy at which the Pauli error probability equals ``p_err`` in
     (0, 1): the inverse of :func:`pauli_error_probability` below its
-    clamp."""
-    return 2.0 * p_err / (tech.gamma * tech.tau_step) - 0.5
+    clamp; inf where the rate ``gamma*tau_step`` rounds to 0."""
+    rate = tech.gamma * tech.tau_step
+    return 2.0 * p_err / rate - 0.5 if rate else math.inf

@@ -66,12 +66,12 @@ cables: the lines' conduction law is the model's, and a cable's length
 and line counts scale the conduction rows only where they are priced.
 The heat multipliers mu of its stages that the coarse floor below
 needs, and its conduction sum G, are cached too
-(:func:`_coarse_multipliers`), keyed on the same and on the efficiency
-model and t_ext, and so is the always-on power per qubit that the floor
-takes with them (:func:`_coarse_static`), keyed also on the scenario
-and the cable.  The coarse axes themselves are cached per bounds and
-points per decade (:func:`_log_axis`), read-only, and
-:func:`_grid_refine` gives every problem of a batch a copy of them.  On
+(:func:`_coarse_multipliers`), keyed on the same, the efficiency
+model's kind and t_ext, and on no dataclass: the floor prices the
+scenario, the cable and the parasitic qubit heat itself, so the points
+of a sweep over these share the table.  The coarse axes themselves are
+cached per bounds and points per decade (:func:`_log_axis`), read-only,
+and :func:`_grid_refine` gives every problem of a batch a copy of them.  On
 the grids it lays out itself the search calls the unchecked kernels of
 the model's formulas (such as :func:`~coldstack.noise._bose_einstein`
 and :func:`~coldstack.qec._ft_metric`); the public functions check
@@ -472,7 +472,9 @@ def optimize_single_qubit(tech: QubitTechnology, target: float,
                           t_ext: float = AMBIENT_K) -> OptimizationResult:
     """Minimize the cryo-power of one gate at fixed duration, subject to
     a worst-case gate-fidelity target, over (qubit temperature,
-    attenuation) with a single attenuator at the qubit stage."""
+    attenuation) with a single attenuator at the qubit stage.  Its heat
+    is priced at Carnot efficiency, a modelling choice: no efficiency
+    model is taken."""
     if not (0 <= target < 1):
         raise ValueError("target metric must lie in [0, 1)")
     if options.t_qb_bounds[1] >= t_ext:
@@ -516,7 +518,8 @@ def optimize_nisq(q: int, target: float, tech: QubitTechnology,
     ``(1 - RELATIVE_TIE)`` times the best.  ``target`` is the metric
     floor; a run-success probability target of 2/3 maps to ``target =
     2/3``.  ``fixed_m`` restricts the search to one compression (used
-    for cross-checks against the inner solver).
+    for cross-checks against the inner solver).  As for a single gate,
+    the qubit stage's heat is priced at Carnot efficiency.
 
     Where the optimum lies in the compression ``m``.  Id gates fill
     every idle slot, so the circuit at any compression carries
@@ -638,55 +641,22 @@ def _coarse_grid(t_qb_bounds: tuple, t_gen_bounds: tuple, per_decade: int,
 
 
 @lru_cache(maxsize=2)
-def _coarse_multipliers(grid_key: tuple, model: CryoEfficiencyModel, t_ext: float) -> tuple:
-    """What the coarse floor needs of the heat multipliers mu of the
-    stages of ``_coarse_grid(*grid_key)``: mu of the qubit stage (a
-    column over t_qb), of the generation stage (a row over t_gen) and of
-    the stage below it, and the conduction sum ``G = sum_j r_j (mu_j -
-    mu_{j+1})`` over the rises r_j, as read-only arrays.  They add the
-    efficiency model and t_ext to the key, and two entries let a run
-    that alternates two efficiency models compute them once for each.
-
-    With nonnegative conductivities every term of G is >= 0, along a
-    chain of either direction, as the integral rises and mu falls with
-    the temperature.
+def _coarse_multipliers(grid_key: tuple, kind: str, t_ext: float) -> tuple:
+    """What the coarse floor needs of the heat multipliers mu on the stages
+    of ``_coarse_grid(*grid_key)``, as read-only arrays: mu of the qubit
+    stage (a column over t_qb) and of the generation stage (a row over
+    t_gen), mu of the qubit stage less mu of the stage below the top, the
+    latter, and the conduction sum ``G = sum_j r_j (mu_j - mu_{j+1})`` over
+    the rises r_j, each term >= 0 as the integral rises and mu falls with
+    the temperature.  mu depends on the efficiency model's ``kind`` alone;
+    two entries serve a run that alternates two kinds.
     """
     _, (stages, rises, *_) = _coarse_grid(*grid_key)
-    mult = model._heat_multiplier(stages, t_ext)
+    mult = CryoEfficiencyModel(kind)._heat_multiplier(stages, t_ext)
     # the end stages are the axes themselves
-    return _read_only((mult[0, :, :1].copy(), mult[-1, :1].copy(), mult[-2].copy(),
-                       (rises * (mult[:-1] - mult[1:])).sum(axis=0)))
-
-
-@lru_cache(maxsize=2)
-def _coarse_static(grid_key: tuple, scenario: ElectronicsScenario, cable: CableModel,
-                   model: CryoEfficiencyModel, t_ext: float) -> tuple:
-    """On the coarse grid ``_coarse_grid(*grid_key)``, what the coarse floor
-    needs of the heat multipliers mu (:func:`_coarse_multipliers`): mu of
-    the qubit stage less mu of the stage below the top, and the latter;
-    and the always-on power per physical qubit there, the sum of the rows
-    of :func:`~coldstack.thermal.static_power_breakdown` in closed form;
-    as read-only arrays.  The arguments are the cache's key; two entries let
-    a run that alternates two hardware sets on one cable price each once.
-
-    The conduction rows telescope to ``(l/L) G``; the others are
-    :func:`~coldstack.thermal.hardware_rows` on the coarse axes.  The
-    rows take each span as ``r_j / L * l``, which stays finite where l/L
-    overflows, and whose quotient may round to a subnormal, off by up to
-    ulp(0); so G is scaled by l/L capped at the float maximum, less ``l
-    ulp(0) (1 + max mu_qb)``, as the spans' mu differences sum to at most
-    mu_qb.
-    """
-    largest = sys.float_info.max
-    (t_qb, t_gen), *_ = _coarse_grid(*grid_key)
-    mu_qb, mu_gen, mu_below_top, conduction = _coarse_multipliers(grid_key, model, t_ext)
-    rows = hardware_rows(t_qb[:, None], t_gen[None, :], mu_qb, mu_gen, scenario, model, t_ext)
-    lines = cable.lines_per_qubit
-    slack = lines * math.ulp(0.0) * (1.0 + min(float(mu_qb.max()), largest))
-    with np.errstate(over="ignore"):  # inf where the rows leave the float range
-        static = (min(lines / cable.length_m, largest) * conduction
-                  + sum((rec.electrical_power_w for rec in rows), -slack))
-    return _read_only((mu_qb - mu_below_top, mu_below_top, static))
+    mu_qb, mu_below_top = mult[0, :, :1], mult[-2]
+    return _read_only((mu_qb.copy(), mult[-1, :1].copy(), mu_qb - mu_below_top,
+                       mu_below_top.copy(), (rises * (mult[:-1] - mult[1:])).sum(axis=0)))
 
 
 @lru_cache(maxsize=1)
@@ -925,25 +895,28 @@ class _FtProblem:
         coarse grid where the metric meets ``target``, and inf where no
         point does.
 
-        The static rows cost their sum per qubit
-        (:func:`_coarse_static`) times the qubit count.  The K-1
-        attenuator fractions (stages 1..K-1) are >= 0 and sum to the
-        total attenuation A, the first is ``A^(1/(K-1)) >= 1``, and mu
-        falls along a valid chain, so the drive costs at least
-        ``W_k P_pi (f_1 mu_1 + (A - f_1) mu_{K-1})`` with
-        ``f_1 = A^(1/(K-1))``, which rises with A.  On the boundary
-        the leak's top term ``n_rise_{K-1} / A`` is at most the excess
-        ``n* - n_cold`` of the level's occupancy budget over the qubit
-        stage's occupancy, so ``A >= n_rise_{K-1} / (n* - n_cold)``; a
-        chain whose qubit stage alone exceeds the budget misses the
-        target.  The budget is taken 1e-9 relative high against the
-        round-off of its inversion.
+        The static rows cost their closed-form sum per qubit times the
+        qubit count.  Their conduction rows take each span as ``r_j / L *
+        l``, finite where l/L overflows, and whose quotient may round to a
+        subnormal, off by up to ulp(0); so G is scaled by l/L capped at the
+        float maximum, less ``l ulp(0) (1 + max mu_qb)``, as the spans' mu
+        differences sum to at most mu_qb.  The K-1 attenuator fractions
+        (stages 1..K-1) are >= 0 and sum to the total attenuation A, the
+        first is ``A^(1/(K-1)) >= 1``, and mu falls along a valid chain,
+        so the drive costs at least ``W_k P_pi (f_1 mu_1 + (A - f_1)
+        mu_{K-1})`` with ``f_1 = A^(1/(K-1))``, which rises with A.  On
+        the boundary the leak's top term ``n_rise_{K-1} / A`` is at most
+        the excess ``n* - n_cold`` of the level's occupancy budget over
+        the qubit stage's occupancy, so ``A >= n_rise_{K-1} / (n* -
+        n_cold)``; a chain whose qubit stage alone exceeds the budget
+        misses the target.  The budget is taken 1e-9 relative high
+        against the round-off of its inversion.
         """
-        tog = self.toggles
-        _, (_, _, n_cold, n_rise, valid) = _coarse_grid(*self.grid_key)
-        # priced before this call's own temporaries exist
-        mu_span, mu_last, per_qubit = _coarse_static(self.grid_key, self.scenario, self.cable,
-                                                     self.model, tog.t_ext)
+        tog, cable, largest = self.toggles, self.cable, sys.float_info.max
+        (t_qb, t_gen), (_, _, n_cold, n_rise, valid) = _coarse_grid(*self.grid_key)
+        # computed, on a miss, before this call's own temporaries exist
+        mu_qb, mu_gen, mu_span, mu_last, conduction = _coarse_multipliers(
+            self.grid_key, self.model.kind, tog.t_ext)
         a_low = self.options.attenuation_bounds[0]
         reachable = valid
         if target > 0:
@@ -954,9 +927,14 @@ class _FtProblem:
             a_low = np.maximum(a_low, n_rise[-1] / np.where(excess > 0.0, excess, np.inf))
         weight, qubits, classical = self.level(k)
         drive = a_low ** (1.0 / (tog.k_stages - 1)) * mu_span + a_low * mu_last
-        # inf where the floor leaves the float range; NaN where an inf drive
-        # weight meets a drive that rounds to 0, on a chain that is not valid
+        slack = cable.lines_per_qubit * math.ulp(0.0) * (1.0 + min(float(mu_qb.max()), largest))
+        # inf where the rows or the floor leave the float range; NaN where an inf
+        # drive weight meets a drive that rounds to 0, on a chain that is not valid
         with np.errstate(over="ignore", invalid="ignore"):
+            rows = hardware_rows(t_qb[:, None], t_gen[None, :], mu_qb, mu_gen, self.scenario,
+                                 self.model, tog.t_ext)
+            per_qubit = (min(cable.lines_per_qubit / cable.length_m, largest) * conduction
+                         + sum((rec.electrical_power_w for rec in rows), -slack))
             floor = qubits * (per_qubit + classical) + weight * self.p_pi * drive
         return np.where(reachable, floor, np.inf)
 

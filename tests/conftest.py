@@ -1,12 +1,13 @@
 import functools
 import math
+import struct
 import sys
 
 import pytest
 from hypothesis import strategies as st
 
 from coldstack import QubitTechnology, rsa_workload
-from coldstack.config import _top_level
+from coldstack.config import ConfigError, RunConfig, _top_level, validate
 
 OMEGA0 = 2.0 * math.pi * 6e9
 
@@ -37,6 +38,40 @@ def _shortest_lifetime() -> float:
 
 
 SHORTEST_LIFETIME_S = _shortest_lifetime()
+
+
+@functools.lru_cache(maxsize=None)
+def frequency_bounds(t_ext: float) -> tuple[float, float]:
+    """The least and the largest qubit frequency validation accepts at the
+    ambient temperature ``t_ext``, by bisection on the positive floats,
+    which their bit patterns order."""
+
+    def accepted(bits: int) -> bool:
+        cfg = RunConfig(frequency_hz=_from_bits(bits), t_ext_k=t_ext, t_gen_max_k=t_ext)
+        try:
+            validate(cfg)
+        except ConfigError:
+            return False
+        return True
+
+    def change(lo: int, hi: int) -> int:
+        # the least bits above lo whose acceptance differs from lo's
+        first = accepted(lo)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if accepted(mid) == first else (lo, mid)
+        return hi
+
+    typical = _to_bits(6e9)
+    return _from_bits(change(0, typical)), _from_bits(change(typical, _to_bits(math.inf)) - 1)
+
+
+def _to_bits(x: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
 
 
 def _pow10(x: float) -> float:
@@ -91,8 +126,16 @@ def valid_config_texts(draw, kinds=("rsa", "rectangular", "nisq", "gate"),
     the RSA key is the largest validation accepts, and in one of two the
     qubit lifetime is drawn over all that validation accepts, both ends
     included, and so are the cable's length and line counts, each in one
-    of two or three draws.  ``per_decade`` draws the temperature points per decade;
-    the few of the default keep the grids small."""
+    of two or three draws.  The qubit frequency, the three durations, the
+    scenario's heat loads and the parasitic qubit heat are each drawn, in
+    one of four draws, over all that validation accepts, both ends
+    included.  ``per_decade`` draws the temperature points per decade; the
+    few of the default keep the grids small."""
+
+    def anywhere(typical, lo=math.ulp(0.0), hi=sys.float_info.max):
+        # ``typical``, or in one of four draws anywhere in [lo, hi]
+        return draw(edge_biased(lo, hi) if draw(st.integers(0, 3)) == 0 else typical)
+
     t_ext = draw(st.sampled_from([300.0, 290.0, 77.0, 4.5]))
     t_gen_max = draw(st.one_of(st.just(t_ext), edge_biased(min(4.0, t_ext), t_ext)))
     t_gen_min = draw(st.one_of(st.just(t_gen_max),
@@ -119,8 +162,8 @@ def valid_config_texts(draw, kinds=("rsa", "rectangular", "nisq", "gate"),
         k_max = draw(st.sampled_from([top - 1, top]))
     scenario = {"name": draw(st.sampled_from(["A", "B", "C", "custom"]))}
     if scenario["name"] == "custom":
-        scenario.update({f"q_{part}_w": draw(st.one_of(st.just(0.0),
-                                                       edge_biased(1e-10, 1e-2)))
+        scenario.update({f"q_{part}_w": anywhere(st.one_of(st.just(0.0),
+                                                           edge_biased(1e-10, 1e-2)))
                          for part in ("gen", "para", "hemt")})
     lines = {f"{line}_lines_per_qubit": draw(st.one_of(
         st.just(0.0), edge_biased(1e-3, 1.0), edge_biased(math.ulp(0.0), sys.float_info.max)))
@@ -128,12 +171,14 @@ def valid_config_texts(draw, kinds=("rsa", "rectangular", "nisq", "gate"),
     if math.isinf(sum(lines.values())):  # a sum validation rejects
         lines["readout_lines_per_qubit"] = 0.0
     sections = {
-        "technology": {"frequency_hz": draw(edge_biased(1e9, 2e11)),
+        "technology": {"frequency_hz": anywhere(edge_biased(1e9, 2e11),
+                                                *frequency_bounds(t_ext)),
                        "gamma_inverse_s": draw(st.one_of(
                            edge_biased(1e-4, 10.0),
                            edge_biased(SHORTEST_LIFETIME_S, sys.float_info.max))),
-                       "tau_1qb_s": draw(edge_biased(1e-9, 1e-6)),
-                       "tau_meas_s": draw(edge_biased(1e-8, 1e-5))},
+                       "tau_1qb_s": anywhere(edge_biased(1e-9, 1e-6)),
+                       "tau_2qb_s": anywhere(edge_biased(1e-8, 1e-5)),
+                       "tau_meas_s": anywhere(edge_biased(1e-8, 1e-5))},
         "chain": {"stages": draw(st.one_of(st.just(2), st.integers(2, 8))),
                   "t_ext_k": t_ext, "t_qb_min_k": t_qb_min, "t_qb_max_k": t_qb_max,
                   "t_gen_min_k": t_gen_min, "t_gen_max_k": t_gen_max,
@@ -143,8 +188,8 @@ def valid_config_texts(draw, kinds=("rsa", "rectangular", "nisq", "gate"),
                       edge_biased(0.1, 10.0), edge_biased(math.ulp(0.0), sys.float_info.max))),
                   **lines},
         "efficiency": {"model": draw(st.sampled_from(["carnot", "small_scale"])),
-                       "extra_qubit_heat_w": draw(st.one_of(st.just(0.0),
-                                                            edge_biased(1e-10, 1e-6)))},
+                       "extra_qubit_heat_w": anywhere(st.one_of(st.just(0.0),
+                                                                edge_biased(1e-10, 1e-6)))},
         "workload": workload,
         "target": {"metric": draw(st.one_of(st.just(0.0), st.just(2.0 / 3.0),
                                             st.floats(0.0, 1.0, exclude_max=True)))},

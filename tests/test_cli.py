@@ -9,13 +9,13 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
 import coldstack
 from coldstack import driver
 from coldstack.cli import _build_parser, main
 from coldstack.config import ConfigError, RunConfig, load_config
-from coldstack.driver import SweepAxis, compare_rsa, run_problem, sweep
+from coldstack.driver import SweepAxis, compare_rsa, result_record, run_problem, sweep
 from coldstack.results import parse_csv
 
 from conftest import SHORTEST_LIFETIME_S, valid_config_texts
@@ -147,6 +147,38 @@ class TestDriver:
         assert main(["--config", path, "sweep", "--out", str(tmp_path / "s.csv"),
                      "--sweep", "gamma_inverse_s=0.05:0.5:2:log"]) == 1
         assert "gamma_inverse_s=0.5: boom" in capsys.readouterr().err
+
+    def test_compare_rsa_failure_names_its_key_size(self, tmp_path, monkeypatch, capsys):
+        real = driver.run_problem
+
+        def flaky(cfg):
+            if cfg.rsa_n > 100:
+                raise ValueError("boom")
+            return real(cfg)
+
+        monkeypatch.setattr(driver, "run_problem", flaky)
+        with pytest.raises(ValueError, match=r"^rsa_n=128: boom$") as info:
+            compare_rsa(load_config(text=RSA_830_LIGHT), [64, 128])
+        assert str(info.value.__cause__) == "boom"
+        out = tmp_path / "out.csv"
+        assert main(["--config", _write(tmp_path, RSA_830_LIGHT), "compare-rsa",
+                     "--n", "64:128:2", "--out", str(out)]) == 1
+        assert "error: rsa_n=128: boom" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["gate", "nisq"])
+    def test_gate_and_circuit_runs_price_at_carnot(self, kind):
+        # one attenuator at the qubit stage, priced at Carnot efficiency
+        # whatever the config's model: its row differs in that column alone
+        rows = {}
+        for model in ("carnot", "small_scale"):
+            cfg = load_config(text=LIGHT_OPTIMIZER).replace(workload_kind=kind,
+                                                            efficiency_model=model)
+            rows[model] = result_record(cfg, run_problem(cfg))
+        assert rows["carnot"]["feasible"]
+        differ = {key for key in rows["carnot"]
+                  if repr(rows["carnot"][key]) != repr(rows["small_scale"][key])}
+        assert differ == {"efficiency_model"}
 
     def test_sweep_rejects_non_numeric_keys(self):
         cfg = load_config(text=RSA_830_LIGHT)
@@ -305,8 +337,30 @@ class TestStartUp:
         assert proc.stdout.strip() == "False"
 
 
+#: Python's float pow raised on the square of these durations
+_HUGE_TAU_1QB = "[technology]\ntau_1qb_s = 1e200\n"
+_HUGE_TAU_2QB = ("[technology]\ntau_2qb_s = 1.7976931348623157e+308\n"
+                 "[toggles]\ntwo_qubit_drive_duration = tau_2qb\n")
+
+
 class TestNeverRaises:
     @given(text=valid_config_texts())
+    @example(text=_HUGE_TAU_1QB + "[workload]\nkind = nisq\n")
+    @example(text=_HUGE_TAU_2QB)
+    # always-on rows beyond the float range, priced for the coarse floor
+    @example(text="[scenario]\nname = custom\nq_gen_w = 1.7976931348623157e+308\n"
+                  "q_para_w = 0.0\nq_hemt_w = 1.7976931348623157e+308\n")
+    @example(text="[efficiency]\nmodel = small_scale\n"
+                  "extra_qubit_heat_w = 1.7976931348623157e+308\n")
+    # the least frequency validation accepts, whose occupancies near the float
+    # maximum overflowed the Pauli error probability of a short lifetime
+    @example(text="[technology]\nfrequency_hz = 3.728195104010834e-291\n"
+                  "gamma_inverse_s = 1e-300\n")
+    # error rates gamma*tau that round to 0: every occupancy meets the budget
+    @example(text="[technology]\ngamma_inverse_s = 10.0\ntau_1qb_s = 5e-324\n"
+                  "tau_2qb_s = 5e-324\ntau_meas_s = 5e-324\n")
+    @example(text="[technology]\ngamma_inverse_s = 10.0\ntau_1qb_s = 5e-324\n"
+                  "[workload]\nkind = nisq\n")
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_every_valid_config_gives_a_result(self, text):
@@ -321,17 +375,20 @@ class TestNeverRaises:
             assert result.diagnostic
 
     @given(text=valid_config_texts())
+    @example(text=_HUGE_TAU_1QB)
+    @example(text=_HUGE_TAU_2QB)
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_no_command_ends_in_a_traceback(self, text):
         # the fault-tolerant commands, which run a circuit or gate config
-        # as its RSA workload, and compare-rsa on two small keys and on the
-        # drawn one
+        # as its RSA workload, the circuit command, and compare-rsa on two
+        # small keys and on the drawn one
         n = load_config(text=text).rsa_n
         with tempfile.TemporaryDirectory() as tmp:
             cfg, out = Path(tmp) / "run.cfg", str(Path(tmp) / "out.csv")
             cfg.write_text(text)
-            for argv in (["optimize-ft"], ["breakdown"], ["compare-rsa", "--n", "64:128:2"],
+            for argv in (["optimize-ft"], ["optimize-nisq"], ["breakdown"],
+                         ["compare-rsa", "--n", "64:128:2"],
                          ["compare-rsa", "--n", f"{n}:{n}:1"]):
                 err = io.StringIO()
                 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -339,6 +396,19 @@ class TestNeverRaises:
                 assert code in (0, 1, 2), argv
                 assert "Traceback" not in err.getvalue(), argv
 
+
+    @pytest.mark.parametrize("command", ["optimize-ft", "optimize-nisq"])
+    def test_a_pulse_whose_square_overflows_is_infeasible(self, tmp_path, capsys, command):
+        out = tmp_path / "out.csv"
+        assert main(["--config", _write(tmp_path, _HUGE_TAU_1QB), command,
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "INFEASIBLE:" in captured.out and not captured.err
+
+    def test_a_frequency_whose_photon_energy_underflows_is_rejected(self, tmp_path, capsys):
+        path = _write(tmp_path, "[technology]\nfrequency_hz = 5e-324\n")
+        assert main(["--config", path, "optimize-ft", "--out", str(tmp_path / "o.csv")]) == 1
+        assert "technology.frequency_hz: too low" in capsys.readouterr().err
 
     def test_no_lines_conduct_nothing_on_the_shortest_cable(self, tmp_path, capsys):
         # a rise per metre of 5e-324 m overflows, and times zero lines it

@@ -7,6 +7,7 @@ import pytest
 
 from coldstack.config import (FIELD_TYPES, ConfigError, RunConfig, load_config, show_config,
                               validate)
+from coldstack.noise import bose_einstein
 from coldstack.results import emit_results, parse_csv
 
 
@@ -68,6 +69,27 @@ class TestLoadConfig:
         else:
             with pytest.raises(ConfigError, match="technology.gamma_inverse_s: too small"):
                 load_config(text=text)
+
+    @pytest.mark.parametrize("frequency, problem", [
+        ("5e-324", "too low"), ("3.728195104010833e-291", "too low"),
+        ("3.728195104010834e-291", None), ("2.861117485757028e+307", None),
+        ("2.8611174857570283e+307", "too high")])
+    def test_frequency_out_of_the_models_float_range_rejected(self, frequency, problem):
+        # below, hbar*omega0 rounds to 0 and the occupancies are inf - inf;
+        # above, omega0 = 2*pi*f is inf
+        text = f"[technology]\nfrequency_hz = {frequency}\n"
+        if problem is None:
+            assert math.isfinite(bose_einstein(300.0, load_config(text=text).technology().omega0))
+        else:
+            with pytest.raises(ConfigError, match=f"technology.frequency_hz: {problem}"):
+                load_config(text=text)
+
+    def test_least_frequency_rises_with_t_ext(self):
+        # the occupancy at t_ext, the largest of the box, must be a float
+        text = "[technology]\nfrequency_hz = 1e-280\n[chain]\nt_ext_k = {}\n"
+        load_config(text=text.format(1e10))
+        with pytest.raises(ConfigError, match="frequency_hz: too low"):
+            load_config(text=text.format(1e30))
 
     @pytest.mark.parametrize("key", ["control_lines_per_qubit", "readout_lines_per_qubit"])
     def test_negative_line_count_rejected(self, key):

@@ -928,10 +928,8 @@ class TestPowerFloor:
     def test_fixed_multipliers_are_computed_once(self, monkeypatch):
         # the qubit-quality sweep on its two hardware sets, and the first
         # point once more: mu on the stages of the coarse grid is computed
-        # once per efficiency model; the static rows' table above it is
-        # cleared too, as a hit there reads no multipliers
+        # once per efficiency model
         optimize._coarse_multipliers.cache_clear()
-        optimize._coarse_static.cache_clear()
         coarse = collections.Counter()
         # the kernel, which the public heat_multiplier calls after its check
         heat_multiplier = CryoEfficiencyModel._heat_multiplier
@@ -1130,17 +1128,22 @@ class TestCoarsePruning:
     @pytest.mark.parametrize("model", ["carnot", "small_scale"])
     def test_static_floor_is_the_sum_of_the_rows(self, scenario, model):
         # the closed form, conduction rows telescoped, against the rows of
-        # static_power_breakdown at every point of the default coarse grid,
-        # on a cable whose length is not 1 m
-        cfg = load_config(text="[cable]\nlength_m = 2.5\n").replace(
-            scenario=scenario, efficiency_model=model)
-        problem, _, _, (stages, *_) = _on_the_coarse_grid(cfg)
+        # static_power_breakdown at every valid point of the default coarse
+        # grid, on a cable whose length is not 1 m: the floor of one logical
+        # qubit at level 0 and target 0, with a gate-time multiplier of 0 and
+        # so no drive, is the always-on power per qubit
+        cfg = load_config(text="[cable]\nlength_m = 2.5\n[workload]\nkind = rectangular\n"
+                          ).replace(scenario=scenario, efficiency_model=model)
+        problem = _FtProblem(cfg.workload(), cfg.technology(), cfg.electronics(), cfg.cable(),
+                             cfg.efficiency(), replace(cfg.ft_toggles(), t_gate_multiplier=0.0),
+                             cfg.grid_options())
+        _, (stages, *_, valid) = optimize._coarse_grid(*problem.grid_key)
         rows = sum(rec.electrical_power_w for rec in thermal.static_power_breakdown(
             stages, cfg.electronics(), cfg.cable(), cfg.efficiency(), cfg.t_ext_k))
-        _, _, static = optimize._coarse_static(problem.grid_key, cfg.electronics(), cfg.cable(),
-                                               cfg.efficiency(), cfg.t_ext_k)
+        static = problem.coarse_floor(0, 0.0)
         assert static.shape == rows.shape == (146, 77)
-        np.testing.assert_allclose(static, rows, rtol=1e-12, atol=0.0)
+        assert valid.sum() > 146 * 76 and (static[~valid] == np.inf).all()
+        np.testing.assert_allclose(static[valid], rows[valid], rtol=1e-12, atol=0.0)
 
     def test_no_rows_are_priced_on_the_coarse_grid(self, monkeypatch):
         # the coarse floor sums the rows in closed form; the solves price
@@ -1248,7 +1251,6 @@ class TestCoarseTable:
     def _clear():
         optimize._coarse_grid.cache_clear()
         optimize._coarse_multipliers.cache_clear()
-        optimize._coarse_static.cache_clear()
         optimize._corner_occupancies.cache_clear()
 
     SEQUENCE = ("cable X", "cable Y", "scenario C", "8 GHz", "3 stages", "cable X")
@@ -1263,23 +1265,20 @@ class TestCoarseTable:
             assert repr(self._optimize(change)) == alone[change], change
             assert optimize._coarse_grid.cache_info().currsize == 1
             assert 1 <= optimize._coarse_multipliers.cache_info().currsize <= 2
-            assert 1 <= optimize._coarse_static.cache_info().currsize <= 2
             assert optimize._corner_occupancies.cache_info().currsize == 1
             # the entries of the run just made, looked up without a miss
             args = self._args(change)
             problem = _FtProblem(**args, options=LIGHT)
             tables = (optimize._coarse_grid, optimize._coarse_multipliers,
-                      optimize._coarse_static, optimize._corner_occupancies)
+                      optimize._corner_occupancies)
             misses = [table.cache_info().misses for table in tables]
             axes, fields = optimize._coarse_grid(*problem.grid_key)
-            multipliers = optimize._coarse_multipliers(problem.grid_key, args["model"],
+            multipliers = optimize._coarse_multipliers(problem.grid_key, args["model"].kind,
                                                        args["toggles"].t_ext)
-            static = optimize._coarse_static(problem.grid_key, args["scenario"], args["cable"],
-                                             args["model"], args["toggles"].t_ext)
             (qb_lo, _), (gen_lo, _), _, k_stages, omega0 = problem.grid_key
             corner = optimize._corner_occupancies(qb_lo, gen_lo, k_stages, omega0)
             assert misses == [table.cache_info().misses for table in tables]
-            for array in (*axes, *fields, *multipliers, *static, *corner):
+            for array in (*axes, *fields, *multipliers, *corner):
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
                     array.flat[0] = 0
@@ -1298,6 +1297,28 @@ class TestCoarseTable:
     def test_cables_of_one_material_share_the_entry(self):
         # X and Y differ in length and line counts, which is all a cable sets
         assert self._second_after_first("cable X", "cable Y") == (True, True)
+
+    @pytest.mark.parametrize("text, axis", [
+        ("[efficiency]\nmodel = small_scale\n", "efficiency.extra_qubit_heat_w=0:1e-6:3"),
+        ("", "cable.length_m=0.5:2:3"),
+        ("[scenario]\nname = custom\nq_gen_w = 1e-3\nq_para_w = 1e-6\n",
+         "scenario.q_gen_w=1e-7:1e-3:3:log"),
+    ])
+    def test_a_hardware_sweep_computes_the_multipliers_once(self, text, axis):
+        # the multipliers depend on the efficiency model's kind and t_ext
+        # alone: a sweep over the parasitic heat, the cable or a scenario
+        # load looks them up without a miss after its first point, and
+        # each row is the row of its point run on cleared tables
+        cfg = load_config(text=text)
+        self._clear()
+        rows = sweep(cfg, [SweepAxis.parse(axis)])
+        assert optimize._coarse_multipliers.cache_info().misses == 1
+        key = axis.partition("=")[0]
+        for row, value in zip(rows, SweepAxis.parse(axis).values().tolist()):
+            self._clear()
+            (alone,) = sweep(cfg, [SweepAxis.parse(f"{key}={value!r}:{value!r}:1")])
+            assert repr(row) == repr(alone)
+        assert len({row["power_w"] for row in rows}) == len(rows)
 
     def test_problems_on_one_cable_share_the_entry(self):
         self._optimize("cable X")
