@@ -222,11 +222,8 @@ def _infidelity_occupancy(tech: QubitTechnology, infidelity: np.ndarray) -> np.n
     """Occupancies at which the worst-case infidelity (at most 1) equals
     ``infidelity``: the inverse of :func:`worst_case_infidelity_1qb`, inf
     where a rate ``gamma*tau_1qb`` below the normal floats overflows it."""
-    rate = tech.gamma * tech.tau_1qb
-    if rate >= sys.float_info.min:  # the quotient is a float: no error state to pay for
-        return infidelity / rate - 1.0
     with np.errstate(divide="ignore", over="ignore"):
-        return infidelity / rate - 1.0
+        return infidelity / (tech.gamma * tech.tau_1qb) - 1.0
 
 
 def pauli_error_probability(tech: QubitTechnology, n_noise):

@@ -63,7 +63,10 @@ def frequency_bounds(t_ext: float) -> tuple[float, float]:
         return hi
 
     typical = _to_bits(6e9)
-    return _from_bits(change(0, typical)), _from_bits(change(typical, _to_bits(math.inf)) - 1)
+    assert accepted(typical), f"6 GHz is rejected at t_ext = {t_ext} K"
+    lo, hi = _from_bits(change(0, typical)), _from_bits(change(typical, _to_bits(math.inf)) - 1)
+    assert lo < 6e9 < hi, (lo, hi)
+    return lo, hi
 
 
 def _to_bits(x: float) -> int:
