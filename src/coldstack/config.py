@@ -211,8 +211,9 @@ def validate(cfg: RunConfig, problems: list[str] | None = None) -> RunConfig:
     if math.isinf(omega0):
         problems.append("technology.frequency_hz: too high for 2*pi*f to be a float")
     elif min(cfg.frequency_hz, cfg.t_ext_k) > 0:
-        # the occupancy at t_ext, the box's largest, 1/expm1(x), must be a float
-        x = HBAR * omega0 / (K_B * cfg.t_ext_k)
+        # the occupancy at t_ext, 1/expm1(x), must be a float; x is inf where k_B t_ext is 0
+        energy, thermal_energy = HBAR * omega0, K_B * cfg.t_ext_k
+        x = energy / thermal_energy if thermal_energy else math.inf if energy else 0.0
         if x == 0 or math.isinf(1.0 / x):
             problems.append("technology.frequency_hz: too low for the thermal occupancy "
                             "at chain.t_ext_k to be a float")

@@ -13,6 +13,7 @@ import numpy as np
 from .config import FIELD_TYPES, WRITTEN_FIELDS, ConfigError, RunConfig, validate
 from .optimize import (
     OptimizationResult,
+    coarse_grid_key,
     optimize_ft,
     optimize_nisq,
     optimize_single_qubit,
@@ -93,11 +94,11 @@ def run_problem(cfg: RunConfig) -> OptimizationResult:
                        toggles=cfg.ft_toggles())
 
 
-def _run_point(cfg: RunConfig, where: str) -> OptimizationResult:
-    """:func:`run_problem` on ``cfg``, checked first as a config file is; a
-    failed check or a raise ends in an error of its type led by ``where``."""
+def _at_point(where: str, step, cfg: RunConfig):
+    """``step(cfg)``: :func:`~coldstack.config.validate` or :func:`run_problem`;
+    a failed check or a raise ends in an error of its type led by ``where``."""
     try:
-        return run_problem(validate(cfg))
+        return step(cfg)
     except ConfigError as exc:
         raise ConfigError([f"{where}: {p}" for p in exc.problems]) from exc
     except Exception as exc:
@@ -142,25 +143,32 @@ def sweep(cfg: RunConfig, axes: list[SweepAxis]) -> list[dict]:
     Rows come out in C order of the axis values (last axis fastest), one
     :func:`run_problem` per point, infeasible points included; each
     starts with the swept values, under the names of the fields they set,
-    whichever way the keys are written.  Each point is checked and run
-    by :func:`_run_point`; one that fails the check or raises stops the
-    sweep with an error that names it by the keys as written.
+    whichever way the keys are written.  Every point is checked first, in
+    that order, then run grouped by its coarse grid's key, which a group
+    builds once; a failed check or a raise stops the sweep with an error
+    that names the point by the keys as written.
     """
     if not axes:
         raise ValueError("sweep needs at least one axis")
     names = [_sweep_field(axis.key) for axis in axes]
-    grids = [axis.values() for axis in axes]
-    rows = []
-    for combo in itertools.product(*grids):
+    points, groups = [], {}
+    for combo in itertools.product(*(axis.values() for axis in axes)):
         point_cfg = cfg
         for name, value in zip(names, combo):
             point_cfg = _override(point_cfg, name, float(value))
-        where = ", ".join(f"{axis.key}={float(value)!r}" for axis, value in zip(axes, combo))
-        result = _run_point(point_cfg, f"sweep point {where}")
-        row = dict(zip(names, combo))
-        row.update(result_record(point_cfg, result))
-        rows.append(row)
-    return rows
+        where = "sweep point " + ", ".join(f"{axis.key}={float(value)!r}"
+                                           for axis, value in zip(axes, combo))
+        point_cfg = _at_point(where, validate, point_cfg)
+        key = coarse_grid_key(point_cfg.technology(), point_cfg.grid_options(),
+                              point_cfg.ft_toggles())
+        groups.setdefault(key, []).append(len(points))
+        points.append((combo, point_cfg, where))
+    rows = {}
+    for i in itertools.chain.from_iterable(groups.values()):
+        combo, point_cfg, where = points[i]
+        result = _at_point(where, run_problem, point_cfg)
+        rows[i] = {**dict(zip(names, combo)), **result_record(point_cfg, result)}
+    return [rows[i] for i in range(len(points))]
 
 
 def compare_rsa(cfg: RunConfig, n_values: list[int]) -> list[dict]:
@@ -175,7 +183,8 @@ def compare_rsa(cfg: RunConfig, n_values: list[int]) -> list[dict]:
     rows = []
     for n in n_values:
         point_cfg = cfg.replace(workload_kind="rsa", rsa_n=int(n))
-        result = _run_point(point_cfg, f"rsa_n={int(n)}")
+        where = f"rsa_n={int(n)}"
+        result = _at_point(where, run_problem, _at_point(where, validate, point_cfg))
         wl = point_cfg.workload()
         t_q, e_q, eff_q = rsa_energy_summary(
             n, result, wl, point_cfg.technology(),

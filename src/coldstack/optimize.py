@@ -34,11 +34,12 @@ solved in, as Newton (:func:`~coldstack.noise.chain_transmission`)
 stops chain by chain.
 
 The fault-tolerant model has one implementation, :class:`_FtProblem`.
-On any temperature grid it gives the power of the whole machine as
-per-stage, per-source terms (:meth:`_FtProblem.terms`, the one home of
-each row's formula); the search sums their electrical powers, and
-:meth:`_FtProblem.evaluate` is the same kernel on a one-point grid that
-makes them the StageRecords of the breakdown: :func:`optimize_ft`
+On any temperature grid it gives the power of the whole machine as the
+rows of its breakdown, stacked by kind, one product per kind
+(:meth:`_FtProblem.terms`, the one home of each row's formula); the
+search adds their electrical powers in breakdown order, one row at a
+time, and :meth:`_FtProblem.evaluate` is the same kernel on a one-point
+grid that formats the rows into StageRecords: :func:`optimize_ft`
 prices its answer with it on the problem that searched, and
 :func:`evaluate_ft_point` calls it.  A solve prices the heat
 multipliers and the always-on rows
@@ -102,6 +103,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
+from itertools import repeat
 
 import numpy as np
 
@@ -628,6 +630,13 @@ def _grid_fields(t_qb: np.ndarray, t_gen: np.ndarray, k_stages: int,
     return stages, rises, occ[0].copy(), occ[1:] - occ[:-1], t_qb[:, None] < t_gen[None, :]
 
 
+def coarse_grid_key(tech: QubitTechnology, options: GridOptions, toggles: FtToggles) -> tuple:
+    """The key of a fault-tolerant problem's coarse grid (:func:`_coarse_grid`):
+    its temperature bounds, points per decade, stage count and frequency."""
+    return (tuple(map(float, options.t_qb_bounds)), tuple(map(float, options.t_gen_bounds)),
+            options.temperature_points_per_decade, toggles.k_stages, tech.omega0)
+
+
 @lru_cache(maxsize=1)
 def _coarse_grid(t_qb_bounds: tuple, t_gen_bounds: tuple, per_decade: int,
                  k_stages: int, omega0: float) -> tuple:
@@ -652,11 +661,11 @@ def _coarse_multipliers(grid_key: tuple, kind: str, t_ext: float) -> tuple:
     two entries serve a run that alternates two kinds.
     """
     _, (stages, rises, *_) = _coarse_grid(*grid_key)
-    mult = CryoEfficiencyModel(kind)._heat_multiplier(stages, t_ext)
-    # the end stages are the axes themselves
-    mu_qb, mu_below_top = mult[0, :, :1], mult[-2]
-    return _read_only((mu_qb.copy(), mult[-1, :1].copy(), mu_qb - mu_below_top,
-                       mu_below_top.copy(), (rises * (mult[:-1] - mult[1:])).sum(axis=0)))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # inf mu, inf - inf
+        mult = CryoEfficiencyModel(kind)._heat_multiplier(stages, t_ext)
+        mu_qb, mu_below_top = mult[0, :, :1], mult[-2]  # the end stages are the axes
+        return _read_only((mu_qb.copy(), mult[-1, :1].copy(), mu_qb - mu_below_top,
+                           mu_below_top.copy(), (rises * (mult[:-1] - mult[1:])).sum(axis=0)))
 
 
 @lru_cache(maxsize=1)
@@ -687,11 +696,7 @@ class _FtProblem:
         self.n_locations = workload.q_logical * workload.d_logical
         self._levels = {}  # level(k) by k
         self._solved = {}  # by k, the axes and fields of the last grid solved at level k
-        #: the key of the coarse grid's tables
-        self.grid_key = (tuple(map(float, options.t_qb_bounds)),
-                         tuple(map(float, options.t_gen_bounds)),
-                         options.temperature_points_per_decade, toggles.k_stages,
-                         tech.omega0)
+        self.grid_key = coarse_grid_key(tech, options, toggles)
 
     def stage_fields(self, stages: np.ndarray, rises: np.ndarray):
         """The heat multipliers of the chains ``stages`` and the per-qubit
@@ -757,26 +762,21 @@ class _FtProblem:
                                     linear=self.toggles.metric_form == "linear")
         return _pauli_error_occupancy(self.tech, p_err)
 
-    def terms(self, stages: np.ndarray, mult, static: list, a_total, k: int):
-        """Heat and electrical power of the whole machine by stage and
-        source at total attenuations ``a_total`` on the chains
-        ``stages`` of heat multipliers ``mult``, given the always-on
-        StageRecords ``static`` per physical qubit, as the fields of
-        StageRecords: (stage temperature, heat, electrical power,
-        source), whose electrical powers sum to the total.  A generator,
-        so that summing over a large grid holds one term at a time."""
+    def terms(self, mult, static: list, a_total, k: int) -> tuple:
+        """At total attenuations ``a_total`` on chains of heat multipliers
+        ``mult`` and always-on StageRecords ``static`` per physical qubit:
+        the attenuators' heats, stacked by stage, and the electrical power
+        of every row of the whole machine in breakdown order, whose sum is
+        the total; the attenuator rows are one product, the demodulation
+        row, if included, comes last.  :meth:`evaluate` alone multiplies
+        out the always-on heats."""
         tog = self.toggles
         weight, qubits, classical = self.level(k)
-        fractions = attenuator_heat_fractions(a_total, tog.k_stages)
-        for t, frac, mu in zip(stages, fractions, mult):
-            heat = frac * self.p_pi * weight
-            yield t, heat, mu * heat, "attenuator"
-        for rec in static:
-            yield (rec.stage_temperature_k, rec.heat_extracted_w * qubits,
-                   rec.electrical_power_w * qubits, rec.source)
+        heat = attenuator_heat_fractions(a_total, tog.k_stages) * self.p_pi * weight
+        powers = [*(mult * heat), *(rec.electrical_power_w * qubits for rec in static)]
         if tog.include_demod_syndrome:
-            q_cl = classical * qubits
-            yield tog.t_ext, q_cl, q_cl, "electronics"
+            powers.append(classical * qubits)
+        return heat, powers
 
     def boundary(self, n_cold: np.ndarray, n_rise: np.ndarray, valid: np.ndarray,
                  k: int, target: float) -> np.ndarray:
@@ -835,12 +835,12 @@ class _FtProblem:
         with infinite power and NaN attenuation where the target is out of
         reach, or the power out of the float range: inf, or 0 where it
         underflowed, as the drive heats a stage colder than t_ext.  The
-        heat multipliers and the static rows are priced here only, and
-        the electrical powers of :meth:`terms` summed in its order."""
+        heat multipliers and the static rows are priced here only, and the
+        electrical powers of :meth:`terms` added in breakdown order."""
         stages, rises, n_cold, n_rise, valid = fields
         # the rows outlive the boundary solve's temporaries: allocated first;
         # rows out of the float range are inf or NaN, and so out of reach below
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             mult, static = self.stage_fields(stages, rises)
         a_star = self.boundary(n_cold, n_rise, valid, k, target)
         finite = np.isfinite(a_star)
@@ -848,7 +848,7 @@ class _FtProblem:
         # the power of 91^k qubits may overflow, and an inf drive times a
         # stage that dissipates none of it is NaN: both out of reach
         with np.errstate(over="ignore", invalid="ignore"):
-            power = sum(p for _, _, p, _ in self.terms(stages, mult, static, a_safe, k))
+            power = sum(self.terms(mult, static, a_safe, k)[1])
         finite &= (power > 0.0) & (power < np.inf)
         return np.where(finite, power, np.inf), np.where(finite, a_star, np.nan)
 
@@ -897,12 +897,13 @@ class _FtProblem:
 
         The static rows cost their closed-form sum per qubit times the
         qubit count.  Their conduction rows take each span as ``r_j / L *
-        l``, finite where l/L overflows, and whose quotient may round to a
-        subnormal, off by up to ulp(0); so G is scaled by l/L capped at the
-        float maximum, less ``l ulp(0) (1 + max mu_qb)``, as the spans' mu
-        differences sum to at most mu_qb.  The K-1 attenuator fractions
-        (stages 1..K-1) are >= 0 and sum to the total attenuation A, the
-        first is ``A^(1/(K-1)) >= 1``, and mu falls along a valid chain,
+        l``, finite where l/L overflows, whose quotient and product may each
+        round to a subnormal, off by up to ulp(0)/2; so G is scaled by l/L
+        capped at the float maximum, less ``(1 + l) ulp(0) (1 + max
+        mu_qb)``, as the spans' mu differences sum to at most mu_qb.  The
+        K-1 attenuator fractions (stages 1..K-1) are >= 0 and sum to the
+        total attenuation A, the first is ``A^(1/(K-1)) >= 1``, and mu
+        falls along a valid chain,
         so the drive costs at least ``W_k P_pi (f_1 mu_1 + (A - f_1)
         mu_{K-1})`` with ``f_1 = A^(1/(K-1))``, which rises with A.  On
         the boundary the leak's top term ``n_rise_{K-1} / A`` is at most
@@ -926,17 +927,19 @@ class _FtProblem:
             # a quotient of 0 where the budget leaves no excess: n_rise / inf
             a_low = np.maximum(a_low, n_rise[-1] / np.where(excess > 0.0, excess, np.inf))
         weight, qubits, classical = self.level(k)
-        drive = a_low ** (1.0 / (tog.k_stages - 1)) * mu_span + a_low * mu_last
-        slack = cable.lines_per_qubit * math.ulp(0.0) * (1.0 + min(float(mu_qb.max()), largest))
-        # inf where the rows or the floor leave the float range; NaN where an inf
-        # drive weight meets a drive that rounds to 0, on a chain that is not valid
+        w_p_pi = weight * self.p_pi  # W_k P_pi: 0 W where it is 0, even where the drive is inf
+        slack = (1.0 + cable.lines_per_qubit) * math.ulp(0.0) * (
+            1.0 + min(float(mu_qb.max()), largest))
+        # inf where a term leaves the float range; NaN where such terms meet,
+        # and so does the search there, which prices the point out of reach
         with np.errstate(over="ignore", invalid="ignore"):
+            drive = a_low ** (1.0 / (tog.k_stages - 1)) * mu_span + a_low * mu_last
             rows = hardware_rows(t_qb[:, None], t_gen[None, :], mu_qb, mu_gen, self.scenario,
                                  self.model, tog.t_ext)
             per_qubit = (min(cable.lines_per_qubit / cable.length_m, largest) * conduction
                          + sum((rec.electrical_power_w for rec in rows), -slack))
-            floor = qubits * (per_qubit + classical) + weight * self.p_pi * drive
-        return np.where(reachable, floor, np.inf)
+            floor = qubits * (per_qubit + classical) + (w_p_pi * drive if w_p_pi else 0.0)
+        return np.where(reachable & (floor == floor), floor, np.inf)
 
     def power_floor(self, k: int, target: float) -> float:
         """A lower bound on the power at level ``k`` anywhere in the
@@ -961,20 +964,24 @@ class _FtProblem:
         conduction rows, which sum to ``sum_i span_i (mu_i - mu_{i+1})``
         with spans and differences of mu both >= 0.  The inputs that break
         these premises are rejected where they enter, t_gen_hi by optimize_ft.
+        A mu beyond the float range, as at a cap near 0 K, is inf, and a
+        zero load or drive costs 0 W even there, so the floor is never NaN.
         """
         tog, model, options = self.toggles, self.model, self.options
         t_top = min(options.t_qb_bounds[1], options.t_gen_bounds[1])
         n_star = self.occupancy_budget(target, k) if target > 0 else 0.0
         if n_star > 0 and (rate := K_B * math.log1p(1.0 / n_star)) > 0:
             t_top = min(t_top, HBAR * self.tech.omega0 / rate)
-        mu_top = model.heat_multiplier(t_top, tog.t_ext)
+        with np.errstate(divide="ignore", over="ignore"):
+            mu_top = model.heat_multiplier(t_top, tog.t_ext)
         # Python floats, whose products overflow to inf silently; the qubit
         # stage's rows, at t_top, are the same at both t_gen bounds
         per_qubit = float(sum((rec.electrical_power_w
-                               for rec in qubit_stage_rows(t_top, mu_top, model)),
-                              self.generation_floor))
+                               for rec in qubit_stage_rows(t_top, mu_top, model)
+                               if rec.heat_extracted_w), self.generation_floor))
         weight, qubits, classical = self.level(k)
-        return qubits * (per_qubit + classical) + weight * self.p_pi * mu_top
+        drive = weight * self.p_pi
+        return qubits * (per_qubit + classical) + (drive * mu_top if drive else 0.0)
 
     @cached_property
     def generation_floor(self) -> float:
@@ -983,9 +990,10 @@ class _FtProblem:
         part of :meth:`power_floor`'s always-on rows that is the same at
         every level."""
         tog, model = self.toggles, self.model
-        lo, hi = (generation_rows(t_gen, model._heat_multiplier(t_gen, tog.t_ext), self.scenario,
-                                  model, tog.t_ext)
-                  for t_gen in self.options.t_gen_bounds)
+        with np.errstate(divide="ignore", over="ignore"):  # numpy's floats: mu may be inf
+            lo, hi = (generation_rows(t_gen, model.heat_multiplier(t_gen, tog.t_ext),
+                                      self.scenario, model, tog.t_ext)
+                      for t_gen in self.options.t_gen_bounds)
         return sum(min(a.electrical_power_w, b.electrical_power_w) for a, b in zip(lo, hi))
 
     def evaluate(self, t_qb: float, t_gen: float, a_total: float, k: int) -> FtPointEvaluation:
@@ -1010,18 +1018,24 @@ class _FtProblem:
         stages, rises, n_cold, n_rise, _ = fields
         p_err = self.error_probability(n_cold, n_rise)(np.log10(a_total))
         # rows priced as in the search; a heat may be inf where its power is not
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             mult, static = self.stage_fields(stages, rises)
-            records = tuple(
-                StageRecord(*(x.item() if isinstance(x, (np.ndarray, np.generic)) else x
-                              for x in (t, heat, power)), source)
-                for t, heat, power, source in self.terms(stages, mult, static,
-                                                         np.array([[a_total]], float), k))
+            heat, powers = self.terms(mult, static, np.array([[a_total]], float), k)
+            qubits = self.level(k)[1]
+            rows = [*zip(stages, heat, repeat("attenuator")),
+                    *((rec.stage_temperature_k, rec.heat_extracted_w * qubits, rec.source)
+                      for rec in static)]
+        if self.toggles.include_demod_syndrome:  # at t_ext, its heat is its power
+            rows.append((self.toggles.t_ext, powers[-1], "electronics"))
+        records = tuple(
+            StageRecord(*(x.item() if isinstance(x, (np.ndarray, np.generic)) else x
+                          for x in (t, q, p)), source)
+            for (t, q, source), p in zip(rows, powers, strict=True))
         return FtPointEvaluation(
             power_w=sum(rec.electrical_power_w for rec in records),
             metric=self.metric(p_err, k).item(),
             per_stage=records,
-            physical_qubits=self.level(k)[1],
+            physical_qubits=qubits,
             p_err=p_err.item())
 
 

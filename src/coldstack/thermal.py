@@ -385,18 +385,19 @@ def static_power_breakdown(temperatures, scenario: ElectronicsScenario,
 
     ``temperatures`` holds the stage temperatures cold to hot along axis
     0; any further axes are independent chains, over which each record's
-    fields vary.  The conduction rows cost only the heat extraction.
-    ``net`` and ``mult``, when given, are :func:`conduction_heat_per_qubit`
-    of ``temperatures`` and ``cable`` and ``model.heat_multiplier`` of
-    ``temperatures``, computed before.
+    fields vary.  The conduction rows cost only the heat extraction, one
+    product ``mult * net`` over the stages whose rows the records hold, as
+    the optimizer's search reads them.  ``net`` and ``mult``, when given,
+    are :func:`conduction_heat_per_qubit` of ``temperatures`` and ``cable``
+    and ``model.heat_multiplier`` of ``temperatures``, computed before.
     """
     temps = np.asarray(temperatures, dtype=float)
     if mult is None:
         mult = model.heat_multiplier(temps, t_ext)
     if net is None:
         net = conduction_heat_per_qubit(temps, cable)
-    records = [StageRecord(t, q, m * q + 0.0, "conduction")
-               for t, q, m in zip(temps, net, mult)]
+    records = [StageRecord(t, q, p, "conduction")
+               for t, q, p in zip(temps, net, mult * net + 0.0)]
     # a single chain's rows hold Python floats, as the scalar multiplier gives
     mult = mult if temps.ndim > 1 else [float(m) for m in mult]
     return records + hardware_rows(temps[0], temps[-1], mult[0], mult[-1], scenario,

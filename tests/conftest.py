@@ -47,7 +47,9 @@ def frequency_bounds(t_ext: float) -> tuple[float, float]:
     which their bit patterns order."""
 
     def accepted(bits: int) -> bool:
-        cfg = RunConfig(frequency_hz=_from_bits(bits), t_ext_k=t_ext, t_gen_max_k=t_ext)
+        # a one-point box that validation accepts at any t_ext
+        cfg = RunConfig(frequency_hz=_from_bits(bits), t_ext_k=t_ext, t_qb_min_k=t_ext / 2,
+                        t_qb_max_k=t_ext / 2, t_gen_min_k=t_ext, t_gen_max_k=t_ext)
         try:
             validate(cfg)
         except ConfigError:
@@ -62,10 +64,11 @@ def frequency_bounds(t_ext: float) -> tuple[float, float]:
             lo, hi = (mid, hi) if accepted(mid) == first else (lo, mid)
         return hi
 
-    typical = _to_bits(6e9)
-    assert accepted(typical), f"6 GHz is rejected at t_ext = {t_ext} K"
-    lo, hi = _from_bits(change(0, typical)), _from_bits(change(typical, _to_bits(math.inf)) - 1)
-    assert lo < 6e9 < hi, (lo, hi)
+    # accepted at every t_ext: 2 pi f is a float, and its occupancy 0 or tiny
+    anchor = _to_bits(1e300)
+    assert accepted(anchor), f"1e300 Hz is rejected at t_ext = {t_ext} K"
+    lo, hi = _from_bits(change(0, anchor)), _from_bits(change(anchor, _to_bits(math.inf)) - 1)
+    assert lo < 1e300 < hi, (lo, hi)
     return lo, hi
 
 
@@ -132,24 +135,43 @@ def valid_config_texts(draw, kinds=("rsa", "rectangular", "nisq", "gate"),
     of two or three draws.  The qubit frequency, the three durations, the
     scenario's heat loads and the parasitic qubit heat are each drawn, in
     one of four draws, over all that validation accepts, both ends
-    included.  ``per_decade`` draws the temperature points per decade; the
-    few of the default keep the grids small."""
+    included, and so is t_ext, within the two bounds noted below; the box
+    then lies within 7 decades below min(t_ext, 300 K).  ``per_decade``
+    draws the temperature points per decade; the few of the default keep
+    the grids small."""
 
     def anywhere(typical, lo=math.ulp(0.0), hi=sys.float_info.max):
         # ``typical``, or in one of four draws anywhere in [lo, hi]
         return draw(edge_biased(lo, hi) if draw(st.integers(0, 3)) == 0 else typical)
 
-    t_ext = draw(st.sampled_from([300.0, 290.0, 77.0, 4.5]))
-    t_gen_max = draw(st.one_of(st.just(t_ext), edge_biased(min(4.0, t_ext), t_ext)))
+    model, kind = draw(st.sampled_from(["carnot", "small_scale"])), draw(st.sampled_from(kinds))
+    # the least t_ext leaves room for a qubit stage below the generation
+    # stage; two FOUNDs in CHANGES.md bound it: the small-scale mu, 1/t^2,
+    # is not priced where t^2 underflows, and a gate's or circuit's power is
+    # NaN where mu times the attenuation overflows and the drive underflows
+    t_ext = anywhere(st.sampled_from([300.0, 290.0, 77.0, 4.5]),
+                     2 * math.ulp(0.0) if model == "carnot" else 1e-143,
+                     1e280 if kind in ("nisq", "gate") else sys.float_info.max)
+    # the box rule: the generation stage stays within the steel conductivity
+    # fit, at or below 300 K (a FOUND in CHANGES.md), and no bound lies more
+    # than 7 decades below the box's top, as the grids grow with its
+    # decades; neither moves a bound at the four values
+    top = min(t_ext, 300.0)
+    low = top * 1e-7
+    t_gen_max = draw(st.one_of(st.just(top), edge_biased(min(max(4.0, low), top), top)))
     t_gen_min = draw(st.one_of(st.just(t_gen_max),
-                               edge_biased(min(1.0, t_gen_max), t_gen_max)))
-    t_qb_min = draw(edge_biased(1e-4, 0.999 * t_gen_min))
-    t_qb_max = draw(st.one_of(st.just(t_qb_min),
-                              edge_biased(t_qb_min, t_ext * (1 - 1e-12))))
+                               edge_biased(min(max(1.0, low), t_gen_max), t_gen_max)))
+    # the qubit stage's bounds lie strictly below t_gen_min and t_ext, also
+    # where a relative margin rounds away among the subnormals
+    t_qb_below = min(0.999 * t_gen_min, math.nextafter(t_gen_min, 0.0))
+    t_qb_min = draw(edge_biased(min(max(min(1e-4, 1e-3 * t_qb_below), low, math.ulp(0.0)),
+                                    t_qb_below), t_qb_below))
+    t_qb_max = draw(st.one_of(st.just(t_qb_min), edge_biased(
+        t_qb_min, min(t_ext * (1 - 1e-12), math.nextafter(t_ext, 0.0), 10.0 * top))))
     att_min = draw(st.one_of(st.just(0.0), st.floats(0.0, 120.0)))
     att_max = draw(st.one_of(st.just(att_min), st.just(120.0), st.floats(att_min, 150.0)))
     variant = draw(st.sampled_from(["gidney", "haner"]))
-    workload = {"kind": draw(st.sampled_from(kinds)),
+    workload = {"kind": kind,
                 "rsa_n": (draw(st.integers(16, 4096)) if draw(st.integers(0, 7))
                           else largest_rsa_key(variant)),
                 "rsa_variant": variant,
@@ -173,9 +195,10 @@ def valid_config_texts(draw, kinds=("rsa", "rectangular", "nisq", "gate"),
         for line in ("control", "readout")}
     if math.isinf(sum(lines.values())):  # a sum validation rejects
         lines["readout_lines_per_qubit"] = 0.0
+    f_lo, f_hi = frequency_bounds(t_ext)
     sections = {
-        "technology": {"frequency_hz": anywhere(edge_biased(1e9, 2e11),
-                                                *frequency_bounds(t_ext)),
+        "technology": {"frequency_hz": anywhere(edge_biased(max(1e9, f_lo), max(2e11, f_lo)),
+                                                f_lo, f_hi),
                        "gamma_inverse_s": draw(st.one_of(
                            edge_biased(1e-4, 10.0),
                            edge_biased(SHORTEST_LIFETIME_S, sys.float_info.max))),
@@ -190,7 +213,7 @@ def valid_config_texts(draw, kinds=("rsa", "rectangular", "nisq", "gate"),
         "cable": {"length_m": draw(st.one_of(
                       edge_biased(0.1, 10.0), edge_biased(math.ulp(0.0), sys.float_info.max))),
                   **lines},
-        "efficiency": {"model": draw(st.sampled_from(["carnot", "small_scale"])),
+        "efficiency": {"model": model,
                        "extra_qubit_heat_w": anywhere(st.one_of(st.just(0.0),
                                                                 edge_biased(1e-10, 1e-6)))},
         "workload": workload,

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import io
+import itertools
 import math
 import os
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 
 import coldstack
-from coldstack import driver
+from coldstack import driver, optimize
 from coldstack.cli import _build_parser, main
 from coldstack.config import ConfigError, RunConfig, load_config
 from coldstack.driver import SweepAxis, compare_rsa, result_record, run_problem, sweep
@@ -105,6 +106,24 @@ class TestDriver:
         assert [(round(r["gamma_inverse_s"], 3), r["target_metric"])
                 for r in rows] == [
             (0.05, 0.5), (0.05, 0.7), (0.5, 0.5), (0.5, 0.7)]
+
+    def test_sweep_runs_its_points_grouped_by_coarse_grid(self):
+        # frequency_hz, in the coarse grid's key, as the inner axis: the
+        # points run grouped by key, so each of the 3 grids is built once,
+        # not once per point; the rows, in axis order, are the points run alone
+        cfg = load_config(text=RSA_830_LIGHT)
+        axes = [SweepAxis("gamma_inverse_s", 0.05, 0.5, 3, log=True),
+                SweepAxis("frequency_hz", 5e9, 7e9, 3)]
+        optimize._coarse_grid.cache_clear()
+        rows = sweep(cfg, axes)
+        assert optimize._coarse_grid.cache_info().misses == 3
+        alone = []
+        for g, f in itertools.product(*(axis.values() for axis in axes)):
+            point = cfg.replace(gamma_inverse_s=float(g), frequency_hz=float(f))
+            alone.append({"gamma_inverse_s": g, "frequency_hz": f,
+                          **result_record(point, run_problem(point))})
+        assert all(row["feasible"] for row in alone)
+        assert repr(rows) == repr(alone)
 
     def test_sweep_completes_over_infeasible_points(self):
         cfg = load_config(text=INFEASIBLE + LIGHT_OPTIMIZER)
@@ -361,6 +380,16 @@ class TestNeverRaises:
                   "tau_2qb_s = 5e-324\ntau_meas_s = 5e-324\n")
     @example(text="[technology]\ngamma_inverse_s = 10.0\ntau_1qb_s = 5e-324\n"
                   "[workload]\nkind = nisq\n")
+    # the tiniest t_ext, whose thermal energy k_B t_ext underflows to 0
+    @example(text="[technology]\nfrequency_hz = 1e+300\n[chain]\nstages = 2\n"
+                  "t_ext_k = 1e-323\nt_qb_min_k = 5e-324\nt_qb_max_k = 5e-324\n"
+                  "t_gen_min_k = 1e-323\nt_gen_max_k = 1e-323\n")
+    # t_ext at the float maximum: mu of a 0.1 mK qubit stage is inf, and the
+    # coarse floor's mu differences inf - inf
+    @example(text="[technology]\nfrequency_hz = 1e12\n[chain]\nstages = 2\n"
+                  "t_ext_k = 1.7976931348623157e+308\nt_qb_min_k = 0.0001\n"
+                  "t_qb_max_k = 0.0001\nt_gen_min_k = 300.0\n[target]\nmetric = 0.0\n"
+                  "[optimizer]\ntemperature_points_per_decade = 1\nk_max = 0\n")
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_every_valid_config_gives_a_result(self, text):

@@ -800,12 +800,82 @@ def _count_level_searches(monkeypatch) -> list:
     return calls
 
 
+def _row_by_row_power(problem, fields, a_star, k: int) -> np.ndarray:
+    """The power of the whole machine at the boundary attenuations
+    ``a_star`` on ``fields``, with the search's arithmetic before its rows
+    were stacked: one breakdown row at a time, added from 0 in breakdown
+    order.  Each attenuator row is ``mu * (frac * P_pi * W_k)``, each
+    conduction row ``(mu * net + 0.0) * qubits``, then the hardware rows
+    and the demodulation row; an unreachable point is priced at the
+    largest attenuation."""
+    stages, rises = fields[:2]
+    tog, model = problem.toggles, problem.model
+    weight, qubits, classical = problem.level(k)
+    a_safe = np.where(np.isfinite(a_star), a_star, problem.options.attenuation_bounds[1])
+    with np.errstate(all="ignore"):
+        mult = model._heat_multiplier(stages, tog.t_ext)
+        net = thermal.conduction_heat_per_qubit(stages, problem.cable, rises)
+        power = 0
+        for frac, mu in zip(thermal.attenuator_heat_fractions(a_safe, tog.k_stages), mult):
+            power = power + mu * (frac * problem.p_pi * weight)
+        for q, mu in zip(net, mult):
+            power = power + (mu * q + 0.0) * qubits
+        for rec in thermal.hardware_rows(stages[0], stages[-1], mult[0], mult[-1],
+                                         problem.scenario, model, tog.t_ext):
+            power = power + rec.electrical_power_w * qubits
+        if tog.include_demod_syndrome:
+            power = power + classical * qubits
+    return power
+
+
+class TestRowPricing:
+    @given(text=st.one_of(st.just(""), valid_config_texts(kinds=("rsa", "rectangular"))),
+           stages=st.integers(2, 8), model=st.sampled_from(["carnot", "small_scale"]),
+           demod=st.booleans(), form=st.sampled_from(["linear", "exact"]))
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_stacked_rows_sum_to_the_row_by_row_power(self, text, stages, model, demod, form):
+        # every grid the search solves, the coarse pass's selections and the
+        # refine grids, is priced to the bit as one row at a time, in order;
+        # the drawn text, or the default one, of which most levels are feasible
+        cfg = load_config(text=text).replace(
+            stages=stages, efficiency_model=model, include_demod_syndrome=demod,
+            ft_metric_form=form)
+        calls, solve_fields = [], _FtProblem.solve_fields
+
+        def recording(self, k, target, fields):
+            out = solve_fields(self, k, target, fields)
+            calls.append((self, k, target, fields, out))
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_FtProblem, "solve_fields", recording)
+            run_problem(cfg)
+        for problem, k, target, fields, (power, a_star) in calls:
+            n_cold, n_rise, valid = fields[2:]
+            boundary = problem.boundary(n_cold, n_rise, valid, k, target)
+            want = _row_by_row_power(problem, fields, boundary, k)
+            ok = np.isfinite(boundary) & (want > 0.0) & (want < np.inf)
+            assert np.array_equal(power, np.where(ok, want, np.inf)), k
+            assert np.array_equal(a_star, np.where(ok, boundary, np.nan), equal_nan=True), k
+
+
 class TestPowerFloor:
     # the strategy draws target 0 and the exact metric form; the example
     # has both, where the metric has no occupancy budget to cap at
     @given(text=valid_config_texts(kinds=("rsa", "rectangular")))
     @example(text="[target]\nmetric = 0.0\n[toggles]\nft_metric_form = exact\n"
                   "[optimizer]\ntemperature_points_per_decade = 4\n")
+    # the least frequency validation accepts at 300 K: the occupancy budget
+    # caps the qubit stage near 2e-301 K, where the small-scale mu is inf
+    @example(text="[technology]\nfrequency_hz = 3.728195104010834e-291\n"
+                  "[efficiency]\nmodel = small_scale\n")
+    # t_ext at the float maximum: mu of a 0.1 mK qubit stage is inf, and the
+    # coarse floor's mu differences inf - inf
+    @example(text="[technology]\nfrequency_hz = 1e12\n[chain]\nstages = 2\n"
+                  "t_ext_k = 1.7976931348623157e+308\nt_qb_min_k = 0.0001\n"
+                  "t_qb_max_k = 0.0001\nt_gen_min_k = 300.0\n[target]\nmetric = 0.0\n"
+                  "[optimizer]\ntemperature_points_per_decade = 1\nk_max = 0\n")
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_floor_is_below_the_searched_power_at_every_level(self, text):
@@ -827,6 +897,23 @@ class TestPowerFloor:
         monkeypatch.setattr(optimize, "static_power_breakdown", without_supply)
         assert _floor_violations(cfg)
         assert _coarse_floor_violations(cfg)
+
+    def test_a_zero_drive_costs_nothing_in_the_coarse_floor(self):
+        # a pi pulse of 0 W, at tau_1qb = float max, where the drive's mu times
+        # the attenuation leaves the float range, at t_ext = float max: the
+        # floor prices the drive at 0 W, not NaN, so the coarse pass solves
+        # the feasible points it bounds
+        cfg = load_config(text=(
+            "[technology]\nfrequency_hz = 1e12\ntau_1qb_s = 1.7976931348623157e+308\n"
+            "[chain]\nstages = 2\nt_ext_k = 1.7976931348623157e+308\nt_qb_min_k = 0.0001\n"
+            "t_qb_max_k = 3000.0\nt_gen_min_k = 300.0\nt_gen_max_k = 300.0\n"
+            "attenuation_min_db = 17.0\nattenuation_max_db = 17.0\n[cable]\n"
+            "control_lines_per_qubit = 0.0\nreadout_lines_per_qubit = 0.0\n[workload]\n"
+            "rsa_n = 16\n[target]\nmetric = 0.0\n[optimizer]\n"
+            "temperature_points_per_decade = 1\nrefinement_passes = 0\nk_max = 0\n"))
+        assert _coarse_floor_violations(cfg) == []
+        assert _searched(cfg).feasible
+        assert repr(_searched(cfg)) == repr(_searched(cfg, keep_all=True))
 
     def test_cap_is_tight_where_the_qubit_stage_rows_dominate(self):
         # no electronics and almost no cable: the parasitic qubit-stage row
