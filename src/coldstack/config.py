@@ -5,7 +5,8 @@ All keys carry explicit SI-unit suffixes (``gamma_inverse_s``,
 dB or natural units through distinct keys.  Each key is declared once,
 on the :class:`RunConfig` field it sets.  Unknown sections or keys are
 rejected, and validation reports every violation at once rather than
-stopping at the first.  An empty file reproduces the default hardware
+stopping at the first, a value outside the model's domain
+(:data:`DOMAIN`) by its range.  An empty file reproduces the default hardware
 table: 6 GHz qubits, 25/100/100 ns gate/measure times, a 50 ms
 lifetime, five cooling stages, scenario A electronics, and a
 Carnot-efficient cryostat.
@@ -20,10 +21,12 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .noise import HBAR, K_B, QubitTechnology
-from .optimize import FtToggles, GridOptions
+from .noise import DURATION_RANGE_S, FREQUENCY_RANGE_HZ, LIFETIME_RANGE_S, QubitTechnology
+from .optimize import ATTENUATION_RANGE_DB, STEPS_PER_LEVEL_RANGE, FtToggles, GridOptions
 from .qec import GATE_GROWTH, QUBIT_GROWTH
-from .thermal import CableModel, CryoEfficiencyModel, ElectronicsScenario, SCENARIO_PRESETS
+from .thermal import (CABLE_LENGTH_RANGE_M, HEAT_LOAD_RANGE_W, LINES_PER_QUBIT_RANGE,
+                      SCENARIO_PRESETS, STEEL_FIT_MAX_K, TEMPERATURE_RANGE_K, CableModel,
+                      CryoEfficiencyModel, ElectronicsScenario)
 from .workloads import Workload, rsa_workload
 
 
@@ -159,6 +162,27 @@ _NATURAL_UNITS = {"attenuation_min": "attenuation_min_db",
 #: "float" or "float | None".
 FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 
+#: RunConfig field -> (closed range, what sets it): the model's physical domain,
+#: on which only the counts 91^k and 64^k, bounded by k_max, near the float range.
+DOMAIN = {name: (bounds, why) for names, bounds, why in (
+    ("frequency_hz", FREQUENCY_RANGE_HZ, "from spin and flux qubits to terahertz transitions"),
+    ("gamma_inverse_s", LIFETIME_RANGE_S, "qubit lifetimes against emission into the line"),
+    ("tau_1qb_s tau_2qb_s tau_meas_s", DURATION_RANGE_S, "gate, measurement and pulse durations"),
+    ("t_ext_k t_qb_min_k t_qb_max_k t_gen_min_k", TEMPERATURE_RANGE_K,
+     "below any dilution refrigerator to far above any ambient"),
+    ("t_gen_max_k", (TEMPERATURE_RANGE_K[0], STEEL_FIT_MAX_K),
+     "the top of the steel conductivity fit"),
+    ("attenuation_min_db attenuation_max_db", ATTENUATION_RANGE_DB,
+     "none to more than any chain needs"),
+    ("q_gen_w q_para_w q_hemt_w extra_qubit_heat_w", HEAT_LOAD_RANGE_W,
+     "heat per qubit of electronics, amplifiers or parasitics"),
+    ("cable_length_m", CABLE_LENGTH_RANGE_M, "lines within a cryostat"),
+    ("control_lines_per_qubit readout_lines_per_qubit", LINES_PER_QUBIT_RANGE,
+     "lines of each kind per qubit"),
+    ("steps_per_logical_level", STEPS_PER_LEVEL_RANGE,
+     "the steps of the highest level stay a float"),
+) for name in names.split()}
+
 
 def _coerce(field_name: str, raw: str, problems: list[str]):
     raw = raw.strip()
@@ -193,30 +217,16 @@ def validate(cfg: RunConfig, problems: list[str] | None = None) -> RunConfig:
         value = getattr(cfg, name)
         if isinstance(value, float) and not math.isfinite(value):
             problems.append(f"{_WRITTEN[name]}: must be a finite number")
-    positive = [
-        "frequency_hz", "gamma_inverse_s", "tau_1qb_s", "tau_2qb_s",
-        "tau_meas_s", "t_ext_k", "t_qb_min_k", "t_qb_max_k", "t_gen_min_k",
-        "t_gen_max_k", "cable_length_m", "rsa_n", "q_logical", "d_logical",
-        "nisq_qubits", "temperature_points_per_decade",
-        "steps_per_logical_level",
-    ]
-    for name in positive:
+        elif name in DOMAIN and value is not None:
+            (lo, hi), reason = DOMAIN[name]
+            if not lo <= value <= hi:
+                problems.append(f"{_WRITTEN[name]}: must lie in [{lo:g}, {hi:g}] ({reason})")
+    for name in ("rsa_n", "q_logical", "d_logical", "nisq_qubits",
+                 "temperature_points_per_decade"):
         if getattr(cfg, name) <= 0:
             problems.append(f"{_WRITTEN[name]}: must be > 0")
     if cfg.stages < 2:
         problems.append("chain.stages: need at least 2 cooling stages")
-    if 0 < cfg.gamma_inverse_s and math.isinf(1.0 / cfg.gamma_inverse_s):
-        problems.append("technology.gamma_inverse_s: too small for its inverse to be a float")
-    omega0 = 2.0 * math.pi * cfg.frequency_hz
-    if math.isinf(omega0):
-        problems.append("technology.frequency_hz: too high for 2*pi*f to be a float")
-    elif min(cfg.frequency_hz, cfg.t_ext_k) > 0:
-        # the occupancy at t_ext, 1/expm1(x), must be a float; x is inf where k_B t_ext is 0
-        energy, thermal_energy = HBAR * omega0, K_B * cfg.t_ext_k
-        x = energy / thermal_energy if thermal_energy else math.inf if energy else 0.0
-        if x == 0 or math.isinf(1.0 / x):
-            problems.append("technology.frequency_hz: too low for the thermal occupancy "
-                            "at chain.t_ext_k to be a float")
     if cfg.t_qb_min_k > cfg.t_qb_max_k:
         problems.append("chain.t_qb_min_k exceeds chain.t_qb_max_k")
     if cfg.t_gen_min_k > cfg.t_gen_max_k:
@@ -227,25 +237,18 @@ def validate(cfg: RunConfig, problems: list[str] | None = None) -> RunConfig:
         problems.append("chain.t_gen_max_k exceeds the ambient t_ext_k")
     if cfg.t_qb_max_k >= cfg.t_ext_k:
         problems.append("chain.t_qb_max_k must lie below the ambient t_ext_k")
-    if cfg.attenuation_min_db < 0 or cfg.attenuation_max_db < cfg.attenuation_min_db:
-        problems.append("chain: attenuation bounds must satisfy 0 <= min <= max")
+    if cfg.attenuation_max_db < cfg.attenuation_min_db:
+        problems.append("chain: attenuation bounds must satisfy min <= max")
     name = cfg.scenario.lower()
     if name == "custom":
         if cfg.q_gen_w is None or cfg.q_para_w is None:
             problems.append("scenario: custom requires q_gen_w and q_para_w")
-        elif min(cfg.q_gen_w, cfg.q_para_w, cfg.q_hemt_w or 0.0) < 0:
-            problems.append("scenario: heat loads must be nonnegative")
     elif name.upper() not in SCENARIO_PRESETS:
         problems.append(f"scenario.name: unknown scenario {cfg.scenario!r}")
     elif any(v is not None for v in (cfg.q_gen_w, cfg.q_para_w, cfg.q_hemt_w)):
         problems.append("scenario: heat loads may only accompany name = custom")
     if cfg.efficiency_model not in ("carnot", "small_scale"):
         problems.append("efficiency.model: must be carnot or small_scale")
-    for name in ("control_lines_per_qubit", "readout_lines_per_qubit", "extra_qubit_heat_w"):
-        if getattr(cfg, name) < 0:
-            problems.append(f"{_WRITTEN[name]}: must be >= 0")
-    if math.isinf(cfg.control_lines_per_qubit + cfg.readout_lines_per_qubit):
-        problems.append("cable: the lines per qubit must sum to a float")
     if cfg.workload_kind not in ("rsa", "rectangular", "nisq", "gate"):
         problems.append("workload.kind: must be rsa, rectangular, nisq, or gate")
     if cfg.rsa_variant not in ("gidney", "haner"):

@@ -9,16 +9,26 @@ of its inputs, so concurrent use is safe.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 #: Reduced Planck (J*s) and Boltzmann (J/K) constants, exact SI values.
 HBAR = 6.62607015e-34 / (2.0 * np.pi)
 K_B = 1.380649e-23
+
+#: The domain of a qubit generation: frequencies, lifetimes 1/gamma and durations.
+FREQUENCY_RANGE_HZ = (1e6, 1e13)
+LIFETIME_RANGE_S = (1e-9, 1e12)
+DURATION_RANGE_S = (1e-15, 1e6)
+
+
+def check_range(name: str, value: float, bounds: tuple) -> None:
+    """Raises ValueError unless ``value`` (not NaN) lies in the closed range ``bounds``."""
+    if not bounds[0] <= value <= bounds[1]:
+        raise ValueError(f"{name} must lie in [{bounds[0]:g}, {bounds[1]:g}]")
+
 
 # Above this value of (hbar*omega0)/(k_B*T) the occupancy underflows to
 # well below 1e-300; returning 0 avoids overflow in expm1.
@@ -32,7 +42,7 @@ class QubitTechnology:
     Durations are in seconds; ``omega0`` is the angular transition
     frequency in rad/s and ``gamma`` the spontaneous emission rate into
     the drive line in 1/s.  The machine clock period is set by the
-    slowest operation.
+    slowest operation.  Each field lies in the module's domain.
     """
 
     omega0: float
@@ -42,9 +52,10 @@ class QubitTechnology:
     tau_meas: float = 100e-9
 
     def __post_init__(self) -> None:
-        for name in ("omega0", "gamma", "tau_1qb", "tau_2qb", "tau_meas"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+        check_range("omega0", self.omega0, tuple(2.0 * np.pi * f for f in FREQUENCY_RANGE_HZ))
+        check_range("1 / gamma", 1.0 / self.gamma if self.gamma else np.inf, LIFETIME_RANGE_S)
+        for name in ("tau_1qb", "tau_2qb", "tau_meas"):
+            check_range(name, getattr(self, name), DURATION_RANGE_S)
 
     @property
     def tau_step(self) -> float:
@@ -58,23 +69,14 @@ def pi_pulse_power(tech: QubitTechnology, tau: float) -> float:
     Equals ``hbar*omega0*pi^2 / (4*gamma*tau^2)``, the power whose Rabi
     frequency ``Omega = sqrt(4*gamma*P/(hbar*omega0))`` is ``pi/tau``:
     faster gates and better-isolated qubits (smaller gamma) need
-    stronger drives.  Where ``4*gamma*tau^2`` is no normal float (gamma
-    or tau near an end of the float range), the quotient is taken exactly
-    and rounded once, inf or 0 out of the float range; elsewhere it runs
-    as written, as one order throughout (such as dividing by gamma last)
-    moves the last bit of a third of all drive powers and results.
+    stronger drives.  ``tau`` must lie in ``DURATION_RANGE_S``; on the
+    domain ``4*gamma*tau^2`` lies in [4e-42, 4e21] and the power in
+    [1e-48, 2e22] W.  It runs as written, as another order (such as
+    dividing by gamma last) moves the last bit of a third of all drive
+    powers and results.
     """
-    if tau <= 0:
-        raise ValueError("pulse duration must be strictly positive")
-    numerator = HBAR * tech.omega0 * np.pi**2
-    try:
-        denominator = 4.0 * tech.gamma * tau**2
-    except OverflowError:  # Python's float pow raises where numpy's gives inf
-        denominator = math.inf
-    if sys.float_info.min <= denominator <= sys.float_info.max:
-        return numerator / denominator
-    exact = Fraction(numerator) / (4 * Fraction(tech.gamma) * Fraction(tau) ** 2)
-    return float(exact) if exact <= sys.float_info.max else math.inf
+    check_range("pulse duration", tau, DURATION_RANGE_S)
+    return HBAR * tech.omega0 * np.pi**2 / (4.0 * tech.gamma * tau**2)
 
 
 def bose_einstein(temperature, omega0: float):
@@ -220,36 +222,35 @@ def _infidelity(tech: QubitTechnology, n_noise):
 
 def _infidelity_occupancy(tech: QubitTechnology, infidelity: np.ndarray) -> np.ndarray:
     """Occupancies at which the worst-case infidelity (at most 1) equals
-    ``infidelity``: the inverse of :func:`worst_case_infidelity_1qb`, inf
-    where a rate ``gamma*tau_1qb`` below the normal floats overflows it."""
-    with np.errstate(divide="ignore", over="ignore"):
-        return infidelity / (tech.gamma * tech.tau_1qb) - 1.0
+    ``infidelity``: the inverse of :func:`worst_case_infidelity_1qb`, of
+    rate ``gamma*tau_1qb >= 1e-27`` on the domain."""
+    return infidelity / (tech.gamma * tech.tau_1qb) - 1.0
 
 
 def pauli_error_probability(tech: QubitTechnology, n_noise):
     """Worst-case Pauli error probability per qubit per clock step.
 
     ``(gamma*tau_step/2) * (1/2 + n_noise)``, clamped to [0, 1]: the
-    linearized formula can exceed 1 for absurd inputs.
-    """
+    linearized formula can exceed 1 for absurd inputs, as for occupancies
+    far beyond any the model's domain gives, whose product overflows."""
     n = np.asarray(n_noise, dtype=float)
     if (n < 0).any():
         raise ValueError("occupancy must be nonnegative")
-    p = _pauli_error(tech, n)
+    with np.errstate(over="ignore"):
+        p = _pauli_error(tech, n)
     return float(p) if p.ndim == 0 else p
 
 
 def _pauli_error(tech: QubitTechnology, n_noise):
     """:func:`pauli_error_probability` without the input check, for the
     optimizer's boundary solve, which calls it on whole grids of
-    occupancies of validated chains.  A product beyond the float range clamps to 1."""
-    with np.errstate(over="ignore"):
-        return np.clip(0.5 * tech.gamma * tech.tau_step * (0.5 + n_noise), 0.0, 1.0)
+    occupancies of validated chains.  On the domain ``gamma*tau_step <=
+    1e15`` and the occupancy (1e4 K at 1 MHz) is below 2e8."""
+    return np.clip(0.5 * tech.gamma * tech.tau_step * (0.5 + n_noise), 0.0, 1.0)
 
 
 def _pauli_error_occupancy(tech: QubitTechnology, p_err: float) -> float:
     """Occupancy at which the Pauli error probability equals ``p_err`` in
     (0, 1): the inverse of :func:`pauli_error_probability` below its
-    clamp; inf where the rate ``gamma*tau_step`` rounds to 0."""
-    rate = tech.gamma * tech.tau_step
-    return 2.0 * p_err / rate - 0.5 if rate else math.inf
+    clamp.  The rate ``gamma*tau_step`` is at least 1e-27 on the domain."""
+    return 2.0 * p_err / (tech.gamma * tech.tau_step) - 0.5

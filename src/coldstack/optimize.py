@@ -100,7 +100,6 @@ the bit.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from itertools import repeat
@@ -120,11 +119,14 @@ from .noise import (
     bose_einstein,
     chain_occupancy,
     chain_transmission,
+    check_range,
     pi_pulse_power,
 )
 from .thermal import (
     AMBIENT_K,
     CARNOT,
+    STEEL_FIT_MAX_K,
+    TEMPERATURE_RANGE_K,
     CableModel,
     CryoEfficiencyModel,
     ElectronicsScenario,
@@ -153,10 +155,15 @@ METRIC_TOL = 1e-12
 #: Each refinement pass spaces an axis this many times finer.
 REFINEMENT_FACTOR = 4
 
+#: The domain of a chain's total attenuation in dB, and of the physical steps
+#: per logical step per level, whose 157th power (the highest level) is a float.
+ATTENUATION_RANGE_DB = (0.0, 200.0)
+STEPS_PER_LEVEL_RANGE = (1.0, 10.0)
+
 
 @dataclass(frozen=True)
 class GridOptions:
-    """Search-grid density, bounds, and refinement schedule."""
+    """Search-grid density, bounds in the model's domain, and refinement schedule."""
 
     temperature_points_per_decade: int = 40
     refinement_passes: int = 2
@@ -173,11 +180,12 @@ class GridOptions:
             raise ValueError("need refinement_passes >= 0")
         if self.k_min < 0 or self.k_max < self.k_min:
             raise ValueError("need 0 <= k_min <= k_max")
-        for lo, hi in (self.t_qb_bounds, self.t_gen_bounds, self.attenuation_bounds):
-            if not (0 < lo <= hi):
-                raise ValueError("bounds must satisfy 0 < low <= high")
-        if self.attenuation_bounds[0] < 1:
-            raise ValueError("the attenuation lower bound must be at least 1")
+        ranges = (TEMPERATURE_RANGE_K, (TEMPERATURE_RANGE_K[0], STEEL_FIT_MAX_K),
+                  tuple(10.0 ** (db / 10.0) for db in ATTENUATION_RANGE_DB))
+        for name, bounds in zip(("t_qb_bounds", "t_gen_bounds", "attenuation_bounds"), ranges):
+            lo, hi = getattr(self, name)
+            check_range(f"{name}[0]", lo, (bounds[0], min(hi, bounds[1])))  # low <= high
+            check_range(f"{name}[1]", hi, bounds)
         if self.t_gen_bounds[0] <= self.t_qb_bounds[0]:
             raise ValueError("the generation-stage lower bound must exceed "
                              "the qubit-stage lower bound")
@@ -203,6 +211,7 @@ class FtToggles:
             raise ValueError("drive duration must be 'tau_1qb' or 'tau_2qb'")
         if self.metric_form not in ("linear", "exact"):
             raise ValueError("metric form must be 'linear' or 'exact'")
+        check_range("t_ext in K", self.t_ext, TEMPERATURE_RANGE_K)
 
 
 @dataclass(frozen=True)
@@ -421,11 +430,9 @@ class _AttenuatorProblem:
     def _metric(self, n_cold, n_rise, transmission):
         """Metric behind one attenuator of power ``transmission``, on
         qubit-stage occupancies ``n_cold`` and rises ``n_rise`` to the
-        ambient one.  A weighted infidelity beyond the float range
-        overflows to a metric of 0, as the clamp gives it."""
+        ambient one."""
         occ = chain_occupancy(n_cold, (n_rise,), transmission)
-        with np.errstate(over="ignore"):
-            return nisq_metric(self.weight, _infidelity(self.tech, occ))
+        return nisq_metric(self.weight, _infidelity(self.tech, occ))
 
     def power(self, t_qb, a):
         return CARNOT._heat_multiplier(t_qb, self.t_ext) * a * self.p_pi * self.power_scale
@@ -434,8 +441,8 @@ class _AttenuatorProblem:
         """Power and boundary attenuation on the qubit-temperature rows ``t_axis``.
 
         On the boundary the occupancy is ``n* = (1-M)/(weight*gamma*tau)
-        - 1``, so ``A* = (n_hot - n_c)/(n* - n_c)``.
-        """
+        - 1``, so ``A* = (n_hot - n_c)/(n* - n_c)``; on the domain the power
+        stays below 1e10 (mu) times 1e20 (A) times 2e22 W."""
         a_lo, a_hi = options.attenuation_bounds
         # the occupancies do not depend on the attenuation: once per grid
         n_cold = _bose_einstein(t_axis, self.tech.omega0)
@@ -454,19 +461,7 @@ class _AttenuatorProblem:
                                             1.0 / a_hi, 1.0 / a_lo)
 
         a_star = _boundary_attenuation(gap, a_lo, a_hi, invert)
-        with np.errstate(over="ignore"):  # a power out of the float range is out of reach
-            power = self.power(t_axis, a_star)
-        # NaN where the target is out of reach, and 0 where the power
-        # underflowed, as every drive heats a stage colder than t_ext
-        return np.where(power > 0.0, power, np.inf), a_star
-
-    def infeasible(self, target: float, options: GridOptions, unreachable: str):
-        """The result where no point is feasible: ``unreachable``, unless some
-        problem meets ``target`` where its metric peaks, at the coldest qubit
-        stage and the largest attenuation, and only its power is out of range."""
-        if (self.metric(options.t_qb_bounds[0], options.attenuation_bounds[1]) >= target).any():
-            unreachable = f"no point meets the target metric {target} at a power in the float range"
-        return _infeasible(unreachable)
+        return np.where(np.isnan(a_star), np.inf, self.power(t_axis, a_star)), a_star
 
 
 def optimize_single_qubit(tech: QubitTechnology, target: float,
@@ -479,6 +474,7 @@ def optimize_single_qubit(tech: QubitTechnology, target: float,
     model is taken."""
     if not (0 <= target < 1):
         raise ValueError("target metric must lie in [0, 1)")
+    check_range("t_ext in K", t_ext, TEMPERATURE_RANGE_K)
     if options.t_qb_bounds[1] >= t_ext:
         raise ValueError("the qubit stage must stay colder than t_ext")
     # the metric is clamped at 0, which meets a target of 0 at any floor
@@ -492,7 +488,7 @@ def optimize_single_qubit(tech: QubitTechnology, target: float,
     (found,), spacing = _grid_refine(partial(problem.solve, target, options),
                                      [("t_qb", options.t_qb_bounds)], options)
     if found is None:
-        return problem.infeasible(target, options, "no grid point satisfies the metric target")
+        return _infeasible("no grid point satisfies the metric target")
     power, (t_star,), a_star = found
     heat = a_star * problem.p_pi
     record = StageRecord(t_star, heat, power, "attenuator")
@@ -548,6 +544,7 @@ def optimize_nisq(q: int, target: float, tech: QubitTechnology,
     """
     if not (0 <= target < 1):
         raise ValueError("target metric must lie in [0, 1)")
+    check_range("t_ext in K", t_ext, TEMPERATURE_RANGE_K)
     if options.t_qb_bounds[1] >= t_ext:
         raise ValueError("the qubit stage must stay colder than t_ext")
     m_values = range(q - 2) if fixed_m is None else [fixed_m]
@@ -561,9 +558,8 @@ def optimize_nisq(q: int, target: float, tech: QubitTechnology,
         if cand and (best is None or cand[0] < found[best][0] * (1 - RELATIVE_TIE)):
             best = row
     if best is None:
-        return problem.infeasible(
-            target, options, f"metric target {target} unreachable for any compression of "
-            f"the {q}-qubit circuit (zero-noise floor too high)")
+        return _infeasible(f"metric target {target} unreachable for any compression of "
+                           f"the {q}-qubit circuit (zero-noise floor too high)")
     power, (t_star,), a_star = found[best]
     heat = a_star * problem.p_pi * scales[best]
     record = StageRecord(t_star, heat, power, "attenuator")
@@ -651,21 +647,20 @@ def _coarse_grid(t_qb_bounds: tuple, t_gen_bounds: tuple, per_decade: int,
 
 @lru_cache(maxsize=2)
 def _coarse_multipliers(grid_key: tuple, kind: str, t_ext: float) -> tuple:
-    """What the coarse floor needs of the heat multipliers mu on the stages
-    of ``_coarse_grid(*grid_key)``, as read-only arrays: mu of the qubit
-    stage (a column over t_qb) and of the generation stage (a row over
-    t_gen), mu of the qubit stage less mu of the stage below the top, the
-    latter, and the conduction sum ``G = sum_j r_j (mu_j - mu_{j+1})`` over
-    the rises r_j, each term >= 0 as the integral rises and mu falls with
-    the temperature.  mu depends on the efficiency model's ``kind`` alone;
-    two entries serve a run that alternates two kinds.
-    """
+    """What the coarse floor needs of the heat multipliers mu, floats below
+    4e17 on the domain, on the stages of ``_coarse_grid(*grid_key)``, as
+    read-only arrays: mu of the qubit stage (a column over t_qb) and of the
+    generation stage (a row over t_gen), mu of the qubit stage less the
+    least mu of the stages below the top, the latter, and the conduction
+    sum ``G = sum_j r_j (mu_j - mu_{j+1})`` over the rises r_j, each term
+    >= 0 as the integral rises and mu falls with the temperature.  mu
+    depends on the efficiency model's ``kind`` alone; two entries serve a
+    run that alternates two kinds."""
     _, (stages, rises, *_) = _coarse_grid(*grid_key)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # inf mu, inf - inf
-        mult = CryoEfficiencyModel(kind)._heat_multiplier(stages, t_ext)
-        mu_qb, mu_below_top = mult[0, :, :1], mult[-2]  # the end stages are the axes
-        return _read_only((mu_qb.copy(), mult[-1, :1].copy(), mu_qb - mu_below_top,
-                           mu_below_top.copy(), (rises * (mult[:-1] - mult[1:])).sum(axis=0)))
+    mult = CryoEfficiencyModel(kind)._heat_multiplier(stages, t_ext)
+    mu_qb, mu_least = mult[0, :, :1], mult[:-1].min(axis=0)  # the end stages are the axes
+    return _read_only((mu_qb.copy(), mult[-1, :1].copy(), mu_qb - mu_least, mu_least,
+                       (rises * (mult[:-1] - mult[1:])).sum(axis=0)))
 
 
 @lru_cache(maxsize=1)
@@ -833,15 +828,13 @@ class _FtProblem:
         """Power and boundary attenuation at the points of ``fields``
         (:func:`_grid_fields`, or a selection of them by :func:`_at`),
         with infinite power and NaN attenuation where the target is out of
-        reach, or the power out of the float range: inf, or 0 where it
-        underflowed, as the drive heats a stage colder than t_ext.  The
-        heat multipliers and the static rows are priced here only, and the
-        electrical powers of :meth:`terms` added in breakdown order."""
+        reach, or the power is no positive float, as that of 91^k qubits
+        may be.  The heat multipliers and the static rows are priced here
+        only, and the electrical powers of :meth:`terms` added in breakdown
+        order."""
         stages, rises, n_cold, n_rise, valid = fields
-        # the rows outlive the boundary solve's temporaries: allocated first;
-        # rows out of the float range are inf or NaN, and so out of reach below
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            mult, static = self.stage_fields(stages, rises)
+        # the rows outlive the boundary solve's temporaries: allocated first
+        mult, static = self.stage_fields(stages, rises)
         a_star = self.boundary(n_cold, n_rise, valid, k, target)
         finite = np.isfinite(a_star)
         a_safe = np.where(finite, a_star, self.options.attenuation_bounds[1])
@@ -897,15 +890,15 @@ class _FtProblem:
 
         The static rows cost their closed-form sum per qubit times the
         qubit count.  Their conduction rows take each span as ``r_j / L *
-        l``, finite where l/L overflows, whose quotient and product may each
-        round to a subnormal, off by up to ulp(0)/2; so G is scaled by l/L
-        capped at the float maximum, less ``(1 + l) ulp(0) (1 + max
-        mu_qb)``, as the spans' mu differences sum to at most mu_qb.  The
+        l``, whose quotient and product may each round to a subnormal, off
+        by up to ulp(0)/2; so G is scaled by l/L less ``(1 + l) ulp(0) (1 +
+        max mu_qb)``, as the spans' mu differences sum to at most mu_qb.  The
         K-1 attenuator fractions (stages 1..K-1) are >= 0 and sum to the
-        total attenuation A, the first is ``A^(1/(K-1)) >= 1``, and mu
-        falls along a valid chain,
-        so the drive costs at least ``W_k P_pi (f_1 mu_1 + (A - f_1)
-        mu_{K-1})`` with ``f_1 = A^(1/(K-1))``, which rises with A.  On
+        total attenuation A, the first is ``A^(1/(K-1)) >= 1``, and each
+        stage's mu is at least their least, mu_min (mu_{K-1}, as mu falls
+        along a valid chain, but for the rounding of stages within ulps of
+        each other), so the drive costs at least ``W_k P_pi (f_1 mu_1 + (A -
+        f_1) mu_min)`` with ``f_1 = A^(1/(K-1))``, which rises with A.  On
         the boundary the leak's top term ``n_rise_{K-1} / A`` is at most
         the excess ``n* - n_cold`` of the level's occupancy budget over
         the qubit stage's occupancy, so ``A >= n_rise_{K-1} / (n* -
@@ -913,10 +906,10 @@ class _FtProblem:
         misses the target.  The budget is taken 1e-9 relative high
         against the round-off of its inversion.
         """
-        tog, cable, largest = self.toggles, self.cable, sys.float_info.max
+        tog, cable = self.toggles, self.cable
         (t_qb, t_gen), (_, _, n_cold, n_rise, valid) = _coarse_grid(*self.grid_key)
         # computed, on a miss, before this call's own temporaries exist
-        mu_qb, mu_gen, mu_span, mu_last, conduction = _coarse_multipliers(
+        mu_qb, mu_gen, mu_span, mu_least, conduction = _coarse_multipliers(
             self.grid_key, self.model.kind, tog.t_ext)
         a_low = self.options.attenuation_bounds[0]
         reachable = valid
@@ -927,18 +920,16 @@ class _FtProblem:
             # a quotient of 0 where the budget leaves no excess: n_rise / inf
             a_low = np.maximum(a_low, n_rise[-1] / np.where(excess > 0.0, excess, np.inf))
         weight, qubits, classical = self.level(k)
-        w_p_pi = weight * self.p_pi  # W_k P_pi: 0 W where it is 0, even where the drive is inf
-        slack = (1.0 + cable.lines_per_qubit) * math.ulp(0.0) * (
-            1.0 + min(float(mu_qb.max()), largest))
-        # inf where a term leaves the float range; NaN where such terms meet,
-        # and so does the search there, which prices the point out of reach
+        slack = (1.0 + cable.lines_per_qubit) * math.ulp(0.0) * (1.0 + float(mu_qb.max()))
+        # inf where the power of 91^k qubits overflows; NaN where such terms
+        # meet, and so does the search there, which prices the point out of reach
         with np.errstate(over="ignore", invalid="ignore"):
-            drive = a_low ** (1.0 / (tog.k_stages - 1)) * mu_span + a_low * mu_last
+            drive = a_low ** (1.0 / (tog.k_stages - 1)) * mu_span + a_low * mu_least
             rows = hardware_rows(t_qb[:, None], t_gen[None, :], mu_qb, mu_gen, self.scenario,
                                  self.model, tog.t_ext)
-            per_qubit = (min(cable.lines_per_qubit / cable.length_m, largest) * conduction
+            per_qubit = (cable.lines_per_qubit / cable.length_m * conduction
                          + sum((rec.electrical_power_w for rec in rows), -slack))
-            floor = qubits * (per_qubit + classical) + (w_p_pi * drive if w_p_pi else 0.0)
+            floor = qubits * (per_qubit + classical) + weight * self.p_pi * drive
         return np.where(reachable & (floor == floor), floor, np.inf)
 
     def power_floor(self, k: int, target: float) -> float:
@@ -954,8 +945,9 @@ class _FtProblem:
         leak >= 0.  The occupancy rises with the temperature, so the qubit
         stage sits at or below ``T* = hbar omega0 / (k_B log1p(1/n*))``,
         and t_top is capped at T* (at target 0 every point meets it; with
-        n* <= 0 none does; a denominator that underflows to 0 caps
-        nothing).  Each row of :func:`~coldstack.thermal.hardware_rows`
+        n* <= 0 none does).  On the domain a positive n* = 2 p / (gamma
+        tau) - 0.5 lies in [1e-16, 1e28], and T* in [1e-6, 1e31] K.  Each
+        row of :func:`~coldstack.thermal.hardware_rows`
         is monotone in its one temperature, so it costs at least the
         lesser of its values at (t_top, t_gen_lo) and (t_top, t_gen_hi).
         The qubit-stage attenuator dissipates ``A^(1/(K-1)) >= 1`` times
@@ -964,24 +956,20 @@ class _FtProblem:
         conduction rows, which sum to ``sum_i span_i (mu_i - mu_{i+1})``
         with spans and differences of mu both >= 0.  The inputs that break
         these premises are rejected where they enter, t_gen_hi by optimize_ft.
-        A mu beyond the float range, as at a cap near 0 K, is inf, and a
-        zero load or drive costs 0 W even there, so the floor is never NaN.
         """
         tog, model, options = self.toggles, self.model, self.options
         t_top = min(options.t_qb_bounds[1], options.t_gen_bounds[1])
         n_star = self.occupancy_budget(target, k) if target > 0 else 0.0
-        if n_star > 0 and (rate := K_B * math.log1p(1.0 / n_star)) > 0:
-            t_top = min(t_top, HBAR * self.tech.omega0 / rate)
-        with np.errstate(divide="ignore", over="ignore"):
-            mu_top = model.heat_multiplier(t_top, tog.t_ext)
+        if n_star > 0:
+            t_top = min(t_top, HBAR * self.tech.omega0 / (K_B * math.log1p(1.0 / n_star)))
+        mu_top = model.heat_multiplier(t_top, tog.t_ext)
         # Python floats, whose products overflow to inf silently; the qubit
         # stage's rows, at t_top, are the same at both t_gen bounds
         per_qubit = float(sum((rec.electrical_power_w
-                               for rec in qubit_stage_rows(t_top, mu_top, model)
-                               if rec.heat_extracted_w), self.generation_floor))
+                               for rec in qubit_stage_rows(t_top, mu_top, model)),
+                              self.generation_floor))
         weight, qubits, classical = self.level(k)
-        drive = weight * self.p_pi
-        return qubits * (per_qubit + classical) + (drive * mu_top if drive else 0.0)
+        return qubits * (per_qubit + classical) + weight * self.p_pi * mu_top
 
     @cached_property
     def generation_floor(self) -> float:
@@ -990,10 +978,9 @@ class _FtProblem:
         part of :meth:`power_floor`'s always-on rows that is the same at
         every level."""
         tog, model = self.toggles, self.model
-        with np.errstate(divide="ignore", over="ignore"):  # numpy's floats: mu may be inf
-            lo, hi = (generation_rows(t_gen, model.heat_multiplier(t_gen, tog.t_ext),
-                                      self.scenario, model, tog.t_ext)
-                      for t_gen in self.options.t_gen_bounds)
+        lo, hi = (generation_rows(t_gen, model.heat_multiplier(t_gen, tog.t_ext),
+                                  self.scenario, model, tog.t_ext)
+                  for t_gen in self.options.t_gen_bounds)
         return sum(min(a.electrical_power_w, b.electrical_power_w) for a, b in zip(lo, hi))
 
     def evaluate(self, t_qb: float, t_gen: float, a_total: float, k: int) -> FtPointEvaluation:
@@ -1156,7 +1143,9 @@ def transition_size_estimate(tech: QubitTechnology, target: float, k: int) -> fl
 def ft_duration_s(workload: Workload, tech: QubitTechnology, k: int,
                   steps_per_level: float = 3.0) -> float:
     """Wall time of the computation: each concatenation level stretches
-    a logical step by the data-qubit span of the correction circuit."""
+    a logical step by the data-qubit span of the correction circuit,
+    ``steps_per_level`` in ``STEPS_PER_LEVEL_RANGE``."""
+    check_range("steps per logical level", steps_per_level, STEPS_PER_LEVEL_RANGE)
     return steps_per_level**k * workload.d_logical * tech.tau_step
 
 

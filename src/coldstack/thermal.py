@@ -30,13 +30,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import QubitTechnology
+from .noise import QubitTechnology, check_range
 from . import qec
 
 AMBIENT_K = 300.0
 
+#: The domain: stage and ambient temperatures, the top of the steel fit, cable
+#: lengths, lines of each kind per qubit, and heat loads per qubit.
+TEMPERATURE_RANGE_K = (1e-6, 1e4)
+STEEL_FIT_MAX_K = 300.0
+CABLE_LENGTH_RANGE_M = (1e-3, 1e3)
+LINES_PER_QUBIT_RANGE = (0.0, 100.0)
+HEAT_LOAD_RANGE_W = (0.0, 1.0)
+
 #: Stainless-steel conductivity fit, log10(lambda) = sum a_i * log10(T)^i,
-#: valid above 10 K.
+#: valid from 10 K to 300 K.
 STEEL_FIT = (-1.4087, 1.3982, 0.2543, -0.6260, 0.2334, 0.4256, -0.4658, 0.1650, -0.0199)
 #: Kapton conductivity lambda = c * T^p as (c, p), below 4 K and for 4..10 K.
 KAPTON_LOW = (4.6, 0.56)
@@ -73,11 +81,10 @@ class CableModel:
     readout_lines_per_qubit: float = 1.0 / 100.0
 
     def __post_init__(self) -> None:
-        if self.length_m <= 0:
-            raise ValueError("cable length must be positive")
-        if (min(self.control_lines_per_qubit, self.readout_lines_per_qubit) < 0
-                or np.isinf(self.lines_per_qubit)):
-            raise ValueError("lines per qubit must be nonnegative and sum to a float")
+        check_range("cable length", self.length_m, CABLE_LENGTH_RANGE_M)
+        for line in ("control", "readout"):
+            check_range(f"{line} lines per qubit", getattr(self, f"{line}_lines_per_qubit"),
+                        LINES_PER_QUBIT_RANGE)
 
     @property
     def lines_per_qubit(self) -> float:
@@ -108,8 +115,8 @@ class ElectronicsScenario:
     q_hemt: float
 
     def __post_init__(self) -> None:
-        if min(self.q_gen, self.q_para, self.q_hemt) < 0:
-            raise ValueError("scenario heat loads must be nonnegative")
+        for name in ("q_gen", "q_para", "q_hemt"):
+            check_range(f"scenario heat load {name}", getattr(self, name), HEAT_LOAD_RANGE_W)
 
     @classmethod
     def preset(cls, name: str) -> "ElectronicsScenario":
@@ -141,8 +148,7 @@ class CryoEfficiencyModel:
     def __post_init__(self) -> None:
         if self.kind not in ("carnot", "small_scale"):
             raise ValueError("efficiency model must be 'carnot' or 'small_scale'")
-        if self.extra_qubit_heat_w < 0:
-            raise ValueError("the parasitic qubit-stage heat must be nonnegative")
+        check_range("the parasitic qubit-stage heat", self.extra_qubit_heat_w, HEAT_LOAD_RANGE_W)
 
     def heat_multiplier(self, t_stage, t_ext: float = AMBIENT_K):
         """Electrical watts per watt of heat extracted at ``t_stage``."""
@@ -245,8 +251,8 @@ def _conduction_integral(temperature):
 
 def cable_heat_flow(t_low: float, t_high: float, cable: CableModel) -> float:
     """Heat conducted by one cable from ``t_high`` down to ``t_low`` (W)."""
-    if not (0 <= t_low <= t_high <= AMBIENT_K):
-        raise ValueError("need 0 <= t_low <= t_high <= 300 K")
+    if not (0 <= t_low <= t_high <= STEEL_FIT_MAX_K):
+        raise ValueError(f"need 0 <= t_low <= t_high <= {STEEL_FIT_MAX_K:g} K")
     return (_conduction_integral(t_high) - _conduction_integral(t_low)) / cable.length_m
 
 
@@ -330,9 +336,7 @@ def conduction_heat_per_qubit(temperatures, cable: CableModel,
     """
     if rises is None:
         rises = conduction_rises(temperatures)
-    lines = cable.lines_per_qubit
-    # no lines conduct nothing, even where a rise per metre overflows
-    spans = rises / cable.length_m * lines if lines else 0.0 * rises
+    spans = rises / cable.length_m * cable.lines_per_qubit
     net = np.zeros((len(spans) + 1,) + spans.shape[1:])
     net[:-1] += spans
     net[1:] -= spans

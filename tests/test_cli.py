@@ -4,6 +4,7 @@ import io
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -19,7 +20,7 @@ from coldstack.config import ConfigError, RunConfig, load_config
 from coldstack.driver import SweepAxis, compare_rsa, result_record, run_problem, sweep
 from coldstack.results import parse_csv
 
-from conftest import SHORTEST_LIFETIME_S, valid_config_texts
+from conftest import valid_config_texts
 from test_golden import readme_commands
 
 LIGHT_OPTIMIZER = """
@@ -43,11 +44,12 @@ d_logical = 1000000000
 """
 
 
-#: The shortest lifetime, no always-on rows and a target every point
-#: meets: the power is the drive alone, ~1e-323 W near t_ext.
-BELOW_THE_FLOAT_RANGE = f"""
+#: The shortest lifetime whose emission rate is a float, no always-on
+#: rows and a target every point meets: the power would be the drive
+#: alone, ~1e-323 W near t_ext.  It lies outside the model's domain.
+BELOW_THE_FLOAT_RANGE = """
 [technology]
-gamma_inverse_s = {SHORTEST_LIFETIME_S!r}
+gamma_inverse_s = 5.56268464626801e-309
 [chain]
 t_qb_max_k = 299.9999999997
 [scenario]
@@ -232,18 +234,18 @@ class TestDriver:
 
     @pytest.mark.parametrize("spec, problem", [
         ("t_qb_max_k=400:400:1", "t_qb_max_k must lie below the ambient t_ext_k"),
-        ("steps_per_logical_level=-3:-3:1", "steps_per_logical_level: must be > 0"),
+        ("steps_per_logical_level=-3:-3:1", "steps_per_logical_level: must lie in [1, 10]"),
         ("gamma_inverse_s=nan:1:2", "gamma_inverse_s: must be a finite number"),
         ("k_max=inf:inf:1", "k_max: must be a finite number"),
         ("k_max=157:157:1", "optimizer.k_max: must be at most 155"),
-        ("cable_length_m=-1:-1:1", "cable.length_m: must be > 0"),
-        ("cable.length_m=-1:-1:1", "cable.length_m: must be > 0"),
+        ("cable_length_m=-1:-1:1", "cable.length_m: must lie in [0.001, 1000]"),
+        ("cable.length_m=-1:-1:1", "cable.length_m: must lie in [0.001, 1000]"),
         ("rsa_n=1e300:1e300:1", "workload: key size")])
     def test_sweep_points_are_validated(self, tmp_path, capsys, spec, problem):
         # each point meets the rules of a config file
         cfg = load_config(text=RSA_830_LIGHT)
         axis = SweepAxis.parse(spec)
-        with pytest.raises(ConfigError, match=f"sweep point {axis.key}=.*{problem}"):
+        with pytest.raises(ConfigError, match=f"sweep point {axis.key}=.*{re.escape(problem)}"):
             sweep(cfg, [axis])
         out = tmp_path / "s.csv"
         assert main(["--config", _write(tmp_path, RSA_830_LIGHT), "sweep",
@@ -274,32 +276,49 @@ class TestDriver:
         assert row["feasible"] and row["quantum_faster"] and row["quantum_more_efficient"]
 
     def test_compare_rsa_prices_a_run_below_the_float_range(self, tmp_path, capsys):
-        # the shortest lifetime, no always-on rows and a qubit stage a hair
-        # below t_ext: the drive costs ~1e-323 W, and the run's energy
-        # underflows to 0 J, whose efficiency is beyond the float range
+        # a drive of ~1e-323 W, whose run's energy underflowed to 0 J, needs
+        # a lifetime outside the model's domain: a config error now
         out = tmp_path / "r.csv"
         cfg = _write(tmp_path, BELOW_THE_FLOAT_RANGE + "[workload]\nrsa_n = 16\n")
-        assert main(["--config", cfg, "compare-rsa", "--n", "16:16:1", "--out", str(out)]) == 0
-        assert "Traceback" not in capsys.readouterr().err
-        (row,) = parse_csv(str(out))
-        assert row["feasible"] and row["power_w"] > 0 and row["energy_quantum_j"] == 0.0
-        assert row["efficiency_quantum_bit_per_j"] == math.inf
+        assert main(["--config", cfg, "compare-rsa", "--n", "16:16:1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "technology.gamma_inverse_s: must lie in [1e-09, 1e+12]" in err
+        assert "Traceback" not in err and not out.exists()
 
     def test_power_that_underflows_to_zero_is_out_of_the_float_range(self, tmp_path, capsys):
-        # the qubit stage pinned a hair below t_ext at level 0: every
-        # point's power rounds to 0 W, which is no result
+        # the qubit stage pinned a hair below t_ext at level 0, where every
+        # point's power rounded to 0 W: its lifetime lies outside the domain
         out = tmp_path / "r.csv"
         pinned = BELOW_THE_FLOAT_RANGE.replace(
             "[chain]\n", "[chain]\nt_qb_min_k = 299.9999999997\nt_gen_min_k = 300.0\n")
         cfg = _write(tmp_path, pinned + "[optimizer]\nk_min = 0\nk_max = 0\n")
         assert main(["--config", cfg, "compare-rsa", "--n", "2048:2048:1",
-                     "--out", str(out)]) == 2
-        assert "Traceback" not in capsys.readouterr().err
-        (row,) = parse_csv(str(out))
-        assert not row["feasible"] and row["efficiency_quantum_bit_per_j"] == 0.0
-        result = run_problem(load_config(path=cfg))
-        assert result.diagnostic == ("no point meets the target metric 0.0 at a power "
-                                     "in the float range for k in [0, 0]")
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "technology.gamma_inverse_s: must lie in" in err and "Traceback" not in err
+        with pytest.raises(ConfigError, match="technology.gamma_inverse_s"):
+            load_config(path=cfg)
+
+    def test_steps_per_level_beyond_the_domain_is_a_config_error(self, tmp_path, capsys):
+        # 1e200 steps per level raised OverflowError in steps**k
+        out = tmp_path / "r.csv"
+        cfg = _write(tmp_path, "[toggles]\nsteps_per_logical_level = 1e200\n")
+        assert main(["--config", cfg, "compare-rsa", "--n", "512:512:1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "toggles.steps_per_logical_level: must lie in [1, 10]" in err
+        assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("attenuation_max_db", "4000"),
+                                            ("attenuation_max", "1e300")])
+    def test_attenuation_beyond_the_domain_is_a_config_error(self, tmp_path, capsys, key,
+                                                             value):
+        # 4000 dB overflowed 10^(dB/10) in grid_options; 1e300, 3000 dB, ran
+        out = tmp_path / "o.csv"
+        cfg = _write(tmp_path, f"[chain]\n{key} = {value}\n")
+        assert main(["--config", cfg, "optimize-ft", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "chain.attenuation_max_db: must lie in [0, 200]" in err
+        assert "Traceback" not in err and not out.exists()
 
     def test_level_transitions_monotone_along_depth_sweep(self):
         cfg = load_config(text=LIGHT_OPTIMIZER).replace(
@@ -356,40 +375,27 @@ class TestStartUp:
         assert proc.stdout.strip() == "False"
 
 
-#: Python's float pow raised on the square of these durations
+#: Python's float pow raised on the square of this duration, which lies
+#: outside the model's domain
 _HUGE_TAU_1QB = "[technology]\ntau_1qb_s = 1e200\n"
-_HUGE_TAU_2QB = ("[technology]\ntau_2qb_s = 1.7976931348623157e+308\n"
-                 "[toggles]\ntwo_qubit_drive_duration = tau_2qb\n")
+
+#: Two corners of the model's domain: every technology key at the top of
+#: its range, behind the most attenuation at the hottest ambient, and every
+#: one at the bottom, with the coldest qubit stage.
+_CORNER_HIGH = ("[technology]\nfrequency_hz = 1e13\ngamma_inverse_s = 1e12\n"
+                "tau_1qb_s = 1e6\ntau_2qb_s = 1e6\ntau_meas_s = 1e6\n"
+                "[chain]\nt_ext_k = 10000.0\nattenuation_max_db = 200.0\n")
+_CORNER_LOW = ("[technology]\nfrequency_hz = 1e6\ngamma_inverse_s = 1e-9\n"
+               "tau_1qb_s = 1e-15\ntau_2qb_s = 1e-15\ntau_meas_s = 1e-15\n"
+               "[chain]\nt_qb_min_k = 1e-6\nt_qb_max_k = 1e-6\n")
 
 
 class TestNeverRaises:
     @given(text=valid_config_texts())
-    @example(text=_HUGE_TAU_1QB + "[workload]\nkind = nisq\n")
-    @example(text=_HUGE_TAU_2QB)
-    # always-on rows beyond the float range, priced for the coarse floor
-    @example(text="[scenario]\nname = custom\nq_gen_w = 1.7976931348623157e+308\n"
-                  "q_para_w = 0.0\nq_hemt_w = 1.7976931348623157e+308\n")
-    @example(text="[efficiency]\nmodel = small_scale\n"
-                  "extra_qubit_heat_w = 1.7976931348623157e+308\n")
-    # the least frequency validation accepts, whose occupancies near the float
-    # maximum overflowed the Pauli error probability of a short lifetime
-    @example(text="[technology]\nfrequency_hz = 3.728195104010834e-291\n"
-                  "gamma_inverse_s = 1e-300\n")
-    # error rates gamma*tau that round to 0: every occupancy meets the budget
-    @example(text="[technology]\ngamma_inverse_s = 10.0\ntau_1qb_s = 5e-324\n"
-                  "tau_2qb_s = 5e-324\ntau_meas_s = 5e-324\n")
-    @example(text="[technology]\ngamma_inverse_s = 10.0\ntau_1qb_s = 5e-324\n"
-                  "[workload]\nkind = nisq\n")
-    # the tiniest t_ext, whose thermal energy k_B t_ext underflows to 0
-    @example(text="[technology]\nfrequency_hz = 1e+300\n[chain]\nstages = 2\n"
-                  "t_ext_k = 1e-323\nt_qb_min_k = 5e-324\nt_qb_max_k = 5e-324\n"
-                  "t_gen_min_k = 1e-323\nt_gen_max_k = 1e-323\n")
-    # t_ext at the float maximum: mu of a 0.1 mK qubit stage is inf, and the
-    # coarse floor's mu differences inf - inf
-    @example(text="[technology]\nfrequency_hz = 1e12\n[chain]\nstages = 2\n"
-                  "t_ext_k = 1.7976931348623157e+308\nt_qb_min_k = 0.0001\n"
-                  "t_qb_max_k = 0.0001\nt_gen_min_k = 300.0\n[target]\nmetric = 0.0\n"
-                  "[optimizer]\ntemperature_points_per_decade = 1\nk_max = 0\n")
+    @example(text=_CORNER_HIGH)
+    @example(text=_CORNER_HIGH + "[workload]\nkind = nisq\n")
+    @example(text=_CORNER_LOW)
+    @example(text=_CORNER_LOW + "[workload]\nkind = gate\n")
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_every_valid_config_gives_a_result(self, text):
@@ -404,8 +410,8 @@ class TestNeverRaises:
             assert result.diagnostic
 
     @given(text=valid_config_texts())
-    @example(text=_HUGE_TAU_1QB)
-    @example(text=_HUGE_TAU_2QB)
+    @example(text=_CORNER_HIGH)
+    @example(text=_CORNER_LOW)
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_no_command_ends_in_a_traceback(self, text):
@@ -428,23 +434,25 @@ class TestNeverRaises:
 
     @pytest.mark.parametrize("command", ["optimize-ft", "optimize-nisq"])
     def test_a_pulse_whose_square_overflows_is_infeasible(self, tmp_path, capsys, command):
+        # it read infeasible; a pulse of 1e200 s lies outside the domain, and
+        # each command rejects it as a config error
         out = tmp_path / "out.csv"
         assert main(["--config", _write(tmp_path, _HUGE_TAU_1QB), command,
-                     "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert "INFEASIBLE:" in captured.out and not captured.err
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "technology.tau_1qb_s: must lie in [1e-15, 1e+06]" in err
+        assert "Traceback" not in err and not out.exists()
 
     def test_a_frequency_whose_photon_energy_underflows_is_rejected(self, tmp_path, capsys):
         path = _write(tmp_path, "[technology]\nfrequency_hz = 5e-324\n")
         assert main(["--config", path, "optimize-ft", "--out", str(tmp_path / "o.csv")]) == 1
-        assert "technology.frequency_hz: too low" in capsys.readouterr().err
+        assert "technology.frequency_hz: must lie in [1e+06, 1e+13]" in capsys.readouterr().err
 
     def test_no_lines_conduct_nothing_on_the_shortest_cable(self, tmp_path, capsys):
-        # a rise per metre of 5e-324 m overflows, and times zero lines it
-        # was NaN: the run read infeasible with warnings; no lines conduct
-        # 0 W at any length, so the optimum is the one at 1 m
+        # no lines conduct 0 W at any length, so the optimum on the domain's
+        # shortest cable is the one at 1 m
         outputs = []
-        for length in ("5e-324", "1.0"):
+        for length in ("0.001", "1.0"):
             cfg = _write(tmp_path, f"[cable]\nlength_m = {length}\ncontrol_lines_per_qubit = 0"
                                    "\nreadout_lines_per_qubit = 0\n")
             out = tmp_path / f"{length}.csv"
@@ -488,19 +496,21 @@ class TestCliContract:
         out = tmp_path / "x.csv"
         assert main(["--config", cfg, "optimize-ft", "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert f"cable.{key}: must be >= 0" in err and "Traceback" not in err
+        assert f"cable.{key}: must lie in [0, 100]" in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["optimize-1qb", "optimize-nisq", "optimize-ft",
                                          "breakdown"])
     def test_drive_beyond_the_float_range_is_infeasible(self, tmp_path, capsys, command):
-        # at a 1e-170 s pulse, tau^2 underflows to 0 and the drive power
-        # is beyond the float range
+        # at a 1e-170 s pulse, tau^2 underflowed to 0 and the drive power was
+        # beyond the float range, which each command read infeasible; such a
+        # pulse lies outside the domain, and is a config error
+        out = tmp_path / "x.csv"
         cfg = _write(tmp_path, "[technology]\ntau_1qb_s = 1e-170\n")
-        assert main(["--config", cfg, command, "--out", str(tmp_path / "x.csv")]) == 2
-        err = capsys.readouterr()
-        assert "at a power in the float range" in err.out + err.err
-        assert "Traceback" not in err.err
+        assert main(["--config", cfg, command, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "technology.tau_1qb_s: must lie in" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = _write(tmp_path, RSA_830_LIGHT)

@@ -1,13 +1,11 @@
 import dataclasses
 import json
 import math
-import sys
 
 import pytest
 
-from coldstack.config import (FIELD_TYPES, ConfigError, RunConfig, load_config, show_config,
-                              validate)
-from coldstack.noise import bose_einstein
+from coldstack.config import (_WRITTEN, DOMAIN, FIELD_TYPES, ConfigError, RunConfig,
+                              load_config, show_config, validate)
 from coldstack.results import emit_results, parse_csv
 
 
@@ -61,48 +59,51 @@ class TestLoadConfig:
                                               ("5.562684646268003e-309", False),
                                               ("5.56268464626801e-309", True)])
     def test_lifetime_whose_rate_is_no_float_rejected(self, lifetime, ok):
-        # gamma = 1/gamma_inverse_s must be a float: an infinite rate would
-        # price every drive at 0 W
-        text = f"[technology]\ngamma_inverse_s = {lifetime}\n"
-        if ok:
-            assert math.isfinite(load_config(text=text).technology().gamma)
-        else:
-            with pytest.raises(ConfigError, match="technology.gamma_inverse_s: too small"):
-                load_config(text=text)
+        # the shortest lifetimes whose rates gamma = 1/gamma_inverse_s are no
+        # float (not ok) and a float (ok) lie far below the domain's
+        assert math.isfinite(1.0 / float(lifetime)) == ok
+        with pytest.raises(ConfigError, match=r"technology.gamma_inverse_s: must lie in \["):
+            load_config(text=f"[technology]\ngamma_inverse_s = {lifetime}\n")
 
     @pytest.mark.parametrize("frequency, problem", [
         ("5e-324", "too low"), ("3.728195104010833e-291", "too low"),
         ("3.728195104010834e-291", None), ("2.861117485757028e+307", None),
         ("2.8611174857570283e+307", "too high")])
     def test_frequency_out_of_the_models_float_range_rejected(self, frequency, problem):
-        # below, hbar*omega0 rounds to 0 and the occupancies are inf - inf;
-        # above, omega0 = 2*pi*f is inf
-        text = f"[technology]\nfrequency_hz = {frequency}\n"
-        if problem is None:
-            assert math.isfinite(bose_einstein(300.0, load_config(text=text).technology().omega0))
-        else:
-            with pytest.raises(ConfigError, match=f"technology.frequency_hz: {problem}"):
-                load_config(text=text)
+        # the ends of the frequencies whose occupancies are floats, and just
+        # beyond them (``problem``, as the float-range checks named it): all
+        # lie outside the domain
+        with pytest.raises(ConfigError) as err:
+            load_config(text=f"[technology]\nfrequency_hz = {frequency}\n")
+        assert err.value.problems == [
+            "technology.frequency_hz: must lie in [1e+06, 1e+13] "
+            "(from spin and flux qubits to terahertz transitions)"]
 
     def test_least_frequency_rises_with_t_ext(self):
-        # the occupancy at t_ext, the largest of the box, must be a float
-        text = "[technology]\nfrequency_hz = 1e-280\n[chain]\nt_ext_k = {}\n"
-        load_config(text=text.format(1e10))
-        with pytest.raises(ConfigError, match="frequency_hz: too low"):
-            load_config(text=text.format(1e30))
+        # it rose with t_ext while the occupancy at t_ext had to be a float;
+        # the least frequency is now the domain's at every t_ext
+        least = DOMAIN["frequency_hz"][0][0]
+        for t_ext in (1e-3, 300.0, 1e4):
+            box = RunConfig(t_ext_k=t_ext, t_qb_min_k=1e-6, t_qb_max_k=1e-6,
+                            t_gen_min_k=min(t_ext, 300.0), t_gen_max_k=min(t_ext, 300.0))
+            validate(box.replace(frequency_hz=least))
+            with pytest.raises(ConfigError, match="frequency_hz: must lie in"):
+                validate(box.replace(frequency_hz=math.nextafter(least, 0.0)))
 
     @pytest.mark.parametrize("key", ["control_lines_per_qubit", "readout_lines_per_qubit"])
     def test_negative_line_count_rejected(self, key):
         assert getattr(load_config(text=f"[cable]\n{key} = 0\n"), key) == 0.0
-        with pytest.raises(ConfigError, match=f"cable.{key}: must be >= 0"):
+        with pytest.raises(ConfigError, match=rf"cable.{key}: must lie in \[0, 100\]"):
             load_config(text=f"[cable]\n{key} = -0.5\n")
 
     def test_lines_that_sum_beyond_the_float_range_rejected(self):
+        # each count lies in the domain's range, so their sum stays a float
         text = "[cable]\ncontrol_lines_per_qubit = 1.7976931348623157e+308\n"
-        assert load_config(text=text).cable().lines_per_qubit == sys.float_info.max
         with pytest.raises(ConfigError) as err:
             load_config(text=text + "readout_lines_per_qubit = 1e292\n")
-        assert err.value.problems == ["cable: the lines per qubit must sum to a float"]
+        assert err.value.problems == [
+            f"cable.{line}_lines_per_qubit: must lie in [0, 100] (lines of each kind per qubit)"
+            for line in ("control", "readout")]
 
     @pytest.mark.parametrize("t_qb_max", ["300", "400"])
     def test_qubit_stage_at_or_above_ambient_rejected(self, t_qb_max):
@@ -222,6 +223,142 @@ class TestLoadConfig:
                 "where 91^k_max * Q_L stays in the float range"]
 
 
+def _room_for(name: str, bound: float) -> RunConfig:
+    """The default config, with a custom scenario so that the heat loads
+    are set, and with the box moved around ``bound`` of the field
+    ``name`` where the other rules allow."""
+    cfg = RunConfig(scenario="custom", q_gen_w=1e-3, q_para_w=1e-6, q_hemt_w=0.0)
+    if name in ("t_ext_k", "t_qb_min_k", "t_qb_max_k", "t_gen_min_k", "t_gen_max_k"):
+        t_least, t_top = DOMAIN["t_ext_k"][0]
+        t_gen = DOMAIN["t_gen_max_k"][0][1]
+        if not name.startswith("t_qb"):
+            t_gen = min(bound, t_gen)
+        cfg = cfg.replace(t_ext_k=max(bound, t_gen) if name == "t_ext_k" else t_top,
+                          t_qb_min_k=t_least, t_qb_max_k=t_least, t_gen_min_k=t_gen,
+                          t_gen_max_k=t_gen)
+    if name.startswith("attenuation_"):
+        cfg = cfg.replace(attenuation_min_db=bound, attenuation_max_db=bound)
+    return cfg
+
+
+def _problems(cfg: RunConfig) -> list[str]:
+    try:
+        validate(cfg)
+    except ConfigError as err:
+        return err.problems
+    return []
+
+
+#: The ends of the domain that the rules between the temperatures leave no
+#: room for: the qubit stage lies below t_ext and the generation stage, and
+#: the generation stage at or below the top of the steel fit.
+_ENDS_BEYOND_THE_BOX = {("t_ext_k", 0), ("t_qb_min_k", 1), ("t_qb_max_k", 1),
+                        ("t_gen_min_k", 0), ("t_gen_min_k", 1), ("t_gen_max_k", 0)}
+
+
+@pytest.mark.parametrize("name, end", [(name, end) for name in DOMAIN for end in (0, 1)])
+def test_each_end_of_the_domain_is_in_and_the_next_float_out(name, end):
+    # each bound passes the field's range check, and passes validation
+    # whole where the box has room for it; the next float beyond it fails
+    # that check, by the key as a file writes it, with the range and reason
+    (lo, hi), reason = DOMAIN[name]
+    bound = (lo, hi)[end]
+    room = _room_for(name, bound)
+    at = _problems(room.replace(**{name: bound}))
+    assert (at == []) == ((name, end) not in _ENDS_BEYOND_THE_BOX), at
+    assert not [p for p in at if p.startswith(f"{_WRITTEN[name]}:")]
+    beyond = math.nextafter(bound, math.inf if end else -math.inf)
+    assert (f"{_WRITTEN[name]}: must lie in [{lo:g}, {hi:g}] ({reason})"
+            in _problems(room.replace(**{name: beyond})))
+
+
+_FLOAT_MAX = "1.7976931348623157e+308"
+_HUGE_LINES = ("[efficiency]\nextra_qubit_heat_w = 0.0\n"
+               f"[cable]\nreadout_lines_per_qubit = {_FLOAT_MAX}\n")
+_NEAR_T_EXT = ("[chain]\nstages = 2\nt_qb_min_k = 0.0001\nt_qb_max_k = 299.7\n"
+               "t_gen_min_k = 300.0\n[target]\nmetric = 0.0\n[optimizer]\n"
+               "temperature_points_per_decade = 1\nk_max = 0\n")
+_HOT_AMBIENT = ("[technology]\nfrequency_hz = 1e12\n[chain]\nstages = 2\n"
+                f"t_ext_k = {_FLOAT_MAX}\nt_qb_min_k = 0.0001\n"
+                "t_qb_max_k = 0.0001\nt_gen_min_k = 300.0\n[target]\nmetric = 0.0\n"
+                "[optimizer]\ntemperature_points_per_decade = 1\nk_max = 0\n")
+
+#: Configs outside the model's domain that the never-raises, floor and
+#: pruning properties ran as examples, and the draw that failed the pruning
+#: property now and then, by what they exercised: each is a config error
+#: that names these keys and their ranges.
+OUT_OF_DOMAIN = {
+    "pulse whose square overflows": ("[technology]\ntau_1qb_s = 1e200\n",
+                                     ["technology.tau_1qb_s"]),
+    "pulse whose square overflows, circuit": (
+        "[technology]\ntau_1qb_s = 1e200\n[workload]\nkind = nisq\n", ["technology.tau_1qb_s"]),
+    "two-qubit drive of float-max duration": (
+        f"[technology]\ntau_2qb_s = {_FLOAT_MAX}\n[toggles]\n"
+        "two_qubit_drive_duration = tau_2qb\n", ["technology.tau_2qb_s"]),
+    "always-on rows beyond the float range": (
+        f"[scenario]\nname = custom\nq_gen_w = {_FLOAT_MAX}\nq_para_w = 0.0\n"
+        f"q_hemt_w = {_FLOAT_MAX}\n", ["scenario.q_gen_w", "scenario.q_hemt_w"]),
+    "parasitic heat beyond the float range": (
+        f"[efficiency]\nmodel = small_scale\nextra_qubit_heat_w = {_FLOAT_MAX}\n",
+        ["efficiency.extra_qubit_heat_w"]),
+    "occupancies near the float maximum": (
+        "[technology]\nfrequency_hz = 3.728195104010834e-291\ngamma_inverse_s = 1e-300\n",
+        ["technology.frequency_hz", "technology.gamma_inverse_s"]),
+    "occupancy cap near 2e-301 K": (
+        "[technology]\nfrequency_hz = 3.728195104010834e-291\n[efficiency]\n"
+        "model = small_scale\n", ["technology.frequency_hz"]),
+    "error rates that round to 0": (
+        "[technology]\ngamma_inverse_s = 10.0\ntau_1qb_s = 5e-324\ntau_2qb_s = 5e-324\n"
+        "tau_meas_s = 5e-324\n",
+        ["technology.tau_1qb_s", "technology.tau_2qb_s", "technology.tau_meas_s"]),
+    "error rate that rounds to 0, circuit": (
+        "[technology]\ngamma_inverse_s = 10.0\ntau_1qb_s = 5e-324\n[workload]\nkind = nisq\n",
+        ["technology.tau_1qb_s"]),
+    "thermal energy that underflows": (
+        "[technology]\nfrequency_hz = 1e+300\n[chain]\nstages = 2\nt_ext_k = 1e-323\n"
+        "t_qb_min_k = 5e-324\nt_qb_max_k = 5e-324\nt_gen_min_k = 1e-323\n"
+        "t_gen_max_k = 1e-323\n",
+        ["technology.frequency_hz", "chain.t_ext_k", "chain.t_qb_min_k", "chain.t_qb_max_k",
+         "chain.t_gen_min_k", "chain.t_gen_max_k"]),
+    "t_ext at the float maximum": (_HOT_AMBIENT, ["chain.t_ext_k"]),
+    "heat beyond the float range at t_ext": (
+        _HUGE_LINES + "[chain]\nstages = 2\nt_qb_max_k = 299.9999999997\nt_gen_min_k = 300.0\n"
+        "[target]\nmetric = 0.0\n[optimizer]\ntemperature_points_per_decade = 1\nk_min = 6\n",
+        ["cable.readout_lines_per_qubit"]),
+    "l / L beyond the float range": (_HUGE_LINES + "length_m = 0.1\n" + _NEAR_T_EXT,
+                                     ["cable.readout_lines_per_qubit"]),
+    "r / L subnormal": (
+        _HUGE_LINES + f"length_m = {_FLOAT_MAX}\n[scenario]\nname = custom\nq_gen_w = 0.0\n"
+        "q_para_w = 0.0\nq_hemt_w = 0.0\n[chain]\nstages = 2\nt_qb_min_k = 0.0001\n"
+        "[target]\nmetric = 0.0\n[optimizer]\ntemperature_points_per_decade = 1\nk_max = 0\n",
+        ["cable.readout_lines_per_qubit", "cable.length_m"]),
+    "drive weight beyond the float range": (
+        f"[technology]\ngamma_inverse_s = {_FLOAT_MAX}\n[chain]\nstages = 7\n"
+        "t_qb_max_k = 299.9999999997\nt_gen_min_k = 1.0\n[efficiency]\nmodel = small_scale\n"
+        "[workload]\nrsa_n = 3.88e101\n", ["technology.gamma_inverse_s"]),
+    "power out of the float range on the shortest cable": (
+        "[chain]\nstages = 2\nt_qb_min_k = 0.5\nt_qb_max_k = 0.5\nt_gen_min_k = 4.0\n"
+        "t_gen_max_k = 4.0\n[target]\nmetric = 0.0\n[cable]\nlength_m = 5e-324\n",
+        ["cable.length_m"]),
+    # mu_last times a_low overflowed before the tiny W_k P_pi: the coarse
+    # floor read inf where the power is finite, and the pruned search missed
+    # the optimum
+    "coarse floor of inf times a tiny drive": (
+        "[technology]\ntau_1qb_s = 5e-324\n[chain]\nstages = 2\n"
+        f"t_ext_k = {_FLOAT_MAX}\nt_gen_min_k = 300.0\n"
+        "attenuation_min_db = 17.0\nattenuation_max_db = 17.0\n",
+        ["chain.t_ext_k", "technology.tau_1qb_s"]),
+}
+
+
+@pytest.mark.parametrize("text, keys", OUT_OF_DOMAIN.values(), ids=OUT_OF_DOMAIN)
+def test_examples_outside_the_domain_are_rejected(text, keys):
+    with pytest.raises(ConfigError) as err:
+        load_config(text=text)
+    ranges = [p for p in err.value.problems if ": must lie in [" in p]
+    assert [p.split(":")[0] for p in ranges] == sorted(keys, key=list(_WRITTEN.values()).index)
+
+
 class TestShowConfig:
     def test_round_trips_through_parser(self):
         rendered = show_config(RunConfig())
@@ -253,7 +390,9 @@ def _other_value(field: str, value):
         return not value
     if isinstance(value, str):
         return _OTHER_CHOICE[field]
-    return 1e-3 if value is None else value + 1
+    if isinstance(value, int):
+        return value + 1
+    return 1e-3 if value is None else value / 2  # a float within the model's domain
 
 
 def test_every_model_setting_is_a_config_key():

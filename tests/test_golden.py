@@ -30,7 +30,7 @@ from coldstack import (
     optimize_single_qubit,
 )
 from coldstack.cli import main
-from coldstack.config import RunConfig, load_config, show_config
+from coldstack.config import _WRITTEN, DOMAIN, RunConfig, load_config, show_config
 
 from conftest import OMEGA0
 
@@ -156,6 +156,15 @@ def test_readme_config_lists_the_keys_show_config_prints():
     block = readme_config()
     assert _sections_and_keys(block) == _sections_and_keys(show_config(RunConfig()))
     assert load_config(text=block) == RunConfig()
+
+
+def test_readme_domain_table_is_the_domain():
+    # the "Physical domain" table lists every range validation checks, in
+    # the order of the fields, as its messages print them
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    rows = "".join(f"| `{_WRITTEN[name]}` | [{lo:g}, {hi:g}] | {why} |\n"
+                   for name, ((lo, hi), why) in DOMAIN.items())
+    assert "| Key | Range | What sets it |\n|---|---|---|\n" + rows in text
 
 
 def test_reference_optima_match_golden():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import pathlib
@@ -74,21 +75,30 @@ class TestPiPulsePower:
 
     @pytest.mark.parametrize("gamma", [5.562684646268003e-309, 1.7976931348623157e308])
     def test_gamma_at_an_end_of_the_float_range(self, gamma):
-        # 4 gamma tau^2 underflows to 0 at the one end and overflows at the
-        # other, while the power itself is a float
-        tech = QubitTechnology(omega0=OMEGA0, gamma=gamma, tau_1qb=1e-9)
-        power = pi_pulse_power(tech, 1e-9)
-        assert 0.0 < power < math.inf
-        assert power == pytest.approx(hbar * OMEGA0 * math.pi**2 / (4.0 * 1e-9**2) / gamma,
-                                      rel=1e-12)
+        # 4 gamma tau^2 underflowed to 0 at the one end and overflowed at
+        # the other: both rates lie outside the domain
+        with pytest.raises(ValueError, match=r"1 / gamma must lie in \[1e-09, 1e\+12\]"):
+            QubitTechnology(omega0=OMEGA0, gamma=gamma, tau_1qb=1e-9)
 
     @pytest.mark.parametrize("gamma, tau, power", [(1e3, 1e-170, math.inf),
                                                    (1.7976931348623157e308, 1e10, 0.0)])
-    def test_power_out_of_the_float_range(self, gamma, tau, power):
-        # tau^2 underflows to 0 in the first case: the power is beyond the
-        # float range, and below it in the second
-        tech = QubitTechnology(omega0=OMEGA0, gamma=gamma, tau_1qb=tau)
-        assert pi_pulse_power(tech, tau) == power
+    def test_power_out_of_the_float_range(self, gamma, tau, power, tech_1ms):
+        # pulses whose power was inf, and 0, lie outside the domain
+        with pytest.raises(ValueError, match="tau_1qb must lie in"):
+            QubitTechnology(omega0=OMEGA0, gamma=1e3, tau_1qb=tau)
+        with pytest.raises(ValueError, match="pulse duration must lie in"):
+            pi_pulse_power(tech_1ms, tau)
+
+    def test_power_is_a_float_at_every_corner_of_the_domain(self):
+        # the bounds pi_pulse_power's docstring states, at the corners of
+        # the frequency, lifetime and duration ranges
+        f_range, life_range, tau_range = (noise.FREQUENCY_RANGE_HZ, noise.LIFETIME_RANGE_S,
+                                          noise.DURATION_RANGE_S)
+        for f, life, tau in itertools.product(f_range, life_range, tau_range):
+            tech = QubitTechnology(omega0=2.0 * math.pi * f, gamma=1.0 / life, tau_1qb=tau)
+            assert 4e-42 <= 4.0 * tech.gamma * tau**2 <= 4e21
+            assert 1e-48 <= pi_pulse_power(tech, tau) <= 2e22
+            assert 1e-27 <= tech.gamma * tau <= 1e15
 
     def test_quarter_power_when_duration_doubles(self, tech_1ms):
         p1 = pi_pulse_power(tech_1ms, 25e-9)

@@ -35,7 +35,7 @@ from coldstack import (
     transition_size_estimate,
 )
 from coldstack import optimize, thermal
-from coldstack.config import load_config
+from coldstack.config import ConfigError, load_config
 from coldstack.driver import SweepAxis, run_problem, sweep
 from coldstack.noise import K_B, _pauli_error, chain_occupancy, chain_transmission
 from coldstack.optimize import (
@@ -47,7 +47,7 @@ from coldstack.optimize import (
 )
 from coldstack.workloads import nisq_circuit
 
-from conftest import OMEGA0, SHORTEST_LIFETIME_S, edge_biased, valid_config_texts
+from conftest import OMEGA0, edge_biased, valid_config_texts
 
 CABLE = CableModel()
 SCEN_A = ElectronicsScenario.preset("A")
@@ -135,23 +135,22 @@ class TestOptimizeSingleQubit:
         assert res.power_w == math.inf
 
     def test_target_met_only_beyond_the_float_range(self):
-        # a lifetime at the float maximum needs a drive of ~1e300 W, and
-        # 120 dB of attenuation takes every power past the float range
-        tech = QubitTechnology(omega0=OMEGA0, gamma=1.0 / 1.7976931348623157e308)
-        res = optimize_single_qubit(tech, 0.9995, GridOptions(attenuation_bounds=(1e12, 1e12)))
-        assert not res.feasible and res.power_w == math.inf
-        assert res.diagnostic == ("no point meets the target metric 0.9995 "
-                                  "at a power in the float range")
+        # a lifetime at the float maximum needed a drive of ~1e300 W, which
+        # 120 dB of attenuation took past the float range: it lies outside
+        # the domain, and the technology rejects it
+        with pytest.raises(ValueError, match="1 / gamma must lie in"):
+            QubitTechnology(omega0=OMEGA0, gamma=1.0 / 1.7976931348623157e308)
 
     def test_target_zero_is_met_where_the_infidelity_floor_exceeds_one(self):
-        # gamma*tau_1qb ~ 4.5e300: the metric, clamped at 0, meets a target
-        # of 0 everywhere, so the zero-noise bound is max(0, 1 - floor), and
-        # the least power is the drive at the warmest qubits and A = 1
-        tech = QubitTechnology(omega0=OMEGA0, gamma=1.0 / SHORTEST_LIFETIME_S)
+        # gamma*tau_1qb = 1000, at the shortest lifetime of the domain: the
+        # metric, clamped at 0, meets a target of 0 everywhere, so the
+        # zero-noise bound is max(0, 1 - floor), and the least power is the
+        # drive at the warmest qubits and A = 1
+        tech = QubitTechnology(omega0=OMEGA0, gamma=1e9, tau_1qb=1e-6)
         res = optimize_single_qubit(tech, 0.0)
         assert res.feasible and res.metric_achieved == 0.0
         assert res.control.t_qb == 4.0 and res.control.a_total == 1.0
-        assert 0.0 < res.power_w < 1e-300
+        assert res.power_w == pytest.approx(74.0 * pi_pulse_power(tech, 1e-6), rel=1e-12)
         res = optimize_single_qubit(tech, 1e-9)
         assert not res.feasible
         assert res.diagnostic.startswith("target metric 1e-09 exceeds the zero-noise bound 0 ")
@@ -288,20 +287,23 @@ class TestOptimizeNisq:
         assert not res.feasible and "unreachable" in res.diagnostic
 
     def test_target_met_only_beyond_the_float_range(self):
-        tech = QubitTechnology(omega0=OMEGA0, gamma=1.0 / 1.7976931348623157e308)
-        res = optimize_nisq(25, 2.0 / 3.0, tech, GridOptions(attenuation_bounds=(1e12, 1e12)))
-        assert not res.feasible and res.power_w == math.inf
-        assert res.diagnostic == ("no point meets the target metric 0.6666666666666666 "
-                                  "at a power in the float range")
+        # its lifetime, at the float maximum, lies outside the domain
+        with pytest.raises(ValueError, match="1 / gamma must lie in"):
+            QubitTechnology(omega0=OMEGA0, gamma=1.0 / 1.7976931348623157e308)
 
     def test_infidelity_beyond_the_float_range_warns_nothing(self):
-        # gamma*tau_1qb ~ 1.8e302: the weighted infidelity overflows, and
-        # the metric is 0, as its clamp gives it, without a RuntimeWarning
-        tech = QubitTechnology(omega0=OMEGA0, gamma=1.0 / SHORTEST_LIFETIME_S, tau_1qb=1e-6)
+        # gamma*tau_1qb of 1.8e302, whose weighted infidelity overflowed,
+        # lies outside the domain; at its corner of largest infidelity,
+        # gamma*tau_1qb = 1e15, the metric is 0, as its clamp gives it,
+        # without a RuntimeWarning
+        with pytest.raises(ValueError, match="1 / gamma must lie in"):
+            QubitTechnology(omega0=OMEGA0, gamma=1.8e302, tau_1qb=1e-6)
+        tech = QubitTechnology(omega0=2.0 * math.pi * 1e13, gamma=1e9, tau_1qb=1e6,
+                               tau_2qb=1e6, tau_meas=1e6)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = optimize_nisq(25, 2.0 / 3.0, tech)
-            gate = optimize_single_qubit(tech, 0.0)
+            res = optimize_nisq(25, 2.0 / 3.0, tech, t_ext=1e4)
+            gate = optimize_single_qubit(tech, 0.0, t_ext=1e4)
         assert not res.feasible and gate.feasible and gate.metric_achieved == 0.0
 
     def test_metric_boundary_hit(self, tech_1ms):
@@ -866,14 +868,13 @@ class TestPowerFloor:
     @given(text=valid_config_texts(kinds=("rsa", "rectangular")))
     @example(text="[target]\nmetric = 0.0\n[toggles]\nft_metric_form = exact\n"
                   "[optimizer]\ntemperature_points_per_decade = 4\n")
-    # the least frequency validation accepts at 300 K: the occupancy budget
-    # caps the qubit stage near 2e-301 K, where the small-scale mu is inf
-    @example(text="[technology]\nfrequency_hz = 3.728195104010834e-291\n"
+    # the least frequency of the domain, small-scale: the occupancy budget
+    # caps the qubit stage lowest, where mu is largest
+    @example(text="[technology]\nfrequency_hz = 1e6\n[chain]\nt_qb_min_k = 1e-6\n"
                   "[efficiency]\nmodel = small_scale\n")
-    # t_ext at the float maximum: mu of a 0.1 mK qubit stage is inf, and the
-    # coarse floor's mu differences inf - inf
+    # the hottest ambient of the domain behind a 0.1 mK qubit stage
     @example(text="[technology]\nfrequency_hz = 1e12\n[chain]\nstages = 2\n"
-                  "t_ext_k = 1.7976931348623157e+308\nt_qb_min_k = 0.0001\n"
+                  "t_ext_k = 10000.0\nt_qb_min_k = 0.0001\n"
                   "t_qb_max_k = 0.0001\nt_gen_min_k = 300.0\n[target]\nmetric = 0.0\n"
                   "[optimizer]\ntemperature_points_per_decade = 1\nk_max = 0\n")
     @settings(max_examples=100, deadline=None,
@@ -899,20 +900,28 @@ class TestPowerFloor:
         assert _coarse_floor_violations(cfg)
 
     def test_a_zero_drive_costs_nothing_in_the_coarse_floor(self):
-        # a pi pulse of 0 W, at tau_1qb = float max, where the drive's mu times
-        # the attenuation leaves the float range, at t_ext = float max: the
-        # floor prices the drive at 0 W, not NaN, so the coarse pass solves
-        # the feasible points it bounds
+        # a pi pulse of 0 W needed tau_1qb at the float maximum, outside the
+        # domain; a gate-time multiplier of 0, which a problem built in code
+        # may take, drives nothing, and the floor prices the drive at 0 W,
+        # not NaN, so the coarse pass solves the feasible points it bounds
+        text = ("[technology]\nfrequency_hz = 1e12\ntau_1qb_s = 1.7976931348623157e+308\n"
+                "[chain]\nstages = 2\nt_ext_k = 1.7976931348623157e+308\n")
+        with pytest.raises(ConfigError, match="tau_1qb_s: must lie in"):
+            load_config(text=text)
         cfg = load_config(text=(
-            "[technology]\nfrequency_hz = 1e12\ntau_1qb_s = 1.7976931348623157e+308\n"
-            "[chain]\nstages = 2\nt_ext_k = 1.7976931348623157e+308\nt_qb_min_k = 0.0001\n"
+            "[technology]\nfrequency_hz = 1e12\ntau_1qb_s = 1e6\n"
+            "[chain]\nstages = 2\nt_ext_k = 10000.0\nt_qb_min_k = 0.0001\n"
             "t_qb_max_k = 3000.0\nt_gen_min_k = 300.0\nt_gen_max_k = 300.0\n"
-            "attenuation_min_db = 17.0\nattenuation_max_db = 17.0\n[cable]\n"
-            "control_lines_per_qubit = 0.0\nreadout_lines_per_qubit = 0.0\n[workload]\n"
+            "attenuation_min_db = 17.0\nattenuation_max_db = 17.0\n[workload]\n"
             "rsa_n = 16\n[target]\nmetric = 0.0\n[optimizer]\n"
             "temperature_points_per_decade = 1\nrefinement_passes = 0\nk_max = 0\n"))
+        problem, _, _, fields = _on_the_coarse_grid(cfg)
+        problem.toggles = replace(problem.toggles, t_gate_multiplier=0.0)
+        power, _ = problem.solve_fields(0, 0.0, fields)
+        floor = problem.coarse_floor(0, 0.0)
+        assert np.isfinite(power).any() and not np.isnan(floor).any()
+        assert (floor <= power * (1 + 1e-12)).all()
         assert _coarse_floor_violations(cfg) == []
-        assert _searched(cfg).feasible
         assert repr(_searched(cfg)) == repr(_searched(cfg, keep_all=True))
 
     def test_cap_is_tight_where_the_qubit_stage_rows_dominate(self):
@@ -934,14 +943,35 @@ class TestPowerFloor:
         (lambda: CableModel(control_lines_per_qubit=-0.5), "lines per qubit"),
         (lambda: CableModel(readout_lines_per_qubit=-0.5), "lines per qubit"),
         (lambda: CableModel(control_lines_per_qubit=1e308, readout_lines_per_qubit=1e308),
-         "sum to a float"),
+         "lines per qubit must lie in"),
         (lambda: CryoEfficiencyModel("small_scale", extra_qubit_heat_w=-1e-8), "parasitic"),
-        (lambda: GridOptions(attenuation_bounds=(0.5, 1e12)), "attenuation lower bound"),
+        (lambda: GridOptions(attenuation_bounds=(0.5, 1e12)),
+         r"attenuation_bounds\[0\] must lie in"),
         (lambda: FtToggles(t_gate_multiplier=-1.0), "gate-time multiplier"),
     ], ids=["control lines", "readout lines", "lines beyond the float range",
             "parasitic heat", "attenuation below 1", "gate-time multiplier"])
     def test_an_input_against_a_floor_premise_is_rejected(self, build, message):
         # each premise of the power floors is checked where its input enters
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: GridOptions(t_gen_bounds=(4.0, 1e4)), r"t_gen_bounds\[1\] must lie in"),
+        (lambda: FtToggles(t_ext=1e-323), "t_ext in K must lie in"),
+        (lambda: optimize_single_qubit(QubitTechnology(omega0=OMEGA0, gamma=20.0), 0.0,
+                                       t_ext=1e300), "t_ext in K must lie in"),
+        (lambda: QubitTechnology(omega0=OMEGA0, gamma=20.0, tau_1qb=5e-324),
+         "tau_1qb must lie in"),
+        (lambda: GridOptions(attenuation_bounds=(1.0, 1e300)),
+         r"attenuation_bounds\[1\] must lie in"),
+        (lambda: ft_duration_s(Workload(1, 1), QubitTechnology(omega0=OMEGA0, gamma=20.0), 3,
+                               1e200), "steps per logical level must lie in"),
+    ], ids=["steel fit above 300 K", "small-scale mu at a subnormal t_ext",
+            "gate power at t_ext 1e300 K", "coarse floor of a subnormal pulse",
+            "attenuation of 3000 dB", "steps per level of 1e200"])
+    def test_the_float_range_faults_raise_in_the_library(self, build, message):
+        # the inputs of the float-range faults validation now rejects raise
+        # ValueError where they enter the library too
         with pytest.raises(ValueError, match=message):
             build()
 
@@ -953,14 +983,19 @@ class TestPowerFloor:
 
     @pytest.mark.parametrize("gamma_inverse_s", [1e300, 1.7976931348623157e308])
     def test_cap_whose_denominator_underflows_caps_nothing(self, gamma_inverse_s):
-        # so long a lifetime gives the level an occupancy budget n* whose
-        # k_B log1p(1/n*) underflows to 0: T* lies beyond the float range
-        cfg = load_config(text=f"[technology]\ngamma_inverse_s = {gamma_inverse_s!r}\n"
-                               "[optimizer]\ntemperature_points_per_decade = 4\n")
+        # so long a lifetime gave the level an occupancy budget n* whose
+        # k_B log1p(1/n*) underflowed to 0; it lies outside the domain, and
+        # at the domain's longest lifetime and shortest durations the cap's
+        # denominator is positive and T* far above the box
+        text = "[optimizer]\ntemperature_points_per_decade = 4\n[technology]\n"
+        with pytest.raises(ConfigError, match="gamma_inverse_s: must lie in"):
+            load_config(text=text + f"gamma_inverse_s = {gamma_inverse_s!r}\n")
+        cfg = load_config(text=text + "gamma_inverse_s = 1e12\ntau_1qb_s = 1e-15\n"
+                                      "tau_2qb_s = 1e-15\ntau_meas_s = 1e-15\n")
         problem = _FtProblem(cfg.workload(), cfg.technology(), cfg.electronics(),
                              cfg.cable(), cfg.efficiency(), cfg.ft_toggles(),
                              cfg.grid_options())
-        assert K_B * math.log1p(1.0 / problem.occupancy_budget(cfg.target_metric, 3)) == 0.0
+        assert K_B * math.log1p(1.0 / problem.occupancy_budget(cfg.target_metric, 3)) > 0.0
         assert problem.power_floor(3, cfg.target_metric) == problem.power_floor(3, 0.0)
         assert _floor_violations(cfg) == []
         assert run_problem(cfg).feasible
@@ -1097,20 +1132,20 @@ def _on_the_default_box(text: str) -> str:
                    if line.split(" = ")[0] not in box)
 
 
-#: A cable of float-max lines per qubit, and a box whose chains reach t_ext.
-_HUGE_LINES = ("[efficiency]\nextra_qubit_heat_w = 0.0\n"
-               "[cable]\nreadout_lines_per_qubit = 1.7976931348623157e+308\n")
+#: The most lines per qubit on the shortest cable of the domain, and a box
+#: whose chains reach t_ext.
+_MOST_LINES = ("[efficiency]\nextra_qubit_heat_w = 0.0\n"
+               "[cable]\nreadout_lines_per_qubit = 100.0\ncontrol_lines_per_qubit = 100.0\n")
 _NEAR_T_EXT = ("[chain]\nstages = 2\nt_qb_min_k = 0.0001\nt_qb_max_k = 299.7\n"
                "t_gen_min_k = 300.0\n[target]\nmetric = 0.0\n[optimizer]\n"
                "temperature_points_per_decade = 1\nk_max = 0\n")
-
-
-#: Two stages, a one-point box and a cable of 5e-324 m at target 0: at
-#: k = 0 the point's floor is finite and its power out of the float range,
-#: and at higher levels its floor is too.
-_NO_POWER_IN_RANGE = ("[chain]\nstages = 2\nt_qb_min_k = 0.5\nt_qb_max_k = 0.5\n"
-                      "t_gen_min_k = 4.0\nt_gen_max_k = 4.0\n[target]\nmetric = 0.0\n"
-                      "[cable]\nlength_m = 5e-324\n")
+#: The fewest lines but none on the longest cable: the conduction rows
+#: r / L * l are subnormal, off by up to ulp(0)/2.
+_SUBNORMAL_LINES = ("[cable]\nlength_m = 1000.0\nreadout_lines_per_qubit = 5e-324\n"
+                    "control_lines_per_qubit = 0.0\n[scenario]\nname = custom\nq_gen_w = 0.0\n"
+                    "q_para_w = 0.0\nq_hemt_w = 0.0\n[efficiency]\nextra_qubit_heat_w = 0.0\n"
+                    "[chain]\nstages = 2\nt_qb_min_k = 0.0001\n[target]\nmetric = 0.0\n"
+                    "[optimizer]\ntemperature_points_per_decade = 1\nk_max = 0\n")
 
 
 class TestCoarsePruning:
@@ -1119,10 +1154,10 @@ class TestCoarsePruning:
     @given(text=valid_config_texts(kinds=("rsa", "rectangular")))
     @example(text=ON_A_COARSE_NODE)
     @example(text="")
-    # a heat out of the float range where the power is not: at t_ext
-    @example(text=_HUGE_LINES + "[chain]\nstages = 2\nt_qb_max_k = 299.9999999997\n"
-                  "t_gen_min_k = 300.0\n[target]\nmetric = 0.0\n[optimizer]\n"
-                  "temperature_points_per_decade = 1\nk_min = 6\n")
+    # the most lines on the shortest cable, at level 6, near t_ext
+    @example(text=_MOST_LINES + "length_m = 0.001\n[chain]\nstages = 2\n"
+                  "t_qb_max_k = 299.9999999997\nt_gen_min_k = 300.0\n[target]\nmetric = 0.0\n"
+                  "[optimizer]\ntemperature_points_per_decade = 1\nk_min = 6\n")
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_pruned_search_equals_the_search_of_every_point(self, text):
@@ -1165,8 +1200,7 @@ class TestCoarsePruning:
     @given(text=valid_config_texts(kinds=("rsa", "rectangular")))
     @example(text=ON_A_COARSE_NODE)
     @example(text="")
-    # no feasible point: U is inf at k = 0, and no floor is finite above it
-    @example(text=_NO_POWER_IN_RANGE)
+    @example(text=_SUBNORMAL_LINES)
     @settings(max_examples=50, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_any_first_batch_gives_the_search_of_every_point(self, text):
@@ -1184,16 +1218,13 @@ class TestCoarsePruning:
     @example(text="[efficiency]\nmodel = small_scale\n[toggles]\n"
                   "include_demod_syndrome = true\n[optimizer]\n"
                   "temperature_points_per_decade = 12\n")
-    # cables whose conduction rows leave the normal floats: l / L overflows
-    # where r / L * l does not, and r / L rounds to a subnormal
-    @example(text=_HUGE_LINES + "length_m = 0.1\n" + _NEAR_T_EXT)
-    @example(text=_HUGE_LINES + "length_m = 1.7976931348623157e+308\n[scenario]\nname = custom\n"
-                  "q_gen_w = 0.0\nq_para_w = 0.0\nq_hemt_w = 0.0\n[chain]\nstages = 2\n"
-                  "t_qb_min_k = 0.0001\n[target]\nmetric = 0.0\n[optimizer]\n"
-                  "temperature_points_per_decade = 1\nk_max = 0\n")
-    # an inf drive weight, and a qubit stage so close to t_ext that the drive
-    # of a chain that is not valid rounds to 0: the floor there is NaN
-    @example(text="[technology]\ngamma_inverse_s = 1.7976931348623157e+308\n[chain]\n"
+    # the cable corners of the domain: the most lines on the shortest cable,
+    # and subnormal conduction rows
+    @example(text=_MOST_LINES + "length_m = 0.001\n" + _NEAR_T_EXT)
+    @example(text=_SUBNORMAL_LINES)
+    # the longest lifetime, and a qubit stage so close to t_ext that the
+    # drive of a chain that is not valid is tiny, on a huge workload
+    @example(text="[technology]\ngamma_inverse_s = 1e12\n[chain]\n"
                   "stages = 7\nt_qb_max_k = 299.9999999997\nt_gen_min_k = 1.0\n"
                   "[efficiency]\nmodel = small_scale\n[workload]\nrsa_n = 3.88e101\n")
     @settings(max_examples=100, deadline=None,
