@@ -149,8 +149,6 @@ def _dispatch(args, cfg: RunConfig, out: str) -> int:
         return 0 if feasible else 2
     if args.command == "compare-rsa":
         values = SweepAxis.parse(f"rsa_n={args.n}").values()
-        if not all(map(math.isfinite, values)):
-            raise ValueError(f"--n {args.n}: key sizes must be finite")
         n_values = sorted({int(round(v)) for v in values})
         rows = compare_rsa(cfg, n_values)
         emit_results(rows, out, args.format)

@@ -25,8 +25,8 @@ from .noise import DURATION_RANGE_S, FREQUENCY_RANGE_HZ, LIFETIME_RANGE_S, Qubit
 from .optimize import ATTENUATION_RANGE_DB, STEPS_PER_LEVEL_RANGE, FtToggles, GridOptions
 from .qec import GATE_GROWTH, QUBIT_GROWTH
 from .thermal import (CABLE_LENGTH_RANGE_M, HEAT_LOAD_RANGE_W, LINES_PER_QUBIT_RANGE,
-                      SCENARIO_PRESETS, STEEL_FIT_MAX_K, TEMPERATURE_RANGE_K, CableModel,
-                      CryoEfficiencyModel, ElectronicsScenario)
+                      SCENARIO_PRESETS, STEEL_FIT_MAX_K, T_EXT_RANGE_K, TEMPERATURE_RANGE_K,
+                      CableModel, CryoEfficiencyModel, ElectronicsScenario)
 from .workloads import Workload, rsa_workload
 
 
@@ -168,7 +168,9 @@ DOMAIN = {name: (bounds, why) for names, bounds, why in (
     ("frequency_hz", FREQUENCY_RANGE_HZ, "from spin and flux qubits to terahertz transitions"),
     ("gamma_inverse_s", LIFETIME_RANGE_S, "qubit lifetimes against emission into the line"),
     ("tau_1qb_s tau_2qb_s tau_meas_s", DURATION_RANGE_S, "gate, measurement and pulse durations"),
-    ("t_ext_k t_qb_min_k t_qb_max_k t_gen_min_k", TEMPERATURE_RANGE_K,
+    ("t_ext_k", T_EXT_RANGE_K,
+     "an ambient no colder than the 4 K amplifier stage the stack cools"),
+    ("t_qb_min_k t_qb_max_k t_gen_min_k", TEMPERATURE_RANGE_K,
      "below any dilution refrigerator to far above any ambient"),
     ("t_gen_max_k", (TEMPERATURE_RANGE_K[0], STEEL_FIT_MAX_K),
      "the top of the steel conductivity fit"),

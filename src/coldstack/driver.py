@@ -34,16 +34,23 @@ class SweepAxis:
     log: bool = False
 
     def values(self) -> np.ndarray:
+        """The axis's values, which must be finite: an axis whose bounds or
+        steps leave the float range is rejected by its key."""
         if self.points < 1:
             raise ValueError(f"axis {self.key}: need at least one point")
-        if self.points == 1:
-            return np.array([self.start])
-        if self.log:
-            if self.start <= 0 or self.stop <= 0:
-                raise ValueError(f"axis {self.key}: log axes need positive bounds")
-            return np.logspace(math.log10(self.start), math.log10(self.stop),
-                               self.points)
-        return np.linspace(self.start, self.stop, self.points)
+        if self.log and self.points > 1 and (self.start <= 0 or self.stop <= 0):
+            raise ValueError(f"axis {self.key}: log axes need positive bounds")
+        with np.errstate(all="ignore"):
+            if self.points == 1:
+                values = np.array([self.start])
+            elif self.log:
+                values = np.logspace(math.log10(self.start), math.log10(self.stop),
+                                     self.points)
+            else:
+                values = np.linspace(self.start, self.stop, self.points)
+        if not np.isfinite(values).all():
+            raise ValueError(f"axis {self.key}: every value must be a finite number")
+        return values
 
     @classmethod
     def parse(cls, spec: str) -> "SweepAxis":
@@ -74,7 +81,7 @@ def _sweep_field(key: str) -> str:
 
 
 def _override(cfg: RunConfig, name: str, value: float) -> RunConfig:
-    if FIELD_TYPES[name] == "int" and math.isfinite(value):
+    if FIELD_TYPES[name] == "int":
         value = int(round(value))
     return cfg.replace(**{name: value})
 

@@ -53,11 +53,12 @@ probability in the box (:meth:`_FtProblem.least_error_probability`) on
 the one chain at its coldest corner, laid out alone with the bits of
 node (0, 0) of the coarse grid (and cached, :func:`_corner_occupancies`),
 which skips the levels that cannot reach the target without building
-the grid.  It searches the others in
-ascending order and skips a level whose power floor, a closed-form
-lower bound on its power anywhere in the box, lies above the best power
-found so far; such a level could not have won, so the result is the
-same as without the skip.  A problem is searched in the box of the
+the grid.  It searches the others best first, in ascending power
+floor, a closed-form lower bound on a level's power anywhere in the
+box, and skips a level whose floor lies far enough above the least
+power found so far that it could not have won; so the result is the
+same as without the skip (the margin is in :func:`optimize_ft`).  A
+problem is searched in the box of the
 :class:`GridOptions` it is built with.  The fields of the coarse grid,
 where every level's search starts, are cached (:func:`_coarse_grid`),
 keyed on the temperature bounds, the points per decade, the stage
@@ -127,6 +128,7 @@ from .thermal import (
     CARNOT,
     STEEL_FIT_MAX_K,
     TEMPERATURE_RANGE_K,
+    T_EXT_RANGE_K,
     CableModel,
     CryoEfficiencyModel,
     ElectronicsScenario,
@@ -211,7 +213,7 @@ class FtToggles:
             raise ValueError("drive duration must be 'tau_1qb' or 'tau_2qb'")
         if self.metric_form not in ("linear", "exact"):
             raise ValueError("metric form must be 'linear' or 'exact'")
-        check_range("t_ext in K", self.t_ext, TEMPERATURE_RANGE_K)
+        check_range("t_ext in K", self.t_ext, T_EXT_RANGE_K)
 
 
 @dataclass(frozen=True)
@@ -474,7 +476,7 @@ def optimize_single_qubit(tech: QubitTechnology, target: float,
     model is taken."""
     if not (0 <= target < 1):
         raise ValueError("target metric must lie in [0, 1)")
-    check_range("t_ext in K", t_ext, TEMPERATURE_RANGE_K)
+    check_range("t_ext in K", t_ext, T_EXT_RANGE_K)
     if options.t_qb_bounds[1] >= t_ext:
         raise ValueError("the qubit stage must stay colder than t_ext")
     # the metric is clamped at 0, which meets a target of 0 at any floor
@@ -544,7 +546,7 @@ def optimize_nisq(q: int, target: float, tech: QubitTechnology,
     """
     if not (0 <= target < 1):
         raise ValueError("target metric must lie in [0, 1)")
-    check_range("t_ext in K", t_ext, TEMPERATURE_RANGE_K)
+    check_range("t_ext in K", t_ext, T_EXT_RANGE_K)
     if options.t_qb_bounds[1] >= t_ext:
         raise ValueError("the qubit stage must stay colder than t_ext")
     m_values = range(q - 2) if fixed_m is None else [fixed_m]
@@ -1061,15 +1063,24 @@ def optimize_ft(workload: Workload, tech: QubitTechnology,
     attenuation, then warmer qubits.  Infeasibility is returned as a
     result (not raised) so parameter sweeps always complete.
 
-    Levels run in ascending k, and a later level replaces the incumbent
-    only below ``(1 - RELATIVE_TIE)`` times its power, which gives a tie
-    to the smaller k; within a level :func:`_grid_refine` breaks ties.
-    So a level whose :meth:`_FtProblem.power_floor` exceeds ``(1 +
-    RELATIVE_TIE)`` times the incumbent's power cannot win, and is not
-    searched.  Each level is searched once.  The optimum meets the target
-    to ``METRIC_TOL``: at high levels, where the metric's steepness
-    amplifies the round-off of the boundary solve past it, the
-    attenuation is raised until it does.
+    The answer is the reduction of every level's best power in ascending
+    k, where a later level replaces the incumbent only below ``q = 1 -
+    RELATIVE_TIE`` times its power, which gives a tie to the smaller k;
+    within a level :func:`_grid_refine` breaks ties.  The n levels that
+    the probe finds reachable are searched best first, in ascending
+    :meth:`_FtProblem.power_floor`, and one whose floor exceeds ``q^-n``
+    times the least power found so far is skipped: the reduction over
+    the levels searched is the reduction over all of them.  A margin of
+    ``1 / q`` would not do, as ties chain: with powers ``m/q^2 - e``,
+    ``m/q`` and ``m`` in ascending k, the last wins, but the middle one
+    does if the first is skipped.  A skipped level j could change the
+    run only by becoming the incumbent before the least-power level g;
+    then each incumbent stays at or above ``q^t`` P_j after t more
+    levels, until a level below them resets the run, which g does, as
+    its power lies below ``q^n P_j``.  Each level is searched once.  The
+    optimum meets the target to ``METRIC_TOL``: at high levels, where
+    the metric's steepness amplifies the round-off of the boundary solve
+    past it, the attenuation is raised until it does.
     """
     if not (0 <= target < 1):
         raise ValueError("target metric must lie in [0, 1)")
@@ -1078,22 +1089,25 @@ def optimize_ft(workload: Workload, tech: QubitTechnology,
     problem = _FtProblem(workload, tech, scenario, cable, model, toggles, options)
     p_err_min = problem.least_error_probability()
     axes = [("t_qb", options.t_qb_bounds), ("t_gen", options.t_gen_bounds)]
-    best = None  # (power, k, a, t_qb, t_gen, spacing)
-    reachable = False  # whether the corner meets the target at some level
-    for k in range(options.k_min, options.k_max + 1):
-        if problem.metric(p_err_min, k) < target:
-            continue
-        reachable = True
-        if best is not None and problem.power_floor(k, target) > best[0] * (1 + RELATIVE_TIE):
+    floors = {k: problem.power_floor(k, target)
+              for k in range(options.k_min, options.k_max + 1)
+              if problem.metric(p_err_min, k) >= target}
+    margin = (1 - RELATIVE_TIE) ** -len(floors)
+    searched, least = {}, math.inf  # (power, k, a, t_qb, t_gen, spacing) by k
+    for k in sorted(floors, key=lambda k: (floors[k], k)):
+        if floors[k] > least * margin:
             continue
         (found,), spacing = _grid_refine(partial(problem.solve, k, target), axes, options)
-        if found is None:
-            continue
-        power, (t_qb, t_gen), a_star = found
-        if best is None or power < best[0] * (1 - RELATIVE_TIE):
-            best = (power, k, a_star, t_qb, t_gen, spacing)
+        if found is not None:
+            power, (t_qb, t_gen), a_star = found
+            searched[k] = (power, k, a_star, t_qb, t_gen, spacing)
+            least = min(least, power)
+    best = None
+    for k in sorted(searched):
+        if best is None or searched[k][0] < best[0] * (1 - RELATIVE_TIE):
+            best = searched[k]
     if best is None:
-        if reachable:  # a level's search found only powers out of the float range
+        if floors:  # a level's search found only powers out of the float range
             diag = (f"no point meets the target metric {target} at a power in the "
                     f"float range for k in [{options.k_min}, {options.k_max}]")
         elif p_err_min >= qec.P_THRESHOLD:

@@ -60,6 +60,9 @@ SMALL_SCALE_PREFACTOR = 3.24e5
 #: readout amplifiers.
 PARAMP_K = 4.0
 HEMT_K = 70.0
+#: The domain of the ambient temperature: no colder than the stage of the
+#: parametric amplifiers, which the stack cools.
+T_EXT_RANGE_K = (PARAMP_K, TEMPERATURE_RANGE_K[1])
 
 # Demodulation / syndrome-decoding side-calculation constants.
 DEMOD_SAMPLES = 100          # digitized points per readout
@@ -360,14 +363,15 @@ def generation_rows(t_gen, mu_gen, scenario: ElectronicsScenario,
     """The electronics and amplifier rows of :func:`hardware_rows`, which
     depend on no stage but the generation stage, at ``t_gen`` of heat
     multiplier ``mu_gen``.  They include their supply power.  The HEMT
-    amplifiers are pointless (and dropped) when the generation stage sits
-    at or below 70 K."""
+    amplifiers are pointless (and dropped, at +0 W) when the generation
+    stage sits at or below 70 K, which it does where t_ext lies below 70 K
+    and the HEMT stage's (1 + mu) may be negative."""
     mu_para = model._heat_multiplier(PARAMP_K, t_ext)
     mu_hemt = model._heat_multiplier(HEMT_K, t_ext)
     q_hemt = scenario.q_hemt * (t_gen > HEMT_K)
     return [StageRecord(t_gen, scenario.q_gen, (1.0 + mu_gen) * scenario.q_gen, "electronics"),
             StageRecord(PARAMP_K, scenario.q_para, (1.0 + mu_para) * scenario.q_para, "amplifier"),
-            StageRecord(HEMT_K, q_hemt, (1.0 + mu_hemt) * q_hemt, "amplifier")]
+            StageRecord(HEMT_K, q_hemt, (1.0 + mu_hemt) * q_hemt + 0.0, "amplifier")]
 
 
 def qubit_stage_rows(t_qb, mu_qb, model: CryoEfficiencyModel) -> list[StageRecord]:

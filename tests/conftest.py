@@ -96,17 +96,15 @@ def valid_config_texts(draw, kinds=("rsa", "rectangular", "nisq", "gate"),
 
     t_least, _ = TEMPERATURE_RANGE_K
     model, kind = draw(st.sampled_from(["carnot", "small_scale"])), draw(st.sampled_from(kinds))
-    # the least t_ext leaves room for a qubit stage below the generation stage
-    t_ext = max(math.nextafter(t_least, math.inf),
-                anywhere(st.sampled_from([300.0, 290.0, 77.0, 4.5]), "t_ext_k"))
+    t_ext = anywhere(st.sampled_from([300.0, 290.0, 77.0, 4.5]), "t_ext_k")
     top = min(t_ext, STEEL_FIT_MAX_K)
     low = max(top * 1e-7, t_least)
     t_gen_max = draw(st.one_of(st.just(top), edge_biased(min(max(4.0, low), top), top)))
-    # the generation stage lies above the least qubit stage
-    t_gen_min = max(math.nextafter(t_least, math.inf), draw(st.one_of(
-        st.just(t_gen_max), edge_biased(min(max(1.0, low), t_gen_max), t_gen_max))))
-    # the qubit stage's bounds lie strictly below t_gen_min and t_ext
-    t_qb_below = max(t_least, min(0.999 * t_gen_min, math.nextafter(t_gen_min, 0.0)))
+    # t_ext >= 4 K leaves the generation stage at or above 1 K, and the
+    # qubit stage's bounds lie strictly below t_gen_min and t_ext
+    t_gen_min = draw(st.one_of(
+        st.just(t_gen_max), edge_biased(min(max(1.0, low), t_gen_max), t_gen_max)))
+    t_qb_below = 0.999 * t_gen_min
     t_qb_min = draw(edge_biased(min(max(min(1e-4, 1e-3 * t_qb_below), low), t_qb_below),
                                 t_qb_below))
     t_qb_max = draw(st.one_of(st.just(t_qb_min), edge_biased(

@@ -235,8 +235,6 @@ class TestDriver:
     @pytest.mark.parametrize("spec, problem", [
         ("t_qb_max_k=400:400:1", "t_qb_max_k must lie below the ambient t_ext_k"),
         ("steps_per_logical_level=-3:-3:1", "steps_per_logical_level: must lie in [1, 10]"),
-        ("gamma_inverse_s=nan:1:2", "gamma_inverse_s: must be a finite number"),
-        ("k_max=inf:inf:1", "k_max: must be a finite number"),
         ("k_max=157:157:1", "optimizer.k_max: must be at most 155"),
         ("cable_length_m=-1:-1:1", "cable.length_m: must lie in [0.001, 1000]"),
         ("cable.length_m=-1:-1:1", "cable.length_m: must lie in [0.001, 1000]"),
@@ -254,17 +252,37 @@ class TestDriver:
         assert f"sweep point {axis.key}=" in err and problem in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("spec", ["gamma_inverse_s=nan:1:2", "k_max=inf:inf:1",
+                                      "gamma_inverse_s=1e308:-1e308:3"])
+    def test_sweep_axis_values_must_be_finite(self, tmp_path, capsys, spec):
+        # a bound beyond the float range, or a step that leaves it, is the
+        # axis's fault, named by its key before any point is made; the step
+        # of the last axis overflowed, with two numpy warnings on stderr
+        axis = SweepAxis.parse(spec)
+        problem = f"axis {axis.key}: every value must be a finite number"
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            axis.values()
+        out = tmp_path / "s.csv"
+        assert main(["--config", _write(tmp_path, RSA_830_LIGHT), "sweep",
+                     "--out", str(out), "--sweep", spec]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {problem}\n"
+        assert not out.exists()
+
     def test_compare_rsa_rejects_a_huge_key(self, tmp_path, capsys):
         assert main(["compare-rsa", "--n", "1e300:1e300:1",
                      "--out", str(tmp_path / "r.csv")]) == 1
         assert "key size" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("spec", ["inf:inf:1", "1e400:1e400:1", "nan:nan:1"])
+    @pytest.mark.parametrize("spec", ["inf:inf:1", "1e400:1e400:1", "nan:nan:1",
+                                      "1e400:1e401:2"])
     def test_compare_rsa_rejects_a_key_that_is_no_number(self, tmp_path, capsys, spec):
+        # the key sizes are an axis, checked as a sweep's; the last spec's
+        # step printed a numpy warning before the check
         out = tmp_path / "r.csv"
         assert main(["compare-rsa", "--n", spec, "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert f"--n {spec}: key sizes must be finite" in err and "Traceback" not in err
+        assert err == "error: axis rsa_n: every value must be a finite number\n"
         assert not out.exists()
 
     def test_compare_rsa_prices_a_classical_key_beyond_the_float_range(self):
@@ -613,6 +631,35 @@ class TestCliContract:
         temperatures = [float(words[0]) for words in table]
         assert temperatures == sorted(temperatures, reverse=True)
         assert sorted(words[-1] for words in table) == sorted(r["source"] for r in rows)
+
+    def test_ambient_below_the_amplifier_stage_is_a_config_error(self, tmp_path, capsys):
+        # t_ext = 1 K left the 4 K amplifiers above ambient, priced with a
+        # negative (1 + mu): a row of -2.834e+08 W in a total of 4.7363e+07 W
+        cfg = _write(tmp_path, "[chain]\nt_ext_k = 1.0\nt_qb_min_k = 0.001\nt_qb_max_k = 0.5\n"
+                               "t_gen_min_k = 0.6\nt_gen_max_k = 1.0\n[efficiency]\n"
+                               "model = small_scale\n[optimizer]\n"
+                               "temperature_points_per_decade = 8\n")
+        out = tmp_path / "stages.csv"
+        assert main(["--config", cfg, "breakdown", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert ("chain.t_ext_k: must lie in [4, 10000] (an ambient no colder than the "
+                "4 K amplifier stage the stack cools)") in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_breakdown_below_the_hemt_stage_has_no_negative_row(self, tmp_path, capsys):
+        # below 70 K the small-scale (1 + mu) of the HEMT stage is negative,
+        # and the absent HEMT row printed as -0
+        cfg = _write(tmp_path, "[chain]\nt_ext_k = 10.0\nt_gen_max_k = 10.0\n[efficiency]\n"
+                               "model = small_scale\n[optimizer]\n"
+                               "temperature_points_per_decade = 8\n")
+        out = tmp_path / "stages.csv"
+        assert main(["--config", cfg, "breakdown", "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        rows = parse_csv(str(out))
+        assert any(r["stage_temperature_k"] == 70.0 and r["source"] == "amplifier"
+                   for r in rows)
+        assert all(r["electrical_power_w"] >= 0.0 for r in rows)
+        assert "-0.0" not in out.read_text() and "-0.0" not in printed
 
     def test_every_subcommand_is_in_the_readme(self):
         parser = _build_parser()

@@ -83,7 +83,7 @@ class TestLoadConfig:
         # it rose with t_ext while the occupancy at t_ext had to be a float;
         # the least frequency is now the domain's at every t_ext
         least = DOMAIN["frequency_hz"][0][0]
-        for t_ext in (1e-3, 300.0, 1e4):
+        for t_ext in (4.0, 300.0, 1e4):
             box = RunConfig(t_ext_k=t_ext, t_qb_min_k=1e-6, t_qb_max_k=1e-6,
                             t_gen_min_k=min(t_ext, 300.0), t_gen_max_k=min(t_ext, 300.0))
             validate(box.replace(frequency_hz=least))
@@ -229,7 +229,7 @@ def _room_for(name: str, bound: float) -> RunConfig:
     ``name`` where the other rules allow."""
     cfg = RunConfig(scenario="custom", q_gen_w=1e-3, q_para_w=1e-6, q_hemt_w=0.0)
     if name in ("t_ext_k", "t_qb_min_k", "t_qb_max_k", "t_gen_min_k", "t_gen_max_k"):
-        t_least, t_top = DOMAIN["t_ext_k"][0]
+        t_least, t_top = DOMAIN["t_qb_min_k"][0][0], DOMAIN["t_ext_k"][0][1]
         t_gen = DOMAIN["t_gen_max_k"][0][1]
         if not name.startswith("t_qb"):
             t_gen = min(bound, t_gen)
@@ -251,8 +251,9 @@ def _problems(cfg: RunConfig) -> list[str]:
 
 #: The ends of the domain that the rules between the temperatures leave no
 #: room for: the qubit stage lies below t_ext and the generation stage, and
-#: the generation stage at or below the top of the steel fit.
-_ENDS_BEYOND_THE_BOX = {("t_ext_k", 0), ("t_qb_min_k", 1), ("t_qb_max_k", 1),
+#: the generation stage at or below the top of the steel fit.  The least
+#: t_ext, 4 K, leaves room for a qubit stage below a generation stage there.
+_ENDS_BEYOND_THE_BOX = {("t_qb_min_k", 1), ("t_qb_max_k", 1),
                         ("t_gen_min_k", 0), ("t_gen_min_k", 1), ("t_gen_max_k", 0)}
 
 

@@ -975,6 +975,20 @@ class TestPowerFloor:
         with pytest.raises(ValueError, match=message):
             build()
 
+    @pytest.mark.parametrize("build", [
+        lambda tech: FtToggles(t_ext=1.0),
+        lambda tech: optimize_single_qubit(tech, 0.9, GridOptions(t_qb_bounds=(1e-3, 0.5)),
+                                           t_ext=1.0),
+        lambda tech: optimize_nisq(5, 0.5, tech, GridOptions(t_qb_bounds=(1e-3, 0.5)),
+                                   t_ext=1.0),
+    ], ids=["fault-tolerant", "gate", "circuit"])
+    def test_ambient_below_the_amplifier_stage_raises_in_the_library(self, tech50, build):
+        # the amplifier rows would sit above ambient, priced with a negative
+        # or too small (1 + mu)
+        assert thermal.T_EXT_RANGE_K[0] == thermal.PARAMP_K
+        with pytest.raises(ValueError, match=r"t_ext in K must lie in \[4, 10000\]"):
+            build(tech50)
+
     def test_generation_stage_above_t_ext_is_rejected(self, tech50):
         # the default box reaches 300 K, above this ambient
         with pytest.raises(ValueError, match="no warmer than t_ext"):
@@ -1069,6 +1083,123 @@ class TestPowerFloor:
             sweep(cfg, axes)
         run_problem(cfgs[0])
         assert coarse == {"carnot": 1, "small_scale": 1}
+
+
+def _ascending_level_searches(cfg) -> int:
+    """The levels optimize_ft searched when it ran them in ascending k and
+    skipped a level whose power floor exceeded ``(1 + RELATIVE_TIE)`` times
+    the incumbent's power: the count that the search best first is held
+    against, written out as that loop was."""
+    options = cfg.grid_options()
+    problem = _FtProblem(cfg.workload(), cfg.technology(), cfg.electronics(),
+                         cfg.cable(), cfg.efficiency(), cfg.ft_toggles(), options)
+    p_err_min, target = problem.least_error_probability(), cfg.target_metric
+    axes = [("t_qb", options.t_qb_bounds), ("t_gen", options.t_gen_bounds)]
+    best, searched = None, 0
+    for k in range(options.k_min, options.k_max + 1):
+        if problem.metric(p_err_min, k) < target:
+            continue
+        if best is not None and problem.power_floor(k, target) > best * (1 + RELATIVE_TIE):
+            continue
+        searched += 1
+        (found,), _ = _grid_refine(partial(problem.solve, k, target), axes, options)
+        if found is not None and (best is None or found[0] < best * (1 - RELATIVE_TIE)):
+            best = found[0]
+    return searched
+
+
+def _every_level(mp) -> None:
+    """Patches the level floor to -inf, so that optimize_ft searches every
+    level the probe finds reachable."""
+    mp.setattr(_FtProblem, "power_floor", lambda self, k, target: -math.inf)
+
+
+def _fake_levels(mp, powers: dict, floors: dict) -> list:
+    """Patches the search of level k to find the power ``powers[k]`` at one
+    point, and its power floor to ``floors[k]``; returns the levels
+    searched, in the order searched."""
+    searched = []
+
+    def search(solve, axes, options):
+        k = solve.args[0]
+        searched.append(k)
+        return [(powers[k], (0.1, 10.0), 1e12)], {"t_qb": 0.0, "t_gen": 0.0}
+
+    mp.setattr(optimize, "_grid_refine", search)
+    mp.setattr(_FtProblem, "power_floor", lambda self, k, target: floors[k])
+    return searched
+
+
+class TestLevelSearchOrder:
+    """optimize_ft searches the levels best first, in ascending power
+    floor, and reduces them in ascending k."""
+
+    def test_a_tie_chain_is_reduced_as_the_search_of_every_level(self, monkeypatch):
+        # levels 3 < 4 < 5 of powers m/q^2 - e, m/q and m: 4 ties 3 and 5
+        # ties 4, but 5 beats 3, so 5 wins the run over all three; with 3
+        # skipped, 4 would.  Level 5's floor is least, 4's lies below m, and
+        # 3's above m (1 + tie) but within the margin q^-3 of three levels;
+        # a margin of (1 + tie) skips 3 and picks 4
+        cfg = load_config(text="[optimizer]\nk_min = 3\nk_max = 5\n")
+        q, m = 1 - RELATIVE_TIE, 1e6
+        powers = {3: m / q**2 * (1 - 1e-12), 4: m / q, 5: m}
+        assert not powers[4] < powers[3] * q and not powers[5] < powers[4] * q
+        assert powers[5] < powers[3] * q
+        floors = {3: m * (1 + RELATIVE_TIE) * (1 + 1e-12), 4: m, 5: m / 2}
+        assert m * (1 + RELATIVE_TIE) < floors[3] <= m * q**-3
+        assert all(floors[k] <= powers[k] for k in powers)
+        searched = _fake_levels(monkeypatch, powers, floors)
+        assert run_problem(cfg).control.k == 5
+        assert searched == [5, 4, 3]
+        _every_level(monkeypatch)
+        assert run_problem(cfg).control.k == 5
+
+    def test_equal_powers_go_to_the_smaller_level_searched_later(self, monkeypatch):
+        # level 4's floor is less, so it is searched first; at equal power
+        # the reduction in ascending k gives the tie to level 3
+        cfg = load_config(text="[optimizer]\nk_min = 3\nk_max = 4\n")
+        searched = _fake_levels(monkeypatch, {3: 1e6, 4: 1e6}, {3: 1e5, 4: 1e4})
+        assert run_problem(cfg).control.k == 3
+        assert searched == [4, 3]
+
+    @given(text=valid_config_texts(kinds=("rsa", "rectangular")))
+    @example(text="")
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_best_first_equals_the_search_of_every_level(self, text):
+        cfg = load_config(text=text)
+        best_first = run_problem(cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            _every_level(mp)
+            every = run_problem(cfg)
+        assert repr(best_first) == repr(every)
+
+    def test_no_benchmark_operation_searches_more_than_ascending_order(self, monkeypatch):
+        # the factoring rows of rsa-wiring; the qubit-quality workload is the
+        # README sweep on its two hardware sets, below
+        monkeypatch.syspath_prepend(pathlib.Path(__file__).resolve().parents[1] / "perfbench")
+        import inputs
+
+        for op in inputs.make_ops("rsa-wiring", 1):
+            cfg = load_config(text=op.text)
+            calls = _count_level_searches(monkeypatch)
+            run_problem(cfg)
+            assert len(calls) <= _ascending_level_searches(cfg), op.id
+
+    @pytest.mark.parametrize("scenario, model, searches", [
+        ("A", "carnot", (15, 15)), ("C", "small_scale", (17, 19))])
+    def test_readme_sweep_searches_fewer_levels(self, monkeypatch, scenario, model, searches):
+        # under C, two points where level 2 loses to level 3 search only 3,
+        # whose power lies below level 2's floor; A searches one level a point
+        cfg = load_config(text="").replace(scenario=scenario, efficiency_model=model)
+        axes = [SweepAxis.parse("gamma_inverse_s=0.003:1:15:log")]
+        calls = _count_level_searches(monkeypatch)
+        rows = repr(sweep(cfg, axes))
+        ascending = sum(_ascending_level_searches(cfg.replace(gamma_inverse_s=float(g)))
+                        for g in axes[0].values())
+        assert (len(calls), ascending) == searches
+        _every_level(monkeypatch)
+        assert repr(sweep(cfg, axes)) == rows
 
 
 #: The config whose level answer lies on a coarse node: Carnot, scenario
