@@ -139,6 +139,7 @@ from .thermal import (
     generation_rows,
     grid_conduction_rises,
     hardware_rows,
+    on_grid_stages,
     qubit_stage_rows,
     stage_temperatures,
     static_power_breakdown,
@@ -619,12 +620,14 @@ def _grid_fields(t_qb: np.ndarray, t_gen: np.ndarray, k_stages: int,
     conduction integral across the spans
     (:func:`~coldstack.thermal.grid_conduction_rises`), the occupancy of
     the qubit stage and its rise into each next stage, and the mask of
-    valid chains (qubit stage colder than the generation stage)."""
+    valid chains (qubit stage colder than the generation stage).  The
+    integral and the occupancies are each taken once per distinct
+    temperature (:func:`~coldstack.thermal.on_grid_stages`)."""
     stages = stage_temperatures(t_qb[:, None], t_gen[None, :], k_stages)
-    # the conduction integral's temporaries are the largest: it runs before
-    # the occupancies are held, which keeps the peak memory down
+    # the conduction integral runs before the occupancies are held, which
+    # keeps the peak memory down
     rises = grid_conduction_rises(t_qb, t_gen, stages)
-    occ = _bose_einstein(stages, omega0)
+    occ = on_grid_stages(partial(_bose_einstein, omega0=omega0), t_qb, t_gen, stages)
     return stages, rises, occ[0].copy(), occ[1:] - occ[:-1], t_qb[:, None] < t_gen[None, :]
 
 
@@ -656,13 +659,21 @@ def _coarse_multipliers(grid_key: tuple, kind: str, t_ext: float) -> tuple:
     least mu of the stages below the top, the latter, and the conduction
     sum ``G = sum_j r_j (mu_j - mu_{j+1})`` over the rises r_j, each term
     >= 0 as the integral rises and mu falls with the temperature.  mu
-    depends on the efficiency model's ``kind`` alone; two entries serve a
-    run that alternates two kinds."""
-    _, (stages, rises, *_) = _coarse_grid(*grid_key)
-    mult = CryoEfficiencyModel(kind)._heat_multiplier(stages, t_ext)
+    depends on the efficiency model's ``kind`` alone, and is taken once
+    per distinct temperature (:func:`~coldstack.thermal.on_grid_stages`);
+    two entries serve a run that alternates two kinds."""
+    (t_qb, t_gen), (stages, rises, *_) = _coarse_grid(*grid_key)
+    mult = on_grid_stages(partial(CryoEfficiencyModel(kind)._heat_multiplier, t_ext=t_ext),
+                          t_qb, t_gen, stages)
+    # G first, its terms in place and freed before the other tables exist:
+    # a run that alternates two kinds reaches its peak memory here
+    terms = mult[:-1] - mult[1:]
+    terms *= rises
+    conduction = terms.sum(axis=0)
+    del terms
     mu_qb, mu_least = mult[0, :, :1], mult[:-1].min(axis=0)  # the end stages are the axes
     return _read_only((mu_qb.copy(), mult[-1, :1].copy(), mu_qb - mu_least, mu_least,
-                       (rises * (mult[:-1] - mult[1:])).sum(axis=0)))
+                       conduction))
 
 
 @lru_cache(maxsize=1)

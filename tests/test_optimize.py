@@ -1067,11 +1067,13 @@ class TestPowerFloor:
         # once per efficiency model
         optimize._coarse_multipliers.cache_clear()
         coarse = collections.Counter()
-        # the kernel, which the public heat_multiplier calls after its check
+        # the kernel, which the public heat_multiplier calls after its check,
+        # on the coarse grid's distinct temperatures: both axes, then the
+        # three inner stages of its 146 x 77 chains
         heat_multiplier = CryoEfficiencyModel._heat_multiplier
 
         def counting(self, t_stage, t_ext):
-            if np.shape(t_stage) == (5, 146, 77):
+            if np.shape(t_stage) == (146 + 77 + 3 * 146 * 77,):
                 coarse[self.kind] += 1
             return heat_multiplier(self, t_stage, t_ext)
 
@@ -1574,6 +1576,27 @@ class TestCoarseTable:
         before = optimize._coarse_grid.cache_info().misses
         self._optimize("scenario C")
         assert optimize._coarse_grid.cache_info().misses == before
+
+    @pytest.mark.parametrize("kind", ["carnot", "small_scale"])
+    @pytest.mark.parametrize("t_ext, key", [
+        (4.0, ((1e-3, 1.0), (1.0, 4.0), 40, 5, OMEGA0)),
+        (300.0, ((1e-3, 4.0), (4.0, 300.0), 40, 5, OMEGA0)),
+        (300.0, ((1e-3, 4.0), (4.0, 300.0), 20, 2, 2.0 * math.pi * 4e9)),
+        (1e4, ((1e-3, 4.0), (4.0, 300.0), 20, 7, OMEGA0)),
+    ])
+    def test_multipliers_are_the_formula_on_the_whole_stage_array(self, kind, t_ext, key):
+        # taken once per distinct temperature, the table has the bits of the
+        # multipliers of every stage of every chain
+        self._clear()
+        _, (stages, rises, *_) = optimize._coarse_grid(*key)
+        mult = CryoEfficiencyModel(kind)._heat_multiplier(stages, t_ext)
+        mu_qb, mu_least = mult[0, :, :1], mult[:-1].min(axis=0)
+        want = (mu_qb, mult[-1, :1], mu_qb - mu_least, mu_least,
+                (rises * (mult[:-1] - mult[1:])).sum(axis=0))
+        got = optimize._coarse_multipliers(key, kind, t_ext)
+        for table, formula in zip(got, want, strict=True):
+            assert table.shape == formula.shape
+            assert np.array_equal(table, formula)
 
 
 def _grid_refine_as_first_written(solve, axes, options: GridOptions, batch: int = 1):

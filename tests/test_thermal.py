@@ -22,6 +22,7 @@ from coldstack import (
     syndrome_power_per_qubit,
 )
 from coldstack import optimize, thermal
+from coldstack.noise import _bose_einstein
 from coldstack.optimize import FtToggles
 from coldstack.thermal import (
     AREA_ABOVE_10K_M2,
@@ -201,6 +202,43 @@ def _per_node_conduction_integral(temperature):
     return out
 
 
+def _allocating_steel_conductivity(temperature):
+    """The steel fit by Horner's rule from 0.0, a new array at every step,
+    as it was written before its steps ran in place."""
+    lt = np.log10(temperature)
+    z = 0.0
+    for a in reversed(thermal.STEEL_FIT):
+        z = z * lt + a
+    return 10.0**z
+
+
+class TestSteelConductivity:
+    @pytest.mark.parametrize("temperature", [
+        10.5, 77.0, 300.0, np.float64(42.0), np.array(42.0), np.geomspace(10.0, 300.0, 7),
+        np.geomspace(10.0, 300.0, 60).reshape(4, 15),
+        np.geomspace(10.0, 300.0, 60).reshape(4, 15).T,
+        *(np.geomspace(10.0, 300.0, 16 * n).reshape(16, n)
+          for n in (1, thermal._HOT_BLOCK - 1, thermal._HOT_BLOCK, thermal._HOT_BLOCK + 1)),
+    ], ids=lambda t: f"{type(t).__name__}{np.shape(t)}")
+    def test_in_place_steps_equal_the_allocating_rule(self, temperature):
+        before = np.copy(temperature)
+        got = steel_conductivity(temperature)
+        want = _allocating_steel_conductivity(temperature)
+        assert type(got) is (np.float64 if np.ndim(temperature) == 0 else np.ndarray)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+        assert np.array_equal(temperature, before)  # read, not written
+
+    def test_no_temperature_and_an_infinite_one_give_nan(self):
+        # the first Horner step's 0.0 * log10 T is NaN where log10 T is infinite
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for t in (0.0, np.inf, np.array([0.0, 50.0, np.inf])):
+                got = steel_conductivity(t)
+                assert np.array_equal(np.isnan(got), np.isinf(np.log10(t)))
+                assert np.array_equal(got, _allocating_steel_conductivity(t), equal_nan=True)
+
+
 class TestConductionKernel:
     @pytest.mark.parametrize("cable", [CABLE, CableModel(length_m=2.5)])
     def test_matches_adaptive_quadrature(self, cable):
@@ -291,13 +329,19 @@ class TestConductionKernel:
     @staticmethod
     def _check_rises(t_qb, t_gen, k_stages):
         """The rises from the axes, by themselves and in the fields of
-        every grid, equal the rises of the grid's chains; returns them."""
+        every grid, equal the rises of the grid's chains, and so do the
+        occupancies taken once per axis node and those of the whole stage
+        array; returns the rises."""
         stages = stage_temperatures(t_qb[:, None], t_gen[None, :], k_stages)
         want = conduction_rises(stages)
         assert np.array_equal(grid_conduction_rises(t_qb, t_gen, stages), want)
-        field_stages, rises, *_ = optimize._grid_fields(t_qb, t_gen, k_stages, OMEGA0)
+        field_stages, rises, n_cold, n_rise, _ = optimize._grid_fields(t_qb, t_gen, k_stages,
+                                                                       OMEGA0)
         assert np.array_equal(field_stages, stages)
         assert np.array_equal(rises, want)
+        occ = _bose_einstein(stages, OMEGA0)
+        assert np.array_equal(n_cold, occ[0])
+        assert np.array_equal(n_rise, occ[1:] - occ[:-1])
         return want
 
 
