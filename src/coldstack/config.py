@@ -22,7 +22,8 @@ import sys
 from dataclasses import dataclass
 
 from .noise import DURATION_RANGE_S, FREQUENCY_RANGE_HZ, LIFETIME_RANGE_S, QubitTechnology
-from .optimize import ATTENUATION_RANGE_DB, STEPS_PER_LEVEL_RANGE, FtToggles, GridOptions
+from .optimize import (ATTENUATION_RANGE_DB, REFINEMENT_PASSES_RANGE, STEPS_PER_LEVEL_RANGE,
+                       FtToggles, GridOptions)
 from .qec import GATE_GROWTH, QUBIT_GROWTH
 from .thermal import (CABLE_LENGTH_RANGE_M, HEAT_LOAD_RANGE_W, LINES_PER_QUBIT_RANGE,
                       SCENARIO_PRESETS, STEEL_FIT_MAX_K, T_EXT_RANGE_K, TEMPERATURE_RANGE_K,
@@ -163,7 +164,8 @@ _NATURAL_UNITS = {"attenuation_min": "attenuation_min_db",
 FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 
 #: RunConfig field -> (closed range, what sets it): the model's physical domain,
-#: on which only the counts 91^k and 64^k, bounded by k_max, near the float range.
+#: on which only the counts 91^k and 64^k, bounded by k_max, near the float range,
+#: and the refinement passes that can move the answer.
 DOMAIN = {name: (bounds, why) for names, bounds, why in (
     ("frequency_hz", FREQUENCY_RANGE_HZ, "from spin and flux qubits to terahertz transitions"),
     ("gamma_inverse_s", LIFETIME_RANGE_S, "qubit lifetimes against emission into the line"),
@@ -181,6 +183,8 @@ DOMAIN = {name: (bounds, why) for names, bounds, why in (
     ("cable_length_m", CABLE_LENGTH_RANGE_M, "lines within a cryostat"),
     ("control_lines_per_qubit readout_lines_per_qubit", LINES_PER_QUBIT_RANGE,
      "lines of each kind per qubit"),
+    ("refinement_passes", REFINEMENT_PASSES_RANGE,
+     "from pass 29 on, every node of a refined row rounds to its centre"),
     ("steps_per_logical_level", STEPS_PER_LEVEL_RANGE,
      "the steps of the highest level stay a float"),
 ) for name in names.split()}
@@ -259,8 +263,6 @@ def validate(cfg: RunConfig, problems: list[str] | None = None) -> RunConfig:
         problems.append("workload.nisq_qubits: the circuit needs at least 3 qubits")
     if not (0 <= cfg.target_metric < 1):
         problems.append("target.metric: must lie in [0, 1)")
-    if cfg.refinement_passes < 0:
-        problems.append("optimizer.refinement_passes: must be >= 0")
     if not (0 <= cfg.k_min <= cfg.k_max):
         problems.append("optimizer: need 0 <= k_min <= k_max")
     if not (1.0 <= cfg.t_gate_multiplier <= 10.0):

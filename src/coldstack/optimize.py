@@ -23,7 +23,9 @@ one call on the two bounds stacked along a leading axis
 them.  The search takes the argmin and refines: each pass re-grids
 every axis one old step either side of the incumbent at a finer
 spacing.  The equality constraint is thereby met to round-off rather
-than grid precision.
+than grid precision.  Each optimizer answers with its problem's
+``evaluate`` at the point found, an :class:`OptimizationResult` priced
+by the search's own kernels.
 
 The reduction is an ordered argmin with a fixed tie-break (smaller
 concatenation level, then smaller attenuation, then warmer qubits, then
@@ -39,8 +41,8 @@ rows of its breakdown, stacked by kind, one product per kind
 (:meth:`_FtProblem.terms`, the one home of each row's formula); the
 search adds their electrical powers in breakdown order, one row at a
 time, and :meth:`_FtProblem.evaluate` is the same kernel on a one-point
-grid that formats the rows into StageRecords: :func:`optimize_ft`
-prices its answer with it on the problem that searched, and
+grid that formats the rows into an :class:`OptimizationResult`:
+:func:`optimize_ft` answers with it on the problem that searched, and
 :func:`evaluate_ft_point` calls it.  A solve prices the heat
 multipliers and the always-on rows
 (:func:`~coldstack.thermal.static_power_breakdown`) at the points it
@@ -101,7 +103,7 @@ the bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, partial
 from itertools import repeat
 
@@ -145,7 +147,7 @@ from .thermal import (
     static_power_breakdown,
     syndrome_power_per_qubit,
 )
-from .workloads import Workload, nisq_circuit, nisq_metric, nisq_power
+from .workloads import NisqCircuit, Workload, nisq_circuit, nisq_metric, nisq_power
 
 #: Powers within this relative band count as ties for the tie-break.
 RELATIVE_TIE = 1e-9
@@ -158,10 +160,26 @@ METRIC_TOL = 1e-12
 #: Each refinement pass spaces an axis this many times finer.
 REFINEMENT_FACTOR = 4
 
+#: The domain of the refinement passes.  Pass r lays a row's nodes at
+#: ``10^(j s / 4^r)`` times its centre, |j| <= 4, s the coarse spacing, at
+#: most 1 decade (1 point per decade).  From pass 29 on, |j s / 4^r| <=
+#: 4^-28 decades, a factor within 3.2e-17 of 1, below 2^-54, half the float
+#: spacing under 1.0: it rounds to 1.0 and every node to its centre, so the
+#: pass solves the incumbent alone, which cannot improve on itself.  Pass 28
+#: still moves nodes, by up to 1.3e-16 relative.
+REFINEMENT_PASSES_RANGE = (0, 28)
+
 #: The domain of a chain's total attenuation in dB, and of the physical steps
 #: per logical step per level, whose 157th power (the highest level) is a float.
 ATTENUATION_RANGE_DB = (0.0, 200.0)
 STEPS_PER_LEVEL_RANGE = (1.0, 10.0)
+
+#: The domains of the operating point: the qubit and generation stage
+#: temperatures in K, the latter up to the top of the steel fit, and the
+#: total attenuation in natural units.
+_POINT_RANGES = {"t_qb": TEMPERATURE_RANGE_K,
+                 "t_gen": (TEMPERATURE_RANGE_K[0], STEEL_FIT_MAX_K),
+                 "a_total": tuple(10.0 ** (db / 10.0) for db in ATTENUATION_RANGE_DB)}
 
 
 @dataclass(frozen=True)
@@ -179,13 +197,11 @@ class GridOptions:
     def __post_init__(self) -> None:
         if self.temperature_points_per_decade < 1:
             raise ValueError("need at least 1 temperature point per decade")
-        if self.refinement_passes < 0:
-            raise ValueError("need refinement_passes >= 0")
+        check_range("refinement_passes", self.refinement_passes, REFINEMENT_PASSES_RANGE)
         if self.k_min < 0 or self.k_max < self.k_min:
             raise ValueError("need 0 <= k_min <= k_max")
-        ranges = (TEMPERATURE_RANGE_K, (TEMPERATURE_RANGE_K[0], STEEL_FIT_MAX_K),
-                  tuple(10.0 ** (db / 10.0) for db in ATTENUATION_RANGE_DB))
-        for name, bounds in zip(("t_qb_bounds", "t_gen_bounds", "attenuation_bounds"), ranges):
+        for name, bounds in zip(("t_qb_bounds", "t_gen_bounds", "attenuation_bounds"),
+                                _POINT_RANGES.values()):
             lo, hi = getattr(self, name)
             check_range(f"{name}[0]", lo, (bounds[0], min(hi, bounds[1])))  # low <= high
             check_range(f"{name}[1]", hi, bounds)
@@ -242,9 +258,9 @@ class OptimizationResult:
     magnification: float | None = None
 
 
-def _infeasible(diagnostic: str, control: ControlPoint = ControlPoint()) -> OptimizationResult:
+def _infeasible(diagnostic: str) -> OptimizationResult:
     return OptimizationResult(
-        control=control, power_w=math.inf, metric_achieved=0.0, per_stage=(),
+        control=ControlPoint(), power_w=math.inf, metric_achieved=0.0, per_stage=(),
         per_qubit_power_w=math.inf, physical_qubits=0, feasible=False,
         diagnostic=diagnostic)
 
@@ -466,6 +482,21 @@ class _AttenuatorProblem:
         a_star = _boundary_attenuation(gap, a_lo, a_hi, invert)
         return np.where(np.isnan(a_star), np.inf, self.power(t_axis, a_star)), a_star
 
+    def evaluate(self, row: int, t_qb: float, a: float, spacing: dict,
+                 circuit: NisqCircuit | None = None) -> OptimizationResult:
+        """The answer of problem ``row``, a gate or ``circuit``, at (t_qb, a)
+        on a last grid of ``spacing`` decades, priced by the search's
+        elementwise kernels :meth:`power` and :meth:`metric`."""
+        gate = circuit is None
+        qubits, power = 1 if gate else circuit.q, self.power(t_qb, a)[row].item()
+        heat = a * self.p_pi * self.power_scale[row].item()
+        return OptimizationResult(
+            control=ControlPoint(t_qb=t_qb, a_total=a, m=None if gate else circuit.m),
+            power_w=power, metric_achieved=self.metric(t_qb, a)[row].item(),
+            per_stage=(StageRecord(t_qb, heat, power, "attenuator"),),
+            per_qubit_power_w=power / qubits, physical_qubits=qubits, feasible=True,
+            grid_step_log10=spacing, magnification=a * self.t_ext / t_qb if gate else None)
+
 
 def optimize_single_qubit(tech: QubitTechnology, target: float,
                           options: GridOptions = GridOptions(),
@@ -492,20 +523,8 @@ def optimize_single_qubit(tech: QubitTechnology, target: float,
                                      [("t_qb", options.t_qb_bounds)], options)
     if found is None:
         return _infeasible("no grid point satisfies the metric target")
-    power, (t_star,), a_star = found
-    heat = a_star * problem.p_pi
-    record = StageRecord(t_star, heat, power, "attenuator")
-    return OptimizationResult(
-        control=ControlPoint(t_qb=t_star, a_total=a_star),
-        power_w=power,
-        metric_achieved=problem.metric(t_star, a_star).item(),
-        per_stage=(record,),
-        per_qubit_power_w=power,
-        physical_qubits=1,
-        feasible=True,
-        grid_step_log10=spacing,
-        magnification=a_star * t_ext / t_star,
-    )
+    _, (t_star,), a_star = found
+    return problem.evaluate(0, t_star, a_star, spacing)
 
 
 def optimize_nisq(q: int, target: float, tech: QubitTechnology,
@@ -563,35 +582,13 @@ def optimize_nisq(q: int, target: float, tech: QubitTechnology,
     if best is None:
         return _infeasible(f"metric target {target} unreachable for any compression of "
                            f"the {q}-qubit circuit (zero-noise floor too high)")
-    power, (t_star,), a_star = found[best]
-    heat = a_star * problem.p_pi * scales[best]
-    record = StageRecord(t_star, heat, power, "attenuator")
-    return OptimizationResult(
-        control=ControlPoint(t_qb=t_star, a_total=a_star, m=circuits[best].m),
-        power_w=power,
-        metric_achieved=problem.metric(t_star, a_star)[best].item(),
-        per_stage=(record,),
-        per_qubit_power_w=power / q,
-        physical_qubits=q,
-        feasible=True,
-        grid_step_log10=spacing,
-    )
+    _, (t_star,), a_star = found[best]
+    return problem.evaluate(best, t_star, a_star, spacing, circuits[best])
 
 
 # ---------------------------------------------------------------------------
 # Fault-tolerant computation
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FtPointEvaluation:
-    """Full-stack power and metric of one fault-tolerant operating point."""
-
-    power_w: float
-    metric: float
-    per_stage: tuple
-    physical_qubits: int
-    p_err: float
-
 
 #: The coarse pass of a level first solves this many points of least
 #: floor, whose least power bounds the grid's from above.
@@ -679,11 +676,11 @@ def _coarse_multipliers(grid_key: tuple, kind: str, t_ext: float) -> tuple:
 @lru_cache(maxsize=1)
 def _corner_occupancies(t_qb: float, t_gen: float, k_stages: int, omega0: float) -> tuple:
     """The occupancy of the qubit stage, and its rise into each next
-    stage, of the chain from ``t_qb`` to ``t_gen``, laid out alone as a
-    1x1 grid, as read-only arrays.  The arguments are the cache's key."""
-    stages = stage_temperatures(np.array([[t_qb]], float), np.array([[t_gen]], float), k_stages)
-    occ = _bose_einstein(stages, omega0)
-    return _read_only((occ[0], occ[1:] - occ[:-1]))
+    stage, of the chain from ``t_qb`` to ``t_gen``, laid out alone, as
+    :meth:`_FtProblem.evaluate` lays out a lone point: :func:`_grid_fields`
+    on a 1x1 grid, as read-only arrays.  The arguments are the cache's key."""
+    return _read_only(_grid_fields(np.array([t_qb], float), np.array([t_gen], float),
+                                   k_stages, omega0)[2:4])
 
 
 class _FtProblem:
@@ -996,12 +993,12 @@ class _FtProblem:
                   for t_gen in self.options.t_gen_bounds)
         return sum(min(a.electrical_power_w, b.electrical_power_w) for a, b in zip(lo, hi))
 
-    def evaluate(self, t_qb: float, t_gen: float, a_total: float, k: int) -> FtPointEvaluation:
-        """Power, metric and per-stage breakdown at one point of level ``k``:
-        :meth:`terms` on a one-point grid of :func:`_grid_fields`, priced
-        as :meth:`solve_fields` prices a grid, so the power is the one the
-        search compared.  It is exactly the sum of the per-stage
-        electrical powers.
+    def evaluate(self, t_qb: float, t_gen: float, a_total: float, k: int) -> OptimizationResult:
+        """The answer at one point of level ``k``, with its metric and
+        per-stage breakdown: :meth:`terms` on a one-point grid of
+        :func:`_grid_fields`, priced as :meth:`solve_fields` prices a grid,
+        so the power is the one the search compared.  It is exactly the sum
+        of the per-stage electrical powers.
 
         A point of the last grid :meth:`solve` took at level ``k`` is
         sliced from that grid's fields, which are elementwise, so it has
@@ -1031,31 +1028,34 @@ class _FtProblem:
             StageRecord(*(x.item() if isinstance(x, (np.ndarray, np.generic)) else x
                           for x in (t, q, p)), source)
             for (t, q, source), p in zip(rows, powers, strict=True))
-        return FtPointEvaluation(
-            power_w=sum(rec.electrical_power_w for rec in records),
-            metric=self.metric(p_err, k).item(),
-            per_stage=records,
-            physical_qubits=qubits,
-            p_err=p_err.item())
+        power = sum(rec.electrical_power_w for rec in records)
+        return OptimizationResult(
+            control=ControlPoint(t_qb=t_qb, t_gen=t_gen, a_total=a_total, k=k),
+            power_w=power, metric_achieved=self.metric(p_err, k).item(), per_stage=records,
+            per_qubit_power_w=power / qubits, physical_qubits=qubits, feasible=True)
 
 
 def evaluate_ft_point(workload: Workload, tech: QubitTechnology,
                       scenario: ElectronicsScenario, cable: CableModel,
                       model: CryoEfficiencyModel, t_qb: float, t_gen: float,
                       a_total: float, k: int,
-                      toggles: FtToggles = FtToggles()) -> FtPointEvaluation:
-    """Evaluate power, metric, and the per-stage breakdown at one point.
+                      toggles: FtToggles = FtToggles()) -> OptimizationResult:
+    """The :class:`OptimizationResult` at one point: power, metric, and
+    the per-stage breakdown.
 
     This is the optimizer's kernel on a one-point grid
     (:meth:`_FtProblem.evaluate`, which :func:`optimize_ft` prices its
     answer with), so the power is the one the search compared.  It is
     exactly the sum of the per-stage electrical powers, so breakdowns
-    reconstruct the total without residue.
+    reconstruct the total without residue.  The point is priced whatever
+    its metric, so ``feasible`` is True.  It lies in the domains of
+    :class:`GridOptions`' bounds, its qubit stage colder than its
+    generation stage and that no warmer than ``toggles.t_ext``.
     """
-    if not (0 < t_qb < t_gen <= toggles.t_ext):
-        raise ValueError("need 0 < t_qb < t_gen <= t_ext")
-    if a_total < 1:
-        raise ValueError("total attenuation must be >= 1")
+    for name, value in (("t_qb", t_qb), ("t_gen", t_gen), ("a_total", a_total)):
+        check_range(name, value, _POINT_RANGES[name])
+    if not t_qb < t_gen <= toggles.t_ext:
+        raise ValueError("need t_qb < t_gen <= t_ext")
     problem = _FtProblem(workload, tech, scenario, cable, model, toggles, GridOptions())
     return problem.evaluate(t_qb, t_gen, a_total, k)
 
@@ -1128,25 +1128,16 @@ def optimize_ft(workload: Workload, tech: QubitTechnology,
             diag = (f"target metric {target} unreachable for k in "
                     f"[{options.k_min}, {options.k_max}]")
         return _infeasible(diag)
-    power, k, a_star, t_qb, t_gen, spacing = best
+    _, k, a_star, t_qb, t_gen, spacing = best
     ev = problem.evaluate(t_qb, t_gen, a_star, k)
     # far up the levels the round-off of the boundary solve can miss the
     # target by more than METRIC_TOL: the attenuation then rises, in
     # doubling relative steps, until the point meets it
     step, a_hi = 2.0**-50, options.attenuation_bounds[1]
-    while ev.metric < target - METRIC_TOL and a_star < a_hi:
+    while ev.metric_achieved < target - METRIC_TOL and a_star < a_hi:
         a_star, step = min(a_hi, a_star * (1.0 + step)), 2.0 * step
         ev = problem.evaluate(t_qb, t_gen, a_star, k)
-    return OptimizationResult(
-        control=ControlPoint(t_qb=t_qb, t_gen=t_gen, a_total=a_star, k=k),
-        power_w=ev.power_w,
-        metric_achieved=ev.metric,
-        per_stage=ev.per_stage,
-        per_qubit_power_w=ev.power_w / ev.physical_qubits,
-        physical_qubits=ev.physical_qubits,
-        feasible=True,
-        grid_step_log10=spacing,
-    )
+    return replace(ev, grid_step_log10=spacing)
 
 
 # ---------------------------------------------------------------------------

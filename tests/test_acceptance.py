@@ -261,14 +261,14 @@ def test_criterion_10_property_suites(tmp_path, star):
                 ev = evaluate_ft_point(wl, TECH_50MS, SCEN_A, CABLE, CARNOT,
                                        point["t_qb"], point["t_gen"],
                                        point["a_total"], star.control.k)
-                if ev.metric >= 2.0 / 3.0:
+                if ev.metric_achieved >= 2.0 / 3.0:
                     assert ev.power_w >= star.power_w * (1 - 1e-12)
         # perturbing the attenuation one relative step either way
         for factor in (1.01, 1 / 1.01):
             ev = evaluate_ft_point(wl, TECH_50MS, SCEN_A, CABLE, CARNOT,
                                    base["t_qb"], base["t_gen"],
                                    base["a_total"] * factor, star.control.k)
-            if ev.metric >= 2.0 / 3.0:
+            if ev.metric_achieved >= 2.0 / 3.0:
                 assert ev.power_w >= star.power_w * (1 - 1e-12)
 
         # emitted files are byte-identical across repeat runs

@@ -1,9 +1,13 @@
 import dataclasses
+import inspect
 import json
 import math
 
 import pytest
 
+from coldstack import (CableModel, CryoEfficiencyModel, FtToggles, GridOptions, QubitTechnology,
+                       ft_duration_s, optimize_ft, optimize_nisq, optimize_single_qubit,
+                       rsa_energy_summary)
 from coldstack.config import (_WRITTEN, DOMAIN, FIELD_TYPES, ConfigError, RunConfig,
                               load_config, show_config, validate)
 from coldstack.results import emit_results, parse_csv
@@ -205,6 +209,15 @@ class TestLoadConfig:
     def test_workload_out_of_range_rejected(self, text):
         with pytest.raises(ConfigError, match="workload: "):
             load_config(text=text)
+
+    def test_refinement_passes_past_the_range_rejected(self):
+        # a billion passes of about 0.5 ms each, where passes past 28 move
+        # no answer
+        (lo, hi), reason = DOMAIN["refinement_passes"]
+        with pytest.raises(ConfigError) as err:
+            load_config(text="[optimizer]\nrefinement_passes = 1000000000\n")
+        assert err.value.problems == [
+            f"optimizer.refinement_passes: must lie in [{lo}, {hi}] ({reason})"]
 
 
     @pytest.mark.parametrize("text, top", [
@@ -410,6 +423,30 @@ def test_every_model_setting_is_a_config_key():
             unreached -= {(type(obj).__name__, f.name) for f in dataclasses.fields(obj)
                           if getattr(other, f.name) != getattr(obj, f.name)}
     assert unreached == set()
+
+
+def _default(fn, parameter: str):
+    return inspect.signature(fn).parameters[parameter].default
+
+
+def test_an_empty_config_builds_the_library_defaults():
+    # each default is declared twice, once by RunConfig and once by the
+    # library's constructors and signatures: the two must agree
+    cfg = RunConfig()
+    assert cfg.grid_options() == GridOptions()
+    assert cfg.ft_toggles() == FtToggles()
+    assert cfg.cable() == CableModel()
+    assert cfg.efficiency() == CryoEfficiencyModel()
+    tech = cfg.technology()
+    assert tech == QubitTechnology(omega0=tech.omega0, gamma=tech.gamma)
+    assert [_default(optimize_ft, name) for name in ("cable", "model", "target", "options",
+                                                    "toggles")] == [
+        cfg.cable(), cfg.efficiency(), cfg.target_metric, cfg.grid_options(), cfg.ft_toggles()]
+    for fn in (optimize_single_qubit, optimize_nisq):
+        assert (_default(fn, "options"), _default(fn, "t_ext")) == (cfg.grid_options(),
+                                                                    cfg.t_ext_k)
+    for fn in (ft_duration_s, rsa_energy_summary):
+        assert _default(fn, "steps_per_level") == cfg.steps_per_logical_level
 
 
 class TestEmitResults:

@@ -39,11 +39,13 @@ from coldstack.config import ConfigError, load_config
 from coldstack.driver import SweepAxis, run_problem, sweep
 from coldstack.noise import K_B, _pauli_error, chain_occupancy, chain_transmission
 from coldstack.optimize import (
+    REFINEMENT_FACTOR,
     RELATIVE_TIE,
     FtToggles,
     _AttenuatorProblem,
     _FtProblem,
     _grid_refine,
+    _refined_axis,
 )
 from coldstack.workloads import nisq_circuit
 
@@ -73,10 +75,34 @@ def gate_opt():
 
 class TestGridOptions:
     @pytest.mark.parametrize("field, value", [("temperature_points_per_decade", 0),
-                                              ("refinement_passes", -1)])
+                                              ("refinement_passes", -1),
+                                              ("refinement_passes", 29),
+                                              ("refinement_passes", 1_000_000_000)])
     def test_rejects_a_schedule_the_search_cannot_run(self, field, value):
         with pytest.raises(ValueError):
             GridOptions(**{field: value})
+
+    def test_the_last_pass_that_moves_a_node_is_the_top_of_the_range(self):
+        # a coarse spacing of 1 decade, the widest, refined pass by pass: the
+        # rows of pass 28 still leave their centres, those of pass 29 do not
+        top = optimize.REFINEMENT_PASSES_RANGE[1]
+        centers = 10.0 ** np.random.default_rng(28).uniform(-6.0, 4.0, 100_000)
+        for passes, moved in ((top, True), (top + 1, False)):
+            rows, _ = _refined_axis(centers, 1.0 / REFINEMENT_FACTOR ** (passes - 1), 0.0, np.inf)
+            assert np.any(rows != centers[:, None]) == moved
+
+    def test_passes_past_the_range_move_no_answer(self, tech_50ms):
+        # at 1 point per decade, 28 and 30 passes: the same point and power,
+        # a finer reported step; GridOptions past the range are built unchecked
+        sparse, more = (GridOptions(temperature_points_per_decade=1, refinement_passes=28)
+                        for _ in range(2))
+        object.__setattr__(more, "refinement_passes", 30)
+        for run in (partial(optimize_single_qubit, tech_50ms, 0.99),
+                    partial(optimize_ft, rsa_workload(2048), tech_50ms, SCEN_A)):
+            at, past = run(options=sparse), run(options=more)
+            assert (past.control, past.power_w) == (at.control, at.power_w)
+            assert all(0.0 < past.grid_step_log10[k] < step
+                       for k, step in at.grid_step_log10.items())
 
     @pytest.mark.parametrize("passes", [0, 1])
     def test_runs_the_sparsest_schedule(self, tech_50ms, passes):
@@ -600,7 +626,7 @@ class TestOptimizeFt:
                                        CryoEfficiencyModel("carnot"),
                                        point["t_qb"], point["t_gen"],
                                        point["a_total"], res.control.k)
-                if ev.metric >= 2.0 / 3.0:
+                if ev.metric_achieved >= 2.0 / 3.0:
                     assert ev.power_w >= res.power_w * (1 - 1e-12)
 
     @pytest.mark.parametrize("model", ["carnot", "small_scale"])
@@ -626,8 +652,8 @@ class TestOptimizeFt:
     @given(text=valid_config_texts(kinds=("rsa", "rectangular")))
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_answer_is_the_point_evaluation(self, text):
-        # the search prices its answer with the kernel evaluate_ft_point
-        # runs, on the problem that searched: the same bits
+        # the search answers with the kernel evaluate_ft_point runs, on the
+        # problem that searched: the same result, less the grid step
         cfg = load_config(text=text)
         result = run_problem(cfg)
         if result.feasible:
@@ -635,9 +661,7 @@ class TestOptimizeFt:
             ev = evaluate_ft_point(cfg.workload(), cfg.technology(), cfg.electronics(),
                                    cfg.cable(), cfg.efficiency(), c.t_qb, c.t_gen, c.a_total,
                                    c.k, cfg.ft_toggles())
-            assert repr((ev.power_w, ev.metric, ev.per_stage, ev.physical_qubits)) == repr(
-                (result.power_w, result.metric_achieved, result.per_stage,
-                 result.physical_qubits))
+            assert replace(ev, grid_step_log10=result.grid_step_log10) == result
 
     @pytest.mark.parametrize("k", [20, 50, 155])
     def test_high_levels_meet_the_target(self, k):

@@ -104,15 +104,26 @@ class TestStageLayout:
             assert got.shape == want.shape and np.array_equal(got, want)
 
     def test_rejects_bad_ordering(self, tech_50ms):
-        def evaluate(t_qb, t_gen, a_total):
+        def evaluate(t_qb, t_gen, a_total, toggles=FtToggles()):
             return evaluate_ft_point(Workload(1, 1), tech_50ms, SCEN_A, CABLE, CARNOT,
-                                     t_qb, t_gen, a_total, 1)
+                                     t_qb, t_gen, a_total, 1, toggles)
         with pytest.raises(ValueError):
             evaluate(1.0, 0.5, 10.0)
         with pytest.raises(ValueError):
             evaluate(0.02, 400.0, 10.0)
         with pytest.raises(ValueError):
             evaluate(0.02, 300.0, 0.5)
+        # out of the domain: a NaN power, the steel fit past its 300 K top,
+        # and a drive of 5e303 W
+        with pytest.raises(ValueError, match="t_qb must lie in"):
+            evaluate(1e-320, 300.0, 10.0)
+        with pytest.raises(ValueError, match="t_gen must lie in"):
+            evaluate(0.02, 1000.0, 10.0, FtToggles(t_ext=1e4))
+        with pytest.raises(ValueError, match="a_total must lie in"):
+            evaluate(0.02, 300.0, 1e308)
+        # each end of the domain is priced
+        for t_qb, t_gen, a_total in ((1e-6, 300.0, 1.0), (0.02, 300.0, 1e20)):
+            assert evaluate(t_qb, t_gen, a_total).power_w > 0.0
 
     @given(t_qb=st.floats(1e-3, 1.0), ratio=st.floats(1.01, 1e4),
            a=st.floats(1.0, 1e10), at_ambient=st.booleans())
