@@ -18,13 +18,12 @@ import configparser
 import dataclasses
 import io
 import math
-import sys
 from dataclasses import dataclass
 
 from .noise import DURATION_RANGE_S, FREQUENCY_RANGE_HZ, LIFETIME_RANGE_S, QubitTechnology
 from .optimize import (ATTENUATION_RANGE_DB, REFINEMENT_PASSES_RANGE, STEPS_PER_LEVEL_RANGE,
                        FtToggles, GridOptions)
-from .qec import GATE_GROWTH, QUBIT_GROWTH
+from .qec import _top_level
 from .thermal import (CABLE_LENGTH_RANGE_M, HEAT_LOAD_RANGE_W, LINES_PER_QUBIT_RANGE,
                       SCENARIO_PRESETS, STEEL_FIT_MAX_K, T_EXT_RANGE_K, TEMPERATURE_RANGE_K,
                       CableModel, CryoEfficiencyModel, ElectronicsScenario)
@@ -285,22 +284,6 @@ def validate(cfg: RunConfig, problems: list[str] | None = None) -> RunConfig:
     if problems:
         raise ConfigError(problems)
     return cfg
-
-
-def _top_level(q_logical: int) -> int:
-    """The highest concatenation level at which the physical qubit count
-    ``91^k * Q_L`` and the gate growth ``64^k`` stay in the float range:
-    estimated by logarithms, then settled in exact integers."""
-
-    def fits(k: int) -> bool:
-        return max(QUBIT_GROWTH**k * q_logical, GATE_GROWTH**k) <= sys.float_info.max
-
-    k = int(math.log(sys.float_info.max / q_logical, QUBIT_GROWTH))
-    while fits(k + 1):
-        k += 1
-    while not fits(k):
-        k -= 1
-    return k
 
 
 def load_config(path: str | None = None, text: str | None = None) -> RunConfig:

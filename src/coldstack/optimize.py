@@ -37,15 +37,17 @@ stops chain by chain.
 
 The fault-tolerant model has one implementation, :class:`_FtProblem`.
 On any temperature grid it gives the power of the whole machine as the
-rows of its breakdown, stacked by kind, one product per kind
-(:meth:`_FtProblem.terms`, the one home of each row's formula); the
-search adds their electrical powers in breakdown order, one row at a
-time, and :meth:`_FtProblem.evaluate` is the same kernel on a one-point
-grid that formats the rows into an :class:`OptimizationResult`:
-:func:`optimize_ft` answers with it on the problem that searched, and
-:func:`evaluate_ft_point` calls it.  A solve prices the heat
-multipliers and the always-on rows
-(:func:`~coldstack.thermal.static_power_breakdown`) at the points it
+rows of its breakdown, priced as arrays: the attenuator rows in one
+product, and the always-on rows from one elementwise kernel,
+:func:`~coldstack.thermal.always_on_rows`, the one home of each such
+row's formula, which the power floors read too.  The search adds the
+rows' electrical powers in breakdown order, one row at a time, and
+builds no record (:meth:`_FtProblem.solve_fields`);
+:meth:`_FtProblem.evaluate` prices a one-point grid with the same
+kernels and builds the records of the answer only, an
+:class:`OptimizationResult`: :func:`optimize_ft` answers with it on the
+problem that searched, and :func:`evaluate_ft_point` calls it.  A solve
+prices the heat multipliers and the always-on rows at the points it
 solves and nowhere else; both are elementwise, so a point costs the
 same bits in any grid.  What a level adds to them, its drive weight,
 qubit count and classical cost, is computed once per problem and level
@@ -95,7 +97,8 @@ bound are solved first, and the least power among them is an upper
 bound U on the grid's least power.  A point whose bound exceeds ``U (1
 + RELATIVE_TIE)`` cannot enter the tie band of the least power; the
 points left whose bound does not, if any, are solved in a second call.
-As the solve is elementwise, the solved points have the bits the full
+Each call gathers its points by flat index (:func:`_take`).  As the
+solve is elementwise, the solved points have the bits the full
 grid gives them, so the coarse pick is the pick of the full grid, to
 the bit.
 """
@@ -104,7 +107,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from itertools import repeat
 
 import numpy as np
@@ -135,14 +138,12 @@ from .thermal import (
     CryoEfficiencyModel,
     ElectronicsScenario,
     StageRecord,
+    always_on_rows,
     attenuator_heat_fractions,
     conduction_heat_per_qubit,
     demodulation_power_per_qubit,
-    generation_rows,
     grid_conduction_rises,
-    hardware_rows,
     on_grid_stages,
-    qubit_stage_rows,
     stage_temperatures,
     static_power_breakdown,
     syndrome_power_per_qubit,
@@ -198,7 +199,9 @@ class GridOptions:
         if self.temperature_points_per_decade < 1:
             raise ValueError("need at least 1 temperature point per decade")
         check_range("refinement_passes", self.refinement_passes, REFINEMENT_PASSES_RANGE)
-        if self.k_min < 0 or self.k_max < self.k_min:
+        qec._check_level(self.k_min, "k_min")
+        qec._check_level(self.k_max, "k_max")
+        if self.k_max < self.k_min:
             raise ValueError("need 0 <= k_min <= k_max")
         for name, bounds in zip(("t_qb_bounds", "t_gen_bounds", "attenuation_bounds"),
                                 _POINT_RANGES.values()):
@@ -595,10 +598,11 @@ def optimize_nisq(q: int, target: float, tech: QubitTechnology,
 _FIRST_BATCH = 384
 
 
-def _at(fields: tuple, index: tuple) -> tuple:
-    """The grid fields of :func:`_grid_fields` at the points ``index`` of
-    the grid's two axes, which are the last axes of every array."""
-    return tuple(x[(Ellipsis, *index)] for x in fields)
+def _take(fields: tuple, points: np.ndarray) -> tuple:
+    """The grid fields of :func:`_grid_fields` at the flat indices
+    ``points`` of the grid's two axes, which are the last axes of every
+    array: one gather per field, on its view with those axes flattened."""
+    return tuple(np.take(x.reshape(*x.shape[:-2], -1), points, axis=-1) for x in fields)
 
 
 def _read_only(arrays: tuple) -> tuple:
@@ -703,15 +707,6 @@ class _FtProblem:
         self._solved = {}  # by k, the axes and fields of the last grid solved at level k
         self.grid_key = coarse_grid_key(tech, options, toggles)
 
-    def stage_fields(self, stages: np.ndarray, rises: np.ndarray):
-        """The heat multipliers of the chains ``stages`` and the per-qubit
-        always-on StageRecords on them, given the rises ``rises`` of the
-        cable's conduction integral across their spans."""
-        mult = self.model._heat_multiplier(stages, self.toggles.t_ext)
-        net = conduction_heat_per_qubit(stages, self.cable, rises)
-        return mult, static_power_breakdown(stages, self.scenario, self.cable, self.model,
-                                            self.toggles.t_ext, net, mult)
-
     def level(self, k: int) -> tuple:
         """At level ``k``: the drive weight ``W_k Q_L`` (parallel 2qb-equivalents
         N_2qb + r N_1qb, the 1qb gates active a fraction r of each step),
@@ -767,21 +762,12 @@ class _FtProblem:
                                     linear=self.toggles.metric_form == "linear")
         return _pauli_error_occupancy(self.tech, p_err)
 
-    def terms(self, mult, static: list, a_total, k: int) -> tuple:
-        """At total attenuations ``a_total`` on chains of heat multipliers
-        ``mult`` and always-on StageRecords ``static`` per physical qubit:
-        the attenuators' heats, stacked by stage, and the electrical power
-        of every row of the whole machine in breakdown order, whose sum is
-        the total; the attenuator rows are one product, the demodulation
-        row, if included, comes last.  :meth:`evaluate` alone multiplies
-        out the always-on heats."""
-        tog = self.toggles
-        weight, qubits, classical = self.level(k)
-        heat = attenuator_heat_fractions(a_total, tog.k_stages) * self.p_pi * weight
-        powers = [*(mult * heat), *(rec.electrical_power_w * qubits for rec in static)]
-        if tog.include_demod_syndrome:
-            powers.append(classical * qubits)
-        return heat, powers
+    def attenuator_heats(self, a_total, k: int) -> np.ndarray:
+        """The heat of each stage's attenuator at level ``k``, stacked by
+        stage, at total attenuations ``a_total``: the drive of the whole
+        machine, whose electrical power is ``mult * heat``."""
+        weight = self.level(k)[0]
+        return attenuator_heat_fractions(a_total, self.toggles.k_stages) * self.p_pi * weight
 
     def boundary(self, n_cold: np.ndarray, n_rise: np.ndarray, valid: np.ndarray,
                  k: int, target: float) -> np.ndarray:
@@ -836,22 +822,36 @@ class _FtProblem:
 
     def solve_fields(self, k: int, target: float, fields: tuple):
         """Power and boundary attenuation at the points of ``fields``
-        (:func:`_grid_fields`, or a selection of them by :func:`_at`),
+        (:func:`_grid_fields`, or a selection of them by :func:`_take`),
         with infinite power and NaN attenuation where the target is out of
         reach, or the power is no positive float, as that of 91^k qubits
-        may be.  The heat multipliers and the static rows are priced here
-        only, and the electrical powers of :meth:`terms` added in breakdown
-        order."""
+        may be.  The heat multipliers and the always-on rows
+        (:func:`~coldstack.thermal.always_on_rows`) are priced here only,
+        as arrays, and the electrical power of every row of the whole
+        machine added in breakdown order, one row at a time: the
+        attenuator rows, one product, then the always-on rows times the
+        qubit count, then the demodulation row, if included."""
         stages, rises, n_cold, n_rise, valid = fields
+        tog = self.toggles
         # the rows outlive the boundary solve's temporaries: allocated first
-        mult, static = self.stage_fields(stages, rises)
+        mult = self.model._heat_multiplier(stages, tog.t_ext)
+        rows, _ = always_on_rows(mult, conduction_heat_per_qubit(stages, self.cable, rises),
+                                 stages[-1], self.scenario, self.model, tog.t_ext)
         a_star = self.boundary(n_cold, n_rise, valid, k, target)
         finite = np.isfinite(a_star)
         a_safe = np.where(finite, a_star, self.options.attenuation_bounds[1])
+        _, qubits, classical = self.level(k)
         # the power of 91^k qubits may overflow, and an inf drive times a
         # stage that dissipates none of it is NaN: both out of reach
         with np.errstate(over="ignore", invalid="ignore"):
-            power = sum(self.terms(mult, static, a_safe, k)[1])
+            drive = mult * self.attenuator_heats(a_safe, k)
+            power = drive[0] + drive[1]
+            for row in drive[2:]:
+                power += row
+            for row in rows:
+                power += row * qubits
+            if tog.include_demod_syndrome:
+                power += classical * qubits
         finite &= (power > 0.0) & (power < np.inf)
         return np.where(finite, power, np.inf), np.where(finite, a_star, np.nan)
 
@@ -877,7 +877,7 @@ class _FtProblem:
             """Solves the points of flat indices ``points``; their least power."""
             if not points.size:
                 return math.inf
-            solved = self.solve_fields(k, target, _at(fields, np.unravel_index(points, shape)))
+            solved = self.solve_fields(k, target, _take(fields, points))
             power[points], a_star[points] = solved
             return solved[0].min()
 
@@ -917,7 +917,7 @@ class _FtProblem:
         against the round-off of its inversion.
         """
         tog, cable = self.toggles, self.cable
-        (t_qb, t_gen), (_, _, n_cold, n_rise, valid) = _coarse_grid(*self.grid_key)
+        (_, t_gen), (_, _, n_cold, n_rise, valid) = _coarse_grid(*self.grid_key)
         # computed, on a miss, before this call's own temporaries exist
         mu_qb, mu_gen, mu_span, mu_least, conduction = _coarse_multipliers(
             self.grid_key, self.model.kind, tog.t_ext)
@@ -935,10 +935,9 @@ class _FtProblem:
         # meet, and so does the search there, which prices the point out of reach
         with np.errstate(over="ignore", invalid="ignore"):
             drive = a_low ** (1.0 / (tog.k_stages - 1)) * mu_span + a_low * mu_least
-            rows = hardware_rows(t_qb[:, None], t_gen[None, :], mu_qb, mu_gen, self.scenario,
-                                 self.model, tog.t_ext)
-            per_qubit = (cable.lines_per_qubit / cable.length_m * conduction
-                         + sum((rec.electrical_power_w for rec in rows), -slack))
+            rows, _ = always_on_rows((mu_qb, mu_gen), None, t_gen[None, :], self.scenario,
+                                     self.model, tog.t_ext)
+            per_qubit = cable.lines_per_qubit / cable.length_m * conduction + sum(rows, -slack)
             floor = qubits * (per_qubit + classical) + weight * self.p_pi * drive
         return np.where(reachable & (floor == floor), floor, np.inf)
 
@@ -957,7 +956,7 @@ class _FtProblem:
         and t_top is capped at T* (at target 0 every point meets it; with
         n* <= 0 none does).  On the domain a positive n* = 2 p / (gamma
         tau) - 0.5 lies in [1e-16, 1e28], and T* in [1e-6, 1e31] K.  Each
-        row of :func:`~coldstack.thermal.hardware_rows`
+        hardware row of :func:`~coldstack.thermal.always_on_rows`
         is monotone in its one temperature, so it costs at least the
         lesser of its values at (t_top, t_gen_lo) and (t_top, t_gen_hi).
         The qubit-stage attenuator dissipates ``A^(1/(K-1)) >= 1`` times
@@ -972,62 +971,55 @@ class _FtProblem:
         n_star = self.occupancy_budget(target, k) if target > 0 else 0.0
         if n_star > 0:
             t_top = min(t_top, HBAR * self.tech.omega0 / (K_B * math.log1p(1.0 / n_star)))
-        mu_top = model.heat_multiplier(t_top, tog.t_ext)
+        mu_top = model._heat_multiplier(t_top, tog.t_ext)
         # Python floats, whose products overflow to inf silently; the qubit
         # stage's rows, at t_top, are the same at both t_gen bounds
-        per_qubit = float(sum((rec.electrical_power_w
-                               for rec in qubit_stage_rows(t_top, mu_top, model)),
-                              self.generation_floor))
+        lo, hi = (always_on_rows((mu_top, model._heat_multiplier(t_gen, tog.t_ext)), None,
+                                 t_gen, self.scenario, model, tog.t_ext)[0]
+                  for t_gen in options.t_gen_bounds)
+        per_qubit = float(sum(map(min, lo, hi)))
         weight, qubits, classical = self.level(k)
         return qubits * (per_qubit + classical) + weight * self.p_pi * mu_top
 
-    @cached_property
-    def generation_floor(self) -> float:
-        """The lesser of each row of :func:`~coldstack.thermal.generation_rows`
-        at the box's two generation-stage bounds, summed in row order: the
-        part of :meth:`power_floor`'s always-on rows that is the same at
-        every level."""
-        tog, model = self.toggles, self.model
-        lo, hi = (generation_rows(t_gen, model.heat_multiplier(t_gen, tog.t_ext),
-                                  self.scenario, model, tog.t_ext)
-                  for t_gen in self.options.t_gen_bounds)
-        return sum(min(a.electrical_power_w, b.electrical_power_w) for a, b in zip(lo, hi))
-
     def evaluate(self, t_qb: float, t_gen: float, a_total: float, k: int) -> OptimizationResult:
         """The answer at one point of level ``k``, with its metric and
-        per-stage breakdown: :meth:`terms` on a one-point grid of
-        :func:`_grid_fields`, priced as :meth:`solve_fields` prices a grid,
-        so the power is the one the search compared.  It is exactly the sum
-        of the per-stage electrical powers.
+        per-stage breakdown: the rows of :meth:`solve_fields` on a
+        one-point grid of :func:`_grid_fields`, priced by the same kernels,
+        so the power is the one the search compared, with StageRecords
+        built for them.  It is exactly the sum of the per-stage electrical
+        powers.
 
         A point of the last grid :meth:`solve` took at level ``k`` is
         sliced from that grid's fields, which are elementwise, so it has
         the bits of its own layout; any other point is laid out alone."""
-        fields = None
+        tog, fields = self.toggles, None
         if k in self._solved:
             qb_row, gen_row, grid = self._solved[k]
             i, j = np.flatnonzero(qb_row == t_qb), np.flatnonzero(gen_row == t_gen)
             if i.size and j.size:
-                fields = _at(grid, (slice(i[0], i[0] + 1), slice(j[0], j[0] + 1)))
+                fields = tuple(x[..., i[0]:i[0] + 1, j[0]:j[0] + 1] for x in grid)
         if fields is None:
             fields = _grid_fields(np.array([t_qb], float), np.array([t_gen], float),
-                                  self.toggles.k_stages, self.tech.omega0)
+                                  tog.k_stages, self.tech.omega0)
         stages, rises, n_cold, n_rise, _ = fields
         p_err = self.error_probability(n_cold, n_rise)(np.log10(a_total))
+        _, qubits, classical = self.level(k)
         # rows priced as in the search; a heat may be inf where its power is not
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            mult, static = self.stage_fields(stages, rises)
-            heat, powers = self.terms(mult, static, np.array([[a_total]], float), k)
-            qubits = self.level(k)[1]
-            rows = [*zip(stages, heat, repeat("attenuator")),
-                    *((rec.stage_temperature_k, rec.heat_extracted_w * qubits, rec.source)
-                      for rec in static)]
-        if self.toggles.include_demod_syndrome:  # at t_ext, its heat is its power
-            rows.append((self.toggles.t_ext, powers[-1], "electronics"))
+            mult = self.model._heat_multiplier(stages, tog.t_ext)
+            heat = self.attenuator_heats(np.array([[a_total]], float), k)
+            static = static_power_breakdown(
+                stages, self.scenario, self.cable, self.model, tog.t_ext,
+                conduction_heat_per_qubit(stages, self.cable, rises), mult)
+            rows = [*zip(stages, heat, mult * heat, repeat("attenuator")),
+                    *((rec.stage_temperature_k, rec.heat_extracted_w * qubits,
+                       rec.electrical_power_w * qubits, rec.source) for rec in static)]
+        if tog.include_demod_syndrome:  # at t_ext, its heat is its power
+            rows.append((tog.t_ext, classical * qubits, classical * qubits, "electronics"))
         records = tuple(
             StageRecord(*(x.item() if isinstance(x, (np.ndarray, np.generic)) else x
                           for x in (t, q, p)), source)
-            for (t, q, source), p in zip(rows, powers, strict=True))
+            for t, q, p, source in rows)
         power = sum(rec.electrical_power_w for rec in records)
         return OptimizationResult(
             control=ControlPoint(t_qb=t_qb, t_gen=t_gen, a_total=a_total, k=k),
@@ -1050,12 +1042,19 @@ def evaluate_ft_point(workload: Workload, tech: QubitTechnology,
     reconstruct the total without residue.  The point is priced whatever
     its metric, so ``feasible`` is True.  It lies in the domains of
     :class:`GridOptions`' bounds, its qubit stage colder than its
-    generation stage and that no warmer than ``toggles.t_ext``.
+    generation stage and that no warmer than ``toggles.t_ext``, and its
+    level ``k`` is an integer no higher than the workload's top level
+    (:func:`~coldstack.qec._top_level`).
     """
     for name, value in (("t_qb", t_qb), ("t_gen", t_gen), ("a_total", a_total)):
         check_range(name, value, _POINT_RANGES[name])
     if not t_qb < t_gen <= toggles.t_ext:
         raise ValueError("need t_qb < t_gen <= t_ext")
+    qec._check_level(k)
+    top = qec._top_level(workload.q_logical)
+    if k > top:
+        raise ValueError(f"concatenation level {k} exceeds {top}, the highest at which "
+                         "91^k * Q_L stays in the float range")
     problem = _FtProblem(workload, tech, scenario, cable, model, toggles, GridOptions())
     return problem.evaluate(t_qb, t_gen, a_total, k)
 
@@ -1072,7 +1071,9 @@ def optimize_ft(workload: Workload, tech: QubitTechnology,
     success-metric constraint, then returns the best level.  Ties at
     equal power prefer less hardware: smaller k, then smaller
     attenuation, then warmer qubits.  Infeasibility is returned as a
-    result (not raised) so parameter sweeps always complete.
+    result (not raised) so parameter sweeps always complete.  A level
+    above the workload's top level (:func:`~coldstack.qec._top_level`),
+    whose qubit count leaves the float range, is unreachable.
 
     The answer is the reduction of every level's best power in ascending
     k, where a later level replaces the incumbent only below ``q = 1 -
@@ -1097,11 +1098,16 @@ def optimize_ft(workload: Workload, tech: QubitTechnology,
         raise ValueError("target metric must lie in [0, 1)")
     if options.t_gen_bounds[1] > toggles.t_ext:
         raise ValueError("the generation stage may be no warmer than t_ext")
+    top = qec._top_level(workload.q_logical)
+    if options.k_min > top:
+        return _infeasible(f"no level in [{options.k_min}, {options.k_max}] keeps the "
+                           f"physical qubit count 91^k * Q_L in the float range; the "
+                           f"highest that does is {top}")
     problem = _FtProblem(workload, tech, scenario, cable, model, toggles, options)
     p_err_min = problem.least_error_probability()
     axes = [("t_qb", options.t_qb_bounds), ("t_gen", options.t_gen_bounds)]
     floors = {k: problem.power_floor(k, target)
-              for k in range(options.k_min, options.k_max + 1)
+              for k in range(options.k_min, min(options.k_max, top) + 1)
               if problem.metric(p_err_min, k) >= target}
     margin = (1 - RELATIVE_TIE) ** -len(floors)
     searched, least = {}, math.inf  # (power, k, a, t_qb, t_gen, spacing) by k

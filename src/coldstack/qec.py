@@ -10,6 +10,7 @@ grow with its dominant eigenvalue (64) while qubit counts grow as 91^k.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,6 +24,34 @@ QUBIT_GROWTH = 91
 
 #: Dominant transfer-matrix eigenvalue: physical-gate growth per level.
 GATE_GROWTH = 64
+
+
+def _top_level(q_logical: int) -> int:
+    """The highest concatenation level at which the physical qubit count
+    ``91^k * Q_L`` and the gate growth ``64^k`` stay in the float range:
+    estimated by logarithms, then settled in exact integers, or for a
+    float ``Q_L`` by the float product the count is."""
+
+    def fits(k: int) -> bool:
+        try:
+            return max(QUBIT_GROWTH**k * q_logical, GATE_GROWTH**k) <= sys.float_info.max
+        except OverflowError:  # a float Q_L, and 91^k itself past the float range
+            return False
+
+    k = int(math.log(sys.float_info.max / q_logical, QUBIT_GROWTH))
+    while fits(k + 1):
+        k += 1
+    while not fits(k):
+        k -= 1
+    return k
+
+
+def _check_level(k, name: str = "concatenation level") -> None:
+    """Raises ValueError unless the level ``k`` is a nonnegative integer,
+    a Python or a numpy one."""
+    if not isinstance(k, (int, np.integer)) or k < 0:
+        raise ValueError(f"{name} must be a nonnegative integer")
+
 
 #: Per-level transfer matrix mapping logical (2qb, 1qb, id, meas) counts
 #: in parallel to physical ones.  The 1/3 spreads each logical gate over
@@ -77,8 +106,7 @@ def _checked_probability(p_err, k: int) -> np.ndarray:
     p = np.asarray(p_err, dtype=float)
     if (p < 0).any():
         raise ValueError("error probability must be nonnegative")
-    if k < 0:
-        raise ValueError("concatenation level must be a nonnegative integer")
+    _check_level(k)
     return p
 
 
@@ -90,8 +118,9 @@ def _logical_error(p: np.ndarray, k: int):
 
 def physical_qubits(q_logical: int, k: int) -> int:
     """Physical qubits implementing ``q_logical`` logical qubits at level k."""
-    if q_logical < 0 or k < 0:
+    if q_logical < 0:
         raise ValueError("counts must be nonnegative")
+    _check_level(k)
     return QUBIT_GROWTH**k * q_logical
 
 
@@ -105,8 +134,7 @@ def _matrix_power_apply(vec: tuple, k: int) -> tuple:
 def physical_gate_counts_fractions(logical: LogicalGateCounts, k: int) -> tuple:
     """Exact physical counts in parallel as Fractions: transfer matrix to
     the k-th power applied to the logical mix.  Exact for any k."""
-    if k < 0:
-        raise ValueError("concatenation level must be a nonnegative integer")
+    _check_level(k)
     vec = tuple(Fraction(x) for x in logical.as_tuple())
     return _matrix_power_apply(vec, k)
 
@@ -117,8 +145,7 @@ def physical_gate_counts_rectangular(q_logical: float, k: int) -> tuple:
     ``(64, 28, 29, 28)/185 * 64^k * Q_L`` for (2qb, 1qb, id, meas):
     the dominant-eigenvector mix, good to <25% at k=1 and <1% for k>=2.
     """
-    if k < 0:
-        raise ValueError("concatenation level must be a nonnegative integer")
+    _check_level(k)
     scale = GATE_GROWTH**k * q_logical
     return tuple(float(c) * scale for c in RECTANGULAR_MIX)
 

@@ -5,7 +5,11 @@ control/readout cables, the electrical cost of extracting heat at each
 stage, and the heat the drive lines and the always-on hardware leave at
 each stage.  The layout, conduction and per-stage power functions are
 elementwise over a grid of chains, so the optimizer's search and the
-per-point breakdown call the same code.  The lines' materials are module
+per-point breakdown call the same code.  The always-on rows are priced
+by one kernel, :func:`always_on_rows`, as arrays or floats: the
+optimizer's search and its power floors read it directly, and
+:func:`static_power_breakdown` and :func:`hardware_rows` build their
+StageRecords from it, for an answer only.  The lines' materials are module
 constants, so cable conduction depends on the temperature alone; it has
 no adaptive quadrature and no cache.  Its steel rule runs in place, in
 node order, with no temporary per node product or per coefficient of the
@@ -183,7 +187,9 @@ class CryoEfficiencyModel:
         out itself."""
         if self.kind == "carnot":
             return (t_ext - t) / t
-        return SMALL_SCALE_PREFACTOR * (1.0 - t / t_ext) / t**2
+        # t * t, which numpy's t**2 on an array is, so a float and an array
+        # of it get the same bits
+        return SMALL_SCALE_PREFACTOR * (1.0 - t / t_ext) / (t * t)
 
 
 CARNOT = CryoEfficiencyModel("carnot")
@@ -382,42 +388,56 @@ def conduction_heat_per_qubit(temperatures, cable: CableModel,
     return net
 
 
-def hardware_rows(t_qb, t_gen, mu_qb, mu_gen, scenario: ElectronicsScenario,
-                  model: CryoEfficiencyModel, t_ext: float) -> list[StageRecord]:
-    """The always-on rows other than conduction, per physical qubit, of
-    chains with the qubit stage at ``t_qb`` and the generation stage at
-    ``t_gen``, of heat multipliers ``mu_qb`` and ``mu_gen``; elementwise:
-    :func:`generation_rows`, then :func:`qubit_stage_rows`.  Each row
-    depends on one temperature at most, and is monotone in it.
-    """
-    return (generation_rows(t_gen, mu_gen, scenario, model, t_ext)
-            + qubit_stage_rows(t_qb, mu_qb, model))
+def always_on_rows(mult, net, t_gen, scenario: ElectronicsScenario,
+                   model: CryoEfficiencyModel, t_ext: float) -> tuple[list, list]:
+    """The always-on rows per physical qubit, in breakdown order, as two
+    lists: each row's electrical power and its heat, elementwise over the
+    chains, as arrays or floats.  Each row's formula is written here only.
 
-
-def generation_rows(t_gen, mu_gen, scenario: ElectronicsScenario,
-                    model: CryoEfficiencyModel, t_ext: float) -> list[StageRecord]:
-    """The electronics and amplifier rows of :func:`hardware_rows`, which
-    depend on no stage but the generation stage, at ``t_gen`` of heat
-    multiplier ``mu_gen``.  They include their supply power.  The HEMT
+    ``mult`` holds heat multipliers along axis 0, the qubit stage's first
+    and the generation stage's, at ``t_gen``, last.  Given ``net``, the net
+    conduction heat of each stage of ``mult``
+    (:func:`conduction_heat_per_qubit`), the conduction rows come first,
+    one per stage, one product over the stages: they cost only the heat
+    extraction, +0 W at a stage at t_ext, where mu is 0.  With ``net=None`` the rows are the hardware rows alone,
+    each depending on one temperature at most and monotone in it: the
+    electronics and the amplifiers, which include their supply power, then
+    the small-scale efficiency model's parasitic per-qubit heat load at
+    the qubit stage, which the Carnot model does not have.  The HEMT
     amplifiers are pointless (and dropped, at +0 W) when the generation
     stage sits at or below 70 K, which it does where t_ext lies below 70 K
-    and the HEMT stage's (1 + mu) may be negative."""
+    and the HEMT stage's (1 + mu) may be negative.
+    """
+    powers, heats = ([], []) if net is None else ([*(mult * net + 0.0)], [*net])
     mu_para = model._heat_multiplier(PARAMP_K, t_ext)
     mu_hemt = model._heat_multiplier(HEMT_K, t_ext)
     q_hemt = scenario.q_hemt * (t_gen > HEMT_K)
-    return [StageRecord(t_gen, scenario.q_gen, (1.0 + mu_gen) * scenario.q_gen, "electronics"),
-            StageRecord(PARAMP_K, scenario.q_para, (1.0 + mu_para) * scenario.q_para, "amplifier"),
-            StageRecord(HEMT_K, q_hemt, (1.0 + mu_hemt) * q_hemt + 0.0, "amplifier")]
+    powers += [(1.0 + mult[-1]) * scenario.q_gen, (1.0 + mu_para) * scenario.q_para,
+               (1.0 + mu_hemt) * q_hemt + 0.0]
+    heats += [scenario.q_gen, scenario.q_para, q_hemt]
+    if model.kind == "small_scale":
+        powers.append(mult[0] * model.extra_qubit_heat_w)
+        heats.append(model.extra_qubit_heat_w)
+    return powers, heats
 
 
-def qubit_stage_rows(t_qb, mu_qb, model: CryoEfficiencyModel) -> list[StageRecord]:
-    """The rows of :func:`hardware_rows` at the qubit stage, at ``t_qb`` of
-    heat multiplier ``mu_qb``: the small-scale efficiency model's
-    parasitic per-qubit heat load, and none for the Carnot model."""
-    if model.kind != "small_scale":
-        return []
-    q_extra = model.extra_qubit_heat_w
-    return [StageRecord(t_qb, q_extra, mu_qb * q_extra, "extra")]
+def _hardware_stages(t_qb, t_gen) -> list:
+    """The stage temperature and the source of each hardware row of
+    :func:`always_on_rows`, in its order; the Carnot model has the first
+    three rows."""
+    return [(t_gen, "electronics"), (PARAMP_K, "amplifier"), (HEMT_K, "amplifier"),
+            (t_qb, "extra")]
+
+
+def hardware_rows(t_qb, t_gen, mu_qb, mu_gen, scenario: ElectronicsScenario,
+                  model: CryoEfficiencyModel, t_ext: float) -> list[StageRecord]:
+    """The StageRecords of the always-on rows other than conduction
+    (:func:`always_on_rows`), per physical qubit, of chains with the qubit
+    stage at ``t_qb`` and the generation stage at ``t_gen``, of heat
+    multipliers ``mu_qb`` and ``mu_gen``; elementwise."""
+    powers, heats = always_on_rows((mu_qb, mu_gen), None, t_gen, scenario, model, t_ext)
+    return [StageRecord(t, q, p, source)
+            for (t, source), q, p in zip(_hardware_stages(t_qb, t_gen), heats, powers)]
 
 
 def static_power_breakdown(temperatures, scenario: ElectronicsScenario,
@@ -425,27 +445,26 @@ def static_power_breakdown(temperatures, scenario: ElectronicsScenario,
                            t_ext: float = AMBIENT_K, net=None,
                            mult=None) -> list[StageRecord]:
     """Per-stage, per-source breakdown of the always-on power per
-    physical qubit: the conduction rows, then :func:`hardware_rows`.
+    physical qubit: the StageRecords of :func:`always_on_rows`, the
+    conduction rows, then the hardware rows.
 
     ``temperatures`` holds the stage temperatures cold to hot along axis
     0; any further axes are independent chains, over which each record's
-    fields vary.  The conduction rows cost only the heat extraction, one
-    product ``mult * net`` over the stages whose rows the records hold, as
-    the optimizer's search reads them.  ``net`` and ``mult``, when given,
-    are :func:`conduction_heat_per_qubit` of ``temperatures`` and ``cable``
+    fields vary.  ``net`` and ``mult``, when given, are
+    :func:`conduction_heat_per_qubit` of ``temperatures`` and ``cable``
     and ``model.heat_multiplier`` of ``temperatures``, computed before.
+    A single chain's records hold Python floats.
     """
     temps = np.asarray(temperatures, dtype=float)
     if mult is None:
         mult = model.heat_multiplier(temps, t_ext)
     if net is None:
         net = conduction_heat_per_qubit(temps, cable)
-    records = [StageRecord(t, q, p, "conduction")
-               for t, q, p in zip(temps, net, mult * net + 0.0)]
-    # a single chain's rows hold Python floats, as the scalar multiplier gives
-    mult = mult if temps.ndim > 1 else [float(m) for m in mult]
-    return records + hardware_rows(temps[0], temps[-1], mult[0], mult[-1], scenario,
-                                   model, t_ext)
+    powers, heats = always_on_rows(mult, net, temps[-1], scenario, model, t_ext)
+    stages = [*((t, "conduction") for t in temps), *_hardware_stages(temps[0], temps[-1])]
+    field = float if temps.ndim == 1 else (lambda x: x)
+    return [StageRecord(field(t), field(q), field(p), source)
+            for (t, source), q, p in zip(stages, heats, powers)]
 
 
 def demodulation_power_per_qubit(k: int, tech: QubitTechnology) -> float:

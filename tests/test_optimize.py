@@ -34,7 +34,7 @@ from coldstack import (
     single_attenuator_occupancy,
     transition_size_estimate,
 )
-from coldstack import optimize, thermal
+from coldstack import optimize, qec, thermal
 from coldstack.config import ConfigError, load_config
 from coldstack.driver import SweepAxis, run_problem, sweep
 from coldstack.noise import K_B, _pauli_error, chain_occupancy, chain_transmission
@@ -81,6 +81,20 @@ class TestGridOptions:
     def test_rejects_a_schedule_the_search_cannot_run(self, field, value):
         with pytest.raises(ValueError):
             GridOptions(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [("k_min", 2.5), ("k_max", 6.0),
+                                              ("k_max", np.float64(6.0)), ("k_min", -1)])
+    def test_rejects_a_level_bound_that_is_no_nonnegative_integer(self, field, value):
+        # a float bound failed in range() when the search began
+        with pytest.raises(ValueError, match=f"{field} must be a nonnegative integer"):
+            GridOptions(**{field: value})
+
+    def test_accepts_numpy_integer_level_bounds(self, tech_50ms):
+        options = GridOptions(temperature_points_per_decade=1, k_min=np.int64(1),
+                              k_max=np.int32(4))
+        plain = replace(options, k_min=1, k_max=4)
+        assert repr(optimize_ft(rsa_workload(2048), tech_50ms, SCEN_A, options=options)) == \
+            repr(optimize_ft(rsa_workload(2048), tech_50ms, SCEN_A, options=plain))
 
     def test_the_last_pass_that_moves_a_node_is_the_top_of_the_range(self):
         # a coarse spacing of 1 decade, the widest, refined pass by pass: the
@@ -680,6 +694,33 @@ class TestOptimizeFt:
         assert result.metric_achieved >= cfg.target_metric - optimize.METRIC_TOL
         assert result.power_w == sum(rec.electrical_power_w for rec in result.per_stage)
 
+    def test_levels_past_the_top_level_are_out_of_reach(self, tech_50ms):
+        # above the top level, 157 for one logical qubit, the count 91^k of
+        # physical qubits is no float: the search leaves those levels out, and
+        # answers with an infeasible result where none is left, and a point
+        # there is rejected; each of these raised OverflowError
+        wl, carnot = Workload(1, 1), CryoEfficiencyModel()
+        assert qec._top_level(wl.q_logical) == qec._top_level(1.0) == 157
+        wide = optimize_ft(wl, tech_50ms, SCEN_A, options=GridOptions(k_max=200))
+        top = optimize_ft(wl, tech_50ms, SCEN_A, options=GridOptions(k_max=157))
+        assert wide.feasible and repr(wide) == repr(top)
+        past = optimize_ft(wl, tech_50ms, SCEN_A, options=GridOptions(k_min=158, k_max=160))
+        assert not past.feasible
+        assert "float range" in past.diagnostic and "157" in past.diagnostic
+        with pytest.raises(ValueError, match="float range"):
+            evaluate_ft_point(wl, tech_50ms, SCEN_A, CableModel(), carnot, 0.02, 300.0, 10.0,
+                              k=158)
+        at_top = evaluate_ft_point(wl, tech_50ms, SCEN_A, CableModel(), carnot, 0.02, 300.0,
+                                   10.0, k=157)
+        assert at_top.physical_qubits == 91**157
+
+    @pytest.mark.parametrize("k", [2.5, 2.0])
+    def test_a_point_at_a_level_that_is_not_an_integer_is_rejected(self, tech_50ms, k):
+        # at 2.5 it priced 138.48 W for 91^2.5 = 78,995.7 physical qubits
+        with pytest.raises(ValueError, match="concatenation level must be a nonnegative"):
+            evaluate_ft_point(Workload(1, 1), tech_50ms, SCEN_A, CableModel(),
+                              CryoEfficiencyModel(), 0.02, 300.0, 10.0, k)
+
     def test_better_qubits_never_cost_more(self):
         wl = Workload(6175, 2_100_000_000)
         powers = []
@@ -907,19 +948,22 @@ class TestPowerFloor:
         assert _floor_violations(load_config(text=text)) == []
 
     def test_floor_catches_an_electronics_row_without_its_supply(self, monkeypatch):
-        # the row as if it cost only the extraction of its heat: the
-        # floor, which counts the supply, must then lie above the power
-        breakdown = optimize.static_power_breakdown
+        # the row as if it cost only the extraction of its heat, in the
+        # rows the search prices (with the conduction rows, which the floors
+        # do not read): the floor, which counts the supply, must then lie
+        # above the power
+        rows = optimize.always_on_rows
 
-        def without_supply(*args, **kwargs):
-            return [replace(rec, electrical_power_w=rec.electrical_power_w
-                            - rec.heat_extracted_w) if rec.source == "electronics" else rec
-                    for rec in breakdown(*args, **kwargs)]
+        def without_supply(mult, net, *args):
+            powers, heats = rows(mult, net, *args)
+            if net is not None:  # the electronics row follows the conduction rows
+                powers[len(net)] = powers[len(net)] - heats[len(net)]
+            return powers, heats
 
         cfg = load_config(text="[optimizer]\ntemperature_points_per_decade = 12\n")
         assert _floor_violations(cfg) == []
         assert _coarse_floor_violations(cfg) == []
-        monkeypatch.setattr(optimize, "static_power_breakdown", without_supply)
+        monkeypatch.setattr(optimize, "always_on_rows", without_supply)
         assert _floor_violations(cfg)
         assert _coarse_floor_violations(cfg)
 
@@ -1244,13 +1288,13 @@ def _searched(cfg, keep_all: bool = False):
 def _record_coarse_picks(mp) -> list:
     """The points of the coarse grid that each solve of the coarse pass
     takes, as index tuples, recorded from the patched selection."""
-    picks, at = [], optimize._at
+    picks, take = [], optimize._take
 
-    def recording(fields, index):
-        picks.append(index)
-        return at(fields, index)
+    def recording(fields, points):
+        picks.append(np.unravel_index(points, fields[-1].shape))
+        return take(fields, points)
 
-    mp.setattr(optimize, "_at", recording)
+    mp.setattr(optimize, "_take", recording)
     return picks
 
 
@@ -1423,13 +1467,13 @@ class TestCoarsePruning:
     def test_no_rows_are_priced_on_the_coarse_grid(self, monkeypatch):
         # the coarse floor sums the rows in closed form; the solves price
         # them at the points they solve: the first batch, refine grids
-        shapes, breakdown = [], optimize.static_power_breakdown
+        shapes, rows = [], optimize.always_on_rows
 
-        def recording(temperatures, *args):
-            shapes.append(np.shape(temperatures))
-            return breakdown(temperatures, *args)
+        def recording(mult, *args):
+            shapes.append(getattr(mult, "shape", None))  # the floors pass a tuple
+            return rows(mult, *args)
 
-        monkeypatch.setattr(optimize, "static_power_breakdown", recording)
+        monkeypatch.setattr(optimize, "always_on_rows", recording)
         run_problem(load_config(text=""))
         assert (5, 9, 9) in shapes and (5, optimize._FIRST_BATCH) in shapes
         assert (5, 146, 77) not in shapes

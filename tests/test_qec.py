@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -188,6 +189,23 @@ class TestFtMetric:
     def test_rejects_a_negative_level(self):
         with pytest.raises(ValueError, match="concatenation level"):
             ft_metric(1e-6, -1, 10, 10)
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, np.float64(2.0)])
+    def test_rejects_a_level_that_is_not_an_integer(self, k):
+        # 91^2.5 qubits would be priced as 78,995.7; a level is an integer,
+        # of Python's or numpy's type, whatever its value
+        for count in (partial(logical_error_probability, 1e-6), partial(ft_metric, 1e-6),
+                      partial(physical_qubits, 1), partial(physical_gate_counts_rectangular, 1),
+                      partial(physical_gate_counts_fractions, LogicalGateCounts(1, 0, 0, 0))):
+            args = (k, 10, 10) if count.func is ft_metric else (k,)
+            with pytest.raises(ValueError, match="concatenation level must be a nonnegative"):
+                count(*args)
+
+    def test_accepts_a_numpy_integer_level(self):
+        assert physical_qubits(1, np.int64(2)) == physical_qubits(1, 2) == 8281
+        assert ft_metric(1e-6, np.int32(2), 10, 10) == ft_metric(1e-6, 2, 10, 10)
+        assert physical_gate_counts_rectangular(185, np.int64(1)) == \
+            physical_gate_counts_rectangular(185, 1)
 
     def test_empty_circuit(self):
         assert ft_metric(1e-6, 2, 0, 0) == 1.0

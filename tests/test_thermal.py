@@ -37,7 +37,7 @@ from coldstack.thermal import (
     steel_conductivity,
 )
 
-from conftest import OMEGA0
+from conftest import OMEGA0, edge_biased
 
 CABLE = CableModel()
 SMALL_SCALE = CryoEfficiencyModel("small_scale")
@@ -498,6 +498,20 @@ class TestPerQubitStaticPower:
                 assert type(extra) is float
                 assert extra == model.heat_multiplier(pair[0]) * model.extra_qubit_heat_w
 
+    @pytest.mark.parametrize("model", [CARNOT, SMALL_SCALE])
+    def test_a_single_chain_holds_python_floats(self, model):
+        # every numeric field of every row, the conduction and HEMT rows and
+        # the temperatures too, with the value of the chain in a grid of one
+        temps = stage_temperatures(0.02, 300.0)
+        alone = static_power_breakdown(temps, SCEN_A, CABLE, model)
+        grid = static_power_breakdown(temps[:, None], SCEN_A, CABLE, model)
+        assert len(alone) == len(grid) == 5 + 3 + (model is SMALL_SCALE)
+        for rec, row in zip(alone, grid, strict=True):
+            for name in ("stage_temperature_k", "heat_extracted_w", "electrical_power_w"):
+                value = getattr(rec, name)
+                assert type(value) is float, (rec.source, name)
+                assert value == np.broadcast_to(getattr(row, name), (1,))[0], (rec.source, name)
+
     def test_small_scale_adds_extra_cold_load(self):
         temps = stage_temperatures(0.02, 300.0)
         scen = ElectronicsScenario.preset("C")
@@ -522,6 +536,66 @@ class TestPerQubitStaticPower:
             assert got.electrical_power_w == pytest.approx(
                 want.electrical_power_w * ev.physical_qubits, rel=1e-12, abs=0.0)
         assert ev.power_w == sum(r.electrical_power_w for r in ev.per_stage)
+
+
+#: Generation stages at and on either side of the HEMT stage.
+_NEAR_HEMT_K = (np.nextafter(thermal.HEMT_K, 0.0), thermal.HEMT_K,
+                np.nextafter(thermal.HEMT_K, np.inf))
+
+
+@st.composite
+def _chains(draw):
+    """A layout of chains (a single chain, a one-point grid or a grid of
+    t_qb by t_gen), its stage count, efficiency model, scenario and t_ext."""
+    t_ext = draw(st.sampled_from([4.0, 300.0, 1e4]))
+    top = min(t_ext, thermal.STEEL_FIT_MAX_K)
+    t_gen_drawn = st.one_of(st.sampled_from(_NEAR_HEMT_K), st.just(top),
+                            edge_biased(1.0, top)).map(lambda t: min(float(t), top))
+    layout = draw(st.sampled_from(["chain", "one point", "grid"]))
+    n_qb, n_gen = (1, 1) if layout != "grid" else (draw(st.integers(1, 3)),
+                                                  draw(st.integers(1, 3)))
+    t_gen = np.array([draw(t_gen_drawn) for _ in range(n_gen)])
+    # qubit stages below the coldest generation stage
+    t_qb = t_gen.min() * np.array([draw(edge_biased(1e-6, 0.999)) for _ in range(n_qb)])
+    k_stages = draw(st.integers(2, 8))
+    if layout == "chain":
+        temps = stage_temperatures(float(t_qb[0]), float(t_gen[0]), k_stages)
+    else:
+        temps = stage_temperatures(t_qb[:, None], t_gen[None, :], k_stages)
+    model = CryoEfficiencyModel(draw(st.sampled_from(["carnot", "small_scale"])))
+    scenario = ElectronicsScenario.preset(draw(st.sampled_from(["A", "B", "C"])))
+    return temps, model, scenario, t_ext
+
+
+class TestAlwaysOnRows:
+    @given(chains=_chains())
+    @settings(max_examples=200, deadline=None)
+    def test_kernel_rows_are_the_breakdown_of_each_chain(self, chains):
+        # the kernel on arrays, as the search calls it, gives the electrical
+        # power of the records that the breakdown builds from it, of every
+        # chain alone, and of the hardware rows priced on floats, as the
+        # power floor prices them, to the bit
+        temps, model, scenario, t_ext = chains
+        mult = model._heat_multiplier(temps, t_ext)
+        net = conduction_heat_per_qubit(temps, CABLE)
+        powers, heats = thermal.always_on_rows(mult, net, temps[-1], scenario, model, t_ext)
+        records = static_power_breakdown(temps, scenario, CABLE, model, t_ext)
+        assert len(powers) == len(heats) == len(records)
+        for power, rec in zip(powers, records):
+            assert np.array_equal(power, rec.electrical_power_w), rec.source
+        shape = temps.shape[1:]
+        for point in np.ndindex(shape):
+            chain = temps[(slice(None), *point)]
+            alone = static_power_breakdown(chain, scenario, CABLE, model, t_ext)
+            t_qb, t_gen = float(chain[0]), float(chain[-1])
+            on_floats, _ = thermal.always_on_rows(
+                (model._heat_multiplier(t_qb, t_ext), model._heat_multiplier(t_gen, t_ext)),
+                None, t_gen, scenario, model, t_ext)
+            assert [type(rec.electrical_power_w) for rec in alone] == [float] * len(alone)
+            assert on_floats == [rec.electrical_power_w for rec in alone[len(chain):]]
+            for power, rec in zip(powers, alone, strict=True):
+                assert np.broadcast_to(power, shape)[point] == rec.electrical_power_w, \
+                    rec.source
 
 
 class TestScenarioPresets:
