@@ -27,13 +27,14 @@ than grid precision.  Each optimizer answers with its problem's
 ``evaluate`` at the point found, an :class:`OptimizationResult` priced
 by the search's own kernels.
 
-The reduction is an ordered argmin with a fixed tie-break (smaller
-concatenation level, then smaller attenuation, then warmer qubits, then
-cooler generation stage), and the same grid gives the same bits, so
-results are deterministic.  A solve is elementwise: a point's power
-and attenuation are the same bits in any grid or selection it is
-solved in, as Newton (:func:`~coldstack.noise.chain_transmission`)
-stops chain by chain.
+The reduction is an ordered argmin with a fixed tie-break: over a
+discrete choice, the smaller concatenation level or compression
+(:func:`_reduce`, the one home of that rule), then within a grid the
+smaller attenuation, then warmer qubits, then cooler generation stage.
+The same grid gives the same bits, so results are deterministic.  A
+solve is elementwise: a point's power and attenuation are the same bits
+in any grid or selection it is solved in, as Newton
+(:func:`~coldstack.noise.chain_transmission`) stops chain by chain.
 
 The fault-tolerant model has one implementation, :class:`_FtProblem`.
 On any temperature grid it gives the power of the whole machine as the
@@ -61,7 +62,7 @@ the grid.  It searches the others best first, in ascending power
 floor, a closed-form lower bound on a level's power anywhere in the
 box, and skips a level whose floor lies far enough above the least
 power found so far that it could not have won; so the result is the
-same as without the skip (the margin is in :func:`optimize_ft`).  A
+same as without the skip (the margin is in :func:`_reduce`).  A
 problem is searched in the box of the
 :class:`GridOptions` it is built with.  The fields of the coarse grid,
 where every level's search starts, are cached (:func:`_coarse_grid`),
@@ -410,6 +411,41 @@ def _grid_refine(solve, axes, options: GridOptions, batch: int = 1):
     return found, {name: step for (name, _), step in zip(axes, spacing)}
 
 
+def _reduce(candidates, search, floor=None):
+    """The reduction over a discrete design choice: ``(winner,
+    search(winner))``, or None if no candidate's search finds a point.
+
+    ``candidates`` come less hardware first; ``search(c)`` returns a
+    tuple led by c's least power, or None.  In candidate order, a later
+    candidate replaces the incumbent only below ``q = 1 - RELATIVE_TIE``
+    times its power, which gives a tie to less hardware.  With ``floor``,
+    a lower bound on each candidate's power, the n candidates are
+    searched best first, in ascending floor, and one whose floor exceeds
+    ``q^-n`` times the least power found so far is skipped: the
+    reduction over the candidates searched is the reduction over all of
+    them.  A margin of ``1 / q`` would not do, as ties chain: with powers
+    ``m/q^2 - e``, ``m/q`` and ``m`` in candidate order, the last wins,
+    but the middle one does if the first is skipped.  A skipped
+    candidate j could change the run only by becoming the incumbent
+    before the least-power candidate g; then each incumbent stays at or
+    above ``q^t`` P_j after t more candidates, until one below them
+    resets the run, which g does, as its power lies below ``q^n P_j``.
+    Each candidate is searched once.
+    """
+    floors = [-math.inf if floor is None else floor(c) for c in candidates]
+    margin = (1 - RELATIVE_TIE) ** -len(floors)
+    found, least = {}, math.inf  # search(candidates[i]) by i
+    for i in sorted(range(len(floors)), key=lambda i: (floors[i], i)):
+        result = None if floors[i] > least * margin else search(candidates[i])
+        if result is not None:
+            found[i], least = result, min(least, result[0])
+    best = None
+    for i in sorted(found):
+        if best is None or found[i][0] < found[best][0] * (1 - RELATIVE_TIE):
+            best = i
+    return None if best is None else (candidates[best], found[best])
+
+
 # ---------------------------------------------------------------------------
 # Single-qubit gate and NISQ circuit (one attenuator at the qubit stage)
 # ---------------------------------------------------------------------------
@@ -537,10 +573,10 @@ def optimize_nisq(q: int, target: float, tech: QubitTechnology,
     """Minimize the average cryo-power of the compressible circuit on
     ``q`` qubits over (temperature, attenuation, compression), subject
     to a circuit-fidelity target.  One batched search solves every
-    compression; in ascending ``m``, a later one wins only below
-    ``(1 - RELATIVE_TIE)`` times the best.  ``target`` is the metric
-    floor; a run-success probability target of 2/3 maps to ``target =
-    2/3``.  ``fixed_m`` restricts the search to one compression (used
+    compression, and the reduction (:func:`_reduce`) over them in
+    ascending ``m`` gives a tie to the smaller one.  ``target`` is the
+    metric floor; a run-success probability target of 2/3 maps to
+    ``target = 2/3``.  ``fixed_m`` restricts the search to one compression (used
     for cross-checks against the inner solver).  As for a single gate,
     the qubit stage's heat is priced at Carnot efficiency.
 
@@ -578,15 +614,12 @@ def optimize_nisq(q: int, target: float, tech: QubitTechnology,
     problem = _AttenuatorProblem(tech, weights, scales, t_ext)
     found, spacing = _grid_refine(partial(problem.solve, target, options),
                                   [("t_qb", options.t_qb_bounds)], options, len(circuits))
-    best = None  # index of the best compression so far
-    for row, cand in enumerate(found):
-        if cand and (best is None or cand[0] < found[best][0] * (1 - RELATIVE_TIE)):
-            best = row
+    best = _reduce(range(len(circuits)), found.__getitem__)
     if best is None:
         return _infeasible(f"metric target {target} unreachable for any compression of "
                            f"the {q}-qubit circuit (zero-noise floor too high)")
-    _, (t_star,), a_star = found[best]
-    return problem.evaluate(best, t_star, a_star, spacing, circuits[best])
+    row, (_, (t_star,), a_star) = best
+    return problem.evaluate(row, t_star, a_star, spacing, circuits[row])
 
 
 # ---------------------------------------------------------------------------
@@ -1075,24 +1108,14 @@ def optimize_ft(workload: Workload, tech: QubitTechnology,
     above the workload's top level (:func:`~coldstack.qec._top_level`),
     whose qubit count leaves the float range, is unreachable.
 
-    The answer is the reduction of every level's best power in ascending
-    k, where a later level replaces the incumbent only below ``q = 1 -
-    RELATIVE_TIE`` times its power, which gives a tie to the smaller k;
-    within a level :func:`_grid_refine` breaks ties.  The n levels that
-    the probe finds reachable are searched best first, in ascending
-    :meth:`_FtProblem.power_floor`, and one whose floor exceeds ``q^-n``
-    times the least power found so far is skipped: the reduction over
-    the levels searched is the reduction over all of them.  A margin of
-    ``1 / q`` would not do, as ties chain: with powers ``m/q^2 - e``,
-    ``m/q`` and ``m`` in ascending k, the last wins, but the middle one
-    does if the first is skipped.  A skipped level j could change the
-    run only by becoming the incumbent before the least-power level g;
-    then each incumbent stays at or above ``q^t`` P_j after t more
-    levels, until a level below them resets the run, which g does, as
-    its power lies below ``q^n P_j``.  Each level is searched once.  The
-    optimum meets the target to ``METRIC_TOL``: at high levels, where
-    the metric's steepness amplifies the round-off of the boundary solve
-    past it, the attenuation is raised until it does.
+    The answer is the reduction (:func:`_reduce`) over the levels that
+    the probe finds reachable, in ascending k, which gives a tie to the
+    smaller k; it searches them best first, in ascending
+    :meth:`_FtProblem.power_floor`, and skips those that cannot win.
+    Within a level :func:`_grid_refine` breaks ties.  The optimum meets
+    the target to ``METRIC_TOL``: at high levels, where the metric's
+    steepness amplifies the round-off of the boundary solve past it, the
+    attenuation is raised until it does.
     """
     if not (0 <= target < 1):
         raise ValueError("target metric must lie in [0, 1)")
@@ -1106,25 +1129,16 @@ def optimize_ft(workload: Workload, tech: QubitTechnology,
     problem = _FtProblem(workload, tech, scenario, cable, model, toggles, options)
     p_err_min = problem.least_error_probability()
     axes = [("t_qb", options.t_qb_bounds), ("t_gen", options.t_gen_bounds)]
-    floors = {k: problem.power_floor(k, target)
-              for k in range(options.k_min, min(options.k_max, top) + 1)
-              if problem.metric(p_err_min, k) >= target}
-    margin = (1 - RELATIVE_TIE) ** -len(floors)
-    searched, least = {}, math.inf  # (power, k, a, t_qb, t_gen, spacing) by k
-    for k in sorted(floors, key=lambda k: (floors[k], k)):
-        if floors[k] > least * margin:
-            continue
+    levels = [k for k in range(options.k_min, min(options.k_max, top) + 1)
+              if problem.metric(p_err_min, k) >= target]
+
+    def search(k: int):
         (found,), spacing = _grid_refine(partial(problem.solve, k, target), axes, options)
-        if found is not None:
-            power, (t_qb, t_gen), a_star = found
-            searched[k] = (power, k, a_star, t_qb, t_gen, spacing)
-            least = min(least, power)
-    best = None
-    for k in sorted(searched):
-        if best is None or searched[k][0] < best[0] * (1 - RELATIVE_TIE):
-            best = searched[k]
+        return None if found is None else (*found, spacing)
+
+    best = _reduce(levels, search, lambda k: problem.power_floor(k, target))
     if best is None:
-        if floors:  # a level's search found only powers out of the float range
+        if levels:  # a level's search found only powers out of the float range
             diag = (f"no point meets the target metric {target} at a power in the "
                     f"float range for k in [{options.k_min}, {options.k_max}]")
         elif p_err_min >= qec.P_THRESHOLD:
@@ -1134,7 +1148,7 @@ def optimize_ft(workload: Workload, tech: QubitTechnology,
             diag = (f"target metric {target} unreachable for k in "
                     f"[{options.k_min}, {options.k_max}]")
         return _infeasible(diag)
-    _, k, a_star, t_qb, t_gen, spacing = best
+    k, (_, (t_qb, t_gen), a_star, spacing) = best
     ev = problem.evaluate(t_qb, t_gen, a_star, k)
     # far up the levels the round-off of the boundary solve can miss the
     # target by more than METRIC_TOL: the attenuation then rises, in
@@ -1157,6 +1171,7 @@ def transition_size_estimate(tech: QubitTechnology, target: float, k: int) -> fl
     sweeps track this estimate."""
     if not (0 < target < 1):
         raise ValueError("target metric must lie strictly between 0 and 1")
+    qec._check_level(k)
     p_thr = qec.P_THRESHOLD
     base = 4.0 * p_thr / (tech.gamma * tech.tau_step)
     return math.log(1.0 / target) / p_thr * base ** (2**k)
@@ -1168,6 +1183,7 @@ def ft_duration_s(workload: Workload, tech: QubitTechnology, k: int,
     a logical step by the data-qubit span of the correction circuit,
     ``steps_per_level`` in ``STEPS_PER_LEVEL_RANGE``."""
     check_range("steps per logical level", steps_per_level, STEPS_PER_LEVEL_RANGE)
+    qec._check_level(k)
     return steps_per_level**k * workload.d_logical * tech.tau_step
 
 

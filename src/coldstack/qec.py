@@ -152,6 +152,7 @@ def physical_gate_counts_rectangular(q_logical: float, k: int) -> tuple:
 
 def measurement_fraction(k: int) -> float:
     """Physical measurements in parallel per physical qubit, level k."""
+    _check_level(k)
     return float(RECTANGULAR_MIX[3]) * (GATE_GROWTH / QUBIT_GROWTH) ** k
 
 
@@ -202,6 +203,7 @@ def ft_error_budget(target: float, k: int, q_logical: float, d_logical: float,
     ``-expm1(ln M / (Q_L*D_L))`` for the exact one; undoing the
     concatenation gives ``p_thr * (p_L/p_thr)^(2^-k)``.
     """
+    _check_level(k)
     n_locations = q_logical * d_logical
     if linear:
         p_l = (1.0 - target) / n_locations

@@ -8,11 +8,11 @@ elementwise over a grid of chains, so the optimizer's search and the
 per-point breakdown call the same code.  The always-on rows are priced
 by one kernel, :func:`always_on_rows`, as arrays or floats: the
 optimizer's search and its power floors read it directly, and
-:func:`static_power_breakdown` and :func:`hardware_rows` build their
-StageRecords from it, for an answer only.  The lines' materials are module
-constants, so cable conduction depends on the temperature alone; it has
-no adaptive quadrature and no cache.  Its steel rule runs in place, in
-node order, with no temporary per node product or per coefficient of the
+:func:`static_power_breakdown` builds its StageRecords from it, for an
+answer only.  The lines' materials are module constants, so cable
+conduction depends on the temperature alone; it has no adaptive
+quadrature and no cache.  Its steel rule runs in place, in node order,
+with no temporary per node product or per coefficient of the
 conductivity fit.  On a grid of chains, a per-temperature field (the
 conduction integral, and in the optimizer the occupancies and the heat
 multipliers) is taken once per distinct temperature
@@ -427,17 +427,6 @@ def _hardware_stages(t_qb, t_gen) -> list:
     three rows."""
     return [(t_gen, "electronics"), (PARAMP_K, "amplifier"), (HEMT_K, "amplifier"),
             (t_qb, "extra")]
-
-
-def hardware_rows(t_qb, t_gen, mu_qb, mu_gen, scenario: ElectronicsScenario,
-                  model: CryoEfficiencyModel, t_ext: float) -> list[StageRecord]:
-    """The StageRecords of the always-on rows other than conduction
-    (:func:`always_on_rows`), per physical qubit, of chains with the qubit
-    stage at ``t_qb`` and the generation stage at ``t_gen``, of heat
-    multipliers ``mu_qb`` and ``mu_gen``; elementwise."""
-    powers, heats = always_on_rows((mu_qb, mu_gen), None, t_gen, scenario, model, t_ext)
-    return [StageRecord(t, q, p, source)
-            for (t, source), q, p in zip(_hardware_stages(t_qb, t_gen), heats, powers)]
 
 
 def static_power_breakdown(temperatures, scenario: ElectronicsScenario,

@@ -26,6 +26,11 @@ class Workload:
     label: str = ""
 
     def __post_init__(self) -> None:
+        for name in ("q_logical", "d_logical"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer")
+            object.__setattr__(self, name, int(value))  # a numpy integer as int
         if self.q_logical < 1 or self.d_logical < 1:
             raise ValueError("workload dimensions must be >= 1")
         if self.n_locations > sys.float_info.max:

@@ -887,9 +887,9 @@ def _row_by_row_power(problem, fields, a_star, k: int) -> np.ndarray:
             power = power + mu * (frac * problem.p_pi * weight)
         for q, mu in zip(net, mult):
             power = power + (mu * q + 0.0) * qubits
-        for rec in thermal.hardware_rows(stages[0], stages[-1], mult[0], mult[-1],
-                                         problem.scenario, model, tog.t_ext):
-            power = power + rec.electrical_power_w * qubits
+        for row in thermal.always_on_rows((mult[0], mult[-1]), None, stages[-1],
+                                          problem.scenario, model, tog.t_ext)[0]:
+            power = power + row * qubits
         if tog.include_demod_syndrome:
             power = power + classical * qubits
     return power
@@ -1270,6 +1270,68 @@ class TestLevelSearchOrder:
         assert (len(calls), ascending) == searches
         _every_level(monkeypatch)
         assert repr(sweep(cfg, axes)) == rows
+
+
+@st.composite
+def tie_chains(draw):
+    """1-8 candidates whose least powers form tie chains, ``m q^-j`` with
+    ``q = 1 - RELATIVE_TIE``, some nudged by 1e-12 and some None (no
+    feasible point), and a floor at or below each power."""
+    q, m = 1 - RELATIVE_TIE, 1e6
+    powers, floors = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        power = (m * q ** -draw(st.integers(0, 3))
+                 * draw(st.sampled_from([1.0, 1 - 1e-12, 1 + 1e-12])))
+        power = draw(st.sampled_from([power, power, power, None]))
+        bound = m * q**-4 if power is None else power  # a None has no power to bound
+        floors.append(draw(st.sampled_from([bound, bound, -math.inf]) | st.floats(0.0, bound)))
+        powers.append(power)
+    return powers, floors
+
+
+def _brute_force(powers: list):
+    """The index of the winner of the reduction over every candidate in
+    order, or None."""
+    best = None
+    for i, power in enumerate(powers):
+        if power is not None and (best is None or power < powers[best] * (1 - RELATIVE_TIE)):
+            best = i
+    return best
+
+
+class TestReduce:
+    """The one reduction over a discrete choice."""
+
+    @given(chains=tie_chains())
+    # the chain of TestLevelSearchOrder, which a margin of 1 / q reduces wrong
+    @example(chains=([1e6 / (1 - RELATIVE_TIE)**2 * (1 - 1e-12), 1e6 / (1 - RELATIVE_TIE), 1e6],
+                     [1e6 * (1 + RELATIVE_TIE) * (1 + 1e-12), 1e6, 1e6 / 2]))
+    @settings(max_examples=1000, deadline=None)
+    def test_best_first_equals_the_reduction_over_every_candidate(self, chains):
+        powers, floors = chains
+        names = "abcdefgh"[:len(powers)]
+        searched = []
+
+        def search(c):
+            searched.append(c)
+            power = powers[names.index(c)]
+            return None if power is None else (power, c)
+
+        best_first = optimize._reduce(names, search, lambda c: floors[names.index(c)])
+        assert len(searched) == len(set(searched))
+        searched.clear()
+        every = optimize._reduce(names, search)
+        assert searched == list(names)
+        i = _brute_force(powers)
+        assert best_first == every == (None if i is None else (names[i], (powers[i], names[i])))
+
+    def test_equal_compressions_go_to_the_smaller_m(self, tech_1ms, monkeypatch):
+        # m = 1 and m = 2 tie within the band, m = 3 costs more, m = 0 has no
+        # feasible point: the smaller of the tied compressions wins
+        found = [None, (1e-3, (0.1,), 10.0), (1e-3 * (1 - RELATIVE_TIE / 2), (0.1,), 10.0),
+                 (2e-3, (0.1,), 10.0)]
+        monkeypatch.setattr(optimize, "_grid_refine", lambda *args: (found, {"t_qb": 0.0}))
+        assert optimize_nisq(6, 0.5, tech_1ms).control.m == 1
 
 
 #: The config whose level answer lies on a coarse node: Carnot, scenario
@@ -1875,6 +1937,30 @@ class TestTransitionEstimate:
         assert transition_size_estimate(tech_50ms, 2.0 / 3.0, 2) < n_locations
         assert n_locations < transition_size_estimate(tech_50ms, 2.0 / 3.0, 3)
         assert star_result.control.k == 3
+
+
+#: The functions that take a concatenation level, as functions of the
+#: hardware and the level.
+LEVEL_TAKERS = {
+    "measurement_fraction": lambda tech, k: qec.measurement_fraction(k),
+    "demodulation_power_per_qubit": lambda tech, k: thermal.demodulation_power_per_qubit(
+        k, tech),
+    "ft_error_budget": lambda tech, k: qec.ft_error_budget(0.5, k, 10, 10),
+    "transition_size_estimate": lambda tech, k: transition_size_estimate(tech, 2 / 3, k),
+    "ft_duration_s": lambda tech, k: ft_duration_s(Workload(1, 1), tech, k),
+}
+
+
+class TestLevelArguments:
+    @pytest.mark.parametrize("name", LEVEL_TAKERS)
+    @pytest.mark.parametrize("k", [2.5, 2.0, -1])
+    def test_rejects_a_level_that_is_no_nonnegative_integer(self, tech50, name, k):
+        with pytest.raises(ValueError, match="concatenation level must be a nonnegative"):
+            LEVEL_TAKERS[name](tech50, k)
+
+    @pytest.mark.parametrize("name", LEVEL_TAKERS)
+    def test_accepts_a_numpy_integer_level(self, tech50, name):
+        assert LEVEL_TAKERS[name](tech50, np.int64(2)) == LEVEL_TAKERS[name](tech50, 2)
 
 
 class TestRsaEnergySummary:

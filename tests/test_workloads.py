@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from coldstack import (
     nisq_power,
     rsa_workload,
 )
+from coldstack import qec
 from coldstack.workloads import GNFS_ANCHOR_BITS, GNFS_ANCHOR_ENERGY_J
 
 
@@ -57,6 +59,22 @@ class TestRsaWorkload:
     def test_locations_product(self):
         wl = Workload(7, 11)
         assert wl.n_locations == 77
+
+    @pytest.mark.parametrize("q, d", [(3.0, 5), (3, 5.0), (3.5, 5), ("3", 5)],
+                             ids=["float Q_L", "float D_L", "fractional Q_L", "text Q_L"])
+    def test_rejects_counts_that_are_not_integers(self, q, d):
+        # a float count would be reported as a float number of physical qubits
+        with pytest.raises(ValueError, match="must be an integer"):
+            Workload(q, d)
+
+    def test_stores_numpy_integer_counts_as_int(self):
+        # 91^10 * np.int64(3) overflows int64, which would drop levels 10 and
+        # above from the top level
+        wl = Workload(np.int64(3), np.int32(5))
+        assert type(wl.q_logical) is int and type(wl.d_logical) is int
+        assert wl == Workload(3, 5)
+        assert qec._top_level(wl.q_logical) == qec._top_level(3.0) == 157
+        assert qec.physical_qubits(wl.q_logical, 10) == 91**10 * 3
 
 
 class TestNisqCircuit:
