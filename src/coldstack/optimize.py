@@ -1,8 +1,10 @@
 """Constrained power-minimization engines.
 
 Three problem classes share one search, :func:`_grid_refine`, batched
-over independent problems: all compressions of a NISQ circuit in one
-call, a gate or a fault-tolerant level as a batch of one.  Power rises
+over independent problems; a gate, a compression of a NISQ circuit and
+a fault-tolerant level are each searched as a batch of one, and the
+compressions and the levels that cannot win are skipped (see
+:func:`optimize_nisq` and :func:`optimize_ft`).  Power rises
 monotonically with the total attenuation while the metric improves
 with it, so for any fixed temperatures the conditional optimum sits
 exactly on the constraint boundary (or at the attenuation lower bound
@@ -107,6 +109,7 @@ the bit.
 from __future__ import annotations
 
 import math
+from copy import copy
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 from itertools import repeat
@@ -149,7 +152,14 @@ from .thermal import (
     static_power_breakdown,
     syndrome_power_per_qubit,
 )
-from .workloads import NisqCircuit, Workload, nisq_circuit, nisq_metric, nisq_power
+from .workloads import (
+    NisqCircuit,
+    Workload,
+    _check_circuit,
+    compression_costs,
+    nisq_circuit,
+    nisq_metric,
+)
 
 #: Powers within this relative band count as ties for the tie-break.
 RELATIVE_TIE = 1e-9
@@ -521,6 +531,57 @@ class _AttenuatorProblem:
         a_star = _boundary_attenuation(gap, a_lo, a_hi, invert)
         return np.where(np.isnan(a_star), np.inf, self.power(t_axis, a_star)), a_star
 
+    def alone(self, row: int) -> _AttenuatorProblem:
+        """Problem ``row`` as a batch of one, whose search has the bits of
+        its row of this batch's, as a solve is elementwise."""
+        one = copy(self)
+        one.weight, one.power_scale = self.weight[row:row + 1], self.power_scale[row:row + 1]
+        return one
+
+    def reachable(self, target: float, options: GridOptions) -> np.ndarray:
+        """Whether each problem's search can meet ``target``: its metric at
+        the coldest node of the coarse axis, ``t_qb_lo``, behind the
+        largest attenuation, where the metric is highest, as the search's
+        first grid reads it, with its bits: the occupancy of a one-node
+        axis and the transmission raised by Python's pow on the bound, as
+        in :meth:`solve`'s ``gap``."""
+        n_cold = _bose_einstein(np.array([options.t_qb_bounds[0]], float), self.tech.omega0)
+        transmission = 10.0 ** -math.log10(options.attenuation_bounds[1])
+        return (self._metric(n_cold, self.n_hot - n_cold, transmission) - target >= 0.0).ravel()
+
+    def power_floor(self, target: float, options: GridOptions) -> np.ndarray:
+        """A lower bound, per problem, on any power its search in the box of
+        ``options`` can return.
+
+        Every point the search visits lies on the coarse t_qb axis ``t_0 <
+        ... < t_{n-1}`` of :func:`_log_axis` or between its ends, as refined
+        rows are clipped to the bounds.  On each span [t_i, t_{i+1}] the
+        Carnot multiplier ``mu(T) = (t_ext - T)/T`` falls with T, and the
+        boundary attenuation ``A* = n_rise / (n* - n_c)`` of :meth:`solve`
+        rises with T where ``n_hot > n*``: the occupancy n_c rises, and
+        where it reaches n*, A* is taken as inf, as the target is missed.
+        Where ``n_hot <= n*``, ``A* <= 1 <= A_lo``.  The search's
+        attenuation is A* clipped to the bounds, so every T in the span
+        costs at least ``mu(t_{i+1}) clip(A*(t_i), A_lo, A_hi) P_pi s_b``;
+        the floor is the least over the spans, or the node itself on a
+        one-node axis, less 1e-12 relative for round-off.  At target 0 the
+        clamped metric meets the target everywhere at A_lo, which the
+        unclamped inverse n* does not give, so A* is taken as A_lo.
+        """
+        nodes, _ = _log_axis(*options.t_qb_bounds, options.temperature_points_per_decade)
+        cold, warm = (nodes[:-1], nodes[1:]) if nodes.size > 1 else (nodes, nodes)
+        a_lo, a_hi = options.attenuation_bounds
+        a_star = a_lo
+        if target > 0:
+            n_cold = _bose_einstein(cold, self.tech.omega0)
+            excess = _infidelity_occupancy(self.tech, (1.0 - target) / self.weight) - n_cold
+            with np.errstate(over="ignore"):
+                a_star = np.divide(self.n_hot - n_cold, excess,
+                                   out=np.full(excess.shape, np.inf), where=excess > 0.0)
+            a_star = np.minimum(np.maximum(a_star, a_lo), a_hi)
+        least = np.min(CARNOT._heat_multiplier(warm, self.t_ext) * a_star, axis=-1)
+        return least * self.p_pi * self.power_scale[:, 0] * (1 - 1e-12)
+
     def evaluate(self, row: int, t_qb: float, a: float, spacing: dict,
                  circuit: NisqCircuit | None = None) -> OptimizationResult:
         """The answer of problem ``row``, a gate or ``circuit``, at (t_qb, a)
@@ -572,13 +633,23 @@ def optimize_nisq(q: int, target: float, tech: QubitTechnology,
                   fixed_m: int | None = None) -> OptimizationResult:
     """Minimize the average cryo-power of the compressible circuit on
     ``q`` qubits over (temperature, attenuation, compression), subject
-    to a circuit-fidelity target.  One batched search solves every
-    compression, and the reduction (:func:`_reduce`) over them in
-    ascending ``m`` gives a tie to the smaller one.  ``target`` is the
-    metric floor; a run-success probability target of 2/3 maps to
-    ``target = 2/3``.  ``fixed_m`` restricts the search to one compression (used
-    for cross-checks against the inner solver).  As for a single gate,
-    the qubit stage's heat is priced at Carnot efficiency.
+    to a circuit-fidelity target.  ``target`` is the metric floor; a
+    run-success probability target of 2/3 maps to ``target = 2/3``.
+    ``fixed_m`` restricts the search to one compression (used for
+    cross-checks against the inner solver).  As for a single gate, the
+    qubit stage's heat is priced at Carnot efficiency.
+
+    Every compression's gate weight and power scale are computed at once,
+    as arrays (:func:`~coldstack.workloads.compression_costs`), and a
+    circuit is built for the answer only.  A probe
+    (:meth:`_AttenuatorProblem.reachable`) drops the compressions whose
+    metric misses the target at the coldest qubit temperature behind the
+    largest attenuation, as :func:`optimize_ft` drops unreachable levels.
+    The answer is the reduction (:func:`_reduce`) over the others, in
+    ascending ``m``, which gives a tie to the smaller one; it searches
+    them best first, each alone as a batch of one, in ascending
+    :meth:`_AttenuatorProblem.power_floor`, and skips those whose floor
+    shows they cannot win.
 
     Where the optimum lies in the compression ``m``.  Id gates fill
     every idle slot, so the circuit at any compression carries
@@ -608,18 +679,24 @@ def optimize_nisq(q: int, target: float, tech: QubitTechnology,
     check_range("t_ext in K", t_ext, T_EXT_RANGE_K)
     if options.t_qb_bounds[1] >= t_ext:
         raise ValueError("the qubit stage must stay colder than t_ext")
+    _check_circuit(q, 0 if fixed_m is None else fixed_m)
     m_values = range(q - 2) if fixed_m is None else [fixed_m]
-    circuits = [nisq_circuit(q, m) for m in m_values]
-    weights, scales = zip(*((c.n_gates_weighted, nisq_power(c, 1.0)) for c in circuits))
+    weights, scales = compression_costs(q, np.asarray(m_values))
     problem = _AttenuatorProblem(tech, weights, scales, t_ext)
-    found, spacing = _grid_refine(partial(problem.solve, target, options),
-                                  [("t_qb", options.t_qb_bounds)], options, len(circuits))
-    best = _reduce(range(len(circuits)), found.__getitem__)
+    rows = np.flatnonzero(problem.reachable(target, options)).tolist()
+    floors = problem.power_floor(target, options).tolist()
+
+    def search(row: int):
+        (found,), spacing = _grid_refine(partial(problem.alone(row).solve, target, options),
+                                         [("t_qb", options.t_qb_bounds)], options)
+        return None if found is None else (*found, spacing)
+
+    best = _reduce(rows, search, floors.__getitem__)
     if best is None:
         return _infeasible(f"metric target {target} unreachable for any compression of "
                            f"the {q}-qubit circuit (zero-noise floor too high)")
-    row, (_, (t_star,), a_star) = best
-    return problem.evaluate(row, t_star, a_star, spacing, circuits[row])
+    row, (_, (t_star,), a_star, spacing) = best
+    return problem.evaluate(row, t_star, a_star, spacing, nisq_circuit(q, m_values[row]))
 
 
 # ---------------------------------------------------------------------------
@@ -1053,7 +1130,9 @@ class _FtProblem:
             StageRecord(*(x.item() if isinstance(x, (np.ndarray, np.generic)) else x
                           for x in (t, q, p)), source)
             for t, q, p, source in rows)
-        power = sum(rec.electrical_power_w for rec in records)
+        power = 0.0  # in breakdown order, as the search adds them, which sum() need not
+        for rec in records:
+            power += rec.electrical_power_w
         return OptimizationResult(
             control=ControlPoint(t_qb=t_qb, t_gen=t_gen, a_total=a_total, k=k),
             power_w=power, metric_achieved=self.metric(p_err, k).item(), per_stage=records,

@@ -31,6 +31,7 @@ def _top_level(q_logical: int) -> int:
     ``91^k * Q_L`` and the gate growth ``64^k`` stay in the float range:
     estimated by logarithms, then settled in exact integers, or for a
     float ``Q_L`` by the float product the count is."""
+    q_logical = _count(q_logical)
 
     def fits(k: int) -> bool:
         try:
@@ -46,11 +47,20 @@ def _top_level(q_logical: int) -> int:
     return k
 
 
-def _check_level(k, name: str = "concatenation level") -> None:
+def _check_level(k, name: str = "concatenation level") -> int:
     """Raises ValueError unless the level ``k`` is a nonnegative integer,
-    a Python or a numpy one."""
+    a Python or a numpy one; returns it as a Python int, whose powers
+    cannot overflow."""
     if not isinstance(k, (int, np.integer)) or k < 0:
         raise ValueError(f"{name} must be a nonnegative integer")
+    return int(k)
+
+
+def _count(n):
+    """The count ``n`` as it enters: a numpy integer as a Python int, whose
+    products cannot overflow, and any other value, such as a float, as it
+    is."""
+    return int(n) if isinstance(n, np.integer) else n
 
 
 #: Per-level transfer matrix mapping logical (2qb, 1qb, id, meas) counts
@@ -91,7 +101,7 @@ def logical_error_probability(p_err, k: int):
     ``p_thr * (p_err/p_thr)^(2^k)`` with ``p_thr = P_THRESHOLD``; equals
     ``p_err`` at k = 0 and has ``p_thr`` as its fixed point.
     """
-    p = _checked_probability(p_err, k)
+    p, k = _checked_probability(p_err, k)
     # far from the threshold the power leaves the float range, and 0
     # and inf are its values there
     with np.errstate(over="ignore", under="ignore"):
@@ -101,13 +111,13 @@ def logical_error_probability(p_err, k: int):
     return out
 
 
-def _checked_probability(p_err, k: int) -> np.ndarray:
-    """``p_err`` as an array, once it and the level ``k`` are checked."""
+def _checked_probability(p_err, k: int) -> tuple:
+    """``p_err`` as an array and the level ``k`` as a Python int, once
+    both are checked."""
     p = np.asarray(p_err, dtype=float)
     if (p < 0).any():
         raise ValueError("error probability must be nonnegative")
-    _check_level(k)
-    return p
+    return p, _check_level(k)
 
 
 def _logical_error(p: np.ndarray, k: int):
@@ -120,8 +130,7 @@ def physical_qubits(q_logical: int, k: int) -> int:
     """Physical qubits implementing ``q_logical`` logical qubits at level k."""
     if q_logical < 0:
         raise ValueError("counts must be nonnegative")
-    _check_level(k)
-    return QUBIT_GROWTH**k * q_logical
+    return QUBIT_GROWTH**_check_level(k) * _count(q_logical)
 
 
 def _matrix_power_apply(vec: tuple, k: int) -> tuple:
@@ -145,8 +154,7 @@ def physical_gate_counts_rectangular(q_logical: float, k: int) -> tuple:
     ``(64, 28, 29, 28)/185 * 64^k * Q_L`` for (2qb, 1qb, id, meas):
     the dominant-eigenvector mix, good to <25% at k=1 and <1% for k>=2.
     """
-    _check_level(k)
-    scale = GATE_GROWTH**k * q_logical
+    scale = GATE_GROWTH**_check_level(k) * _count(q_logical)
     return tuple(float(c) * scale for c in RECTANGULAR_MIX)
 
 
@@ -165,10 +173,10 @@ def ft_metric(p_err, k: int, q_logical: float, d_logical: float,
     ``1 - Q_L*D_L*p_L`` (clamped at 0) slightly overestimates the effect
     of errors, so it never exceeds the exact form.
     """
-    n_locations = q_logical * d_logical
+    n_locations = _count(q_logical) * _count(d_logical)
     if n_locations < 0:
         raise ValueError("circuit size must be nonnegative")
-    out = _ft_metric(_checked_probability(p_err, k), k, n_locations, linear)
+    out = _ft_metric(*_checked_probability(p_err, k), n_locations, linear)
     if np.ndim(out) == 0:
         return float(out)
     return out
@@ -204,7 +212,7 @@ def ft_error_budget(target: float, k: int, q_logical: float, d_logical: float,
     concatenation gives ``p_thr * (p_L/p_thr)^(2^-k)``.
     """
     _check_level(k)
-    n_locations = q_logical * d_logical
+    n_locations = _count(q_logical) * _count(d_logical)
     if linear:
         p_l = (1.0 - target) / n_locations
     else:

@@ -67,6 +67,38 @@ def rsa_workload(n: int, variant: str = "gidney", log_base: float = 2.0) -> Work
     return Workload(q, d, label=f"rsa-{n}-{variant}")
 
 
+def _check_circuit(q: int, m: int) -> None:
+    """Raises ValueError unless the circuit on ``q`` qubits has the
+    compression ``m``."""
+    if q < 3:
+        raise ValueError("circuit needs at least 3 qubits")
+    if not (0 <= m <= q - 3):
+        raise ValueError("compression count must lie in [0, Q-3]")
+
+
+def _gate_totals(q: int, m):
+    """The depth and the two-qubit, one-qubit and id gate totals of the
+    circuit on ``q`` qubits at compression ``m``, elementwise over ``m``
+    (an int or an integer array), which it does not check."""
+    d0 = q * (q - 1) / 2.0
+    dmin = 2.0 * q - 3.0
+    # at q = 3 no sub-circuit is compressible, and d0 = dmin
+    depth = d0 - m * (d0 - dmin) / max(q - 3, 1)
+    n2 = q * (q - 1) // 2
+    return depth, n2, 0, q * depth - 2 * n2
+
+
+def _weighted_gates(n_id, n_1qb, n_2qb):
+    """Error-weighted gate count: ids + 1qb + twice the 2qb gates."""
+    return n_id + n_1qb + 2 * n_2qb
+
+
+def _average_power(p_1qb, n_1qb_avg, n_2qb_avg):
+    """Average power over a circuit of these per-step gate averages, a
+    two-qubit gate at a quarter of the one-qubit power ``p_1qb``."""
+    return p_1qb * n_1qb_avg + 0.25 * p_1qb * n_2qb_avg
+
+
 @dataclass(frozen=True)
 class NisqCircuit:
     """All-to-all two-qubit circuit with adjustable compression.
@@ -86,21 +118,10 @@ class NisqCircuit:
     n_id_total: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.q < 3:
-            raise ValueError("circuit needs at least 3 qubits")
-        if not (0 <= self.m <= self.q - 3):
-            raise ValueError("compression count must lie in [0, Q-3]")
-        d0 = self.q * (self.q - 1) / 2.0
-        dmin = 2.0 * self.q - 3.0
-        if self.q == 3:
-            depth = d0
-        else:
-            depth = d0 - self.m * (d0 - dmin) / (self.q - 3)
-        n2 = self.q * (self.q - 1) // 2
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "n_2qb_total", n2)
-        object.__setattr__(self, "n_1qb_total", 0)
-        object.__setattr__(self, "n_id_total", self.q * depth - 2 * n2)
+        _check_circuit(self.q, self.m)
+        for name, value in zip(("depth", "n_2qb_total", "n_1qb_total", "n_id_total"),
+                               _gate_totals(self.q, self.m)):
+            object.__setattr__(self, name, value)
 
     @property
     def epsilon(self) -> float:
@@ -110,7 +131,7 @@ class NisqCircuit:
     @property
     def n_gates_weighted(self) -> float:
         """Error-weighted gate count: ids + 1qb + twice the 2qb gates."""
-        return self.n_id_total + self.n_1qb_total + 2 * self.n_2qb_total
+        return _weighted_gates(self.n_id_total, self.n_1qb_total, self.n_2qb_total)
 
     @property
     def n_2qb_avg(self) -> float:
@@ -126,6 +147,17 @@ def nisq_circuit(q: int, m: int) -> NisqCircuit:
     """Build the compressible circuit on ``q`` qubits with ``m`` merged
     sub-circuits."""
     return NisqCircuit(q, m)
+
+
+def compression_costs(q: int, m):
+    """The error-weighted gate count and the average power per unit gate
+    power of the circuit on ``q`` qubits at each compression ``m``,
+    elementwise over ``m`` (an integer array), which it does not check:
+    ``NisqCircuit(q, m).n_gates_weighted`` and ``nisq_power(NisqCircuit(q,
+    m), 1.0)``, by the same formulas, so each entry has their bits."""
+    depth, n_2qb, n_1qb, n_id = _gate_totals(q, m)
+    return _weighted_gates(n_id, n_1qb, n_2qb), _average_power(1.0, n_1qb / depth,
+                                                              n_2qb / depth)
 
 
 def nisq_metric(weight, if_1qb):
@@ -150,7 +182,7 @@ def nisq_power(circuit: NisqCircuit, p_1qb: float) -> float:
     """
     if p_1qb < 0:
         raise ValueError("gate power must be nonnegative")
-    return p_1qb * circuit.n_1qb_avg + 0.25 * p_1qb * circuit.n_2qb_avg
+    return _average_power(p_1qb, circuit.n_1qb_avg, circuit.n_2qb_avg)
 
 
 def gnfs_operations(n: int) -> float:

@@ -47,9 +47,9 @@ from coldstack.optimize import (
     _grid_refine,
     _refined_axis,
 )
-from coldstack.workloads import nisq_circuit
+from coldstack.workloads import compression_costs, nisq_circuit
 
-from conftest import OMEGA0, edge_biased, valid_config_texts
+from conftest import OMEGA0, edge_biased, in_order_total, valid_config_texts
 
 CABLE = CableModel()
 SCEN_A = ElectronicsScenario.preset("A")
@@ -270,6 +270,26 @@ def nisq_searches(draw):
     return q, target, tech, options
 
 
+def _ascending_m_reduction(q, target, tech, options=GridOptions(), t_ext=300.0):
+    """The reduction of the one-compression searches in ascending m."""
+    best = None
+    for m in range(q - 2):
+        res = optimize_nisq(q, target, tech, options, t_ext, fixed_m=m)
+        if best is None or res.power_w < best.power_w * (1 - RELATIVE_TIE):
+            best = res
+    return best
+
+
+#: NISQ configs at target 0, on a one-point qubit-temperature box, and
+#: with t_ext at either end of its domain.
+NISQ_EDGE_CONFIGS = (
+    "[workload]\nkind = nisq\n[target]\nmetric = 0.0\n",
+    "[workload]\nkind = nisq\n[chain]\nt_qb_min_k = 0.01\nt_qb_max_k = 0.01\n",
+    "[workload]\nkind = nisq\n[chain]\nt_ext_k = 4.0\nt_qb_max_k = 3.9\nt_gen_max_k = 4.0\n",
+    "[workload]\nkind = nisq\n[chain]\nt_ext_k = 10000.0\nt_qb_max_k = 9999.0\n",
+)
+
+
 class TestOptimizeNisq:
     @given(search=nisq_searches())
     @settings(max_examples=100, deadline=None)
@@ -283,8 +303,11 @@ class TestOptimizeNisq:
                 best = res
         assert repr(optimize_nisq(q, target, tech, options)) == repr(best)
 
-    @pytest.mark.parametrize("target", [0.0, 0.9, 0.99])
-    def test_one_search_for_every_compression(self, tech_1ms, target, monkeypatch):
+    # the probe leaves no compression at 0.99, and the floors skip all but
+    # the winner at 0 and 0.9
+    @pytest.mark.parametrize("target, searches", [(0.0, 1), (0.9, 1), (0.99, 0)])
+    def test_searches_only_the_compressions_that_can_win(self, tech_1ms, target, searches,
+                                                         monkeypatch):
         calls = []
 
         def counting(*args):
@@ -293,7 +316,43 @@ class TestOptimizeNisq:
 
         monkeypatch.setattr(optimize, "_grid_refine", counting)
         optimize_nisq(25, target, tech_1ms)
-        assert len(calls) == 1
+        assert len(calls) == searches
+
+    @given(text=valid_config_texts(kinds=("nisq",)))
+    @example(text=NISQ_EDGE_CONFIGS[0])
+    @example(text=NISQ_EDGE_CONFIGS[1])
+    @example(text=NISQ_EDGE_CONFIGS[2])
+    @example(text=NISQ_EDGE_CONFIGS[3])
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_floors_bound_and_the_probe_keeps_the_feasible_compressions(self, text):
+        # each compression searched alone, probe and floor aside: the probe
+        # keeps exactly the compressions it finds a point for, and the
+        # floor lies at or below the power it finds
+        cfg = load_config(text=text)
+        q, target, options = cfg.nisq_qubits, cfg.target_metric, cfg.grid_options()
+        problem = _AttenuatorProblem(cfg.technology(), *compression_costs(q, np.arange(q - 2)),
+                                     cfg.t_ext_k)
+        reachable = problem.reachable(target, options)
+        floors = problem.power_floor(target, options)
+        for m in range(q - 2):
+            (found,), _ = _grid_refine(partial(problem.alone(m).solve, target, options),
+                                       [("t_qb", options.t_qb_bounds)], options)
+            assert reachable[m] == (found is not None)
+            if found is not None:
+                assert floors[m] <= found[0]
+
+    def test_an_interior_optimum_is_the_reduction_of_every_compression(self):
+        # with long-lived qubits and a lax target the compressions' powers
+        # lie closest together, so a loose floor would skip the winner
+        tech = QubitTechnology(omega0=OMEGA0, gamma=1.0)
+        res = optimize_nisq(25, 0.9, tech)
+        assert repr(res) == repr(_ascending_m_reduction(25, 0.9, tech))
+        assert 0 < res.control.m < 25 - 3
+
+    @pytest.mark.parametrize("q", [2, 1, 0])
+    def test_fewer_than_three_qubits_raise_the_circuits_error(self, tech_1ms, q):
+        with pytest.raises(ValueError, match="circuit needs at least 3 qubits"):
+            optimize_nisq(q, 0.5, tech_1ms)
 
     def test_fixed_compression_matches_inner_solver(self, tech_1ms):
         # the shared inner solver, handed every compression's gate weight
@@ -659,8 +718,8 @@ class TestOptimizeFt:
         assert point == (c.t_qb, c.t_gen) and a_star == c.a_total
         ev = evaluate_ft_point(wl, tech50, SCEN_A, CABLE, cryo, c.t_qb, c.t_gen,
                                c.a_total, c.k, toggles)
-        assert abs(ev.power_w - power) <= 1e-15 * power
-        assert ev.power_w == sum(r.electrical_power_w for r in ev.per_stage)
+        assert ev.power_w == power
+        assert ev.power_w == in_order_total(ev.per_stage)
         assert ev.power_w == res.power_w
 
     @given(text=valid_config_texts(kinds=("rsa", "rectangular")))
@@ -692,7 +751,7 @@ class TestOptimizeFt:
         result = run_problem(cfg)
         assert result.feasible and result.control.k == k
         assert result.metric_achieved >= cfg.target_metric - optimize.METRIC_TOL
-        assert result.power_w == sum(rec.electrical_power_w for rec in result.per_stage)
+        assert result.power_w == in_order_total(result.per_stage)
 
     def test_levels_past_the_top_level_are_out_of_reach(self, tech_50ms):
         # above the top level, 157 for one logical qubit, the count 91^k of
@@ -1330,7 +1389,18 @@ class TestReduce:
         # feasible point: the smaller of the tied compressions wins
         found = [None, (1e-3, (0.1,), 10.0), (1e-3 * (1 - RELATIVE_TIE / 2), (0.1,), 10.0),
                  (2e-3, (0.1,), 10.0)]
-        monkeypatch.setattr(optimize, "_grid_refine", lambda *args: (found, {"t_qb": 0.0}))
+        weights = compression_costs(6, np.arange(4))[0].tolist()
+
+        def answer(solve, *args):
+            # the search of one compression, told by its gate weight
+            return [found[weights.index(solve.func.__self__.weight.item())]], {"t_qb": 0.0}
+
+        monkeypatch.setattr(optimize, "_grid_refine", answer)
+        # every compression reachable, and floors low enough that each is searched
+        monkeypatch.setattr(_AttenuatorProblem, "reachable",
+                            lambda self, *args: np.ones(self.weight.shape[0], bool))
+        monkeypatch.setattr(_AttenuatorProblem, "power_floor",
+                            lambda self, *args: np.zeros(self.weight.shape[0]))
         assert optimize_nisq(6, 0.5, tech_1ms).control.m == 1
 
 

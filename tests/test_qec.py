@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 from functools import partial
 
@@ -28,6 +29,8 @@ from coldstack.qec import (
     P_THRESHOLD,
     QUBIT_GROWTH,
     RECTANGULAR_MIX,
+    _top_level,
+    ft_error_budget,
     measurement_fraction,
     physical_gate_counts_fractions,
     transfer_matrix_floats,
@@ -206,6 +209,23 @@ class TestFtMetric:
         assert ft_metric(1e-6, np.int32(2), 10, 10) == ft_metric(1e-6, 2, 10, 10)
         assert physical_gate_counts_rectangular(185, np.int64(1)) == \
             physical_gate_counts_rectangular(185, 1)
+
+    #: Counts and levels whose products or powers leave int64.
+    NUMPY_INTEGER_CALLS = {
+        "top level": lambda n: _top_level(n(3)),
+        "qubits of a count": lambda n: physical_qubits(n(3), 10),
+        "qubits of a level": lambda n: physical_qubits(1, n(10)),
+        "gate counts": lambda n: physical_gate_counts_rectangular(n(10), n(12)),
+        "metric of counts": lambda n: ft_metric(1e-6, 2, n(10**10), n(10**10)),
+        "metric of a level": lambda n: ft_metric(1e-6, n(70), 10, 10),
+        "error budget": lambda n: ft_error_budget(0.5, 2, n(10**10), n(10**10)),
+    }
+
+    @pytest.mark.parametrize("call", NUMPY_INTEGER_CALLS.values(), ids=NUMPY_INTEGER_CALLS)
+    def test_numpy_integers_give_the_python_int_result(self, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert call(np.int64) == call(int)
 
     def test_empty_circuit(self):
         assert ft_metric(1e-6, 2, 0, 0) == 1.0

@@ -37,7 +37,7 @@ from coldstack.thermal import (
     steel_conductivity,
 )
 
-from conftest import OMEGA0, edge_biased
+from conftest import OMEGA0, edge_biased, in_order_total
 
 CABLE = CableModel()
 SMALL_SCALE = CryoEfficiencyModel("small_scale")
@@ -535,7 +535,7 @@ class TestPerQubitStaticPower:
         for got, want in zip(rows, static):
             assert got.electrical_power_w == pytest.approx(
                 want.electrical_power_w * ev.physical_qubits, rel=1e-12, abs=0.0)
-        assert ev.power_w == sum(r.electrical_power_w for r in ev.per_stage)
+        assert ev.power_w == in_order_total(ev.per_stage)
 
 
 #: Generation stages at and on either side of the HEMT stage.

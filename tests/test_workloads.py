@@ -15,7 +15,7 @@ from coldstack import (
     rsa_workload,
 )
 from coldstack import qec
-from coldstack.workloads import GNFS_ANCHOR_BITS, GNFS_ANCHOR_ENERGY_J
+from coldstack.workloads import GNFS_ANCHOR_BITS, GNFS_ANCHOR_ENERGY_J, compression_costs
 
 
 class TestRsaWorkload:
@@ -153,6 +153,13 @@ class TestNisqMetricAndPower:
 
     def test_zero_gate_power(self):
         assert nisq_power(nisq_circuit(25, 10), 0.0) == 0.0
+
+    @pytest.mark.parametrize("q", [3, 4, 12, 25, 40])
+    def test_compression_costs_are_the_circuits_to_the_bit(self, q):
+        circuits = [nisq_circuit(q, m) for m in range(q - 2)]
+        weights, scales = compression_costs(q, np.arange(q - 2))
+        assert weights.tolist() == [c.n_gates_weighted for c in circuits]
+        assert scales.tolist() == [nisq_power(c, 1.0) for c in circuits]
 
 
 class TestClassicalBaseline:
