@@ -1,18 +1,18 @@
 """Constrained power-minimization engines.
 
-Three problem classes share one search, :func:`_grid_refine`, batched
-over independent problems; a gate, a compression of a NISQ circuit and
-a fault-tolerant level are each searched as a batch of one, and the
-compressions and the levels that cannot win are skipped (see
-:func:`optimize_nisq` and :func:`optimize_ft`).  Power rises
-monotonically with the total attenuation while the metric improves
-with it, so for any fixed temperatures the conditional optimum sits
-exactly on the constraint boundary (or at the attenuation lower bound
-when the constraint is already slack there).  Each problem class
-therefore supplies a ``solve`` that takes one log-spaced axis per
-temperature control and problem (the qubit stage, and for the
-fault-tolerant problem also the generation stage), finds the boundary
-attenuation on the grids they span, and returns the power there.
+Three problem classes share one search, :func:`_grid_refine`, which
+searches one problem at a time: a gate, a compression of a NISQ
+circuit or a fault-tolerant level; the compressions and the levels
+that cannot win are skipped (see :func:`optimize_nisq` and
+:func:`optimize_ft`).  Power rises monotonically with the total
+attenuation while the metric improves with it, so for any fixed
+temperatures the conditional optimum sits exactly on the constraint
+boundary (or at the attenuation lower bound when the constraint is
+already slack there).  Each problem class therefore supplies a
+``solve`` that takes one 1-D log-spaced axis per temperature control
+(the qubit stage, and for the fault-tolerant problem also the
+generation stage), finds the boundary attenuation on the grid they
+span, and returns the power there, in the grid's shape.
 The metric falls monotonically with the qubit-line occupancy, so the
 boundary is solved, not searched: the target is inverted once per
 problem (and concatenation level) to the occupancy it allows, and the
@@ -80,7 +80,8 @@ model's kind and t_ext, and on no dataclass: the floor prices the
 scenario, the cable and the parasitic qubit heat itself, so the points
 of a sweep over these share the table.  The coarse axes themselves are
 cached per bounds and points per decade (:func:`_log_axis`), read-only,
-and :func:`_grid_refine` gives every problem of a batch a copy of them.  On
+and :func:`_grid_refine` hands them to the first solve of every search
+as they are.  On
 the grids it lays out itself the search calls the unchecked kernels of
 the model's formulas (such as :func:`~coldstack.noise._bose_einstein`
 and :func:`~coldstack.qec._ft_metric`); the public functions check
@@ -304,15 +305,14 @@ def _log_axis(lo: float, hi: float, per_decade: int) -> tuple[np.ndarray, float]
 _REFINED_STEPS = np.arange(-REFINEMENT_FACTOR, REFINEMENT_FACTOR + 1)
 
 
-def _refined_axis(centers: np.ndarray, spacing: float,
+def _refined_axis(center: float, spacing: float,
                   lo: float, hi: float) -> tuple[np.ndarray, float]:
-    """Rows spanning one old step around each of ``centers`` at
+    """The row spanning one old step around ``center`` at
     ``REFINEMENT_FACTOR``-times finer spacing, clipped to the bounds.
-    Clipped values repeat, so the rows keep one length; a repeat ties
+    Clipped values repeat, so every row has one length; a repeat ties
     exactly."""
     fine = spacing / REFINEMENT_FACTOR
-    return np.minimum(np.maximum(centers[:, None] * 10.0**(_REFINED_STEPS * fine), lo),
-                      hi), fine
+    return np.minimum(np.maximum(center * 10.0**(_REFINED_STEPS * fine), lo), hi), fine
 
 
 def _boundary_attenuation(gap, lo: float, hi: float, invert):
@@ -350,74 +350,50 @@ def _stacked(values, ndim: int) -> np.ndarray:
 _TIE_SIGNS = (-1.0, 1.0)
 
 
-def _grid_refine(solve, axes, options: GridOptions, batch: int = 1):
+def _grid_refine(solve, axes, options: GridOptions):
     """Grid search with local refinement over log-spaced temperature
-    axes, for ``batch`` independent problems at once.
+    axes, for one problem.
 
     ``axes`` lists ``(name, (low, high))`` per temperature control, the
-    qubit stage first.  ``solve(*grids)`` takes one (batch, n) array per
-    axis, row b for problem b, and returns the power and the boundary
-    attenuation, of shape (batch, n_1, n_2, ...), on the grids the rows
-    span, with infinite power at infeasible points: where the target is
-    out of reach (NaN attenuation) or the power is out of the float
-    range.  Per problem, powers within ``RELATIVE_TIE`` of its minimum
-    tie; ties go to the smaller attenuation, then by ``_TIE_SIGNS``,
-    then to the first point.  Each of the ``options.refinement_passes``
-    passes re-grids every axis one old step either side of each
-    incumbent at ``REFINEMENT_FACTOR`` times finer spacing.
-    Returns per problem (power, point, attenuation), or None if its
-    first grid has no feasible point, and the spacing in decades by axis
-    name.
-
-    Each pass works on the results flattened to one row per problem, so
-    a point is one flat index, in C order, and so by problem.
+    qubit stage first.  ``solve(*grids)`` takes one 1-D array per axis
+    and returns the power and the boundary attenuation on the grid they
+    span, in its shape (n_1, n_2, ...), with infinite power at infeasible
+    points: where the target is out of reach (NaN attenuation) or the
+    power is out of the float range.  The first pass is handed the
+    cached, read-only axes of :func:`_log_axis` themselves.  Powers
+    within ``RELATIVE_TIE`` of a pass's minimum tie; ties go to the
+    smaller attenuation, then by ``_TIE_SIGNS``, then to the first point
+    in C order, and the pick replaces the incumbent only below its power.
+    Each of the ``options.refinement_passes`` passes re-grids every axis
+    one old step either side of the incumbent at ``REFINEMENT_FACTOR``
+    times finer spacing.  Returns (power, point, attenuation) as Python
+    floats, or None if the first grid has no feasible point, and the
+    spacing in decades by axis name.
     """
     grids, spacing = [], []
     for _, (lo, hi) in axes:
         grid, step = _log_axis(lo, hi, options.temperature_points_per_decade)
-        grids.append(grid[None].repeat(batch, axis=0))
+        grids.append(grid)
         spacing.append(step)
-    best_power, best_a = np.full(batch, np.inf), np.full(batch, np.nan)
-    # a problem without a feasible point refines, unused, around the lower corner
-    best_point = np.empty((batch, len(axes)))
-    best_point[:] = [lo for _, (lo, _) in axes]
+    found = None
     for pass_index in range(options.refinement_passes + 1):
         power, a_star = solve(*grids)
-        shape = power.shape[1:]
-        power, a_star = power.reshape(batch, -1), a_star.ravel()
-        low = power.min(axis=1)
-        if pass_index == 0:
-            alive = low < np.inf
-            live = np.count_nonzero(alive)
-            if not live:
-                break
-            # each problem's least power times this tops its tie band; a
-            # dead problem's -inf leaves it no point
-            tie_factor = np.where(alive, 1 + RELATIVE_TIE, -np.inf)
-        # the tied points of the live problems; each ties at least at its
-        # least power, so more points than live problems means several in some one
-        pick = (power <= (low * tie_factor)[:, None]).ravel().nonzero()[0]
-        rows, cols = np.divmod(pick, power.shape[1])
-        if pick.size > live:  # the tie-break picks one per problem; lexsort is stable
-            at = np.unravel_index(cols, shape)
-            keys = [sign * g[rows, i] for sign, g, i in zip(_TIE_SIGNS, grids, at)]
-            order = np.lexsort((*keys[::-1], a_star[pick], rows))
-            ranked = rows[order]
-            first = order[np.concatenate(([True], ranked[1:] != ranked[:-1]))]  # one per problem
-            pick, rows, cols = pick[first], rows[first], cols[first]
-        # the picks that improve on their problem's incumbent
-        picked = power.ravel()[pick]
-        better = picked < best_power[rows]
-        pick, rows, cols = pick[better], rows[better], cols[better]
-        best_power[rows], best_a[rows] = picked[better], a_star[pick]
-        for d, (g, i) in enumerate(zip(grids, np.unravel_index(cols, shape))):
-            best_point[rows, d] = g[rows, i]
+        shape, power, a_star = power.shape, power.ravel(), a_star.ravel()
+        low = power.min()
+        if pass_index == 0 and not low < np.inf:
+            break
+        pick = (power <= low * (1 + RELATIVE_TIE)).nonzero()[0]
+        if pick.size > 1:  # the tie-break; lexsort is stable
+            at = np.unravel_index(pick, shape)
+            keys = [sign * g[i] for sign, g, i in zip(_TIE_SIGNS, grids, at)]
+            pick = pick[np.lexsort((*keys[::-1], a_star[pick]))]
+        if pick.size and (found is None or power[pick[0]] < found[0]):
+            at = np.unravel_index(pick[0], shape)
+            found = (power[pick[0]].item(), tuple(g[i].item() for g, i in zip(grids, at)),
+                     a_star[pick[0]].item())
         if pass_index < options.refinement_passes:
             for d, (_, (lo, hi)) in enumerate(axes):
-                grids[d], spacing[d] = _refined_axis(best_point[:, d], spacing[d], lo, hi)
-    found = [(p, tuple(x), a) if ok else None
-             for ok, p, x, a in zip(alive.tolist(), best_power.tolist(), best_point.tolist(),
-                                    best_a.tolist())]
+                grids[d], spacing[d] = _refined_axis(found[1][d], spacing[d], lo, hi)
     return found, {name: step for (name, _), step in zip(axes, spacing)}
 
 
@@ -475,12 +451,16 @@ def bare_efficiency_max(tech: QubitTechnology, target: float) -> float:
 
 class _AttenuatorProblem:
     """One attenuator at the qubit stage, for a batch of single gates or
-    circuits along axis 0 of every grid.
+    circuits, one per row, against qubit-temperature axes along the last
+    axis.
 
     Problem b constrains :func:`~coldstack.workloads.nisq_metric` of the
     per-gate worst-case infidelity and ``weight[b]`` error-weighted
     gates: 1 for one gate, ``n_gates_weighted`` for a circuit.
-    ``power_scale[b]`` multiplies its per-gate cryo power.
+    ``power_scale[b]`` multiplies its per-gate cryo power.  The probe
+    (:meth:`reachable`), the floors (:meth:`power_floor`) and the answer
+    (:meth:`evaluate`) take the batch; a search takes one problem of it,
+    :meth:`alone`.
     """
 
     def __init__(self, tech: QubitTechnology, weight, power_scale, t_ext: float):
@@ -506,7 +486,8 @@ class _AttenuatorProblem:
         return CARNOT._heat_multiplier(t_qb, self.t_ext) * a * self.p_pi * self.power_scale
 
     def solve(self, target: float, options: GridOptions, t_axis: np.ndarray):
-        """Power and boundary attenuation on the qubit-temperature rows ``t_axis``.
+        """Power and boundary attenuation on the qubit temperatures
+        ``t_axis``, in its shape: one axis, or one row per problem.
 
         On the boundary the occupancy is ``n* = (1-M)/(weight*gamma*tau)
         - 1``, so ``A* = (n_hot - n_c)/(n* - n_c)``; on the domain the power
@@ -532,10 +513,11 @@ class _AttenuatorProblem:
         return np.where(np.isnan(a_star), np.inf, self.power(t_axis, a_star)), a_star
 
     def alone(self, row: int) -> _AttenuatorProblem:
-        """Problem ``row`` as a batch of one, whose search has the bits of
-        its row of this batch's, as a solve is elementwise."""
+        """Problem ``row`` alone, whose :meth:`solve` on a 1-D axis gives 1-D
+        results with the bits of its row of this batch's, as a solve is
+        elementwise."""
         one = copy(self)
-        one.weight, one.power_scale = self.weight[row:row + 1], self.power_scale[row:row + 1]
+        one.weight, one.power_scale = self.weight[row], self.power_scale[row]
         return one
 
     def reachable(self, target: float, options: GridOptions) -> np.ndarray:
@@ -619,8 +601,8 @@ def optimize_single_qubit(tech: QubitTechnology, target: float,
             f"target metric {target} exceeds the zero-noise bound "
             f"{bound:.9g} (infidelity floor gamma*tau_1qb = {floor:.3g})")
     problem = _AttenuatorProblem(tech, 1.0, 1.0, t_ext)
-    (found,), spacing = _grid_refine(partial(problem.solve, target, options),
-                                     [("t_qb", options.t_qb_bounds)], options)
+    found, spacing = _grid_refine(partial(problem.alone(0).solve, target, options),
+                                  [("t_qb", options.t_qb_bounds)], options)
     if found is None:
         return _infeasible("no grid point satisfies the metric target")
     _, (t_star,), a_star = found
@@ -647,9 +629,9 @@ def optimize_nisq(q: int, target: float, tech: QubitTechnology,
     largest attenuation, as :func:`optimize_ft` drops unreachable levels.
     The answer is the reduction (:func:`_reduce`) over the others, in
     ascending ``m``, which gives a tie to the smaller one; it searches
-    them best first, each alone as a batch of one, in ascending
-    :meth:`_AttenuatorProblem.power_floor`, and skips those whose floor
-    shows they cannot win.
+    them best first, each alone (:meth:`_AttenuatorProblem.alone`), in
+    ascending :meth:`_AttenuatorProblem.power_floor`, and skips those
+    whose floor shows they cannot win.
 
     Where the optimum lies in the compression ``m``.  Id gates fill
     every idle slot, so the circuit at any compression carries
@@ -679,16 +661,16 @@ def optimize_nisq(q: int, target: float, tech: QubitTechnology,
     check_range("t_ext in K", t_ext, T_EXT_RANGE_K)
     if options.t_qb_bounds[1] >= t_ext:
         raise ValueError("the qubit stage must stay colder than t_ext")
-    _check_circuit(q, 0 if fixed_m is None else fixed_m)
-    m_values = range(q - 2) if fixed_m is None else [fixed_m]
+    q, m = _check_circuit(q, 0 if fixed_m is None else fixed_m)
+    m_values = range(q - 2) if fixed_m is None else [m]
     weights, scales = compression_costs(q, np.asarray(m_values))
     problem = _AttenuatorProblem(tech, weights, scales, t_ext)
     rows = np.flatnonzero(problem.reachable(target, options)).tolist()
     floors = problem.power_floor(target, options).tolist()
 
     def search(row: int):
-        (found,), spacing = _grid_refine(partial(problem.alone(row).solve, target, options),
-                                         [("t_qb", options.t_qb_bounds)], options)
+        found, spacing = _grid_refine(partial(problem.alone(row).solve, target, options),
+                                      [("t_qb", options.t_qb_bounds)], options)
         return None if found is None else (*found, spacing)
 
     best = _reduce(rows, search, floors.__getitem__)
@@ -907,11 +889,10 @@ class _FtProblem:
         return _boundary_attenuation(gap, lo, hi, invert)
 
     def solve(self, k: int, target: float, t_qb: np.ndarray, t_gen: np.ndarray):
-        """Power and boundary attenuation on the (T_qb, T_gen) grid, as a
-        batch of one for :func:`_grid_refine`: the axes come as rows of
-        shape (1, n) and the results have shape (1, n_qb, n_gen).  A
-        collapsed chain (qubit stage as warm as the generation stage) has
-        no valid layout and is excluded.
+        """Power and boundary attenuation on the grid of the axes ``t_qb``
+        and ``t_gen``, of shape (n_qb, n_gen), for :func:`_grid_refine`.
+        A collapsed chain (qubit stage as warm as the generation stage)
+        has no valid layout and is excluded.
 
         On the coarse grid only the points that can still be the grid's
         pick are solved (:meth:`coarse_pass`), with the bits a solve of
@@ -920,7 +901,6 @@ class _FtProblem:
         fields of the last grid taken at each level are kept, on the
         problem, for :meth:`evaluate`.
         """
-        (t_qb,), (t_gen,) = t_qb, t_gen
         (qb_axis, gen_axis), fields = _coarse_grid(*self.grid_key)
         if not (np.array_equal(t_qb, qb_axis) and np.array_equal(t_gen, gen_axis)):
             fields = _grid_fields(t_qb, t_gen, self.toggles.k_stages, self.tech.omega0)
@@ -928,7 +908,7 @@ class _FtProblem:
         else:
             power, a_star = self.coarse_pass(k, target, fields)
         self._solved[k] = t_qb, t_gen, fields
-        return power[None], a_star[None]
+        return power, a_star
 
     def solve_fields(self, k: int, target: float, fields: tuple):
         """Power and boundary attenuation at the points of ``fields``
@@ -1212,7 +1192,7 @@ def optimize_ft(workload: Workload, tech: QubitTechnology,
               if problem.metric(p_err_min, k) >= target]
 
     def search(k: int):
-        (found,), spacing = _grid_refine(partial(problem.solve, k, target), axes, options)
+        found, spacing = _grid_refine(partial(problem.solve, k, target), axes, options)
         return None if found is None else (*found, spacing)
 
     best = _reduce(levels, search, lambda k: problem.power_floor(k, target))

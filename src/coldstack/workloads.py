@@ -67,13 +67,19 @@ def rsa_workload(n: int, variant: str = "gidney", log_base: float = 2.0) -> Work
     return Workload(q, d, label=f"rsa-{n}-{variant}")
 
 
-def _check_circuit(q: int, m: int) -> None:
-    """Raises ValueError unless the circuit on ``q`` qubits has the
+def _check_circuit(q: int, m: int) -> tuple[int, int]:
+    """``(q, m)`` as Python ints; raises ValueError unless they are
+    integers, Python or numpy, and the circuit on ``q`` qubits has the
     compression ``m``."""
+    for name, value in (("qubit count", q), ("compression count", m)):
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"the {name} must be an integer")
+    q, m = int(q), int(m)  # a numpy integer as int
     if q < 3:
         raise ValueError("circuit needs at least 3 qubits")
     if not (0 <= m <= q - 3):
         raise ValueError("compression count must lie in [0, Q-3]")
+    return q, m
 
 
 def _gate_totals(q: int, m):
@@ -118,9 +124,9 @@ class NisqCircuit:
     n_id_total: float = field(init=False)
 
     def __post_init__(self) -> None:
-        _check_circuit(self.q, self.m)
-        for name, value in zip(("depth", "n_2qb_total", "n_1qb_total", "n_id_total"),
-                               _gate_totals(self.q, self.m)):
+        q, m = _check_circuit(self.q, self.m)
+        for name, value in zip(("q", "m", "depth", "n_2qb_total", "n_1qb_total", "n_id_total"),
+                               (q, m, *_gate_totals(q, m))):
             object.__setattr__(self, name, value)
 
     @property

@@ -100,9 +100,11 @@ class TestGridOptions:
         # a coarse spacing of 1 decade, the widest, refined pass by pass: the
         # rows of pass 28 still leave their centres, those of pass 29 do not
         top = optimize.REFINEMENT_PASSES_RANGE[1]
+        # a column of centres gives a row for each, as the arithmetic is elementwise
         centers = 10.0 ** np.random.default_rng(28).uniform(-6.0, 4.0, 100_000)
         for passes, moved in ((top, True), (top + 1, False)):
-            rows, _ = _refined_axis(centers, 1.0 / REFINEMENT_FACTOR ** (passes - 1), 0.0, np.inf)
+            rows, _ = _refined_axis(centers[:, None], 1.0 / REFINEMENT_FACTOR ** (passes - 1),
+                                    0.0, np.inf)
             assert np.any(rows != centers[:, None]) == moved
 
     def test_passes_past_the_range_move_no_answer(self, tech_50ms):
@@ -335,8 +337,8 @@ class TestOptimizeNisq:
         reachable = problem.reachable(target, options)
         floors = problem.power_floor(target, options)
         for m in range(q - 2):
-            (found,), _ = _grid_refine(partial(problem.alone(m).solve, target, options),
-                                       [("t_qb", options.t_qb_bounds)], options)
+            found, _ = _grid_refine(partial(problem.alone(m).solve, target, options),
+                                    [("t_qb", options.t_qb_bounds)], options)
             assert reachable[m] == (found is not None)
             if found is not None:
                 assert floors[m] <= found[0]
@@ -354,10 +356,25 @@ class TestOptimizeNisq:
         with pytest.raises(ValueError, match="circuit needs at least 3 qubits"):
             optimize_nisq(q, 0.5, tech_1ms)
 
+    @pytest.mark.parametrize("q, fixed_m", [(12.0, None), (25, 2.5), (25, 2.0), (25.0, 2),
+                                            (np.float64(12.0), None)])
+    def test_sizes_that_are_not_integers_raise(self, tech_1ms, q, fixed_m):
+        # a float qubit count failed in range(); a fractional fixed_m answered with it
+        with pytest.raises(ValueError, match="must be an integer"):
+            optimize_nisq(q, 0.5, tech_1ms, fixed_m=fixed_m)
+
+    def test_numpy_integer_sizes_answer_as_python_ints(self, tech_1ms):
+        for fixed_m in (None, 18):
+            got = optimize_nisq(np.int64(25), 0.9, tech_1ms,
+                                fixed_m=None if fixed_m is None else np.int64(fixed_m))
+            assert type(got.control.m) is int and type(got.physical_qubits) is int
+            assert repr(got) == repr(optimize_nisq(25, 0.9, tech_1ms, fixed_m=fixed_m))
+
     def test_fixed_compression_matches_inner_solver(self, tech_1ms):
         # the shared inner solver, handed every compression's gate weight
         # and power scale directly as one batch, reproduces the
-        # per-compression optimization in the row of that compression
+        # per-compression optimization in the search of that compression
+        # alone
         target, m = 0.9, 18
         res = optimize_nisq(25, target, tech_1ms, fixed_m=m)
         circuits = [nisq_circuit(25, j) for j in range(23)]
@@ -366,9 +383,9 @@ class TestOptimizeNisq:
             [circ.n_1qb_avg + 0.25 * circ.n_2qb_avg for circ in circuits], 300.0)
         options = GridOptions()
         found, _ = _grid_refine(
-            partial(problem.solve, target, options), [("t_qb", options.t_qb_bounds)],
-            options, len(circuits))
-        power, (t_star,), a_star = found[m]
+            partial(problem.alone(m).solve, target, options), [("t_qb", options.t_qb_bounds)],
+            options)
+        power, (t_star,), a_star = found
         assert res.control.t_qb == pytest.approx(t_star, rel=1e-12)
         assert res.control.a_total == pytest.approx(a_star, rel=1e-12)
         assert res.power_w == pytest.approx(power, rel=1e-12)
@@ -713,7 +730,7 @@ class TestOptimizeFt:
         c = res.control
         problem = _FtProblem(wl, tech50, SCEN_A, CABLE, cryo, toggles, LIGHT)
         axes = [("t_qb", LIGHT.t_qb_bounds), ("t_gen", LIGHT.t_gen_bounds)]
-        (found,), _ = _grid_refine(partial(problem.solve, c.k, 2.0 / 3.0), axes, LIGHT)
+        found, _ = _grid_refine(partial(problem.solve, c.k, 2.0 / 3.0), axes, LIGHT)
         power, point, a_star = found
         assert point == (c.t_qb, c.t_gen) and a_star == c.a_total
         ev = evaluate_ft_point(wl, tech50, SCEN_A, CABLE, cryo, c.t_qb, c.t_gen,
@@ -899,8 +916,8 @@ def _floors_and_powers(cfg) -> list:
         _keep_every_coarse_point(mp)
         for k in range(options.k_min, options.k_max + 1):
             floor = problem.power_floor(k, cfg.target_metric)
-            (found,), _ = _grid_refine(partial(problem.solve, k, cfg.target_metric), axes,
-                                       options)
+            found, _ = _grid_refine(partial(problem.solve, k, cfg.target_metric), axes,
+                                    options)
             if found is not None:
                 levels.append((k, floor, found[0]))
     return levels
@@ -1231,7 +1248,7 @@ def _ascending_level_searches(cfg) -> int:
         if best is not None and problem.power_floor(k, target) > best * (1 + RELATIVE_TIE):
             continue
         searched += 1
-        (found,), _ = _grid_refine(partial(problem.solve, k, target), axes, options)
+        found, _ = _grid_refine(partial(problem.solve, k, target), axes, options)
         if found is not None and (best is None or found[0] < best * (1 - RELATIVE_TIE)):
             best = found[0]
     return searched
@@ -1252,7 +1269,7 @@ def _fake_levels(mp, powers: dict, floors: dict) -> list:
     def search(solve, axes, options):
         k = solve.args[0]
         searched.append(k)
-        return [(powers[k], (0.1, 10.0), 1e12)], {"t_qb": 0.0, "t_gen": 0.0}
+        return (powers[k], (0.1, 10.0), 1e12), {"t_qb": 0.0, "t_gen": 0.0}
 
     mp.setattr(optimize, "_grid_refine", search)
     mp.setattr(_FtProblem, "power_floor", lambda self, k, target: floors[k])
@@ -1393,7 +1410,7 @@ class TestReduce:
 
         def answer(solve, *args):
             # the search of one compression, told by its gate weight
-            return [found[weights.index(solve.func.__self__.weight.item())]], {"t_qb": 0.0}
+            return found[weights.index(solve.func.__self__.weight.item())], {"t_qb": 0.0}
 
         monkeypatch.setattr(optimize, "_grid_refine", answer)
         # every compression reachable, and floors low enough that each is searched
@@ -1515,8 +1532,7 @@ class TestCoarsePruning:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(optimize, "_FIRST_BATCH", batch)
                 picks = _record_coarse_picks(mp)
-                (power,), (a_star,) = problem.solve(k, cfg.target_metric, t_qb[None],
-                                                    t_gen[None])
+                power, a_star = problem.solve(k, cfg.target_metric, t_qb, t_gen)
             full_power, full_a = problem.solve_fields(k, cfg.target_metric, fields)
             solved = np.zeros(power.shape, bool)
             for at in picks:
@@ -1801,8 +1817,9 @@ class TestCoarseTable:
 
 def _grid_refine_as_first_written(solve, axes, options: GridOptions, batch: int = 1):
     """:func:`~coldstack.optimize._grid_refine` before its bookkeeping was
-    cut: fresh axes tiled per problem, a lexsort of the tied points on
-    every pass, and the incumbents' points stacked."""
+    cut, batched over independent problems: fresh axes tiled per problem,
+    a lexsort of the tied points on every pass, the incumbents' points
+    stacked, and refined rows around a column of centres."""
     def log_axis(lo, hi, per_decade):
         if hi == lo:
             return np.array([lo]), 0.0
@@ -1838,11 +1855,37 @@ def _grid_refine_as_first_written(solve, axes, options: GridOptions, batch: int 
         best_point[b] = np.stack([g[b, i] for g, i in zip(grids, at)], axis=1)
         if pass_index < options.refinement_passes:
             for d, (_, (lo, hi)) in enumerate(axes):
-                grids[d], spacing[d] = optimize._refined_axis(best_point[:, d], spacing[d],
-                                                              lo, hi)
+                spacing[d] /= REFINEMENT_FACTOR
+                grids[d] = np.minimum(np.maximum(best_point[:, d, None] * 10.0**(
+                    np.arange(-REFINEMENT_FACTOR, REFINEMENT_FACTOR + 1) * spacing[d]), lo), hi)
     found = [(float(p), tuple(map(float, x)), float(a)) if ok else None
              for ok, p, x, a in zip(alive, best_power, best_point, best_a)]
     return found, {name: step for (name, _), step in zip(axes, spacing)}
+
+
+def _alone(solve, problems, i: int):
+    """The solve of toy problem ``i`` of ``problems`` alone, on 1-D axes,
+    with 1-D results: ``solve`` on it as a batch of one."""
+    def one(*grids):
+        return tuple(x[0] for x in solve([problems[i]], *(g[None] for g in grids)))
+    return one
+
+
+def _assert_alone_equals_rows(solve, problems, axes, options) -> None:
+    """Each toy problem searched alone by :func:`_grid_refine` is its row of
+    the batched search as first written, to the repr.  A problem with no
+    feasible point stops at its coarse pass, and so has its spacing alone;
+    the batch refines on as long as another problem lives."""
+    want, spacing = _grid_refine_as_first_written(partial(solve, problems), axes, options,
+                                                  len(problems))
+    for i, row in enumerate(want):
+        found, step = _grid_refine(_alone(solve, problems, i), axes, options)
+        assert repr(found) == repr(row)
+        if row is not None:
+            assert repr(step) == repr(spacing)
+        else:
+            assert repr(step) == repr(_grid_refine_as_first_written(
+                partial(solve, problems[i:i + 1]), axes, options)[1])
 
 
 def _toy_solve(problems, *grids):
@@ -1940,9 +1983,7 @@ class TestGridRefineBookkeeping:
     @settings(max_examples=150, deadline=None)
     def test_search_equals_the_search_as_first_written(self, search):
         problems, axes, options = search
-        solve = partial(_toy_solve, problems)
-        want = _grid_refine_as_first_written(solve, axes, options, len(problems))
-        assert repr(_grid_refine(solve, axes, options, len(problems))) == repr(want)
+        _assert_alone_equals_rows(_toy_solve, problems, axes, options)
 
     @given(search=_sparse_toy_searches())
     @settings(max_examples=100, deadline=None)
@@ -1951,9 +1992,7 @@ class TestGridRefineBookkeeping:
         # refined grids clipped at the bounds, with NaN attenuations at the
         # infeasible points and dead problems beside live ones
         problems, axes, options = search
-        solve = partial(_sparse_toy_solve, problems)
-        want = _grid_refine_as_first_written(solve, axes, options, len(problems))
-        assert repr(_grid_refine(solve, axes, options, len(problems))) == repr(want)
+        _assert_alone_equals_rows(_sparse_toy_solve, problems, axes, options)
 
     @pytest.mark.parametrize("quantum, sorts", [(1e-6, False), (100.0, True)])
     def test_lexsort_runs_only_where_a_problem_has_several_ties(self, quantum, sorts,
@@ -1965,12 +2004,34 @@ class TestGridRefineBookkeeping:
         calls = []
         lexsort = np.lexsort
         monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
-        solve = partial(_toy_solve, problems)
-        got = _grid_refine(solve, axes, LIGHT, len(problems))
+        for i in range(len(problems)):
+            _grid_refine(_alone(_toy_solve, problems, i), axes, LIGHT)
         assert bool(calls) == sorts
         monkeypatch.undo()
-        assert repr(got) == repr(_grid_refine_as_first_written(solve, axes, LIGHT,
-                                                               len(problems)))
+        _assert_alone_equals_rows(_toy_solve, problems, axes, LIGHT)
+
+    @pytest.mark.parametrize("ndim", [1, 2])
+    @pytest.mark.parametrize("passes", [0, 2, 5])
+    def test_one_solve_per_pass_on_one_dimensional_axes(self, ndim, passes):
+        # pass 0 takes the cached axes themselves; the answer is Python floats
+        axes = [("t_qb", (1e-3, 4.0)), ("t_gen", (4.0, 300.0))][:ndim]
+        options = GridOptions(temperature_points_per_decade=3, refinement_passes=passes)
+        for dead in (False, True):
+            problems, seen = [((-1.0, 1.5)[:ndim], 1e-3, dead)], []
+
+            def solve(*grids):
+                seen.append(grids)
+                return _alone(_toy_solve, problems, 0)(*grids)
+
+            found, spacing = _grid_refine(solve, axes, options)
+            assert len(seen) == (1 if dead else passes + 1)
+            assert all(grid.ndim == 1 for grids in seen for grid in grids)
+            assert all(grid is optimize._log_axis(lo, hi, 3)[0]
+                       for grid, (_, (lo, hi)) in zip(seen[0], axes, strict=True))
+            assert (found is None) == dead
+            if not dead:
+                power, point, a_star = found
+                assert {type(x) for x in (power, *point, a_star, *spacing.values())} == {float}
 
     @pytest.mark.parametrize("bounds, per_decade", [((1e-3, 4.0), 40), ((4.0, 300.0), 3),
                                                     ((0.5, 0.5), 40), ((1e-4, 1e-3), 7)])

@@ -325,8 +325,8 @@ class TestConductionKernel:
     def test_rises_on_refine_rows_equal_the_grid_rises(self, centers, k_stages):
         # refine rows inside the default box, and clipped at its bounds,
         # where values repeat
-        (t_qb,), _ = optimize._refined_axis(np.array([centers[0]]), 0.025, 1e-3, 4.0)
-        (t_gen,), _ = optimize._refined_axis(np.array([centers[1]]), 0.025, 4.0, 300.0)
+        t_qb, _ = optimize._refined_axis(centers[0], 0.025, 1e-3, 4.0)
+        t_gen, _ = optimize._refined_axis(centers[1], 0.025, 4.0, 300.0)
         if centers[0] != 0.05:
             assert len(set(t_qb)) < t_qb.size and len(set(t_gen)) < t_gen.size
         self._check_rises(t_qb, t_gen, k_stages)

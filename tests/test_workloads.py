@@ -99,6 +99,18 @@ class TestNisqCircuit:
         with pytest.raises(ValueError):
             nisq_circuit(25, -1)
 
+    @pytest.mark.parametrize("q, m", [(25, 2.5), (25.0, 2), (25, 2.0), (12.0, 0), ("25", 2),
+                                      (np.float64(25.0), 2)])
+    def test_rejects_sizes_that_are_not_integers(self, q, m):
+        # a fractional compression built a depth between two circuits'
+        with pytest.raises(ValueError, match="must be an integer"):
+            nisq_circuit(q, m)
+
+    def test_stores_numpy_integer_sizes_as_int(self):
+        circ = nisq_circuit(np.int64(25), np.int32(2))
+        assert type(circ.q) is int and type(circ.m) is int
+        assert repr(circ) == repr(nisq_circuit(25, 2))
+
     def test_epsilon_definition(self):
         assert nisq_circuit(25, 22).epsilon == pytest.approx(22.0 / 24.0)
 
