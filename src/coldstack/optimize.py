@@ -81,11 +81,11 @@ scenario, the cable and the parasitic qubit heat itself, so the points
 of a sweep over these share the table.  The coarse axes themselves are
 cached per bounds and points per decade (:func:`_log_axis`), read-only,
 and :func:`_grid_refine` hands them to the first solve of every search
-as they are.  On
-the grids it lays out itself the search calls the unchecked kernels of
-the model's formulas (such as :func:`~coldstack.noise._bose_einstein`
-and :func:`~coldstack.qec._ft_metric`); the public functions check
-their inputs and then call the same kernels.
+as they are.  On the grids it lays out itself the search calls the
+unchecked kernels of the model's formulas (such as
+:func:`~coldstack.noise._bose_einstein` and
+:func:`~coldstack.qec._ft_metric`); the public functions check their
+inputs and then call the same kernels.
 
 Within a level, the coarse pass is pruned by branch and bound, best
 first (:meth:`_FtProblem.coarse_pass`).  Each coarse point has a
