@@ -80,10 +80,14 @@ def _sweep_field(key: str) -> str:
     return name
 
 
+def _swept_value(name: str, value):
+    """The value the field ``name`` runs at for the axis value ``value``:
+    the nearest int for an integer field, else ``value`` itself."""
+    return int(round(value)) if FIELD_TYPES[name] == "int" else value
+
+
 def _override(cfg: RunConfig, name: str, value: float) -> RunConfig:
-    if FIELD_TYPES[name] == "int":
-        value = int(round(value))
-    return cfg.replace(**{name: value})
+    return cfg.replace(**{name: _swept_value(name, value)})
 
 
 def run_problem(cfg: RunConfig) -> OptimizationResult:
@@ -150,7 +154,8 @@ def sweep(cfg: RunConfig, axes: list[SweepAxis]) -> list[dict]:
     Rows come out in C order of the axis values (last axis fastest), one
     :func:`run_problem` per point, infeasible points included; each
     starts with the swept values, under the names of the fields they set,
-    whichever way the keys are written.  Every point is checked first, in
+    whichever way the keys are written, each as the point ran it: an
+    integer field's value is the int the axis value rounds to.  Every point is checked first, in
     that order, then run grouped by its coarse grid's key, which a group
     builds once; a failed check or a raise stops the sweep with an error
     that names the point by the keys as written.
@@ -174,7 +179,8 @@ def sweep(cfg: RunConfig, axes: list[SweepAxis]) -> list[dict]:
     for i in itertools.chain.from_iterable(groups.values()):
         combo, point_cfg, where = points[i]
         result = _at_point(where, run_problem, point_cfg)
-        rows[i] = {**dict(zip(names, combo)), **result_record(point_cfg, result)}
+        rows[i] = {**dict(zip(names, map(_swept_value, names, combo))),
+                   **result_record(point_cfg, result)}
     return [rows[i] for i in range(len(points))]
 
 

@@ -25,7 +25,11 @@ one call on the two bounds stacked along a leading axis
 them.  The search takes the argmin and refines: each pass re-grids
 every axis one old step either side of the incumbent at a finer
 spacing.  The equality constraint is thereby met to round-off rather
-than grid precision.  Each optimizer answers with its problem's
+than grid precision.  On one axis, a gate's or a compression's, the
+solve must be elementwise along it: each refined row but the last is
+solved in one call with the rows the next pass can lay, one around
+each of its nodes, so a search at the default two passes makes two
+solve calls, not three.  Each optimizer answers with its problem's
 ``evaluate`` at the point found, an :class:`OptimizationResult` priced
 by the search's own kernels.
 
@@ -81,7 +85,9 @@ scenario, the cable and the parasitic qubit heat itself, so the points
 of a sweep over these share the table.  The coarse axes themselves are
 cached per bounds and points per decade (:func:`_log_axis`), read-only,
 and :func:`_grid_refine` hands them to the first solve of every search
-as they are.  On the grids it lays out itself the search calls the
+as they are.  The qubit-stage occupancies on the coarse qubit axis of a
+gate or a circuit are cached with it (:func:`_axis_occupancies`): the
+probe, the floors and the first solve of every compression read them.  On the grids it lays out itself the search calls the
 unchecked kernels of the model's formulas (such as
 :func:`~coldstack.noise._bose_einstein` and
 :func:`~coldstack.qec._ft_metric`); the public functions check their
@@ -369,15 +375,30 @@ def _grid_refine(solve, axes, options: GridOptions):
     times finer spacing.  Returns (power, point, attenuation) as Python
     floats, or None if the first grid has no feasible point, and the
     spacing in decades by axis name.
+
+    On one axis the next centre is a node of the row just laid: the pick,
+    or the incumbent, its centre.  So every refined row but the last is
+    solved together with the rows the next pass can lay, one around each
+    of its nodes (:func:`_solve_ahead`), and the next pass reads its row
+    from that call: one solve per two passes.  ``solve`` must then be
+    elementwise along the axis, as it is handed that 90-node look-ahead
+    as one axis.  On a grid of two axes the look-ahead would solve 81
+    grids of 81 points, and each pass is solved alone.
     """
     grids, spacing = [], []
     for _, (lo, hi) in axes:
         grid, step = _log_axis(lo, hi, options.temperature_points_per_decade)
         grids.append(grid)
         spacing.append(step)
-    found = None
-    for pass_index in range(options.refinement_passes + 1):
-        power, a_star = solve(*grids)
+    last, found, read = options.refinement_passes, None, None
+    for pass_index in range(last + 1):
+        ahead = None
+        if read is not None:  # this pass's row, solved by the pass before
+            (power, a_star), read = read, None
+        elif len(axes) == 1 and 0 < pass_index < last:
+            power, a_star, ahead = _solve_ahead(solve, grids[0], spacing[0], *axes[0][1])
+        else:
+            power, a_star = solve(*grids)
         shape, power, a_star = power.shape, power.ravel(), a_star.ravel()
         low = power.min()
         if pass_index == 0 and not low < np.inf:
@@ -387,14 +408,34 @@ def _grid_refine(solve, axes, options: GridOptions):
             at = np.unravel_index(pick, shape)
             keys = [sign * g[i] for sign, g, i in zip(_TIE_SIGNS, grids, at)]
             pick = pick[np.lexsort((*keys[::-1], a_star[pick]))]
+        node = REFINEMENT_FACTOR  # a refined row's centre: the incumbent
         if pick.size and (found is None or power[pick[0]] < found[0]):
-            at = np.unravel_index(pick[0], shape)
-            found = (power[pick[0]].item(), tuple(g[i].item() for g, i in zip(grids, at)),
-                     a_star[pick[0]].item())
-        if pass_index < options.refinement_passes:
+            node = pick[0]
+            at = np.unravel_index(node, shape)
+            found = (power[node].item(), tuple(g[i].item() for g, i in zip(grids, at)),
+                     a_star[node].item())
+        if ahead is not None:
+            rows, spacing[0], ahead_power, ahead_a = ahead
+            grids[0], read = rows[node], (ahead_power[node], ahead_a[node])
+        elif pass_index < last:
             for d, (_, (lo, hi)) in enumerate(axes):
                 grids[d], spacing[d] = _refined_axis(found[1][d], spacing[d], lo, hi)
     return found, {name: step for (name, _), step in zip(axes, spacing)}
+
+
+def _solve_ahead(solve, row: np.ndarray, spacing: float, lo: float, hi: float) -> tuple:
+    """``solve`` on the refined ``row`` of ``spacing`` decades and, in the
+    same call, on the row :func:`_refined_axis` lays around each of its
+    nodes, as the flat axis of the row and then those rows: the power and
+    the attenuation on ``row``, and the look-ahead (rows by node, their
+    spacing, and their powers and attenuations).  A node's row has the
+    bits the next pass would lay around it, and, as the solve is
+    elementwise, its results the bits of a solve of that row alone."""
+    rows, fine = _refined_axis(row[:, None], spacing, lo, hi)
+    power, a_star = solve(np.concatenate((row, rows.ravel())))
+    n = row.size
+    return (power[:n], a_star[:n],
+            (rows, fine, power[n:].reshape(rows.shape), a_star[n:].reshape(rows.shape)))
 
 
 def _reduce(candidates, search, floor=None):
@@ -449,6 +490,18 @@ def bare_efficiency_max(tech: QubitTechnology, target: float) -> float:
         tech.gamma * HBAR * tech.omega0)
 
 
+@lru_cache(maxsize=1)
+def _axis_occupancies(t_lo: float, t_hi: float, per_decade: int, omega0: float) -> tuple:
+    """The coarse qubit-temperature axis of :func:`_log_axis` and the
+    qubit-stage occupancy at each of its nodes, read-only.  The probe,
+    the floors and the first solve of every search of a gate or a
+    compression read it; the arguments are the cache's key."""
+    axis, _ = _log_axis(t_lo, t_hi, per_decade)
+    occupancy = _bose_einstein(axis, omega0)
+    occupancy.flags.writeable = False
+    return axis, occupancy
+
+
 class _AttenuatorProblem:
     """One attenuator at the qubit stage, for a batch of single gates or
     circuits, one per row, against qubit-temperature axes along the last
@@ -458,9 +511,9 @@ class _AttenuatorProblem:
     per-gate worst-case infidelity and ``weight[b]`` error-weighted
     gates: 1 for one gate, ``n_gates_weighted`` for a circuit.
     ``power_scale[b]`` multiplies its per-gate cryo power.  The probe
-    (:meth:`reachable`), the floors (:meth:`power_floor`) and the answer
-    (:meth:`evaluate`) take the batch; a search takes one problem of it,
-    :meth:`alone`.
+    (:meth:`reachable`) and the floors (:meth:`power_floor`) take the
+    batch; a search and the answer (:meth:`evaluate`) take one problem
+    of it, :meth:`alone`.
     """
 
     def __init__(self, tech: QubitTechnology, weight, power_scale, t_ext: float):
@@ -488,13 +541,20 @@ class _AttenuatorProblem:
     def solve(self, target: float, options: GridOptions, t_axis: np.ndarray):
         """Power and boundary attenuation on the qubit temperatures
         ``t_axis``, in its shape: one axis, or one row per problem.
+        Elementwise along the axis, so a node has the same bits on any axis
+        it is solved on, as in the 90-node look-ahead of
+        :func:`_grid_refine`.  On the coarse axis itself, as the first pass
+        hands it, the occupancies are read from the cached table of
+        :func:`_axis_occupancies`, which has the bits it would compute.
 
         On the boundary the occupancy is ``n* = (1-M)/(weight*gamma*tau)
         - 1``, so ``A* = (n_hot - n_c)/(n* - n_c)``; on the domain the power
         stays below 1e10 (mu) times 1e20 (A) times 2e22 W."""
         a_lo, a_hi = options.attenuation_bounds
         # the occupancies do not depend on the attenuation: once per grid
-        n_cold = _bose_einstein(t_axis, self.tech.omega0)
+        axis, n_cold = self.coarse_axis(options)
+        if t_axis is not axis:
+            n_cold = _bose_einstein(t_axis, self.tech.omega0)
         n_rise = self.n_hot - n_cold
 
         def gap(log_a):
@@ -520,14 +580,21 @@ class _AttenuatorProblem:
         one.weight, one.power_scale = self.weight[row], self.power_scale[row]
         return one
 
+    def coarse_axis(self, options: GridOptions) -> tuple:
+        """The coarse qubit-temperature axis of the box of ``options`` and
+        its occupancies, the cached table of :func:`_axis_occupancies`."""
+        return _axis_occupancies(*options.t_qb_bounds, options.temperature_points_per_decade,
+                                 self.tech.omega0)
+
     def reachable(self, target: float, options: GridOptions) -> np.ndarray:
         """Whether each problem's search can meet ``target``: its metric at
         the coldest node of the coarse axis, ``t_qb_lo``, behind the
         largest attenuation, where the metric is highest, as the search's
-        first grid reads it, with its bits: the occupancy of a one-node
-        axis and the transmission raised by Python's pow on the bound, as
-        in :meth:`solve`'s ``gap``."""
-        n_cold = _bose_einstein(np.array([options.t_qb_bounds[0]], float), self.tech.omega0)
+        first grid reads it, with its bits: the occupancy of node 0 of the
+        table the first solve reads (:meth:`coarse_axis`) and the
+        transmission raised by Python's pow on the bound, as in
+        :meth:`solve`'s ``gap``."""
+        n_cold = self.coarse_axis(options)[1][:1]
         transmission = 10.0 ** -math.log10(options.attenuation_bounds[1])
         return (self._metric(n_cold, self.n_hot - n_cold, transmission) - target >= 0.0).ravel()
 
@@ -548,14 +615,15 @@ class _AttenuatorProblem:
         the floor is the least over the spans, or the node itself on a
         one-node axis, less 1e-12 relative for round-off.  At target 0 the
         clamped metric meets the target everywhere at A_lo, which the
-        unclamped inverse n* does not give, so A* is taken as A_lo.
+        unclamped inverse n* does not give, so A* is taken as A_lo.  The
+        occupancies n_c of the cold nodes are read from the table the first
+        solve reads (:meth:`coarse_axis`).
         """
-        nodes, _ = _log_axis(*options.t_qb_bounds, options.temperature_points_per_decade)
-        cold, warm = (nodes[:-1], nodes[1:]) if nodes.size > 1 else (nodes, nodes)
+        nodes, occupancy = self.coarse_axis(options)
+        n_cold, warm = (occupancy[:-1], nodes[1:]) if nodes.size > 1 else (occupancy, nodes)
         a_lo, a_hi = options.attenuation_bounds
         a_star = a_lo
         if target > 0:
-            n_cold = _bose_einstein(cold, self.tech.omega0)
             excess = _infidelity_occupancy(self.tech, (1.0 - target) / self.weight) - n_cold
             with np.errstate(over="ignore"):
                 a_star = np.divide(self.n_hot - n_cold, excess,
@@ -568,13 +636,14 @@ class _AttenuatorProblem:
                  circuit: NisqCircuit | None = None) -> OptimizationResult:
         """The answer of problem ``row``, a gate or ``circuit``, at (t_qb, a)
         on a last grid of ``spacing`` decades, priced by the search's
-        elementwise kernels :meth:`power` and :meth:`metric`."""
-        gate = circuit is None
-        qubits, power = 1 if gate else circuit.q, self.power(t_qb, a)[row].item()
-        heat = a * self.p_pi * self.power_scale[row].item()
+        elementwise kernels :meth:`power` and :meth:`metric` on that
+        problem alone (:meth:`alone`)."""
+        gate, one = circuit is None, self.alone(row)
+        qubits, power = 1 if gate else circuit.q, one.power(t_qb, a).item()
+        heat = a * self.p_pi * one.power_scale.item()
         return OptimizationResult(
             control=ControlPoint(t_qb=t_qb, a_total=a, m=None if gate else circuit.m),
-            power_w=power, metric_achieved=self.metric(t_qb, a)[row].item(),
+            power_w=power, metric_achieved=one.metric(t_qb, a).item(),
             per_stage=(StageRecord(t_qb, heat, power, "attenuator"),),
             per_qubit_power_w=power / qubits, physical_qubits=qubits, feasible=True,
             grid_step_log10=spacing, magnification=a * self.t_ext / t_qb if gate else None)

@@ -150,6 +150,32 @@ class TestDriver:
         # a refinement pass keeps the incumbent, so power never rises
         assert powers[2] <= powers[1] <= powers[0]
 
+    def test_sweep_over_an_integer_field_reports_the_ints_it_ran(self, tmp_path,
+                                                                 monkeypatch):
+        # the axis lays 3, 15.33, 27.67 and 40 qubits; the rows hold the ints
+        # the points ran at, and an error still names the point as laid
+        text = "[workload]\nkind = nisq\n"
+        spec = "workload.nisq_qubits=3:40:4"
+        rows = sweep(load_config(text=text), [SweepAxis.parse(spec)])
+        got = [r["nisq_qubits"] for r in rows]
+        assert got == [3, 15, 28, 40] and {type(q) for q in got} == {int}
+        assert got == [r["physical_qubits"] for r in rows]
+        out = tmp_path / "s.csv"
+        assert main(["--config", _write(tmp_path, text), "sweep", "--out", str(out),
+                     "--sweep", spec]) == 0
+        assert out.read_text().splitlines()[2].startswith("15,")
+        real = driver.run_problem
+
+        def flaky(cfg):
+            if cfg.nisq_qubits == 15:
+                raise ValueError("boom")
+            return real(cfg)
+
+        monkeypatch.setattr(driver, "run_problem", flaky)
+        with pytest.raises(ValueError,
+                           match=r"^sweep point workload\.nisq_qubits=15\.333333333333334: boom$"):
+            sweep(load_config(text=text), [SweepAxis.parse(spec)])
+
     def test_sweep_failure_names_its_point(self, tmp_path, monkeypatch, capsys):
         real = driver.run_problem
 

@@ -37,7 +37,13 @@ from coldstack import (
 from coldstack import optimize, qec, thermal
 from coldstack.config import ConfigError, load_config
 from coldstack.driver import SweepAxis, run_problem, sweep
-from coldstack.noise import K_B, _pauli_error, chain_occupancy, chain_transmission
+from coldstack.noise import (
+    K_B,
+    _bose_einstein,
+    _pauli_error,
+    chain_occupancy,
+    chain_transmission,
+)
 from coldstack.optimize import (
     REFINEMENT_FACTOR,
     RELATIVE_TIE,
@@ -342,6 +348,27 @@ class TestOptimizeNisq:
             assert reachable[m] == (found is not None)
             if found is not None:
                 assert floors[m] <= found[0]
+
+    @pytest.mark.parametrize("bounds, per_decade, omega0", [
+        ((1e-3, 4.0), 40, OMEGA0), ((1e-3, 4.0), 3, 2.0 * math.pi * 1e6),
+        ((0.5, 0.5), 40, OMEGA0), ((1e-6, 1e-3), 7, 2.0 * math.pi * 1e12)])
+    def test_occupancy_table_is_cached_read_only_and_has_the_kernels_bits(
+            self, bounds, per_decade, omega0):
+        # the probe reads node 0, the floors the cold nodes and the first
+        # solve the whole axis: each has the bits of the kernel on fresh
+        # copies of those nodes, as a search lays them out
+        axis, table = optimize._axis_occupancies(*bounds, per_decade, omega0)
+        assert axis is optimize._log_axis(*bounds, per_decade)[0]
+        hits = optimize._axis_occupancies.cache_info().hits
+        assert optimize._axis_occupancies(*bounds, per_decade, omega0)[1] is table
+        assert optimize._axis_occupancies.cache_info().hits == hits + 1
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+        cold = slice(None, -1) if axis.size > 1 else slice(None)
+        for nodes in (slice(None, 1), cold, slice(None)):
+            fresh = _bose_einstein(np.array(axis[nodes]), omega0)
+            assert table[nodes].tobytes() == fresh.tobytes()
 
     def test_an_interior_optimum_is_the_reduction_of_every_compression(self):
         # with long-lived qubits and a lax target the compressions' powers
@@ -1921,7 +1948,7 @@ def _toy_searches(draw):
                  draw(st.booleans()) and draw(st.booleans()))
                 for _ in range(draw(st.integers(1, 4)))]
     options = GridOptions(temperature_points_per_decade=draw(st.integers(1, 6)),
-                          refinement_passes=draw(st.integers(0, 2)))
+                          refinement_passes=draw(st.integers(0, 5)))
     return problems, axes, options
 
 
@@ -1974,7 +2001,7 @@ def _sparse_toy_searches(draw):
                 for _ in range(draw(st.integers(1, 4)))]
     per_decade = 40 if coarse else draw(st.integers(1, 6))
     options = GridOptions(temperature_points_per_decade=per_decade,
-                          refinement_passes=draw(st.integers(0, 2)))
+                          refinement_passes=draw(st.integers(0, 5)))
     return problems, axes, options
 
 
@@ -2011,9 +2038,12 @@ class TestGridRefineBookkeeping:
         _assert_alone_equals_rows(_toy_solve, problems, axes, LIGHT)
 
     @pytest.mark.parametrize("ndim", [1, 2])
-    @pytest.mark.parametrize("passes", [0, 2, 5])
-    def test_one_solve_per_pass_on_one_dimensional_axes(self, ndim, passes):
-        # pass 0 takes the cached axes themselves; the answer is Python floats
+    @pytest.mark.parametrize("passes", [0, 1, 2, 5])
+    def test_solve_calls_on_one_and_two_axes(self, ndim, passes):
+        # on one axis every refined row but the last is solved with the 81
+        # nodes of the rows the next pass can lay, which then makes no call;
+        # on two axes each pass is one call.  Pass 0 takes the cached axes
+        # themselves; the answer is Python floats
         axes = [("t_qb", (1e-3, 4.0)), ("t_gen", (4.0, 300.0))][:ndim]
         options = GridOptions(temperature_points_per_decade=3, refinement_passes=passes)
         for dead in (False, True):
@@ -2024,7 +2054,15 @@ class TestGridRefineBookkeeping:
                 return _alone(_toy_solve, problems, 0)(*grids)
 
             found, spacing = _grid_refine(solve, axes, options)
-            assert len(seen) == (1 if dead else passes + 1)
+            if dead:
+                assert len(seen) == 1
+            elif ndim == 1:
+                assert len(seen) == 1 + math.ceil(passes / 2)
+                assert [g.size for (g,) in seen[1:]] == [9 + 81] * (passes // 2) + [9] * (
+                    passes % 2)
+            else:
+                assert len(seen) == passes + 1
+                assert all(g.size == 9 for grids in seen[1:] for g in grids)
             assert all(grid.ndim == 1 for grids in seen for grid in grids)
             assert all(grid is optimize._log_axis(lo, hi, 3)[0]
                        for grid, (_, (lo, hi)) in zip(seen[0], axes, strict=True))
