@@ -86,10 +86,6 @@ def _swept_value(name: str, value):
     return int(round(value)) if FIELD_TYPES[name] == "int" else value
 
 
-def _override(cfg: RunConfig, name: str, value: float) -> RunConfig:
-    return cfg.replace(**{name: _swept_value(name, value)})
-
-
 def run_problem(cfg: RunConfig) -> OptimizationResult:
     """Run the optimization the configured workload kind calls for."""
     tech = cfg.technology()
@@ -155,10 +151,11 @@ def sweep(cfg: RunConfig, axes: list[SweepAxis]) -> list[dict]:
     :func:`run_problem` per point, infeasible points included; each
     starts with the swept values, under the names of the fields they set,
     whichever way the keys are written, each as the point ran it: an
-    integer field's value is the int the axis value rounds to.  Every point is checked first, in
-    that order, then run grouped by its coarse grid's key, which a group
-    builds once; a failed check or a raise stops the sweep with an error
-    that names the point by the keys as written.
+    integer field's value is the int the axis value rounds to.  Every
+    point is checked first, in that order, then run grouped by its coarse
+    grid's key, which a group builds once; a failed check or a raise stops
+    the sweep with an error that names the point by the keys as written,
+    and by the axis values as laid.
     """
     if not axes:
         raise ValueError("sweep needs at least one axis")
@@ -167,7 +164,7 @@ def sweep(cfg: RunConfig, axes: list[SweepAxis]) -> list[dict]:
     for combo in itertools.product(*(axis.values() for axis in axes)):
         point_cfg = cfg
         for name, value in zip(names, combo):
-            point_cfg = _override(point_cfg, name, float(value))
+            point_cfg = point_cfg.replace(**{name: _swept_value(name, float(value))})
         where = "sweep point " + ", ".join(f"{axis.key}={float(value)!r}"
                                            for axis, value in zip(axes, combo))
         point_cfg = _at_point(where, validate, point_cfg)

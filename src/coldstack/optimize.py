@@ -87,10 +87,10 @@ cached per bounds and points per decade (:func:`_log_axis`), read-only,
 and :func:`_grid_refine` hands them to the first solve of every search
 as they are.  The qubit-stage occupancies on the coarse qubit axis of a
 gate or a circuit are cached with it (:func:`_axis_occupancies`): the
-probe, the floors and the first solve of every compression read them.  On the grids it lays out itself the search calls the
-unchecked kernels of the model's formulas (such as
-:func:`~coldstack.noise._bose_einstein` and
-:func:`~coldstack.qec._ft_metric`); the public functions check their
+probe, the floors and the first solve of every compression read them.
+On the grids it lays out itself the search calls the unchecked kernels
+of the model's formulas (such as :func:`~coldstack.noise._bose_einstein`
+and :func:`~coldstack.qec._ft_metric`); the public functions check their
 inputs and then call the same kernels.
 
 Within a level, the coarse pass is pruned by branch and bound, best
