@@ -20,12 +20,15 @@ attenuation that brings the chain's thermal leak down to it is the
 root of a polynomial with nonnegative coefficients, in closed form for
 one attenuator and a few Newton steps for a chain.  A solve sorts its
 points by the metric at both attenuation bounds, which it evaluates in
-one call on the two bounds stacked along a leading axis
-(:func:`_boundary_attenuation`), and inverts only the points between
-them.  The search takes the argmin and refines: each pass re-grids
-every axis one old step either side of the incumbent at a finer
-spacing.  The equality constraint is thereby met to round-off rather
-than grid precision.  On one axis, a gate's or a compression's, the
+one call on the two bounds stacked along a leading axis.  A chain's
+solve inverts only the points between them, gathered by
+:func:`_boundary_attenuation`; one attenuator's closed form, a quotient
+and the Newton step that confirms it, is cheap enough to be evaluated
+on the whole axis, and the sort only picks each point's answer
+(:meth:`_AttenuatorProblem.solve`).  The search takes the argmin and
+refines: each pass re-grids every axis one old step either side of the
+incumbent at a finer spacing.  The equality constraint is thereby met
+to round-off rather than grid precision.  On one axis, a gate's or a compression's, the
 solve must be elementwise along it: each refined row but the last is
 solved in one call with the rows the next pass can lay, one around
 each of its nodes, so a search at the default two passes makes two
@@ -40,7 +43,8 @@ smaller attenuation, then warmer qubits, then cooler generation stage.
 The same grid gives the same bits, so results are deterministic.  A
 solve is elementwise: a point's power and attenuation are the same bits
 in any grid or selection it is solved in, as Newton
-(:func:`~coldstack.noise.chain_transmission`) stops chain by chain.
+(:func:`~coldstack.noise.chain_transmission`) stops chain by chain, and
+one attenuator's inverse is arithmetic on each point.
 
 The fault-tolerant model has one implementation, :class:`_FtProblem`.
 On any temperature grid it gives the power of the whole machine as the
@@ -323,7 +327,9 @@ def _refined_axis(center: float, spacing: float,
 
 def _boundary_attenuation(gap, lo: float, hi: float, invert):
     """Smallest attenuation in [lo, hi] meeting the target, elementwise
-    over a grid.
+    over a grid.  Its one caller is the fault-tolerant chain's boundary,
+    :meth:`_FtProblem.boundary`, whose Newton solve is worth saving on the
+    points that need none.
 
     ``gap(log_a)`` returns (metric - target) on the grid at each log10
     attenuation of the tuple of Python floats ``log_a``, stacked along a
@@ -547,29 +553,44 @@ class _AttenuatorProblem:
         hands it, the occupancies are read from the cached table of
         :func:`_axis_occupancies`, which has the bits it would compute.
 
-        On the boundary the occupancy is ``n* = (1-M)/(weight*gamma*tau)
-        - 1``, so ``A* = (n_hot - n_c)/(n* - n_c)``; on the domain the power
-        stays below 1e10 (mu) times 1e20 (A) times 2e22 W."""
+        The metric at both bounds, evaluated in one call on the two
+        transmissions stacked along a leading axis, sorts the points: slack
+        ones (the target met at ``a_lo``) get ``a_lo``, unreachable ones
+        (missed even at ``a_hi``) NaN.  On the boundary the occupancy is
+        ``n* = (1-M)/(weight*gamma*tau) - 1``, so the transmission ``t =
+        1/A*`` is the root of the leak ``n_rise t = excess = n* - n_c``.
+        It is solved on the whole axis with the arithmetic that
+        :func:`~coldstack.noise.chain_transmission` performs for one rise,
+        written out: its start, ``excess / n_rise`` below ``1/a_lo`` (or
+        ``1/a_lo`` where the rise is not positive), is the root, and its one
+        Newton step ``(t n_rise - excess) / (n_rise + t 0)``, not taken
+        where the slope is not positive, moves it by an ulp or so.  Newton
+        stops after that step, as it lies below its tolerance of a few ulps,
+        so the step written out gives its bits.  Its rule that a step up
+        from ``1/a_lo`` is not taken is left out, as the clip to the bounds
+        takes such a step back to ``1/a_lo``.  The transmission is clipped
+        to the bounds, and the attenuation, its inverse, again against
+        round-off.  On the domain the power stays below 1e10 (mu) times
+        1e20 (A) times 2e22 W."""
         a_lo, a_hi = options.attenuation_bounds
         # the occupancies do not depend on the attenuation: once per grid
         axis, n_cold = self.coarse_axis(options)
         if t_axis is not axis:
             n_cold = _bose_einstein(t_axis, self.tech.omega0)
         n_rise = self.n_hot - n_cold
-
-        def gap(log_a):
-            # Python's pow on each bound, which numpy's vector pow does not
-            # match to the bit, and only then stacked
-            transmission = _stacked([10.0 ** -x for x in log_a], n_cold.ndim)
-            return self._metric(n_cold, n_rise, transmission) - target
-
-        def invert(active):
-            excess = (_infidelity_occupancy(self.tech, (1.0 - target) / self.weight)
-                      - n_cold)[active]
-            return 1.0 / chain_transmission(n_rise[None, active], excess,
-                                            1.0 / a_hi, 1.0 / a_lo)
-
-        a_star = _boundary_attenuation(gap, a_lo, a_hi, invert)
+        # Python's pow on each bound, which numpy's vector pow does not
+        # match to the bit, and only then stacked
+        transmission = _stacked([10.0 ** -math.log10(a) for a in (a_hi, a_lo)], n_cold.ndim)
+        top, bottom = self._metric(n_cold, n_rise, transmission) - target
+        excess = _infidelity_occupancy(self.tech, (1.0 - target) / self.weight) - n_cold
+        t_max = 1.0 / a_lo
+        t = np.minimum(t_max, np.divide(excess, n_rise, out=np.full(excess.shape, np.inf),
+                                        where=n_rise > 0.0))
+        slope = n_rise + t * 0.0
+        step = np.divide(t * n_rise - excess, slope, out=np.zeros(t.shape), where=slope > 0.0)
+        a = 1.0 / np.minimum(np.maximum(t - step, 1.0 / a_hi), t_max)
+        a = np.minimum(np.maximum(a, a_lo), a_hi)
+        a_star = np.where(top >= 0.0, np.where(bottom >= 0.0, a_lo, a), np.nan)
         return np.where(np.isnan(a_star), np.inf, self.power(t_axis, a_star)), a_star
 
     def alone(self, row: int) -> _AttenuatorProblem:
@@ -592,8 +613,8 @@ class _AttenuatorProblem:
         largest attenuation, where the metric is highest, as the search's
         first grid reads it, with its bits: the occupancy of node 0 of the
         table the first solve reads (:meth:`coarse_axis`) and the
-        transmission raised by Python's pow on the bound, as in
-        :meth:`solve`'s ``gap``."""
+        transmission raised by Python's pow on the bound, as :meth:`solve`
+        raises it."""
         n_cold = self.coarse_axis(options)[1][:1]
         transmission = 10.0 ** -math.log10(options.attenuation_bounds[1])
         return (self._metric(n_cold, self.n_hot - n_cold, transmission) - target >= 0.0).ravel()

@@ -171,7 +171,7 @@ def valid_config_texts(draw, kinds=("rsa", "rectangular", "nisq", "gate"),
         "target": {"metric": draw(st.one_of(st.just(0.0), st.just(2.0 / 3.0),
                                             st.floats(0.0, 1.0, exclude_max=True)))},
         "optimizer": {"temperature_points_per_decade": draw(per_decade),
-                      "refinement_passes": draw(st.integers(0, 2)),
+                      "refinement_passes": draw(st.integers(0, 5)),
                       "k_min": k_min, "k_max": k_max},
         "toggles": {"include_demod_syndrome": draw(st.booleans()),
                     "t_gate_multiplier": draw(edge_biased(1.0, 10.0, log=False)),

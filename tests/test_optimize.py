@@ -40,6 +40,7 @@ from coldstack.driver import SweepAxis, run_problem, sweep
 from coldstack.noise import (
     K_B,
     _bose_einstein,
+    _infidelity_occupancy,
     _pauli_error,
     chain_occupancy,
     chain_transmission,
@@ -273,7 +274,7 @@ def nisq_searches(draw):
                                                           edge_biased(1.0, 1e4)))
     options = GridOptions(
         temperature_points_per_decade=draw(st.integers(1, 20)),
-        refinement_passes=draw(st.integers(0, 2)), t_qb_bounds=(t_lo, t_hi),
+        refinement_passes=draw(st.integers(0, 5)), t_qb_bounds=(t_lo, t_hi),
         attenuation_bounds=(a_lo, 1e12))
     return q, target, tech, options
 
@@ -527,6 +528,140 @@ def _boundary_of_two_calls(gap, lo, hi, invert):
     return a
 
 
+def _attenuator_solve_as_first_written(problem, target, options, t_axis):
+    """:meth:`~coldstack.optimize._AttenuatorProblem.solve` as first
+    written: the gap at both bounds sorts the points, and the points
+    between them are gathered, inverted by
+    :func:`~coldstack.noise.chain_transmission` and scattered back by
+    :func:`~coldstack.optimize._boundary_attenuation`."""
+    a_lo, a_hi = options.attenuation_bounds
+    axis, n_cold = problem.coarse_axis(options)
+    if t_axis is not axis:
+        n_cold = _bose_einstein(t_axis, problem.tech.omega0)
+    n_rise = problem.n_hot - n_cold
+
+    def gap(log_a):
+        transmission = optimize._stacked([10.0 ** -x for x in log_a], n_cold.ndim)
+        return problem._metric(n_cold, n_rise, transmission) - target
+
+    def invert(active):
+        excess = (_infidelity_occupancy(problem.tech, (1.0 - target) / problem.weight)
+                  - n_cold)[active]
+        return 1.0 / chain_transmission(n_rise[None, active], excess, 1.0 / a_hi, 1.0 / a_lo)
+
+    a_star = optimize._boundary_attenuation(gap, a_lo, a_hi, invert)
+    return np.where(np.isnan(a_star), np.inf, problem.power(t_axis, a_star)), a_star
+
+
+def _config_attenuator_problem(text):
+    """(technology, weights, power scales, t_ext, target, grid options) of
+    the gate or NISQ config ``text``, as :func:`run_problem` builds its
+    problem: one gate, or every compression of the circuit."""
+    cfg = load_config(text=text)
+    weights, scales = 1.0, 1.0
+    if cfg.workload_kind == "nisq":
+        weights, scales = compression_costs(cfg.nisq_qubits, np.arange(cfg.nisq_qubits - 2))
+    return (cfg.technology(), weights, scales, cfg.t_ext_k, cfg.target_metric,
+            cfg.grid_options())
+
+
+@st.composite
+def attenuator_problems(draw):
+    """Single-attenuator problems, as :func:`_config_attenuator_problem`
+    gives them, of a NISQ search (:func:`nisq_searches`, at t_ext = 300 K)
+    or of a gate or NISQ config."""
+    if draw(st.booleans()):
+        q, target, tech, options = draw(nisq_searches())
+        return (tech, *compression_costs(q, np.arange(q - 2)), 300.0, target, options)
+    return _config_attenuator_problem(draw(valid_config_texts(kinds=("gate", "nisq"))))
+
+
+def _attenuator_axes(problem, options):
+    """The axes a search hands a solve: the cached coarse axis itself, a
+    9-node refined row around its middle node, and the 90-node look-ahead
+    of that row (:func:`~coldstack.optimize._solve_ahead`)."""
+    axis = problem.coarse_axis(options)[0]
+    lo, hi = options.t_qb_bounds
+    _, spacing = optimize._log_axis(lo, hi, options.temperature_points_per_decade)
+    row, fine = _refined_axis(axis[axis.size // 2], spacing, lo, hi)
+    rows, _ = _refined_axis(row[:, None], fine, lo, hi)
+    return axis, row, np.concatenate((row, rows.ravel()))
+
+
+class TestAttenuatorSolve:
+    """The written-out one-attenuator inverse, bit for bit the Newton solve
+    of the chain it replaced, and raising no floating-point warning."""
+
+    @given(spec=attenuator_problems())
+    # target 0, where the clamped metric is met everywhere
+    @example(spec=_config_attenuator_problem(
+        "[workload]\nkind = nisq\n[target]\nmetric = 0.0\n"))
+    @example(spec=_config_attenuator_problem("[workload]\nkind = gate\n[target]\nmetric = 0.0\n"))
+    # a one-node axis
+    @example(spec=_config_attenuator_problem(
+        "[workload]\nkind = nisq\n[chain]\nt_qb_min_k = 0.01\nt_qb_max_k = 0.01\n"))
+    # a_lo == a_hi, and a raised floor
+    @example(spec=_config_attenuator_problem(
+        "[workload]\nkind = gate\n[chain]\nattenuation_min_db = 40.0\n"
+        "attenuation_max_db = 40.0\n"))
+    @example(spec=_config_attenuator_problem(
+        "[workload]\nkind = nisq\n[chain]\nattenuation_min_db = 3.3\n"))
+    @example(spec=_config_attenuator_problem("[workload]\nkind = gate\n"))
+    # t_ext at either end of its domain
+    @example(spec=_config_attenuator_problem(
+        "[workload]\nkind = nisq\n[chain]\nt_ext_k = 4.0\nt_qb_max_k = 3.9\n"
+        "t_gen_max_k = 4.0\n"))
+    @example(spec=_config_attenuator_problem(
+        "[workload]\nkind = gate\n[chain]\nt_ext_k = 10000.0\nt_qb_max_k = 9999.0\n"))
+    # the qubit stage an ulp below t_ext = 77 K, where at 6 GHz the rise is 0
+    @example(spec=_config_attenuator_problem(
+        "[workload]\nkind = gate\n[chain]\nt_ext_k = 77.0\nt_qb_min_k = 76.99999999999999\n"
+        "t_qb_max_k = 76.99999999999999\nt_gen_min_k = 77.0\nt_gen_max_k = 77.0\n"))
+    # 10 THz at t_ext = 4 K: the coldest qubits hold no photon at all
+    @example(spec=_config_attenuator_problem(
+        "[workload]\nkind = gate\n[technology]\nfrequency_hz = 1e13\n"
+        "[chain]\nt_ext_k = 4.0\nt_qb_max_k = 3.9\nt_gen_max_k = 4.0\n"))
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_equals_the_solve_as_first_written(self, spec):
+        # each problem alone on the axes a search hands it, and the batch
+        # on those axes tiled, one row per problem
+        tech, weights, scales, t_ext, target, options = spec
+        problem = _AttenuatorProblem(tech, weights, scales, t_ext)
+        rows = problem.weight.shape[0]
+        for axis in _attenuator_axes(problem, options):
+            cases = [(problem.alone(row), axis) for row in range(rows)]
+            cases.append((problem, np.tile(axis, (rows, 1))))
+            for solver, t_axis in cases:
+                with np.errstate(all="raise"):
+                    got = solver.solve(target, options, t_axis)
+                want = _attenuator_solve_as_first_written(solver, target, options, t_axis)
+                for g, w in zip(got, want):
+                    assert g.shape == w.shape
+                    assert np.array_equal(g, w, equal_nan=True)
+
+    def test_a_target_met_at_the_upper_bound_answers_the_bound(self):
+        # the target is the metric at a_hi: the point is reachable, and where
+        # its inverse, rounded through 1 - M, lies above a_hi, it is clipped
+        # to the bounds twice, as 1/(1/a_hi) is not a_hi for these bounds
+        tech = QubitTechnology(omega0=OMEGA0, gamma=1e3)
+        problem = _AttenuatorProblem(tech, 1.0, 1.0, 300.0).alone(0)
+        rng = np.random.default_rng(1)
+        bounds = [a for a in 10.0 ** rng.uniform(1.0, 12.0, 200) if 1.0 / (1.0 / a) != a]
+        at_bound = 0
+        for a_hi, t_qb in zip(bounds, rng.uniform(0.01, 4.0, len(bounds))):
+            t_axis, options = np.array([t_qb]), GridOptions(attenuation_bounds=(1.0, a_hi))
+            n_cold = _bose_einstein(t_axis, tech.omega0)
+            target = problem._metric(n_cold, problem.n_hot - n_cold,
+                                     10.0 ** -math.log10(a_hi)).item()
+            with np.errstate(all="raise"):
+                got = problem.solve(target, options, t_axis)
+            assert 1.0 <= got[1].item() <= a_hi
+            at_bound += got[1].item() == a_hi
+            want = _attenuator_solve_as_first_written(problem, target, options, t_axis)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert at_bound > 5
+
+
 class TestBoundarySolve:
     """The direct boundary solve against bisection, run with every
     floating-point warning raised as an error."""
@@ -656,16 +791,16 @@ class TestBoundarySolve:
             (alone,) = chain_transmission(rises[:, i:i + 1], excess[i:i + 1], 1e-3, 1.0)
             assert alone == batch[i], i
 
-    @given(text=valid_config_texts())
+    @given(text=valid_config_texts(kinds=("rsa", "rectangular")))
     @example(text="[chain]\nstages = 8\nattenuation_min_db = 7.3\nattenuation_max_db = 93.1\n")
-    @example(text="[workload]\nkind = nisq\n[chain]\nattenuation_min_db = 3.3\n")
-    @example(text="[workload]\nkind = gate\n")
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_stacked_bounds_equal_separate_evaluations(self, text):
-        # a solve evaluates the metric at both attenuation bounds in one
-        # call, stacked along a leading axis: bit for bit a call at each
-        # bound alone, and the attenuations those two calls sort out
+        # a fault-tolerant solve evaluates the metric at both attenuation
+        # bounds in one call, stacked along a leading axis: bit for bit a
+        # call at each bound alone, and the attenuations those two calls
+        # sort out (a gate's or a circuit's solve is checked against its
+        # first form in TestAttenuatorSolve)
         calls, boundary = [], optimize._boundary_attenuation
 
         def recording(gap, lo, hi, invert):
@@ -675,7 +810,10 @@ class TestBoundarySolve:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(optimize, "_boundary_attenuation", recording)
-            run_problem(load_config(text=text))
+            result = run_problem(load_config(text=text))
+        # a feasible answer was found by a search, and every solve of one
+        # goes through the boundary
+        assert calls or not result.feasible
         for gap, lo, hi, invert, a_star in calls:
             bounds = (math.log10(hi), math.log10(lo))
             alone = np.concatenate([gap((log_a,)) for log_a in bounds])
