@@ -28,13 +28,13 @@ on the whole axis, and the sort only picks each point's answer
 (:meth:`_AttenuatorProblem.solve`).  The search takes the argmin and
 refines: each pass re-grids every axis one old step either side of the
 incumbent at a finer spacing.  The equality constraint is thereby met
-to round-off rather than grid precision.  On one axis, a gate's or a compression's, the
-solve must be elementwise along it: each refined row but the last is
-solved in one call with the rows the next pass can lay, one around
-each of its nodes, so a search at the default two passes makes two
-solve calls, not three.  Each optimizer answers with its problem's
-``evaluate`` at the point found, an :class:`OptimizationResult` priced
-by the search's own kernels.
+to round-off rather than grid precision.  On one axis, a gate's or a
+compression's, the solve must be elementwise along it: each refined row
+but the last is solved in one call with the rows the next pass can lay,
+one around each of its nodes, so a search at the default two passes
+makes two solve calls, not three.  Each optimizer answers with its
+problem's ``evaluate`` at the point found, an
+:class:`OptimizationResult` priced by the search's own kernels.
 
 The reduction is an ordered argmin with a fixed tie-break: over a
 discrete choice, the smaller concatenation level or compression
